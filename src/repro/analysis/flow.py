@@ -20,8 +20,10 @@ parallelism, ROADMAP item 3(b)) depend on:
    * *replica-local* — ordinary ``self`` state of a process; unchecked.
    * *message-stash* — a write to a frozen message's pre-declared
      ``init=False`` slot via ``object.__setattr__``.  Must happen at
-     construction time or follow the stash-if-absent idiom (read, miss-test,
-     write), and must never be conditional on state outside the guard.
+     construction time (``__post_init__``, or on a local the same function
+     just built with a constructor call) or follow the stash-if-absent idiom
+     (read, miss-test, write), and must never be conditional on state
+     outside the guard.
    * *deployment-shared* — module-level memo/cache tables and instances
      marked ``DEPLOYMENT_SHARED = True`` (e.g. ``ThresholdScheme``).
      Mutations are allowed only inside the owning module/class and only in
@@ -997,6 +999,28 @@ def _test_references(test: ast.AST, names: Set[str]) -> bool:
     return any(isinstance(sub, ast.Name) and sub.id in names for sub in ast.walk(test))
 
 
+def _fresh_locals(func: ast.AST, program: Program) -> Set[str]:
+    """Locals bound exactly once, directly to a constructor call of a program
+    class.  A stash write on one is still construction: the object was built
+    by this call of this function, so no other process has observed it."""
+    stores: Dict[str, int] = {}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores[node.id] = stores.get(node.id, 0) + 1
+    fresh: Set[str] = set()
+    for node in ast.walk(func):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and stores[node.targets[0].id] == 1
+            and isinstance(node.value, ast.Call)
+            and _call_name(node.value) in program.classes
+        ):
+            fresh.add(node.targets[0].id)
+    return fresh
+
+
 def check_stash_discipline(program: Program) -> Iterator[FlowFinding]:
     declared = program.stash_field_names
     for qualname, info in sorted(program.functions.items()):
@@ -1024,6 +1048,9 @@ def check_stash_discipline(program: Program) -> Iterator[FlowFinding]:
                     "not a pre-declared init=False slot field on any message/record "
                     "class; declare the slot so sharing is part of the type"
                 )
+                continue
+            target = site.args[0]
+            if isinstance(target, ast.Name) and target.id in _fresh_locals(info.node, program):
                 continue
             guards = _guard_variables(info.node, stash_name)
             tests = [

@@ -6,7 +6,9 @@ replica it believes is the primary, and in the common case accepts a single
 post-execution state digest and the Merkle proof that its operation executed
 with the returned value.  If its timer expires it re-sends the request to all
 replicas and falls back to the classic PBFT acknowledgement, waiting for
-``f + 1`` matching signed replies.
+``f + 1`` matching replies, each verified against the signing key of the
+replica it claims to come from (so one faulty replica counts once, whatever
+ids it writes into its replies).
 
 Clients can be *pipelined*: ``config.client_max_outstanding`` bounds how many
 requests one client keeps in flight concurrently (the default of 1 reproduces
@@ -26,7 +28,7 @@ from repro.core.messages import ClientReply, ClientRequest, ExecuteAck
 from repro.core.stats import ClientStats
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
 from repro.crypto.hashing import sha256_hex
-from repro.crypto.signatures import SigningKey
+from repro.crypto.signatures import SigningKey, VerifyKey
 from repro.metrics.collector import LatencyRecorder
 from repro.services.interface import AuthenticatedService, Operation
 from repro.sim.events import Simulator
@@ -83,6 +85,10 @@ class SBFTClient(Process):
         # client window than cache would break the sufficiency invariant
         # (see repro.core.reply_cache).
         self.max_outstanding = config.client_max_outstanding
+        # Replica id -> verify key for the f+1 reply fallback, attached by the
+        # deployment (like ``pi_scheme``).  A reply whose claimed sender has
+        # no key here is rejected.
+        self.replica_verify_keys: Dict[int, VerifyKey] = {}
 
         self._requests = [tuple(ops) for ops in requests]
         self._next_index = 0
@@ -225,10 +231,16 @@ class SBFTClient(Process):
         pending = self._in_flight.get(message.timestamp)
         if pending is None:
             return
+        key = self.replica_verify_keys.get(message.replica_id)
+        if key is None or not key.verify(
+            ("reply", self.client_id, message.timestamp, message.values), message.signature
+        ):
+            self.stats.acks_rejected += 1
+            return
         # Replies are matched by value digest (values may contain unhashable
         # structures such as ledger receipts).
-        key = sha256_hex("reply-values", message.values)
-        voters = pending.fallback_replies.setdefault(key, set())
+        values_digest = sha256_hex("reply-values", message.values)
+        voters = pending.fallback_replies.setdefault(values_digest, set())
         voters.add(message.replica_id)
         if len(voters) >= self.config.f + 1:
             self.stats.fallbacks += 1

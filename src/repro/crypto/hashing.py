@@ -104,14 +104,16 @@ def memo_key(value: Any) -> Any:
     values surface as ``TypeError`` at lookup, which callers treat as a cache
     bypass.
 
-    Strings, and tuples made only of strings and exact ints (digest and
-    Merkle-leaf paths, the hottest keys), are used raw.  This cannot
-    collide: a ``str`` only equals another ``str``; an exact ``int`` inside
-    a raw tuple only equals another raw-eligible element if that element is
-    an equal exact ``int`` (``bool``/``float`` look-alikes are excluded from
-    the raw path, and tagged keys are tuples whose first element is a type
-    object, which never equals a str or int).  Equal raw keys therefore
-    always share one canonical encoding.
+    Strings, and tuples made only of strings, exact ints, bools and ``None``
+    (digest and Merkle-leaf paths and signed protocol messages, the hottest
+    keys), are used raw.  This cannot collide: a ``str`` only equals another
+    ``str`` and ``None`` only ``None``; an ``int`` or ``bool`` inside a raw
+    tuple only equals another raw-eligible element if that element is an
+    equal ``int`` or ``bool``, and the canonical encoding writes ``True`` and
+    ``False`` exactly as it writes ``1`` and ``0`` (``float`` look-alikes,
+    which it does not, are excluded from the raw path); tagged keys are
+    tuples whose first element is a type object, which never equals a raw
+    element.  Equal raw keys therefore always share one canonical encoding.
     """
     kind = type(value)
     if kind is str:
@@ -119,7 +121,12 @@ def memo_key(value: Any) -> Any:
     if kind is tuple:
         for item in value:
             item_type = type(item)
-            if item_type is not str and item_type is not int:
+            if (
+                item_type is not str
+                and item_type is not int
+                and item_type is not bool
+                and item is not None
+            ):
                 return (tuple, tuple(memo_key(inner) for inner in value))
         return value
     return (kind, value)

@@ -6,12 +6,28 @@ the simulation we use a keyed-hash construction that is *functionally* a
 signature scheme with a verification oracle — unforgeable only against the
 honest processes in the simulation, which never try to forge — and charge
 RSA-like costs through :mod:`repro.crypto.costs`.
+
+Signature provenance.  One broadcast hands the *same* frozen
+:class:`Signature` object to every recipient, so :meth:`SigningKey.sign`
+records on the signature what it signed and :meth:`VerifyKey.verify` accepts
+without hashing when asked about exactly that key and that message.  The
+record is type-tagged (:func:`repro.crypto.hashing.memo_key`: ``1`` and
+``1.0`` are different records, exactly as in the canonical encoding), is not
+an ``__init__`` field (so it never survives direct construction or
+``dataclasses.replace``), and lives and dies with the signature.  Anything
+without a matching record is recomputed and compared as before, so the fast
+path can only ever save a recomputation, never change a verdict — under the
+same trust model as above: honest processes do not write the record
+themselves.
 """
 
 from __future__ import annotations
 
+from dataclasses import field
+from typing import Any
+
 from repro.compat import dataclass
-from repro.crypto.hashing import sha256_hex
+from repro.crypto.hashing import memo_key, sha256_hex
 from repro.errors import CryptoError
 
 
@@ -23,6 +39,12 @@ class Signature:
 
     signer: str
     digest: str
+    # Provenance stash written only by ``SigningKey.sign``: the ``key_id`` and
+    # ``memo_key(message)`` of the signing call that made this object, or
+    # ``None`` (see the module docstring).  Two slots, not a tuple: a long
+    # run keeps tens of thousands of signatures alive.
+    _signed_by: Any = field(init=False, compare=False, repr=False, default=None)
+    _signed: Any = field(init=False, compare=False, repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -35,6 +57,8 @@ class VerifyKey:
     def verify(self, message: object, signature: Signature) -> bool:
         if signature.signer != self.signer:
             return False
+        if signature._signed_by == self.key_id and signature._signed == memo_key(message):
+            return True
         return signature.digest == sha256_hex("pk-sign", self.key_id, message)
 
 
@@ -46,7 +70,19 @@ class SigningKey:
     key_id: str
 
     def sign(self, message: object) -> Signature:
-        return Signature(signer=self.signer, digest=sha256_hex("pk-sign", self.key_id, message))
+        digest = sha256_hex("pk-sign", self.key_id, message)
+        signature = Signature(signer=self.signer, digest=digest)
+        signed = memo_key(message)
+        try:
+            hash(signed)
+        except TypeError:
+            # Unhashable parts (ledger dict receipts) compare by plain ``==``,
+            # which conflates 1 and 1.0 where the encoding does not: leave the
+            # signature without provenance and let every verify recompute.
+            return signature
+        object.__setattr__(signature, "_signed_by", self.key_id)
+        object.__setattr__(signature, "_signed", signed)
+        return signature
 
     @property
     def verify_key(self) -> VerifyKey:

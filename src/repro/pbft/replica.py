@@ -110,6 +110,14 @@ class PBFTReplica(Process):
         self.costs = costs
         self.client_directory = client_directory if client_directory is not None else {}
 
+        # 2f + 2c + 1 — with c = 0 this is the classic 2f + 1; read on every
+        # vote, so computed once (the config is frozen).
+        # ``config.unsafe_quorum_override`` (a test-only adversary-lab knob,
+        # see :class:`repro.core.config.SBFTConfig`) replaces the sound quorum
+        # when set so the strategy search has a real violation to find.
+        override = config.unsafe_quorum_override
+        self.quorum = override if override is not None else 2 * config.f + 2 * config.c + 1
+
         self.view = 0
         self.last_executed = 0
         self.last_stable = 0
@@ -180,19 +188,6 @@ class PBFTReplica(Process):
     @property
     def n(self) -> int:
         return self.config.n
-
-    @property
-    def quorum(self) -> int:
-        """2f + 2c + 1 — with c = 0 this is the classic 2f + 1.
-
-        ``config.unsafe_quorum_override`` (a test-only adversary-lab knob,
-        see :class:`repro.core.config.SBFTConfig`) replaces the sound quorum
-        when set so the strategy search has a real violation to find.
-        """
-        override = self.config.unsafe_quorum_override
-        if override is not None:
-            return override
-        return 2 * self.config.f + 2 * self.config.c + 1
 
     @property
     def primary(self) -> int:
@@ -418,9 +413,15 @@ class PBFTReplica(Process):
     def _check_prepared(self, slot: _PbftSlot) -> None:
         if slot.commit_sent or slot.digest is None or slot.pre_prepare is None:
             return
-        matching = sum(1 for digest in slot.prepares.values() if digest == slot.digest)
         # Prepared: pre-prepare + 2f (+2c) prepares from distinct replicas.
-        if matching >= self.quorum - 1:
+        # Matching votes never outnumber votes, so nothing is counted until
+        # the dict itself can reach the quorum: with honest (all-matching)
+        # votes the scan below runs once per slot, not once per vote.
+        needed = self.quorum - 1
+        if len(slot.prepares) < needed:
+            return
+        matching = sum(1 for digest in slot.prepares.values() if digest == slot.digest)
+        if matching >= needed:
             slot.commit_sent = True
             self.charge_cpu(self.costs.rsa_sign)
             signature = self.signing_key.sign(("commit", slot.sequence, self.view, slot.digest))
@@ -448,6 +449,8 @@ class PBFTReplica(Process):
 
     def _check_committed(self, slot: _PbftSlot) -> None:
         if slot.committed or slot.digest is None:
+            return
+        if len(slot.commits) < self.quorum:  # see _check_prepared
             return
         matching = sum(1 for digest in slot.commits.values() if digest == slot.digest)
         if matching >= self.quorum and slot.pre_prepare is not None:
@@ -560,7 +563,13 @@ class PBFTReplica(Process):
             return
         votes = self._checkpoints.setdefault(message.sequence, {})
         votes[message.replica_id] = message.state_digest
-        if len(votes) >= self.quorum and message.sequence > self.last_stable:
+        # Stable: a quorum voted for the *same* state digest (only the digest
+        # just voted for can have newly reached it).
+        if (
+            message.sequence > self.last_stable
+            and len(votes) >= self.quorum
+            and list(votes.values()).count(message.state_digest) >= self.quorum
+        ):
             self.last_stable = message.sequence
             collect_up_to = min(self.last_stable, self.last_executed) - self.config.window
             stale = [s for s in self._slots if s <= collect_up_to]

@@ -138,6 +138,9 @@ class Cluster:
             workload.set_num_clients(self.num_clients)
 
         client_directory = {i: n + i for i in range(self.num_clients)}
+        # The PKI's public half, read-only and shared by every PBFT replica
+        # (vote verification) and every client (f+1 reply verification).
+        replica_verify_keys = {i: self.setup.replica_verify_key(i) for i in range(n)}
 
         # Replicas.
         for replica_id in range(n):
@@ -149,7 +152,7 @@ class Cluster:
                     node_id=replica_id,
                     config=config,
                     signing_key=self.setup.replica_keys(replica_id).signing_key,
-                    verify_keys={i: self.setup.replica_verify_key(i) for i in range(n)},
+                    verify_keys=replica_verify_keys,
                     service=service,
                     costs=self.costs,
                     client_directory=client_directory,
@@ -192,6 +195,7 @@ class Cluster:
                 start_delay=0.001 * client_index,
             )
             client.pi_scheme = self.setup.pi
+            client.replica_verify_keys = replica_verify_keys
             self.network.register(client)
             self.clients[client_index] = client
 

@@ -11,6 +11,9 @@ three ``Handler`` methods break the write discipline in the three ways the
   delivery overwrites what another replica already observed.
 * ``deliver_undeclared`` targets ``_scratch``, which no class declares as a
   stash slot.
+
+``make`` is the clean counterpart: it stamps a ``Note`` it has just built,
+which is still construction and must not be reported.
 """
 
 from dataclasses import dataclass, field
@@ -40,3 +43,8 @@ class Handler:
     def deliver_undeclared(self, note):
         object.__setattr__(note, "_scratch", len(note.payload))  # PLANT: stash-discipline
         return note._scratch
+
+    def make(self, payload):
+        note = Note(payload)
+        object.__setattr__(note, "_digest", len(payload))
+        return note

@@ -7,6 +7,8 @@ forensics (evidence must verify against the signature layer and fail when
 tampered with), and the strategy registry/parameter plumbing.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.adversary import (
@@ -225,6 +227,19 @@ def test_equivocation_evidence_verifies_and_tampering_fails():
     assert not verify_evidence(wrong_culprit, keys)
     # Wrong key material (a different deployment's setup) must also fail.
     assert not verify_evidence(original, _verify_keys(seed=999))
+    # The signatures in evidence carry their signing provenance; it must not
+    # vouch for a message whose fields were altered around them.
+    a, b = original.message_a, original.message_b
+    moved = (b.sequence + 1, b.view)
+    for context, tampered_a, tampered_b in (
+        (original.context, a, dataclasses.replace(b, digest="0" * 64)),
+        (original.context, a, dataclasses.replace(b, primary_signature=a.primary_signature)),
+        (moved, dataclasses.replace(a, sequence=moved[0]), dataclasses.replace(b, sequence=moved[0])),
+    ):
+        tampered = dataclasses.replace(
+            original, context=context, message_a=tampered_a, message_b=tampered_b
+        )
+        assert not verify_evidence(tampered, keys)
 
 
 def test_viewchange_spam_with_equivocating_claims_yields_signed_evidence():

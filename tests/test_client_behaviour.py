@@ -52,6 +52,7 @@ def _make_client(requests=1, verifier=None):
         verifier=verifier if verifier is not None else store,
     )
     client.pi_scheme = SETUP.pi
+    client.replica_verify_keys = {i: SETUP.replica_verify_key(i) for i in range(CONFIG.n)}
     network.register(client)
     return sim, network, replicas, client
 
@@ -190,6 +191,44 @@ def test_fewer_than_f_plus_one_replies_do_not_complete():
     network.send(0, client.node_id, reply)
     sim.run(until=0.2)
     assert client.completed == 0
+
+
+def test_one_faulty_replica_cannot_fill_the_fallback_quorum_under_many_ids():
+    """A single liar signing with its own key but claiming f+1 different
+    replica ids must not get its value accepted; neither must replies for
+    another client or with a swapped value.  Honest replies still complete."""
+    sim, network, replicas, client = _make_client()
+    sim.run(until=0.05)
+    liar = SETUP.replica_keys(3).signing_key
+    forged_values = ("forged",)
+
+    def reply(signing_key, claimed_id, values, signed_client=0):
+        return ClientReply(
+            sequence=1, client_id=0, timestamp=1, values=values, replica_id=claimed_id,
+            signature=signing_key.sign(("reply", signed_client, 1, values)),
+        )
+
+    for claimed_id in range(CONFIG.n):
+        if claimed_id != 3:
+            network.send(3, client.node_id, reply(liar, claimed_id, forged_values))
+    # Validly signed, but for client 7's request.
+    network.send(0, client.node_id, reply(SETUP.replica_keys(0).signing_key, 0, (True,), signed_client=7))
+    # An id the deployment has no key for.
+    network.send(3, client.node_id, reply(liar, 99, forged_values))
+    sim.run(until=0.2)
+    assert client.completed == 0
+    assert client.stats["acks_rejected"] == CONFIG.n - 1 + 2
+    assert client.stats["fallbacks"] == 0
+
+    # The liar's one genuine vote counts once; f honest votes for the real
+    # value plus one more complete the request with the honest value.
+    network.send(3, client.node_id, reply(liar, 3, forged_values))
+    for replica_id in range(CONFIG.f + 1):
+        network.send(replica_id, client.node_id, reply(SETUP.replica_keys(replica_id).signing_key, replica_id, (True,)))
+    sim.run(until=0.4)
+    assert client.completed == 1
+    assert client.accepted_values == [(True,)]
+    assert client.stats["fallbacks"] == 1
 
 
 def test_client_issues_requests_sequentially():

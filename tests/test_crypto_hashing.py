@@ -1,6 +1,8 @@
 """Unit tests for digest helpers."""
 
-from repro.crypto.hashing import block_digest, chain_digest, sha256_hex, sha256_int
+import itertools
+
+from repro.crypto.hashing import block_digest, chain_digest, memo_key, sha256_hex, sha256_int
 
 
 def test_sha256_hex_deterministic():
@@ -17,6 +19,25 @@ def test_sha256_hex_handles_many_types():
     values = ["s", 5, -5, 3.14, True, False, None, [1, 2], (3, 4), {"k": "v"}, b"bytes"]
     digests = {sha256_hex(v) for v in values}
     assert len(digests) == len(values)
+
+
+def test_equal_memo_keys_always_share_one_canonical_encoding():
+    """The contract every digest memo and the signature-provenance fast path
+    rest on, over Python's equal-but-differently-typed look-alikes."""
+    scalars = [0, 1, 2, True, False, 0.0, 1.0, None, "", "1", "a", b"a"]
+    pool = list(scalars)
+    pool += [(a,) for a in scalars] + [(a, "x") for a in scalars]
+    pool += [("reply", 0, 1, (a, b)) for a, b in itertools.product(scalars[:8], repeat=2)]
+    for a, b in itertools.combinations(pool, 2):
+        if memo_key(a) == memo_key(b):
+            assert hash(memo_key(a)) == hash(memo_key(b))
+            assert sha256_hex(a) == sha256_hex(b), (a, b)
+    # Raw where that is exact (no allocation), tagged where it is not.
+    votes = ("prepare", 3, 0, "digest")
+    flags = (True, None, 7, "v")
+    assert memo_key(votes) is votes and memo_key(flags) is flags
+    assert memo_key((1, "x")) == memo_key((True, "x"))  # one encoding
+    assert memo_key((1, "x")) != memo_key((1.0, "x"))  # two encodings
 
 
 def test_sha256_int_matches_hex():

@@ -1,9 +1,13 @@
 """Unit tests for plain signatures and the crypto cost model."""
 
+import dataclasses
+
 import pytest
 
+from repro.crypto import signatures
 from repro.crypto.costs import DEFAULT_COSTS, MAC_ONLY_COSTS
-from repro.crypto.signatures import generate_keypair
+from repro.crypto.hashing import sha256_hex
+from repro.crypto.signatures import Signature, generate_keypair
 from repro.errors import CryptoError
 
 
@@ -34,6 +38,125 @@ def test_empty_signer_rejected():
 def test_signature_size_matches_rsa2048():
     key = generate_keypair("client-1")
     assert key.sign("m").size_bytes == 256
+
+
+# ----------------------------------------------------------------------
+# Signature provenance: the fast path may only ever save a recomputation
+# ----------------------------------------------------------------------
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """Counts the ``sha256_hex`` calls made by the signature module."""
+    calls = []
+
+    def counting(*parts):
+        calls.append(parts[0])
+        return sha256_hex(*parts)
+
+    monkeypatch.setattr(signatures, "sha256_hex", counting)
+    return calls
+
+
+MESSAGE = ("prepare", 7, 0, "d" * 64)
+
+
+def test_verifying_an_honest_signature_never_hashes(hash_calls):
+    key = generate_keypair("replica-1", seed=4)
+    signature = key.sign(MESSAGE)
+    verify_key = key.verify_key
+    del hash_calls[:]
+    # Every recipient rebuilds the message tuple from the fields it received.
+    assert all(verify_key.verify(("prepare", 7, 0, "d" * 64), signature) for _ in range(49))
+    assert hash_calls == []
+
+
+def _honest_digest(key, message):
+    return sha256_hex("pk-sign", key.key_id, message)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["direct", "replace-digest", "replace-signer", "other-key", "other-message", "other-seed"],
+)
+def test_signatures_without_matching_provenance_are_recomputed(case, hash_calls):
+    """Each of these must take the recompute path (one hash per verify) and
+    return what plain recompute-and-compare returns."""
+    key = generate_keypair("replica-1", seed=4)
+    other = generate_keypair("replica-2", seed=4)
+    signed = key.sign(MESSAGE)
+    verify_key, message, expected = key.verify_key, MESSAGE, False
+    if case == "direct":  # same bytes, built without sign(): valid, but no stash
+        signature = Signature(signer=signed.signer, digest=signed.digest)
+        expected = True
+    elif case == "replace-digest":
+        signature = dataclasses.replace(signed, digest=_honest_digest(key, ("prepare", 8, 0, "x")))
+    elif case == "replace-signer":  # re-labelled as replica-2's: checked against that key
+        signature = dataclasses.replace(signed, signer="replica-2")
+        verify_key = other.verify_key
+    elif case == "other-key":  # claims replica-1's name, signed with replica-2's secret
+        signature = Signature(signer="replica-1", digest=_honest_digest(other, MESSAGE))
+    elif case == "other-message":
+        signature, message = signed, ("prepare", 7, 0, "e" * 64)
+    else:  # same signer name from another deployment's trusted setup
+        signature, verify_key = signed, generate_keypair("replica-1", seed=5).verify_key
+    assert signature._signed is None or case in ("other-message", "other-seed")
+    del hash_calls[:]
+    assert verify_key.verify(message, signature) is expected
+    assert hash_calls == ["pk-sign"]
+
+
+def test_replace_drops_provenance_but_keeps_validity(hash_calls):
+    key = generate_keypair("replica-1")
+    copy = dataclasses.replace(key.sign(MESSAGE))
+    assert copy == key.sign(MESSAGE) and copy._signed is None and copy._signed_by is None
+    with pytest.raises(ValueError):
+        dataclasses.replace(copy, _signed=MESSAGE)
+    with pytest.raises(ValueError):
+        dataclasses.replace(copy, _signed_by=key.key_id)
+    del hash_calls[:]
+    assert key.verify_key.verify(MESSAGE, copy)
+    assert hash_calls == ["pk-sign"]
+
+
+@pytest.mark.parametrize("signed_value, asked_value", [(1, 1.0), (1.0, 1), (1, True), (False, 0)])
+def test_provenance_answers_exactly_as_the_canonical_encoding_would(
+    signed_value, asked_value, hash_calls
+):
+    """``1 == True == 1.0`` in Python.  The canonical encoding tells 1 from
+    1.0 but writes True as 1, and so does the provenance record: the verdict
+    is always the recomputed one, and a rejection is never read off the
+    stash."""
+    key = generate_keypair("replica-1")
+    for wrap in (lambda v: ("reply", 0, 1, v), lambda v: ("reply", 0, 1, (v, "x"))):
+        signature = key.sign(wrap(signed_value))
+        del hash_calls[:]
+        assert key.verify_key.verify(wrap(signed_value), signature)
+        assert hash_calls == []
+        recomputed = signature.digest == _honest_digest(key, wrap(asked_value))
+        assert recomputed is (type(asked_value) is not float and type(signed_value) is not float)
+        assert key.verify_key.verify(wrap(asked_value), signature) is recomputed
+        assert recomputed or hash_calls == ["pk-sign"]
+
+
+def test_unhashable_message_parts_carry_no_provenance(hash_calls):
+    """Ledger receipts are dicts: ``{"gas": 1} == {"gas": 1.0}``, so such a
+    message is never stashed and every verify recomputes."""
+    key = generate_keypair("replica-1")
+    receipt = {"status": True, "gas": 21000, "logs": []}
+    message = ("reply", 0, 1, (receipt,))
+    signature = key.sign(message)
+    assert signature._signed is None
+    del hash_calls[:]
+    assert key.verify_key.verify(("reply", 0, 1, (dict(receipt),)), signature)
+    assert not key.verify_key.verify(("reply", 0, 1, ({**receipt, "gas": 21000.0},)), signature)
+    assert hash_calls == ["pk-sign", "pk-sign"]
+
+
+def test_provenance_is_invisible_to_equality_hash_and_repr():
+    key = generate_keypair("replica-1")
+    signed = key.sign(MESSAGE)
+    bare = Signature(signer=signed.signer, digest=signed.digest)
+    assert signed == bare and hash(signed) == hash(bare) and repr(signed) == repr(bare)
+    assert signed.digest == _honest_digest(key, MESSAGE)  # what is signed did not change
 
 
 def test_cost_helpers_scale_with_share_count():

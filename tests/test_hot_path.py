@@ -12,7 +12,9 @@ Covers the hot-path invariants introduced by the performance overhauls:
   ``Simulator.schedule_many`` / ``LatencyModel.delays_from``) is
   decision-for-decision identical to a per-destination ``send`` loop —
   same RNG draws, same stats, same delivery order — including under
-  ``drop_rate > 0``, a downed link and an isolated node.
+  ``drop_rate > 0``, a downed link and an isolated node,
+* one PBFT vote costs its signer one hash and its n recipients none (the
+  signature-provenance fast path), pinned as an exact call count.
 """
 
 from __future__ import annotations
@@ -143,6 +145,39 @@ def test_digest_memo_distinguishes_equal_but_distinct_values():
     nested_int = _result_digest(OperationResult(value=(1, "x")))
     nested_float = _result_digest(OperationResult(value=(1.0, "x")))
     assert nested_int != nested_float
+
+
+def test_pbft_run_hashes_once_per_signature_not_once_per_recipient(monkeypatch):
+    """A zero-noise work counter: the hashes the signature layer computes in
+    one fixed-seed f=2 PBFT run.  Signing hashes once; verifying a broadcast
+    vote at each of its n recipients must not hash again.  (Counted at the
+    signature module, because the process-global digest memos make the
+    total ``sha256_hex`` count depend on which tests ran before.)"""
+    from collections import Counter
+
+    from repro.crypto import signatures
+
+    hashes, verifies = Counter(), Counter()
+    real_hash, real_verify = signatures.sha256_hex, signatures.VerifyKey.verify
+
+    def counting_hash(*parts):
+        hashes[parts[0]] += 1
+        return real_hash(*parts)
+
+    def counting_verify(self, message, signature):
+        verifies[message[0]] += 1
+        return real_verify(self, message, signature)
+
+    monkeypatch.setattr(signatures, "sha256_hex", counting_hash)
+    monkeypatch.setattr(signatures.VerifyKey, "verify", counting_verify)
+    cluster, result = run_small_cluster("pbft", f=2, num_clients=2, requests_per_client=6, seed=11)
+    assert result.run.completed_requests == 12
+    assert_agreement(cluster)
+    # 7 replica + 2 client keys; 12 requests + 6 pre-prepares + 7 x 6 prepares
+    # and commits + 7 x 12 replies.  No checkpoint falls in six blocks.
+    assert hashes == {"keygen": 9, "pk-sign": 12 + 6 + 42 + 42 + 84}
+    # Every vote is verified by all 7 replicas; a client stops at f + 1 replies.
+    assert verifies == {"prepare": 7 * 42, "commit": 7 * 42, "reply": 12 * 3}
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,250 @@
+"""PBFT quorum tallies: counting lazily must not move a single decision.
+
+``_check_prepared`` / ``_check_committed`` only count matching votes once the
+vote dict itself can reach the quorum, and ``_on_checkpoint`` counts votes for
+one state digest.  The first two are pure host-work savings, so one replica
+running them is driven in lockstep with a reference replica that rescans the
+whole dict on every vote (the code they replaced); after every hand-built
+message both must have sent the same messages and hold the same slot state.
+The checkpoint rule is a behaviour fix and gets its own test.
+"""
+
+import random
+
+import pytest
+
+from repro.core.config import SBFTConfig
+from repro.core.keys import TrustedSetup
+from repro.core.messages import ClientRequest, PrePrepare
+from repro.crypto.hashing import block_digest
+from repro.crypto.signatures import generate_keypair
+from repro.pbft.messages import (
+    PbftCheckpoint,
+    PbftCommit,
+    PbftNewView,
+    PbftPrepare,
+    PbftViewChange,
+)
+from repro.pbft.replica import PBFTReplica
+from repro.services.authenticated_kv import AuthenticatedKVStore
+from repro.sim.events import Simulator
+from repro.sim.latency import lan_topology
+from repro.sim.network import Network
+
+CONFIG = SBFTConfig(f=2, c=0)  # n = 7, quorum = 5
+SETUP = TrustedSetup(CONFIG, seed=5)
+QUORUM = 2 * CONFIG.f + 1
+ME = 1  # the replica under test: a backup in view 0, the primary of view 1
+
+
+class ScanningReplica(PBFTReplica):
+    """Reference: the every-vote full scans the lazy counts replaced."""
+
+    def _check_prepared(self, slot):
+        if slot.commit_sent or slot.digest is None or slot.pre_prepare is None:
+            return
+        matching = sum(1 for digest in slot.prepares.values() if digest == slot.digest)
+        if matching >= self.quorum - 1:
+            slot.commit_sent = True
+            self.charge_cpu(self.costs.rsa_sign)
+            signature = self.signing_key.sign(("commit", slot.sequence, self.view, slot.digest))
+            self._broadcast(
+                PbftCommit(slot.sequence, self.view, slot.digest, self.node_id, signature)
+            )
+
+    def _check_committed(self, slot):
+        if slot.committed or slot.digest is None:
+            return
+        matching = sum(1 for digest in slot.commits.values() if digest == slot.digest)
+        if matching >= self.quorum and slot.pre_prepare is not None:
+            slot.committed = True
+            self.stats.blocks_committed += 1
+            self._try_execute()
+
+
+def _make_replica(cls):
+    sim = Simulator(seed=3)
+    network = Network(sim, latency=lan_topology(CONFIG.n), seed=3)
+    replica = cls(
+        sim=sim, network=network, node_id=ME, config=CONFIG,
+        signing_key=SETUP.replica_keys(ME).signing_key,
+        verify_keys={i: SETUP.replica_verify_key(i) for i in range(CONFIG.n)},
+        service=AuthenticatedKVStore(),
+    )
+    network.register(replica)
+    sent = []
+    replica._broadcast = sent.append
+    return replica, sent
+
+
+def _observe(replica, sent):
+    slots = {
+        sequence: (slot.digest, slot.prepare_sent, slot.commit_sent, slot.committed,
+                   dict(slot.prepares), dict(slot.commits))
+        for sequence, slot in sorted(replica._slots.items())
+    }
+    messages = [(type(m).__name__, m.sequence, m.view, m.digest) for m in sent]
+    return slots, messages, dict(replica.stats), replica.cpu.total_busy_time
+
+
+class Lockstep:
+    """Delivers each message to the lazy and the scanning replica and checks
+    after every one that they are indistinguishable."""
+
+    def __init__(self):
+        self.lazy, self.lazy_sent = _make_replica(PBFTReplica)
+        self.reference, self.reference_sent = _make_replica(ScanningReplica)
+
+    def deliver(self, message, src):
+        for replica in (self.lazy, self.reference):
+            replica._dispatch(message, src)
+        assert _observe(self.lazy, self.lazy_sent) == _observe(self.reference, self.reference_sent)
+
+    def slot(self, sequence):
+        return self.lazy._slots[sequence]
+
+
+def _request(timestamp):
+    op = AuthenticatedKVStore.make_put(f"k{timestamp}", "v", client_id=0, timestamp=timestamp)
+    return ClientRequest(
+        client_id=0, timestamp=timestamp, operations=(op,),
+        signature=generate_keypair("client-0").sign(("request", 0, timestamp)),
+    )
+
+
+def _pre_prepare(sequence, view, requests):
+    digest = block_digest(sequence, view, [r.request_id for r in requests])
+    key = SETUP.replica_keys(view % CONFIG.n).signing_key
+    return PrePrepare(
+        sequence, view, tuple(requests), digest, key.sign(("pre-prepare", sequence, view, digest))
+    )
+
+
+def _vote(cls, replica_id, sequence, view, digest):
+    phase = "prepare" if cls is PbftPrepare else "commit"
+    key = SETUP.replica_keys(replica_id).signing_key
+    return cls(sequence, view, digest, replica_id, key.sign((phase, sequence, view, digest)))
+
+
+OTHERS = [i for i in range(CONFIG.n) if i != ME]
+
+
+def test_votes_that_arrive_before_the_pre_prepare():
+    run = Lockstep()
+    block = _pre_prepare(1, 0, [_request(1)])
+    for replica_id in OTHERS:  # a full house of both phases, and still no pre-prepare
+        run.deliver(_vote(PbftPrepare, replica_id, 1, 0, block.digest), replica_id)
+        run.deliver(_vote(PbftCommit, replica_id, 1, 0, block.digest), replica_id)
+    assert not run.slot(1).commit_sent and not run.slot(1).committed
+    run.deliver(block, 0)
+    assert run.slot(1).commit_sent  # prepared by the pre-prepare itself
+    assert not run.slot(1).committed  # commits are only re-examined on the next commit
+    run.deliver(_vote(PbftCommit, ME, 1, 0, block.digest), ME)
+    assert run.slot(1).committed
+
+
+def test_prepared_and_committed_at_exactly_the_quorum_vote():
+    run = Lockstep()
+    block = _pre_prepare(1, 0, [_request(1)])
+    run.deliver(block, 0)
+    for count, replica_id in enumerate(OTHERS, start=1):
+        run.deliver(_vote(PbftPrepare, replica_id, 1, 0, block.digest), replica_id)
+        assert run.slot(1).commit_sent is (count >= QUORUM - 1)
+    for count, replica_id in enumerate(OTHERS, start=1):
+        run.deliver(_vote(PbftCommit, replica_id, 1, 0, block.digest), replica_id)
+        assert run.slot(1).committed is (count >= QUORUM)
+
+
+def test_mismatching_digests_from_an_equivocating_primary():
+    """The dict fills up with votes for the other block long before enough
+    of them match: length alone must never prepare or commit."""
+    run = Lockstep()
+    ours = _pre_prepare(1, 0, [_request(1), _request(2)])
+    theirs = _pre_prepare(1, 0, [_request(2), _request(1)])
+    run.deliver(ours, 0)
+    run.deliver(theirs, 0)  # second pre-prepare for the slot is ignored
+    for phase in (PbftPrepare, PbftCommit):
+        flag = "commit_sent" if phase is PbftPrepare else "committed"
+        for replica_id in OTHERS[:3]:
+            run.deliver(_vote(phase, replica_id, 1, 0, theirs.digest), replica_id)
+        for replica_id in OTHERS[3:]:
+            run.deliver(_vote(phase, replica_id, 1, 0, ours.digest), replica_id)
+        assert not getattr(run.slot(1), flag)  # 6 votes >= quorum, only 3 match
+        # Replicas re-vote for our block one by one (a vote overwrites).
+        run.deliver(_vote(phase, OTHERS[0], 1, 0, ours.digest), OTHERS[0])
+        # 4 matching: quorum - 1 prepares suffice, quorum commits do not yet.
+        assert getattr(run.slot(1), flag) is (phase is PbftPrepare)
+        run.deliver(_vote(phase, OTHERS[1], 1, 0, ours.digest), OTHERS[1])
+        assert getattr(run.slot(1), flag)
+
+
+def test_view_change_resets_open_slots():
+    run = Lockstep()
+    stale = _pre_prepare(1, 0, [_request(1)])
+    run.deliver(stale, 0)
+    for replica_id in OTHERS[:3]:
+        run.deliver(_vote(PbftPrepare, replica_id, 1, 0, stale.digest), replica_id)
+    view_changes = tuple(
+        PbftViewChange(
+            new_view=1, replica_id=replica_id, last_stable=0, prepared=(),
+            signature=SETUP.replica_keys(replica_id).signing_key.sign(("view-change", 1, 0)),
+        )
+        for replica_id in range(QUORUM)
+    )
+    run.deliver(PbftNewView(view=1, view_changes=view_changes), 1)
+    slot = run.slot(1)
+    assert (slot.digest, slot.prepares, slot.commits, slot.commit_sent) == (None, {}, {}, False)
+    # Late view-0 votes are dropped; the slot then runs again in view 1.
+    run.deliver(_vote(PbftPrepare, OTHERS[3], 1, 0, stale.digest), OTHERS[3])
+    fresh = _pre_prepare(1, 1, [_request(1)])
+    run.deliver(fresh, 1)
+    for count, replica_id in enumerate(OTHERS, start=1):
+        run.deliver(_vote(PbftPrepare, replica_id, 1, 1, fresh.digest), replica_id)
+        assert slot.commit_sent is (count >= QUORUM - 1)
+    for count, replica_id in enumerate(OTHERS, start=1):
+        run.deliver(_vote(PbftCommit, replica_id, 1, 1, fresh.digest), replica_id)
+        assert slot.committed is (count >= QUORUM)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_vote_orders_match_the_scanning_reference(seed):
+    """Shuffled pre-prepares and votes over three slots and two digests."""
+    rng = random.Random(seed)
+    run = Lockstep()
+    messages = []
+    for sequence in (1, 2, 3):
+        blocks = [
+            _pre_prepare(sequence, 0, [_request(2 * sequence)]),
+            _pre_prepare(sequence, 0, [_request(2 * sequence + 1)]),
+        ]
+        messages.append((rng.choice(blocks), 0))
+        for phase in (PbftPrepare, PbftCommit):
+            for replica_id in range(CONFIG.n):
+                digest = blocks[rng.random() < 0.3].digest
+                messages.append((_vote(phase, replica_id, sequence, 0, digest), replica_id))
+                if rng.random() < 0.2:  # a changed mind
+                    other = blocks[rng.random() < 0.5].digest
+                    messages.append((_vote(phase, replica_id, sequence, 0, other), replica_id))
+    rng.shuffle(messages)
+    for message, src in messages:
+        run.deliver(message, src)
+
+
+def _checkpoint(replica_id, sequence, digest):
+    key = SETUP.replica_keys(replica_id).signing_key
+    return PbftCheckpoint(
+        sequence, digest, replica_id, key.sign(("checkpoint", sequence, digest))
+    )
+
+
+def test_checkpoint_needs_a_quorum_for_one_state_digest():
+    replica, _sent = _make_replica(PBFTReplica)
+    sequence = CONFIG.checkpoint_every
+    for replica_id in range(CONFIG.f):  # f divergent digests ...
+        replica._on_checkpoint(_checkpoint(replica_id, sequence, f"bad-{replica_id}"), replica_id)
+    for replica_id in range(CONFIG.f, 3 * CONFIG.f):  # ... plus 2f matching ones
+        replica._on_checkpoint(_checkpoint(replica_id, sequence, "good"), replica_id)
+    assert len(replica._checkpoints[sequence]) == 3 * CONFIG.f >= QUORUM
+    assert replica.last_stable == 0
+    replica._on_checkpoint(_checkpoint(3 * CONFIG.f, sequence, "good"), 3 * CONFIG.f)
+    assert replica.last_stable == sequence
