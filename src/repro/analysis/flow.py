@@ -21,9 +21,9 @@ parallelism, ROADMAP item 3(b)) depend on:
    * *message-stash* — a write to a frozen message's pre-declared
      ``init=False`` slot via ``object.__setattr__``.  Must happen at
      construction time (``__post_init__``, or on a local the same function
-     just built with a constructor call) or follow the stash-if-absent idiom
-     (read, miss-test, write), and must never be conditional on state
-     outside the guard.
+     just built with a constructor call and has not used yet) or follow the
+     stash-if-absent idiom (read, miss-test, write), and must never be
+     conditional on state outside the guard.
    * *deployment-shared* — module-level memo/cache tables and instances
      marked ``DEPLOYMENT_SHARED = True`` (e.g. ``ThresholdScheme``).
      Mutations are allowed only inside the owning module/class and only in
@@ -999,15 +999,21 @@ def _test_references(test: ast.AST, names: Set[str]) -> bool:
     return any(isinstance(sub, ast.Name) and sub.id in names for sub in ast.walk(test))
 
 
-def _fresh_locals(func: ast.AST, program: Program) -> Set[str]:
+def _fresh_locals(
+    func: ast.AST, sites: List[ast.Call], program: Program
+) -> Dict[str, Tuple[int, int]]:
     """Locals bound exactly once, directly to a constructor call of a program
-    class.  A stash write on one is still construction: the object was built
-    by this call of this function, so no other process has observed it."""
+    class, mapped to the source position of their first use other than as the
+    target of a stash write (``sites``).  A stash write on such a local
+    *before* that position is still construction: the object was built by
+    this call of this function and nothing else has seen it yet, so not even
+    a conditional write can disagree with another observer."""
     stores: Dict[str, int] = {}
     for node in ast.walk(func):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             stores[node.id] = stores.get(node.id, 0) + 1
-    fresh: Set[str] = set()
+    never = (sys.maxsize, 0)
+    fresh: Dict[str, Tuple[int, int]] = {}
     for node in ast.walk(func):
         if (
             isinstance(node, ast.Assign)
@@ -1017,7 +1023,16 @@ def _fresh_locals(func: ast.AST, program: Program) -> Set[str]:
             and isinstance(node.value, ast.Call)
             and _call_name(node.value) in program.classes
         ):
-            fresh.add(node.targets[0].id)
+            fresh[node.targets[0].id] = never
+    write_targets = {id(site.args[0]) for site in sites}
+    for node in ast.walk(func):
+        if (
+            isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)
+            and node.id in fresh
+            and id(node) not in write_targets
+        ):
+            fresh[node.id] = min(fresh[node.id], (node.lineno, node.col_offset))
     return fresh
 
 
@@ -1028,7 +1043,9 @@ def check_stash_discipline(program: Program) -> Iterator[FlowFinding]:
             continue
         if info.name in ("__init__", "__post_init__") or qualname in program.construction_only:
             continue
-        for site in _stash_write_sites(info):
+        sites = _stash_write_sites(info)
+        fresh = _fresh_locals(info.node, sites, program) if sites else {}
+        for site in sites:
             stash_name = site.args[1].value  # type: ignore[union-attr]
             chain = (_hop(info), f"write [{info.module.display}:{site.lineno}]")
 
@@ -1050,7 +1067,8 @@ def check_stash_discipline(program: Program) -> Iterator[FlowFinding]:
                 )
                 continue
             target = site.args[0]
-            if isinstance(target, ast.Name) and target.id in _fresh_locals(info.node, program):
+            first_use = fresh.get(target.id, (0, 0)) if isinstance(target, ast.Name) else (0, 0)
+            if (site.lineno, site.col_offset) < first_use:
                 continue
             guards = _guard_variables(info.node, stash_name)
             tests = [

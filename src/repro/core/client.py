@@ -29,6 +29,7 @@ from repro.core.stats import ClientStats
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.signatures import SigningKey, VerifyKey
+from repro.errors import ConfigurationError
 from repro.metrics.collector import LatencyRecorder
 from repro.services.interface import AuthenticatedService, Operation
 from repro.sim.events import Simulator
@@ -71,6 +72,7 @@ class SBFTClient(Process):
         verifier: Optional[AuthenticatedService] = None,
         costs: CryptoCosts = DEFAULT_COSTS,
         start_delay: float = 0.0,
+        replica_verify_keys: Optional[Dict[int, VerifyKey]] = None,
     ):
         super().__init__(sim, node_id, name=f"client-{client_id}")
         self.network = network
@@ -85,10 +87,10 @@ class SBFTClient(Process):
         # client window than cache would break the sufficiency invariant
         # (see repro.core.reply_cache).
         self.max_outstanding = config.client_max_outstanding
-        # Replica id -> verify key for the f+1 reply fallback, attached by the
-        # deployment (like ``pi_scheme``).  A reply whose claimed sender has
-        # no key here is rejected.
-        self.replica_verify_keys: Dict[int, VerifyKey] = {}
+        # Replica id -> verify key for the f+1 reply fallback.  A reply whose
+        # claimed sender has no key here is rejected; a reply reaching a
+        # client that was given no keys at all is a wiring error and raises.
+        self.replica_verify_keys = replica_verify_keys
 
         self._requests = [tuple(ops) for ops in requests]
         self._next_index = 0
@@ -145,7 +147,11 @@ class SBFTClient(Process):
         self._next_index += 1
         self._timestamp += 1
         self.charge_cpu(self.costs.rsa_sign)
-        signature = self.signing_key.sign(("request", self.client_id, self._timestamp))
+        # No replica checks request signatures (they are carried and charged
+        # for only), so no provenance record is kept for the run's lifetime.
+        signature = self.signing_key.sign(
+            ("request", self.client_id, self._timestamp), provenance=False
+        )
         request = ClientRequest(
             client_id=self.client_id,
             timestamp=self._timestamp,
@@ -231,6 +237,10 @@ class SBFTClient(Process):
         pending = self._in_flight.get(message.timestamp)
         if pending is None:
             return
+        if self.replica_verify_keys is None:
+            raise ConfigurationError(
+                f"{self.name} received a ClientReply but was built without replica_verify_keys"
+            )
         key = self.replica_verify_keys.get(message.replica_id)
         if key is None or not key.verify(
             ("reply", self.client_id, message.timestamp, message.values), message.signature

@@ -62,8 +62,8 @@ class SBFTConfig:
     use_group_signature_fast_path: bool = True  # n-out-of-n aggregate when no failure seen
 
     # Test-only planted weakness for the adversary lab (repro.adversary):
-    # overrides the linear-PBFT prepare/commit quorum (tau_threshold and the
-    # PBFT replica quorum) with a too-small value so the strategy search has
+    # overrides the linear-PBFT prepare/commit quorum (tau_threshold) and the
+    # PBFT replica quorum (pbft_quorum) with a too-small value so the search has
     # a real safety violation to find.  Never set outside adversary episodes.
     unsafe_quorum_override: Optional[int] = None
 
@@ -110,6 +110,14 @@ class SBFTConfig:
         if self.unsafe_quorum_override is not None:
             return self.unsafe_quorum_override
         return 2 * self.f + self.c + 1
+
+    @property
+    def pbft_quorum(self) -> int:
+        """All-to-all PBFT prepare/commit/checkpoint quorum, ``2f + 2c + 1``
+        (the classic ``2f + 1`` at ``c = 0``), under the same override."""
+        if self.unsafe_quorum_override is not None:
+            return self.unsafe_quorum_override
+        return 2 * self.f + 2 * self.c + 1
 
     @property
     def pi_threshold(self) -> int:

@@ -47,6 +47,19 @@ class Signature:
     _signed: Any = field(init=False, compare=False, repr=False, default=None)
 
 
+def _provenance_record(message: object) -> Any:
+    """``memo_key(message)``, or ``None`` (which equals no memo key) when it
+    has unhashable parts such as ledger dict receipts: those compare by plain
+    ``==``, which conflates 1 and 1.0 where the encoding does not, so such a
+    signature gets no record and every verify recomputes."""
+    record = memo_key(message)
+    try:
+        hash(record)
+    except TypeError:
+        return None
+    return record
+
+
 @dataclass(frozen=True)
 class VerifyKey:
     """Public half of a key pair."""
@@ -69,19 +82,15 @@ class SigningKey:
     signer: str
     key_id: str
 
-    def sign(self, message: object) -> Signature:
+    def sign(self, message: object, *, provenance: bool = True) -> Signature:
+        """Sign ``message``.  ``provenance=False`` leaves the record off a
+        signature nobody will verify, which otherwise keeps the signed message
+        alive for as long as the signature is."""
         digest = sha256_hex("pk-sign", self.key_id, message)
         signature = Signature(signer=self.signer, digest=digest)
-        signed = memo_key(message)
-        try:
-            hash(signed)
-        except TypeError:
-            # Unhashable parts (ledger dict receipts) compare by plain ``==``,
-            # which conflates 1 and 1.0 where the encoding does not: leave the
-            # signature without provenance and let every verify recompute.
-            return signature
-        object.__setattr__(signature, "_signed_by", self.key_id)
-        object.__setattr__(signature, "_signed", signed)
+        if provenance:
+            object.__setattr__(signature, "_signed_by", self.key_id)
+            object.__setattr__(signature, "_signed", _provenance_record(message))
         return signature
 
     @property

@@ -110,13 +110,8 @@ class PBFTReplica(Process):
         self.costs = costs
         self.client_directory = client_directory if client_directory is not None else {}
 
-        # 2f + 2c + 1 — with c = 0 this is the classic 2f + 1; read on every
-        # vote, so computed once (the config is frozen).
-        # ``config.unsafe_quorum_override`` (a test-only adversary-lab knob,
-        # see :class:`repro.core.config.SBFTConfig`) replaces the sound quorum
-        # when set so the strategy search has a real violation to find.
-        override = config.unsafe_quorum_override
-        self.quorum = override if override is not None else 2 * config.f + 2 * config.c + 1
+        # Read on every vote, so looked up once (the config is frozen).
+        self.quorum = config.pbft_quorum
 
         self.view = 0
         self.last_executed = 0

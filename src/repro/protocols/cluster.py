@@ -193,9 +193,9 @@ class Cluster:
                 verifier=verifier,
                 costs=self.costs,
                 start_delay=0.001 * client_index,
+                replica_verify_keys=replica_verify_keys,
             )
             client.pi_scheme = self.setup.pi
-            client.replica_verify_keys = replica_verify_keys
             self.network.register(client)
             self.clients[client_index] = client
 

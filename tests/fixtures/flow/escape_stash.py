@@ -13,7 +13,10 @@ three ``Handler`` methods break the write discipline in the three ways the
   stash slot.
 
 ``make`` is the clean counterpart: it stamps a ``Note`` it has just built,
-which is still construction and must not be reported.
+before anything else uses it, which is still construction and must not be
+reported.  ``make_and_publish`` builds the note too but stamps it only after
+handing it to ``self.outbox``, where another process may already have read
+the slot.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +31,7 @@ class Note:
 class Handler:
     def __init__(self, primary):
         self.primary = primary
+        self.outbox = []
 
     def deliver(self, note):
         digest = note._digest
@@ -47,4 +51,10 @@ class Handler:
     def make(self, payload):
         note = Note(payload)
         object.__setattr__(note, "_digest", len(payload))
+        return note
+
+    def make_and_publish(self, payload):
+        note = Note(payload)
+        self.outbox.append(note)
+        object.__setattr__(note, "_digest", len(payload))  # PLANT: stash-discipline
         return note

@@ -1,5 +1,6 @@
 """Tests for the SBFT client: single-ack acceptance, rejection, retry fallback."""
 
+import pytest
 
 from helpers import run_small_cluster
 from repro.core.client import SBFTClient
@@ -7,6 +8,7 @@ from repro.core.config import SBFTConfig
 from repro.core.keys import TrustedSetup
 from repro.core.messages import ClientReply, ExecuteAck
 from repro.crypto.signatures import generate_keypair
+from repro.errors import ConfigurationError
 from repro.metrics.collector import LatencyRecorder
 from repro.services.authenticated_kv import AuthenticatedKVStore
 from repro.sim.events import Simulator
@@ -50,9 +52,9 @@ def _make_client(requests=1, verifier=None):
         requests=ops,
         recorder=LatencyRecorder(),
         verifier=verifier if verifier is not None else store,
+        replica_verify_keys={i: SETUP.replica_verify_key(i) for i in range(CONFIG.n)},
     )
     client.pi_scheme = SETUP.pi
-    client.replica_verify_keys = {i: SETUP.replica_verify_key(i) for i in range(CONFIG.n)}
     network.register(client)
     return sim, network, replicas, client
 
@@ -229,6 +231,20 @@ def test_one_faulty_replica_cannot_fill_the_fallback_quorum_under_many_ids():
     assert client.completed == 1
     assert client.accepted_values == [(True,)]
     assert client.stats["fallbacks"] == 1
+
+
+def test_reply_to_a_client_built_without_replica_keys_raises():
+    """Forgetting to hand the client the replica keys is a wiring error, not a
+    silent liveness loss through rejected replies."""
+    sim, network, replicas, client = _make_client()
+    client.replica_verify_keys = None
+    sim.run(until=0.05)
+    signature = SETUP.replica_keys(0).signing_key.sign(("reply", 0, 1, (True,)))
+    network.send(0, client.node_id, ClientReply(
+        sequence=1, client_id=0, timestamp=1, values=(True,), replica_id=0, signature=signature,
+    ))
+    with pytest.raises(ConfigurationError, match="replica_verify_keys"):
+        sim.run(until=0.2)
 
 
 def test_client_issues_requests_sequentially():

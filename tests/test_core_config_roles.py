@@ -19,6 +19,8 @@ def test_replica_count_formula():
     assert config.tau_threshold == 2 * 64 + 8 + 1
     assert config.pi_threshold == 65
     assert config.view_change_quorum == 2 * 64 + 2 * 8 + 1
+    assert config.pbft_quorum == 2 * 64 + 2 * 8 + 1
+    assert SBFTConfig(f=64, c=8, unsafe_quorum_override=3).pbft_quorum == 3
 
 
 def test_paper_deployment_sizes():

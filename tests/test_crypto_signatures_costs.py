@@ -151,6 +151,18 @@ def test_unhashable_message_parts_carry_no_provenance(hash_calls):
     assert hash_calls == ["pk-sign", "pk-sign"]
 
 
+def test_signing_without_provenance_keeps_nothing_and_verifies_by_recompute(hash_calls):
+    """The client's request signatures, which nobody verifies, opt out so the
+    signed tuple is not kept alive; the signature itself is the same."""
+    key = generate_keypair("client-0")
+    signature = key.sign(MESSAGE, provenance=False)
+    assert signature == key.sign(MESSAGE)
+    assert signature._signed is None and signature._signed_by is None
+    del hash_calls[:]
+    assert key.verify_key.verify(MESSAGE, signature)
+    assert hash_calls == ["pk-sign"]
+
+
 def test_provenance_is_invisible_to_equality_hash_and_repr():
     key = generate_keypair("replica-1")
     signed = key.sign(MESSAGE)
