@@ -72,13 +72,18 @@ from repro.core.viewchange import (
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
 from repro.crypto.hashing import block_digest, sha256_hex
 from repro.errors import ConfigurationError, CryptoError
-from repro.services.interface import AuthenticatedService, Operation, ReplicatedService
+from repro.services.interface import (
+    AuthenticatedService,
+    BlockOperations,
+    Operation,
+    ReplicatedService,
+)
 from repro.sim.events import Simulator
 from repro.sim.network import Network
 from repro.sim.process import Process
 
 
-def block_execution_plan(pre_prepare, service, costs) -> Tuple[Tuple[Operation, ...], float]:
+def block_execution_plan(pre_prepare, service, costs) -> Tuple[BlockOperations, float]:
     """Flattened operations and total simulated execution cost of a block.
 
     The same frozen ``PrePrepare`` object reaches every replica, and the cost
@@ -100,7 +105,7 @@ def block_execution_plan(pre_prepare, service, costs) -> Tuple[Tuple[Operation, 
     # Freeze before stashing: the stashed plan is shared by every replica
     # that sees this message, so a consumer mutating its copy must not be
     # able to corrupt the cluster-wide entry.
-    operations = tuple(flattened)
+    operations = BlockOperations(flattened)
     object.__setattr__(pre_prepare, "_exec_plan", (service_type, costs, operations, cost))
     return operations, cost
 
@@ -177,6 +182,11 @@ class SBFTReplica(Process):
         # Maps client ids to network node ids (clients live on separate nodes).
         self.client_directory = client_directory if client_directory is not None else {}
 
+        # Deployment shape, read once: the config is frozen and both values
+        # are derived properties consulted for every collector-group lookup.
+        self._n = config.n
+        self._collectors_per_slot = config.collectors_per_slot
+
         # Protocol state.
         self.view = 0
         self.last_executed = 0
@@ -227,7 +237,7 @@ class SBFTReplica(Process):
         # Cached broadcast destination lists (the peer set is fixed for the
         # lifetime of the cluster; rebuilding a range per message was pure
         # hot-path garbage at n=193).
-        self._peers_all: Tuple[int, ...] = tuple(range(config.n))
+        self._peers_all: Tuple[int, ...] = tuple(range(self._n))
         self._peers_except_self: Tuple[int, ...] = tuple(
             dst for dst in self._peers_all if dst != node_id
         )
@@ -263,27 +273,27 @@ class SBFTReplica(Process):
     # ==================================================================
     @property
     def is_primary(self) -> bool:
-        return primary_of_view(self.view, self.config.n) == self.node_id
+        return primary_of_view(self.view, self._n) == self.node_id
 
     @property
     def primary(self) -> int:
-        return primary_of_view(self.view, self.config.n)
+        return primary_of_view(self.view, self._n)
 
-    def _c_collectors(self, sequence: int, view: Optional[int] = None) -> List[int]:
+    def _c_collectors(self, sequence: int, view: Optional[int] = None) -> Tuple[int, ...]:
         return commit_collectors(
             sequence,
             self.view if view is None else view,
-            self.config.n,
-            self.config.collectors_per_slot,
+            self._n,
+            self._collectors_per_slot,
             include_primary_last=True,
         )
 
-    def _e_collectors(self, sequence: int, view: Optional[int] = None) -> List[int]:
+    def _e_collectors(self, sequence: int, view: Optional[int] = None) -> Tuple[int, ...]:
         return execution_collectors(
             sequence,
             self.view if view is None else view,
-            self.config.n,
-            self.config.collectors_per_slot,
+            self._n,
+            self._collectors_per_slot,
         )
 
     def _is_c_collector(self, sequence: int, view: Optional[int] = None) -> bool:
@@ -538,7 +548,7 @@ class SBFTReplica(Process):
         signature_b = self.keys.signing_key.sign(("pre-prepare", sequence, self.view, digest_b))
         msg_a = PrePrepare(sequence, self.view, requests, digest_a, signature)
         msg_b = PrePrepare(sequence, self.view, reversed_requests, digest_b, signature_b)
-        for dst in range(self.config.n):
+        for dst in range(self._n):
             self.network.send(self.node_id, dst, msg_a if dst % 2 == 0 else msg_b)
 
     # ==================================================================
@@ -1160,7 +1170,7 @@ class SBFTReplica(Process):
             self._start_view_change(message.new_view)
 
         # If we are the new primary, try to assemble a new-view message.
-        if primary_of_view(message.new_view, self.config.n) == self.node_id:
+        if primary_of_view(message.new_view, self._n) == self.node_id:
             if len(per_view) >= self.config.view_change_quorum:
                 self._send_new_view(message.new_view, per_view)
 
@@ -1176,7 +1186,7 @@ class SBFTReplica(Process):
     def _on_new_view(self, message: NewView, src: int) -> None:
         if message.view <= self.view:
             return
-        if primary_of_view(message.view, self.config.n) != src:
+        if primary_of_view(message.view, self._n) != src:
             return
         if len(message.view_changes) < self.config.view_change_quorum:
             return
@@ -1267,7 +1277,7 @@ class SBFTReplica(Process):
             return
         target = hint
         if target is None or target == self.node_id:
-            candidates = [r for r in range(self.config.n) if r != self.node_id]
+            candidates = [r for r in range(self._n) if r != self.node_id]
             target = candidates[self.sim.rng.randrange(len(candidates))] if candidates else None
         if target is None:
             return

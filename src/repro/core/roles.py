@@ -10,7 +10,7 @@ the primary is correct.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Tuple
 
 from repro.crypto.hashing import sha256_int
 
@@ -28,28 +28,34 @@ _GROUP_MEMO: dict = {}
 _GROUP_MEMO_LIMIT = 1 << 16
 
 
-def _pseudo_random_group(
-    label: str, sequence: int, view: int, n: int, count: int, exclude: int
-) -> List[int]:
-    """Deterministic pseudo-random group of ``count`` replicas excluding one.
+def _collector_group(
+    label: str, sequence: int, view: int, n: int, count: int, primary_last: bool
+) -> Tuple[int, ...]:
+    """Deterministic pseudo-random group of ``count`` non-primary replicas.
 
     The group is a function of (label, sequence, view) only, so every replica
-    computes the same group locally without coordination.
+    computes the same group locally without coordination.  With
+    ``primary_last`` the primary replaces the last member.  The memoized
+    tuple itself is returned: callers iterate and test membership, and being
+    immutable it can be shared by every replica of the deployment.
     """
-    key = (label, sequence, view, n, count, exclude)
+    key = (label, sequence, view, n, count, primary_last)
     cached = _GROUP_MEMO.get(key)
     if cached is None:
-        candidates = [r for r in range(n) if r != exclude]
+        primary = primary_of_view(view, n)
+        candidates = [r for r in range(n) if r != primary]
         if not candidates:
-            cached = (exclude,)
+            cached = (primary,)
         else:
             count = min(count, len(candidates))
             offset = sha256_int("collector-group", label, sequence, view) % len(candidates)
             cached = tuple(candidates[(offset + k) % len(candidates)] for k in range(count))
+            if primary_last:
+                cached = cached[:-1] + (primary,)
         if len(_GROUP_MEMO) >= _GROUP_MEMO_LIMIT:
             _GROUP_MEMO.clear()
         _GROUP_MEMO[key] = cached
-    return list(cached)
+    return cached
 
 
 def commit_collectors(
@@ -58,23 +64,16 @@ def commit_collectors(
     n: int,
     count: int,
     include_primary_last: bool = True,
-) -> List[int]:
+) -> Tuple[int, ...]:
     """C-collector group for a slot.
 
     ``count`` is ``c + 1``.  When ``include_primary_last`` is set (the
     fallback/linear path), the primary replaces the last member so that the
     (c+1)-st collector to activate is always the primary (Section V-E).
     """
-    primary = primary_of_view(view, n)
-    group = _pseudo_random_group("c-collector", sequence, view, n, count, exclude=primary)
-    if include_primary_last:
-        if not group:
-            return [primary]
-        group = group[:-1] + [primary]
-    return group
+    return _collector_group("c-collector", sequence, view, n, count, include_primary_last)
 
 
-def execution_collectors(sequence: int, view: int, n: int, count: int) -> List[int]:
+def execution_collectors(sequence: int, view: int, n: int, count: int) -> Tuple[int, ...]:
     """E-collector group for a slot (non-primary replicas, rotating with s)."""
-    primary = primary_of_view(view, n)
-    return _pseudo_random_group("e-collector", sequence, view, n, count, exclude=primary)
+    return _collector_group("e-collector", sequence, view, n, count, False)

@@ -8,6 +8,7 @@ additionally chains the previous block hash (Section V-G.1).
 from __future__ import annotations
 
 import hashlib
+import operator
 from typing import Any, Iterable, Union
 
 Bytes = Union[bytes, bytearray, memoryview]
@@ -93,16 +94,22 @@ def _to_bytes(value: Any) -> bytes:
     return repr(value).encode("utf-8")
 
 
+_pair_key = operator.itemgetter(0)
+
+
 def memo_key(value: Any) -> Any:
     """Type-tagged memo key for caches over :func:`sha256_hex` results.
 
     Python equality conflates ``1``, ``1.0`` and ``True`` (same hash, equal),
     but the canonical encoding distinguishes int from float, so a memo keyed
     on the raw value could return the digest of a different encoding.  Tagging
-    every scalar with its exact type (recursing into tuples, the only hashable
-    container we hash) keeps cache hits canonical-encoding-exact.  Unhashable
-    values surface as ``TypeError`` at lookup, which callers treat as a cache
-    bypass.
+    every scalar with its exact type (recursing into tuples and dicts) keeps
+    cache hits canonical-encoding-exact.  A dict gets a hashable normal form
+    that mirrors its encoding: ``(str(key), memo_key(value))`` pairs ordered
+    by ``str(key)``, so ``{1: x}`` and ``{"1": x}`` share a key exactly as
+    they share a digest, and insertion order does not matter.  Anything with
+    an unhashable part left (a list) surfaces as ``TypeError`` at lookup,
+    which callers treat as a cache bypass.
 
     Strings, and tuples made only of strings, exact ints, bools and ``None``
     (digest and Merkle-leaf paths and signed protocol messages, the hottest
@@ -129,6 +136,12 @@ def memo_key(value: Any) -> Any:
             ):
                 return (tuple, tuple(memo_key(inner) for inner in value))
         return value
+    if kind is dict:
+        # Ordered by ``str(key)`` alone: values of different types need not be
+        # comparable.  Keys that collide under ``str`` keep insertion order,
+        # which can only split one encoding over two memo keys, never merge two.
+        pairs = sorted(((str(k), memo_key(v)) for k, v in value.items()), key=_pair_key)
+        return (dict, tuple(pairs))
     return (kind, value)
 
 

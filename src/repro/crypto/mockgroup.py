@@ -17,6 +17,9 @@ operation so the simulation is not distorted by the cheap math.
 
 from __future__ import annotations
 
+import math
+from typing import List, Sequence
+
 from repro.compat import dataclass
 from repro.errors import CryptoError
 
@@ -66,6 +69,11 @@ class MockGroup:
             raise CryptoError("group order must be a prime > 2")
         self.order = order
         self.generator = GroupElement(1, order)
+        # ``1/k`` and ``1/k!`` mod ``order`` for k = 0, 1, ... (entry 0 of the
+        # first is a placeholder); grown on demand by
+        # :meth:`lagrange_coefficients` up to the largest index seen.
+        self._inverses: List[int] = [0, 1]
+        self._inverse_factorials: List[int] = [1, 1]
 
     def element(self, value: int) -> GroupElement:
         return GroupElement(value % self.order, self.order)
@@ -100,35 +108,48 @@ class MockGroup:
             den = (den * (index - j)) % self.order
         return (num * pow(den, -1, self.order)) % self.order
 
-    def lagrange_coefficients(self, indices: list[int]) -> tuple[int, ...]:
+    def lagrange_coefficients(self, indices: Sequence[int]) -> tuple[int, ...]:
         """All Lagrange coefficients at zero over ``indices``, index-aligned.
 
-        Equivalent to ``[lagrange_coefficient(i, indices) for i in indices]``
-        but with a single modular inverse: the per-index denominators are
-        batch-inverted (Montgomery's trick — invert the running product once,
-        then peel per-element inverses off with multiplications).  Threshold
-        combines call this once per signer set, so the ``pow(-1, order)``
-        count drops from ``threshold`` to one.
+        Equal to ``[lagrange_coefficient(i, indices) for i in indices]`` for
+        distinct positive ``indices`` (Shamir x-coordinates), in
+        O(k * (span - k) + span) small-integer steps instead of O(k^2) field
+        multiplications, where ``span = max - min + 1``.  With ``lo``/``hi``
+        the extremes of the set, ``missing`` the integers between them that
+        are not in it and ``P`` the product of all indices::
+
+            lambda_i = P * prod(m - i for m in missing)
+                       / (i * (-1)^(i - lo) * (i - lo)! * (hi - i)!)
+
+        because the product of ``j - i`` over the *whole* range ``lo..hi`` is
+        a pair of factorials, and the set differs from the range only by
+        ``missing``.  The inverses of ``i`` and of the factorials come from
+        tables the group grows on demand, so a call performs no modular
+        inversion at all.
         """
+        lo, hi = min(indices), max(indices)
+        present = set(indices)
+        if lo < 1 or len(present) != len(indices):
+            raise CryptoError("interpolation indices must be distinct and positive")
         order = self.order
-        nums, dens = [], []
+        inverses, inverse_factorials = self._inverses, self._inverse_factorials
+        # ``1/k = -(q // k) / (q mod k)`` for a prime ``q``: each new entry is
+        # one multiplication by an earlier one, and ``1/k!`` follows from it.
+        for k in range(len(inverses), hi + 1):
+            inverses.append(-(order // k) * inverses[order % k] % order)
+            inverse_factorials.append(inverse_factorials[-1] * inverses[k] % order)
+        missing = [m for m in range(lo, hi + 1) if m not in present]
+        product = math.prod(indices) % order
+        coeffs = []
         for index in indices:
-            num, den = 1, 1
-            for j in indices:
-                if j == index:
-                    continue
-                num = (num * (-j)) % order
-                den = (den * (index - j)) % order
-            nums.append(num)
-            dens.append(den)
-        prefix = [1]
-        for den in dens:
-            prefix.append((prefix[-1] * den) % order)
-        inv_running = pow(prefix[-1], -1, order)
-        coeffs = [0] * len(dens)
-        for k in range(len(dens) - 1, -1, -1):
-            coeffs[k] = (nums[k] * prefix[k] % order) * inv_running % order
-            inv_running = (inv_running * dens[k]) % order
+            # The offsets are machine-sized, so the running product stays a
+            # few words long and is reduced once.
+            num = product * inverses[index] % order
+            for m in missing:
+                num *= m - index
+            coeff = num % order * inverse_factorials[index - lo] % order
+            coeff = coeff * inverse_factorials[hi - index] % order
+            coeffs.append(-coeff % order if (index - lo) & 1 else coeff)
         return tuple(coeffs)
 
 

@@ -49,9 +49,9 @@ class Signature:
 
 def _provenance_record(message: object) -> Any:
     """``memo_key(message)``, or ``None`` (which equals no memo key) when it
-    has unhashable parts such as ledger dict receipts: those compare by plain
-    ``==``, which conflates 1 and 1.0 where the encoding does not, so such a
-    signature gets no record and every verify recomputes."""
+    has unhashable parts such as lists: those compare by plain ``==``, which
+    conflates 1 and 1.0 where the encoding does not, so such a signature gets
+    no record and every verify recomputes."""
     record = memo_key(message)
     try:
         hash(record)

@@ -17,7 +17,7 @@ before combining — exactly what the paper requires of its scheme.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 from repro.compat import dataclass
 from repro.crypto.hashing import memo_key, sha256_int
@@ -98,12 +98,6 @@ class ThresholdScheme:
         self._hash_memo: Dict[object, GroupElement] = {}
         self._share_memo: Dict[object, bool] = {}
         self._combined_memo: Dict[object, bool] = {}
-        # Lagrange coefficient vectors keyed by the sorted signer subset.
-        # Collectors overwhelmingly combine the same subset (the first
-        # ``threshold`` responders), so interpolation-at-zero — O(k) modular
-        # multiplications plus a modular inverse per signer — runs once per
-        # subset instead of once per combine.  Pure function of the subset.
-        self._lagrange_memo: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Signing / share verification
@@ -188,13 +182,11 @@ class ThresholdScheme:
                 f"scheme {self.name}: have {len(by_signer)} shares, need {self.threshold}"
             )
         chosen = tuple(sorted(by_signer)[: self.threshold])
-        coeffs = self._lagrange_memo.get(chosen)
-        if coeffs is None:
-            indices = [i + 1 for i in chosen]  # Shamir x-coordinates are 1-based
-            coeffs = self.group.lagrange_coefficients(indices)
-            if len(self._lagrange_memo) >= self.CACHE_LIMIT:
-                self._lagrange_memo.clear()
-            self._lagrange_memo[chosen] = coeffs
+        # Not memoized: which ``threshold`` replicas answer first differs from
+        # slot to slot, and the closed form costs less than a table would save.
+        coeffs = self.group.lagrange_coefficients(
+            [i + 1 for i in chosen]  # Shamir x-coordinates are 1-based
+        )
         # Interpolate in the exponent with plain modular arithmetic: one
         # GroupElement is allocated for the result instead of two per share.
         order = self.group.order

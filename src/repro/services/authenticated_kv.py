@@ -39,6 +39,7 @@ from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import InvalidProof
 from repro.services.interface import (
     AuthenticatedService,
+    BlockOperations,
     ExecutionProof,
     Operation,
     OperationResult,
@@ -105,9 +106,22 @@ def operation_digest(operation: Operation) -> str:
     return cached
 
 
-#: Back-compat private alias (the public name is :func:`operation_digest`,
-#: which the ledger's execution cache also keys on).
-_operation_digest = operation_digest
+def block_operation_digests(operations: Sequence[Operation]) -> Tuple[str, ...]:
+    """Per-operation digests of a block: what both authenticated services key
+    their execution cache on and what the journal leaves commit to.
+
+    Every replica executes the one ``BlockOperations`` instance of the shared
+    ``PrePrepare`` plan, so the tuple is kept on it: built by the first
+    replica, read by its n-1 peers.  Any other sequence (direct callers,
+    tests) is digested on the spot.
+    """
+    shared = type(operations) is BlockOperations
+    digests = operations.digests if shared else None
+    if digests is None:
+        digests = tuple(map(operation_digest, operations))
+        if shared:
+            operations.digests = digests
+    return digests
 
 
 def _result_digest(result: OperationResult) -> str:
@@ -115,9 +129,9 @@ def _result_digest(result: OperationResult) -> str:
     # execute-ack and checks against the proof (Section V-A).  Results are
     # shared frozen instances (KV singletons, ledger replay tuples), so the
     # digest is stashed on the instance first; the keyed memo then catches
-    # value-equal copies with hashable values.  Unhashable values (the
-    # ledger's dict results) fall through to the stash-only path, which is
-    # exactly where instance sharing pays off.
+    # value-equal copies (the ledger builds a fresh receipt dict per
+    # transaction, a few hundred distinct values per run).  Values with
+    # unhashable parts (lists) fall through to the stash-only path.
     digest = result._authkv_rdigest
     if digest is not None:
         return digest
@@ -229,22 +243,16 @@ class AuthenticatedKVStore(AuthenticatedService):
             fingerprint,
             self._chain_digest,
             sequence,
-            tuple(map(operation_digest, operations)),
+            block_operation_digests(operations),
         )
         cached = execution_cache.lookup(cache_key)
         if cached is not None:
-            results, effects, entries, tree, new_digest = cached
+            results, effects, journal = cached
             # Replay: same puts/deletes in the same order (so even the raw
             # dict insertion order matches an uncached execution), then the
             # recorded journal bookkeeping with no re-hashing at all.
             self._store.replay_effects(effects)
-            self._journal_entries[sequence] = list(entries)
-            self._journal_results[sequence] = list(results)
-            self._journal_trees[sequence] = tree
-            self._prev_digest[sequence] = self._chain_digest
-            self._chain_digest = new_digest
-            self._digest_at[sequence] = new_digest
-            self._block_order.append(sequence)
+            self.replay_block(sequence, results, *journal)
             return list(results)
 
         # First execution of this block in the deployment: execute and record
@@ -262,11 +270,8 @@ class AuthenticatedKVStore(AuthenticatedService):
                     effects.append((True, payload.key, payload.value))
                 elif action == "delete":
                     effects.append((False, payload.key, None))
-        entries, tree = self.journal_block(sequence, operations, results)
-        execution_cache.store(
-            cache_key,
-            (tuple(results), tuple(effects), entries, tree, self._chain_digest),
-        )
+        journal = self.journal_block(sequence, operations, results)
+        execution_cache.store(cache_key, (tuple(results), tuple(effects), journal))
         return results
 
     def journal_block(
@@ -274,27 +279,42 @@ class AuthenticatedKVStore(AuthenticatedService):
         sequence: int,
         operations: Sequence[Operation],
         results: Sequence[OperationResult],
-    ) -> Tuple[Tuple[JournalEntry, ...], MerkleTree]:
+    ) -> Tuple[Tuple[JournalEntry, ...], MerkleTree, str]:
         """Journal an already-executed block so it can be proven later.
 
         Used directly by services (e.g. the ledger) that execute operations
         through their own engine but store state in this authenticated store.
-        Returns the shared ``(entries, tree)`` journal record (what the
-        execution cache stores for replay).
+        Returns the journal record ``(entries, tree, new chain digest)``: what
+        an execution-cache entry keeps so peers can :meth:`replay_block`.
         """
         leaves = tuple(
-            (sequence, position, _operation_digest(op), _result_digest(result))
-            for position, (op, result) in enumerate(zip(operations, results))
+            (sequence, position, op_digest, _result_digest(result))
+            for position, (op_digest, result) in enumerate(
+                zip(block_operation_digests(operations), results)
+            )
         )
         entries, tree = _journal_record(leaves)
+        new_digest = chain_step(self._chain_digest, sequence, tree.root)
+        self.replay_block(sequence, results, entries, tree, new_digest)
+        return entries, tree, new_digest
+
+    def replay_block(
+        self,
+        sequence: int,
+        results: Sequence[OperationResult],
+        entries: Sequence[JournalEntry],
+        tree: MerkleTree,
+        new_digest: str,
+    ) -> None:
+        """Append a block whose journal record is already known: the
+        bookkeeping of :meth:`journal_block` with no hashing at all."""
         self._journal_entries[sequence] = list(entries)
         self._journal_results[sequence] = list(results)
         self._journal_trees[sequence] = tree
         self._prev_digest[sequence] = self._chain_digest
-        self._chain_digest = chain_step(self._chain_digest, sequence, tree.root)
-        self._digest_at[sequence] = self._chain_digest
+        self._chain_digest = new_digest
+        self._digest_at[sequence] = new_digest
         self._block_order.append(sequence)
-        return entries, tree
 
     def snapshot(self) -> Any:
         return {
@@ -325,13 +345,8 @@ class AuthenticatedKVStore(AuthenticatedService):
             sequence = block["sequence"]
             leaves = tuple(_entry_leaf(entry) for entry in block["entries"])
             entries, tree = _journal_record(leaves)
-            self._journal_entries[sequence] = list(entries)
-            self._journal_results[sequence] = list(block["results"])
-            self._journal_trees[sequence] = tree
-            self._prev_digest[sequence] = self._chain_digest
-            self._chain_digest = chain_step(self._chain_digest, sequence, tree.root)
-            self._digest_at[sequence] = self._chain_digest
-            self._block_order.append(sequence)
+            new_digest = chain_step(self._chain_digest, sequence, tree.root)
+            self.replay_block(sequence, block["results"], entries, tree, new_digest)
 
     # ------------------------------------------------------------------
     # AuthenticatedService
@@ -387,7 +402,7 @@ class AuthenticatedKVStore(AuthenticatedService):
         entry = kv_proof.entry
         if entry.sequence != sequence or entry.position != position:
             return False
-        if entry.operation_digest != _operation_digest(operation):
+        if entry.operation_digest != operation_digest(operation):
             return False
         if entry.result_digest != _result_digest(OperationResult(value=value)):
             return False

@@ -15,7 +15,7 @@ parameterised by:
 from __future__ import annotations
 
 from dataclasses import field
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.compat import dataclass
 
@@ -54,6 +54,20 @@ class Operation:
         else:
             base = 32
         object.__setattr__(self, "size_bytes", 64 + base)
+
+
+class BlockOperations(tuple):
+    """The flattened operations of one decision block.
+
+    A plain tuple to every consumer.  The replica layer builds one instance
+    per shared ``PrePrepare`` (see ``block_execution_plan``), so what a
+    service derives from the whole block can ride on it and be computed once
+    per deployment instead of once per replica: ``digests`` holds the
+    per-operation digest tuple, filled by
+    :func:`repro.services.authenticated_kv.block_operation_digests`.
+    """
+
+    digests: Optional[Tuple[str, ...]] = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -45,7 +45,7 @@ from repro.errors import InvalidTransaction
 from repro.evm.state import WorldState
 from repro.evm.transactions import Transaction, TransactionReceipt, apply_transaction
 from repro.evm.vm import EVM, BlockContext
-from repro.services.authenticated_kv import AuthenticatedKVStore, operation_digest
+from repro.services.authenticated_kv import AuthenticatedKVStore, block_operation_digests
 from repro.services.interface import (
     AuthenticatedService,
     ExecutionProof,
@@ -198,19 +198,20 @@ class LedgerService(AuthenticatedService):
                 self._authkv.digest(),
                 self._block_number,
                 sequence,
-                tuple(map(operation_digest, operations)),
+                block_operation_digests(operations),
             )
             cached = execution_cache.lookup(cache_key)
             if cached is not None:
-                results, receipts, puts = cached
+                results, receipts, puts, journal = cached
                 authkv = self._authkv
                 # Replay the recorded state delta instead of re-interpreting:
                 # same puts in the same order, applied directly (the delta is
-                # journal-covered, so the fingerprint stays valid).
+                # journal-covered, so the fingerprint stays valid), then the
+                # recorded journal bookkeeping with no re-hashing.
                 for key, value in puts:
                     authkv.put(key, value)
                 self.receipts.extend(receipts)
-                authkv.journal_block(sequence, list(operations), list(results))
+                authkv.replay_block(sequence, results, *journal)
                 return list(results)
 
         # First execution of this block in the deployment: run the EVM and —
@@ -229,7 +230,7 @@ class LedgerService(AuthenticatedService):
             if cache_key is not None:
                 self._backend.record = None
                 self._in_block = False
-        self._authkv.journal_block(sequence, list(operations), results)
+        journal = self._authkv.journal_block(sequence, operations, results)
 
         if cache_key is not None:
             execution_cache.store(
@@ -238,6 +239,7 @@ class LedgerService(AuthenticatedService):
                     tuple(results),
                     tuple(self.receipts[receipts_start:]),
                     tuple(record),
+                    journal,
                 ),
             )
         return results

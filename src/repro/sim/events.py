@@ -17,6 +17,7 @@ sequence of callbacks as before.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import random
 from typing import Any, Callable, List, Optional, Sequence
@@ -226,36 +227,48 @@ class Simulator:
         # ``events_processed`` mid-run).
         heap = self._heap
         pop = heapq.heappop
-        while heap:
-            if max_events is not None and processed >= max_events:
-                break
-            entry = heap[0]
-            event = entry[2]
-            if event.cancelled:
+        # Automatic cyclic GC is suspended while events run.  Event-loop
+        # callbacks create no reference cycles (the zero-cycle test in
+        # ``tests/test_hot_path.py`` pins ``gc.collect() == 0`` after whole
+        # cluster runs), so every collector pass the allocation counters
+        # trigger walks the heap and frees nothing; reference counting still
+        # frees everything as it dies.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            while heap:
+                if max_events is not None and processed >= max_events:
+                    break
+                entry = heap[0]
+                event = entry[2]
+                if event.cancelled:
+                    pop(heap)
+                    event.owner = None
+                    self._cancelled -= 1
+                    continue
+                time = entry[0]
+                if until is not None and time > until:
+                    self.now = until
+                    break
                 pop(heap)
+                # The event has left the heap: a late cancel() must not count it
+                # toward heap garbage (it would corrupt live_events / compaction).
                 event.owner = None
-                self._cancelled -= 1
-                continue
-            time = entry[0]
-            if until is not None and time > until:
-                self.now = until
-                break
-            pop(heap)
-            # The event has left the heap: a late cancel() must not count it
-            # toward heap garbage (it would corrupt live_events / compaction).
-            event.owner = None
-            self.now = time
-            event.callback(*event.args)
-            if self._trace is not None:
-                self._trace(event)
-            processed += 1
-            if self._stopped:
-                break
-            if stop_when is not None and stop_when():
-                break
-        else:
-            if until is not None and self.now < until:
-                self.now = until
+                self.now = time
+                event.callback(*event.args)
+                if self._trace is not None:
+                    self._trace(event)
+                processed += 1
+                if self._stopped:
+                    break
+                if stop_when is not None and stop_when():
+                    break
+            else:
+                if until is not None and self.now < until:
+                    self.now = until
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         self._events_processed += processed
         return processed
 

@@ -299,12 +299,12 @@ def test_flow_fails_on_sim_now_leak_into_stashing_helper(tmp_path):
 
 
 def test_flow_fails_when_exec_plan_freeze_is_removed(tmp_path):
-    # Reverting the tuple() freeze resurrects the real shared-alias hazard
+    # Reverting the tuple freeze resurrects the real shared-alias hazard
     # this analyzer originally caught at core/replica.py (PR 9).
     root = _mutated_tree(
         tmp_path,
         "core/replica.py",
-        [("    operations = tuple(flattened)\n", "    operations = flattened\n")],
+        [("    operations = BlockOperations(flattened)\n", "    operations = flattened\n")],
     )
     findings, _ = run_flow([root], analyses=["shared-alias"])
     assert len(findings) == 1

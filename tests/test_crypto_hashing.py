@@ -28,6 +28,12 @@ def test_equal_memo_keys_always_share_one_canonical_encoding():
     pool = list(scalars)
     pool += [(a,) for a in scalars] + [(a, "x") for a in scalars]
     pool += [("reply", 0, 1, (a, b)) for a, b in itertools.product(scalars[:8], repeat=2)]
+    # Dicts (ledger receipts): the key mirrors the encoding, which writes keys
+    # as str(key) and sorts them, and values type-exactly.
+    pool += [{"k": a} for a in scalars] + [{1: a} for a in scalars[:8]]
+    pool += [{"1": a} for a in scalars[:8]] + [("reply", {"gas": a}) for a in scalars[:8]]
+    pool += [{"a": 1, "b": 2.0}, {"b": 2.0, "a": 1}, {"a": 1, "b": 2}, {"a": {"b": 1}}]
+    pool += [{1: "x", "1": "y"}, {"1": "y", 1: "x"}, {1: "y", "1": "x"}, {}, ()]
     for a, b in itertools.combinations(pool, 2):
         if memo_key(a) == memo_key(b):
             assert hash(memo_key(a)) == hash(memo_key(b))
@@ -38,6 +44,12 @@ def test_equal_memo_keys_always_share_one_canonical_encoding():
     assert memo_key(votes) is votes and memo_key(flags) is flags
     assert memo_key((1, "x")) == memo_key((True, "x"))  # one encoding
     assert memo_key((1, "x")) != memo_key((1.0, "x"))  # two encodings
+    assert memo_key({1: "x"}) == memo_key({"1": "x"})  # one encoding
+    assert memo_key({"a": 1, "b": 2.0}) == memo_key({"b": 2.0, "a": 1})  # insertion order
+    assert memo_key({"k": 1}) != memo_key({"k": 1.0})
+    assert memo_key(("reply", {"gas": 1})) != memo_key(("reply", {"gas": 1.0}))
+    # Values of unlike types under keys that collide as strings still sort.
+    hash(memo_key({1: "x", "1": 2}))
 
 
 def test_sha256_int_matches_hex():

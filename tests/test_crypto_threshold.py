@@ -52,6 +52,17 @@ def test_combine_any_subset_gives_same_valid_signature(scheme):
     assert scheme.verify(sig_a) and scheme.verify(sig_b)
 
 
+def test_gapped_and_contiguous_subsets_combine_to_one_point_at_n53():
+    """The headline shape's tau scheme (n=53, k=35): a contiguous signer set,
+    one with gaps and one given in reverse order interpolate the same point."""
+    big = ThresholdDealer(num_signers=53, seed=5).deal("tau", threshold=35)
+    gapped = list(range(0, 53, 2)) + list(range(1, 17, 2))
+    subsets = [range(35), range(18, 53), range(52, 0, -1), gapped]
+    points = {big.combine([big.sign_share(i, "msg") for i in subset]).point for subset in subsets}
+    assert len(points) == 1
+    assert big.verify_message(big.combine([big.sign_share(i, "msg") for i in gapped]), "msg")
+
+
 def test_combine_too_few_shares_fails(scheme):
     shares = [scheme.sign_share(i, "msg") for i in range(4)]
     with pytest.raises(CryptoError):

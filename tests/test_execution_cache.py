@@ -70,3 +70,37 @@ def test_cache_shared_across_replicas_within_one_run():
         assert stats["hits"] == (n - 1) * stats["misses"]
     finally:
         clear_execution_cache()
+
+
+def test_cache_hit_replays_the_journal_record_without_rejournaling(monkeypatch):
+    """A peer's cache hit appends the recorded journal entry through
+    ``replay_block``; only the first replica of the deployment journals a
+    block (the ledger used to re-journal on every peer: leaf tuples, memo
+    lookups and one ``authkv-chain`` hash each)."""
+    from repro.services.authenticated_kv import AuthenticatedKVStore
+
+    calls = {"journal_block": 0, "replay_block": 0}
+
+    def counting(name):
+        real = getattr(AuthenticatedKVStore, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(AuthenticatedKVStore, name, wrapper)
+
+    counting("journal_block")
+    counting("replay_block")
+    clear_execution_cache()
+    try:
+        fingerprint = _run_cluster("sbft-c8")
+        stats = execution_cache_stats()
+    finally:
+        clear_execution_cache()
+    assert stats["misses"] > 0
+    assert calls == {
+        "journal_block": stats["misses"],
+        "replay_block": stats["misses"] + stats["hits"],
+    }
+    assert len(set(fingerprint["digests"].values())) == 1

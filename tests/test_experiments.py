@@ -1,7 +1,8 @@
 """Tests for the experiment drivers (run at a tiny scale so they stay fast)."""
 
+import itertools
 import json
-
+import types
 
 from repro.experiments.ablation import INGREDIENT_BY_PROTOCOL, run_ablation
 from repro.experiments.fig2_throughput import run_figure2, scaled_failures, throughput_series
@@ -158,8 +159,21 @@ def test_client_sweep_rows_cover_grid_and_match_schema():
         assert set(row) <= set(ROW_SCHEMA), sorted(set(row) - set(ROW_SCHEMA))
 
 
-def test_client_sweep_cli_output_and_gate_roundtrip(tmp_path):
+def test_client_sweep_cli_output_and_gate_roundtrip(tmp_path, monkeypatch):
+    from repro.experiments import harness
     from repro.experiments.client_sweep import main
+
+    # A stub clock that advances 1 ms per reading.  The points are ~10 ms
+    # runs, and on real CPU time one of them gated against itself strays past
+    # the 2.0x limit about one suite run in five; with the stub both passes
+    # measure the same cost and the round trip is decidable.
+    ticks = itertools.count()
+
+    def clock():
+        return next(ticks) * 1e-3
+
+    stub = types.SimpleNamespace(perf_counter=clock, process_time=clock)
+    monkeypatch.setattr(harness, "time", stub)
 
     output = tmp_path / "bench.json"
     argv = ["--scale", "small", "--protocols", "sbft-c0", "--clients", "4",
@@ -167,8 +181,12 @@ def test_client_sweep_cli_output_and_gate_roundtrip(tmp_path):
     assert main(argv) == 0
     document = json.loads(output.read_text())
     assert {b["extra_info"]["policy"] for b in document["benchmarks"]} == {"fixed", "adaptive"}
-    # Gating a run against its own output passes (ratio 1.0).
-    assert main(argv[:-2] + ["--check-against", str(output)]) == 0
+    # Gating a run against its own output passes (ratio exactly 1.0) ...
+    gate = argv[:-2] + ["--check-against", str(output)]
+    assert main(gate) == 0
+    assert main(gate + ["--max-regression", "1.0"]) == 0
+    # ... and the gate does fail when the limit is below the measured ratio.
+    assert main(gate + ["--max-regression", "0.5"]) == 1
 
 
 def test_sweep_row_schemas_document_actual_keys():

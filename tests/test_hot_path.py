@@ -14,7 +14,11 @@ Covers the hot-path invariants introduced by the performance overhauls:
   same RNG draws, same stats, same delivery order — including under
   ``drop_rate > 0``, a downed link and an isolated node,
 * one PBFT vote costs its signer one hash and its n recipients none (the
-  signature-provenance fast path), pinned as an exact call count.
+  signature-provenance fast path), pinned as an exact call count,
+* one SBFT block costs the deployment one pass over its operation digests and
+  each combine one interpolation, pinned as exact call counts,
+* whole cluster runs leave no cyclic garbage (the zero-cycle test), which is
+  what lets ``Simulator.run`` suspend the cyclic collector at no memory cost.
 """
 
 from __future__ import annotations
@@ -178,6 +182,101 @@ def test_pbft_run_hashes_once_per_signature_not_once_per_recipient(monkeypatch):
     assert hashes == {"keygen": 9, "pk-sign": 12 + 6 + 42 + 42 + 84}
     # Every vote is verified by all 7 replicas; a client stops at f + 1 replies.
     assert verifies == {"prepare": 7 * 42, "commit": 7 * 42, "reply": 12 * 3}
+
+
+def test_sbft_block_costs_one_digest_pass_and_one_interpolation_per_combine(monkeypatch):
+    """Zero-noise work counters of a fixed-seed f=2 ``sbft-c8`` fast-path run
+    (n=9): the per-operation digests of a block are computed by the first
+    replica to execute it and read by its peers, and every threshold combine
+    interpolates exactly once (there is no coefficient table to hit or miss)."""
+    from repro.crypto.mockgroup import MockGroup
+    from repro.crypto.threshold import ThresholdScheme
+    from repro.services import authenticated_kv
+
+    calls = {"operation_digest": 0, "lagrange_coefficients": 0, "combine": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        authenticated_kv,
+        "operation_digest",
+        counting("operation_digest", authenticated_kv.operation_digest),
+    )
+    monkeypatch.setattr(
+        MockGroup,
+        "lagrange_coefficients",
+        counting("lagrange_coefficients", MockGroup.lagrange_coefficients),
+    )
+    monkeypatch.setattr(ThresholdScheme, "combine", counting("combine", ThresholdScheme.combine))
+    cluster, result = run_small_cluster(
+        "sbft-c8", f=2, c=1, num_clients=2, requests_per_client=6, kv_batch=2, seed=11
+    )
+    assert result.run.completed_requests == 12
+    assert_agreement(cluster)
+    replicas = len(cluster.replicas)
+    blocks = cluster.replicas[0].stats["blocks_executed"]
+    operations = result.completed_operations
+    assert (replicas, blocks, operations) == (9, 6, 24)
+    assert all(r.stats["blocks_executed"] == blocks for r in cluster.replicas.values())
+    # One pass over each block's operations for the whole deployment, plus one
+    # proof check per acknowledged request at its client; at the parent commit
+    # each of the 9 replicas made its own pass (operations x replicas = 216).
+    requests = result.run.completed_requests
+    assert calls["operation_digest"] == operations + requests
+    # One sigma proof per block from each of its c + 1 = 2 C-collectors and one
+    # pi proof per block from each of its 2 E-collectors.
+    assert calls["combine"] == 4 * blocks
+    assert calls["lagrange_coefficients"] == calls["combine"]
+
+
+@pytest.mark.parametrize("scenario", ["sbft-c8-fast", "sbft-c0-viewchange", "pbft", "ledger"])
+def test_cluster_runs_leave_no_cyclic_garbage(scenario):
+    """What makes suspending the cyclic collector inside ``Simulator.run``
+    memory-neutral: a whole run, collector off, leaves nothing that only a
+    cycle collection could free — reference counting reclaimed every message,
+    event and timer as it died.  An event-loop callback that starts creating
+    reference cycles fails here, not as a slow RSS drift in the benchmark."""
+    import gc
+
+    from repro.protocols.cluster import build_cluster
+    from repro.sim.faults import FaultPlan
+    from repro.workloads.ethereum_workload import EthereumWorkload
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        if scenario == "sbft-c8-fast":
+            cluster, _ = run_small_cluster("sbft-c8", f=2, c=1, requests_per_client=8)
+            assert all(r.stats["blocks_committed_slow"] == 0 for r in cluster.replicas.values())
+        elif scenario == "sbft-c0-viewchange":
+            plan = FaultPlan.crash_first(1, at_time=0.05).extend(
+                FaultPlan.crash_backups(1, 7, at_time=0.5)
+            )
+            cluster, _ = run_small_cluster(
+                "sbft-c0", f=2, requests_per_client=12, fault_plan=plan
+            )
+            assert max(r.view for r in cluster.replicas.values() if not r.crashed) > 0
+        elif scenario == "pbft":
+            cluster, _ = run_small_cluster("pbft", f=2, requests_per_client=8)
+        else:
+            cluster = build_cluster("sbft-c0", f=1, num_clients=2, topology="lan", batch_size=2)
+            workload = EthereumWorkload(
+                num_transactions=120, num_accounts=40, num_clients=2, seed=7
+            )
+            cluster.run(workload, max_sim_time=600.0)
+        assert all(client.done for client in cluster.clients.values())
+        # The cluster is still referenced: its own (reachable) back-references
+        # are not garbage, only cycles the run dropped would be.
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -127,6 +127,64 @@ def test_journal_block_with_external_results():
     assert store.verify(store.digest_at(5), op, "external", 5, 0, proof)
 
 
+def test_replay_block_reproduces_a_journaled_block_exactly():
+    """The record ``journal_block`` returns is all a peer needs: replaying it
+    gives the same digest chain and proofs with no hashing of its own."""
+    first, peer = AuthenticatedKVStore(), AuthenticatedKVStore()
+    op = AuthenticatedKVStore.make_put("k", "v")
+    results = [OperationResult(value={"success": True, "gas_used": 21000})]
+    record = first.journal_block(5, [op], results)
+    peer.replay_block(5, results, *record)
+    assert peer.digest() == first.digest() == record[2]
+    assert peer.prove(5, 0) == first.prove(5, 0)
+    assert peer.executed_blocks == 1
+
+
+def test_block_operation_digests_ride_on_the_shared_plan_tuple():
+    from repro.services.authenticated_kv import block_operation_digests, operation_digest
+    from repro.services.interface import BlockOperations
+
+    ops = [AuthenticatedKVStore.make_put(f"k{i}", i) for i in range(3)]
+    expected = tuple(operation_digest(op) for op in ops)
+    shared = BlockOperations(ops)
+    assert shared == tuple(ops) and shared.digests is None
+    assert block_operation_digests(shared) == expected
+    # Computed once: the peers get the very tuple the first replica built.
+    assert block_operation_digests(shared) is shared.digests
+    # Any other sequence is digested on the spot and left alone.
+    assert block_operation_digests(ops) == expected
+    assert block_operation_digests(tuple(ops)) == expected
+
+
+def test_equal_dict_results_share_one_result_hash(monkeypatch):
+    """Ledger receipts are dicts, rebuilt per transaction: value-equal ones
+    hit the keyed memo instead of being hashed again, type-exactly."""
+    from repro.services import authenticated_kv
+
+    hashed = []
+    real_hash = authenticated_kv.sha256_hex
+
+    def counting_hash(*parts):
+        hashed.append(parts)
+        return real_hash(*parts)
+
+    monkeypatch.setattr(authenticated_kv, "sha256_hex", counting_hash)
+    receipt = {"success": True, "gas_used": 41_317, "contract_address": None, "probe": "dict-memo"}
+    digests = [
+        authenticated_kv._result_digest(OperationResult(value=dict(receipt))) for _ in range(4)
+    ]
+    reordered = dict(reversed(list(receipt.items())))
+    digests.append(authenticated_kv._result_digest(OperationResult(value=reordered)))
+    assert len(set(digests)) == 1 and digests[0] == real_hash("result", receipt)
+    assert len(hashed) == 1
+    # 41317 and 41317.0 are equal to Python and distinct to the encoding.
+    as_float = authenticated_kv._result_digest(
+        OperationResult(value=dict(receipt, gas_used=41_317.0))
+    )
+    assert as_float == real_hash("result", dict(receipt, gas_used=41_317.0)) != digests[0]
+    assert len(hashed) == 2
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event scheduler."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
@@ -111,3 +113,56 @@ def test_deterministic_rng_from_seed():
     values_b = [Simulator(seed=5).rng.random() for _ in range(1)]
     assert values_a == values_b
     assert Simulator(seed=6).rng.random() != Simulator(seed=5).rng.random()
+
+
+# ----------------------------------------------------------------------
+# Cyclic GC is suspended while events run, and only while they run
+# ----------------------------------------------------------------------
+@pytest.fixture
+def restore_gc():
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_run_suspends_gc_and_restores_it(restore_gc):
+    gc.enable()
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+    sim.run()
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_run_restores_gc_when_a_callback_raises(restore_gc):
+    gc.enable()
+    sim = Simulator()
+
+    def boom():
+        raise RuntimeError("callback failed")
+
+    sim.schedule(1.0, boom)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert gc.isenabled()
+
+
+def test_run_leaves_gc_disabled_when_the_caller_disabled_it(restore_gc):
+    gc.disable()
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    assert sim.run() == 1
+    assert not gc.isenabled()
+
+
+def test_nested_run_does_not_re_enable_gc_for_the_outer_loop(restore_gc):
+    gc.enable()
+    sim, inner = Simulator(), Simulator()
+    seen = []
+    inner.schedule(1.0, lambda: None)
+    sim.schedule(1.0, inner.run)
+    sim.schedule(2.0, lambda: seen.append(gc.isenabled()))
+    sim.run()
+    assert seen == [False]
+    assert gc.isenabled()
