@@ -27,6 +27,7 @@ from repro.pbft.replica import PBFTReplica
 from repro.protocols.cluster import build_cluster
 from repro.services.authenticated_kv import AuthenticatedKVStore
 from repro.sim.events import Simulator
+from repro.sim.faults import FaultPlan
 from repro.sim.latency import lan_topology
 from repro.sim.network import Network
 from repro.workloads.kv_workload import KVWorkload
@@ -95,6 +96,57 @@ GOLDEN_RUNS = [
 @pytest.mark.parametrize("protocol,kwargs,expected", GOLDEN_RUNS,
                          ids=[f"{p}-seed{k['seed']}" for p, k, _ in GOLDEN_RUNS])
 def test_fixed_policy_reproduces_golden_seeds(protocol, kwargs, expected):
+    assert _fingerprint(protocol, **kwargs) == expected
+
+
+#: Same fingerprint, wider net: fixed-seed runs through the code paths both
+#: replica stacks share — view change after a primary crash, the slow path
+#: and fast-path timers under crashed backups, restart + state-transfer
+#: rejoin, adaptive batching with pipelined clients.  Captured at commit
+#: 718bfd1 (the parent of the replica-runtime extraction), which must not
+#: move any of them.
+_CRASH_THEN_RESTART = FaultPlan.crash_first(1, at_time=0.02, node_ids=[3])
+_PIPELINED_ADAPTIVE = {"batch_policy": "adaptive", "client_max_outstanding": 4}
+GOLDEN_FAULT_RUNS = [
+    ("sbft-c0-primary-crash-f1", "sbft-c0",
+     dict(f=1, num_clients=2, requests_per_client=8, seed=3,
+          fault_plan=FaultPlan.crash_first(1, at_time=0.02)),
+     "7e5d4c20ce81c25bb5517f746bdc930ae2c7b4633b326a25631c6c2db28ce9fd"),
+    ("sbft-c0-primary-crash-f2-continent", "sbft-c0",
+     dict(f=2, num_clients=4, requests_per_client=6, batch_size=4, topology="continent", seed=5,
+          fault_plan=FaultPlan.crash_first(1, at_time=0.3)),
+     "cf66fc426317fd4d4f0b2cfce07f83cc6e0036718cbc40c63b4a5119a14cef89"),
+    ("sbft-c8-crashed-backups", "sbft-c8",
+     dict(f=1, c=1, num_clients=2, requests_per_client=8, seed=4,
+          fault_plan=FaultPlan.crash_backups(2, 6, at_time=0.02)),
+     "84fb3b2efc94e3e1e3d66b2dd41c313b2376159407331e2e5cd0b8bfed6cc724"),
+    ("pbft-primary-crash-f2-lan", "pbft",
+     dict(f=2, num_clients=4, requests_per_client=6, topology="lan", seed=6,
+          fault_plan=FaultPlan.crash_first(1, at_time=0.02)),
+     "cb98b772c23952c3760c43a0f0a247e0c38b9ada30da7b2f144eb40b4e29f6c5"),
+    ("sbft-c0-restart-state-transfer", "sbft-c0",
+     dict(f=1, num_clients=2, requests_per_client=40, seed=9,
+          fault_plan=_CRASH_THEN_RESTART.extend(FaultPlan.restart([3], at_time=0.1))),
+     "d0da4108c6c57130de1466d3d8b3d7affc239926a4de9ee890188076a963f0a1"),
+    ("pbft-restart-state-transfer", "pbft",
+     dict(f=1, num_clients=2, requests_per_client=40, seed=9,
+          fault_plan=_CRASH_THEN_RESTART.extend(FaultPlan.restart([3], at_time=0.08))),
+     "5796ae413c9846d8f159e5b5f913cdcfd8dcf0c7c2b08c811353839b763722e0"),
+    ("sbft-c8-adaptive-pipelined", "sbft-c8",
+     dict(f=1, c=1, num_clients=4, requests_per_client=12, seed=12,
+          config_overrides=_PIPELINED_ADAPTIVE),
+     "6af45ca9dec343b0daadf2dc63ffccb22dca8ae459ff269ab2b738720aaab529"),
+    ("pbft-adaptive-pipelined", "pbft",
+     dict(f=1, num_clients=4, requests_per_client=12, seed=12,
+          config_overrides=_PIPELINED_ADAPTIVE),
+     "a659b8e8d2a7dae24d27d06e61de715bb5781baa5a69ec14d1e2bff43092ea1d"),
+]
+
+
+@pytest.mark.parametrize("protocol,kwargs,expected",
+                         [run[1:] for run in GOLDEN_FAULT_RUNS],
+                         ids=[run[0] for run in GOLDEN_FAULT_RUNS])
+def test_fault_and_pipelining_runs_reproduce_golden_seeds(protocol, kwargs, expected):
     assert _fingerprint(protocol, **kwargs) == expected
 
 
