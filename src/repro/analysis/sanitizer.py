@@ -357,12 +357,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name in names:
         result = selfcheck(name, seed=args.seed)
         status = "OK" if result.ok else "DIVERGENCE"
-        print(
-            f"{name}: {status} hash={result.hash_a[:16]} events={result.events}"
-        )
+        # The full chain hash: "same decision chain as another commit" is a
+        # copy-paste comparison of these lines.
+        print(f"{name}: {status} hash={result.hash_a} events={result.events}")
         if not result.ok:
             failures += 1
-            print(f"  second run hash={result.hash_b[:16]}")
+            print(f"  second run hash={result.hash_b}")
             for line in result.report.splitlines():
                 print(f"  {line}")
     return 1 if failures else 0

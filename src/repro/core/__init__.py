@@ -8,8 +8,10 @@ Modules:
 * :mod:`repro.core.roles` — primary rotation and C-/E-collector selection.
 * :mod:`repro.core.keys` — trusted setup: threshold schemes and PKI keys.
 * :mod:`repro.core.log` — per-sequence slot bookkeeping.
-* :mod:`repro.core.replica` — the replica state machine: fast path,
-  linear-PBFT fallback, execution/acknowledgement, checkpointing.
+* :mod:`repro.core.runtime` — the replica runtime shared with the PBFT
+  baseline: client intake, batching, execution, state transfer, timers.
+* :mod:`repro.core.replica` — the SBFT agreement protocol on top of it: fast
+  path, linear-PBFT fallback, acknowledgement, checkpointing, view change.
 * :mod:`repro.core.viewchange` — the dual-mode view-change safe-value logic.
 * :mod:`repro.core.client` — the single-message-acknowledgement client.
 """

@@ -1,16 +1,19 @@
-"""Per-sequence slot bookkeeping for an SBFT replica.
+"""Per-sequence slot bookkeeping for a replica.
 
-A :class:`SlotState` accumulates everything a replica learns about one
+A :class:`SlotState` accumulates everything an SBFT replica learns about one
 sequence number: the accepted pre-prepare, signature shares collected when the
 replica acts as a C-/E-collector, the fast/slow commit certificates, execution
 results and the execution certificate.  :class:`ReplicaLog` is the window of
-slots between the last stable sequence number and ``ls + win``.
+slots between the last stable sequence number and ``ls + win``; it is shared
+by both protocols and creates slots of whatever type the replica names (the
+runtime needs ``sequence``, ``pre_prepare``, ``digest``, ``committed``,
+``executed``, ``execution_results`` and ``state_digest`` on a slot).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.messages import PrePrepare
 from repro.crypto.threshold import CombinedSignature, SignatureShare
@@ -61,24 +64,22 @@ class SlotState:
     # Bookkeeping for replies.
     sign_share_sent: bool = False
 
-    def has_pre_prepare(self) -> bool:
-        return self.pre_prepare is not None
-
 
 class ReplicaLog:
     """The sliding window of slots a replica keeps in memory."""
 
-    def __init__(self, window: int):
+    def __init__(self, window: int, slot_factory: Callable[[int], Any]):
         self.window = window
-        self._slots: Dict[int, SlotState] = {}
+        self._slot_factory = slot_factory
+        self._slots: Dict[int, Any] = {}
 
-    def slot(self, sequence: int) -> SlotState:
+    def slot(self, sequence: int) -> Any:
         """Get (or create) the slot for a sequence number."""
         if sequence not in self._slots:
-            self._slots[sequence] = SlotState(sequence=sequence)
+            self._slots[sequence] = self._slot_factory(sequence)
         return self._slots[sequence]
 
-    def peek(self, sequence: int) -> Optional[SlotState]:
+    def peek(self, sequence: int) -> Optional[Any]:
         """Slot if it exists, without creating it."""
         return self._slots.get(sequence)
 
@@ -87,6 +88,10 @@ class ReplicaLog:
 
     def sequences(self) -> List[int]:
         return sorted(self._slots)
+
+    def slots(self) -> List[Any]:
+        """Every slot held, in sequence order."""
+        return [self._slots[sequence] for sequence in sorted(self._slots)]
 
     def garbage_collect(self, stable_sequence: int) -> int:
         """Drop slots at or below the stable sequence number; returns count."""

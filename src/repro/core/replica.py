@@ -20,10 +20,8 @@ computation in :mod:`repro.core.viewchange`), state transfer for lagging
 replicas, and the ingredient toggles used to build the protocol variants of
 the evaluation (linear communication, fast path, execution collectors).
 
-Cost accounting: message verification cost is charged *before* a message is
-processed (so a saturated replica's queue grows and latency rises), while
-signing / combining / execution costs are charged to the CPU inline (so they
-bound throughput).  Costs come from :class:`repro.crypto.costs.CryptoCosts`.
+Client intake, batching, execution, state transfer, the view-change timer,
+dispatch and cost accounting are the shared :class:`repro.core.runtime.Replica`.
 """
 
 from __future__ import annotations
@@ -53,8 +51,8 @@ from repro.core.messages import (
     StateTransferResponse,
     ViewChange,
 )
-from repro.core.reply_cache import ClientReplyTracker
 from repro.core.roles import commit_collectors, execution_collectors, primary_of_view
+from repro.core.runtime import Replica, block_reply_values, pre_prepare_expected_digest
 from repro.core.stats import SBFTReplicaStats
 from repro.core.viewchange import (
     ACTION_ADOPT,
@@ -70,97 +68,23 @@ from repro.core.viewchange import (
     compute_new_view_plan,
 )
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
-from repro.crypto.hashing import block_digest, sha256_hex
-from repro.errors import ConfigurationError, CryptoError
-from repro.services.interface import (
-    AuthenticatedService,
-    BlockOperations,
-    Operation,
-    ReplicatedService,
-)
+from repro.errors import CryptoError
+from repro.services.interface import AuthenticatedService, ReplicatedService
 from repro.sim.events import Simulator
 from repro.sim.network import Network
-from repro.sim.process import Process
 
 
-def block_execution_plan(pre_prepare, service, costs) -> Tuple[BlockOperations, float]:
-    """Flattened operations and total simulated execution cost of a block.
-
-    The same frozen ``PrePrepare`` object reaches every replica, and the cost
-    of a block is a pure function of its operations and the cluster's
-    (service type, cost model) pair — so the plan is stashed on the message
-    instance and computed once per cluster instead of twice per replica
-    (SBFT and PBFT replicas share this helper).  The guard re-computes if a
-    differently-configured replica ever shares the message.
-    """
-    memo = pre_prepare._exec_plan
-    service_type = type(service)
-    if memo is not None and memo[0] is service_type and memo[1] is costs:
-        return memo[2], memo[3]
-    flattened: List[Operation] = []
-    for request in pre_prepare.requests:
-        flattened.extend(request.operations)
-    cost = sum(service.execution_cost(op) for op in flattened)
-    cost += costs.hash_op * max(1, len(flattened))
-    # Freeze before stashing: the stashed plan is shared by every replica
-    # that sees this message, so a consumer mutating its copy must not be
-    # able to corrupt the cluster-wide entry.
-    operations = BlockOperations(flattened)
-    object.__setattr__(pre_prepare, "_exec_plan", (service_type, costs, operations, cost))
-    return operations, cost
-
-
-def pre_prepare_expected_digest(pre_prepare) -> str:
-    """The digest the proposer *should* have attached to this pre-prepare.
-
-    A pure function of the frozen message fields (sequence, view, request
-    ids), so it is computed once per cluster and stashed on the shared
-    message object.  Every replica still compares the stashed value against
-    ``pre_prepare.digest`` independently — a forged digest field is rejected
-    by all of them, exactly as with per-replica recomputation.
-    """
-    digest = pre_prepare._expected_digest
-    if digest is None:
-        digest = block_digest(
-            pre_prepare.sequence,
-            pre_prepare.view,
-            [r.request_id for r in pre_prepare.requests],
-        )
-        object.__setattr__(pre_prepare, "_expected_digest", digest)
-    return digest
-
-
-def block_reply_values(pre_prepare, execution_results, state_digest) -> Tuple[Tuple, ...]:
-    """Per-request reply-value tuples for one executed block.
-
-    Like :func:`block_execution_plan`, the same frozen ``PrePrepare`` reaches
-    every replica — and when the service is authenticated, the post-execution
-    state digest commits to every result value (the journal leaves hash them),
-    so two replicas at the same digest provably computed the same values.  The
-    partition is therefore stashed on the message guarded by the digest:
-    built once per cluster, reused by the n-1 peers (and by the several
-    reply/ack paths of one replica).  A replica at a different digest — or a
-    non-authenticated service, whose digest is salted with the node id —
-    misses the guard and rebuilds, which is exactly the old per-replica cost.
-    """
-    memo = pre_prepare._reply_values
-    if memo is not None and memo[0] == state_digest:
-        return memo[1]
-    position = 0
-    values_per_request = []
-    for request in pre_prepare.requests:
-        count = len(request.operations)
-        values_per_request.append(
-            tuple(result.value for result in execution_results[position : position + count])
-        )
-        position += count
-    values_per_request = tuple(values_per_request)
-    object.__setattr__(pre_prepare, "_reply_values", (state_digest, values_per_request))
-    return values_per_request
-
-
-class SBFTReplica(Process):
+class SBFTReplica(Replica):
     """One SBFT replica."""
+
+    #: ``silent`` (receive but never send), ``bad-shares`` (send invalid
+    #: signature shares), ``equivocate`` (as primary, propose conflicting
+    #: blocks to different replicas), ``stale-viewchange`` (send view-change
+    #: messages with outdated ``last_stable`` and no evidence).
+    BYZANTINE_MODES = frozenset({"silent", "bad-shares", "equivocate", "stale-viewchange"})
+
+    #: The view-change timeout doubles with every failed attempt.
+    VIEW_CHANGE_BACKOFF = 2
 
     def __init__(
         self,
@@ -173,74 +97,20 @@ class SBFTReplica(Process):
         costs: CryptoCosts = DEFAULT_COSTS,
         client_directory: Optional[Dict[int, int]] = None,
     ):
-        super().__init__(sim, node_id, name=f"replica-{node_id}")
-        self.network = network
-        self.config = config
+        super().__init__(
+            sim, network, node_id, f"replica-{node_id}", config,
+            keys.signing_key, service, costs, client_directory,
+        )
+        # The σ/τ/π threshold schemes (the PKI signing key is the runtime's).
         self.keys = keys
-        self.service = service
-        self.costs = costs
-        # Maps client ids to network node ids (clients live on separate nodes).
-        self.client_directory = client_directory if client_directory is not None else {}
-
-        # Deployment shape, read once: the config is frozen and both values
-        # are derived properties consulted for every collector-group lookup.
-        self._n = config.n
         self._collectors_per_slot = config.collectors_per_slot
+        self.log = ReplicaLog(config.window, SlotState)
 
-        # Protocol state.
-        self.view = 0
-        self.last_executed = 0
-        self.last_stable = 0
-        self.log = ReplicaLog(config.window)
-        self.next_sequence = 1
-
-        # Primary state.
-        self._pending_requests: List[ClientRequest] = []
-        self._pending_request_ids: set = set()
-        self._batch_timer: Optional[int] = None
-
-        # Execution / reply state.  Clients pipeline requests as a sliding
-        # window (config.client_max_outstanding), so executed-request
-        # tracking and reply retention follow the exact per-timestamp rules
-        # of ClientReplyTracker (see repro.core.reply_cache for the window
-        # invariant that makes the bounded cache sufficient).
-        self._executing = False
-        self._replies = ClientReplyTracker(config.client_max_outstanding)
-        self._direct_reply_waiting: Dict[Tuple[int, int], int] = {}
-
-        # View-change state.
-        self._view_change_timer: Optional[int] = None
-        self._view_change_attempts = 0
+        # View-change evidence gathered as (prospective) new primary.
         self._view_changes_received: Dict[int, Dict[int, ViewChange]] = {}
-        self._view_change_sent_for: set = set()
-        self._new_view_sent_for: set = set()
-        self._request_first_seen: Dict[Tuple[int, int], float] = {}
 
         # Checkpoint state (used when execution collectors are disabled).
         self._checkpoint_shares: Dict[int, Dict[int, Any]] = {}
-
-        # State-transfer throttle (one outstanding request per lag position).
-        self._state_transfer_seq = -1
-        self._state_transfer_at = float("-inf")
-
-        # Fault-injection behaviour (None = honest).
-        self.byzantine_mode: Optional[str] = None
-
-        # Adversary-lab hook: called as ``observer(node_id, sequence,
-        # block_digest)`` after each block executes (None = no observer).
-        # The safety oracle in repro.adversary compares the *block* digest
-        # across replicas — state digests are node-salted for services that
-        # do not authenticate state, so they are useless for cross-replica
-        # agreement checks.
-        self.execution_observer: Optional[Any] = None
-
-        # Cached broadcast destination lists (the peer set is fixed for the
-        # lifetime of the cluster; rebuilding a range per message was pure
-        # hot-path garbage at n=193).
-        self._peers_all: Tuple[int, ...] = tuple(range(self._n))
-        self._peers_except_self: Tuple[int, ...] = tuple(
-            dst for dst in self._peers_all if dst != node_id
-        )
 
         # Hot-path dispatch: type-keyed handler and verification-cost tables,
         # built once here instead of a 15-branch isinstance chain per message.
@@ -268,17 +138,12 @@ class SBFTReplica(Process):
         # Statistics (slotted fixed-key counters; mapping reads still work).
         self.stats = SBFTReplicaStats()
 
+    def on_message(self, message: Any, src: int) -> None:
+        self.compute(self._message_cost(message), self._dispatch, message, src)
+
     # ==================================================================
     # Role helpers
     # ==================================================================
-    @property
-    def is_primary(self) -> bool:
-        return primary_of_view(self.view, self._n) == self.node_id
-
-    @property
-    def primary(self) -> int:
-        return primary_of_view(self.view, self._n)
-
     def _c_collectors(self, sequence: int, view: Optional[int] = None) -> Tuple[int, ...]:
         return commit_collectors(
             sequence,
@@ -303,86 +168,8 @@ class SBFTReplica(Process):
         return self.node_id in self._e_collectors(sequence, view)
 
     # ==================================================================
-    # Byzantine behaviour hooks (used by fault injection and tests)
+    # Per-message verification costs
     # ==================================================================
-
-    #: Adversarial behaviours this replica implements.
-    BYZANTINE_MODES = frozenset({"silent", "bad-shares", "equivocate", "stale-viewchange"})
-
-    def activate_byzantine(self, mode: str) -> None:
-        """Switch this replica to an adversarial behaviour.
-
-        Supported modes: ``silent`` (receive but never send), ``bad-shares``
-        (send invalid signature shares), ``equivocate`` (as primary, propose
-        conflicting blocks to different replicas), ``stale-viewchange`` (send
-        view-change messages with outdated ``last_stable`` and no evidence).
-        Unknown modes raise instead of silently configuring a no-op adversary.
-        """
-        if mode not in self.BYZANTINE_MODES:
-            raise ConfigurationError(
-                f"unknown byzantine mode {mode!r} for {type(self).__name__} "
-                f"(known: {', '.join(sorted(self.BYZANTINE_MODES))})"
-            )
-        self.byzantine_mode = mode
-
-    def _silenced(self) -> bool:
-        return self.byzantine_mode == "silent"
-
-    # ==================================================================
-    # Restart / rejoin (driven by the ``restart`` fault)
-    # ==================================================================
-    def rejoin(self) -> None:
-        """Recover from a crash and re-sync via the state-transfer machinery.
-
-        ``crash()`` dropped every timer and any in-flight ``compute`` callback
-        (their completions no-op on a crashed node), so all timer handles and
-        the execution-in-progress flag are stale and must be cleared.  The
-        replica then asks a peer for a state snapshot; if the cluster made no
-        progress while it was down, the request simply goes unanswered and
-        the replica catches up through the normal protocol flow (commits,
-        execute proofs and stable checkpoints re-trigger state transfer when
-        it lags too far).
-        """
-        if not self.crashed:
-            return
-        self.recover()
-        self._executing = False
-        self._batch_timer = None
-        self._view_change_timer = None
-        self._view_change_attempts = 0
-        for slot in (self.log.peek(s) for s in self.log.sequences()):
-            if slot is not None:
-                slot.fast_path_timer = None
-        self._request_state_transfer()
-        self._try_execute()
-
-    # ==================================================================
-    # Sending helpers
-    # ==================================================================
-    def _send(self, dst: int, message: Any) -> None:
-        if self.crashed or self._silenced():
-            return
-        self.network.send(self.node_id, dst, message)
-
-    def _broadcast(self, message: Any, include_self: bool = True) -> None:
-        if self.crashed or self._silenced():
-            return
-        dsts = self._peers_all if include_self else self._peers_except_self
-        self.network.broadcast_bulk(self.node_id, message, dsts)
-
-    def _send_to_client(self, client_id: int, message: Any) -> None:
-        node = self.client_directory.get(client_id)
-        if node is None:
-            return
-        self._send(node, message)
-
-    # ==================================================================
-    # Message dispatch
-    # ==================================================================
-    def on_message(self, message: Any, src: int) -> None:
-        cost = self._message_cost(message)
-        self.compute(cost, self._dispatch, message, src)
-
     def _build_cost_table(self, costs: CryptoCosts) -> Dict[type, Any]:
         """Precompute per-type verification-cost functions (hot path)."""
         per_share = costs.bls_batch_verify_per_share
@@ -427,129 +214,6 @@ class SBFTReplica(Process):
             StateTransferRequest: constant(hash_op),
             StateTransferResponse: constant(hash_op),
         }
-
-    def _message_cost(self, message: Any) -> float:
-        """Verification cost charged before processing a message."""
-        cost_fn = self._cost_table.get(type(message))
-        if cost_fn is None:
-            return self.costs.hash_op
-        return cost_fn(message)
-
-    def _dispatch(self, message: Any, src: int) -> None:
-        handler = self._handlers.get(type(message))
-        if handler is not None:
-            handler(message, src)
-
-    # ==================================================================
-    # Client requests and primary batching
-    # ==================================================================
-    def _request_executed(self, request_id: Tuple[int, int]) -> bool:
-        return self._replies.executed(*request_id)
-
-    def _on_client_request(self, request: ClientRequest, src: int) -> None:
-        request_id = request.request_id
-        if self._request_executed(request_id):
-            # Retransmission of an executed request: reply directly (f+1 path).
-            self._send_direct_reply(request.client_id, request.timestamp)
-            return
-
-        self._request_first_seen.setdefault(request_id, self.sim.now)
-        if src != self.primary and src != self.node_id:
-            # Came straight from a client.  Remember who to answer directly if
-            # the client asked every replica (its retry path), and make sure a
-            # view change happens if the primary never orders it.
-            if not self.is_primary:
-                self._direct_reply_waiting[request_id] = request.client_id
-                self._send(self.primary, request)
-                self._ensure_view_change_timer()
-
-        if self.is_primary:
-            if request_id in self._pending_request_ids:
-                return
-            self._pending_request_ids.add(request_id)
-            self._pending_requests.append(request)
-            self._maybe_propose()
-
-    def _maybe_propose(self) -> None:
-        if not self.is_primary or self.crashed:
-            return
-        if not self._pending_requests:
-            return
-        threshold = self.config.batch_threshold(self.next_sequence - 1 - self.last_executed)
-        if len(self._pending_requests) >= threshold:
-            self._propose_block()
-        elif self._batch_timer is None:
-            self._batch_timer = self.set_timer(self.config.batch_timeout, self._on_batch_timeout)
-
-    def _on_batch_timeout(self) -> None:
-        self._batch_timer = None
-        if self.is_primary and self._pending_requests:
-            self._propose_block()
-        self._maybe_propose()
-
-    def _can_propose(self) -> bool:
-        outstanding = self.next_sequence - 1 - self.last_executed
-        if outstanding >= self.config.active_window:
-            return False
-        if self.next_sequence > self.last_stable + self.config.window:
-            return False
-        return True
-
-    def _propose_block(self) -> None:
-        if not self._can_propose():
-            return
-        if self._batch_timer is not None:
-            self.cancel_timer(self._batch_timer)
-            self._batch_timer = None
-        take = self.config.batch_take()
-        batch = self._pending_requests[:take]
-        self._pending_requests = self._pending_requests[take:]
-        for request in batch:
-            self._pending_request_ids.discard(request.request_id)
-
-        sequence = self.next_sequence
-        self.next_sequence += 1
-        requests = tuple(batch)
-        digest = block_digest(sequence, self.view, [r.request_id for r in requests])
-        self.charge_cpu(self.costs.hash_op + self.costs.rsa_sign)
-        signature = self.keys.signing_key.sign(("pre-prepare", sequence, self.view, digest))
-        message = PrePrepare(
-            sequence=sequence,
-            view=self.view,
-            requests=requests,
-            digest=digest,
-            primary_signature=signature,
-        )
-        self.stats.blocks_proposed += 1
-
-        if self.byzantine_mode == "equivocate":
-            self._equivocate_pre_prepare(sequence, requests, signature)
-        else:
-            self._broadcast(message)
-
-        # Keep draining the backlog.
-        if self._pending_requests:
-            self._maybe_propose()
-
-    def _equivocate_pre_prepare(
-        self, sequence: int, requests: Tuple[ClientRequest, ...], signature: Any
-    ) -> None:
-        """Byzantine primary: send conflicting blocks to odd/even replicas.
-
-        Both conflicting pre-prepares carry valid primary signatures over
-        their own digests — the equivocation has to survive per-message
-        signature checks, and the forensics layer relies on the pair of
-        validly signed conflicts as cryptographic evidence of misbehaviour.
-        """
-        digest_a = block_digest(sequence, self.view, [r.request_id for r in requests])
-        reversed_requests = tuple(reversed(requests))
-        digest_b = block_digest(sequence, self.view, [r.request_id for r in reversed_requests])
-        self.charge_cpu(self.costs.hash_op + self.costs.rsa_sign)
-        signature_b = self.keys.signing_key.sign(("pre-prepare", sequence, self.view, digest_b))
-        msg_a = PrePrepare(sequence, self.view, requests, digest_a, signature)
-        msg_b = PrePrepare(sequence, self.view, reversed_requests, digest_b, signature_b)
-        for dst in range(self._n):
-            self.network.send(self.node_id, dst, msg_a if dst % 2 == 0 else msg_b)
 
     # ==================================================================
     # Fast path: pre-prepare -> sign-share -> full-commit-proof
@@ -793,74 +457,16 @@ class SBFTReplica(Process):
             self._request_state_transfer()
         self._try_execute()
 
-    def _try_execute(self) -> None:
-        if self._executing or self.crashed:
-            return
-        next_sequence = self.last_executed + 1
-        slot = self.log.peek(next_sequence)
-        if slot is None or not slot.committed or slot.pre_prepare is None or slot.executed:
-            return
-        operations, cost = block_execution_plan(slot.pre_prepare, self.service, self.costs)
-        self._executing = True
-        self.compute(cost, self._finish_execution, slot.sequence)
-
-    def _finish_execution(self, sequence: int) -> None:
-        self._executing = False
-        slot = self.log.peek(sequence)
-        if slot is None or slot.executed or not slot.committed or slot.pre_prepare is None:
-            self._try_execute()
-            return
-        if sequence != self.last_executed + 1:
-            self._try_execute()
-            return
-
-        operations, _cost = block_execution_plan(slot.pre_prepare, self.service, self.costs)
-        results = self.service.execute_block(sequence, operations)
-        slot.execution_results = results
-        slot.executed = True
-        self.last_executed = sequence
-        self.stats.blocks_executed += 1
-
-        if isinstance(self.service, AuthenticatedService):
-            state_digest = self.service.digest()
-        else:
-            state_digest = sha256_hex("state", self.node_id, sequence)
-        slot.state_digest = state_digest
-
-        if self.execution_observer is not None:
-            self.execution_observer(self.node_id, sequence, slot.pre_prepare.digest)
-
-        self._record_replies(slot)
-        self._cancel_request_timers(slot)
-
+    def _after_execute(self, slot: SlotState) -> None:
+        """Acknowledge an executed block: π share to the E-collectors, or —
+        with ingredient 3 off — f+1 replies and the periodic checkpoint."""
         if self.config.execution_collectors_enabled:
             self._send_sign_state(slot)
             self._maybe_send_execute_acks(slot.sequence)
         else:
-            self._send_direct_replies_for_slot(slot)
+            self._send_block_replies(slot)
             self._maybe_send_checkpoint(slot)
-
         self._answer_waiting_direct_replies(slot)
-
-        if self.is_primary:
-            self._maybe_propose()
-        self._try_execute()
-
-    def _record_replies(self, slot: SlotState) -> None:
-        """Remember recent replies per client (deduplication + retransmits)."""
-        reply_values = block_reply_values(
-            slot.pre_prepare, slot.execution_results, slot.state_digest
-        )
-        for request, values in zip(slot.pre_prepare.requests, reply_values):
-            self._replies.record(request.client_id, request.timestamp, slot.sequence, values)
-
-    def _cancel_request_timers(self, slot: SlotState) -> None:
-        for request in slot.pre_prepare.requests:
-            self._request_first_seen.pop(request.request_id, None)
-        if not self._request_first_seen and self._view_change_timer is not None:
-            self.cancel_timer(self._view_change_timer)
-            self._view_change_timer = None
-            self._view_change_attempts = 0
 
     # ------------------------------------------------------------------
     # Execution collectors (ingredient 3)
@@ -955,56 +561,15 @@ class SBFTReplica(Process):
             position += count
 
     # ------------------------------------------------------------------
-    # PBFT-style f+1 replies (used when ingredient 3 is disabled, and as the
-    # client's retry fallback)
+    # PBFT-style f+1 replies (the runtime's ``_send_block_replies`` when
+    # ingredient 3 is disabled; ``_send_direct_reply`` as the client's retry
+    # fallback)
     # ------------------------------------------------------------------
-    def _send_direct_replies_for_slot(self, slot: SlotState) -> None:
-        reply_values = block_reply_values(
-            slot.pre_prepare, slot.execution_results, slot.state_digest
-        )
-        for request, values in zip(slot.pre_prepare.requests, reply_values):
-            self.charge_cpu(self.costs.rsa_sign)
-            signature = self.keys.signing_key.sign(("reply", request.client_id, request.timestamp, values))
-            reply = ClientReply(
-                sequence=slot.sequence,
-                client_id=request.client_id,
-                timestamp=request.timestamp,
-                values=values,
-                replica_id=self.node_id,
-                signature=signature,
-            )
-            self._send_to_client(request.client_id, reply)
-
     def _answer_waiting_direct_replies(self, slot: SlotState) -> None:
         for request in slot.pre_prepare.requests:
             if request.request_id in self._direct_reply_waiting:
                 del self._direct_reply_waiting[request.request_id]
                 self._send_direct_reply(request.client_id, request.timestamp)
-
-    def _send_direct_reply(self, client_id: int, timestamp: int) -> None:
-        """Answer a retransmission of an executed request with its own reply.
-
-        Only answerable from the reply cache: a replica that merely knows the
-        request executed (state transfer) must stay silent — fabricating an
-        empty-value reply could combine with other fabricated replies into an
-        f+1 quorum of wrong values.  The client keeps retrying and is answered
-        by replicas that still hold the real values.
-        """
-        entry = self._replies.reply(client_id, timestamp)
-        if entry is None:
-            return
-        sequence, values = entry
-        self.charge_cpu(self.costs.rsa_sign)
-        signature = self.keys.signing_key.sign(("reply", client_id, timestamp, values))
-        reply = ClientReply(
-            sequence=sequence,
-            client_id=client_id,
-            timestamp=timestamp,
-            values=values,
-            replica_id=self.node_id,
-            signature=signature,
-        )
-        self._send_to_client(client_id, reply)
 
     # ==================================================================
     # Checkpoints, garbage collection, stable point
@@ -1062,37 +627,6 @@ class SBFTReplica(Process):
     # ==================================================================
     # View change (Section V-G)
     # ==================================================================
-    def _ensure_view_change_timer(self) -> None:
-        if self._view_change_timer is None and not self.crashed:
-            timeout = self.config.view_change_timeout * (2**self._view_change_attempts)
-            self._view_change_timer = self.set_timer(timeout, self._on_view_change_timeout)
-
-    def _on_view_change_timeout(self) -> None:
-        self._view_change_timer = None
-        if not self._request_first_seen:
-            return
-        # Only suspect the primary if some request has actually been waiting a
-        # full timeout (progress on other requests resets nothing — the timer
-        # measures the oldest outstanding request, as in PBFT).
-        timeout = self.config.view_change_timeout * (2**self._view_change_attempts)
-        oldest = min(self._request_first_seen.values())
-        if self.sim.now - oldest < timeout:
-            self._ensure_view_change_timer()
-            return
-        self._view_change_attempts += 1
-        self._start_view_change(self.view + 1)
-
-    def _start_view_change(self, new_view: int) -> None:
-        if new_view <= self.view or new_view in self._view_change_sent_for:
-            return
-        self._view_change_sent_for.add(new_view)
-        self.stats.view_changes += 1
-        message = self.build_view_change(new_view)
-        # Send to the new primary; also to everyone so that f+1 observations
-        # can trigger laggards to join (the paper's liveness rule 2).
-        self._broadcast(message)
-        self._ensure_view_change_timer()
-
     def build_view_change(self, new_view: int) -> ViewChange:
         """Construct this replica's view-change message for ``new_view``."""
         if self.byzantine_mode == "stale-viewchange":
@@ -1110,11 +644,8 @@ class SBFTReplica(Process):
             )
         slots: List[SlotEvidence] = []
         top = self.last_stable + self.config.window
-        for sequence in self.log.sequences():
-            if sequence <= self.last_stable or sequence > top:
-                continue
-            slot = self.log.peek(sequence)
-            if slot is None:
+        for slot in self.log.slots():
+            if slot.sequence <= self.last_stable or slot.sequence > top:
                 continue
             evidence = self._slot_evidence(slot)
             if evidence is not None:
@@ -1250,65 +781,19 @@ class SBFTReplica(Process):
 
     def _repropose(self, sequence: int, requests: Tuple[ClientRequest, ...]) -> None:
         """New primary re-proposes an adopted value (or a no-op) in the new view."""
-        digest = block_digest(sequence, self.view, [r.request_id for r in requests])
         self.charge_cpu(self.costs.hash_op + self.costs.rsa_sign)
-        signature = self.keys.signing_key.sign(("pre-prepare", sequence, self.view, digest))
-        message = PrePrepare(
-            sequence=sequence,
-            view=self.view,
-            requests=requests,
-            digest=digest,
-            primary_signature=signature,
-        )
-        self._broadcast(message)
+        self._broadcast(self._signed_pre_prepare(sequence, requests))
 
-    # ==================================================================
-    # State transfer (Section VIII; follows the PBFT mechanism)
-    # ==================================================================
-    def _request_state_transfer(self, hint: Optional[int] = None) -> None:
-        # Throttle: while lagging, every peer's checkpoint/execute-proof
-        # re-triggers this; without a guard each would draw a full snapshot
-        # response, inflating the very traffic counters the benchmarks
-        # measure.  Re-request only after progress or a retry window.
-        if (
-            self._state_transfer_seq == self.last_executed
-            and self.sim.now - self._state_transfer_at < self.config.client_retry_timeout
-        ):
-            return
-        target = hint
-        if target is None or target == self.node_id:
-            candidates = [r for r in range(self._n) if r != self.node_id]
-            target = candidates[self.sim.rng.randrange(len(candidates))] if candidates else None
-        if target is None:
-            return
-        self._state_transfer_seq = self.last_executed
-        self._state_transfer_at = self.sim.now
-        self.stats.state_transfers += 1
-        self._send(target, StateTransferRequest(replica_id=self.node_id, from_sequence=self.last_executed))
+    # Runtime hooks where SBFT differs (see repro.core.runtime.Replica).
+    def _after_batch_timeout(self) -> None:
+        # Re-arm the batch timer when the flush was blocked by a full window,
+        # so the queue is re-examined once the stable point moves.
+        self._maybe_propose()
 
-    def _on_state_transfer_request(self, message: StateTransferRequest, src: int) -> None:
-        if self.last_executed <= message.from_sequence:
-            return
-        snapshot = self.service.snapshot()
-        stable_slot = self.log.peek(self.last_executed)
-        response = StateTransferResponse(
-            up_to_sequence=self.last_executed,
-            state_digest=stable_slot.state_digest if stable_slot else "",
-            snapshot=snapshot,
-            stable_proof=stable_slot.execute_proof if stable_slot else None,
-            last_executed_per_client=self._replies.prefixes(),
-            reply_cache=self._replies.cache_snapshot(),
-        )
-        self._send(src, response)
+    def _execution_proof(self, slot: SlotState) -> Optional[Any]:
+        return slot.execute_proof
 
-    def _on_state_transfer_response(self, message: StateTransferResponse, src: int) -> None:
-        if message.up_to_sequence <= self.last_executed:
-            return
-        self.charge_cpu(self.costs.persist_per_byte * 1_000_000)
-        self.service.restore(message.snapshot)
-        self.last_executed = message.up_to_sequence
-        self.last_stable = max(self.last_stable, message.up_to_sequence)
-        self._replies.adopt_prefixes(message.last_executed_per_client)
-        self._replies.adopt_cache(message.reply_cache)
-        self._executing = False
-        self._try_execute()
+    def _forget_timer_handles(self) -> None:
+        super()._forget_timer_handles()
+        for slot in self.log.slots():
+            slot.fast_path_timer = None

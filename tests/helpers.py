@@ -9,7 +9,15 @@ visited first.  Fixtures stay in ``tests/conftest.py``.
 
 from __future__ import annotations
 
+from repro.core.keys import TrustedSetup
+from repro.core.messages import ClientRequest
+from repro.crypto.signatures import generate_keypair
+from repro.pbft.replica import PBFTReplica
 from repro.protocols.cluster import build_cluster
+from repro.services.authenticated_kv import AuthenticatedKVStore
+from repro.sim.events import Simulator
+from repro.sim.latency import lan_topology
+from repro.sim.network import Network
 from repro.workloads.kv_workload import KVWorkload
 
 
@@ -60,19 +68,9 @@ def executed_histories(cluster):
     for replica_id, replica in cluster.replicas.items():
         if replica.crashed:
             continue
-        history = []
-        log = getattr(replica, "log", None)
-        if log is not None:
-            for sequence in log.sequences():
-                slot = log.peek(sequence)
-                if slot is not None and slot.executed:
-                    history.append((sequence, slot.digest))
-        else:  # PBFT replica keeps a plain dict
-            for sequence in sorted(replica._slots):
-                slot = replica._slots[sequence]
-                if slot.executed:
-                    history.append((sequence, slot.digest))
-        histories[replica_id] = history
+        histories[replica_id] = [
+            (slot.sequence, slot.digest) for slot in replica.log.slots() if slot.executed
+        ]
     return histories
 
 
@@ -85,3 +83,34 @@ def assert_agreement(cluster):
             by_sequence.setdefault(sequence, set()).add(digest)
     for sequence, digests in by_sequence.items():
         assert len(digests) == 1, f"replicas disagree at sequence {sequence}: {digests}"
+
+
+def make_bare_replica(replica_cls, config, node_id=0, seed=2):
+    """One registered replica on a bare ``Simulator`` + ``Network`` (no
+    ``Cluster``); returns ``(sim, network, replica)``.  ``replica_cls`` is
+    ``SBFTReplica``, ``PBFTReplica`` or a subclass — the constructors differ
+    only in how the keys arrive."""
+    sim = Simulator(seed=seed)
+    network = Network(sim, latency=lan_topology(config.n + 4), seed=seed)
+    setup = TrustedSetup(config, seed=seed)
+    if issubclass(replica_cls, PBFTReplica):
+        replica = replica_cls(
+            sim=sim, network=network, node_id=node_id, config=config,
+            signing_key=setup.replica_keys(node_id).signing_key,
+            verify_keys={i: setup.replica_verify_key(i) for i in range(config.n)},
+            service=AuthenticatedKVStore(),
+        )
+    else:
+        replica = replica_cls(
+            sim=sim, network=network, node_id=node_id, config=config,
+            keys=setup.replica_keys(node_id), service=AuthenticatedKVStore(),
+        )
+    network.register(replica)
+    return sim, network, replica
+
+
+def make_request(timestamp, client_id=0):
+    """A one-put client request (the signature is never verified by replicas)."""
+    op = AuthenticatedKVStore.make_put(f"k{timestamp}", "v", client_id=client_id, timestamp=timestamp)
+    return ClientRequest(client_id=client_id, timestamp=timestamp, operations=(op,),
+                         signature=generate_keypair(f"client-{client_id}").sign("x"))

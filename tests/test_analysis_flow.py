@@ -211,7 +211,7 @@ def test_flow_fails_on_two_hop_wall_clock_leak_into_handler(tmp_path):
         "core/replica.py",
         [
             (
-                "def block_execution_plan(",
+                "class SBFTReplica(",
                 "def _jitter_probe():\n"
                 "    return time.time()\n"
                 "\n"
@@ -220,7 +220,7 @@ def test_flow_fails_on_two_hop_wall_clock_leak_into_handler(tmp_path):
                 "    return _jitter_probe()\n"
                 "\n"
                 "\n"
-                "def block_execution_plan(",
+                "class SBFTReplica(",
             ),
             (
                 "        if pre_prepare_expected_digest(message) != message.digest:\n",
@@ -245,7 +245,7 @@ def test_flow_fails_on_conditional_stash_write(tmp_path):
     # stash-if-absent guard: replicas could stash or skip divergently.
     root = _mutated_tree(
         tmp_path,
-        "core/replica.py",
+        "core/runtime.py",
         [
             (
                 '        object.__setattr__(pre_prepare, "_expected_digest", digest)\n',
@@ -257,7 +257,7 @@ def test_flow_fails_on_conditional_stash_write(tmp_path):
     findings, _ = run_flow([root], analyses=["stash-discipline"])
     assert len(findings) == 1
     finding = findings[0]
-    assert finding.path.endswith("repro/core/replica.py")
+    assert finding.path.endswith("repro/core/runtime.py")
     assert "'_expected_digest'" in finding.message
     assert "conditionally on non-stash state" in finding.message
     assert "pre_prepare.sequence >= 0" in finding.message
@@ -271,7 +271,7 @@ def test_flow_fails_on_sim_now_leak_into_stashing_helper(tmp_path):
     # the cost with sim.now (via a helper) makes the stash time-dependent.
     root = _mutated_tree(
         tmp_path,
-        "core/replica.py",
+        "core/runtime.py",
         [
             (
                 "def block_execution_plan(",
@@ -300,15 +300,15 @@ def test_flow_fails_on_sim_now_leak_into_stashing_helper(tmp_path):
 
 def test_flow_fails_when_exec_plan_freeze_is_removed(tmp_path):
     # Reverting the tuple freeze resurrects the real shared-alias hazard
-    # this analyzer originally caught at core/replica.py (PR 9).
+    # this analyzer originally caught in block_execution_plan (PR 9).
     root = _mutated_tree(
         tmp_path,
-        "core/replica.py",
+        "core/runtime.py",
         [("    operations = BlockOperations(flattened)\n", "    operations = flattened\n")],
     )
     findings, _ = run_flow([root], analyses=["shared-alias"])
     assert len(findings) == 1
     finding = findings[0]
-    assert finding.path.endswith("repro/core/replica.py")
+    assert finding.path.endswith("repro/core/runtime.py")
     assert "_exec_plan" in finding.message
     assert "returns it to the caller" in finding.message

@@ -15,9 +15,9 @@ import json
 
 import pytest
 
-from helpers import run_small_cluster, executed_histories
+from helpers import executed_histories, make_bare_replica, make_request, run_small_cluster
 from repro.core.config import SBFTConfig
-from repro.core.messages import ClientRequest, ExecuteAck, PrePrepare
+from repro.core.messages import ExecuteAck, PrePrepare
 from repro.core.replica import SBFTReplica
 from repro.core.viewchange import NewViewPlan
 from repro.crypto.signatures import generate_keypair
@@ -163,35 +163,18 @@ def test_explicit_fixed_policy_matches_default():
 # ----------------------------------------------------------------------
 # Unit-level batching behaviour (proposals captured off a live replica)
 # ----------------------------------------------------------------------
+_REPLICA_CLASSES = {"sbft": SBFTReplica, "pbft": PBFTReplica}
+
+
 def _make_primary(config, replica_cls="sbft"):
     """A registered primary whose outgoing broadcasts are captured, not sent."""
-    from repro.core.keys import TrustedSetup
-
-    sim = Simulator(seed=2)
-    network = Network(sim, latency=lan_topology(config.n + 4), seed=2)
-    setup = TrustedSetup(config, seed=2)
-    if replica_cls == "pbft":
-        replica = PBFTReplica(
-            sim=sim, network=network, node_id=0, config=config,
-            signing_key=setup.replica_keys(0).signing_key,
-            verify_keys={i: setup.replica_verify_key(i) for i in range(config.n)},
-            service=AuthenticatedKVStore(),
-        )
-    else:
-        replica = SBFTReplica(
-            sim=sim, network=network, node_id=0, config=config,
-            keys=setup.replica_keys(0), service=AuthenticatedKVStore(),
-        )
-    network.register(replica)
+    sim, _network, replica = make_bare_replica(_REPLICA_CLASSES[replica_cls], config)
     captured = []
-    replica._broadcast = lambda message, **kw: captured.append(message)
+    replica._broadcast = captured.append
     return sim, replica, captured
 
 
-def _request(timestamp, client_id=0):
-    op = AuthenticatedKVStore.make_put(f"k{timestamp}", "v", client_id=client_id, timestamp=timestamp)
-    return ClientRequest(client_id=client_id, timestamp=timestamp, operations=(op,),
-                        signature=generate_keypair(f"client-{client_id}").sign("x"))
+_request = make_request
 
 
 def _feed(replica, requests):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import SBFTConfig
 from repro.core.keys import TrustedSetup
-from repro.core.log import ReplicaLog
+from repro.core.log import ReplicaLog, SlotState
 from repro.core.roles import commit_collectors, execution_collectors, primary_of_view
 from repro.errors import ConfigurationError
 
@@ -136,7 +136,7 @@ def test_trusted_setup_client_keys_are_stable():
 # Replica log
 # ----------------------------------------------------------------------
 def test_log_slot_creation_and_peek():
-    log = ReplicaLog(window=16)
+    log = ReplicaLog(16, SlotState)
     assert log.peek(3) is None
     slot = log.slot(3)
     assert log.peek(3) is slot
@@ -145,7 +145,7 @@ def test_log_slot_creation_and_peek():
 
 
 def test_log_window_check():
-    log = ReplicaLog(window=16)
+    log = ReplicaLog(16, SlotState)
     assert log.in_window(1, last_stable=0)
     assert log.in_window(16, last_stable=0)
     assert not log.in_window(17, last_stable=0)
@@ -153,7 +153,7 @@ def test_log_window_check():
 
 
 def test_log_garbage_collection():
-    log = ReplicaLog(window=8)
+    log = ReplicaLog(8, SlotState)
     for sequence in range(1, 11):
         log.slot(sequence)
     removed = log.garbage_collect(stable_sequence=5)

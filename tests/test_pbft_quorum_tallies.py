@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from helpers import make_bare_replica
 from repro.core.config import SBFTConfig
 from repro.core.keys import TrustedSetup
 from repro.core.messages import ClientRequest, PrePrepare
@@ -27,9 +28,6 @@ from repro.pbft.messages import (
 )
 from repro.pbft.replica import PBFTReplica
 from repro.services.authenticated_kv import AuthenticatedKVStore
-from repro.sim.events import Simulator
-from repro.sim.latency import lan_topology
-from repro.sim.network import Network
 
 CONFIG = SBFTConfig(f=2, c=0)  # n = 7, quorum = 5
 SETUP = TrustedSetup(CONFIG, seed=5)
@@ -63,15 +61,8 @@ class ScanningReplica(PBFTReplica):
 
 
 def _make_replica(cls):
-    sim = Simulator(seed=3)
-    network = Network(sim, latency=lan_topology(CONFIG.n), seed=3)
-    replica = cls(
-        sim=sim, network=network, node_id=ME, config=CONFIG,
-        signing_key=SETUP.replica_keys(ME).signing_key,
-        verify_keys={i: SETUP.replica_verify_key(i) for i in range(CONFIG.n)},
-        service=AuthenticatedKVStore(),
-    )
-    network.register(replica)
+    # seed=5 deals the same keys as SETUP, which signs the hand-built votes.
+    _sim, _network, replica = make_bare_replica(cls, CONFIG, node_id=ME, seed=5)
     sent = []
     replica._broadcast = sent.append
     return replica, sent
@@ -79,9 +70,9 @@ def _make_replica(cls):
 
 def _observe(replica, sent):
     slots = {
-        sequence: (slot.digest, slot.prepare_sent, slot.commit_sent, slot.committed,
-                   dict(slot.prepares), dict(slot.commits))
-        for sequence, slot in sorted(replica._slots.items())
+        slot.sequence: (slot.digest, slot.prepare_sent, slot.commit_sent, slot.committed,
+                        dict(slot.prepares), dict(slot.commits))
+        for slot in replica.log.slots()
     }
     messages = [(type(m).__name__, m.sequence, m.view, m.digest) for m in sent]
     return slots, messages, dict(replica.stats), replica.cpu.total_busy_time
@@ -101,7 +92,7 @@ class Lockstep:
         assert _observe(self.lazy, self.lazy_sent) == _observe(self.reference, self.reference_sent)
 
     def slot(self, sequence):
-        return self.lazy._slots[sequence]
+        return self.lazy.log.peek(sequence)
 
 
 def _request(timestamp):

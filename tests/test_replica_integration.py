@@ -103,15 +103,6 @@ def test_all_correct_replicas_execute_identical_state():
     assert len(executed) == 1
 
 
-def test_duplicate_client_request_is_not_executed_twice():
-    cluster, result = run_small_cluster("sbft-c0", f=1, num_clients=2, requests_per_client=3)
-    replica = cluster.replicas[1]
-    # Each client issued 3 requests; the per-client reply cache must show the
-    # latest timestamp exactly once (no double execution of a timestamp).
-    for client_id, timestamp in replica._replies.prefixes().items():
-        assert timestamp == 3
-
-
 def test_throughput_and_latency_are_positive_and_consistent():
     cluster, result = run_small_cluster("sbft-c0", f=1, num_clients=2, requests_per_client=5)
     assert result.throughput > 0

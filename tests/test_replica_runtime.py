@@ -1,0 +1,243 @@
+"""The protocol-independent replica runtime (``repro.core.runtime.Replica``).
+
+Everything here runs once per protocol class on a bare ``Simulator`` +
+``Network`` (no ``Cluster``): client intake and deduplication, cache-only
+answers to retransmissions, the batch timer and proposal window, the
+state-transfer throttle and ``rejoin`` are one implementation under two
+agreement protocols, and the structural test keeps a second copy from growing
+back.  The few points where the protocols are meant to differ (the hooks and
+class attributes listed in docs/architecture.md, "Replica runtime") are pinned
+per protocol at the bottom.
+"""
+
+import inspect
+
+import pytest
+
+from helpers import make_bare_replica, make_request, run_small_cluster
+from repro.core.config import SBFTConfig
+from repro.core.messages import ClientReply, PrePrepare, StateTransferRequest
+from repro.core.replica import SBFTReplica
+from repro.core.runtime import Replica
+from repro.pbft.replica import PBFTReplica
+
+PROTOCOLS = [SBFTReplica, PBFTReplica]
+CONFIG = SBFTConfig(f=1, batch_size=4, batch_timeout=0.01, window=16, client_retry_timeout=1.5)
+CLIENT_NODE = CONFIG.n + 1
+
+
+@pytest.fixture(params=PROTOCOLS, ids=lambda cls: cls.__name__)
+def replica_cls(request):
+    return request.param
+
+
+def _replica(replica_cls, node_id=0, config=CONFIG):
+    """-> (sim, replica, broadcasts, unicasts); nothing leaves the replica."""
+    sim, _network, replica = make_bare_replica(replica_cls, config, node_id=node_id)
+    broadcasts, unicasts = [], []
+    replica._broadcast = broadcasts.append
+    replica._send = lambda dst, message: unicasts.append((dst, message))
+    return sim, replica, broadcasts, unicasts
+
+
+# ----------------------------------------------------------------------
+# Client intake
+# ----------------------------------------------------------------------
+def test_duplicate_client_request_is_queued_once(replica_cls):
+    sim, primary, broadcasts, _ = _replica(replica_cls)
+    request = make_request(1)
+    primary._on_client_request(request, src=CLIENT_NODE)
+    primary._on_client_request(request, src=CLIENT_NODE)      # client retry
+    primary._on_client_request(request, src=2)                # relayed by a backup
+    assert primary._pending_requests == [request]
+    assert primary._pending_request_ids == {request.request_id}
+    sim.run(until=0.05)                                       # batch timer flushes
+    assert [m.requests for m in broadcasts if isinstance(m, PrePrepare)] == [(request,)]
+
+
+@pytest.mark.parametrize("protocol", ["sbft-c0", "pbft"])
+def test_every_timestamp_executes_exactly_once(protocol):
+    """Cluster-level counterpart: three requests per client leave every
+    backup's executed prefix at timestamp 3 — nothing ran twice."""
+    cluster, result = run_small_cluster(protocol, f=1, num_clients=2, requests_per_client=3)
+    assert result.run.completed_requests == 6
+    for replica_id in (1, 2):
+        assert cluster.replicas[replica_id]._replies.prefixes() == {0: 3, 1: 3}
+
+
+def test_backup_forwards_a_client_request_and_starts_timing_it(replica_cls):
+    sim, backup, _, unicasts = _replica(replica_cls, node_id=2)
+    request = make_request(1)
+    backup._on_client_request(request, src=CLIENT_NODE)
+    assert unicasts == [(0, request)]                         # relayed to the primary
+    assert backup._direct_reply_waiting == {request.request_id: 0}
+    assert backup._request_first_seen == {request.request_id: 0.0}
+    assert backup._view_change_timer is not None
+    assert not backup._pending_requests
+
+
+def test_retransmission_of_executed_request_is_answered_only_from_the_cache(replica_cls):
+    sim, replica, broadcasts, unicasts = _replica(replica_cls)
+    replica.client_directory[0] = CLIENT_NODE
+    replica._replies.record(0, 1, 7, ("stored",))             # executed, values cached
+    replica._replies.adopt_prefixes({1: 5})                   # executed, values unknown
+
+    replica._on_client_request(make_request(1), src=CLIENT_NODE)
+    [(dst, reply)] = unicasts
+    assert dst == CLIENT_NODE and isinstance(reply, ClientReply)
+    assert (reply.sequence, reply.timestamp, reply.values) == (7, 1, ("stored",))
+    assert reply.replica_id == replica.node_id
+    assert replica.signing_key.verify_key.verify(("reply", 0, 1, ("stored",)), reply.signature)
+
+    # Known executed but nothing cached: silence, never a fabricated value.
+    replica._on_client_request(make_request(3, client_id=1), src=CLIENT_NODE)
+    assert len(unicasts) == 1
+    # Neither retransmission is ordered again.
+    assert not replica._pending_requests and not replica._request_first_seen
+    assert not broadcasts
+
+
+# ----------------------------------------------------------------------
+# Batching and the proposal window
+# ----------------------------------------------------------------------
+def test_batch_timer_arms_below_the_threshold_and_proposal_cancels_it(replica_cls):
+    sim, primary, broadcasts, _ = _replica(replica_cls)
+    for timestamp in (1, 2, 3):
+        primary._on_client_request(make_request(timestamp), src=CLIENT_NODE)
+    assert not broadcasts and primary._batch_timer is not None
+    primary._on_client_request(make_request(4), src=CLIENT_NODE)     # reaches batch_size
+    assert [len(m.requests) for m in broadcasts] == [4]
+    assert primary._batch_timer is None and primary.next_sequence == 2
+    assert primary.stats["blocks_proposed"] == 1
+
+
+def test_can_propose_stops_at_the_active_window_and_the_stable_window(replica_cls):
+    sim, primary, _, _ = _replica(replica_cls)
+    active, window = CONFIG.active_window, CONFIG.window               # 4 and 16
+    primary.next_sequence = active                                      # active - 1 in flight
+    assert primary._can_propose()
+    primary.next_sequence = active + 1                                  # active in flight
+    assert not primary._can_propose()
+    primary.last_executed = window                                      # nothing in flight...
+    primary.next_sequence = window + 1                                  # ...but ls + win reached
+    assert not primary._can_propose()
+    primary.last_stable = 1
+    assert primary._can_propose()
+    # A blocked primary keeps the queue instead of proposing.
+    primary.last_stable = 0
+    for timestamp in range(1, 6):
+        primary._on_client_request(make_request(timestamp), src=CLIENT_NODE)
+    assert len(primary._pending_requests) == 5 and primary.next_sequence == window + 1
+
+
+# ----------------------------------------------------------------------
+# State transfer and rejoin
+# ----------------------------------------------------------------------
+def test_state_transfer_throttle_suppresses_a_second_request_at_the_same_position(replica_cls):
+    sim, replica, _, unicasts = _replica(replica_cls, node_id=1)
+    requests = lambda: [m for _, m in unicasts if isinstance(m, StateTransferRequest)]
+    replica._request_state_transfer(hint=2)
+    replica._request_state_transfer(hint=3)                   # same last_executed, same instant
+    assert len(requests()) == 1 and unicasts[0][0] == 2
+    assert replica.stats["state_transfers"] == 1
+    replica.last_executed = 5                                 # progress lifts the throttle
+    replica._request_state_transfer(hint=2)
+    assert [m.from_sequence for m in requests()] == [0, 5]
+    sim.schedule(CONFIG.client_retry_timeout, lambda: None)
+    sim.run()                                                 # ...and so does the retry window
+    replica._request_state_transfer(hint=2)
+    assert len(requests()) == 3
+
+
+def test_rejoin_clears_stale_timer_handles_and_the_execution_flag(replica_cls):
+    sim, replica, _, unicasts = _replica(replica_cls, node_id=1)
+    replica._on_client_request(make_request(1), src=CLIENT_NODE)     # arms the view-change timer
+    replica._batch_timer = replica.set_timer(1.0, lambda: None)
+    replica._executing = True
+    replica.rejoin()                                          # not crashed: a no-op
+    assert replica._executing and replica._view_change_timer is not None
+    replica.crash()
+    replica.rejoin()
+    assert not replica.crashed
+    assert replica._batch_timer is None and replica._view_change_timer is None
+    assert replica._executing is False and replica._view_change_attempts == 0
+    assert isinstance(unicasts[-1][1], StateTransferRequest)  # re-syncs from a peer
+
+
+# ----------------------------------------------------------------------
+# One copy: nothing the runtime owns may be redefined by a protocol class
+# ----------------------------------------------------------------------
+#: The only ``Replica`` methods a protocol class may define: the two it must
+#: implement and the hooks where the protocols are meant to differ.
+HOOKS = {
+    "__init__",
+    "build_view_change",
+    "_after_execute",
+    "_forwards_request_from",
+    "_after_batch_timeout",
+    "_unauthenticated_state_digest",
+    "_execution_proof",
+    "_forget_timer_handles",
+}
+
+#: Named in the extraction's contract; listed so a rename cannot slip past.
+MOVED = {
+    "primary", "is_primary", "activate_byzantine", "rejoin",
+    "_send", "_broadcast", "_send_to_client", "_message_cost", "_dispatch",
+    "_on_client_request", "_maybe_propose", "_on_batch_timeout", "_can_propose",
+    "_propose", "_signed_pre_prepare", "_equivocate_pre_prepare",
+    "_try_execute", "_finish_execution", "_signed_reply", "_send_direct_reply",
+    "_request_state_transfer", "_on_state_transfer_request", "_on_state_transfer_response",
+    "_ensure_view_change_timer", "_on_view_change_timeout", "_start_view_change",
+}
+
+
+def test_protocol_classes_do_not_redefine_the_runtime(replica_cls):
+    runtime_members = {
+        name for name, member in vars(Replica).items()
+        if inspect.isfunction(member) or isinstance(member, property)
+    }
+    assert MOVED <= runtime_members
+    assert runtime_members & set(vars(replica_cls)) <= HOOKS
+    # on_message stays per class: the benchmark counts handled messages per
+    # protocol by the code object of each class's own method.
+    assert "on_message" in vars(replica_cls) and "on_message" not in vars(Replica)
+
+
+def test_on_message_is_a_distinct_code_object_per_protocol():
+    assert SBFTReplica.on_message.__code__ is not PBFTReplica.on_message.__code__
+    assert "core/replica.py" in SBFTReplica.on_message.__code__.co_filename
+    assert "pbft/replica.py" in PBFTReplica.on_message.__code__.co_filename
+
+
+# ----------------------------------------------------------------------
+# Where the protocols are meant to differ (frozen per-protocol behaviour)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("cls,bounced", [(SBFTReplica, False), (PBFTReplica, True)])
+def test_request_relayed_by_the_primary_is_bounced_back_only_by_the_baseline(cls, bounced):
+    sim, backup, _, unicasts = _replica(cls, node_id=2)
+    request = make_request(1)
+    backup._on_client_request(request, src=backup.primary)
+    assert ([dst for dst, _ in unicasts] == [backup.primary]) is bounced
+    assert (request.request_id in backup._direct_reply_waiting) is bounced
+    assert request.request_id in backup._request_first_seen       # timed either way
+
+
+@pytest.mark.parametrize("cls,factor", [(SBFTReplica, 2), (PBFTReplica, 1)])
+def test_view_change_timeout_backoff_per_protocol(cls, factor):
+    sim, replica, _, _ = _replica(cls, node_id=1)
+    base = CONFIG.view_change_timeout
+    assert replica._view_change_timeout() == base
+    replica._view_change_attempts = 3
+    assert replica._view_change_timeout() == base * factor**3
+
+
+@pytest.mark.parametrize("cls,rearms", [(SBFTReplica, True), (PBFTReplica, False)])
+def test_batch_timer_rearms_on_a_blocked_flush_only_in_sbft(cls, rearms):
+    sim, primary, broadcasts, _ = _replica(cls)
+    primary.next_sequence = CONFIG.active_window + 1          # window full
+    primary._on_client_request(make_request(1), src=CLIENT_NODE)
+    assert primary._batch_timer is not None
+    sim.run(until=CONFIG.batch_timeout * 1.5)                 # first timeout: flush blocked
+    assert not broadcasts and len(primary._pending_requests) == 1
+    assert (primary._batch_timer is not None) is rearms

@@ -12,6 +12,8 @@ tests pin the three boundary shapes:
   not answer its rejoin probe.
 """
 
+import pytest
+
 from helpers import run_small_cluster
 from repro.core.messages import StableCheckpoint, StateTransferResponse
 from repro.crypto.hashing import sha256_hex
@@ -115,7 +117,8 @@ def test_lag_is_capped_at_half_window():
     assert capped.state_transfer_lag == 8  # window // 2, not 128
 
 
-def _rejoin_draws_no_snapshot(protocol: str):
+@pytest.mark.parametrize("protocol", ["sbft-c0", "pbft"])
+def test_restart_without_progress_fetches_nothing(protocol):
     cluster, result = run_small_cluster(protocol, f=1, requests_per_client=6)
     replica = cluster.replicas[2]
     # Not behind: everything executed is stable, and the cluster makes no
@@ -136,11 +139,3 @@ def _rejoin_draws_no_snapshot(protocol: str):
     assert responses == [], "peers that are not ahead must not ship a snapshot"
     assert replica.service.digest() == digest_before
     assert replica.last_stable == replica.last_executed
-
-
-def test_sbft_restart_without_progress_fetches_nothing():
-    _rejoin_draws_no_snapshot("sbft-c0")
-
-
-def test_pbft_restart_without_progress_fetches_nothing():
-    _rejoin_draws_no_snapshot("pbft")
