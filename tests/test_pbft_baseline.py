@@ -1,5 +1,6 @@
 """Integration tests for the scale-optimized PBFT baseline."""
 
+import pytest
 
 from helpers import assert_agreement, run_small_cluster
 from repro.sim.faults import FaultPlan
@@ -63,6 +64,41 @@ def test_pbft_survives_primary_crash_via_view_change():
     )
     assert result.run.completed_requests == 8
     assert max(r.view for r in cluster.replicas.values() if not r.crashed) >= 1
+    assert_agreement(cluster)
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        "sbft-c0",
+        pytest.param(
+            "pbft",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="simplified PBFT view change wedges when the crash lands mid-run on a "
+                "WAN: replicas keep voting in a view after asking to leave it, so the new "
+                "primary re-assigns a sequence one replica already committed (ROADMAP item 4)",
+            ),
+        ),
+    ],
+)
+def test_primary_crash_mid_run_on_a_wan_completes_with_agreement(protocol):
+    """Primary crash at 50 ms on ``continent`` with a view-change timeout
+    below the client retry timeout: SBFT recovers; the PBFT baseline ends with
+    replica 1 at 67 executed blocks and replicas 2 and 3 stuck at 3 (4 of 24
+    requests) — pinned until the view change is repaired, see ROADMAP item 4."""
+    cluster, result = run_small_cluster(
+        protocol,
+        f=1,
+        num_clients=4,
+        requests_per_client=6,
+        topology="continent",
+        seed=0,
+        fault_plan=FaultPlan.crash_first(1, at_time=0.05),
+        config_overrides={"view_change_timeout": 0.5, "client_retry_timeout": 1.0},
+        max_sim_time=180,
+    )
+    assert result.run.completed_requests == 24
     assert_agreement(cluster)
 
 
