@@ -9,6 +9,9 @@ visited first.  Fixtures stay in ``tests/conftest.py``.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 from repro.core.keys import TrustedSetup
 from repro.core.messages import ClientRequest
 from repro.crypto.signatures import generate_keypair
@@ -72,6 +75,23 @@ def executed_histories(cluster):
             (slot.sequence, slot.digest) for slot in replica.log.slots() if slot.executed
         ]
     return histories
+
+
+def run_fingerprint(protocol, **kwargs):
+    """sha256 over everything a fixed-seed ``run_small_cluster`` run decided:
+    replica stats, executed histories, client stats, traffic, event count,
+    final sim time.  The golden-seed tests pin these across refactors."""
+    cluster, result = run_small_cluster(protocol, **kwargs)
+    payload = {
+        "stats": {rid: dict(r.stats) for rid, r in sorted(cluster.replicas.items())},
+        "histories": {rid: h for rid, h in sorted(executed_histories(cluster).items())},
+        "client_stats": {cid: dict(c.stats) for cid, c in sorted(cluster.clients.items())},
+        "network_messages": result.network_messages,
+        "events": cluster.sim.events_processed,
+        "now": round(cluster.sim.now, 9),
+        "completed": result.run.completed_requests,
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def assert_agreement(cluster):

@@ -10,12 +10,9 @@ partial batch and the batch timer vs. view-change interleaving — and the
 pipelined client (``client_max_outstanding > 1``).
 """
 
-import hashlib
-import json
-
 import pytest
 
-from helpers import executed_histories, make_bare_replica, make_request, run_small_cluster
+from helpers import executed_histories, make_bare_replica, make_request, run_fingerprint, run_small_cluster
 from repro.core.config import SBFTConfig
 from repro.core.messages import ExecuteAck, PrePrepare
 from repro.core.replica import SBFTReplica
@@ -61,20 +58,6 @@ def test_describe_mentions_adaptive_policy():
 # ----------------------------------------------------------------------
 # Golden determinism: batch_policy="fixed" reproduces pre-policy seeds
 # ----------------------------------------------------------------------
-def _fingerprint(protocol, **kwargs):
-    cluster, result = run_small_cluster(protocol, **kwargs)
-    payload = {
-        "stats": {rid: dict(r.stats) for rid, r in sorted(cluster.replicas.items())},
-        "histories": {rid: h for rid, h in sorted(executed_histories(cluster).items())},
-        "client_stats": {cid: dict(c.stats) for cid, c in sorted(cluster.clients.items())},
-        "network_messages": result.network_messages,
-        "events": cluster.sim.events_processed,
-        "now": round(cluster.sim.now, 9),
-        "completed": result.run.completed_requests,
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
 #: sha256 over (replica stats, executed histories, client stats, traffic,
 #: event count, final sim time) of fixed-seed runs, captured on the commit
 #: *before* the batch-policy layer and the pipelined client landed.  The
@@ -96,7 +79,7 @@ GOLDEN_RUNS = [
 @pytest.mark.parametrize("protocol,kwargs,expected", GOLDEN_RUNS,
                          ids=[f"{p}-seed{k['seed']}" for p, k, _ in GOLDEN_RUNS])
 def test_fixed_policy_reproduces_golden_seeds(protocol, kwargs, expected):
-    assert _fingerprint(protocol, **kwargs) == expected
+    assert run_fingerprint(protocol, **kwargs) == expected
 
 
 #: Same fingerprint, wider net: fixed-seed runs through the code paths both
@@ -147,13 +130,13 @@ GOLDEN_FAULT_RUNS = [
                          [run[1:] for run in GOLDEN_FAULT_RUNS],
                          ids=[run[0] for run in GOLDEN_FAULT_RUNS])
 def test_fault_and_pipelining_runs_reproduce_golden_seeds(protocol, kwargs, expected):
-    assert _fingerprint(protocol, **kwargs) == expected
+    assert run_fingerprint(protocol, **kwargs) == expected
 
 
 def test_explicit_fixed_policy_matches_default():
     """batch_policy="fixed" spelled out is the same code path as the default."""
-    base = _fingerprint("sbft-c0", f=1, num_clients=2, requests_per_client=6, seed=11)
-    explicit = _fingerprint(
+    base = run_fingerprint("sbft-c0", f=1, num_clients=2, requests_per_client=6, seed=11)
+    explicit = run_fingerprint(
         "sbft-c0", f=1, num_clients=2, requests_per_client=6, seed=11,
         config_overrides={"batch_policy": "fixed"},
     )
