@@ -2,7 +2,9 @@
 fuzzing and equivocation forensics.
 
 The lab turns the simulator's fixed-seed byte-identity into a correctness
-tool: :mod:`repro.adversary.strategies` defines pluggable
+tool: :mod:`repro.adversary.behaviours` is what a compromised replica does
+differently (the replica classes hold the honest protocol only),
+:mod:`repro.adversary.strategies` defines pluggable
 :class:`~repro.adversary.strategies.Adversary` behaviours (equivocating
 primary, selective delay/silence toward commit collectors, view-change spam,
 stale-checkpoint lies, ...), :mod:`repro.adversary.lab` runs one strategy

@@ -28,9 +28,9 @@ Anyone holding the public keys can re-check a piece of evidence with
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.compat import dataclass
 from repro.core.messages import PrePrepare
 from repro.crypto.threshold import SignatureShare
 

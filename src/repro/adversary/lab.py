@@ -23,11 +23,11 @@ be shrunk by :mod:`repro.adversary.minimize` and lands in
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.adversary.forensics import MessageLog, find_equivocations
 from repro.adversary.strategies import get_strategy
-from repro.compat import dataclass
 from repro.protocols.cluster import Cluster, build_cluster
 
 #: Episode cluster shape: the smallest group that can survive one byzantine

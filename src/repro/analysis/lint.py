@@ -19,10 +19,9 @@ invariants", ``docs/architecture.md``) into a machine check:
     Message dataclasses (classes with a ``msg_type`` attribute) must be
     ``@dataclass(frozen=True)`` and carry no mutable defaults.
 ``slotted-messages``
-    Message dataclasses must pass ``slots=True`` (via the
-    :mod:`repro.compat` shim, which drops the flag on Python 3.9) and must
-    not define ``size_bytes`` as a method or property recomputed on every
-    call — sizes are stashed as plain ints once at construction.
+    Message dataclasses must pass ``slots=True`` and must not define
+    ``size_bytes`` as a method or property recomputed on every call — sizes
+    are stashed as plain ints once at construction.
 ``ordered-iteration``
     Iterating a ``set`` (or ``dict.keys`` of an unordered source) in a
     decision-affecting module is flagged unless wrapped in ``sorted()`` or
@@ -470,8 +469,7 @@ def check_slotted_messages(module: Module) -> Iterator[Finding]:
                 module.display,
                 node.lineno,
                 node.col_offset,
-                f"message dataclass {node.name} must pass slots=True "
-                "(import dataclass from repro.compat)",
+                f"message dataclass {node.name} must pass slots=True",
             )
         for stmt in node.body:
             if (

@@ -223,10 +223,8 @@ class _sanitize_env:
 
 def _scenario_scale(seed: int):
     """One fixed-seed point of the scale sweep (KV workload, cold cache)."""
-    from repro.core.execution_cache import clear as clear_execution_cache
     from repro.experiments.harness import ExperimentScale, run_kv_point
 
-    clear_execution_cache()
     scale = ExperimentScale(
         name="sanitize",
         f=1,
@@ -241,10 +239,8 @@ def _scenario_scale(seed: int):
 
 def _scenario_contracts(seed: int):
     """One fixed-seed point of the smart-contract sweep (cold cache)."""
-    from repro.core.execution_cache import clear as clear_execution_cache
     from repro.experiments.smart_contracts import run_contract_point
 
-    clear_execution_cache()
     return run_contract_point(
         protocol="pbft",
         topology="continent",
@@ -261,10 +257,8 @@ def _scenario_contracts(seed: int):
 
 def _scenario_fault(seed: int):
     """One fixed-seed crash-backups point of the fault sweep (cold cache)."""
-    from repro.core.execution_cache import clear as clear_execution_cache
     from repro.experiments.fault_sweep import SCENARIOS, FaultSweepScale, run_fault_point
 
-    clear_execution_cache()
     scale = FaultSweepScale(
         name="sanitize",
         f=1,
@@ -279,10 +273,8 @@ def _scenario_fault(seed: int):
 
 def _scenario_client(seed: int):
     """One fixed-seed adaptive-batching point of the client sweep (cold cache)."""
-    from repro.core.execution_cache import clear as clear_execution_cache
     from repro.experiments.client_sweep import ClientSweepScale, run_client_point
 
-    clear_execution_cache()
     scale = ClientSweepScale(
         name="sanitize",
         f=1,

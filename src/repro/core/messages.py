@@ -8,8 +8,7 @@ RSA-2048 client/replica signatures are 256 bytes, digests are 32 bytes.
 Hot-path representation invariants (enforced by the ``slotted-messages`` lint
 rule and ``tests/test_hot_path_representation.py``):
 
-* every message class passes ``slots=True`` to ``@dataclass`` (via the
-  :mod:`repro.compat` shim, which drops the flag on Python 3.9), so instances
+* every message class passes ``slots=True`` to ``@dataclass``, so instances
   carry no ``__dict__`` and attribute reads are C-level slot loads;
 * ``size_bytes`` is an ``int`` computed exactly once in ``__post_init__``
   (or a class-level constant for fixed-size messages) — never a property
@@ -19,10 +18,9 @@ rule and ``tests/test_hot_path_representation.py``):
 
 from __future__ import annotations
 
-from dataclasses import field
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.compat import dataclass
 from repro.crypto.signatures import Signature
 from repro.crypto.threshold import CombinedSignature, SignatureShare
 from repro.services.interface import ExecutionProof, Operation

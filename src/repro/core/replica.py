@@ -77,12 +77,6 @@ from repro.sim.network import Network
 class SBFTReplica(Replica):
     """One SBFT replica."""
 
-    #: ``silent`` (receive but never send), ``bad-shares`` (send invalid
-    #: signature shares), ``equivocate`` (as primary, propose conflicting
-    #: blocks to different replicas), ``stale-viewchange`` (send view-change
-    #: messages with outdated ``last_stable`` and no evidence).
-    BYZANTINE_MODES = frozenset({"silent", "bad-shares", "equivocate", "stale-viewchange"})
-
     #: The view-change timeout doubles with every failed attempt.
     VIEW_CHANGE_BACKOFF = 2
 
@@ -263,12 +257,8 @@ class SBFTReplica(Replica):
             return
         slot.sign_share_sent = True
         sign_message = ("sign", slot.sequence, slot.pre_prepare_view, slot.digest)
-        if self.byzantine_mode == "bad-shares":
-            sigma_share = self.keys.sigma.forge_share(self.node_id, sign_message)
-            tau_share = self.keys.tau.forge_share(self.node_id, sign_message)
-        else:
-            sigma_share = self.keys.sigma.sign_share(self.node_id, sign_message)
-            tau_share = self.keys.tau.sign_share(self.node_id, sign_message)
+        sigma_share = self.keys.sigma.sign_share(self.node_id, sign_message)
+        tau_share = self.keys.tau.sign_share(self.node_id, sign_message)
         self.charge_cpu(2 * self.costs.bls_sign_share)
         share_message = SignShare(
             sequence=slot.sequence,
@@ -380,10 +370,7 @@ class SBFTReplica(Replica):
         slot.prepare_certificate_view = message.view
         slot.commit_sent = True
         commit_message = ("commit", message.sequence, message.view, message.digest)
-        if self.byzantine_mode == "bad-shares":
-            share = self.keys.tau.forge_share(self.node_id, commit_message)
-        else:
-            share = self.keys.tau.sign_share(self.node_id, commit_message)
+        share = self.keys.tau.sign_share(self.node_id, commit_message)
         self.charge_cpu(self.costs.bls_sign_share)
         commit = Commit(
             sequence=message.sequence,
@@ -473,10 +460,7 @@ class SBFTReplica(Replica):
     # ------------------------------------------------------------------
     def _send_sign_state(self, slot: SlotState) -> None:
         sign_message = ("state", slot.sequence, slot.state_digest)
-        if self.byzantine_mode == "bad-shares":
-            share = self.keys.pi.forge_share(self.node_id, sign_message)
-        else:
-            share = self.keys.pi.sign_share(self.node_id, sign_message)
+        share = self.keys.pi.sign_share(self.node_id, sign_message)
         self.charge_cpu(self.costs.bls_sign_share)
         message = SignState(
             sequence=slot.sequence,
@@ -629,19 +613,6 @@ class SBFTReplica(Replica):
     # ==================================================================
     def build_view_change(self, new_view: int) -> ViewChange:
         """Construct this replica's view-change message for ``new_view``."""
-        if self.byzantine_mode == "stale-viewchange":
-            # Adversary: pretend to know nothing — claim a zero stable point
-            # with no proof and carry no slot evidence.  The new-view plan
-            # must tolerate this (the honest quorum's evidence dominates),
-            # and a forged ``last_stable > 0`` claim without a valid π proof
-            # is rejected by the stable-point computation either way.
-            return ViewChange(
-                new_view=new_view,
-                replica_id=self.node_id,
-                last_stable=0,
-                stable_proof=None,
-                slots=(),
-            )
         slots: List[SlotEvidence] = []
         top = self.last_stable + self.config.window
         for slot in self.log.slots():

@@ -41,7 +41,6 @@ from repro.core.reply_cache import ClientReplyTracker
 from repro.crypto.costs import CryptoCosts
 from repro.crypto.hashing import block_digest, sha256_hex
 from repro.crypto.signatures import SigningKey
-from repro.errors import ConfigurationError
 from repro.services.interface import (
     AuthenticatedService,
     BlockOperations,
@@ -132,9 +131,6 @@ def block_reply_values(pre_prepare, execution_results, state_digest) -> Tuple[Tu
 class Replica(Process):
     """Protocol-independent replica runtime (see the module docstring)."""
 
-    #: Adversarial behaviours the protocol class implements.
-    BYZANTINE_MODES: frozenset = frozenset()
-
     #: The view-change timeout is multiplied by this per failed attempt
     #: (SBFT doubles it; the PBFT baseline keeps it constant).
     VIEW_CHANGE_BACKOFF = 1
@@ -196,9 +192,6 @@ class Replica(Process):
         self._state_transfer_seq = -1
         self._state_transfer_at = float("-inf")
 
-        # Fault-injection behaviour (None = honest).
-        self.byzantine_mode: Optional[str] = None
-
         # Adversary-lab hook: called as ``observer(node_id, sequence,
         # block_digest)`` after each block executes (None = no observer).
         # The safety oracle in repro.adversary compares the *block* digest
@@ -213,8 +206,7 @@ class Replica(Process):
         self._peers_all: Tuple[int, ...] = tuple(range(self._n))
 
     # ==================================================================
-    # Roles, the byzantine switch (fault injection, tests) and rejoin (the
-    # ``restart`` fault)
+    # Roles and rejoin (the ``restart`` fault)
     # ==================================================================
     @property
     def primary(self) -> int:
@@ -224,18 +216,6 @@ class Replica(Process):
     @property
     def is_primary(self) -> bool:
         return self.view % self._n == self.node_id
-
-    def activate_byzantine(self, mode: str) -> None:
-        """Switch this replica to one of its class's ``BYZANTINE_MODES``.
-
-        Unknown modes raise instead of silently configuring a no-op adversary.
-        """
-        if mode not in self.BYZANTINE_MODES:
-            raise ConfigurationError(
-                f"unknown byzantine mode {mode!r} for {type(self).__name__} "
-                f"(known: {', '.join(sorted(self.BYZANTINE_MODES))})"
-            )
-        self.byzantine_mode = mode
 
     def rejoin(self) -> None:
         """Recover from a crash and re-sync via the state-transfer machinery.
@@ -261,12 +241,12 @@ class Replica(Process):
     # Sending helpers
     # ==================================================================
     def _send(self, dst: int, message: Any) -> None:
-        if self.crashed or self.byzantine_mode == "silent":
+        if self.crashed:
             return
         self.network.send(self.node_id, dst, message)
 
     def _broadcast(self, message: Any) -> None:
-        if self.crashed or self.byzantine_mode == "silent":
+        if self.crashed:
             return
         self.network.broadcast_bulk(self.node_id, message, self._peers_all)
 
@@ -355,10 +335,7 @@ class Replica(Process):
         self.charge_cpu(self.costs.hash_op + self.costs.rsa_sign)
         message = self._signed_pre_prepare(sequence, batch)
         self.stats.blocks_proposed += 1
-        if self.byzantine_mode == "equivocate":
-            self._equivocate_pre_prepare(message)
-        else:
-            self._broadcast(message)
+        self._broadcast(message)
 
         # Keep draining the backlog.
         if self._pending_requests:
@@ -380,19 +357,6 @@ class Replica(Process):
             digest=digest,
             primary_signature=signature,
         )
-
-    def _equivocate_pre_prepare(self, honest: PrePrepare) -> None:
-        """Byzantine primary: send conflicting blocks to odd/even replicas.
-
-        Both conflicting pre-prepares carry valid primary signatures over
-        their own digests — the equivocation has to survive per-message
-        signature checks, and the forensics layer relies on the pair of
-        validly signed conflicts as cryptographic evidence of misbehaviour.
-        """
-        self.charge_cpu(self.costs.hash_op + self.costs.rsa_sign)
-        conflicting = self._signed_pre_prepare(honest.sequence, tuple(reversed(honest.requests)))
-        for dst in self._peers_all:
-            self.network.send(self.node_id, dst, honest if dst % 2 == 0 else conflicting)
 
     # ==================================================================
     # Execution and replies

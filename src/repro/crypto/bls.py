@@ -9,9 +9,9 @@ interpolation is needed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.compat import dataclass
 from repro.crypto.hashing import sha256_int
 from repro.crypto.mockgroup import DEFAULT_GROUP, GroupElement, MockGroup
 from repro.errors import CryptoError, InvalidSignature

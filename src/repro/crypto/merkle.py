@@ -10,10 +10,9 @@ queries against a state snapshot.
 
 from __future__ import annotations
 
-from dataclasses import field
+from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.compat import dataclass
 from repro.crypto.hashing import memo_key, sha256_hex
 from repro.errors import InvalidProof
 

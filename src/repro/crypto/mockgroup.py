@@ -18,9 +18,9 @@ operation so the simulation is not distorted by the cheap math.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.compat import dataclass
 from repro.errors import CryptoError
 
 # Order of the BN-P254 group (the curve the paper uses).  Any large prime

@@ -23,10 +23,9 @@ themselves.
 
 from __future__ import annotations
 
-from dataclasses import field
+from dataclasses import dataclass, field
 from typing import Any
 
-from repro.compat import dataclass
 from repro.crypto.hashing import memo_key, sha256_hex
 from repro.errors import CryptoError
 

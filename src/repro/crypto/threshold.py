@@ -17,9 +17,9 @@ before combining — exactly what the paper requires of its scheme.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
-from repro.compat import dataclass
 from repro.crypto.hashing import memo_key, sha256_int
 from repro.crypto.mockgroup import DEFAULT_GROUP, GroupElement, MockGroup
 from repro.errors import CryptoError, InvalidSignatureShare

@@ -8,10 +8,9 @@ synthetic workload (like the real Ethereum trace) is dominated by transfers.
 
 from __future__ import annotations
 
-from dataclasses import field
+from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.compat import dataclass
 from repro.errors import InvalidTransaction
 from repro.evm.state import WorldState
 from repro.evm.vm import EVM, ExecutionResult, Message

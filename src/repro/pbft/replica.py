@@ -86,13 +86,6 @@ class _PbftSlot:
 class PBFTReplica(Replica):
     """One PBFT replica (the paper's scale-optimized baseline)."""
 
-    #: ``silent`` (withholding), ``equivocate`` (as primary, conflicting
-    #: pre-prepares to odd/even replicas) and ``stale-viewchange`` (zero
-    #: ``last_stable`` claim with no prepared evidence).  ``bad-shares`` stays
-    #: SBFT-only — PBFT uses plain per-replica signatures, there are no
-    #: threshold shares to corrupt.
-    BYZANTINE_MODES = frozenset({"silent", "equivocate", "stale-viewchange"})
-
     def __init__(
         self,
         sim: Simulator,
@@ -298,22 +291,7 @@ class PBFTReplica(Replica):
     # Simplified view change
     # ------------------------------------------------------------------
     def build_view_change(self, new_view: int) -> PbftViewChange:
-        """Construct this replica's view-change message for ``new_view``.
-
-        Under the ``stale-viewchange`` byzantine mode the message claims a
-        zero stable point with no prepared evidence — a validly signed lie
-        the new primary must tolerate (the honest quorum's evidence
-        dominates in the simplified carry-over).
-        """
-        if self.byzantine_mode == "stale-viewchange":
-            self.charge_cpu(self.costs.rsa_sign)
-            return PbftViewChange(
-                new_view=new_view,
-                replica_id=self.node_id,
-                last_stable=0,
-                prepared=(),
-                signature=self.signing_key.sign(("view-change", new_view, 0)),
-            )
+        """Construct this replica's view-change message for ``new_view``."""
         prepared = []
         for slot in self.log.slots():
             if slot.commit_sent and slot.pre_prepare is not None and slot.digest is not None:

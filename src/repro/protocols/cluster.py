@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core import execution_cache
 from repro.core.client import SBFTClient
 from repro.core.config import SBFTConfig
 from repro.core.keys import TrustedSetup
@@ -117,6 +118,10 @@ class Cluster:
         n = config.n
         total_nodes = n + self.num_clients
 
+        # Every run starts cold: the first replica to execute a block
+        # records it, its n-1 peers replay it — in a serial sweep and in a
+        # ``--jobs`` worker alike, whatever ran in this process before.
+        execution_cache.clear()
         self.sim = Simulator(seed=self.seed)
         self.sanitizer = None
         if sanitize:

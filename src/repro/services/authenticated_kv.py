@@ -29,10 +29,9 @@ execute-ack needs, since the π certificate is over ``d_s``.
 from __future__ import annotations
 
 import copy
-from dataclasses import field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.compat import dataclass
 from repro.core import execution_cache
 from repro.crypto.hashing import memo_key, sha256_hex
 from repro.crypto.merkle import MerkleProof, MerkleTree
@@ -72,38 +71,23 @@ class KVProof:
         object.__setattr__(self, "size_bytes", 96 + self.entry_proof.size_bytes)
 
 
-#: Every replica executes the same decision blocks over the same ``Operation``
-#: objects, so these pure digests are recomputed n times per block; a shared
-#: memo collapses that to once per cluster.  Cleared wholesale at the limit —
-#: only recomputation is at stake, never correctness.
+#: Every replica executes the same decision blocks, so the digest of a result
+#: value is recomputed n times per block; a shared memo collapses that to once
+#: per cluster.  Cleared wholesale at the limit — only recomputation is at
+#: stake, never correctness.
 _DIGEST_MEMO_LIMIT = 1 << 16
-_operation_digest_memo: Dict[Any, str] = {}
 _result_digest_memo: Dict[Any, str] = {}
 
 
 def operation_digest(operation: Operation) -> str:
     # Replicas all journal the *same* Operation object (operations travel
     # inside shared message objects), so the digest is stashed directly on
-    # the instance: one hash per cluster, and no memo-key construction at
-    # all on the n-1 repeat visits.  Falls back to the keyed memo for
-    # value-equal copies (e.g. operations rebuilt by a deserializer).
+    # the instance: one hash per cluster.
     digest = getattr(operation, "_authkv_digest", None)
-    if digest is not None:
-        return digest
-    key = (operation.kind, operation.client_id, operation.timestamp, memo_key(operation.payload))
-    try:
-        cached = _operation_digest_memo.get(key)
-    except TypeError:  # unhashable payload: instance stash only
-        key = None
-        cached = None
-    if cached is None:
-        cached = sha256_hex("op", operation.kind, operation.client_id, operation.timestamp, operation.payload)
-        if key is not None:
-            if len(_operation_digest_memo) >= _DIGEST_MEMO_LIMIT:
-                _operation_digest_memo.clear()
-            _operation_digest_memo[key] = cached
-    object.__setattr__(operation, "_authkv_digest", cached)
-    return cached
+    if digest is None:
+        digest = sha256_hex("op", operation.kind, operation.client_id, operation.timestamp, operation.payload)
+        object.__setattr__(operation, "_authkv_digest", digest)
+    return digest
 
 
 def block_operation_digests(operations: Sequence[Operation]) -> Tuple[str, ...]:
@@ -155,26 +139,11 @@ def _entry_leaf(entry: JournalEntry) -> tuple:
     return (entry.sequence, entry.position, entry.operation_digest, entry.result_digest)
 
 
-#: Journal records (entries + Merkle tree) are pure functions of the leaf
-#: tuples ``(s, l, H(o), H(val))``, and every replica of a deployment journals
-#: the *same* blocks — so entry/tree construction (and the tree's hashing,
-#: cached inside the shared ``MerkleTree``) runs once per cluster instead of
-#: once per replica.  The trees stored here are never mutated after creation
-#: (only ``root``/``prove`` are called).  Cleared wholesale at the limit.
-_JOURNAL_MEMO_LIMIT = 1 << 12
-_journal_memo: Dict[tuple, tuple] = {}
-
-
 def _journal_record(leaves: Tuple[tuple, ...]) -> tuple:
-    """Shared (entries, tree) record for one journaled block's leaf tuples."""
-    record = _journal_memo.get(leaves)
-    if record is None:
-        entries = tuple(JournalEntry(*leaf) for leaf in leaves)
-        record = (entries, MerkleTree(leaves))
-        if len(_journal_memo) >= _JOURNAL_MEMO_LIMIT:
-            _journal_memo.clear()
-        _journal_memo[leaves] = record
-    return record
+    """(entries, tree) for one journaled block's leaf tuples ``(s, l, H(o),
+    H(val))``.  Built by the first replica to execute the block; its peers
+    get the record from the execution cache (:meth:`replay_block`)."""
+    return tuple(JournalEntry(*leaf) for leaf in leaves), MerkleTree(leaves)
 
 
 def chain_step(prev_digest: str, sequence: int, journal_root: str) -> str:

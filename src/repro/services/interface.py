@@ -14,10 +14,9 @@ parameterised by:
 
 from __future__ import annotations
 
-from dataclasses import field
+from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.compat import dataclass
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,7 +20,7 @@ timelines (Section VIII's performance-under-failure scenarios).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.events import Simulator
@@ -31,17 +31,12 @@ from repro.sim.process import Process
 FAULT_KINDS = (
     "crash",       # drop timers, ignore all future messages
     "slow",        # multiply the replica's CPU speed factor
-    "byzantine",   # switch to an adversarial protocol behaviour
+    "byzantine",   # hand the replica to the adversary (``FaultSpec.behaviour``)
     "partition",   # take down the links between the replica and ``peers``
     "isolate",     # drop all traffic to and from the replica
     "restart",     # recover a crashed replica (rejoin + state transfer)
     "heal",        # undo slow/partition/isolate faults on the replica
 )
-
-#: Adversarial behaviours a replica may be asked to activate.  Protocol
-#: layers may implement a subset; unknown modes raise at activation instead
-#: of silently producing a no-op adversary.
-BYZANTINE_MODES = ("silent", "bad-shares", "equivocate", "stale-viewchange")
 
 
 @dataclass(frozen=True)
@@ -53,16 +48,17 @@ class FaultSpec:
     when the plan is applied after ``at_time`` has passed).  ``slow_factor``
     *multiplies* the replica's CPU costs when ``kind == "slow"`` — stacked
     slow faults compose, and ``heal`` restores the pre-fault factor.
-    ``byzantine_mode`` selects the adversarial behaviour implemented by the
-    protocol layer (one of :data:`BYZANTINE_MODES`).  ``peers`` lists the
-    replicas a ``partition`` fault cuts this replica off from.
+    ``behaviour`` is what a ``byzantine`` fault does: it is called with the
+    replica when the fault activates (see :mod:`repro.adversary.behaviours`;
+    this module knows nothing else about it).  ``peers`` lists the replicas
+    a ``partition`` fault cuts this replica off from.
     """
 
     replica_id: int
     kind: str = "crash"
     at_time: float = 0.0
     slow_factor: float = 5.0
-    byzantine_mode: str = "silent"
+    behaviour: Optional[Callable[[Process], None]] = None
     peers: Tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -70,11 +66,8 @@ class FaultSpec:
             raise ConfigurationError(f"unknown fault kind {self.kind!r}")
         if self.slow_factor < 1.0:
             raise ConfigurationError("slow_factor must be >= 1.0")
-        if self.kind == "byzantine" and self.byzantine_mode not in BYZANTINE_MODES:
-            raise ConfigurationError(
-                f"unknown byzantine mode {self.byzantine_mode!r} "
-                f"(known: {', '.join(BYZANTINE_MODES)})"
-            )
+        if self.kind == "byzantine" and self.behaviour is None:
+            raise ConfigurationError("byzantine fault needs a behaviour")
         if self.kind == "partition" and not self.peers:
             raise ConfigurationError("partition fault needs a non-empty peer set")
 
@@ -114,9 +107,11 @@ class FaultPlan:
         ])
 
     @classmethod
-    def byzantine(cls, node_ids: Iterable[int], mode: str = "silent", at_time: float = 0.0) -> "FaultPlan":
+    def byzantine(
+        cls, node_ids: Iterable[int], behaviour: Callable[[Process], None], at_time: float = 0.0
+    ) -> "FaultPlan":
         return cls([
-            FaultSpec(replica_id=i, kind="byzantine", byzantine_mode=mode, at_time=at_time)
+            FaultSpec(replica_id=i, kind="byzantine", behaviour=behaviour, at_time=at_time)
             for i in node_ids
         ])
 
@@ -187,18 +182,6 @@ class FaultInjector:
                 raise ConfigurationError(
                     f"fault kind {spec.kind!r} needs a FaultInjector built with a network"
                 )
-            if spec.kind == "byzantine":
-                # A replica class that advertises its supported modes must
-                # support this one — catching it here keeps an unsupported
-                # mode from erupting mid-simulation at activation time.
-                replica = self.replicas[spec.replica_id]
-                supported = getattr(replica, "BYZANTINE_MODES", None)
-                if supported is not None and spec.byzantine_mode not in supported:
-                    raise ConfigurationError(
-                        f"replica {spec.replica_id} ({type(replica).__name__}) does not "
-                        f"implement byzantine mode {spec.byzantine_mode!r} "
-                        f"(supported: {', '.join(sorted(supported))})"
-                    )
         for spec in plan.faults:
             # ``at_time`` is absolute: applying a plan mid-run must not shift
             # activations by ``sim.now`` (past times activate immediately).
@@ -212,14 +195,7 @@ class FaultInjector:
             self._original_speed.setdefault(spec.replica_id, replica.cpu.speed_factor)
             replica.cpu.speed_factor *= spec.slow_factor
         elif spec.kind == "byzantine":
-            activate = getattr(replica, "activate_byzantine", None)
-            if activate is None:
-                # Protocol layers that do not implement adversarial behaviour
-                # degrade a Byzantine fault to a crash, which is the weakest
-                # adversary consistent with the spec.
-                replica.crash()
-            else:
-                activate(spec.byzantine_mode)
+            spec.behaviour(replica)
         elif spec.kind == "partition":
             downed = self._downed_links.setdefault(spec.replica_id, set())
             for peer in spec.peers:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-from repro.compat import dataclass
 from repro.errors import NetworkError
 from repro.sim.events import Simulator
 from repro.sim.latency import LatencyModel, UniformLatency

@@ -12,7 +12,8 @@ pipelined client (``client_max_outstanding > 1``).
 
 import pytest
 
-from helpers import executed_histories, make_bare_replica, make_request, run_fingerprint, run_small_cluster
+from helpers import make_bare_replica, make_request, run_fingerprint, run_small_cluster
+from repro.adversary.behaviours import silent
 from repro.core.config import SBFTConfig
 from repro.core.messages import ExecuteAck, PrePrepare
 from repro.core.replica import SBFTReplica
@@ -258,9 +259,7 @@ def test_enter_view_cancels_pending_batch_timer():
 def test_requests_pending_at_batch_timer_survive_view_change():
     """End to end: requests sitting in a silent primary's batch queue complete
     after the view change (the new primary re-collects them via client retry)."""
-    from repro.sim.faults import FaultPlan
-
-    plan = FaultPlan.byzantine([0], mode="silent", at_time=0.0)
+    plan = FaultPlan.byzantine([0], silent, at_time=0.0)
     cluster, result = run_small_cluster(
         "sbft-c0", f=1, num_clients=2, requests_per_client=2,
         batch_size=4,                     # > offered parallelism: timer path

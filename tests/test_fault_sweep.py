@@ -9,6 +9,7 @@ timelines / phase aggregates on the rows, and the stale-viewchange adversary.
 import pytest
 
 from helpers import assert_agreement
+from repro.adversary.behaviours import bad_shares, stale_view_change
 from repro.errors import ConfigurationError
 from repro.experiments.fault_sweep import (
     CONFIG_OVERRIDES,
@@ -152,37 +153,22 @@ def test_faulty_primary_scenario_recovers_via_view_change():
 
 
 # ----------------------------------------------------------------------
-# Byzantine mode validation and the stale-viewchange adversary
+# Behaviour/protocol mismatch and the stale-viewchange adversary
 # ----------------------------------------------------------------------
-def test_replicas_reject_unknown_byzantine_mode():
-    cluster, _result = _run_scenario("sbft-c0", "crash-backups")
-    sbft_replica = cluster.replicas[0]
-    with pytest.raises(ConfigurationError):
-        sbft_replica.activate_byzantine("confuse-everyone")
-
-    cluster, _result = _run_scenario("pbft", "crash-backups")
-    pbft_replica = cluster.replicas[0]
-    # PBFT has no threshold shares to corrupt, so bad-shares stays SBFT-only;
-    # the error must name the replica class and its supported modes.
-    with pytest.raises(ConfigurationError, match="PBFTReplica"):
-        pbft_replica.activate_byzantine("bad-shares")
-    with pytest.raises(ConfigurationError, match="equivocate"):
-        pbft_replica.activate_byzantine("bad-shares")
-
-
-def test_injector_rejects_unsupported_mode_naming_replica_class():
+def test_bad_shares_fault_on_pbft_raises_naming_the_replica_class():
+    # PBFT has no threshold shares to corrupt, so bad-shares stays SBFT-only.
     cluster, _result = _run_scenario("pbft", "crash-backups")
     injector = FaultInjector(cluster.sim, cluster.replicas, network=cluster.network)
-    plan = FaultPlan.byzantine([0], mode="bad-shares", at_time=0.0)
+    injector.apply(FaultPlan.byzantine([0], bad_shares, at_time=0.0))
     with pytest.raises(ConfigurationError, match="PBFTReplica"):
-        injector.apply(plan)
+        cluster.sim.run()
 
 
 def test_pbft_stale_viewchange_builds_empty_outdated_evidence():
     cluster, _result = _run_scenario("pbft", "crash-backups")
     replica = cluster.replicas[1]
     assert replica.last_stable > 0  # it really has something to withhold
-    replica.activate_byzantine("stale-viewchange")
+    stale_view_change(replica)
     message = replica.build_view_change(replica.view + 1)
     assert message.last_stable == 0
     assert message.prepared == ()
@@ -195,7 +181,7 @@ def test_stale_viewchange_replica_sends_empty_outdated_evidence():
     cluster, _result = _run_scenario("sbft-c0", "crash-backups")
     replica = cluster.replicas[1]
     assert replica.last_stable > 0  # it really has something to withhold
-    replica.activate_byzantine("stale-viewchange")
+    stale_view_change(replica)
     message = replica.build_view_change(replica.view + 1)
     assert message.last_stable == 0
     assert message.stable_proof is None
@@ -205,7 +191,7 @@ def test_stale_viewchange_replica_sends_empty_outdated_evidence():
 def test_injector_activates_stale_viewchange_mid_run():
     # LAN runs are fast; activate early enough that requests are in flight.
     plan = FaultPlan.crash_first(1, at_time=0.05).extend(
-        FaultPlan.byzantine([3], mode="stale-viewchange", at_time=0.02)
+        FaultPlan.byzantine([3], stale_view_change, at_time=0.02)
     )
     cluster = build_cluster(
         "sbft-c0",
@@ -221,6 +207,6 @@ def test_injector_activates_stale_viewchange_mid_run():
     result = cluster.run(workload, max_sim_time=60.0)
     # Liveness through the view change despite one stale-viewchange backup.
     assert result.run.completed_requests == 16
-    assert cluster.replicas[3].byzantine_mode == "stale-viewchange"
+    assert cluster.replicas[3].build_view_change(9).slots == ()
     assert max(r.view for r in cluster.replicas.values() if not r.crashed) > 0
     assert_agreement(cluster)

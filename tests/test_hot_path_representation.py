@@ -6,14 +6,11 @@ read as plain attributes.  These tests pin that representation:
 
 * a microbench-shaped count proves ``size_bytes`` is computed once per
   instance, no matter how many times the network model reads it;
-* on Python 3.10+ message instances carry no ``__dict__`` (the
-  :mod:`repro.compat` shim drops ``slots=True`` on 3.9);
+* message instances carry no ``__dict__``;
 * fixed seeds reproduce identical decision-hash chains and stats across two
   independently built clusters (the byte-identity invariant the perf work
   must preserve).
 """
-
-import sys
 
 import pytest
 
@@ -24,8 +21,6 @@ from repro.pbft import messages as pbft_messages
 from repro.protocols.cluster import build_cluster
 from repro.sim.network import _message_size
 from repro.workloads.kv_workload import KVWorkload
-
-HAS_SLOTS = sys.version_info >= (3, 10)
 
 
 class CountingOperation:
@@ -90,8 +85,7 @@ def test_size_bytes_is_data_not_property():
 def test_request_id_stashed_at_construction():
     request = ClientRequest(client_id=3, timestamp=11, operations=())
     assert request.request_id == (3, 11)
-    if HAS_SLOTS:
-        assert "request_id" in ClientRequest.__slots__
+    assert "request_id" in ClientRequest.__slots__
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +93,6 @@ def test_request_id_stashed_at_construction():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not HAS_SLOTS, reason="compat shim drops slots=True on 3.9")
 def test_messages_carry_no_dict():
     share = SignShare(sequence=1, view=0, replica_id=2, digest="h")
     request = ClientRequest(client_id=0, timestamp=1, operations=())
@@ -109,7 +102,6 @@ def test_messages_carry_no_dict():
             object.__getattribute__(message, "__dict__")
 
 
-@pytest.mark.skipif(not HAS_SLOTS, reason="compat shim drops slots=True on 3.9")
 def test_every_message_class_declares_slots():
     for module in (core_messages, pbft_messages):
         for name in dir(module):

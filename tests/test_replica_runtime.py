@@ -10,10 +10,14 @@ class attributes listed in docs/architecture.md, "Replica runtime") are pinned
 per protocol at the bottom.
 """
 
+import ast
 import inspect
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from helpers import make_bare_replica, make_request, run_small_cluster
 from repro.core.config import SBFTConfig
 from repro.core.messages import ClientReply, PrePrepare, StateTransferRequest
@@ -182,10 +186,10 @@ HOOKS = {
 
 #: Named in the extraction's contract; listed so a rename cannot slip past.
 MOVED = {
-    "primary", "is_primary", "activate_byzantine", "rejoin",
+    "primary", "is_primary", "rejoin",
     "_send", "_broadcast", "_send_to_client", "_message_cost", "_dispatch",
     "_on_client_request", "_maybe_propose", "_on_batch_timeout", "_can_propose",
-    "_propose", "_signed_pre_prepare", "_equivocate_pre_prepare",
+    "_propose", "_signed_pre_prepare",
     "_try_execute", "_finish_execution", "_signed_reply", "_send_direct_reply",
     "_request_state_transfer", "_on_state_transfer_request", "_on_state_transfer_response",
     "_ensure_view_change_timer", "_on_view_change_timeout", "_start_view_change",
@@ -202,6 +206,64 @@ def test_protocol_classes_do_not_redefine_the_runtime(replica_cls):
     # on_message stays per class: the benchmark counts handled messages per
     # protocol by the code object of each class's own method.
     assert "on_message" in vars(replica_cls) and "on_message" not in vars(Replica)
+
+
+#: What only an adversary needs: the old mode switch, share forgery, anything
+#: that equivocates.  The four behaviour names are banned as string literals
+#: only, so honest identifiers such as ``stale_checkpoints`` pass.
+ADVERSARY_IDENTIFIERS = {"byzantine_mode", "activate_byzantine", "BYZANTINE_MODES", "forge_share"}
+ADVERSARY_LITERALS = {"silent", "equivocate", "bad-shares", "stale-viewchange"}
+
+
+def _adversary_code(tree):
+    """Adversary vocabulary in the *code* of a module: identifiers anywhere,
+    string literals anywhere but docstrings (comments never reach the AST)."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            if id(node) not in docstrings and node.value in ADVERSARY_LITERALS:
+                yield node.lineno, repr(node.value)
+            continue
+        names = [
+            getattr(node, field, None) for field in ("id", "attr", "name", "arg")
+        ] + [alias.name for alias in getattr(node, "names", ()) if isinstance(alias, ast.alias)]
+        for name in names:
+            if isinstance(name, str) and (name in ADVERSARY_IDENTIFIERS or "equivocat" in name):
+                yield node.lineno, name
+
+
+@pytest.mark.parametrize("package", ["core", "pbft", "sim"])
+def test_honest_packages_carry_no_adversary_code(package):
+    """core/, pbft/ and sim/ are the honest protocol plus environmental
+    faults; what a compromised replica does lives in repro.adversary."""
+    root = Path(repro.__file__).parent / package
+    found = [
+        f"{path.relative_to(root.parent)}:{line}: {what}"
+        for path in sorted(root.rglob("*.py"))
+        for line, what in _adversary_code(ast.parse(path.read_text()))
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_adversary_code_detector_sees_what_it_must_and_no_more():
+    planted = ast.parse(textwrap.dedent("""
+        'silent'
+        stale_checkpoints = silent_count = 0   # honest names; comment: equivocate
+        def f(self, equivocating=False):
+            "bad-shares"
+            if self.byzantine_mode == 'silent':
+                self.keys.tau.forge_share(1)
+            return self.kind == 'byzantine'
+    """))
+    assert sorted(what for _line, what in _adversary_code(planted)) == [
+        "'silent'", "byzantine_mode", "equivocating", "forge_share",
+    ]
 
 
 def test_on_message_is_a_distinct_code_object_per_protocol():

@@ -2,6 +2,7 @@
 
 
 from helpers import assert_agreement, run_small_cluster
+from repro.adversary.behaviours import bad_shares, equivocate, silent
 from repro.sim.faults import FaultPlan
 
 
@@ -31,7 +32,7 @@ def test_primary_crash_triggers_view_change_and_liveness():
 
 
 def test_silent_primary_is_replaced():
-    plan = FaultPlan.byzantine([0], mode="silent", at_time=0.0)
+    plan = FaultPlan.byzantine([0], silent, at_time=0.0)
     cluster, result = run_small_cluster(
         "sbft-c0",
         f=1,
@@ -50,7 +51,7 @@ def test_equivocating_primary_cannot_break_agreement():
     """A primary that proposes conflicting blocks to different replicas must
     not cause two correct replicas to execute different blocks for the same
     sequence number (safety), and the system must eventually make progress."""
-    plan = FaultPlan.byzantine([0], mode="equivocate", at_time=0.0)
+    plan = FaultPlan.byzantine([0], equivocate, at_time=0.0)
     cluster, result = run_small_cluster(
         "sbft-c0",
         f=1,
@@ -68,7 +69,7 @@ def test_backup_sending_bad_shares_is_filtered_out():
     """Robust threshold verification: invalid shares from one Byzantine backup
     are dropped by collectors; with c=0 the bad replica simply counts as the
     one tolerated fault and the slow path is used."""
-    plan = FaultPlan.byzantine([3], mode="bad-shares", at_time=0.0)
+    plan = FaultPlan.byzantine([3], bad_shares, at_time=0.0)
     cluster, result = run_small_cluster(
         "sbft-c0", f=1, num_clients=2, requests_per_client=4, fault_plan=plan
     )

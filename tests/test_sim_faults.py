@@ -9,15 +9,8 @@ from repro.sim.process import Process
 
 
 class Dummy(Process):
-    def __init__(self, sim, node_id):
-        super().__init__(sim, node_id)
-        self.byzantine = None
-
     def on_message(self, message, src):  # pragma: no cover - not used
         pass
-
-    def activate_byzantine(self, mode):
-        self.byzantine = mode
 
 
 def test_fault_spec_validation():
@@ -64,25 +57,20 @@ def test_injector_slow_changes_speed_factor():
     assert replicas[0].cpu.speed_factor == 7.0
 
 
-def test_injector_byzantine_uses_hook_when_available():
+def test_injector_byzantine_calls_the_behaviour_with_the_replica_at_the_scheduled_time():
     sim = Simulator()
-    replicas = {0: Dummy(sim, 0)}
-    FaultInjector(sim, replicas).apply(FaultPlan.byzantine([0], mode="equivocate"))
+    replicas = {0: Dummy(sim, 0), 1: Dummy(sim, 1)}
+    compromised = []
+    injector = FaultInjector(sim, replicas)
+    injector.apply(
+        FaultPlan.byzantine([1], lambda replica: compromised.append((sim.now, replica)), at_time=0.5)
+    )
+    sim.run(until=0.4)
+    assert compromised == []
     sim.run()
-    assert replicas[0].byzantine == "equivocate"
-    assert not replicas[0].crashed
-
-
-def test_injector_byzantine_degrades_to_crash_without_hook():
-    class NoHook(Process):
-        def on_message(self, message, src):  # pragma: no cover
-            pass
-
-    sim = Simulator()
-    replicas = {0: NoHook(sim, 0)}
-    FaultInjector(sim, replicas).apply(FaultPlan.byzantine([0]))
-    sim.run()
-    assert replicas[0].crashed
+    assert compromised == [(0.5, replicas[1])]
+    assert not replicas[1].crashed
+    assert [spec.kind for spec in injector.applied] == ["byzantine"]
 
 
 def test_injector_rejects_unknown_replica():
@@ -155,16 +143,12 @@ def test_heal_restores_pre_fault_speed_factor():
 
 
 # ----------------------------------------------------------------------
-# Regression: unknown byzantine modes and oversized crash_backups
+# Regression: byzantine specs without a behaviour and oversized crash_backups
 # ----------------------------------------------------------------------
-def test_unknown_byzantine_mode_rejected_at_spec_construction():
-    with pytest.raises(ConfigurationError):
-        FaultSpec(replica_id=0, kind="byzantine", byzantine_mode="confuse-everyone")
-
-
-def test_stale_viewchange_is_a_known_mode():
-    spec = FaultSpec(replica_id=0, kind="byzantine", byzantine_mode="stale-viewchange")
-    assert spec.byzantine_mode == "stale-viewchange"
+def test_byzantine_spec_without_a_behaviour_is_rejected_at_construction():
+    with pytest.raises(ConfigurationError, match="behaviour"):
+        FaultSpec(replica_id=0, kind="byzantine")
+    assert FaultSpec(replica_id=0, kind="byzantine", behaviour=print).behaviour is print
 
 
 def test_crash_backups_rejects_more_than_n_minus_one():
@@ -248,19 +232,14 @@ def test_partition_spec_requires_peers():
         FaultSpec(replica_id=0, kind="partition")
 
 
-def test_apply_rejects_mode_the_replica_does_not_implement():
-    class Limited(Dummy):
-        BYZANTINE_MODES = frozenset({"silent"})
-
+def test_rejected_plan_arms_nothing():
     sim = Simulator()
-    replicas = {0: Limited(sim, 0), 1: Limited(sim, 1)}
-    injector = FaultInjector(sim, replicas)
+    replicas = {0: Dummy(sim, 0), 1: Dummy(sim, 1)}
+    injector = FaultInjector(sim, replicas)  # no network: partition is invalid
     # The plan is rejected up front and nothing is armed — not even the
-    # crash that precedes the unsupported byzantine spec.
+    # crash that precedes the invalid spec.
     with pytest.raises(ConfigurationError):
-        injector.apply(
-            FaultPlan.crash_first(1).extend(FaultPlan.byzantine([1], mode="equivocate"))
-        )
+        injector.apply(FaultPlan.crash_first(1).extend(FaultPlan.partition([1], n=2)))
     sim.run()
     assert not replicas[0].crashed
-    assert replicas[1].byzantine is None
+    assert injector.applied == []
