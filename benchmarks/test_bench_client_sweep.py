@@ -19,7 +19,8 @@ import os
 import pytest
 
 from conftest import attach_rows
-from repro.experiments.client_sweep import POLICIES, SWEEP_SCALES, run_client_sweep
+from repro.experiments import harness
+from repro.experiments.client_sweep import POLICIES, SWEEP, SWEEP_SCALES, grid
 
 
 def _sweep_name() -> str:
@@ -33,7 +34,7 @@ def test_client_sweep(benchmark, protocol):
     scale = SWEEP_SCALES[sweep]
 
     def run():
-        return run_client_sweep(scale_name=sweep, protocols=[protocol])
+        return harness.run(SWEEP, grid(scale_name=sweep, protocols=[protocol]))
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     attach_rows(benchmark, rows)
@@ -59,16 +60,11 @@ def test_client_sweep(benchmark, protocol):
 
 
 def _stable(rows):
-    """Strip the host-timing columns (wall/cpu clocks vary run to run)."""
-    return [
-        {k: v for k, v in row.items() if not k.startswith(("wall", "cpu"))}
-        for row in rows
-    ]
+    """Strip the host-clock keys (they vary run to run)."""
+    return [{k: v for k, v in row.items() if k not in harness.HOST_FIELDS} for row in rows]
 
 
 def test_client_sweep_deterministic():
     """The sweep is a pure function of its seed (same rows serial or not)."""
-    kwargs = dict(scale_name="small", protocols=["sbft-c0"], client_counts=[8], seed=3)
-    first = run_client_sweep(**kwargs)
-    second = run_client_sweep(**kwargs)
-    assert _stable(first) == _stable(second)
+    points = grid(scale_name="small", protocols=["sbft-c0"], clients=[8], seed=3)
+    assert _stable(harness.run(SWEEP, points)) == _stable(harness.run(SWEEP, points))

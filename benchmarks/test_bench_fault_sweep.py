@@ -13,7 +13,8 @@ import os
 import pytest
 
 from conftest import attach_rows
-from repro.experiments.fault_sweep import SCENARIOS, SWEEP_SCALES, run_fault_sweep
+from repro.experiments import harness
+from repro.experiments.fault_sweep import SCENARIOS, SWEEP, SWEEP_SCALES, grid
 
 
 def _sweep_name() -> str:
@@ -26,7 +27,7 @@ def test_fault_sweep(benchmark, protocol):
     sweep = _sweep_name()
 
     def run():
-        return run_fault_sweep(scale_name=sweep, protocols=[protocol])
+        return harness.run(SWEEP, grid(scale_name=sweep, protocols=[protocol]))
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     # The timeline payloads are too wide for the printed table; attach a
@@ -47,16 +48,11 @@ def test_fault_sweep(benchmark, protocol):
 
 
 def _stable(rows):
-    """Strip the host-timing columns (wall/cpu clocks vary run to run)."""
-    return [
-        {k: v for k, v in row.items() if not k.startswith(("wall", "cpu"))}
-        for row in rows
-    ]
+    """Strip the host-clock keys (they vary run to run)."""
+    return [{k: v for k, v in row.items() if k not in harness.HOST_FIELDS} for row in rows]
 
 
 def test_fault_sweep_deterministic():
     """The sweep is a pure function of its seed (same rows, same timelines)."""
-    kwargs = dict(scale_name="small", protocols=["sbft-c0"], scenarios=["faulty-primary"], seed=5)
-    first = run_fault_sweep(**kwargs)
-    second = run_fault_sweep(**kwargs)
-    assert _stable(first) == _stable(second)
+    points = grid(scale_name="small", protocols=["sbft-c0"], scenarios=["faulty-primary"], seed=5)
+    assert _stable(harness.run(SWEEP, points)) == _stable(harness.run(SWEEP, points))

@@ -14,7 +14,8 @@ import os
 import pytest
 
 from conftest import attach_rows
-from repro.experiments.scale_sweep import SWEEP_F_VALUES, run_scale_sweep
+from repro.experiments import harness
+from repro.experiments.scale_sweep import SWEEP, SWEEP_F_VALUES, grid
 
 
 def _sweep_name() -> str:
@@ -27,7 +28,7 @@ def test_scale_sweep(benchmark, protocol):
     sweep = _sweep_name()
 
     def run():
-        return run_scale_sweep(scale_name=sweep, protocols=[protocol])
+        return harness.run(SWEEP, grid(scale_name=sweep, protocols=[protocol]))
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     attach_rows(benchmark, rows)
@@ -42,22 +43,17 @@ def test_scale_sweep(benchmark, protocol):
 
 
 def _stable(rows):
-    """Strip the host-timing columns (wall/cpu clocks vary run to run)."""
-    return [
-        {k: v for k, v in row.items() if not k.startswith(("wall", "cpu"))}
-        for row in rows
-    ]
+    """Strip the host-clock keys (they vary run to run)."""
+    return [{k: v for k, v in row.items() if k not in harness.HOST_FIELDS} for row in rows]
 
 
 def test_scale_sweep_deterministic():
     """The sweep is a pure function of its seed (same rows, same numbers)."""
-    first = run_scale_sweep(scale_name="small", protocols=["sbft-c0"], f_values=(1, 2), seed=3)
-    second = run_scale_sweep(scale_name="small", protocols=["sbft-c0"], f_values=(1, 2), seed=3)
-    assert _stable(first) == _stable(second)
+    points = grid(scale_name="small", protocols=["sbft-c0"], f_values=(1, 2), seed=3)
+    assert _stable(harness.run(SWEEP, points)) == _stable(harness.run(SWEEP, points))
 
 
 def test_scale_sweep_parallel_jobs_match_serial():
     """--jobs N must produce rows identical to serial execution."""
-    serial = run_scale_sweep(scale_name="small", protocols=["sbft-c0"], f_values=(1, 2), seed=3)
-    parallel = run_scale_sweep(scale_name="small", protocols=["sbft-c0"], f_values=(1, 2), seed=3, jobs=2)
-    assert _stable(serial) == _stable(parallel)
+    points = grid(scale_name="small", protocols=["sbft-c0"], f_values=(1, 2), seed=3)
+    assert _stable(harness.run(SWEEP, points)) == _stable(harness.run(SWEEP, points, jobs=2))

@@ -17,13 +17,15 @@ from __future__ import annotations
 import pytest
 
 from conftest import attach_rows
+from repro.core import execution_cache
+from repro.experiments import harness
 from repro.experiments.smart_contracts import (
+    SWEEP,
+    grid,
     run_smart_contract_benchmark,
-    run_smart_contract_sweep,
     single_node_baseline,
     slowdown_vs_baseline,
 )
-from repro.services.ledger import clear_execution_cache, execution_cache_stats
 
 
 def test_single_node_baseline(benchmark):
@@ -66,15 +68,18 @@ def test_smart_contract_table(benchmark, scale, topology):
 def test_smart_contract_sweep_rows_and_perf_columns(benchmark):
     """The BENCH_smart_contracts.json generator: per-point wall/CPU columns,
     and the deployment-shared execution cache actually engaging."""
-    clear_execution_cache()
+    execution_cache.clear()
 
     def run():
-        return run_smart_contract_sweep(
-            scale_name="small",
-            f_values=(2,),
-            num_transactions=300,
-            topologies=("continent",),
-            protocols=("sbft-c8", "pbft"),
+        return harness.run(
+            SWEEP,
+            grid(
+                scale_name="small",
+                f_values=(2,),
+                num_transactions=300,
+                topologies=("continent",),
+                protocols=("sbft-c8", "pbft"),
+            ),
         )
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -85,26 +90,24 @@ def test_smart_contract_sweep_rows_and_perf_columns(benchmark):
         assert row["wall_seconds"] > 0 and row["cpu_seconds"] > 0
         assert row["wall_us_per_event"] > 0 and row["cpu_us_per_event"] > 0
         assert row["events_processed"] > 0
-    stats = execution_cache_stats()
+    stats = execution_cache.stats()
     assert stats["misses"] > 0 and stats["hits"] > 0
 
 
 def test_smart_contract_sweep_parallel_rows_match_serial():
     """--jobs N must not change the simulated rows (worker processes start
     with cold caches; only the host-clock columns may differ)."""
-    kwargs = dict(
+    points = grid(
         scale_name="small",
         f_values=(2,),
         num_transactions=300,
         topologies=("continent",),
         protocols=("sbft-c8", "pbft"),
     )
-    clear_execution_cache()
-    serial = run_smart_contract_sweep(jobs=1, **kwargs)
-    parallel = run_smart_contract_sweep(jobs=2, **kwargs)
+    serial = harness.run(SWEEP, points, jobs=1)
+    parallel = harness.run(SWEEP, points, jobs=2)
 
-    host_clock_keys = {"wall_seconds", "cpu_seconds", "wall_us_per_event", "cpu_us_per_event"}
     for serial_row, parallel_row in zip(serial, parallel):
-        simulated_serial = {k: v for k, v in serial_row.items() if k not in host_clock_keys}
-        simulated_parallel = {k: v for k, v in parallel_row.items() if k not in host_clock_keys}
+        simulated_serial = {k: v for k, v in serial_row.items() if k not in harness.HOST_FIELDS}
+        simulated_parallel = {k: v for k, v in parallel_row.items() if k not in harness.HOST_FIELDS}
         assert simulated_serial == simulated_parallel

@@ -35,10 +35,6 @@ invariants", ``docs/architecture.md``) into a machine check:
     bound — an ``if len(NAME) >= LIMIT: NAME.clear()`` guard somewhere in
     the module — so per-process tables cannot grow without bound across
     long sweeps.
-``cli-schema-sync``
-    Each sweep CLI's ``ROW_SCHEMA`` (rendered into its ``--help`` epilog)
-    must list every key its rows actually emit, and must not document keys
-    the rows never produce.
 ``stale-suppression``
     A ``# repro: allow[<rule>]`` comment naming an enabled rule that no
     longer fires on that line is itself a finding, so the suppression
@@ -1116,163 +1112,6 @@ def check_dispatch_complete(modules: Sequence[Module]) -> Iterator[Finding]:
 
 
 # --------------------------------------------------------------------------
-# Rule: cli-schema-sync (project-wide)
-# --------------------------------------------------------------------------
-
-
-def _function_def(tree: ast.AST, name: str) -> Optional[ast.FunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == name:
-            return node
-    return None
-
-
-def _return_dict_keys(func: ast.FunctionDef) -> Set[str]:
-    keys: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
-            keys |= {k for k, _ in _dict_str_keys(node.value)}
-    return keys
-
-
-def _first_dict_literal_keys(func: ast.FunctionDef) -> Set[str]:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Dict):
-            return {k for k, _ in _dict_str_keys(node)}
-    return set()
-
-
-def _schema_from_assign(node: ast.AST) -> Optional[Tuple[Set[str], Set[str], int]]:
-    """-> (all schema keys, sweep-specific keys, lineno) for a ROW_SCHEMA assign."""
-    if isinstance(node, ast.Assign):
-        targets, value = node.targets, node.value
-    elif isinstance(node, ast.AnnAssign) and node.value is not None:
-        targets, value = [node.target], node.value
-    else:
-        return None
-    if not any(isinstance(t, ast.Name) and t.id == "ROW_SCHEMA" for t in targets):
-        return None
-    if isinstance(value, ast.Dict):
-        keys = {k for k, _ in _dict_str_keys(value)}
-        return keys, keys, value.lineno
-    if (
-        isinstance(value, ast.Call)
-        and _call_name(value) == "dict"
-        and value.args
-        and isinstance(value.args[0], ast.Name)
-    ):
-        specific = {kw.arg for kw in value.keywords if kw.arg is not None}
-        return specific, specific, value.lineno  # caller unions in the common keys
-    return None
-
-
-def check_cli_schema_sync(modules: Sequence[Module]) -> Iterator[Finding]:
-    harness = collector = None
-    sweeps: List[Module] = []
-    for module in modules:
-        if module.suffix_is("repro/experiments/harness.py"):
-            harness = module
-        elif module.suffix_is("repro/metrics/collector.py"):
-            collector = module
-        elif "/experiments/" in module.path.as_posix() or "/adversary/" in module.path.as_posix():
-            # The adversary search CLI follows the sweep conventions
-            # (ROW_SCHEMA + _sweep_point_worker), so it is held to the same
-            # schema-sync contract as the experiments package.
-            sweeps.append(module)
-    if harness is None or collector is None:
-        return
-
-    common_keys: Set[str] = set()
-    for node in ast.walk(harness.tree):
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            value = node.value
-            if (
-                any(isinstance(t, ast.Name) and t.id == "COMMON_ROW_SCHEMA" for t in targets)
-                and isinstance(value, ast.Dict)
-            ):
-                common_keys = {k for k, _ in _dict_str_keys(value)}
-    cost_fn = _function_def(harness.tree, "harness_cost_fields")
-    cost_keys = _return_dict_keys(cost_fn) if cost_fn else set()
-
-    as_row_keys: Set[str] = set()
-    run_result = _class_def(collector, "RunResult")
-    if run_result is not None:
-        as_row = _function_def(run_result, "as_row")
-        if as_row is not None:
-            as_row_keys = _first_dict_literal_keys(as_row)
-
-    for module in sweeps:
-        schema: Optional[Tuple[Set[str], Set[str], int]] = None
-        for node in module.tree.body:
-            schema = _schema_from_assign(node) or schema
-        worker = _function_def(module.tree, "_sweep_point_worker")
-        if schema is None or worker is None:
-            continue
-        schema_keys, specific_keys, schema_line = schema
-        schema_keys = schema_keys | common_keys
-
-        emitted: Set[str] = set()
-        uses_result_row = uses_cost_fields = False
-        for node in ast.walk(worker):
-            if isinstance(node, ast.Call):
-                name = _call_name(node) or (
-                    node.func.attr if isinstance(node.func, ast.Attribute) else None
-                )
-                if name == "result_row":
-                    uses_result_row = True
-                    emitted |= {kw.arg for kw in node.keywords if kw.arg is not None}
-                elif name == "harness_cost_fields":
-                    uses_cost_fields = True
-                elif name == "update" and node.args and isinstance(node.args[0], ast.Dict):
-                    emitted |= {k for k, _ in _dict_str_keys(node.args[0])}
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.slice, ast.Constant)
-                        and isinstance(target.slice.value, str)
-                    ):
-                        emitted.add(target.slice.value)
-        if uses_result_row:
-            emitted |= as_row_keys
-        if uses_cost_fields:
-            emitted |= cost_keys
-        # ``result.run.extra["key"] = ...`` anywhere in the module surfaces in
-        # rows via RunResult.as_row()'s ``row.update(self.extra)``.
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Attribute)
-                        and target.value.attr == "extra"
-                        and isinstance(target.slice, ast.Constant)
-                        and isinstance(target.slice.value, str)
-                    ):
-                        emitted.add(target.slice.value)
-
-        for key in sorted(emitted - schema_keys):
-            yield Finding(
-                "cli-schema-sync",
-                module.display,
-                worker.lineno,
-                worker.col_offset,
-                f"row key '{key}' is emitted but missing from ROW_SCHEMA "
-                "(--help epilog would be stale)",
-            )
-        for key in sorted(specific_keys - emitted):
-            yield Finding(
-                "cli-schema-sync",
-                module.display,
-                schema_line,
-                0,
-                f"ROW_SCHEMA documents '{key}' but rows never emit it",
-            )
-
-
-# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -1286,7 +1125,6 @@ MODULE_RULES = {
 }
 PROJECT_RULES = {
     "dispatch-complete": check_dispatch_complete,
-    "cli-schema-sync": check_cli_schema_sync,
 }
 #: ``stale-suppression`` is a meta rule over the other rules' results, so it
 #: lives in neither table; it is enabled by default like every other rule.

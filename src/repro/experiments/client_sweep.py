@@ -15,54 +15,28 @@ load (bounded by ``batch_max``), which is what keeps throughput climbing at
 the top of the client-scaling curve — deep queues drain into a few large
 blocks instead of a stream of minimum-size ones.
 
-Example::
+Example (:mod:`repro.experiments.harness` owns the CLI; ``--help`` prints
+the row schema)::
 
     PYTHONPATH=src python -m repro.experiments.client_sweep \
-        --scale small --rounds 3 --output BENCH_client_sweep.json
+        --scale small --output BENCH_client_sweep.json
     PYTHONPATH=src python -m repro.experiments.client_sweep \
         --scale small --jobs 2 --check-against BENCH_client_sweep.json
 
-Each output row carries (see ``--help`` for the full schema): ``label``
-(``{protocol}/{policy}/clients={k}``), ``protocol``, ``policy``, ``clients``,
-``max_outstanding``, ``f``/``n``, the simulated metrics (``throughput_ops``,
-``mean/median/p99_latency_ms``, ``completed_operations``,
-``completed_requests``, ``expected_requests``, ``all_completed``), the
-batching evidence (``blocks_executed``, ``requests_per_block``), the traffic
-counters (``messages_sent``, ``bytes_sent``) and the harness cost
-(``wall/cpu_seconds``, ``sim_seconds``, ``events_processed``,
-``{wall,cpu}_us_per_event``).
-
-Every sweep point is an independent fixed-seed simulation, so ``--jobs N``
-fans the grid out over worker processes with rows identical to a serial run
-(grid order preserved).  ``BENCH_client_sweep.json`` at the repo root is the
-committed trajectory baseline (regenerate with ``--rounds 3`` — min-of-3 per
-point); ``--check-against BENCH_client_sweep.json --max-regression 2.0`` is
-the CI perf-smoke gate on CPU time per simulated event, run with ``--jobs 2``
-next to the scale/smart-contract/fault sweep gates.
+``BENCH_client_sweep.json`` at the repo root is the committed baseline; the
+second form is the CI gate: every seed-determined row key must equal it.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.harness import (
-    COMMON_ROW_SCHEMA,
-    add_baseline_arguments,
-    add_rounds_argument,
-    emit_and_gate,
-    format_table,
-    harness_cost_fields,
-    make_epilog,
-    protocol_sizes,
-    result_row,
-    run_points,
-    timed_rounds,
-)
-from repro.protocols.cluster import build_cluster
+from repro.experiments import harness
+from repro.experiments.harness import COMMON_ROW_SCHEMA, protocol_sizes, result_row
+from repro.protocols.cluster import ClusterResult, build_cluster
 from repro.workloads.kv_workload import KVWorkload
 
 #: Batching policies the sweep compares (the grid's middle axis).
@@ -151,79 +125,60 @@ def run_client_point(
     )
 
 
-def _sweep_point_worker(spec: Tuple) -> Dict:
-    """Run one sweep point; module-level so it pickles for
-    :func:`repro.experiments.harness.run_points` worker processes.
+def grid(
+    scale_name: str = "small",
+    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
+    policies: Sequence[str] = POLICIES,
+    clients: Optional[Sequence[int]] = None,
+    topology: str = "continent",
+    seed: int = 0,
+) -> List[Dict]:
+    """The sweep's ordered (protocol, policy, num_clients) points;
+    ``clients`` overrides the scale's client-count curve."""
+    if scale_name not in SWEEP_SCALES:
+        raise ConfigurationError(f"unknown client-sweep scale {scale_name!r}")
+    counts = clients if clients is not None else SWEEP_SCALES[scale_name].client_counts
+    return [
+        dict(protocol=protocol, policy=policy, clients=num_clients,
+             scale_name=scale_name, topology=topology, seed=seed)
+        for protocol in protocols
+        for policy in policies
+        for num_clients in counts
+    ]
 
-    ``rounds`` fixed-seed repetitions are run and the minimum-wall-clock one
-    is reported (min-of-N, as in the other trajectory baselines); the
-    simulated rows are identical across rounds by construction.
-    """
-    protocol, policy, num_clients, scale_name, topology, seed, rounds = spec
-    scale = SWEEP_SCALES[scale_name]
-    label = f"{protocol}/{policy}/clients={num_clients}"
-    wall, cpu, result = timed_rounds(
-        lambda: run_client_point(
-            protocol, policy, num_clients, scale, topology=topology, seed=seed, label=label
-        ),
-        rounds,
+
+def run_grid_point(point: Dict) -> ClusterResult:
+    return run_client_point(
+        point["protocol"],
+        point["policy"],
+        point["clients"],
+        SWEEP_SCALES[point["scale_name"]],
+        topology=point["topology"],
+        seed=point["seed"],
     )
-    n, _c = protocol_sizes(protocol, scale.f)
+
+
+def client_row(point: Dict, result: ClusterResult) -> Dict:
+    scale = SWEEP_SCALES[point["scale_name"]]
     # Any non-crashed replica executed every block; the max is robust to
     # laggards that were still catching up when the last client finished.
     blocks = max(stats["blocks_executed"] for stats in result.replica_stats.values())
-    expected = num_clients * scale.requests_per_client
+    expected = point["clients"] * scale.requests_per_client
     completed = result.run.completed_requests
-    row = result_row(
+    return result_row(
         result,
-        protocol=protocol,
-        policy=policy,
-        clients=num_clients,
+        protocol=point["protocol"],
+        policy=point["policy"],
+        clients=point["clients"],
         max_outstanding=scale.max_outstanding,
         f=scale.f,
-        n=n,
+        n=protocol_sizes(point["protocol"], scale.f)[0],
         completed_requests=completed,
         expected_requests=expected,
         all_completed=completed >= expected,
         blocks_executed=blocks,
         requests_per_block=round(completed / blocks, 2) if blocks else 0.0,
     )
-    row.update(harness_cost_fields(wall, cpu, result))
-    return row
-
-
-def run_client_sweep(
-    scale_name: str = "small",
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    policies: Sequence[str] = POLICIES,
-    client_counts: Optional[Sequence[int]] = None,
-    topology: str = "continent",
-    seed: int = 0,
-    rounds: int = 1,
-    jobs: int = 1,
-) -> List[Dict]:
-    """Run the sweep; one row per (protocol, policy, num_clients) point.
-
-    With ``jobs > 1`` the points run in worker processes; every point is an
-    independent fixed-seed simulation, so rows are identical to a serial run
-    and stay in grid order.
-    """
-    if scale_name not in SWEEP_SCALES:
-        raise ConfigurationError(f"unknown client-sweep scale {scale_name!r}")
-    scale = SWEEP_SCALES[scale_name]
-    for policy in policies:
-        if policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown batch policy {policy!r} (known: {', '.join(POLICIES)})"
-            )
-    counts = list(client_counts) if client_counts is not None else list(scale.client_counts)
-    specs = [
-        (protocol, policy, num_clients, scale_name, topology, seed, rounds)
-        for protocol in protocols
-        for policy in policies
-        for num_clients in counts
-    ]
-    return run_points(_sweep_point_worker, specs, jobs=jobs)
 
 
 #: Row keys shown in the CLI table (the full rows go into the JSON output).
@@ -240,7 +195,6 @@ TABLE_COLUMNS = (
     "cpu_us_per_event",
 )
 
-#: Sweep-specific row keys, appended to the common schema in ``--help``.
 ROW_SCHEMA: Dict[str, str] = dict(
     COMMON_ROW_SCHEMA,
     policy="batch policy of this point: 'fixed' or 'adaptive'",
@@ -253,46 +207,25 @@ ROW_SCHEMA: Dict[str, str] = dict(
     requests_per_block="completed_requests / blocks_executed (batching evidence)",
 )
 
-EPILOG = make_epilog(
-    "PYTHONPATH=src python -m repro.experiments.client_sweep "
-    "--scale small --rounds 3 --output BENCH_client_sweep.json",
-    ROW_SCHEMA,
+SWEEP = harness.Sweep(
+    group="client-sweep",
+    summary=__doc__.splitlines()[0],
+    example="PYTHONPATH=src python -m repro.experiments.client_sweep "
+    "--scale small --output BENCH_client_sweep.json",
+    row_schema=ROW_SCHEMA,
+    grid=grid,
+    run_point=run_grid_point,
+    row=client_row,
+    scales=tuple(SWEEP_SCALES),
+    table_columns=TABLE_COLUMNS,
+    axes={
+        "protocols": dict(nargs="+"),
+        "policies": dict(nargs="+", choices=POLICIES),
+        "clients": dict(nargs="+", type=int, help="override the scale's client-count curve"),
+        "topology": dict(),
+    },
 )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0],
-        epilog=EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("--scale", default="small", choices=sorted(SWEEP_SCALES))
-    parser.add_argument("--protocols", nargs="+", default=list(DEFAULT_PROTOCOLS))
-    parser.add_argument("--policies", nargs="+", default=list(POLICIES), choices=POLICIES)
-    parser.add_argument("--clients", nargs="+", type=int, default=None,
-                        help="override the scale's client-count curve")
-    parser.add_argument("--topology", default="continent")
-    parser.add_argument("--seed", type=int, default=0)
-    add_rounds_argument(parser)
-    add_baseline_arguments(parser)
-    args = parser.parse_args(argv)
-
-    try:
-        rows = run_client_sweep(
-            scale_name=args.scale,
-            protocols=args.protocols,
-            policies=args.policies,
-            client_counts=args.clients,
-            topology=args.topology,
-            seed=args.seed,
-            rounds=args.rounds,
-            jobs=args.jobs,
-        )
-    except ConfigurationError as error:
-        parser.error(str(error))
-    print(format_table(rows, columns=TABLE_COLUMNS))
-    return emit_and_gate(rows, group="client-sweep", scale_name=args.scale, args=args)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(SWEEP))

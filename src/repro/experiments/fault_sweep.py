@@ -26,54 +26,30 @@ so fast-path→slow-path fallback and recovery are visible as data.  Scenarios:
 * ``crash-restart``   — ``f`` backups crash, then restart and re-sync via
   the checkpoint/state-transfer machinery.
 
-The CLI mirrors ``scale_sweep`` / ``smart_contracts``::
+:mod:`repro.experiments.harness` owns the CLI (``--help`` prints the row
+schema; docs/benchmarks.md explains the ``timeline`` and ``phases`` keys)::
 
     PYTHONPATH=src python -m repro.experiments.fault_sweep \
-        --scale small --rounds 3 --output BENCH_fault_sweep.json
+        --scale small --output BENCH_fault_sweep.json
     PYTHONPATH=src python -m repro.experiments.fault_sweep \
         --scale small --jobs 2 --check-against BENCH_fault_sweep.json
 
-Every sweep point is an independent fixed-seed simulation, so ``--jobs N``
-fans points out over worker processes with rows identical to a serial run.
-``BENCH_fault_sweep.json`` at the repo root is the committed trajectory
-baseline (regenerate with ``--rounds 3``); ``--check-against`` gates on CPU
-time per simulated event like the other sweeps.
-
-Each output row carries (see ``--help`` for the full schema): ``label``
-(``{protocol}/{topology}/{scenario}``), ``protocol``/``topology``/
-``scenario``/``f``/``n``/``clients``, the scalar run summary
-(``throughput_ops``, ``mean/median/p99_latency_ms``, ``completed_requests``
-vs ``expected_requests``, ``all_completed``, ``recovered``), the fault
-bookkeeping (``fault_start``/``fault_end``, ``faults_planned`` vs
-``faults_fired``), the shape of the run (``timeline`` — windowed buckets,
-``phases`` — before/during/after aggregates) and the harness cost
-(``wall/cpu_seconds``, ``sim_seconds``, ``events_processed``,
-``{wall,cpu}_us_per_event``).
+``BENCH_fault_sweep.json`` at the repo root is the committed baseline; the
+second form is the CI gate: every seed-determined row key, timelines and
+phases included, must equal it.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.adversary.behaviours import stale_view_change
 from repro.errors import ConfigurationError
-from repro.experiments.harness import (
-    COMMON_ROW_SCHEMA,
-    add_baseline_arguments,
-    add_rounds_argument,
-    emit_and_gate,
-    format_table,
-    harness_cost_fields,
-    make_epilog,
-    protocol_sizes,
-    result_row,
-    run_points,
-    timed_rounds,
-)
-from repro.protocols.cluster import build_cluster
+from repro.experiments import harness
+from repro.experiments.harness import COMMON_ROW_SCHEMA, protocol_sizes, result_row
+from repro.protocols.cluster import ClusterResult, build_cluster
 from repro.sim.faults import FaultPlan
 from repro.workloads.kv_workload import KVWorkload
 
@@ -261,63 +237,14 @@ def run_fault_point(
     return result
 
 
-def _sweep_point_worker(spec: Tuple) -> Dict:
-    """Run one sweep point; module-level so it pickles for
-    :func:`repro.experiments.harness.run_points` worker processes.
-
-    ``rounds`` fixed-seed repetitions are run and the minimum-wall-clock one
-    is reported (min-of-N, as in the other trajectory baselines); the
-    simulated rows are identical across rounds by construction.
-    """
-    protocol, topology, scenario_name, scale_name, seed, rounds = spec
-    scenario = SCENARIOS[scenario_name]
-    scale = SWEEP_SCALES[scale_name]
-    label = f"{protocol}/{topology}/{scenario_name}"
-    wall, cpu, result = timed_rounds(
-        lambda: run_fault_point(protocol, topology, scenario, scale, seed=seed, label=label),
-        rounds,
-    )
-    run = result.run
-    n, _c = protocol_sizes(protocol, scale.f)
-    expected = scale.num_clients * scale.requests_per_client
-    row = result_row(
-        result,
-        protocol=protocol,
-        topology=topology,
-        scenario=scenario_name,
-        f=scale.f,
-        n=n,
-        clients=scale.num_clients,
-        completed_requests=run.completed_requests,
-        expected_requests=expected,
-        all_completed=run.completed_requests >= expected,
-        recovered=bool(run.phases and run.phases["after"]["throughput_ops"] > 0),
-        fault_start=scenario.fault_start,
-        fault_end=scenario.fault_end,
-    )
-    row.update(harness_cost_fields(wall, cpu, result))
-    row["phases"] = run.phases
-    row["timeline"] = run.timeline.as_rows() if run.timeline is not None else []
-    return row
-
-
-def run_fault_sweep(
+def grid(
     scale_name: str = "small",
     protocols: Sequence[str] = DEFAULT_PROTOCOLS,
     topologies: Sequence[str] = DEFAULT_TOPOLOGIES,
     scenarios: Optional[Sequence[str]] = None,
     seed: int = 0,
-    rounds: int = 1,
-    jobs: int = 1,
 ) -> List[Dict]:
-    """Run the sweep; one row per (protocol, topology, scenario) point.
-
-    Rows carry the scalar run summary, the windowed ``timeline``, the
-    ``phases`` aggregates and the harness wall/CPU cost per simulated event.
-    With ``jobs > 1`` the points run in worker processes; every point is an
-    independent fixed-seed simulation, so rows are identical to a serial run
-    and stay in grid order.
-    """
+    """The sweep's ordered (protocol, topology, scenario) points."""
     if scale_name not in SWEEP_SCALES:
         raise ConfigurationError(f"unknown fault-sweep scale {scale_name!r}")
     names = list(scenarios) if scenarios is not None else list(SCENARIOS)
@@ -326,13 +253,47 @@ def run_fault_sweep(
             raise ConfigurationError(
                 f"unknown fault scenario {name!r} (known: {', '.join(SCENARIOS)})"
             )
-    specs = [
-        (protocol, topology, scenario_name, scale_name, seed, rounds)
+    return [
+        dict(protocol=protocol, topology=topology, scenario=name,
+             scale_name=scale_name, seed=seed)
         for protocol in protocols
         for topology in topologies
-        for scenario_name in names
+        for name in names
     ]
-    return run_points(_sweep_point_worker, specs, jobs=jobs)
+
+
+def run_grid_point(point: Dict) -> ClusterResult:
+    return run_fault_point(
+        point["protocol"],
+        point["topology"],
+        SCENARIOS[point["scenario"]],
+        SWEEP_SCALES[point["scale_name"]],
+        seed=point["seed"],
+    )
+
+
+def fault_row(point: Dict, result: ClusterResult) -> Dict:
+    scenario = SCENARIOS[point["scenario"]]
+    scale = SWEEP_SCALES[point["scale_name"]]
+    run = result.run
+    expected = scale.num_clients * scale.requests_per_client
+    return result_row(
+        result,
+        protocol=point["protocol"],
+        topology=point["topology"],
+        scenario=scenario.name,
+        f=scale.f,
+        n=protocol_sizes(point["protocol"], scale.f)[0],
+        clients=scale.num_clients,
+        completed_requests=run.completed_requests,
+        expected_requests=expected,
+        all_completed=run.completed_requests >= expected,
+        recovered=bool(run.phases and run.phases["after"]["throughput_ops"] > 0),
+        fault_start=scenario.fault_start,
+        fault_end=scenario.fault_end,
+        phases=run.phases,
+        timeline=run.timeline.as_rows() if run.timeline is not None else [],
+    )
 
 
 #: Row keys shown in the CLI table (the timeline/phase payloads are too wide).
@@ -351,8 +312,10 @@ TABLE_COLUMNS = (
 )
 
 
-def _format_phase_lines(rows: List[Dict]) -> str:
-    lines = []
+def print_phases(args, points: List[Dict], rows: List[Dict]) -> int:
+    """The CLI's second table: per-row before/during/after aggregates."""
+    print()
+    print("phase aggregates (before / during / after fault):")
     for row in rows:
         phases = row.get("phases") or {}
         parts = []
@@ -363,11 +326,10 @@ def _format_phase_lines(rows: List[Dict]) -> str:
                     f"{phase} {data['throughput_ops']:.0f} ops/s "
                     f"@ {data['mean_latency_ms']:.0f} ms"
                 )
-        lines.append(f"  {row['label']}: " + "; ".join(parts))
-    return "\n".join(lines)
+        print(f"  {row['label']}: " + "; ".join(parts))
+    return 0
 
 
-#: Sweep-specific row keys, appended to the common schema in ``--help``.
 ROW_SCHEMA: Dict[str, str] = dict(
     COMMON_ROW_SCHEMA,
     topology="WAN latency model of this point",
@@ -385,46 +347,25 @@ ROW_SCHEMA: Dict[str, str] = dict(
     timeline="windowed throughput/latency buckets (JSON output only)",
 )
 
-EPILOG = make_epilog(
-    "PYTHONPATH=src python -m repro.experiments.fault_sweep "
-    "--scale small --rounds 3 --output BENCH_fault_sweep.json",
-    ROW_SCHEMA,
+SWEEP = harness.Sweep(
+    group="fault-sweep",
+    summary=__doc__.splitlines()[0],
+    example="PYTHONPATH=src python -m repro.experiments.fault_sweep "
+    "--scale small --output BENCH_fault_sweep.json",
+    row_schema=ROW_SCHEMA,
+    grid=grid,
+    run_point=run_grid_point,
+    row=fault_row,
+    scales=tuple(SWEEP_SCALES),
+    table_columns=TABLE_COLUMNS,
+    axes={
+        "protocols": dict(nargs="+"),
+        "topologies": dict(nargs="+"),
+        "scenarios": dict(nargs="+", choices=sorted(SCENARIOS)),
+    },
+    report=print_phases,
 )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0],
-        epilog=EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("--scale", default="small", choices=sorted(SWEEP_SCALES))
-    parser.add_argument("--protocols", nargs="+", default=list(DEFAULT_PROTOCOLS))
-    parser.add_argument("--topologies", nargs="+", default=list(DEFAULT_TOPOLOGIES))
-    parser.add_argument("--scenarios", nargs="+", default=None, choices=sorted(SCENARIOS))
-    parser.add_argument("--seed", type=int, default=0)
-    add_rounds_argument(parser)
-    add_baseline_arguments(parser)
-    args = parser.parse_args(argv)
-
-    try:
-        rows = run_fault_sweep(
-            scale_name=args.scale,
-            protocols=args.protocols,
-            topologies=args.topologies,
-            scenarios=args.scenarios,
-            seed=args.seed,
-            rounds=args.rounds,
-            jobs=args.jobs,
-        )
-    except ConfigurationError as error:
-        parser.error(str(error))
-    print(format_table(rows, columns=TABLE_COLUMNS))
-    print()
-    print("phase aggregates (before / during / after fault):")
-    print(_format_phase_lines(rows))
-    return emit_and_gate(rows, group="fault-sweep", scale_name=args.scale, args=args)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(SWEEP))

@@ -11,19 +11,29 @@ records which scale produced the recorded numbers.
 Sweep grids (protocol x failures x client-count points) are embarrassingly
 parallel: every point is an independent simulation that is a pure function of
 its seed.  :func:`run_points` fans a grid out over a
-``concurrent.futures.ProcessPoolExecutor`` when ``jobs > 1`` (the ``--jobs N``
-flag wired by :func:`add_jobs_argument`), and returns rows in input order, so
-parallel runs produce results identical to serial ones.
+``concurrent.futures.ProcessPoolExecutor`` when ``jobs > 1`` and returns rows
+in input order, so parallel runs produce results identical to serial ones.
+
+The four committed sweeps and the adversary search share one grid runner: a
+module describes itself as a :class:`Sweep`, :func:`run` turns its points into
+rows that carry exactly its ``ROW_SCHEMA`` keys, and :func:`main` is its CLI
+(``--scale/--seed/--jobs/--output/--check-against`` plus the sweep's own grid
+flags).  ``--check-against`` is :func:`check_against_baseline`: every row key
+outside :data:`HOST_FIELDS` is a pure function of the seed and must equal the
+committed baseline; host clocks are never compared (``benchmarks/perf/`` owns
+host-time measurement).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.errors import ConfigurationError
 from repro.protocols.cluster import ClusterResult, build_cluster
 from repro.sim.faults import FaultPlan
 from repro.version import __version__
@@ -132,21 +142,20 @@ def run_kv_point(
     return cluster.run(workload, max_sim_time=scale.max_sim_time, label=label or protocol)
 
 
-def make_epilog(example: str, row_schema: Dict[str, str]) -> str:
-    """Build an argparse ``--help`` epilog: example invocation + row schema.
+#: Row keys read from the host's clocks.  They stay on the rows as
+#: information; the baseline gate and every rows-are-identical test ignore
+#: exactly this set, and every other key is a pure function of the seed.
+HOST_FIELDS = frozenset(
+    {
+        "wall_seconds",
+        "cpu_seconds",
+        "wall_us_per_event",
+        "cpu_us_per_event",
+        "wall_us_per_message",
+    }
+)
 
-    Every sweep CLI uses this so ``--help`` alone documents how to run the
-    sweep and what each output-row key means (render with
-    ``argparse.RawDescriptionHelpFormatter``).
-    """
-    lines = ["example:", f"  {example}", "", "output row keys:"]
-    width = max(len(key) for key in row_schema)
-    for key, meaning in row_schema.items():
-        lines.append(f"  {key.ljust(width)}  {meaning}")
-    return "\n".join(lines)
-
-
-#: Row keys common to every sweep (sweep-specific keys are documented per CLI).
+#: Row keys common to every cluster sweep (each sweep adds its own).
 COMMON_ROW_SCHEMA: Dict[str, str] = {
     "label": "unique sweep-point name; --check-against matches points by label",
     "throughput_ops": "simulated operations per second over the run",
@@ -159,127 +168,149 @@ COMMON_ROW_SCHEMA: Dict[str, str] = {
     "protocol": "protocol variant (see repro.protocols.registry)",
     "f": "tolerated Byzantine replicas at this point",
     "n": "total replicas at this point",
-    "wall_seconds": "harness wall-clock cost of the point (min over --rounds)",
-    "cpu_seconds": "harness per-process CPU cost of the point",
+    "wall_seconds": "host wall-clock cost of the point (information, not gated)",
+    "cpu_seconds": "host per-process CPU cost of the point (not gated)",
     "sim_seconds": "simulated duration of the run",
     "events_processed": "discrete events the simulator executed",
-    "wall_us_per_event": "wall-clock microseconds per simulated event",
-    "cpu_us_per_event": "CPU microseconds per simulated event (the CI gate metric)",
+    "wall_us_per_event": "host wall-clock microseconds per simulated event (not gated)",
+    "cpu_us_per_event": "host CPU microseconds per simulated event (not gated)",
 }
 
 
-def add_jobs_argument(parser) -> None:
-    """Add the shared ``--jobs N`` sweep-parallelism flag to a CLI parser."""
+@dataclass(frozen=True)
+class Sweep:
+    """What one sweep tells the grid runner (:func:`run` and :func:`main`).
+
+    ``grid`` maps keyword grid axes (``scale_name`` when the sweep has
+    ``scales``, ``seed``, and the ``axes`` names) to the ordered points;
+    ``run_point`` runs one point and is the only timed call; ``row`` turns
+    ``(point, result)`` into the row without its cost fields.  All three are
+    module-level functions and points are plain data, so a ``(sweep, point)``
+    pair pickles for the worker processes.  ``axes`` are the sweep's own
+    CLI flags, ``grid`` keyword -> argparse options: a flag that is not
+    passed leaves ``grid``'s default in force, and passing any of them marks
+    the run as a partial grid for the baseline gate.  ``report_flags`` are
+    flags only ``report`` reads; ``report(args, points, rows)`` prints what
+    the table does not show and returns an exit status.
+    """
+
+    group: str
+    summary: str
+    example: str
+    row_schema: Dict[str, str]
+    grid: Callable[..., List[Any]]
+    run_point: Callable[[Any], Any]
+    row: Callable[[Any, Any], Dict]
+    axes: Dict[str, Dict]
+    scales: Sequence[str] = ()
+    table_columns: Optional[Sequence[str]] = None
+    report_flags: Dict[str, Dict] = field(default_factory=dict)
+    report: Optional[Callable[[Any, List[Any], List[Dict]], int]] = None
+
+
+def _run_sweep_point(spec: Tuple[Sweep, Any]) -> Dict:
+    """Run and time one point of ``sweep``; the one picklable point worker."""
+    sweep, point = spec
+    started = time.perf_counter()
+    cpu_started = time.process_time()
+    result = sweep.run_point(point)
+    wall = time.perf_counter() - started
+    cpu = time.process_time() - cpu_started
+    events = max(1, result.events_processed)
+    row = sweep.row(point, result)
+    row.update(
+        wall_seconds=round(wall, 4),
+        cpu_seconds=round(cpu, 4),
+        sim_seconds=round(result.sim_time, 4),
+        events_processed=result.events_processed,
+        wall_us_per_event=round(1e6 * wall / events, 2),
+        cpu_us_per_event=round(1e6 * cpu / events, 2),
+    )
+    if "wall_us_per_message" in sweep.row_schema:
+        row["wall_us_per_message"] = round(1e6 * wall / max(1, row["messages_sent"]), 2)
+    if set(row) != set(sweep.row_schema):
+        raise ValueError(
+            f"{sweep.group} row {row['label']!r} and its ROW_SCHEMA disagree on keys "
+            f"{sorted(set(row) ^ set(sweep.row_schema))}"
+        )
+    return row
+
+
+def run(sweep: Sweep, points: Sequence[Any], jobs: int = 1) -> List[Dict]:
+    """Run ``points`` of ``sweep``; one row per point, in point order.
+
+    Every row carries exactly the keys of ``sweep.row_schema`` (a row
+    function and a schema that disagree raise).  With ``jobs > 1`` the
+    points run in worker processes; rows equal a serial run's outside
+    :data:`HOST_FIELDS`.
+    """
+    return run_points(_run_sweep_point, [(sweep, point) for point in points], jobs=jobs)
+
+
+def _epilog(sweep: Sweep) -> str:
+    """``--help`` epilog: the example invocation and the row schema."""
+    lines = ["example:", f"  {sweep.example}", "", "output row keys:"]
+    width = max(len(key) for key in sweep.row_schema)
+    for key, meaning in sweep.row_schema.items():
+        lines.append(f"  {key.ljust(width)}  {meaning}")
+    return "\n".join(lines)
+
+
+def main(sweep: Sweep, argv: Optional[Sequence[str]] = None) -> int:
+    """The one sweep CLI: parse, run the grid, print, write, gate."""
+    parser = argparse.ArgumentParser(
+        description=sweep.summary,
+        epilog=_epilog(sweep),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    if sweep.scales:
+        parser.add_argument("--scale", default="small", choices=sorted(sweep.scales))
+    parser.add_argument("--seed", type=int, default=0)
+    for name, options in {**sweep.axes, **sweep.report_flags}.items():
+        parser.add_argument("--" + name.replace("_", "-"), default=None, **options)
+    parser.add_argument("--output", default=None, help="write --benchmark-json-style output here")
     parser.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="run sweep points in N worker processes (results are identical "
-        "to --jobs 1: every point is an independent fixed-seed simulation "
-        "and rows are returned in grid order)",
+        help="run sweep points in N worker processes (rows equal --jobs 1 outside "
+        "the host-clock keys: every point is an independent fixed-seed "
+        "simulation and rows are returned in grid order)",
     )
-
-
-def add_rounds_argument(parser) -> None:
-    """Add the shared ``--rounds N`` min-of-N repetition flag to a CLI parser.
-
-    Every sweep measures harness cost as the fastest of ``N`` fixed-seed
-    repetitions (see :func:`timed_rounds`); defining the flag here keeps the
-    help text — and the baseline-regeneration convention it documents — in
-    one place.
-    """
-    parser.add_argument(
-        "--rounds",
-        type=int,
-        default=1,
-        help="fixed-seed repetitions per point; the min-wall-clock round is "
-        "reported (use 3 when regenerating the committed baseline)",
-    )
-
-
-def timed_rounds(run: Callable[[], Any], rounds: int = 1) -> Tuple[float, float, Any]:
-    """Run ``run`` for ``rounds`` fixed-seed repetitions, keep the fastest.
-
-    The trajectory baselines' min-of-N noise filter: simulated results are
-    identical across rounds by construction, so only the harness clocks
-    differ and the minimum-wall-clock round is reported.  Every round builds
-    its own cluster and therefore starts on a cold execution cache.
-    Returns ``(wall_seconds, cpu_seconds, result)``.
-    """
-    best = None
-    for _ in range(max(1, rounds)):
-        started = time.perf_counter()
-        cpu_started = time.process_time()
-        result = run()
-        # Both clocks: wall for human-facing sweep cost, per-process CPU for
-        # the perf gate (worker processes of a --jobs run time-slice the
-        # machine, so wall clocks include scheduler contention; CPU does not).
-        wall = time.perf_counter() - started
-        cpu = time.process_time() - cpu_started
-        if best is None or wall < best[0]:
-            best = (wall, cpu, result)
-    return best
-
-
-def harness_cost_fields(wall: float, cpu: float, result) -> Dict:
-    """The per-point harness-cost row keys shared by every sweep.
-
-    The CI gate metric ``cpu_us_per_event`` (and its wall-clock sibling) is
-    derived here and only here, so the gates cannot diverge across sweeps.
-    """
-    events = max(1, result.events_processed)
-    return {
-        "wall_seconds": round(wall, 4),
-        "cpu_seconds": round(cpu, 4),
-        "sim_seconds": round(result.sim_time, 4),
-        "events_processed": result.events_processed,
-        "wall_us_per_event": round(1e6 * wall / events, 2),
-        "cpu_us_per_event": round(1e6 * cpu / events, 2),
-    }
-
-
-def add_baseline_arguments(parser) -> None:
-    """The shared sweep-CLI tail: ``--output/--jobs/--check-against/--max-regression``.
-
-    Every sweep CLI carries the same baseline/gate flags; adding them here
-    keeps the help text (and the gate semantics it documents) in one place.
-    """
-    parser.add_argument("--output", default=None, help="write --benchmark-json-style output here")
-    add_jobs_argument(parser)
     parser.add_argument(
         "--check-against",
         default=None,
         metavar="BASELINE_JSON",
-        help="fail if CPU time per simulated event (cpu_us_per_event) regresses "
-        "against this --benchmark-json baseline (the CI perf smoke gate)",
+        help="fail unless every row equals the --output baseline row of the same "
+        "label on every key the seed determines (all but the host-clock keys)",
     )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="allowed per-event cost ratio vs --check-against (default 2.0)",
-    )
+    args = parser.parse_args(argv)
 
+    passed = {name: getattr(args, name) for name in sweep.axes if getattr(args, name) is not None}
+    scale = args.scale if sweep.scales else None
+    scale_axis = {"scale_name": scale} if sweep.scales else {}
+    try:
+        points = sweep.grid(seed=args.seed, **scale_axis, **passed)
+        rows = run(sweep, points, jobs=args.jobs)
+    except ConfigurationError as error:
+        parser.error(str(error))
+    print(format_table(rows, columns=sweep.table_columns))
+    status = sweep.report(args, points, rows) if sweep.report else 0
 
-def emit_and_gate(rows: List[Dict], group: str, scale_name: str, args) -> int:
-    """Shared sweep-CLI epilogue: honour ``--output`` and ``--check-against``.
-
-    Writes the benchmark-JSON document when requested, then evaluates the
-    per-event perf gate; returns the process exit code (1 on gate failure).
-    """
     if args.output:
-        document = emit_benchmark_json(rows, group=group, commit_info={"scale": scale_name})
+        document = emit_benchmark_json(rows, group=sweep.group, commit_info={"scale": scale})
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=1, sort_keys=True)
         print(f"wrote {args.output}")
     if args.check_against:
         with open(args.check_against, "r", encoding="utf-8") as handle:
             baseline_document = json.load(handle)
-        ok, message = check_per_event_regression(rows, baseline_document, args.max_regression)
+        full_grid = not passed and baseline_document.get("commit_info", {}).get("scale") == scale
+        ok, message = check_against_baseline(rows, baseline_document, full_grid)
         print(("OK: " if ok else "FAIL: ") + message)
         if not ok:
-            return 1
-    return 0
+            status = 1
+    return status
 
 
 def run_points(
@@ -293,7 +324,7 @@ def run_points(
     returning a plain-data row.  With ``jobs > 1`` the specs are mapped over
     a ``ProcessPoolExecutor``; rows come back in spec order either way, and
     since each point seeds its own simulator, parallel execution produces
-    byte-identical rows to serial execution.
+    the same rows as serial execution.
     """
     specs = list(specs)
     jobs = max(1, int(jobs or 1))
@@ -308,11 +339,9 @@ def run_points(
 def emit_benchmark_json(rows: List[Dict], group: str, commit_info: Optional[Dict] = None) -> Dict:
     """Wrap sweep rows in a ``pytest-benchmark --benchmark-json`` document.
 
-    Shared by the scale sweep and the smart-contract sweep so every committed
-    ``BENCH_*.json`` trajectory baseline has the same shape.  Rows must carry
-    ``label`` and ``wall_seconds``; the full row is preserved in
-    ``extra_info`` (which is what :func:`check_per_event_regression` gates
-    on).
+    Every committed ``BENCH_*.json`` baseline has this shape.  Rows must
+    carry ``label`` and ``wall_seconds``; the full row is preserved in
+    ``extra_info`` (which is what :func:`check_against_baseline` compares).
     """
     benchmarks = []
     for row in rows:
@@ -348,43 +377,43 @@ def emit_benchmark_json(rows: List[Dict], group: str, commit_info: Optional[Dict
     }
 
 
-def check_per_event_regression(
-    rows: List[Dict], baseline_document: Dict, max_regression: float
+def check_against_baseline(
+    rows: List[Dict], baseline_document: Dict, full_grid: bool
 ) -> Tuple[bool, str]:
-    """Compare CPU time per simulated event against a baseline document.
+    """Require every row to equal the baseline row of the same label.
 
-    Matches sweep points by label against the baseline's ``extra_info`` and
-    computes the geometric-mean ratio (current / baseline) over the common
-    points — the committed baseline may have been produced at a larger
-    ``--scale``, so a small smoke sweep only gates on the overlap.  Per-point
-    cost is ``cpu_us_per_event``: per-process CPU time is immune to the
-    worker-process contention of ``--jobs`` runs.  Returns ``(ok,
-    human-readable message)``; ``ok`` is false when the mean ratio exceeds
-    ``max_regression``.
+    Rows are compared after a JSON round trip, on every key outside
+    :data:`HOST_FIELDS` — those are pure functions of the seed, so any
+    difference is a behaviour change, never noise.  Having no label in
+    common with the baseline fails; with ``full_grid`` (same ``--scale`` as
+    the baseline and no grid-axis flag passed) so does a label present on
+    one side only.  Returns ``(ok, message)``; a failure names the first
+    ``(label, key, baseline, current)`` that differs.
     """
-    baseline = {}
-    for bench in baseline_document.get("benchmarks", []):
-        extra = bench.get("extra_info", {})
-        label = extra.get("label")
-        if label:
-            baseline[label] = extra
-    ratios = []
-    for row in rows:
-        base = baseline.get(row["label"], {}).get("cpu_us_per_event")
-        current = row.get("cpu_us_per_event")
-        if base and current:
-            ratios.append(float(current) / float(base))
-    if not ratios:
-        return True, "perf check skipped: no sweep points in common with the baseline"
-    geomean = 1.0
-    for ratio in ratios:
-        geomean *= ratio
-    geomean **= 1.0 / len(ratios)
-    message = (
-        f"cpu_us_per_event: {geomean:.2f}x the baseline over "
-        f"{len(ratios)} common point(s) (limit {max_regression:.2f}x)"
+    baseline = {
+        bench["extra_info"]["label"]: bench["extra_info"]
+        for bench in baseline_document.get("benchmarks", [])
+    }
+    current = {row["label"]: row for row in json.loads(json.dumps(rows))}
+    common = [label for label in current if label in baseline]
+    if not common:
+        return False, "no sweep point has a label in common with the baseline"
+    one_sided = sorted(baseline.keys() ^ current.keys())
+    if full_grid and one_sided:
+        side = "run" if one_sided[0] in baseline else "baseline"
+        return False, f"point {one_sided[0]!r} is missing from the {side}"
+    absent = "<absent>"
+    for label in common:
+        ours, theirs = current[label], baseline[label]
+        for key in sorted((ours.keys() | theirs.keys()) - HOST_FIELDS):
+            if ours.get(key, absent) != theirs.get(key, absent):
+                return False, (
+                    f"{label}: {key} is {ours.get(key, absent)!r}, "
+                    f"baseline has {theirs.get(key, absent)!r}"
+                )
+    return True, (
+        f"{len(common)} point(s) equal the baseline on every key outside the host clocks"
     )
-    return geomean <= max_regression, message
 
 
 def format_table(rows: Iterable[Dict], columns: Optional[Sequence[str]] = None) -> str:

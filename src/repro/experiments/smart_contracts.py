@@ -13,54 +13,32 @@ synthetic Ethereum-like workload; :func:`single_node_baseline` measures the
 unreplicated execution rate implied by the same cost model, so the
 "replication slowdown" rows of the paper can be recomputed.
 
-:func:`run_smart_contract_sweep` gives the table the scale-sweep treatment:
-one row per (protocol, topology, f) point carrying both the simulated metrics
-*and* the harness cost (wall/CPU seconds, wall/CPU microseconds per simulated
-event) that the EVM pre-decode and the deployment-shared execution cache
-target.  Points are independent fixed-seed simulations, so ``--jobs N`` fans
-them out over worker processes with rows identical to a serial run, and every
-measurement round starts from a cold execution cache so the recorded cost is
-the reproducible first-execution-plus-(n-1)-replays path.  The CLI mirrors
-``scale_sweep``::
+:func:`grid` gives the table the scale-sweep treatment: one row per
+(protocol, topology, f) point carrying both the simulated metrics *and* the
+host cost (wall/CPU seconds, wall/CPU microseconds per simulated event) that
+the EVM pre-decode and the deployment-shared execution cache target.  Every
+point builds its own cluster and therefore starts from a cold execution cache,
+so the recorded cost is the reproducible first-execution-plus-(n-1)-replays
+path.  :mod:`repro.experiments.harness` owns the CLI (``--help`` prints the
+row schema)::
 
     PYTHONPATH=src python -m repro.experiments.smart_contracts \
-        --scale small --rounds 3 --output BENCH_smart_contracts.json
+        --scale small --output BENCH_smart_contracts.json
     PYTHONPATH=src python -m repro.experiments.smart_contracts \
         --scale small --jobs 2 --check-against BENCH_smart_contracts.json
 
-``BENCH_smart_contracts.json`` at the repo root is the committed trajectory
-baseline; CI runs the second form as a perf gate (CPU time per simulated
-event, ``--max-regression 2.0``).
-
-Each output row carries (see ``--help`` for the full schema): ``label``
-(``{protocol}/{topology}/f={f}``), ``protocol``/``topology``/``f``/``n``/
-``clients``, the simulated metrics (``throughput_tps``, ``transactions``,
-``mean/median/p99_latency_ms``, ``messages_sent``, ``bytes_sent``) and the
-harness cost (``wall/cpu_seconds``, ``sim_seconds``, ``events_processed``,
-``{wall,cpu}_us_per_event``).
+``BENCH_smart_contracts.json`` at the repo root is the committed baseline; CI
+runs the second form: every seed-determined row key must equal it.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
-from repro.experiments.harness import (
-    COMMON_ROW_SCHEMA,
-    add_baseline_arguments,
-    add_rounds_argument,
-    emit_and_gate,
-    format_table,
-    harness_cost_fields,
-    make_epilog,
-    protocol_sizes,
-    result_row,
-    run_points,
-    timed_rounds,
-)
-from repro.protocols.cluster import build_cluster
+from repro.experiments import harness
+from repro.experiments.harness import COMMON_ROW_SCHEMA, protocol_sizes, result_row
+from repro.protocols.cluster import ClusterResult, build_cluster
 from repro.services.ledger import LedgerService, ledger_operation
 from repro.workloads.ethereum_workload import EthereumWorkload, SyntheticTrace
 
@@ -109,10 +87,6 @@ def single_node_baseline(num_transactions: int = 1_000, seed: int = 7) -> Dict[s
     }
 
 
-def _sbft_c(protocol: str, f: int) -> Optional[int]:
-    return protocol_sizes(protocol, f)[1] or None
-
-
 def run_contract_point(
     protocol: str,
     topology: str,
@@ -148,79 +122,57 @@ def run_contract_point(
     return cluster.run(workload, max_sim_time=max_sim_time, label=label)
 
 
-def _sweep_point_worker(spec: Tuple) -> Dict:
-    """Run one (protocol, topology, f) sweep point; module-level so it pickles
-    for :func:`repro.experiments.harness.run_points` worker processes.
-
-    ``rounds`` fixed-seed repetitions are run and the minimum wall-clock one
-    is reported (min-of-N is the standard noise filter for trajectory
-    baselines).  Every round builds its own cluster, so each repetition
-    measures the same cold path: the first replica interprets each block, its
-    n-1 peers replay the recorded delta.
-    """
-    protocol, topology, f, num_transactions, num_clients, block_batch, seed, rounds = spec
-    c = _sbft_c(protocol, f)
-    label = f"{protocol}/{topology}/f={f}"
-    wall, cpu, result = timed_rounds(
-        lambda: run_contract_point(
-            protocol,
-            topology,
-            f,
-            c,
-            num_clients,
-            num_transactions,
-            block_batch,
-            seed,
-            SWEEP_MAX_SIM_TIME,
-            label,
-        ),
-        rounds,
-    )
-    n, _c = protocol_sizes(protocol, f)
-    row = result_row(
-        result,
-        protocol=protocol,
-        topology=topology,
-        f=f,
-        n=n,
-        clients=num_clients,
-        transactions=result.completed_operations,
-        throughput_tps=round(result.throughput, 1),
-    )
-    row.update(harness_cost_fields(wall, cpu, result))
-    return row
-
-
-def run_smart_contract_sweep(
+def grid(
     scale_name: str = "small",
     protocols: Sequence[str] = SWEEP_PROTOCOLS,
     topologies: Sequence[str] = SWEEP_TOPOLOGIES,
     f_values: Optional[Sequence[int]] = None,
     num_transactions: Optional[int] = None,
-    num_clients: int = SWEEP_NUM_CLIENTS,
+    clients: int = SWEEP_NUM_CLIENTS,
     block_batch: int = SWEEP_BLOCK_BATCH,
     seed: int = 0,
-    rounds: int = 1,
-    jobs: int = 1,
 ) -> List[Dict]:
-    """Run the smart-contract sweep; one row per (protocol, topology, f).
-
-    Rows carry the simulated protocol metrics plus harness wall/CPU cost per
-    simulated event.  With ``jobs > 1`` the points run in worker processes;
-    every point is an independent fixed-seed simulation, so rows are
-    identical to a serial run and stay in grid order.
-    """
+    """The sweep's ordered (f, topology, protocol) points."""
     if f_values is None:
         f_values = SWEEP_F_VALUES.get(scale_name, SWEEP_F_VALUES["small"])
     if num_transactions is None:
         num_transactions = SWEEP_NUM_TRANSACTIONS.get(scale_name, SWEEP_NUM_TRANSACTIONS["small"])
-    specs = [
-        (protocol, topology, f, num_transactions, num_clients, block_batch, seed, rounds)
+    return [
+        dict(protocol=protocol, topology=topology, f=f, num_transactions=num_transactions,
+             clients=clients, block_batch=block_batch, seed=seed)
         for f in f_values
         for topology in topologies
         for protocol in protocols
     ]
-    return run_points(_sweep_point_worker, specs, jobs=jobs)
+
+
+def run_grid_point(point: Dict) -> ClusterResult:
+    protocol, topology, f = point["protocol"], point["topology"], point["f"]
+    return run_contract_point(
+        protocol,
+        topology,
+        f,
+        protocol_sizes(protocol, f)[1] or None,
+        point["clients"],
+        point["num_transactions"],
+        point["block_batch"],
+        point["seed"],
+        SWEEP_MAX_SIM_TIME,
+        f"{protocol}/{topology}/f={f}",
+    )
+
+
+def contract_row(point: Dict, result: ClusterResult) -> Dict:
+    return result_row(
+        result,
+        protocol=point["protocol"],
+        topology=point["topology"],
+        f=point["f"],
+        n=protocol_sizes(point["protocol"], point["f"])[0],
+        clients=point["clients"],
+        transactions=result.completed_operations,
+        throughput_tps=round(result.throughput, 1),
+    )
 
 
 def run_smart_contract_benchmark(
@@ -287,7 +239,6 @@ def slowdown_vs_baseline(rows: List[Dict]) -> Dict[str, float]:
     return slowdowns
 
 
-#: Sweep-specific row keys, appended to the common schema in ``--help``.
 ROW_SCHEMA: Dict[str, str] = dict(
     COMMON_ROW_SCHEMA,
     topology="WAN latency model of this point ('continent' or 'world')",
@@ -296,45 +247,24 @@ ROW_SCHEMA: Dict[str, str] = dict(
     throughput_tps="simulated transactions per second",
 )
 
-EPILOG = make_epilog(
-    "PYTHONPATH=src python -m repro.experiments.smart_contracts "
-    "--scale small --rounds 3 --output BENCH_smart_contracts.json",
-    ROW_SCHEMA,
+SWEEP = harness.Sweep(
+    group="smart-contracts",
+    summary=__doc__.splitlines()[0],
+    example="PYTHONPATH=src python -m repro.experiments.smart_contracts "
+    "--scale small --output BENCH_smart_contracts.json",
+    row_schema=ROW_SCHEMA,
+    grid=grid,
+    run_point=run_grid_point,
+    row=contract_row,
+    scales=tuple(SWEEP_F_VALUES),
+    axes={
+        "protocols": dict(nargs="+"),
+        "topologies": dict(nargs="+"),
+        "clients": dict(type=int),
+        "block_batch": dict(type=int),
+    },
 )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0],
-        epilog=EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("--scale", default="small", choices=sorted(SWEEP_F_VALUES))
-    parser.add_argument("--protocols", nargs="+", default=list(SWEEP_PROTOCOLS))
-    parser.add_argument("--topologies", nargs="+", default=list(SWEEP_TOPOLOGIES))
-    parser.add_argument("--clients", type=int, default=SWEEP_NUM_CLIENTS)
-    parser.add_argument("--block-batch", type=int, default=SWEEP_BLOCK_BATCH)
-    parser.add_argument("--seed", type=int, default=0)
-    add_rounds_argument(parser)
-    add_baseline_arguments(parser)
-    args = parser.parse_args(argv)
-
-    try:
-        rows = run_smart_contract_sweep(
-            scale_name=args.scale,
-            protocols=args.protocols,
-            topologies=args.topologies,
-            num_clients=args.clients,
-            block_batch=args.block_batch,
-            seed=args.seed,
-            rounds=args.rounds,
-            jobs=args.jobs,
-        )
-    except ConfigurationError as error:
-        parser.error(str(error))
-    print(format_table(rows))
-    return emit_and_gate(rows, group="smart-contracts", scale_name=args.scale, args=args)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(SWEEP))

@@ -37,7 +37,7 @@ can never hit a stale entry.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core import execution_cache
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
@@ -52,28 +52,6 @@ from repro.services.interface import (
     Operation,
     OperationResult,
 )
-
-# The cache itself lives in :mod:`repro.core.execution_cache` (shared with the
-# authenticated KV store since PR 8); these ledger-named wrappers are the
-# original PR 3 public API and keep existing callers/tests working.
-
-
-def set_execution_cache_enabled(enabled: bool) -> bool:
-    """Toggle the deployment-shared execution cache; returns the old value."""
-    return execution_cache.set_enabled(enabled)
-
-
-def execution_cache_enabled() -> bool:
-    return execution_cache.enabled()
-
-
-def clear_execution_cache() -> None:
-    """Drop all cached block executions (and reset the hit/miss counters)."""
-    execution_cache.clear()
-
-
-def execution_cache_stats() -> Dict[str, int]:
-    return execution_cache.stats()
 
 
 def ledger_operation(transaction: Transaction, client_id: int = -1, timestamp: int = 0) -> Operation:

@@ -26,14 +26,15 @@ from repro.adversary.forensics import (
 from repro.adversary.lab import SafetyOracle
 from repro.adversary.minimize import minimize, non_default_params
 from repro.adversary.search import (
+    SWEEP,
     eligible_strategies,
     minimize_violations,
-    run_search,
     sample_episodes,
 )
 from repro.core.config import SBFTConfig
 from repro.core.keys import TrustedSetup
 from repro.errors import ConfigurationError
+from repro.experiments import harness
 from repro.protocols.registry import get_protocol
 
 
@@ -142,7 +143,8 @@ def test_planted_weak_quorum_breaks_safety_and_sound_quorum_does_not():
 
 
 def test_search_finds_and_minimizes_planted_violation():
-    specs, rows = run_search(episodes=60, seed=0, plant_weak_quorum=True)
+    specs = sample_episodes(episodes=60, seed=0, plant_weak_quorum=True)
+    rows = harness.run(SWEEP, specs)
     violating = [row for row in rows if row["verdict"] != "ok"]
     assert violating, "60-episode search must find the planted safety hole"
     entries = minimize_violations(specs, rows)
@@ -156,14 +158,13 @@ def test_search_finds_and_minimizes_planted_violation():
 
 def test_sampling_is_deterministic_and_jobs_identical():
     assert sample_episodes(8, seed=5) == sample_episodes(8, seed=5)
-    _specs1, rows1 = run_search(episodes=6, seed=5, jobs=1)
-    _specs2, rows2 = run_search(episodes=6, seed=5, jobs=2)
-    noise = {"wall_seconds", "cpu_seconds", "wall_us_per_event", "cpu_us_per_event"}
+    specs = sample_episodes(6, seed=5)
 
-    def decide(rows):
-        return [{k: v for k, v in row.items() if k not in noise} for row in rows]
+    def decide(jobs):
+        rows = harness.run(SWEEP, specs, jobs=jobs)
+        return [{k: v for k, v in row.items() if k not in harness.HOST_FIELDS} for row in rows]
 
-    assert decide(rows1) == decide(rows2)
+    assert decide(1) == decide(2)
 
 
 # ----------------------------------------------------------------------

@@ -221,40 +221,3 @@ def test_finding_ids_survive_line_drift(tmp_path):
     after, _ = run_lint([target])
     assert [f.id for f in before] == [f.id for f in after]
     assert [f.line + 3 for f in before] == [f.line for f in after]
-
-
-# ---------------------------------------------------------------------------
-# cli-schema-sync: emitted row keys vs the documented --help schema
-# ---------------------------------------------------------------------------
-
-
-def test_cli_schema_sync_clean_tree_has_no_findings():
-    findings, _ = run_lint([SRC], rules=["cli-schema-sync"])
-    assert findings == []
-
-
-def test_cli_schema_sync_flags_undocumented_row_key(tmp_path):
-    root = _mutated_tree(
-        tmp_path,
-        "experiments/client_sweep.py",
-        "    row.update(harness_cost_fields(wall, cpu, result))\n",
-        "    row.update(harness_cost_fields(wall, cpu, result))\n"
-        '    row["undocumented_key"] = 1\n',
-    )
-    findings, _ = run_lint([root], rules=["cli-schema-sync"])
-    assert [f.rule for f in findings] == ["cli-schema-sync"]
-    assert "undocumented_key" in findings[0].message
-    assert findings[0].path.endswith("repro/experiments/client_sweep.py")
-
-
-def test_cli_schema_sync_flags_stale_schema_key(tmp_path):
-    root = _mutated_tree(
-        tmp_path,
-        "experiments/client_sweep.py",
-        "ROW_SCHEMA: Dict[str, str] = dict(\n    COMMON_ROW_SCHEMA,\n",
-        "ROW_SCHEMA: Dict[str, str] = dict(\n    COMMON_ROW_SCHEMA,\n"
-        '    ghost_key="documented but never emitted",\n',
-    )
-    findings, _ = run_lint([root], rules=["cli-schema-sync"])
-    assert [f.rule for f in findings] == ["cli-schema-sync"]
-    assert "ghost_key" in findings[0].message

@@ -8,12 +8,8 @@ fixed seeds, with the cache on or off.
 
 import pytest
 
+from repro.core import execution_cache
 from repro.protocols.cluster import build_cluster
-from repro.services.ledger import (
-    clear_execution_cache,
-    execution_cache_stats,
-    set_execution_cache_enabled,
-)
 from repro.workloads.ethereum_workload import EthereumWorkload
 
 
@@ -41,35 +37,35 @@ def _run_cluster(protocol):
 
 @pytest.mark.parametrize("protocol", ["sbft-c8", "pbft"])
 def test_fixed_seed_identical_with_cache_on_and_off(protocol):
-    clear_execution_cache()
+    execution_cache.clear()
     try:
         with_cache = _run_cluster(protocol)
-        stats = execution_cache_stats()
+        stats = execution_cache.stats()
         # The cache actually engaged: one miss per block, n-1 hits each.
         assert stats["misses"] > 0
         assert stats["hits"] >= stats["misses"]
 
-        previous = set_execution_cache_enabled(False)
+        previous = execution_cache.set_enabled(False)
         try:
             without_cache = _run_cluster(protocol)
         finally:
-            set_execution_cache_enabled(previous)
+            execution_cache.set_enabled(previous)
     finally:
-        clear_execution_cache()
+        execution_cache.clear()
 
     assert with_cache == without_cache
 
 
 def test_cache_shared_across_replicas_within_one_run():
-    clear_execution_cache()
+    execution_cache.clear()
     try:
         _run_cluster("sbft-c8")
-        stats = execution_cache_stats()
+        stats = execution_cache.stats()
         n = 3 * 1 + 2 * 1 + 1  # f=1, c=1 -> 6 replicas
         # Every block: first replica misses, the other n-1 replay.
         assert stats["hits"] == (n - 1) * stats["misses"]
     finally:
-        clear_execution_cache()
+        execution_cache.clear()
 
 
 def test_cache_hit_replays_the_journal_record_without_rejournaling(monkeypatch):
@@ -92,12 +88,12 @@ def test_cache_hit_replays_the_journal_record_without_rejournaling(monkeypatch):
 
     counting("journal_block")
     counting("replay_block")
-    clear_execution_cache()
+    execution_cache.clear()
     try:
         fingerprint = _run_cluster("sbft-c8")
-        stats = execution_cache_stats()
+        stats = execution_cache.stats()
     finally:
-        clear_execution_cache()
+        execution_cache.clear()
     assert stats["misses"] > 0
     assert calls == {
         "journal_block": stats["misses"],

@@ -1,9 +1,13 @@
 """Tests for the experiment drivers (run at a tiny scale so they stay fast)."""
 
-import itertools
+import copy
+import dataclasses
 import json
-import types
+from pathlib import Path
 
+import pytest
+
+from repro.experiments import client_sweep, fault_sweep, harness, scale_sweep, smart_contracts
 from repro.experiments.ablation import INGREDIENT_BY_PROTOCOL, run_ablation
 from repro.experiments.fig2_throughput import run_figure2, scaled_failures, throughput_series
 from repro.experiments.fig3_latency import latency_curves, run_figure3
@@ -20,6 +24,8 @@ from repro.experiments.smart_contracts import (
     slowdown_vs_baseline,
 )
 from repro.experiments.viewchange_study import run_viewchange_study, summarize
+
+REPO = Path(__file__).resolve().parent.parent
 
 TINY = ExperimentScale(
     name="tiny",
@@ -145,70 +151,85 @@ def test_viewchange_study_reports_success():
     assert summary["crash"]["success_rate"] == 1.0
 
 
-def test_client_sweep_rows_cover_grid_and_match_schema():
-    from repro.experiments.client_sweep import ROW_SCHEMA, run_client_sweep
-
-    rows = run_client_sweep(
-        scale_name="small", protocols=["sbft-c0"], client_counts=[4], seed=2
+def test_client_sweep_rows_cover_grid():
+    rows = harness.run(
+        client_sweep.SWEEP,
+        client_sweep.grid(scale_name="small", protocols=["sbft-c0"], clients=[4], seed=2),
     )
     assert [row["policy"] for row in rows] == ["fixed", "adaptive"]
     for row in rows:
         assert row["all_completed"]
         assert row["clients"] == 4
-        # The --help row schema documents every key a row actually carries.
-        assert set(row) <= set(ROW_SCHEMA), sorted(set(row) - set(ROW_SCHEMA))
 
 
-def test_client_sweep_cli_output_and_gate_roundtrip(tmp_path, monkeypatch):
-    from repro.experiments import harness
-    from repro.experiments.client_sweep import main
-
-    # A stub clock that advances 1 ms per reading.  The points are ~10 ms
-    # runs, and on real CPU time one of them gated against itself strays past
-    # the 2.0x limit about one suite run in five; with the stub both passes
-    # measure the same cost and the round trip is decidable.
-    ticks = itertools.count()
-
-    def clock():
-        return next(ticks) * 1e-3
-
-    stub = types.SimpleNamespace(perf_counter=clock, process_time=clock)
-    monkeypatch.setattr(harness, "time", stub)
-
+def test_gate_roundtrip_names_the_first_difference(tmp_path, capsys):
+    """Real clocks: the gate compares only what the seed determines."""
     output = tmp_path / "bench.json"
-    argv = ["--scale", "small", "--protocols", "sbft-c0", "--clients", "4",
-            "--seed", "2", "--output", str(output)]
-    assert main(argv) == 0
+    argv = ["--scale", "small", "--protocols", "sbft-c0", "--clients", "4", "--seed", "2"]
+    assert harness.main(client_sweep.SWEEP, argv + ["--output", str(output)]) == 0
     document = json.loads(output.read_text())
     assert {b["extra_info"]["policy"] for b in document["benchmarks"]} == {"fixed", "adaptive"}
-    # Gating a run against its own output passes (ratio exactly 1.0) ...
-    gate = argv[:-2] + ["--check-against", str(output)]
-    assert main(gate) == 0
-    assert main(gate + ["--max-regression", "1.0"]) == 0
-    # ... and the gate does fail when the limit is below the measured ratio.
-    assert main(gate + ["--max-regression", "0.5"]) == 1
+    # A run gated against its own output passes, whatever the clocks read.
+    gate = argv + ["--check-against", str(output)]
+    assert harness.main(client_sweep.SWEEP, gate) == 0
+
+    # One more simulated event in one baseline row fails, naming row and key.
+    label = "sbft-c0/adaptive/clients=4"
+    bumped = copy.deepcopy(document)
+    for bench in bumped["benchmarks"]:
+        if bench["extra_info"]["label"] == label:
+            bench["extra_info"]["events_processed"] += 1
+    output.write_text(json.dumps(bumped))
+    capsys.readouterr()
+    assert harness.main(client_sweep.SWEEP, gate) == 1
+    message = capsys.readouterr().out.splitlines()[-1]
+    assert message.startswith("FAIL: ") and label in message and "events_processed" in message
+
+    # A baseline that shares no label with the run fails instead of passing silently.
+    renamed = copy.deepcopy(document)
+    for bench in renamed["benchmarks"]:
+        bench["extra_info"]["label"] += "-renamed"
+    output.write_text(json.dumps(renamed))
+    assert harness.main(client_sweep.SWEEP, gate) == 1
+    assert "no sweep point" in capsys.readouterr().out.splitlines()[-1]
 
 
-def test_sweep_row_schemas_document_actual_keys():
-    """The --help epilogs of the other sweep CLIs list every row key."""
-    from repro.experiments.fault_sweep import ROW_SCHEMA as FAULT_SCHEMA
-    from repro.experiments.fault_sweep import run_fault_sweep
-    from repro.experiments.scale_sweep import ROW_SCHEMA as SCALE_SCHEMA
-    from repro.experiments.scale_sweep import run_scale_sweep
-    from repro.experiments.smart_contracts import ROW_SCHEMA as CONTRACT_SCHEMA
-    from repro.experiments.smart_contracts import run_smart_contract_sweep
+def test_gate_reports_a_point_missing_on_either_side_of_a_full_grid():
+    rows = [{"label": "a", "x": 1, "wall_seconds": 0.5}, {"label": "b", "x": 2, "wall_seconds": 0.5}]
+    baseline = harness.emit_benchmark_json(rows, group="g")
+    for row in rows:
+        row["wall_seconds"] = 9.0  # host clocks are never compared
+    assert harness.check_against_baseline(rows, baseline, full_grid=True)[0]
+    # A partial grid gates on the overlap only; a full grid names the lost point.
+    assert harness.check_against_baseline(rows[:1], baseline, full_grid=False)[0]
+    ok, message = harness.check_against_baseline(rows[:1], baseline, full_grid=True)
+    assert not ok and "'b' is missing from the run" in message
+    extra = rows + [{"label": "c", "x": 3, "wall_seconds": 0.5}]
+    ok, message = harness.check_against_baseline(extra, baseline, full_grid=True)
+    assert not ok and "'c' is missing from the baseline" in message
 
-    scale_rows = run_scale_sweep(scale_name="small", f_values=[1], num_clients=2)
-    fault_rows = run_fault_sweep(scale_name="small", protocols=["sbft-c0"],
-                                 scenarios=["crash-backups"])
-    contract_rows = run_smart_contract_sweep(
-        scale_name="small", protocols=["pbft"], topologies=["continent"],
-        f_values=[1], num_transactions=60, num_clients=2,
+
+@pytest.mark.parametrize("sweep", [scale_sweep, client_sweep, smart_contracts, fault_sweep])
+def test_committed_baseline_equals_a_fresh_small_sweep(sweep):
+    """A stale BENCH_*.json fails pytest, not only the CI bench-smoke job."""
+    baseline = REPO / f"BENCH_{sweep.__name__.rsplit('.', 1)[1]}.json"
+    assert harness.main(sweep.SWEEP, ["--scale", "small", "--check-against", str(baseline)]) == 0
+
+
+def test_runner_raises_when_rows_and_row_schema_disagree():
+    points = scale_sweep.grid(scale_name="small", f_values=[1], clients=2)
+
+    def row_with_undocumented_key(point, result):
+        return dict(scale_sweep.scale_row(point, result), undocumented_key=1)
+
+    emits_more = dataclasses.replace(scale_sweep.SWEEP, row=row_with_undocumented_key)
+    with pytest.raises(ValueError, match="undocumented_key"):
+        harness.run(emits_more, points)
+    documents_more = dataclasses.replace(
+        scale_sweep.SWEEP, row_schema=dict(scale_sweep.ROW_SCHEMA, ghost_key="never emitted")
     )
-    for rows, schema in ((scale_rows, SCALE_SCHEMA), (fault_rows, FAULT_SCHEMA),
-                         (contract_rows, CONTRACT_SCHEMA)):
-        for row in rows:
-            assert set(row) <= set(schema), sorted(set(row) - set(schema))
+    with pytest.raises(ValueError, match="ghost_key"):
+        harness.run(documents_more, points)
 
 
 def test_format_table_renders_rows():
@@ -217,49 +238,3 @@ def test_format_table_renders_rows():
     assert len(lines) == 4
     assert "a" in lines[0] and "b" in lines[0]
     assert format_table([]) == "(no rows)"
-
-
-def test_profile_point_and_table_roundtrip():
-    from repro.experiments.profile import (
-        ROW_COLUMNS,
-        format_profile_table,
-        profile_point,
-        top_cumulative,
-    )
-
-    profiler = profile_point(protocol="sbft-c0", f=1, num_clients=2, kv_batch=2)
-    rows = top_cumulative(profiler, top=10)
-    assert 0 < len(rows) <= 10
-    cumtimes = [row["cumtime_s"] for row in rows]
-    assert cumtimes == sorted(cumtimes, reverse=True)
-    for row in rows:
-        assert set(row) == set(ROW_COLUMNS)
-        # Locations are normalized to be machine-independent.
-        assert not row["function"].startswith("/")
-    # The run itself should dominate the cumulative table.
-    assert any("run_kv_point" in row["function"] for row in rows)
-
-    text = format_profile_table(rows)
-    lines = text.splitlines()
-    assert len(lines) == 2 + len(rows)
-    assert lines[0].split() == list(ROW_COLUMNS)
-
-    markdown = format_profile_table(rows, markdown=True)
-    md_lines = markdown.splitlines()
-    assert len(md_lines) == 2 + len(rows)
-    assert all(line.startswith("|") and line.endswith("|") for line in md_lines)
-
-
-def test_profile_location_normalization():
-    from repro.experiments.profile import _normalize_location
-
-    assert (
-        _normalize_location("/abs/path/src/repro/sim/events.py", 42, "run")
-        == "repro/sim/events.py:42(run)"
-    )
-    assert _normalize_location("~", 0, "heappush") == "<built-in> heappush"
-    assert (
-        _normalize_location("C:\\ci\\src\\repro\\sim\\events.py", 7, "step")
-        == "repro/sim/events.py:7(step)"
-    )
-    assert _normalize_location("/somewhere/else/mod.py", 3, "f") == "mod.py:3(f)"

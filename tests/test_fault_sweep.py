@@ -11,12 +11,14 @@ import pytest
 from helpers import assert_agreement
 from repro.adversary.behaviours import bad_shares, stale_view_change
 from repro.errors import ConfigurationError
+from repro.experiments import harness
 from repro.experiments.fault_sweep import (
     CONFIG_OVERRIDES,
     SCENARIOS,
+    SWEEP,
     SWEEP_SCALES,
+    grid,
     run_fault_point,
-    run_fault_sweep,
 )
 from repro.protocols.cluster import build_cluster
 from repro.sim.faults import FaultInjector, FaultPlan
@@ -51,19 +53,16 @@ def _run_scenario(protocol, scenario_name, seed=0):
 
 
 def _stable(rows):
-    """Strip the host-timing columns (wall/cpu clocks vary run to run)."""
-    return [
-        {k: v for k, v in row.items() if not k.startswith(("wall", "cpu"))}
-        for row in rows
-    ]
+    """Strip the host-clock keys (they vary run to run)."""
+    return [{k: v for k, v in row.items() if k not in harness.HOST_FIELDS} for row in rows]
 
 
 # ----------------------------------------------------------------------
 # Sweep rows: timelines, phases, determinism
 # ----------------------------------------------------------------------
 def test_sweep_rows_carry_timeline_and_phases():
-    rows = run_fault_sweep(
-        scale_name="small", protocols=["sbft-c0"], scenarios=["crash-backups"], seed=0
+    rows = harness.run(
+        SWEEP, grid(scale_name="small", protocols=["sbft-c0"], scenarios=["crash-backups"], seed=0)
     )
     assert len(rows) == 1
     row = rows[0]
@@ -86,22 +85,22 @@ def test_sweep_rows_carry_timeline_and_phases():
 
 
 def test_sweep_fixed_seed_rows_identical_serial_vs_jobs():
-    kwargs = dict(
+    points = grid(
         scale_name="small",
         protocols=["sbft-c0"],
         scenarios=["crash-backups", "partition-heal"],
         seed=3,
     )
-    serial = run_fault_sweep(jobs=1, **kwargs)
-    parallel = run_fault_sweep(jobs=2, **kwargs)
+    serial = harness.run(SWEEP, points, jobs=1)
+    parallel = harness.run(SWEEP, points, jobs=2)
     assert _stable(serial) == _stable(parallel)
 
 
 def test_sweep_rejects_unknown_scenario_and_scale():
     with pytest.raises(ConfigurationError):
-        run_fault_sweep(scenarios=["meteor-strike"])
+        grid(scenarios=["meteor-strike"])
     with pytest.raises(ConfigurationError):
-        run_fault_sweep(scale_name="galactic")
+        grid(scale_name="galactic")
 
 
 def test_run_fault_point_smoke():

@@ -101,19 +101,15 @@ def test_receipts_recorded(ledger):
 # Deployment-shared execution cache
 # ----------------------------------------------------------------------
 
-from repro.services.ledger import (  # noqa: E402 - grouped with their tests
-    clear_execution_cache,
-    execution_cache_stats,
-    set_execution_cache_enabled,
-)
+from repro.core import execution_cache  # noqa: E402 - grouped with its tests
 
 
 @pytest.fixture
 def cold_cache():
     """Isolate each cache test from cluster tests sharing the process."""
-    clear_execution_cache()
+    execution_cache.clear()
     yield
-    clear_execution_cache()
+    execution_cache.clear()
 
 
 def _funded_ledger():
@@ -134,9 +130,9 @@ def test_peer_replica_replays_from_cache(cold_cache):
     first, peer = _funded_ledger(), _funded_ledger()
     operations = _block()
     results_first = first.execute_block(1, operations)
-    assert execution_cache_stats()["misses"] == 1
+    assert execution_cache.stats()["misses"] == 1
     results_peer = peer.execute_block(1, operations)
-    stats = execution_cache_stats()
+    stats = execution_cache.stats()
     assert stats["hits"] == 1 and stats["misses"] == 1
 
     assert results_peer == results_first
@@ -154,12 +150,12 @@ def test_cache_off_produces_identical_state(cold_cache):
     cached_a.execute_block(1, operations)
     cached_b.execute_block(1, operations)
 
-    previous = set_execution_cache_enabled(False)
+    previous = execution_cache.set_enabled(False)
     try:
         plain = _funded_ledger()
         plain.execute_block(1, operations)
     finally:
-        set_execution_cache_enabled(previous)
+        execution_cache.set_enabled(previous)
 
     assert plain.digest() == cached_a.digest() == cached_b.digest()
     assert plain.receipts == cached_a.receipts == cached_b.receipts
