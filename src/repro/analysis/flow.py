@@ -13,21 +13,22 @@ parallelism, ROADMAP item 3(b)) depend on:
    analyses propagate the linter's atomic facts through the call graph to
    the protocol sinks.
 
-2. **What state is deployment-shared vs replica-local, and who mutates it?**
-   Every attribute/global write in protocol code falls into one of three
-   state classes (the escape checker's taxonomy):
+2. **Is what replicas share written safely?**
+   No module holds a table filled at run time
+   (``tests/test_replica_runtime.py`` pins that structurally), so what the
+   replicas of a run share rides on objects they are all handed — a frozen
+   message, the block's operations, a proof, the per-run threshold scheme —
+   and a write in protocol code falls into one of two state classes (the
+   escape checker's taxonomy):
 
    * *replica-local* — ordinary ``self`` state of a process; unchecked.
-   * *message-stash* — a write to a frozen message's pre-declared
-     ``init=False`` slot via ``object.__setattr__``.  Must happen at
-     construction time (``__post_init__``, or on a local the same function
-     just built with a constructor call and has not used yet) or follow the
-     stash-if-absent idiom (read, miss-test, write), and must never be
-     conditional on state outside the guard.
-   * *deployment-shared* — module-level memo/cache tables and instances
-     marked ``DEPLOYMENT_SHARED = True`` (e.g. ``ThresholdScheme``).
-     Mutations are allowed only inside the owning module/class and only in
-     the sanctioned bounded-memo (clear-on-limit) pattern.
+   * *shared stash* — a write to a frozen object's pre-declared
+     ``init=False`` slot via ``object.__setattr__``, or a store into a
+     memo/cache entry.  A slot write must happen at construction time
+     (``__post_init__``, or on a local the same function just built with a
+     constructor call and has not used yet) or follow the stash-if-absent
+     idiom (read, miss-test, write), and must never be conditional on state
+     outside the guard; a stored value must not alias mutable state.
 
 Analyses (finding ``analysis`` ids):
 
@@ -46,12 +47,6 @@ Analyses (finding ``analysis`` ids):
     an undeclared slot, lacks the stash-if-absent guard, or executes under a
     condition unrelated to the guard (e.g. a handler stashing only when it
     is the primary: replicas would then disagree about the shared object).
-``shared-state-write``
-    A mutation of deployment-shared state that escapes its sanctioned home:
-    a module-level shared table mutated from another module, a
-    ``DEPLOYMENT_SHARED`` instance mutated from outside its class, an
-    unbounded memo insert on a shared instance, or an unsanctioned
-    ``global`` rebind.
 ``shared-alias``
     A memo/stash/cache entry whose stored value aliases mutable state — a
     mutable ``self`` attribute stored without copying, or a locally-built
@@ -96,7 +91,6 @@ FLOW_ANALYSES = (
     "memo-taint",
     "nondeterministic-taint",
     "shared-alias",
-    "shared-state-write",
     "stale-suppression",
     "stash-discipline",
 )
@@ -113,23 +107,6 @@ SINK_METHOD_KINDS = {
     "batch_take": "batching policy",
 }
 
-#: Mutating container methods (receiver mutation, not reads).
-_MUTATOR_METHODS = frozenset(
-    {
-        "clear",
-        "update",
-        "append",
-        "extend",
-        "add",
-        "remove",
-        "discard",
-        "pop",
-        "popitem",
-        "setdefault",
-        "insert",
-    }
-)
-
 #: Callables that produce a fresh (or immutable) copy of their argument —
 #: wrapping a mutable value in one of these breaks the alias.
 _COPYING_CALLS = frozenset(
@@ -137,9 +114,6 @@ _COPYING_CALLS = frozenset(
 )
 
 _MUTABLE_CONSTRUCTORS = frozenset({"list", "dict", "set", "bytearray"})
-
-#: ``global NAME`` rebinds are sanctioned only in explicitly-named toggles.
-_SANCTIONED_GLOBAL_PREFIXES = ("set_", "clear", "reset", "enable", "disable", "configure")
 
 
 @dataclass(frozen=True)
@@ -225,7 +199,6 @@ class ClassInfo:
         "attr_types",
         "mutable_attrs",
         "dispatch_values",
-        "deployment_shared",
         "stash_fields",
     )
 
@@ -243,13 +216,6 @@ class ClassInfo:
         self.attr_types: Dict[str, str] = {}
         self.mutable_attrs: Set[str] = set()
         self.dispatch_values: Dict[str, List[str]] = {}
-        self.deployment_shared = any(
-            isinstance(stmt, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "DEPLOYMENT_SHARED" for t in stmt.targets)
-            and isinstance(stmt.value, ast.Constant)
-            and stmt.value.value is True
-            for stmt in node.body
-        )
         self.stash_fields: Set[str] = set()
         for stmt in node.body:
             if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
@@ -302,7 +268,6 @@ class Program:
         self.module_functions: Dict[str, Dict[str, FunctionInfo]] = {}
         self.module_classes: Dict[str, Dict[str, ClassInfo]] = {}
         self.module_imports: Dict[str, Dict[str, str]] = {}  # alias -> module or "mod:symbol"
-        self.module_mutable_globals: Dict[str, Set[str]] = {}
         self.module_names: Dict[str, Module] = {}
         self._index()
         self.subclasses = self._subclass_map()
@@ -322,7 +287,6 @@ class Program:
             funcs: Dict[str, FunctionInfo] = {}
             classes: Dict[str, ClassInfo] = {}
             imports: Dict[str, str] = {}
-            mutable_globals: Set[str] = set()
             for node in module.tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     info = FunctionInfo(f"{mod_name}.{node.name}", module, node, None)
@@ -352,22 +316,9 @@ class Program:
                     base = node.module or ""
                     for alias in node.names:
                         imports[alias.asname or alias.name] = f"{base}:{alias.name}"
-                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                    value = node.value
-                    is_ctor = isinstance(value, ast.Call) and (
-                        _call_name(value) in _MUTABLE_CONSTRUCTORS
-                    )
-                    if value is not None and (
-                        isinstance(value, (ast.Dict, ast.List, ast.Set)) or is_ctor
-                    ):
-                        for target in targets:
-                            if isinstance(target, ast.Name):
-                                mutable_globals.add(target.id)
             self.module_functions[mod_name] = funcs
             self.module_classes[mod_name] = classes
             self.module_imports[mod_name] = imports
-            self.module_mutable_globals[mod_name] = mutable_globals
 
     def _scan_init(self, cls: ClassInfo) -> None:
         """Record attribute types and mutable attributes from ``__init__``."""
@@ -1101,192 +1052,6 @@ def check_stash_discipline(program: Program) -> Iterator[FlowFinding]:
 
 
 # --------------------------------------------------------------------------
-# Escape checker: shared-state writes
-# --------------------------------------------------------------------------
-
-
-def _mutation_targets(func: ast.AST) -> Iterator[Tuple[ast.AST, ast.AST, str]]:
-    """(site, base expression, verb) for every container mutation in ``func``."""
-    for node in ast.walk(func):
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Subscript):
-                    yield node, target.value, "subscript-assigns"
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript):
-                    yield node, target.value, "deletes from"
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATOR_METHODS:
-                yield node, node.func.value, f"calls .{node.func.attr}() on"
-
-
-def _class_clear_on_limit_attrs(cls: ast.ClassDef) -> Set[str]:
-    """Self-attributes cleared under a ``len(self.X) >= LIMIT`` guard."""
-    bounded: Set[str] = set()
-    for node in ast.walk(cls):
-        if not isinstance(node, ast.If):
-            continue
-        limited: Set[str] = set()
-        for sub in ast.walk(node.test):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Name)
-                and sub.func.id == "len"
-                and len(sub.args) == 1
-                and isinstance(sub.args[0], ast.Attribute)
-            ):
-                limited.add(sub.args[0].attr)
-        if not limited:
-            continue
-        for body_stmt in node.body:
-            for sub in ast.walk(body_stmt):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "clear"
-                    and isinstance(sub.func.value, ast.Attribute)
-                    and sub.func.value.attr in limited
-                ):
-                    bounded.add(sub.func.value.attr)
-    return bounded
-
-
-def check_shared_state_writes(program: Program) -> Iterator[FlowFinding]:
-    for qualname, info in sorted(program.functions.items()):
-        module = info.module
-        if not module.deterministic:
-            continue
-        mod_name = _module_name(module.path)
-        imports = program.module_imports.get(mod_name, {})
-        local_types = program._local_types(info)
-        owner = program.classes.get(info.class_name) if info.class_name else None
-
-        # ``global NAME`` rebinds outside sanctioned toggle functions.
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Global) and not info.name.startswith(
-                _SANCTIONED_GLOBAL_PREFIXES
-            ):
-                yield FlowFinding(
-                    "shared-state-write",
-                    module.display,
-                    node.lineno,
-                    node.col_offset,
-                    f"{info.qualname} rebinds module global(s) "
-                    f"{', '.join(node.names)} outside a sanctioned set_*/clear*/"
-                    "reset* toggle; deployment-shared flags must have one owner",
-                    (_hop(info), f"write [{module.display}:{node.lineno}]"),
-                )
-
-        for site, base, verb in _mutation_targets(info.node):
-            # (a) cross-module mutation of another module's shared table.
-            chain = _attr_chain(base)
-            if chain is not None and len(chain) == 2 and chain[0] in imports:
-                imported = imports[chain[0]]
-                if ":" not in imported:
-                    origin = program._match_module(imported)
-                    if origin is not None and chain[1] in program.module_mutable_globals.get(
-                        origin, set()
-                    ):
-                        yield FlowFinding(
-                            "shared-state-write",
-                            module.display,
-                            site.lineno,
-                            site.col_offset,
-                            f"{info.qualname} {verb} module-level shared table "
-                            f"{origin}.{chain[1]} from outside its home module; go "
-                            "through the owning module's sanctioned mutators",
-                            (_hop(info), f"write [{module.display}:{site.lineno}]"),
-                        )
-                        continue
-            if isinstance(base, ast.Name) and base.id in imports:
-                imported = imports[base.id]
-                if ":" in imported:
-                    origin_mod, symbol = imported.split(":", 1)
-                    origin = program._match_module(origin_mod)
-                    if origin is not None and origin != mod_name and symbol in (
-                        program.module_mutable_globals.get(origin, set())
-                    ):
-                        yield FlowFinding(
-                            "shared-state-write",
-                            module.display,
-                            site.lineno,
-                            site.col_offset,
-                            f"{info.qualname} {verb} imported shared table "
-                            f"{origin}.{symbol} from outside its home module; go "
-                            "through the owning module's sanctioned mutators",
-                            (_hop(info), f"write [{module.display}:{site.lineno}]"),
-                        )
-                        continue
-
-            # (b) mutations of DEPLOYMENT_SHARED instances.
-            if isinstance(base, ast.Attribute):
-                holder_class = program.expr_class(base.value, info, local_types)
-                if holder_class is not None:
-                    holder = program.classes.get(holder_class)
-                    if holder is not None and holder.deployment_shared:
-                        if owner is None or owner.name != holder_class:
-                            yield FlowFinding(
-                                "shared-state-write",
-                                module.display,
-                                site.lineno,
-                                site.col_offset,
-                                f"{info.qualname} {verb} '{base.attr}' of "
-                                f"deployment-shared class {holder_class} from outside "
-                                "the class; shared instances own their mutations",
-                                (_hop(info), f"write [{module.display}:{site.lineno}]"),
-                            )
-                            continue
-                        # Inside the shared class: memo inserts must be bounded.
-                        lowered = base.attr.lower()
-                        if (
-                            verb == "subscript-assigns"
-                            and ("memo" in lowered or "cache" in lowered)
-                            and base.attr not in _class_clear_on_limit_attrs(holder.node)
-                        ):
-                            yield FlowFinding(
-                                "shared-state-write",
-                                module.display,
-                                site.lineno,
-                                site.col_offset,
-                                f"unbounded memo insert into {holder_class}.{base.attr}: "
-                                "deployment-shared memo tables need a clear-on-limit "
-                                f"guard (if len(self.{base.attr}) >= LIMIT: clear())",
-                                (_hop(info), f"write [{module.display}:{site.lineno}]"),
-                            )
-
-        # (c) attribute rebinds on shared instances (incl. self outside init).
-        for node in ast.walk(info.node):
-            if not isinstance(node, (ast.Assign, ast.AugAssign)):
-                continue
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if not isinstance(target, ast.Attribute):
-                    continue
-                holder_class = program.expr_class(target.value, info, local_types)
-                if holder_class is None:
-                    continue
-                holder = program.classes.get(holder_class)
-                if holder is None or not holder.deployment_shared:
-                    continue
-                inside = owner is not None and owner.name == holder_class
-                if inside and info.name in ("__init__", "__post_init__"):
-                    continue
-                yield FlowFinding(
-                    "shared-state-write",
-                    module.display,
-                    node.lineno,
-                    node.col_offset,
-                    f"{info.qualname} rebinds attribute '{target.attr}' of "
-                    f"deployment-shared class {holder_class}"
-                    + ("" if inside else " from outside the class")
-                    + " after construction; every replica observes the rebind",
-                    (_hop(info), f"write [{module.display}:{node.lineno}]"),
-                )
-
-
-# --------------------------------------------------------------------------
 # Escape checker: alias analysis on stored memo/stash values
 # --------------------------------------------------------------------------
 
@@ -1344,7 +1109,8 @@ def _store_sites(func: FunctionInfo) -> List[Tuple[ast.AST, ast.AST, str]]:
                 and shared_ref(node.func.value) is not None
                 and len(node.args) >= 2
             ):
-                sites.append((node, node.args[1], f"shared cache '{ast.unparse(node.func.value)}'"))
+                # ``store(..., entry)``: the stored value is the last argument.
+                sites.append((node, node.args[-1], f"shared cache '{ast.unparse(node.func.value)}'"))
     for site in _stash_write_sites(func):
         stash_name = site.args[1].value  # type: ignore[union-attr]
         sites.append((site, site.args[2], f"message stash '{stash_name}'"))
@@ -1535,7 +1301,6 @@ ANALYSIS_FUNCTIONS = {
     "nondeterministic-taint": check_nondeterministic_taint,
     "memo-taint": check_memo_taint,
     "stash-discipline": check_stash_discipline,
-    "shared-state-write": check_shared_state_writes,
     "shared-alias": check_shared_alias,
 }
 

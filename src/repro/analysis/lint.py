@@ -15,13 +15,6 @@ invariants", ``docs/architecture.md``) into a machine check:
     (``time.time``, ``datetime.now``, ``os.urandom``, module-level
     ``random.*`` draws, ``uuid``, ``secrets``).  Only injected seeded
     ``random.Random`` instances may draw.
-``frozen-messages``
-    Message dataclasses (classes with a ``msg_type`` attribute) must be
-    ``@dataclass(frozen=True)`` and carry no mutable defaults.
-``slotted-messages``
-    Message dataclasses must pass ``slots=True`` and must not define
-    ``size_bytes`` as a method or property recomputed on every call — sizes
-    are stashed as plain ints once at construction.
 ``ordered-iteration``
     Iterating a ``set`` (or ``dict.keys`` of an unordered source) in a
     decision-affecting module is flagged unless wrapped in ``sorted()`` or
@@ -29,12 +22,6 @@ invariants", ``docs/architecture.md``) into a machine check:
 ``memo-purity``
     Functions that read or write a memo table must not consult ``sim.now``,
     an RNG, or declared global/nonlocal mutable state.
-``bounded-memo``
-    Every module-level memo/cache dict (a ``{}``/``dict()`` binding whose
-    name ends in ``memo`` or ``cache``) must have a declared clear-on-limit
-    bound — an ``if len(NAME) >= LIMIT: NAME.clear()`` guard somewhere in
-    the module — so per-process tables cannot grow without bound across
-    long sweeps.
 ``stale-suppression``
     A ``# repro: allow[<rule>]`` comment naming an enabled rule that no
     longer fires on that line is itself a finding, so the suppression
@@ -349,140 +336,6 @@ def check_no_wall_clock(module: Module) -> Iterator[Finding]:
 
 
 # --------------------------------------------------------------------------
-# Rule: frozen-messages
-# --------------------------------------------------------------------------
-
-_MUTABLE_FACTORIES = frozenset({"list", "dict", "set", "bytearray"})
-
-
-def _dataclass_decorator(cls: ast.ClassDef) -> Tuple[bool, bool]:
-    """-> (has dataclass decorator, has frozen=True)."""
-    for deco in cls.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        chain = _attr_chain(target)
-        if chain and chain[-1] == "dataclass":
-            if isinstance(deco, ast.Call):
-                for keyword in deco.keywords:
-                    if keyword.arg == "frozen":
-                        value = keyword.value
-                        frozen = isinstance(value, ast.Constant) and value.value is True
-                        return True, frozen
-            return True, False
-    return False, False
-
-
-def check_frozen_messages(module: Module) -> Iterator[Finding]:
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        is_message = any(
-            isinstance(stmt, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "msg_type" for t in stmt.targets)
-            for stmt in node.body
-        )
-        if not is_message:
-            continue
-        has_dataclass, frozen = _dataclass_decorator(node)
-        if not has_dataclass:
-            yield Finding(
-                "frozen-messages",
-                module.display,
-                node.lineno,
-                node.col_offset,
-                f"message class {node.name} must be a @dataclass(frozen=True)",
-            )
-        elif not frozen:
-            yield Finding(
-                "frozen-messages",
-                module.display,
-                node.lineno,
-                node.col_offset,
-                f"message dataclass {node.name} must set frozen=True",
-            )
-        for stmt in node.body:
-            if not isinstance(stmt, ast.AnnAssign) or stmt.value is None:
-                continue
-            value = stmt.value
-            mutable = isinstance(value, (ast.List, ast.Dict, ast.Set))
-            if isinstance(value, ast.Call):
-                name = _call_name(value)
-                if name in _MUTABLE_FACTORIES:
-                    mutable = True
-                elif name == "field":
-                    for keyword in value.keywords:
-                        if (
-                            keyword.arg == "default_factory"
-                            and isinstance(keyword.value, ast.Name)
-                            and keyword.value.id in _MUTABLE_FACTORIES
-                        ):
-                            mutable = True
-            if mutable:
-                yield Finding(
-                    "frozen-messages",
-                    module.display,
-                    stmt.lineno,
-                    stmt.col_offset,
-                    f"mutable default on message field in {node.name}",
-                )
-
-
-# --------------------------------------------------------------------------
-# Rule: slotted-messages
-# --------------------------------------------------------------------------
-
-
-def _dataclass_keyword(cls: ast.ClassDef, name: str) -> bool:
-    """True when the class's ``@dataclass(...)`` decorator passes ``name=True``."""
-    for deco in cls.decorator_list:
-        if not isinstance(deco, ast.Call):
-            continue
-        chain = _attr_chain(deco.func)
-        if chain and chain[-1] == "dataclass":
-            for keyword in deco.keywords:
-                if keyword.arg == name:
-                    value = keyword.value
-                    return isinstance(value, ast.Constant) and value.value is True
-    return False
-
-
-def check_slotted_messages(module: Module) -> Iterator[Finding]:
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        is_message = any(
-            isinstance(stmt, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "msg_type" for t in stmt.targets)
-            for stmt in node.body
-        )
-        if not is_message:
-            continue
-        has_dataclass, _frozen = _dataclass_decorator(node)
-        if not has_dataclass:
-            continue  # frozen-messages already flags non-dataclass messages
-        if not _dataclass_keyword(node, "slots"):
-            yield Finding(
-                "slotted-messages",
-                module.display,
-                node.lineno,
-                node.col_offset,
-                f"message dataclass {node.name} must pass slots=True",
-            )
-        for stmt in node.body:
-            if (
-                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt.name == "size_bytes"
-            ):
-                yield Finding(
-                    "slotted-messages",
-                    module.display,
-                    stmt.lineno,
-                    stmt.col_offset,
-                    f"{node.name}.size_bytes is recomputed on every call; stash a "
-                    "plain int once in __post_init__ (or a class-level constant)",
-                )
-
-
-# --------------------------------------------------------------------------
 # Rule: ordered-iteration
 # --------------------------------------------------------------------------
 
@@ -668,86 +521,6 @@ def check_memo_purity(module: Module) -> Iterator[Finding]:
                 node.col_offset,
                 f"memoized function {func.name} {message}",
             )
-
-
-# --------------------------------------------------------------------------
-# Rule: bounded-memo
-# --------------------------------------------------------------------------
-
-#: Module-level names with one of these suffixes (case-insensitive, leading
-#: underscores ignored) are treated as memo/cache tables when bound to a dict.
-_MEMO_NAME_SUFFIXES = ("memo", "cache")
-
-
-def _memo_dict_assignments(tree: ast.Module) -> Iterator[Tuple[str, ast.stmt]]:
-    """Module-level ``NAME = {}`` / ``NAME: ... = dict()`` memo-table bindings."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            target, value = node.target, node.value
-        else:
-            continue
-        if not isinstance(target, ast.Name):
-            continue
-        is_dict = isinstance(value, ast.Dict) or (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "dict"
-        )
-        if not is_dict:
-            continue
-        name = target.id.lower().lstrip("_")
-        if name.endswith(_MEMO_NAME_SUFFIXES):
-            yield target.id, node
-
-
-def _clear_on_limit_names(tree: ast.Module) -> Set[str]:
-    """Names cleared under a ``len(NAME) >= LIMIT`` guard anywhere in the module."""
-    bounded: Set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.If):
-            continue
-        limited = {
-            sub.args[0].id
-            for sub in ast.walk(node.test)
-            if isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Name)
-            and sub.func.id == "len"
-            and len(sub.args) == 1
-            and isinstance(sub.args[0], ast.Name)
-        }
-        if not limited:
-            continue
-        for body_stmt in node.body:
-            for sub in ast.walk(body_stmt):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "clear"
-                    and isinstance(sub.func.value, ast.Name)
-                    and sub.func.value.id in limited
-                ):
-                    bounded.add(sub.func.value.id)
-    return bounded
-
-
-def check_bounded_memo(module: Module) -> Iterator[Finding]:
-    bounded = None  # computed lazily: most modules have no memo tables
-    for name, node in _memo_dict_assignments(module.tree):
-        if bounded is None:
-            bounded = _clear_on_limit_names(module.tree)
-        if name in bounded:
-            continue
-        yield Finding(
-            "bounded-memo",
-            module.display,
-            node.lineno,
-            node.col_offset,
-            f"module-level memo/cache dict {name} has no clear-on-limit bound; "
-            f"guard every insert with 'if len({name}) >= LIMIT: {name}.clear()' "
-            "(unbounded per-process tables leak across long sweeps)",
-        )
 
 
 # --------------------------------------------------------------------------
@@ -1117,11 +890,8 @@ def check_dispatch_complete(modules: Sequence[Module]) -> Iterator[Finding]:
 
 MODULE_RULES = {
     "no-wall-clock": check_no_wall_clock,
-    "frozen-messages": check_frozen_messages,
-    "slotted-messages": check_slotted_messages,
     "ordered-iteration": check_ordered_iteration,
     "memo-purity": check_memo_purity,
-    "bounded-memo": check_bounded_memo,
 }
 PROJECT_RULES = {
     "dispatch-complete": check_dispatch_complete,

@@ -1,4 +1,4 @@
-"""Deployment-shared execution cache: first replica executes, peers replay.
+"""Execute once, replay n-1 times: the replay entry rides on the block.
 
 "EVM bytecode is deterministic [so] the new state digest will be equal in all
 non-faulty replicas" (Section IX) — and the same holds for every deterministic
@@ -7,77 +7,61 @@ service in this simulator: the n replicas of a cluster all apply the
 identical results.  Re-executing it n times is pure waste in a simulation
 where all replicas share one process.
 
-This module is the service-agnostic core that PR 3 introduced for the ledger
-and the authenticated KV store now shares.  A service's ``execute_block``
-consults the cache with a key made *entirely of digests*::
+Every replica is handed the same :class:`BlockOperations` instance (the plan
+of the shared ``PrePrepare``), so the entry is a stash on that instance, next
+to ``digests``: the first replica to execute the block writes ``(state key,
+entry)``, a peer whose own state key equals the recorded one replays the
+entry, anyone else — a replica restored by state transfer, a store written
+out of band, a caller passing a plain list — executes for itself and leaves
+the stash alone.  The state key is made *entirely of digests*::
 
-    (service tag, state fingerprint, chain digest, block number/sequence,
-     per-operation digests)
+    (service tag, state fingerprint, chain digest[, block number], sequence)
 
-The first replica to execute a committed block stores whatever the service
-needs to replay it (results, state delta, journal record, chain-digest step);
-its n-1 peers replay that entry instead of re-executing.  Replay must be
-decision-for-decision identical: same results, same journal entries, same
-proofs, same chain digests, and the *simulated* ``execution_cost`` accounting
-untouched (every replica still charges the same simulated CPU; only host
-wall-clock is saved).  ``tests/test_execution_cache.py`` and
-``tests/test_kv_execution_cache.py`` pin cache-on/cache-off byte-equality on
-fixed-seed clusters.
+and which operations the entry belongs to is implied by the instance it sits
+on.  The entry is freed with the log slot that holds the ``PrePrepare``; a
+block re-proposed in a new view is a new instance and executes once more.
 
-The cache is bounded and cleared wholesale at the limit, like the digest
-memos — only recomputation is at stake, never correctness.  Keys are tagged
-with the owning service (``"ledger"``, ``"kv"``) so two services can never
-alias each other's entries, and the hit/miss counters are deployment-global:
-in a healthy n-replica run every block shows 1 miss and n-1 hits.
+Replay must be decision-for-decision identical: same results, same journal
+entries, same proofs, same chain digests, and the *simulated*
+``execution_cost`` accounting untouched (every replica still charges the same
+simulated CPU; only host wall-clock is saved).
+``tests/test_execution_cache.py`` and ``tests/test_kv_execution_cache.py`` pin
+replay-vs-execute byte-equality on fixed-seed clusters.  The hit/miss
+counters are the only state here; ``Cluster._build`` zeroes them, and in a
+healthy n-replica run every block shows 1 miss and n-1 hits.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-#: Cluster-wide entries, keyed purely by digests.  Bounded: cleared wholesale
-#: at the limit (only recomputation is at stake, never correctness).
-_CACHE: Dict[Tuple, Tuple] = {}
-_CACHE_LIMIT = 1 << 12
+from repro.services.interface import BlockOperations
+
 _STATS = {"hits": 0, "misses": 0}
-_enabled = True
-
-
-def set_enabled(enabled: bool) -> bool:
-    """Toggle the deployment-shared execution cache; returns the old value."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
-
-def enabled() -> bool:
-    return _enabled
 
 
 def clear() -> None:
-    """Drop all cached block executions (and reset the hit/miss counters)."""
-    _CACHE.clear()
+    """Zero the hit/miss counters."""
     _STATS["hits"] = 0
     _STATS["misses"] = 0
 
 
 def stats() -> Dict[str, int]:
-    return dict(_STATS, size=len(_CACHE))
+    return dict(_STATS)
 
 
-def lookup(key: Tuple) -> Optional[Tuple]:
-    """Fetch the replay entry for ``key``, counting the hit or miss."""
-    entry = _CACHE.get(key)
-    if entry is None:
-        _STATS["misses"] += 1
-    else:
+def lookup(operations: Sequence, state_key: Tuple) -> Optional[Tuple]:
+    """The replay entry on ``operations`` if it was recorded from exactly
+    ``state_key``, counting the hit or miss."""
+    replay = operations.replay if type(operations) is BlockOperations else None
+    if replay is not None and replay[0] == state_key:
         _STATS["hits"] += 1
-    return entry
+        return replay[1]
+    _STATS["misses"] += 1
+    return None
 
 
-def store(key: Tuple, entry: Tuple) -> None:
+def store(operations: Sequence, state_key: Tuple, entry: Tuple) -> None:
     """Record the replay entry the first executing replica produced."""
-    if len(_CACHE) >= _CACHE_LIMIT:
-        _CACHE.clear()
-    _CACHE[key] = entry
+    if type(operations) is BlockOperations and operations.replay is None:
+        operations.replay = (state_key, entry)

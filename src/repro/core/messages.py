@@ -5,8 +5,8 @@ traffic accounting) and a ``size_bytes`` estimate (used by the network model).
 Sizes follow the paper's accounting: BLS signatures/shares are 33 bytes,
 RSA-2048 client/replica signatures are 256 bytes, digests are 32 bytes.
 
-Hot-path representation invariants (enforced by the ``slotted-messages`` lint
-rule and ``tests/test_hot_path_representation.py``):
+Hot-path representation invariants (enforced on the real classes by
+``tests/test_hot_path_representation.py``):
 
 * every message class passes ``slots=True`` to ``@dataclass``, so instances
   carry no ``__dict__`` and attribute reads are C-level slot loads;

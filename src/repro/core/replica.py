@@ -90,6 +90,7 @@ class SBFTReplica(Replica):
         service: ReplicatedService,
         costs: CryptoCosts = DEFAULT_COSTS,
         client_directory: Optional[Dict[int, int]] = None,
+        collector_groups: Optional[Dict[Tuple, Tuple[int, ...]]] = None,
     ):
         super().__init__(
             sim, network, node_id, f"replica-{node_id}", config,
@@ -98,6 +99,12 @@ class SBFTReplica(Replica):
         # The σ/τ/π threshold schemes (the PKI signing key is the runtime's).
         self.keys = keys
         self._collectors_per_slot = config.collectors_per_slot
+        # ``(roles function, sequence, view) -> group``.  Every replica of a
+        # run computes the same groups for the same slots, so
+        # ``Cluster._build`` hands them all one dict (one hash + modulo walk
+        # per group per run); a replica built on its own keeps its own.  Two
+        # short tuples per slot and view the run reaches, gone with the run.
+        self._group_memo = {} if collector_groups is None else collector_groups
         self.log = ReplicaLog(config.window, SlotState)
 
         # View-change evidence gathered as (prospective) new primary.
@@ -138,22 +145,22 @@ class SBFTReplica(Replica):
     # ==================================================================
     # Role helpers
     # ==================================================================
+    def _collectors(self, pick, sequence: int, view: Optional[int]) -> Tuple[int, ...]:
+        if view is None:
+            view = self.view
+        key = (pick, sequence, view)
+        group = self._group_memo.get(key)
+        if group is None:
+            group = pick(sequence, view, self._n, self._collectors_per_slot)
+            self._group_memo[key] = group
+        return group
+
     def _c_collectors(self, sequence: int, view: Optional[int] = None) -> Tuple[int, ...]:
-        return commit_collectors(
-            sequence,
-            self.view if view is None else view,
-            self._n,
-            self._collectors_per_slot,
-            include_primary_last=True,
-        )
+        # ``commit_collectors`` puts the primary last by default (Section V-E).
+        return self._collectors(commit_collectors, sequence, view)
 
     def _e_collectors(self, sequence: int, view: Optional[int] = None) -> Tuple[int, ...]:
-        return execution_collectors(
-            sequence,
-            self.view if view is None else view,
-            self._n,
-            self._collectors_per_slot,
-        )
+        return self._collectors(execution_collectors, sequence, view)
 
     def _is_c_collector(self, sequence: int, view: Optional[int] = None) -> bool:
         return self.node_id in self._c_collectors(sequence, view)

@@ -20,14 +20,6 @@ def primary_of_view(view: int, n: int) -> int:
     return view % n
 
 
-#: Bounded clear-on-limit memo for collector groups.  The group is a pure
-#: function of its arguments and every replica of a cluster computes the same
-#: groups for the same slots, so one hash + modulo walk serves the whole
-#: deployment instead of every (replica, message) pair.
-_GROUP_MEMO: dict = {}
-_GROUP_MEMO_LIMIT = 1 << 16
-
-
 def _collector_group(
     label: str, sequence: int, view: int, n: int, count: int, primary_last: bool
 ) -> Tuple[int, ...]:
@@ -35,27 +27,18 @@ def _collector_group(
 
     The group is a function of (label, sequence, view) only, so every replica
     computes the same group locally without coordination.  With
-    ``primary_last`` the primary replaces the last member.  The memoized
-    tuple itself is returned: callers iterate and test membership, and being
-    immutable it can be shared by every replica of the deployment.
+    ``primary_last`` the primary replaces the last member.
     """
-    key = (label, sequence, view, n, count, primary_last)
-    cached = _GROUP_MEMO.get(key)
-    if cached is None:
-        primary = primary_of_view(view, n)
-        candidates = [r for r in range(n) if r != primary]
-        if not candidates:
-            cached = (primary,)
-        else:
-            count = min(count, len(candidates))
-            offset = sha256_int("collector-group", label, sequence, view) % len(candidates)
-            cached = tuple(candidates[(offset + k) % len(candidates)] for k in range(count))
-            if primary_last:
-                cached = cached[:-1] + (primary,)
-        if len(_GROUP_MEMO) >= _GROUP_MEMO_LIMIT:
-            _GROUP_MEMO.clear()
-        _GROUP_MEMO[key] = cached
-    return cached
+    primary = primary_of_view(view, n)
+    candidates = [r for r in range(n) if r != primary]
+    if not candidates:
+        return (primary,)
+    count = min(count, len(candidates))
+    offset = sha256_int("collector-group", label, sequence, view) % len(candidates)
+    group = tuple(candidates[(offset + k) % len(candidates)] for k in range(count))
+    if primary_last:
+        group = group[:-1] + (primary,)
+    return group
 
 
 def commit_collectors(

@@ -145,6 +145,20 @@ def memo_key(value: Any) -> Any:
     return (kind, value)
 
 
+def provenance_key(value: Any) -> Any:
+    """``memo_key(value)`` for a provenance stamp (``Signature._signed``,
+    ``MerkleProof._proved``), or ``None`` (which equals no memo key) when it
+    has unhashable parts such as lists: those compare by plain ``==``, which
+    conflates 1 and 1.0 where the encoding does not, so such a value gets no
+    stamp and every check recomputes."""
+    key = memo_key(value)
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
 #: Interned 4-byte length prefixes for the common short encodings (digest
 #: strings, small ints): the streaming encoder emits one prefix per item, and
 #: materializing a fresh ``bytes`` for each would dominate small hashes.

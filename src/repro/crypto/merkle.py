@@ -6,6 +6,20 @@ produces an inclusion proof that operation ``o`` was executed as the ``l``-th
 operation of decision block ``s`` with result ``val``, and ``verify`` checks
 the proof against the root digest.  The same machinery authenticates read-only
 queries against a state snapshot.
+
+Proof provenance (the ``Signature._signed`` pattern).  The replica that cuts a
+proof has the whole tree, so :meth:`MerkleTree.prove` records on the proof the
+leaf it was cut for and the root the path hashes to, and
+:meth:`MerkleProof.root_from` returns that root without hashing when asked
+about exactly that leaf: the client an E-collector ships the proof object to
+checks it at no hashing cost.  The record is type-tagged
+(:func:`repro.crypto.hashing.memo_key`: ``1`` and ``1.0`` are different
+leaves, exactly as in the canonical encoding), is not an ``__init__`` field
+(so it never survives direct construction or ``dataclasses.replace``), and
+lives and dies with the proof.  Anything without a matching record is
+recomputed along the path, so the stamp can only save a recomputation, never
+change a root — under the simulator's trust model: honest processes do not
+write the record themselves.
 """
 
 from __future__ import annotations
@@ -13,44 +27,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import memo_key, sha256_hex
+from repro.crypto.hashing import memo_key, provenance_key, sha256_hex
 from repro.errors import InvalidProof
 
 _LEAF_PREFIX = "merkle-leaf"
 _NODE_PREFIX = "merkle-node"
 _EMPTY_ROOT = sha256_hex("merkle-empty")
 
-#: Every replica journals the same block and therefore builds the same tree;
-#: memoizing the pure leaf/node hashes makes that work once-per-cluster instead
-#: of once-per-replica.  Cleared wholesale at the limit (pure recomputation).
-_HASH_MEMO_LIMIT = 1 << 16
-_leaf_memo: dict = {}
-_node_memo: dict = {}
-
 
 def _leaf_hash(index: int, value: Any) -> str:
-    key = (index, memo_key(value))
-    try:
-        cached = _leaf_memo.get(key)
-    except TypeError:  # unhashable leaf value: compute directly
-        return sha256_hex(_LEAF_PREFIX, index, value)
-    if cached is None:
-        cached = sha256_hex(_LEAF_PREFIX, index, value)
-        if len(_leaf_memo) >= _HASH_MEMO_LIMIT:
-            _leaf_memo.clear()
-        _leaf_memo[key] = cached
-    return cached
+    return sha256_hex(_LEAF_PREFIX, index, value)
 
 
 def _node_hash(left: str, right: str) -> str:
-    key = (left, right)
-    cached = _node_memo.get(key)
-    if cached is None:
-        cached = sha256_hex(_NODE_PREFIX, left, right)
-        if len(_node_memo) >= _HASH_MEMO_LIMIT:
-            _node_memo.clear()
-        _node_memo[key] = cached
-    return cached
+    return sha256_hex(_NODE_PREFIX, left, right)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,12 +51,21 @@ class MerkleProof:
     leaf_count: int
     path: Tuple[Tuple[str, bool], ...]  # (sibling_hash, sibling_is_right)
     size_bytes: int = field(init=False, compare=False, repr=False, default=0)
+    # Provenance stash written only by ``MerkleTree.prove``: the
+    # ``provenance_key`` of the leaf this path was cut for and the root it
+    # hashes to (see the module docstring).
+    _proved: Any = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "size_bytes", 16 + 32 * len(self.path))
 
     def root_from(self, value: Any) -> str:
-        """Recompute the root implied by this proof for ``value``."""
+        """The root implied by this proof for ``value``: read off the
+        provenance stamp when ``value`` is exactly the proved leaf,
+        recomputed along the path otherwise."""
+        proved = self._proved
+        if proved is not None and proved[0] == memo_key(value):
+            return proved[1]
         current = _leaf_hash(self.leaf_index, value)
         for sibling, sibling_is_right in self.path:
             if sibling_is_right:
@@ -144,7 +143,10 @@ class MerkleTree:
             sibling_is_right = sibling_index > position or sibling_index == position
             path.append((level[sibling_index], bool(sibling_is_right)))
             position //= 2
-        return MerkleProof(leaf_index=index, leaf_count=len(self._values), path=tuple(path))
+        proof = MerkleProof(leaf_index=index, leaf_count=len(self._values), path=tuple(path))
+        leaf = self._values[index]
+        object.__setattr__(proof, "_proved", (provenance_key(leaf), levels[-1][0]))
+        return proof
 
     @staticmethod
     def verify(root: str, value: Any, proof: MerkleProof) -> bool:

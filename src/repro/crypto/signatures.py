@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.crypto.hashing import memo_key, sha256_hex
+from repro.crypto.hashing import memo_key, provenance_key, sha256_hex
 from repro.errors import CryptoError
 
 
@@ -44,19 +44,6 @@ class Signature:
     # run keeps tens of thousands of signatures alive.
     _signed_by: Any = field(init=False, compare=False, repr=False, default=None)
     _signed: Any = field(init=False, compare=False, repr=False, default=None)
-
-
-def _provenance_record(message: object) -> Any:
-    """``memo_key(message)``, or ``None`` (which equals no memo key) when it
-    has unhashable parts such as lists: those compare by plain ``==``, which
-    conflates 1 and 1.0 where the encoding does not, so such a signature gets
-    no record and every verify recomputes."""
-    record = memo_key(message)
-    try:
-        hash(record)
-    except TypeError:
-        return None
-    return record
 
 
 @dataclass(frozen=True)
@@ -89,7 +76,7 @@ class SigningKey:
         signature = Signature(signer=self.signer, digest=digest)
         if provenance:
             object.__setattr__(signature, "_signed_by", self.key_id)
-            object.__setattr__(signature, "_signed", _provenance_record(message))
+            object.__setattr__(signature, "_signed", provenance_key(message))
         return signature
 
     @property

@@ -57,11 +57,6 @@ class ThresholdScheme:
     mirroring a PKI + trusted-setup deployment.
     """
 
-    #: One instance is shared by every replica in a cluster (see the class
-    #: docstring), so the flow analyzer's escape checker holds all mutations
-    #: of it to the deployment-shared rules (bounded memos, in-class only).
-    DEPLOYMENT_SHARED = True
-
     #: Entries kept per memo table before it is wholesale cleared; verification
     #: is pure, so clearing only costs recomputation, never correctness.
     CACHE_LIMIT = 1 << 16

@@ -9,7 +9,6 @@ of real Ethereum traffic), and a generic key-value register.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Tuple
 
 from repro.evm.assembler import assemble
 
@@ -135,19 +134,6 @@ def token_contract() -> bytes:
     ])
 
 
-#: Calldata encodings recur heavily in the synthetic workload (bounded
-#: argument ranges), so the pure encoding is memoized clear-on-limit.
-_ENCODE_CALL_MEMO: Dict[Tuple[int, int, int], bytes] = {}
-_ENCODE_CALL_MEMO_LIMIT = 1 << 15
-
-
 def encode_call(selector: int, arg1: int = 0, arg2: int = 0) -> bytes:
     """Encode calldata per the convention used by the reference contracts."""
-    key = (selector, arg1, arg2)
-    data = _ENCODE_CALL_MEMO.get(key)
-    if data is None:
-        data = selector.to_bytes(32, "big") + arg1.to_bytes(32, "big") + arg2.to_bytes(32, "big")
-        if len(_ENCODE_CALL_MEMO) >= _ENCODE_CALL_MEMO_LIMIT:
-            _ENCODE_CALL_MEMO.clear()
-        _ENCODE_CALL_MEMO[key] = data
-    return data
+    return selector.to_bytes(32, "big") + arg1.to_bytes(32, "big") + arg2.to_bytes(32, "big")

@@ -16,9 +16,9 @@ per code blob:
 * jump targets resolve through a byte-offset -> instruction-index map so JUMP
   and JUMPI are a single dict probe.
 
-``predecode`` is memoized per code blob in a bounded clear-on-limit table
-(the same policy the digest memos use): a contract deployed once per cluster
-is decoded once per *process*, not once per replica per call.
+``predecode`` is memoized per code blob (``functools.lru_cache``; no hashing
+inside, so it never shows in a run's digest count): a contract deployed once
+per cluster is decoded once per *process*, not once per replica per call.
 
 The decoded semantics are step-for-step identical to the (fixed) naive loop:
 same gas charges, same step counting, same error strings, same result bytes.
@@ -28,6 +28,7 @@ assembler-generated and raw-byte programs.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.crypto.hashing import sha256_int
@@ -84,26 +85,11 @@ class DecodedProgram:
         self.valid_jumpdests = frozenset(jumpdest_index)
 
 
-#: Once-per-deployment decode: bounded clear-on-limit, keyed by the code blob
-#: itself (bytes hashing is the code-hash the memo needs).  Purely a cache —
-#: only recomputation is at stake, never correctness.
-_PREDECODE_MEMO: Dict[bytes, DecodedProgram] = {}
-_PREDECODE_MEMO_LIMIT = 1 << 10
-
-
+@lru_cache(maxsize=1 << 10)
 def predecode(code: bytes) -> DecodedProgram:
-    """Decode ``code`` once (memoized) into a :class:`DecodedProgram`."""
-    program = _PREDECODE_MEMO.get(code)
-    if program is None:
-        program = _decode(code)
-        if len(_PREDECODE_MEMO) >= _PREDECODE_MEMO_LIMIT:
-            _PREDECODE_MEMO.clear()
-        _PREDECODE_MEMO[code] = program
-    return program
-
-
-def clear_predecode_memo() -> None:
-    _PREDECODE_MEMO.clear()
+    """Decode ``code`` once (memoized by the blob itself: bytes hashing is the
+    code-hash the memo needs) into a :class:`DecodedProgram`."""
+    return _decode(code)
 
 
 def _decode(code: bytes) -> DecodedProgram:

@@ -11,27 +11,19 @@ the whole EVM state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, Optional
 
 from repro.crypto.hashing import sha256_hex
 from repro.errors import EVMError
 
-#: Contract code is stored hex-encoded (the KV backends hold str/int values),
-#: but ``get_code`` is called once per message execution — decoding the same
-#: hex blob every call was measurable interpreter overhead.  Pure mapping,
-#: bounded clear-on-limit like the digest memos.
-_CODE_DECODE_MEMO: Dict[str, bytes] = {}
-_CODE_DECODE_MEMO_LIMIT = 1 << 10
-
-
+@lru_cache(maxsize=1 << 10)
 def _decode_code(hex_code: str) -> bytes:
-    code = _CODE_DECODE_MEMO.get(hex_code)
-    if code is None:
-        code = bytes.fromhex(hex_code)
-        if len(_CODE_DECODE_MEMO) >= _CODE_DECODE_MEMO_LIMIT:
-            _CODE_DECODE_MEMO.clear()
-        _CODE_DECODE_MEMO[hex_code] = code
-    return code
+    # Contract code is stored hex-encoded (the KV backends hold str/int
+    # values), but ``get_code`` is called once per message execution —
+    # decoding the same hex blob every call was measurable interpreter
+    # overhead.
+    return bytes.fromhex(hex_code)
 
 
 @dataclass

@@ -118,9 +118,7 @@ class Cluster:
         n = config.n
         total_nodes = n + self.num_clients
 
-        # Every run starts cold: the first replica to execute a block
-        # records it, its n-1 peers replay it — in a serial sweep and in a
-        # ``--jobs`` worker alike, whatever ran in this process before.
+        # Per-run hit/miss counters; every memo rides on objects built below.
         execution_cache.clear()
         self.sim = Simulator(seed=self.seed)
         self.sanitizer = None
@@ -148,6 +146,7 @@ class Cluster:
         replica_verify_keys = {i: self.setup.replica_verify_key(i) for i in range(n)}
 
         # Replicas.
+        collector_groups: Dict[Tuple, Tuple[int, ...]] = {}
         for replica_id in range(n):
             service = workload.service_factory()
             if self.spec.kind == "pbft":
@@ -172,6 +171,7 @@ class Cluster:
                     service=service,
                     costs=self.costs,
                     client_directory=client_directory,
+                    collector_groups=collector_groups,
                 )
             self.network.register(replica)
             self.replicas[replica_id] = replica

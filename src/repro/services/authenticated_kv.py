@@ -71,14 +71,6 @@ class KVProof:
         object.__setattr__(self, "size_bytes", 96 + self.entry_proof.size_bytes)
 
 
-#: Every replica executes the same decision blocks, so the digest of a result
-#: value is recomputed n times per block; a shared memo collapses that to once
-#: per cluster.  Cleared wholesale at the limit — only recomputation is at
-#: stake, never correctness.
-_DIGEST_MEMO_LIMIT = 1 << 16
-_result_digest_memo: Dict[Any, str] = {}
-
-
 def operation_digest(operation: Operation) -> str:
     # Replicas all journal the *same* Operation object (operations travel
     # inside shared message objects), so the digest is stashed directly on
@@ -91,13 +83,13 @@ def operation_digest(operation: Operation) -> str:
 
 
 def block_operation_digests(operations: Sequence[Operation]) -> Tuple[str, ...]:
-    """Per-operation digests of a block: what both authenticated services key
-    their execution cache on and what the journal leaves commit to.
+    """Per-operation digests of a block: what the journal leaves commit to.
 
     Every replica executes the one ``BlockOperations`` instance of the shared
     ``PrePrepare`` plan, so the tuple is kept on it: built by the first
-    replica, read by its n-1 peers.  Any other sequence (direct callers,
-    tests) is digested on the spot.
+    replica to journal the block, read by any peer that journals it too
+    instead of replaying.  Any other sequence (direct callers, tests) is
+    digested on the spot.
     """
     shared = type(operations) is BlockOperations
     digests = operations.digests if shared else None
@@ -108,33 +100,6 @@ def block_operation_digests(operations: Sequence[Operation]) -> Tuple[str, ...]:
     return digests
 
 
-def _result_digest(result: OperationResult) -> str:
-    # Only the return value is committed: it is what the client receives in an
-    # execute-ack and checks against the proof (Section V-A).  Results are
-    # shared frozen instances (KV singletons, ledger replay tuples), so the
-    # digest is stashed on the instance first; the keyed memo then catches
-    # value-equal copies (the ledger builds a fresh receipt dict per
-    # transaction, a few hundred distinct values per run).  Values with
-    # unhashable parts (lists) fall through to the stash-only path.
-    digest = result._authkv_rdigest
-    if digest is not None:
-        return digest
-    key = memo_key(result.value)
-    try:
-        cached = _result_digest_memo.get(key)
-    except TypeError:
-        cached = sha256_hex("result", result.value)
-        object.__setattr__(result, "_authkv_rdigest", cached)
-        return cached
-    if cached is None:
-        cached = sha256_hex("result", result.value)
-        if len(_result_digest_memo) >= _DIGEST_MEMO_LIMIT:
-            _result_digest_memo.clear()
-        _result_digest_memo[key] = cached
-    object.__setattr__(result, "_authkv_rdigest", cached)
-    return cached
-
-
 def _entry_leaf(entry: JournalEntry) -> tuple:
     return (entry.sequence, entry.position, entry.operation_digest, entry.result_digest)
 
@@ -142,7 +107,7 @@ def _entry_leaf(entry: JournalEntry) -> tuple:
 def _journal_record(leaves: Tuple[tuple, ...]) -> tuple:
     """(entries, tree) for one journaled block's leaf tuples ``(s, l, H(o),
     H(val))``.  Built by the first replica to execute the block; its peers
-    get the record from the execution cache (:meth:`replay_block`)."""
+    get the record from the block's replay entry (:meth:`replay_block`)."""
     return tuple(JournalEntry(*leaf) for leaf in leaves), MerkleTree(leaves)
 
 
@@ -169,6 +134,11 @@ class AuthenticatedKVStore(AuthenticatedService):
         # never alias one computed at genesis even if the raw contents digests
         # coincide.  Invalidated by every non-journaled mutation.
         self._state_fingerprint: Optional[Tuple[str, str]] = None
+        # ``memo_key(value) -> H("result", value)``: the first executor's
+        # journal and the clients' verifier see the same few values over and
+        # over (ledger receipts are rebuilt per transaction).  At most one
+        # entry per distinct result this store journaled or checked.
+        self._digest_memo: Dict[Any, str] = {}
 
     # ------------------------------------------------------------------
     # ReplicatedService
@@ -188,33 +158,21 @@ class AuthenticatedKVStore(AuthenticatedService):
     def execute_block(self, sequence: int, operations: Sequence[Operation]) -> List[OperationResult]:
         """Execute a decision block and journal it for later proofs.
 
-        Consults the deployment-shared execution cache
-        (:mod:`repro.core.execution_cache`): the first replica of a cluster to
-        execute a committed block records the results, the ordered state delta
-        and the journal record; its n-1 peers replay that entry instead of
-        re-running ``KVStore.execute`` per operation.  Replay is
-        decision-for-decision identical — same results, same journal entries,
-        same proofs, same chain digests, and the *simulated*
+        The first replica of a cluster to execute a committed block records
+        the results, the ordered state delta and the journal record on the
+        shared block (:mod:`repro.core.execution_cache`); its n-1 peers replay
+        that entry instead of re-running ``KVStore.execute`` per operation.
+        Replay is decision-for-decision identical — same results, same journal
+        entries, same proofs, same chain digests, and the *simulated*
         ``execution_cost`` accounting untouched — which
         ``tests/test_kv_execution_cache.py`` pins on fixed-seed clusters.
         """
-        if not execution_cache.enabled():
-            results = [self._store.execute(op) for op in operations]
-            self.journal_block(sequence, operations, results)
-            return results
-
         fingerprint = self._state_fingerprint
         if fingerprint is None:
             fingerprint = (self._store.contents_digest(), self._chain_digest)
             self._state_fingerprint = fingerprint
-        cache_key = (
-            "kv",
-            fingerprint,
-            self._chain_digest,
-            sequence,
-            block_operation_digests(operations),
-        )
-        cached = execution_cache.lookup(cache_key)
+        state_key = ("kv", fingerprint, self._chain_digest, sequence)
+        cached = execution_cache.lookup(operations, state_key)
         if cached is not None:
             results, effects, journal = cached
             # Replay: same puts/deletes in the same order (so even the raw
@@ -224,7 +182,7 @@ class AuthenticatedKVStore(AuthenticatedService):
             self.replay_block(sequence, results, *journal)
             return list(results)
 
-        # First execution of this block in the deployment: execute and record
+        # First execution of this block from this state: execute and record
         # the state delta (the exact mutation stream, not a compacted map) for
         # the peers.
         store_execute = self._store.execute
@@ -240,7 +198,7 @@ class AuthenticatedKVStore(AuthenticatedService):
                 elif action == "delete":
                     effects.append((False, payload.key, None))
         journal = self.journal_block(sequence, operations, results)
-        execution_cache.store(cache_key, (tuple(results), tuple(effects), journal))
+        execution_cache.store(operations, state_key, (tuple(results), tuple(effects), journal))
         return results
 
     def journal_block(
@@ -254,10 +212,10 @@ class AuthenticatedKVStore(AuthenticatedService):
         Used directly by services (e.g. the ledger) that execute operations
         through their own engine but store state in this authenticated store.
         Returns the journal record ``(entries, tree, new chain digest)``: what
-        an execution-cache entry keeps so peers can :meth:`replay_block`.
+        a replay entry keeps so peers can :meth:`replay_block`.
         """
         leaves = tuple(
-            (sequence, position, op_digest, _result_digest(result))
+            (sequence, position, op_digest, self._result_digest(result.value))
             for position, (op_digest, result) in enumerate(
                 zip(block_operation_digests(operations), results)
             )
@@ -317,6 +275,18 @@ class AuthenticatedKVStore(AuthenticatedService):
             new_digest = chain_step(self._chain_digest, sequence, tree.root)
             self.replay_block(sequence, block["results"], entries, tree, new_digest)
 
+    def _result_digest(self, value: Any) -> str:
+        # Only the return value is committed: it is what the client receives
+        # in an execute-ack and checks against the proof (Section V-A).
+        key = memo_key(value)
+        try:
+            digest = self._digest_memo.get(key)
+        except TypeError:  # an unhashable part (a list): hash every time
+            return sha256_hex("result", value)
+        if digest is None:
+            digest = self._digest_memo[key] = sha256_hex("result", value)
+        return digest
+
     # ------------------------------------------------------------------
     # AuthenticatedService
     # ------------------------------------------------------------------
@@ -373,7 +343,7 @@ class AuthenticatedKVStore(AuthenticatedService):
             return False
         if entry.operation_digest != operation_digest(operation):
             return False
-        if entry.result_digest != _result_digest(OperationResult(value=value)):
+        if entry.result_digest != self._result_digest(value):
             return False
         journal_root = kv_proof.entry_proof.root_from(_entry_leaf(entry))
         return chain_step(kv_proof.prev_digest, sequence, journal_root) == digest

@@ -63,10 +63,13 @@ class BlockOperations(tuple):
     service derives from the whole block can ride on it and be computed once
     per deployment instead of once per replica: ``digests`` holds the
     per-operation digest tuple, filled by
-    :func:`repro.services.authenticated_kv.block_operation_digests`.
+    :func:`repro.services.authenticated_kv.block_operation_digests`, and
+    ``replay`` the first executor's ``(state key, entry)``, written and read
+    through :mod:`repro.core.execution_cache`.
     """
 
     digests: Optional[Tuple[str, ...]] = None
+    replay: Optional[Tuple[Tuple, Tuple]] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,8 +79,6 @@ class OperationResult:
     value: Any = None
     ok: bool = True
     error: Optional[str] = None
-    # First-use digest stash owned by repro.services.authenticated_kv.
-    _authkv_rdigest: Optional[str] = field(init=False, compare=False, repr=False, default=None)
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,17 +5,17 @@ EVM transactions, state (accounts, code, contract storage) lives in the
 authenticated key-value store, and execution costs are derived from gas used
 so the replication benchmarks see realistic per-transaction work.
 
-**Deployment-shared execution cache.**  "EVM bytecode is deterministic [so]
-the new state digest will be equal in all non-faulty replicas" (Section IX) —
+**Execute once, replay n-1 times.**  "EVM bytecode is deterministic [so] the
+new state digest will be equal in all non-faulty replicas" (Section IX) —
 which means the n replicas of a cluster all interpret the *identical*
 committed block over the *identical* pre-state and produce the identical
 results.  Re-interpreting it n times is pure waste in a simulation where all
-replicas share one process.  ``execute_block`` therefore consults the
-deployment-shared cache (:mod:`repro.core.execution_cache`, also used by the
-authenticated KV store) with a key made entirely of digests:
+replicas share one process.  ``execute_block`` therefore looks on the shared
+block (:mod:`repro.core.execution_cache`, also used by the authenticated KV
+store) for an entry recorded from its own state, a key made entirely of
+digests:
 
-    ("ledger", state fingerprint, chain digest, block number, sequence,
-     per-operation digests)
+    ("ledger", state fingerprint, chain digest, block number, sequence)
 
 The first replica to execute a committed block stores the operation results,
 transaction receipts and the ordered state delta (the backend ``put`` stream);
@@ -23,10 +23,9 @@ its n-1 peers replay the delta and journal the same results instead of
 re-running the EVM.  Replay is decision-for-decision identical: same results,
 same receipts, same journal entries, same chain digest, and the *simulated*
 ``execution_cost`` accounting is untouched (every replica still charges the
-same simulated CPU; only host wall-clock is saved).  The cache is bounded and
-cleared wholesale at the limit, like the digest memos — only recomputation is
-at stake, never correctness (``tests/test_execution_cache.py`` pins
-cache-on/cache-off byte-equality on fixed-seed clusters).
+same simulated CPU; only host wall-clock is saved;
+``tests/test_execution_cache.py`` pins replay-vs-execute byte-equality on
+fixed-seed clusters).
 
 The state fingerprint covers what the chain digest cannot: direct
 (unjournaled) writes such as genesis allocations.  It is computed lazily from
@@ -45,7 +44,7 @@ from repro.errors import InvalidTransaction
 from repro.evm.state import WorldState
 from repro.evm.transactions import Transaction, TransactionReceipt, apply_transaction
 from repro.evm.vm import EVM, BlockContext
-from repro.services.authenticated_kv import AuthenticatedKVStore, block_operation_digests
+from repro.services.authenticated_kv import AuthenticatedKVStore
 from repro.services.interface import (
     AuthenticatedService,
     ExecutionProof,
@@ -84,7 +83,7 @@ class _LedgerBackend:
         record = self.record
         if record is not None:
             record.append((key, value))
-        elif not self._owner._in_block:
+        else:
             self._owner._state_fingerprint = None
         self._authkv.put(key, value)
 
@@ -99,7 +98,6 @@ class LedgerService(AuthenticatedService):
         self._world = WorldState(backend=self._backend)
         self._block_number = 0
         self._costs = costs
-        self._in_block = False
         self._state_fingerprint: Optional[Tuple[str, str]] = None
         self.receipts: List[TransactionReceipt] = []
 
@@ -161,65 +159,44 @@ class LedgerService(AuthenticatedService):
     def execute_block(self, sequence: int, operations: Sequence[Operation]) -> List[OperationResult]:
         self._block_number += 1
 
-        cache_key = None
-        if execution_cache.enabled():
-            fingerprint = self._state_fingerprint
-            if fingerprint is None:
-                # Anchored to the chain digest at computation time, so a
-                # fingerprint taken after a restore can never alias one taken
-                # at genesis even if the raw contents digests coincide.
-                fingerprint = (self._authkv.contents_digest(), self._authkv.digest())
-                self._state_fingerprint = fingerprint
-            cache_key = (
-                "ledger",
-                fingerprint,
-                self._authkv.digest(),
-                self._block_number,
-                sequence,
-                block_operation_digests(operations),
-            )
-            cached = execution_cache.lookup(cache_key)
-            if cached is not None:
-                results, receipts, puts, journal = cached
-                authkv = self._authkv
-                # Replay the recorded state delta instead of re-interpreting:
-                # same puts in the same order, applied directly (the delta is
-                # journal-covered, so the fingerprint stays valid), then the
-                # recorded journal bookkeeping with no re-hashing.
-                for key, value in puts:
-                    authkv.put(key, value)
-                self.receipts.extend(receipts)
-                authkv.replay_block(sequence, results, *journal)
-                return list(results)
+        authkv = self._authkv
+        fingerprint = self._state_fingerprint
+        if fingerprint is None:
+            # Anchored to the chain digest at computation time, so a
+            # fingerprint taken after a restore can never alias one taken
+            # at genesis even if the raw contents digests coincide.
+            fingerprint = (authkv.contents_digest(), authkv.digest())
+            self._state_fingerprint = fingerprint
+        state_key = ("ledger", fingerprint, authkv.digest(), self._block_number, sequence)
+        cached = execution_cache.lookup(operations, state_key)
+        if cached is not None:
+            results, receipts, puts, journal = cached
+            # Replay the recorded state delta instead of re-interpreting:
+            # same puts in the same order, applied directly (the delta is
+            # journal-covered, so the fingerprint stays valid), then the
+            # recorded journal bookkeeping with no re-hashing.
+            for key, value in puts:
+                authkv.put(key, value)
+            self.receipts.extend(receipts)
+            authkv.replay_block(sequence, results, *journal)
+            return list(results)
 
-        # First execution of this block in the deployment: run the EVM and —
-        # only when the cache can actually store the entry — record the state
-        # delta for the peers (the cache-off path skips the per-put append).
-        record: Optional[List[Tuple[str, Any]]] = None
-        if cache_key is not None:
-            self._in_block = True
-            record = []
-            self._backend.record = record
+        # First execution of this block from this state: run the EVM and
+        # record the state delta for the peers.
+        record: List[Tuple[str, Any]] = []
+        self._backend.record = record
         receipts_start = len(self.receipts)
         try:
             evm = EVM(self._world, BlockContext(number=self._block_number))
             results = [self._execute_with(operation, evm) for operation in operations]
         finally:
-            if cache_key is not None:
-                self._backend.record = None
-                self._in_block = False
-        journal = self._authkv.journal_block(sequence, operations, results)
-
-        if cache_key is not None:
-            execution_cache.store(
-                cache_key,
-                (
-                    tuple(results),
-                    tuple(self.receipts[receipts_start:]),
-                    tuple(record),
-                    journal,
-                ),
-            )
+            self._backend.record = None
+        journal = authkv.journal_block(sequence, operations, results)
+        execution_cache.store(
+            operations,
+            state_key,
+            (tuple(results), tuple(self.receipts[receipts_start:]), tuple(record), journal),
+        )
         return results
 
     def execution_cost(self, operation: Operation) -> float:

@@ -58,9 +58,9 @@ def _message_type(message: Any) -> str:
 
 def _message_size(message: Any) -> int:
     # Protocol messages carry ``size_bytes`` as a plain ``int`` fixed at
-    # construction (the slotted-messages invariant), so sizing is one
-    # attribute load.  Foreign payloads (tests, ad-hoc probes) may still
-    # expose a callable or nothing at all; those fall through.
+    # construction (``tests/test_hot_path_representation.py`` pins it), so
+    # sizing is one attribute load.  Foreign payloads (tests, ad-hoc probes)
+    # may still expose a callable or nothing at all; those fall through.
     size = getattr(message, "size_bytes", None)
     if isinstance(size, int):
         return size
@@ -91,7 +91,10 @@ class Network:
         self,
         sim: Simulator,
         latency: Optional[LatencyModel] = None,
-        bandwidth_bytes_per_sec: Optional[float] = 1.25e9 / 8.0 * 10,  # 10 Gbit/s
+        # 1.5625e9 bytes/s = 12.5 Gbit/s.  Every committed fingerprint
+        # depends on the value; ROADMAP item 1 (bandwidth as a property of
+        # the topology) owns changing it.
+        bandwidth_bytes_per_sec: Optional[float] = 1.25e9 / 8.0 * 10,
         drop_rate: float = 0.0,
         seed: Optional[int] = None,
     ):

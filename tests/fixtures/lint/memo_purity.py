@@ -1,6 +1,6 @@
 """Planted memo-purity violations (linter fixture; never imported)."""
 
-_digest_memo = {}  # PLANT: bounded-memo
+_digest_memo = {}
 
 
 def impure_lookup(sim, rng, key):

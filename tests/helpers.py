@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+from repro.core import execution_cache
 from repro.core.keys import TrustedSetup
 from repro.core.messages import ClientRequest
 from repro.crypto.signatures import generate_keypair
@@ -60,6 +61,12 @@ def run_small_cluster(
     workload = KVWorkload(requests_per_client=requests_per_client, batch_size=kv_batch, seed=seed + 1)
     result = cluster.run(workload, max_sim_time=max_sim_time)
     return cluster, result
+
+
+def execute_everywhere(monkeypatch):
+    """The uncached reference run: every replica executes every block itself
+    (no entry on the shared block is ever found)."""
+    monkeypatch.setattr(execution_cache, "lookup", lambda operations, state_key: None)
 
 
 def executed_histories(cluster):

@@ -39,7 +39,7 @@ def planted_findings(path: Path):
 
 @pytest.mark.parametrize(
     "fixture",
-    ["alias_memo.py", "escape_stash.py", "shared_write.py", "taint_chain.py"],
+    ["alias_memo.py", "escape_stash.py", "taint_chain.py"],
 )
 def test_planted_findings_reported_at_exact_lines(fixture):
     path = FIXTURES / fixture

@@ -36,11 +36,8 @@ def planted_violations(path: Path):
     "fixture",
     [
         "wall_clock.py",
-        "frozen_messages.py",
-        "slotted_messages.py",
         "ordered_iteration.py",
         "memo_purity.py",
-        "bounded_memo.py",
         "stale_suppression.py",
         "fault_dispatch.py",
         "strategy_registry.py",
@@ -102,7 +99,7 @@ def test_src_tree_is_clean_and_exits_zero(capsys):
 
 
 def test_rules_filter_and_unknown_rule():
-    findings, _ = run_lint([FIXTURES / "wall_clock.py"], rules=["frozen-messages"])
+    findings, _ = run_lint([FIXTURES / "wall_clock.py"], rules=["ordered-iteration"])
     assert findings == []
     with pytest.raises(ValueError):
         run_lint([FIXTURES / "wall_clock.py"], rules=["no-such-rule"])
@@ -208,7 +205,7 @@ def test_stale_suppression_respects_enabled_rules():
     path = FIXTURES / "stale_suppression.py"
     # The allowed rule (no-wall-clock) is not enabled, so its absence on the
     # line proves nothing and the suppression must not be called stale.
-    findings, _ = run_lint([path], rules=["stale-suppression", "frozen-messages"])
+    findings, _ = run_lint([path], rules=["stale-suppression", "ordered-iteration"])
     assert findings == []
 
 

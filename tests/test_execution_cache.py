@@ -1,13 +1,14 @@
-"""Cluster-level invariants of the deployment-shared execution cache.
+"""Cluster-level invariants of execute-once / replay-n-1 on the ledger.
 
-ROADMAP "Hot-path invariants": replaying a cached block must be
-decision-for-decision identical to re-interpreting it — same per-replica
-``stats``, state digests, receipts, client results and network traffic for
-fixed seeds, with the cache on or off.
+ROADMAP "Hot-path invariants": replaying the first executor's entry must be
+decision-for-decision identical to re-interpreting the block — same
+per-replica ``stats``, state digests, receipts, client results and network
+traffic for fixed seeds, whether peers replay or every replica executes.
 """
 
 import pytest
 
+from helpers import execute_everywhere
 from repro.core import execution_cache
 from repro.protocols.cluster import build_cluster
 from repro.workloads.ethereum_workload import EthereumWorkload
@@ -36,43 +37,39 @@ def _run_cluster(protocol):
 
 
 @pytest.mark.parametrize("protocol", ["sbft-c8", "pbft"])
-def test_fixed_seed_identical_with_cache_on_and_off(protocol):
-    execution_cache.clear()
-    try:
-        with_cache = _run_cluster(protocol)
-        stats = execution_cache.stats()
-        # The cache actually engaged: one miss per block, n-1 hits each.
-        assert stats["misses"] > 0
-        assert stats["hits"] >= stats["misses"]
+def test_fixed_seed_identical_with_cache_on_and_off(protocol, monkeypatch):
+    replayed = _run_cluster(protocol)
+    stats = execution_cache.stats()
+    # Replay actually engaged: one miss per block, n-1 hits each.
+    assert stats["misses"] > 0
+    assert stats["hits"] >= stats["misses"]
 
-        previous = execution_cache.set_enabled(False)
-        try:
-            without_cache = _run_cluster(protocol)
-        finally:
-            execution_cache.set_enabled(previous)
-    finally:
-        execution_cache.clear()
-
-    assert with_cache == without_cache
+    execute_everywhere(monkeypatch)
+    assert _run_cluster(protocol) == replayed
 
 
 def test_cache_shared_across_replicas_within_one_run():
-    execution_cache.clear()
-    try:
-        _run_cluster("sbft-c8")
-        stats = execution_cache.stats()
-        n = 3 * 1 + 2 * 1 + 1  # f=1, c=1 -> 6 replicas
-        # Every block: first replica misses, the other n-1 replay.
-        assert stats["hits"] == (n - 1) * stats["misses"]
-    finally:
-        execution_cache.clear()
+    _run_cluster("sbft-c8")
+    stats = execution_cache.stats()
+    n = 3 * 1 + 2 * 1 + 1  # f=1, c=1 -> 6 replicas
+    # Every block: first replica misses, the other n-1 replay.
+    assert stats["hits"] == (n - 1) * stats["misses"]
+
+
+def test_counters_start_at_zero_for_every_run():
+    """``Cluster._build`` zeroes the two counters and nothing else survives a
+    run: a second run in the same process reads exactly what the first did."""
+    _run_cluster("pbft")
+    first = execution_cache.stats()
+    _run_cluster("pbft")
+    assert execution_cache.stats() == first
+    assert set(first) == {"hits", "misses"}
 
 
 def test_cache_hit_replays_the_journal_record_without_rejournaling(monkeypatch):
-    """A peer's cache hit appends the recorded journal entry through
+    """A peer's hit appends the recorded journal entry through
     ``replay_block``; only the first replica of the deployment journals a
-    block (the ledger used to re-journal on every peer: leaf tuples, memo
-    lookups and one ``authkv-chain`` hash each)."""
+    block."""
     from repro.services.authenticated_kv import AuthenticatedKVStore
 
     calls = {"journal_block": 0, "replay_block": 0}
@@ -88,12 +85,8 @@ def test_cache_hit_replays_the_journal_record_without_rejournaling(monkeypatch):
 
     counting("journal_block")
     counting("replay_block")
-    execution_cache.clear()
-    try:
-        fingerprint = _run_cluster("sbft-c8")
-        stats = execution_cache.stats()
-    finally:
-        execution_cache.clear()
+    fingerprint = _run_cluster("sbft-c8")
+    stats = execution_cache.stats()
     assert stats["misses"] > 0
     assert calls == {
         "journal_block": stats["misses"],

@@ -135,32 +135,74 @@ def test_digest_memo_distinguishes_equal_but_distinct_values():
     """1 and 1.0 are == in Python but encode differently; the digest memo
     must never hand one the other's cached digest."""
     from repro.crypto.hashing import sha256_hex
-    from repro.services.authenticated_kv import _result_digest
-    from repro.services.interface import OperationResult
+    from repro.services.authenticated_kv import AuthenticatedKVStore
 
-    int_digest = _result_digest(OperationResult(value=1))
-    float_digest = _result_digest(OperationResult(value=1.0))
-    bool_digest = _result_digest(OperationResult(value=True))
+    _result_digest = AuthenticatedKVStore()._result_digest
+    int_digest = _result_digest(1)
+    float_digest = _result_digest(1.0)
+    bool_digest = _result_digest(True)
     assert int_digest == sha256_hex("result", 1)
     assert float_digest == sha256_hex("result", 1.0)
     assert bool_digest == sha256_hex("result", True)
     assert int_digest != float_digest
     # Nested containers are keyed type-exactly too.
-    nested_int = _result_digest(OperationResult(value=(1, "x")))
-    nested_float = _result_digest(OperationResult(value=(1.0, "x")))
+    nested_int = _result_digest((1, "x"))
+    nested_float = _result_digest((1.0, "x"))
     assert nested_int != nested_float
+
+
+def _count_sha256_passes(monkeypatch):
+    """Count every SHA-256 pass of the process from here on, by domain tag:
+    ``sha256_hex`` and ``sha256_int`` both hash what ``_canonical_bytes``
+    returns, and every caller's first part is its tag."""
+    from collections import Counter
+
+    from repro.crypto import hashing
+
+    passes = Counter()
+    real = hashing._canonical_bytes
+
+    def counting(parts):
+        passes[parts[0]] += 1
+        return real(parts)
+
+    monkeypatch.setattr(hashing, "_canonical_bytes", counting)
+    return passes
+
+
+def test_sha256_passes_of_a_run_do_not_depend_on_what_ran_before(monkeypatch):
+    """Every memo rides on an object built for the run, so a fixed-seed run
+    hashes exactly as much first in the process as after any other run: a
+    process-lifetime digest memo anywhere would lower the second count."""
+    passes = _count_sha256_passes(monkeypatch)
+
+    def run():
+        passes.clear()
+        cluster, result = run_small_cluster(
+            "sbft-c0", f=1, num_clients=4, requests_per_client=8, seed=3
+        )
+        assert result.run.completed_requests == 32
+        return dict(passes)
+
+    first = run()
+    assert sum(first.values()) > 300
+    # Another protocol, seed and client count: different keys, requests and
+    # blocks, the same "OK" results, the same contract of the memos.
+    run_small_cluster("pbft", f=1, num_clients=3, requests_per_client=5, seed=9)
+    run_small_cluster("sbft-c8", f=1, c=1, num_clients=2, requests_per_client=3, seed=4)
+    assert run() == first
 
 
 def test_pbft_run_hashes_once_per_signature_not_once_per_recipient(monkeypatch):
     """A zero-noise work counter: the hashes the signature layer computes in
-    one fixed-seed f=2 PBFT run.  Signing hashes once; verifying a broadcast
-    vote at each of its n recipients must not hash again.  (Counted at the
-    signature module, because the process-global digest memos make the
-    total ``sha256_hex`` count depend on which tests ran before.)"""
+    one fixed-seed f=2 PBFT run, and the run's SHA-256 total.  Signing hashes
+    once; verifying a broadcast vote at each of its n recipients must not
+    hash again."""
     from collections import Counter
 
     from repro.crypto import signatures
 
+    passes = _count_sha256_passes(monkeypatch)
     hashes, verifies = Counter(), Counter()
     real_hash, real_verify = signatures.sha256_hex, signatures.VerifyKey.verify
 
@@ -182,6 +224,17 @@ def test_pbft_run_hashes_once_per_signature_not_once_per_recipient(monkeypatch):
     assert hashes == {"keygen": 9, "pk-sign": 12 + 6 + 42 + 42 + 84}
     # Every vote is verified by all 7 replicas; a client stops at f + 1 replies.
     assert verifies == {"prepare": 7 * 42, "commit": 7 * 42, "reply": 12 * 3}
+    # The whole run: trusted setup, the signatures above, one digest to sign
+    # and one to check per pre-prepare, one state fingerprint per replica, and
+    # per block one journal (4 operation digests, a 4-leaf tree, a chain step)
+    # by its first executor; a client digests the values of each of the f + 1
+    # replies it counts per request.  ``True`` is the only result value, and
+    # four different replicas were some block's first executor.
+    assert passes == {
+        "dealer-poly": 15, "keygen": 9, "pk-sign": 186, "block": 6 + 6, "kv-contents": 7,
+        "op": 24, "result": 4, "merkle-leaf": 24, "merkle-node": 18, "authkv-chain": 6,
+        "reply-values": 36,
+    }
 
 
 def test_sbft_block_costs_one_digest_pass_and_one_interpolation_per_combine(monkeypatch):

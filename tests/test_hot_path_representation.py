@@ -12,6 +12,8 @@ read as plain attributes.  These tests pin that representation:
   must preserve).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import messages as core_messages
@@ -65,21 +67,31 @@ def test_preprepare_size_does_not_retouch_nested_requests():
     assert all(op.reads == 1 for op in ops)
 
 
-def test_size_bytes_is_data_not_property():
-    """No message class may recompute size_bytes per call (lint-enforced too)."""
+def _message_classes():
+    """(qualified name, class) of every message class the two stacks define:
+    this file is the one enforcer of message shape."""
     for module in (core_messages, pbft_messages):
         for name in dir(module):
             cls = getattr(module, name)
             if not isinstance(cls, type) or not hasattr(cls, "msg_type"):
                 continue
-            descriptor = None
-            for klass in cls.__mro__:
-                if "size_bytes" in vars(klass):
-                    descriptor = vars(klass)["size_bytes"]
-                    break
-            assert not isinstance(descriptor, property), (
-                f"{module.__name__}.{name}.size_bytes is a property"
-            )
+            if cls.__module__ != module.__name__:
+                continue  # re-exported (e.g. pbft reuses core messages)
+            yield f"{module.__name__}.{name}", cls
+
+
+def test_size_bytes_is_data_not_property():
+    """No message class may recompute size_bytes per call."""
+    for name, cls in _message_classes():
+        descriptor = None
+        for klass in cls.__mro__:
+            if "size_bytes" in vars(klass):
+                descriptor = vars(klass)["size_bytes"]
+                break
+        assert descriptor is not None, f"{name} has no size_bytes"
+        assert not isinstance(descriptor, property) and not callable(descriptor), (
+            f"{name}.size_bytes is recomputed per call"
+        )
 
 
 def test_request_id_stashed_at_construction():
@@ -103,14 +115,23 @@ def test_messages_carry_no_dict():
 
 
 def test_every_message_class_declares_slots():
-    for module in (core_messages, pbft_messages):
-        for name in dir(module):
-            cls = getattr(module, name)
-            if not isinstance(cls, type) or not hasattr(cls, "msg_type"):
-                continue
-            if cls.__module__ != module.__name__:
-                continue  # re-exported (e.g. pbft reuses core messages)
-            assert "__slots__" in vars(cls), f"{module.__name__}.{name} is unslotted"
+    classes = dict(_message_classes())
+    assert len(classes) >= 20  # the walk really finds the message classes
+    for name, cls in classes.items():
+        assert "__slots__" in vars(cls), f"{name} is unslotted"
+
+
+def test_every_message_class_is_frozen_without_mutable_defaults():
+    """One broadcast hands the same instance to every recipient, so a message
+    must be a frozen dataclass, and no field may default to a fresh mutable
+    container a recipient could then fill."""
+    for name, cls in _message_classes():
+        assert dataclasses.is_dataclass(cls), f"{name} is not a dataclass"
+        assert cls.__dataclass_params__.frozen, f"{name} is not frozen"
+        for field in dataclasses.fields(cls):
+            assert field.default_factory not in (list, dict, set, bytearray), (
+                f"{name}.{field.name} defaults to a mutable {field.default_factory.__name__}"
+            )
 
 
 def test_stats_counters_behave_like_dicts():

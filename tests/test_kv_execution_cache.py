@@ -1,23 +1,28 @@
-"""KV adoption of the deployment-shared execution cache (mirrors
+"""Execute-once / replay-n-1 on the KV store (mirrors
 ``tests/test_execution_cache.py``, which pins the same invariants for the
 ledger).
 
-ROADMAP "Hot-path invariants": replaying a cached block must be
-decision-for-decision identical to re-interpreting it — same per-replica
+ROADMAP "Hot-path invariants": replaying the first executor's entry must be
+decision-for-decision identical to re-executing the block — same per-replica
 ``stats``, journal entries, proofs, chain digests, client results and network
-traffic for fixed seeds, with the cache on or off — and any out-of-band state
-mutation (``restore`` on state transfer, direct ``put``/``execute``) must
-invalidate the state fingerprint so a diverged store can never hit a stale
-entry.
+traffic for fixed seeds, whether peers replay or every replica executes — and
+the entry rides on the one ``BlockOperations`` the replicas share, recorded
+with the state it was executed from: any out-of-band state mutation
+(``restore`` on state transfer, direct ``put``/``execute``) changes the state
+key, so a diverged store executes for itself and leaves the entry alone.
 """
 
 import pytest
 
-from helpers import assert_agreement
-from repro.core.execution_cache import clear, set_enabled, stats
+from helpers import assert_agreement, execute_everywhere
+from repro.core.execution_cache import clear, stats
+from repro.core.messages import ClientRequest, PrePrepare
+from repro.core.runtime import block_execution_plan
+from repro.crypto.costs import DEFAULT_COSTS
 from repro.experiments.fault_sweep import CONFIG_OVERRIDES, SCENARIOS, SWEEP_SCALES
 from repro.protocols.cluster import build_cluster
 from repro.services.authenticated_kv import AuthenticatedKVStore
+from repro.services.interface import BlockOperations
 from repro.workloads.kv_workload import KVWorkload
 
 
@@ -47,142 +52,176 @@ def _run_kv_cluster(protocol):
 
 
 @pytest.mark.parametrize("protocol", ["sbft-c0", "sbft-c8", "pbft"])
-def test_fixed_seed_identical_with_cache_on_and_off(protocol):
-    clear()
-    try:
-        with_cache = _run_kv_cluster(protocol)
-        cache_stats = stats()
-        # The cache actually engaged: one miss per block, n-1 hits each.
-        assert cache_stats["misses"] > 0
-        assert cache_stats["hits"] >= cache_stats["misses"]
+def test_fixed_seed_identical_with_cache_on_and_off(protocol, monkeypatch):
+    replayed = _run_kv_cluster(protocol)
+    cache_stats = stats()
+    # Replay actually engaged: one miss per block, n-1 hits each.
+    assert cache_stats["misses"] > 0
+    assert cache_stats["hits"] >= cache_stats["misses"]
 
-        previous = set_enabled(False)
-        try:
-            without_cache = _run_kv_cluster(protocol)
-        finally:
-            set_enabled(previous)
-    finally:
-        clear()
-
-    assert with_cache == without_cache
+    execute_everywhere(monkeypatch)
+    assert _run_kv_cluster(protocol) == replayed
 
 
 def test_cache_shared_across_replicas_within_one_run():
+    _run_kv_cluster("sbft-c8")
+    cache_stats = stats()
+    n = 3 * 1 + 2 * 1 + 1  # f=1, c=1 -> 6 replicas
+    # Every block: first replica misses, the other n-1 replay.
+    assert cache_stats["hits"] == (n - 1) * cache_stats["misses"]
+
+
+# ----------------------------------------------------------------------
+# Service-level correctness edges: executed vs replayed identity, and who
+# may replay what
+# ----------------------------------------------------------------------
+@pytest.fixture
+def counters():
+    """Zeroed hit/miss counters (``Cluster._build`` does this for a run)."""
     clear()
-    try:
-        _run_kv_cluster("sbft-c8")
-        cache_stats = stats()
-        n = 3 * 1 + 2 * 1 + 1  # f=1, c=1 -> 6 replicas
-        # Every block: first replica misses, the other n-1 replay.
-        assert cache_stats["hits"] == (n - 1) * cache_stats["misses"]
-    finally:
-        clear()
+    return stats
 
 
-# ----------------------------------------------------------------------
-# Service-level correctness edges: cold vs warm identity, invalidation
-# ----------------------------------------------------------------------
 def _block(sequence):
-    """A decision block whose results depend on the pre-state (gets do)."""
-    return sequence, [
+    """A decision block whose results depend on the pre-state (gets do): the
+    one ``BlockOperations`` every replica of a cluster is handed."""
+    return sequence, BlockOperations([
         AuthenticatedKVStore.make_put(f"k{sequence}", f"v{sequence}"),
         AuthenticatedKVStore.make_get("x"),
         AuthenticatedKVStore.make_put("x", f"x{sequence}"),
         AuthenticatedKVStore.make_get("x"),
-    ]
+    ])
 
 
-def test_warm_replay_is_decision_identical_to_cold_execution():
-    clear()
-    try:
-        cold, warm = AuthenticatedKVStore(), AuthenticatedKVStore()
-        for sequence in (1, 2, 3):
-            seq, ops = _block(sequence)
-            cold_results = cold.execute_block(seq, ops)
-            warm_results = warm.execute_block(seq, ops)
-            assert warm_results == cold_results
-        assert stats()["misses"] == 3 and stats()["hits"] == 3
+def test_warm_replay_is_decision_identical_to_cold_execution(counters):
+    cold, warm = AuthenticatedKVStore(), AuthenticatedKVStore()
+    blocks = [_block(sequence) for sequence in (1, 2, 3)]
+    for seq, ops in blocks:
+        cold_results = cold.execute_block(seq, ops)
+        warm_results = warm.execute_block(seq, ops)
+        assert warm_results == cold_results
+    assert counters() == {"hits": 3, "misses": 3}
 
-        # Chain digests, journal records, proofs and raw contents all match.
-        assert warm.digest() == cold.digest()
-        assert warm.snapshot() == cold.snapshot()
-        for sequence in (1, 2, 3):
-            assert warm.digest_at(sequence) == cold.digest_at(sequence)
-            for position in range(4):
-                assert warm.prove(sequence, position) == cold.prove(sequence, position)
-                assert warm.result_for(sequence, position) == cold.result_for(sequence, position)
-        # Replayed proofs verify like executed ones.
-        proof = warm.prove(2, 1)
-        operation = _block(2)[1][1]
-        value = warm.result_for(2, 1).value
-        assert warm.verify(proof.digest, operation, value, 2, 1, proof)
-    finally:
-        clear()
+    # Chain digests, journal records, proofs and raw contents all match.
+    assert warm.digest() == cold.digest()
+    assert warm.snapshot() == cold.snapshot()
+    for sequence in (1, 2, 3):
+        assert warm.digest_at(sequence) == cold.digest_at(sequence)
+        for position in range(4):
+            assert warm.prove(sequence, position) == cold.prove(sequence, position)
+            assert warm.result_for(sequence, position) == cold.result_for(sequence, position)
+    # Replayed proofs verify like executed ones.
+    proof = warm.prove(2, 1)
+    operation = blocks[1][1][1]
+    value = warm.result_for(2, 1).value
+    assert warm.verify(proof.digest, operation, value, 2, 1, proof)
 
 
-def test_direct_put_invalidates_fingerprint():
-    clear()
-    try:
-        first, diverged = AuthenticatedKVStore(), AuthenticatedKVStore()
-        seq, ops = _block(1)
-        first_results = first.execute_block(seq, ops)
-        assert first_results[1].value is None  # "x" unset at genesis
-
-        # Out-of-band write: same ops, same sequence, different pre-state.
-        diverged.put("x", "boom")
-        diverged_results = diverged.execute_block(seq, ops)
-        assert diverged_results[1].value == "boom"
-        assert stats() == {"hits": 0, "misses": 2, "size": 2}
-    finally:
-        clear()
+@pytest.mark.parametrize("container", [list, tuple])
+def test_a_plain_sequence_never_shares(container, counters):
+    """Only the ``BlockOperations`` of a shared plan carries an entry: equal
+    operations in any other sequence are executed by everyone, and nothing is
+    left on them."""
+    first, second = AuthenticatedKVStore(), AuthenticatedKVStore()
+    seq, ops = _block(1)
+    plain = container(ops)
+    assert second.execute_block(seq, plain) == first.execute_block(seq, plain)
+    assert counters() == {"hits": 0, "misses": 2}
+    assert second.snapshot() == first.snapshot()
+    assert not hasattr(plain, "replay") and ops.replay is None
 
 
-def test_direct_execute_invalidates_fingerprint():
-    clear()
-    try:
-        first, diverged = AuthenticatedKVStore(), AuthenticatedKVStore()
-        seq, ops = _block(1)
-        first.execute_block(seq, ops)
+def test_direct_put_invalidates_fingerprint(counters):
+    first, diverged = AuthenticatedKVStore(), AuthenticatedKVStore()
+    seq, ops = _block(1)
+    first_results = first.execute_block(seq, ops)
+    assert first_results[1].value is None  # "x" unset at genesis
+    recorded = ops.replay
 
-        diverged.execute(AuthenticatedKVStore.make_put("x", "oob"))
-        diverged_results = diverged.execute_block(seq, ops)
-        assert diverged_results[1].value == "oob"
-        assert stats() == {"hits": 0, "misses": 2, "size": 2}
-    finally:
-        clear()
+    # Out-of-band write: same block, different pre-state.
+    diverged.put("x", "boom")
+    diverged_results = diverged.execute_block(seq, ops)
+    assert diverged_results[1].value == "boom"
+    assert counters() == {"hits": 0, "misses": 2}
+    assert ops.replay is recorded  # the first executor's entry stands
 
 
-def test_restore_invalidates_fingerprint_but_stays_identical():
-    clear()
-    try:
-        donor = AuthenticatedKVStore()
-        seq1, ops1 = _block(1)
-        donor.execute_block(seq1, ops1)
+def test_direct_execute_invalidates_fingerprint(counters):
+    first, diverged = AuthenticatedKVStore(), AuthenticatedKVStore()
+    seq, ops = _block(1)
+    first.execute_block(seq, ops)
 
-        # A rejoining replica restores the donor's snapshot: equal state and
-        # chain, but its fingerprint anchor is the restore point — so it must
-        # re-execute (miss), never replay an entry fingerprinted at genesis.
-        rejoined = AuthenticatedKVStore()
-        rejoined.restore(donor.snapshot())
-        assert rejoined.digest() == donor.digest()
-        misses_before = stats()["misses"]
+    diverged.execute(AuthenticatedKVStore.make_put("x", "oob"))
+    diverged_results = diverged.execute_block(seq, ops)
+    assert diverged_results[1].value == "oob"
+    assert counters() == {"hits": 0, "misses": 2}
 
-        seq2, ops2 = _block(2)
-        donor_results = donor.execute_block(seq2, ops2)
-        rejoined_results = rejoined.execute_block(seq2, ops2)
-        assert stats()["misses"] == misses_before + 2
-        # Decision-identity still holds across the restore.
-        assert rejoined_results == donor_results
-        assert rejoined.digest() == donor.digest()
-        assert rejoined.snapshot() == donor.snapshot()
-    finally:
-        clear()
+
+def test_restore_invalidates_fingerprint_but_stays_identical(counters):
+    donor, peer = AuthenticatedKVStore(), AuthenticatedKVStore()
+    seq1, ops1 = _block(1)
+    donor.execute_block(seq1, ops1)
+    peer.execute_block(seq1, ops1)
+
+    # A rejoining replica restores the donor's snapshot: equal state and
+    # chain, but its fingerprint anchor is the restore point — so it must
+    # execute (miss), never replay an entry recorded from a genesis anchor,
+    # and must leave that entry to the replicas it belongs to.
+    rejoined = AuthenticatedKVStore()
+    rejoined.restore(donor.snapshot())
+    assert rejoined.digest() == donor.digest()
+    assert counters() == {"hits": 1, "misses": 1}
+
+    seq2, ops2 = _block(2)
+    donor_results = donor.execute_block(seq2, ops2)
+    recorded = ops2.replay
+    rejoined_results = rejoined.execute_block(seq2, ops2)
+    assert counters() == {"hits": 1, "misses": 3}
+    assert ops2.replay is recorded
+    assert peer.execute_block(seq2, ops2) == donor_results
+    assert counters() == {"hits": 2, "misses": 3}
+    # Decision-identity still holds across the restore.
+    assert rejoined_results == donor_results
+    assert rejoined.digest() == donor.digest() == peer.digest()
+    assert rejoined.snapshot() == donor.snapshot()
+
+
+def test_block_reproposed_in_a_new_view_executes_once_more(counters):
+    """A new view re-proposes the block in a new ``PrePrepare``, whose plan is
+    a new ``BlockOperations``: the replicas that execute it from there find no
+    entry, one of them executes and the rest replay *that*; the entry left on
+    the old view's plan is never consulted again."""
+    service = AuthenticatedKVStore()
+    _seq, ops = _block(1)
+    request = ClientRequest(client_id=0, timestamp=1, operations=tuple(ops))
+
+    def proposal(view):
+        message = PrePrepare(sequence=1, view=view, requests=(request,), digest=f"d{view}")
+        return block_execution_plan(message, service, DEFAULT_COSTS)[0]
+
+    old_view, new_view = proposal(0), proposal(1)
+    assert old_view == new_view and old_view is not new_view
+
+    ahead = AuthenticatedKVStore()
+    expected = ahead.execute_block(1, old_view)
+    assert counters() == {"hits": 0, "misses": 1}
+    stale = old_view.replay
+    assert stale is not None and new_view.replay is None
+
+    # Same genesis state, same operations, same state key — and still no
+    # replay of the old plan's entry: one more execution, then n-1 replays.
+    behind = [AuthenticatedKVStore() for _ in range(3)]
+    assert [replica.execute_block(1, new_view) for replica in behind] == [expected] * 3
+    assert counters() == {"hits": 2, "misses": 2}
+    assert old_view.replay is stale and new_view.replay is not stale
+    assert new_view.replay[0] == stale[0]
+    assert {replica.digest() for replica in behind} == {ahead.digest()}
 
 
 # ----------------------------------------------------------------------
-# Crash-restart: a rejoining replica's state transfer lands on a cached
-# deployment (the restored store re-fingerprints instead of replaying stale
-# entries), and the run is byte-identical with the cache off.
+# Crash-restart: a rejoining replica's state transfer lands on a replaying
+# deployment (the restored store re-fingerprints and executes for itself),
+# and the run is byte-identical when every replica executes.
 # ----------------------------------------------------------------------
 def _run_crash_restart(seed=0):
     small = SWEEP_SCALES["small"]
@@ -210,45 +249,30 @@ def _run_crash_restart(seed=0):
     return cluster, result
 
 
-def test_crash_restart_state_transfer_on_cached_deployment():
-    clear()
-    try:
-        cluster, result = _run_crash_restart()
-        cache_stats = stats()
-        assert cache_stats["misses"] > 0
-        assert cache_stats["hits"] > 0
+def _crash_restart_outcome(cluster, result):
+    return (
+        {rid: dict(r.stats) for rid, r in cluster.replicas.items()},
+        cluster.replicas[0].service.digest(),
+        result.events_processed,
+        result.network_messages,
+        result.network_bytes,
+        result.sim_time,
+    )
 
-        restarted = cluster.replicas[3]
-        assert restarted.stats["state_transfers"] >= 1
-        digests = {replica.service.digest() for replica in cluster.replicas.values()}
-        assert len(digests) == 1, "restarted replica must re-sync to the cluster digest"
-        assert restarted.last_executed == cluster.replicas[0].last_executed
-        assert_agreement(cluster)
 
-        with_cache = (
-            {rid: dict(r.stats) for rid, r in cluster.replicas.items()},
-            digests.pop(),
-            result.events_processed,
-            result.network_messages,
-            result.network_bytes,
-            result.sim_time,
-        )
-    finally:
-        clear()
+def test_crash_restart_state_transfer_on_cached_deployment(monkeypatch):
+    cluster, result = _run_crash_restart()
+    cache_stats = stats()
+    assert cache_stats["misses"] > 0
+    assert cache_stats["hits"] > 0
 
-    previous = set_enabled(False)
-    try:
-        cluster, result = _run_crash_restart()
-        without_cache = (
-            {rid: dict(r.stats) for rid, r in cluster.replicas.items()},
-            cluster.replicas[0].service.digest(),
-            result.events_processed,
-            result.network_messages,
-            result.network_bytes,
-            result.sim_time,
-        )
-    finally:
-        set_enabled(previous)
-        clear()
+    restarted = cluster.replicas[3]
+    assert restarted.stats["state_transfers"] >= 1
+    digests = {replica.service.digest() for replica in cluster.replicas.values()}
+    assert len(digests) == 1, "restarted replica must re-sync to the cluster digest"
+    assert restarted.last_executed == cluster.replicas[0].last_executed
+    assert_agreement(cluster)
+    replayed = _crash_restart_outcome(cluster, result)
 
-    assert with_cache == without_cache
+    execute_everywhere(monkeypatch)
+    assert _crash_restart_outcome(*_run_crash_restart()) == replayed

@@ -266,6 +266,71 @@ def test_adversary_code_detector_sees_what_it_must_and_no_more():
     ]
 
 
+_EMPTY_CONTAINER_CALLS = {"dict", "list", "set", "Counter", "defaultdict", "OrderedDict", "deque"}
+
+
+def _runtime_tables(tree):
+    """Module-level names bound to an *empty* container — the shape of a table
+    filled at run time — and ``global`` statements anywhere in the module."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        empty_literal = isinstance(value, (ast.Dict, ast.List, ast.Set)) and not (
+            value.keys if isinstance(value, ast.Dict) else value.elts
+        )
+        # ``defaultdict(list)`` is empty too: only its factory is an argument.
+        func = value.func if isinstance(value, ast.Call) else None
+        name = getattr(func, "id", getattr(func, "attr", None))
+        empty_call = name in _EMPTY_CONTAINER_CALLS and (name == "defaultdict" or not value.args)
+        if empty_literal or (empty_call and not value.keywords):
+            for target in targets:
+                yield node.lineno, ast.unparse(target)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield node.lineno, "global " + ", ".join(node.names)
+
+
+def test_no_module_holds_a_table_filled_at_run_time():
+    """Every memo rides on an object built for the run (the block's
+    operations, a proof, a store, the per-run collector-group dict and
+    threshold schemes): no module outside ``analysis/`` binds a name to an
+    empty container or rebinds a global.  ``evm.opcodes.OPCODES`` is filled
+    by the import itself and constant afterwards."""
+    root = Path(repro.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{line}: {what}"
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).parts[0] != "analysis"
+        for line, what in _runtime_tables(ast.parse(path.read_text()))
+        if (path.relative_to(root).as_posix(), what) != ("evm/opcodes.py", "OPCODES")
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_runtime_table_detector_sees_what_it_must_and_no_more():
+    planted = ast.parse(textwrap.dedent("""
+        import collections
+        _MEMO = {}
+        _seen: set = set()
+        _by_kind = collections.defaultdict(list)
+        _counts = Counter()
+        LIMITS = {"hits": 0}
+        NAMES = ("a", "b")
+        _copy = dict(LIMITS)
+        def toggle(on):
+            global _enabled
+            _enabled = on
+            local = {}
+    """))
+    assert sorted(what for _line, what in _runtime_tables(planted)) == [
+        "_MEMO", "_by_kind", "_counts", "_seen", "global _enabled",
+    ]
+
+
 def test_on_message_is_a_distinct_code_object_per_protocol():
     assert SBFTReplica.on_message.__code__ is not PBFTReplica.on_message.__code__
     assert "core/replica.py" in SBFTReplica.on_message.__code__.co_filename

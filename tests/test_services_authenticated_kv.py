@@ -1,5 +1,7 @@
 """Unit and property tests for the Merkle-authenticated KV store."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,6 +78,42 @@ def test_verify_rejects_wrong_value_operation_or_position():
     assert not store.verify(digest, ops[1], results[0].value, 1, 0, proof)
     assert not store.verify(digest, ops[0], results[0].value, 1, 1, proof)
     assert not store.verify(digest, ops[0], results[0].value, 2, 0, proof)
+
+
+def test_verify_rejects_a_stamped_proof_around_another_entry():
+    """The Merkle path carries its prover's (leaf, root) stamp; wrapping it
+    around any other entry, or presenting it for another block, must still
+    fail exactly as a recomputed walk does."""
+    store = AuthenticatedKVStore()
+    ops = [AuthenticatedKVStore.make_put("a", "v"), AuthenticatedKVStore.make_get("a")]
+    results = store.execute_block(1, ops)
+    later_ops, later_results = ops, store.execute_block(2, ops)
+    assert [result.value for result in results] == [True, "v"]
+    proof = store.prove(1, 0)
+    other = store.prove(1, 1)
+    assert proof.proof.entry_proof._proved is not None
+    digest = store.digest_at(1)
+    assert store.verify(digest, ops[0], results[0].value, 1, 0, proof)
+
+    def rewrap(**changes):
+        return type(proof)(1, 0, digest, dataclasses.replace(proof.proof, **changes))
+
+    # Position 1's entry (which really is in the block) around position 0's path.
+    swapped = type(proof)(1, 1, digest, dataclasses.replace(proof.proof, entry=other.proof.entry))
+    assert not store.verify(digest, ops[1], results[1].value, 1, 1, swapped)
+    # An entry claiming another result digest, with the value it claims.
+    lying = dataclasses.replace(proof.proof.entry, result_digest=other.proof.entry.result_digest)
+    assert not store.verify(digest, ops[0], results[1].value, 1, 0, rewrap(entry=lying))
+    # The same operations executed as block 2: its proof is no proof for block 1.
+    later = store.prove(2, 0)
+    assert store.verify(store.digest_at(2), later_ops[0], later_results[0].value, 2, 0, later)
+    assert not store.verify(digest, ops[0], results[0].value, 1, 0, later)
+    assert not store.verify(store.digest_at(2), ops[0], results[0].value, 1, 0, later)
+    # Block 2's path under block 1's entry, and a wrong chain predecessor.
+    assert not store.verify(
+        digest, ops[0], results[0].value, 1, 0, rewrap(entry_proof=later.proof.entry_proof)
+    )
+    assert not store.verify(digest, ops[0], results[0].value, 1, 0, rewrap(prev_digest=digest))
 
 
 def test_verify_rejects_foreign_proof_type():
@@ -158,7 +196,8 @@ def test_block_operation_digests_ride_on_the_shared_plan_tuple():
 
 def test_equal_dict_results_share_one_result_hash(monkeypatch):
     """Ledger receipts are dicts, rebuilt per transaction: value-equal ones
-    hit the keyed memo instead of being hashed again, type-exactly."""
+    hit the store's keyed memo instead of being hashed again, type-exactly;
+    the memo is the store's own, so another store starts cold."""
     from repro.services import authenticated_kv
 
     hashed = []
@@ -170,19 +209,22 @@ def test_equal_dict_results_share_one_result_hash(monkeypatch):
 
     monkeypatch.setattr(authenticated_kv, "sha256_hex", counting_hash)
     receipt = {"success": True, "gas_used": 41_317, "contract_address": None, "probe": "dict-memo"}
-    digests = [
-        authenticated_kv._result_digest(OperationResult(value=dict(receipt))) for _ in range(4)
-    ]
+    store = AuthenticatedKVStore()
+    digests = [store._result_digest(dict(receipt)) for _ in range(4)]
     reordered = dict(reversed(list(receipt.items())))
-    digests.append(authenticated_kv._result_digest(OperationResult(value=reordered)))
+    digests.append(store._result_digest(reordered))
     assert len(set(digests)) == 1 and digests[0] == real_hash("result", receipt)
     assert len(hashed) == 1
     # 41317 and 41317.0 are equal to Python and distinct to the encoding.
-    as_float = authenticated_kv._result_digest(
-        OperationResult(value=dict(receipt, gas_used=41_317.0))
-    )
+    as_float = store._result_digest(dict(receipt, gas_used=41_317.0))
     assert as_float == real_hash("result", dict(receipt, gas_used=41_317.0)) != digests[0]
     assert len(hashed) == 2
+    # An unhashable part (a list) is hashed every time, never memoized.
+    unhashable = [store._result_digest([1, 2]) for _ in range(2)]
+    assert unhashable == [real_hash("result", [1, 2])] * 2
+    assert len(hashed) == 4
+    assert AuthenticatedKVStore()._result_digest(receipt) == digests[0]
+    assert len(hashed) == 5
 
 
 @settings(max_examples=25, deadline=None)

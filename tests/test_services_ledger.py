@@ -98,17 +98,17 @@ def test_receipts_recorded(ledger):
 
 
 # ----------------------------------------------------------------------
-# Deployment-shared execution cache
+# Execute once, replay n-1 times: the entry on the shared block
 # ----------------------------------------------------------------------
 
-from repro.core import execution_cache  # noqa: E402 - grouped with its tests
+from helpers import execute_everywhere  # noqa: E402 - grouped with its tests
+from repro.core import execution_cache  # noqa: E402
+from repro.services.interface import BlockOperations  # noqa: E402
 
 
 @pytest.fixture
 def cold_cache():
-    """Isolate each cache test from cluster tests sharing the process."""
-    execution_cache.clear()
-    yield
+    """Zeroed hit/miss counters (``Cluster._build`` does this for a run)."""
     execution_cache.clear()
 
 
@@ -120,10 +120,11 @@ def _funded_ledger():
 
 
 def _block(timestamp=0):
-    return [
+    """The one ``BlockOperations`` every replica of a cluster is handed."""
+    return BlockOperations([
         ledger_operation(Transaction.transfer(ALICE, BOB, 100), timestamp=timestamp),
         ledger_operation(Transaction.create(ALICE, counter_contract()), timestamp=timestamp + 1),
-    ]
+    ])
 
 
 def test_peer_replica_replays_from_cache(cold_cache):
@@ -144,27 +145,34 @@ def test_peer_replica_replays_from_cache(cold_cache):
     assert peer.verify(peer.digest(), operations[0], results_peer[0].value, 1, 0, proof)
 
 
-def test_cache_off_produces_identical_state(cold_cache):
+def test_cache_off_produces_identical_state(cold_cache, monkeypatch):
     operations = _block()
     cached_a, cached_b = _funded_ledger(), _funded_ledger()
     cached_a.execute_block(1, operations)
     cached_b.execute_block(1, operations)
+    assert execution_cache.stats() == {"hits": 1, "misses": 1}
 
-    previous = execution_cache.set_enabled(False)
-    try:
-        plain = _funded_ledger()
-        plain.execute_block(1, operations)
-    finally:
-        execution_cache.set_enabled(previous)
+    execute_everywhere(monkeypatch)
+    plain = _funded_ledger()
+    plain.execute_block(1, operations)
 
     assert plain.digest() == cached_a.digest() == cached_b.digest()
     assert plain.receipts == cached_a.receipts == cached_b.receipts
 
 
+def test_plain_list_is_executed_by_every_ledger(cold_cache):
+    operations = list(_block())
+    first, second = _funded_ledger(), _funded_ledger()
+    assert second.execute_block(1, operations) == first.execute_block(1, operations)
+    assert execution_cache.stats() == {"hits": 0, "misses": 2}
+    assert second.digest() == first.digest() and second.receipts == first.receipts
+
+
 def test_direct_mutation_prevents_stale_cache_hit(cold_cache):
-    operations = [ledger_operation(Transaction.transfer(ALICE, BOB, 999_999))]
+    operations = BlockOperations([ledger_operation(Transaction.transfer(ALICE, BOB, 999_999))])
     first = _funded_ledger()
     assert first.execute_block(1, operations)[0].ok
+    assert operations.replay is not None
 
     # Same genesis, but a direct (unjournaled) apply drains ALICE before the
     # block: a stale cache hit would wrongly report the transfer succeeding.
@@ -184,8 +192,12 @@ def test_restore_invalidates_fingerprint(cold_cache):
     other.restore(snapshot)
     # The restored ledger executes the next block correctly (fresh fingerprint,
     # no stale reuse) and stays digest-identical with the original.
-    operations = [ledger_operation(Transaction.transfer(BOB, ALICE, 5), timestamp=7)]
-    assert other.execute_block(2, operations) == first.execute_block(2, operations)
+    operations = BlockOperations(
+        [ledger_operation(Transaction.transfer(BOB, ALICE, 5), timestamp=7)]
+    )
+    misses = execution_cache.stats()["misses"]
+    assert first.execute_block(2, operations) == other.execute_block(2, operations)
+    assert execution_cache.stats() == {"hits": 0, "misses": misses + 2}
     assert other.digest() == first.digest()
 
 
@@ -193,6 +205,8 @@ def test_execution_cost_is_cache_independent(cold_cache):
     operation = ledger_operation(Transaction.transfer(ALICE, BOB, 1))
     first, peer = _funded_ledger(), _funded_ledger()
     cost_before = first.execution_cost(operation)
-    first.execute_block(1, [operation])
-    peer.execute_block(1, [operation])  # replayed from cache
+    block = BlockOperations([operation])
+    first.execute_block(1, block)
+    peer.execute_block(1, block)
+    assert execution_cache.stats()["hits"] == 1  # replayed
     assert peer.execution_cost(operation) == cost_before == first.execution_cost(operation)

@@ -114,7 +114,7 @@ def test_tap_observes_sends():
 
 
 def test_message_size_respects_size_bytes_attribute():
-    class Sized:  # repro: allow[frozen-messages]
+    class Sized:
         msg_type = "sized"
         size_bytes = 5000
 
