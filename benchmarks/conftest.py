@@ -11,8 +11,8 @@ variable:
   overnight runs; the shapes are already visible at smaller scales).
 
 Each benchmark prints the rows it produced (they are also attached to
-``benchmark.extra_info`` so they appear in ``--benchmark-json`` output), and
-EXPERIMENTS.md records the values measured for this repository.
+``benchmark.extra_info`` so they appear in ``--benchmark-json`` output);
+docs/benchmarks.md describes the committed ``BENCH_*.json`` baselines.
 """
 
 from __future__ import annotations

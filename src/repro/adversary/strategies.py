@@ -8,10 +8,9 @@ Strategies are pure functions of their parameters and the episode seed — they
 draw no randomness of their own, so a fixed-seed episode is byte-identical
 across runs and across ``--jobs`` workers.
 
-The registry at the bottom (``STRATEGY_KINDS`` + ``STRATEGIES``) is checked
-by the ``dispatch-complete`` lint rule: every kind string needs a registered
-class and vice versa, so a strategy cannot silently fall out of the search
-space.
+The registry at the bottom is one literal: ``STRATEGIES`` keys every class by
+its own ``KIND`` and ``STRATEGY_KINDS`` is read off it, so a strategy in the
+list cannot fall out of the search space.
 
 Parameter spaces are small ordered candidate tuples with the *first* entry as
 the benign default; the delta-debugging minimizer
@@ -63,10 +62,6 @@ class Adversary:
                 )
             merged[name] = value
         self.params = merged
-
-    def param_items(self) -> Tuple[Tuple[str, Any], ...]:
-        """Canonical (sorted) parameter tuple, as stored in an EpisodeSpec."""
-        return tuple(sorted(self.params.items()))
 
     def install(self, lab) -> None:
         raise NotImplementedError
@@ -292,30 +287,22 @@ class StaleViewChange(Adversary):
         )
 
 
-#: Every registered strategy kind, in catalog order (see docs/adversary.md).
-STRATEGY_KINDS = (
-    "equivocating-primary",
-    "delay-commit-collectors",
-    "silence-commit-collectors",
-    "viewchange-spam",
-    "stale-checkpoint",
-    "silent-replica",
-    "bad-shares",
-    "stale-viewchange",
-)
-
-#: Registry used by the search harness and the corpus loader; the
-#: ``dispatch-complete`` lint rule keeps it in sync with STRATEGY_KINDS.
+#: Every strategy, keyed by its ``KIND``, in catalog order (docs/adversary.md):
+#: the one list the search harness and the corpus loader resolve kinds in.
 STRATEGIES: Dict[str, type] = {
-    "equivocating-primary": EquivocatingPrimary,
-    "delay-commit-collectors": DelayToCollectors,
-    "silence-commit-collectors": SilenceToCollectors,
-    "viewchange-spam": ViewChangeSpam,
-    "stale-checkpoint": StaleCheckpointLies,
-    "silent-replica": SilentReplica,
-    "bad-shares": BadShares,
-    "stale-viewchange": StaleViewChange,
+    cls.KIND: cls
+    for cls in (
+        EquivocatingPrimary,
+        DelayToCollectors,
+        SilenceToCollectors,
+        ViewChangeSpam,
+        StaleCheckpointLies,
+        SilentReplica,
+        BadShares,
+        StaleViewChange,
+    )
 }
+STRATEGY_KINDS = tuple(STRATEGIES)
 
 
 def get_strategy(kind: str) -> type:

@@ -1,9 +1,8 @@
-"""Protocol-invariant static analysis for the SBFT reproduction.
+"""Determinism checks for the SBFT reproduction.
 
-The simulation's correctness story rests on a stack of hot-path invariants
-(type-keyed dispatch tables, RNG-draw-order discipline, memo purity, frozen
-messages, fixed-seed byte-identity — see ``docs/architecture.md``).  This
-package turns those prose rules into machine checks:
+Fixed-seed byte-identity is the repository's contract, and two things can
+break it without any same-process test noticing: ambient time / entropy and
+hash-order iteration.  This package holds the two tools that see them:
 
 * :mod:`repro.analysis.lint` — an AST-level linter (zero third-party
   dependencies) run as ``python -m repro.analysis.lint src/``.  Rules are
@@ -14,6 +13,9 @@ package turns those prose rules into machine checks:
   ``Cluster.run(sanitize=True)``) that folds every executed event into a
   rolling decision-hash chain, plus a ``selfcheck`` CLI that runs a scenario
   twice and bisects to the first divergent event on mismatch.
+
+What replicas share (stashes on frozen messages, the dispatch tables) is
+checked on the real objects by tests — ``docs/static-analysis.md`` says which.
 
 Submodules are imported lazily so that ``python -m repro.analysis.lint`` does
 not import the package's other half (and so the sanitizer's simulator hooks

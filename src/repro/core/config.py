@@ -7,9 +7,10 @@ signature schemes use thresholds ``3f + c + 1`` (σ, fast commit proof),
 ``2f + c + 1`` (τ, linear-PBFT prepare/commit) and ``f + 1`` (π, execution
 certificate).
 
-The same configuration object also selects which of the paper's ingredients
-are active, which is how the protocol variants compared in Figure 2/3 are
-realised (see :mod:`repro.protocols.registry`).
+The same configuration object also selects which of the paper's optional
+ingredients (fast path, execution collectors) are active, which is how the
+protocol variants compared in Figure 2/3 are realised (see
+:mod:`repro.protocols.registry`; linear communication is the replica class).
 
 Batching is a policy: ``batch_policy="fixed"`` (the default) proposes blocks
 of exactly ``batch_size`` requests, while ``"adaptive"`` sizes blocks from
@@ -20,7 +21,7 @@ see ``docs/architecture.md``.  ``client_max_outstanding`` pipelines clients
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -33,8 +34,7 @@ class SBFTConfig:
     f: int = 1
     c: int = 0
 
-    # Ingredient toggles (all on = full SBFT).
-    linear_communication: bool = True      # ingredient 1: collectors instead of all-to-all
+    # Ingredient toggles (both on = full SBFT).
     fast_path_enabled: bool = True         # ingredient 2
     execution_collectors_enabled: bool = True  # ingredient 3: single client message
 
@@ -44,7 +44,6 @@ class SBFTConfig:
     batch_policy: str = "fixed"            # "fixed" | "adaptive" (see batching notes)
     batch_max: Optional[int] = None        # adaptive block-size cap; default max(64, 4*batch_size)
     window: int = 256                      # max outstanding decision blocks (win)
-    active_window_divisor: int = 4         # fast path restricted to le .. le + win/4
 
     # Client pipelining: requests a client may keep in flight concurrently.
     client_max_outstanding: int = 1
@@ -54,12 +53,6 @@ class SBFTConfig:
     view_change_timeout: float = 5.0       # base timeout before suspecting the primary
     client_retry_timeout: float = 4.0      # client re-send / f+1 fallback timeout
     checkpoint_interval: Optional[int] = None  # default: window // 2
-
-    # Collector redundancy: c + 1 collectors per slot (Section V).
-    num_collectors: Optional[int] = None
-
-    # Cryptography behaviour.
-    use_group_signature_fast_path: bool = True  # n-out-of-n aggregate when no failure seen
 
     # Test-only planted weakness for the adversary lab (repro.adversary):
     # overrides the linear-PBFT prepare/commit quorum (tau_threshold) and the
@@ -131,8 +124,8 @@ class SBFTConfig:
 
     @property
     def collectors_per_slot(self) -> int:
-        """Number of C-/E-collectors per (sequence, view), default ``c + 1``."""
-        return self.num_collectors if self.num_collectors is not None else self.c + 1
+        """Number of C-/E-collectors per (sequence, view), ``c + 1`` (Section V)."""
+        return self.c + 1
 
     @property
     def effective_batch_max(self) -> int:
@@ -174,7 +167,7 @@ class SBFTConfig:
     @property
     def active_window(self) -> int:
         """Fast-path restriction: only sequences within ``le + win/4`` (Section V-F)."""
-        return max(1, self.window // self.active_window_divisor)
+        return max(1, self.window // 4)
 
     @property
     def state_transfer_lag(self) -> int:
@@ -190,31 +183,8 @@ class SBFTConfig:
         """
         return min(self.window // 2, 2 * self.checkpoint_every)
 
-    # ------------------------------------------------------------------
-    # Variant helpers
-    # ------------------------------------------------------------------
-    def with_ingredients(
-        self,
-        linear: Optional[bool] = None,
-        fast_path: Optional[bool] = None,
-        execution_collectors: Optional[bool] = None,
-    ) -> "SBFTConfig":
-        """Copy of this config with some ingredients toggled."""
-        return replace(
-            self,
-            linear_communication=self.linear_communication if linear is None else linear,
-            fast_path_enabled=self.fast_path_enabled if fast_path is None else fast_path,
-            execution_collectors_enabled=(
-                self.execution_collectors_enabled
-                if execution_collectors is None
-                else execution_collectors
-            ),
-        )
-
     def describe(self) -> str:
         ingredients = []
-        if self.linear_communication:
-            ingredients.append("linear")
         if self.fast_path_enabled:
             ingredients.append("fast-path")
         if self.execution_collectors_enabled:

@@ -10,9 +10,9 @@ and the pairing with field multiplication::
 Every identity that BLS relies on holds exactly (bilinearity, the hardness
 assumptions obviously do not), so signing, verification, aggregation and
 Lagrange interpolation in the exponent run the same arithmetic a real library
-performs, just over a trivially breakable group.  DESIGN.md documents this
-substitution; :mod:`repro.crypto.costs` charges realistic times for each
-operation so the simulation is not distorted by the cheap math.
+performs, just over a trivially breakable group.  :mod:`repro.crypto.costs`
+charges realistic times for each operation so the simulation is not distorted
+by the cheap math.
 """
 
 from __future__ import annotations

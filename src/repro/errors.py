@@ -25,14 +25,6 @@ class InvalidProof(CryptoError):
     """A Merkle or execution proof failed verification."""
 
 
-class ProtocolError(ReproError):
-    """A protocol message violated the protocol rules."""
-
-
-class ViewChangeError(ProtocolError):
-    """The view-change safe-value computation received inconsistent evidence."""
-
-
 class ServiceError(ReproError):
     """The replicated service rejected an operation."""
 

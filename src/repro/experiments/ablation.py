@@ -6,8 +6,7 @@ latency (only without failures), the execution collector helps when there are
 many clients, and redundant servers (c > 0) recover the fast path under a few
 failures and reduce variance.  This driver runs the five protocol variants
 at a fixed client count with and without failures so the per-ingredient deltas
-can be read off directly — this is also the table DESIGN.md's ablation entry
-points to.
+can be read off directly.
 """
 
 from __future__ import annotations

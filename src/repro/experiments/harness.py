@@ -5,8 +5,8 @@ is far beyond what a pure-Python discrete-event simulation can sweep in
 minutes, so every experiment is parameterised by an :class:`ExperimentScale`:
 the default "small" scale keeps the same *structure* (same protocols, same
 client sweep shape, same failure scenarios) at f=4; the "medium" and "paper"
-scales raise f towards the paper's value for overnight runs.  EXPERIMENTS.md
-records which scale produced the recorded numbers.
+scales raise f towards the paper's value for overnight runs.  Every committed
+``BENCH_*.json`` document records the scale that produced it (docs/benchmarks.md).
 
 Sweep grids (protocol x failures x client-count points) are embarrassingly
 parallel: every point is an independent simulation that is a pure function of

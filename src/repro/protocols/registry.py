@@ -8,15 +8,16 @@
    client acknowledgement).
 5. **SBFT (c=8)** — all four ingredients (redundant servers in the fast path).
 
-Each variant is expressed as an :class:`~repro.core.config.SBFTConfig` recipe;
-the PBFT variant additionally switches the replica implementation to
-:class:`repro.pbft.replica.PBFTReplica`.
+Each variant is a replica class (``kind``: the PBFT variant runs
+:class:`repro.pbft.replica.PBFTReplica`, the other four
+:class:`repro.core.replica.SBFTReplica`, whose communication is linear) plus
+the two ingredient booleans its :class:`~repro.core.config.SBFTConfig` carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.config import SBFTConfig
 from repro.errors import ConfigurationError
@@ -27,58 +28,20 @@ class ProtocolSpec:
     """How to build one protocol variant."""
 
     name: str
-    kind: str                      # "sbft" or "pbft"
+    kind: str                      # "sbft" or "pbft": which replica class runs it
     default_c: int
     description: str
-    config_builder: Callable[..., SBFTConfig]
+    fast_path: bool                # ingredient 2
+    execution_collectors: bool     # ingredient 3
 
     def build_config(self, f: int, c: Optional[int] = None, **overrides) -> SBFTConfig:
-        effective_c = self.default_c if c is None else c
-        return self.config_builder(f=f, c=effective_c, **overrides)
-
-
-def _pbft_config(f: int, c: int, **overrides) -> SBFTConfig:
-    return SBFTConfig(
-        f=f,
-        c=c,
-        linear_communication=False,
-        fast_path_enabled=False,
-        execution_collectors_enabled=False,
-        **overrides,
-    )
-
-
-def _linear_pbft_config(f: int, c: int, **overrides) -> SBFTConfig:
-    return SBFTConfig(
-        f=f,
-        c=c,
-        linear_communication=True,
-        fast_path_enabled=False,
-        execution_collectors_enabled=False,
-        **overrides,
-    )
-
-
-def _linear_fast_config(f: int, c: int, **overrides) -> SBFTConfig:
-    return SBFTConfig(
-        f=f,
-        c=c,
-        linear_communication=True,
-        fast_path_enabled=True,
-        execution_collectors_enabled=False,
-        **overrides,
-    )
-
-
-def _sbft_config(f: int, c: int, **overrides) -> SBFTConfig:
-    return SBFTConfig(
-        f=f,
-        c=c,
-        linear_communication=True,
-        fast_path_enabled=True,
-        execution_collectors_enabled=True,
-        **overrides,
-    )
+        return SBFTConfig(
+            f=f,
+            c=self.default_c if c is None else c,
+            fast_path_enabled=self.fast_path,
+            execution_collectors_enabled=self.execution_collectors,
+            **overrides,
+        )
 
 
 PROTOCOLS: Dict[str, ProtocolSpec] = {
@@ -87,35 +50,40 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {
         kind="pbft",
         default_c=0,
         description="Scale-optimized PBFT baseline (all-to-all, f+1 client replies)",
-        config_builder=_pbft_config,
+        fast_path=False,
+        execution_collectors=False,
     ),
     "linear-pbft": ProtocolSpec(
         name="linear-pbft",
         kind="sbft",
         default_c=0,
         description="Ingredient 1: collectors and threshold signatures (no fast path)",
-        config_builder=_linear_pbft_config,
+        fast_path=False,
+        execution_collectors=False,
     ),
     "linear-pbft-fast": ProtocolSpec(
         name="linear-pbft-fast",
         kind="sbft",
         default_c=0,
         description="Ingredients 1+2: linear communication plus the optimistic fast path",
-        config_builder=_linear_fast_config,
+        fast_path=True,
+        execution_collectors=False,
     ),
     "sbft-c0": ProtocolSpec(
         name="sbft-c0",
         kind="sbft",
         default_c=0,
         description="Ingredients 1+2+3: adds execution collectors (single client message)",
-        config_builder=_sbft_config,
+        fast_path=True,
+        execution_collectors=True,
     ),
     "sbft-c8": ProtocolSpec(
         name="sbft-c8",
         kind="sbft",
         default_c=8,
         description="All four ingredients: redundant servers tolerate c stragglers in the fast path",
-        config_builder=_sbft_config,
+        fast_path=True,
+        execution_collectors=True,
     ),
 }
 

@@ -212,6 +212,8 @@ class FaultInjector:
                 replica.recover()
         elif spec.kind == "heal":
             self._heal(spec.replica_id)
+        else:
+            raise ConfigurationError(f"fault kind {spec.kind!r} has no activation branch")
         self.applied.append(spec)
 
     def _heal(self, replica_id: int) -> None:

@@ -221,10 +221,6 @@ class Network:
             delay += extra_delay
         self.sim.schedule(delay, self._deliver, node, message, src)
 
-    def broadcast(self, src: int, message: Any, dst_ids: Iterable[int]) -> None:
-        """Send the same message to every destination (excluding none)."""
-        self.broadcast_bulk(src, message, dst_ids)
-
     def broadcast_bulk(self, src: int, message: Any, dst_ids: Iterable[int]) -> None:
         """Fan one message out to many destinations as a bulk operation.
 

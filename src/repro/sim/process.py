@@ -52,10 +52,6 @@ class CPUModel:
         self.total_busy_time += cost
         return self._busy_until
 
-    @property
-    def busy_until(self) -> float:
-        return self._busy_until
-
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` wall-clock (simulated) time spent busy."""
         if elapsed <= 0:

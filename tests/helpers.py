@@ -9,12 +9,16 @@ visited first.  Fixtures stay in ``tests/conftest.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+
+import pytest
 
 from repro.core import execution_cache
 from repro.core.keys import TrustedSetup
 from repro.core.messages import ClientRequest
+from repro.core.replica import SBFTReplica
 from repro.crypto.signatures import generate_keypair
 from repro.pbft.replica import PBFTReplica
 from repro.protocols.cluster import build_cluster
@@ -38,8 +42,11 @@ def run_small_cluster(
     config_overrides=None,
     max_sim_time: float = 120.0,
     seed: int = 0,
+    post_build=None,
 ):
-    """Build and run a small cluster; returns (cluster, result)."""
+    """Build and run a small cluster; returns (cluster, result).
+    ``post_build(cluster)`` runs once everything is wired and before the first
+    event — ``post_build=unshare`` is the same run with nothing shared."""
     overrides = {
         "fast_path_timeout": 0.05,
         "batch_timeout": 0.01,
@@ -58,9 +65,51 @@ def run_small_cluster(
         fault_plan=fault_plan,
         config_overrides=overrides,
     )
+    cluster.post_build = post_build
     workload = KVWorkload(requests_per_client=requests_per_client, batch_size=kv_batch, seed=seed + 1)
     result = cluster.run(workload, max_sim_time=max_sim_time)
     return cluster, result
+
+
+def unshared_copy(value):
+    """``value`` rebuilt from its ``init=True`` fields, recursively through
+    dataclasses and tuples: every ``init=False`` stash slot restarts at its
+    default and ``__post_init__`` recomputes what it computes (``size_bytes``,
+    ``request_id``).  Nothing is skipped; anything else is passed through."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return type(value)(**{
+            field.name: unshared_copy(getattr(value, field.name))
+            for field in dataclasses.fields(value) if field.init
+        })
+    if type(value) is tuple:  # a BlockOperations only ever sits in a stash slot
+        return tuple(unshared_copy(item) for item in value)
+    return value
+
+
+def unshare(cluster):
+    """``Cluster.post_build`` hook: the same program with nothing shared.
+
+    One collector or primary message reaches n replicas as *one* frozen
+    object, and whoever first needs a derived value stashes it there.  This
+    hands every recipient its own :func:`unshared_copy` of every message (the
+    interceptor draws no RNG, and under one ``broadcast_bulk`` is the
+    decision-identical ``send`` loop) and every ``SBFTReplica`` a private
+    collector-group dict, so every stash is recomputed by whoever reads it.
+    A fixed-seed run must decide exactly what the shared run decides: a
+    difference means some stash is not a pure function of what its guard
+    compares (it depends on who computed it, when, or how often).
+    """
+    cluster.network.set_interceptor(lambda src, dst, message: (unshared_copy(message), 0.0))
+    for replica in cluster.replicas.values():
+        if isinstance(replica, SBFTReplica):
+            replica._group_memo = {}
+
+
+#: Runs a golden-fingerprint test twice against the same committed constant:
+#: as is, and with nothing shared (``post_build`` goes to ``run_fingerprint``).
+shared_and_unshared = pytest.mark.parametrize(
+    "post_build", [None, unshare], ids=["shared", "unshared"]
+)
 
 
 def execute_everywhere(monkeypatch):

@@ -9,7 +9,7 @@ what each behaviour does and does not send or forge on one replica on a bare
 
 import pytest
 
-from helpers import make_bare_replica, make_request, run_fingerprint
+from helpers import make_bare_replica, make_request, run_fingerprint, shared_and_unshared
 from repro.adversary import EpisodeSpec, run_episode
 from repro.adversary.behaviours import (
     bad_shares,
@@ -106,11 +106,13 @@ GOLDEN_BYZANTINE_RUNS = [
 ]
 
 
+@shared_and_unshared
 @pytest.mark.parametrize("protocol,kwargs,expected",
                          [run[1:] for run in GOLDEN_BYZANTINE_RUNS],
                          ids=[run[0] for run in GOLDEN_BYZANTINE_RUNS])
-def test_byzantine_runs_reproduce_golden_seeds(protocol, kwargs, expected):
-    assert run_fingerprint(protocol, **kwargs) == expected
+def test_byzantine_runs_reproduce_golden_seeds(protocol, kwargs, expected, post_build):
+    """Shared and unshared (``helpers.unshare``; see tests/test_batching.py)."""
+    assert run_fingerprint(protocol, post_build=post_build, **kwargs) == expected
 
 
 #: ``viewchange-spam`` with ``equivocate_claims``: per view, the spammer's

@@ -14,8 +14,10 @@ import pytest
 from repro.adversary import (
     STRATEGIES,
     STRATEGY_KINDS,
+    Adversary,
     EpisodeSpec,
     run_episode,
+    strategies,
 )
 from repro.adversary.forensics import (
     EquivocationEvidence,
@@ -46,8 +48,14 @@ def _verify_keys(seed: int):
 # ----------------------------------------------------------------------
 # Registry and parameter plumbing
 # ----------------------------------------------------------------------
-def test_registry_and_kind_catalog_agree():
-    assert set(STRATEGIES) == set(STRATEGY_KINDS)
+def test_registry_holds_every_strategy_class_under_its_own_kind():
+    defined = {
+        cls for cls in vars(strategies).values()
+        if isinstance(cls, type) and issubclass(cls, Adversary) and cls is not Adversary
+    }
+    # No class left out, no two classes under one KIND.
+    assert set(STRATEGIES.values()) == defined and len(STRATEGIES) == len(defined)
+    assert STRATEGY_KINDS == tuple(STRATEGIES)
     for kind, cls in STRATEGIES.items():
         assert cls.KIND == kind
         for name, candidates in cls.PARAM_SPACE.items():

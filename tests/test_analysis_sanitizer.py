@@ -1,8 +1,11 @@
 """Tests for the determinism sanitizer (``repro.analysis.sanitizer``)."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass, field
-
+from pathlib import Path
 
 from repro.analysis.sanitizer import (
     CountingRandom,
@@ -139,3 +142,23 @@ def test_selfcheck_cli_exits_zero(capsys):
     assert sanitizer_main(["selfcheck", "--sweep", "scale"]) == 0
     out = capsys.readouterr().out
     assert "scale: OK" in out
+
+
+def test_chain_hashes_do_not_depend_on_the_interpreter_hash_seed():
+    """The dynamic backstop of lint's ``ordered-iteration``: a double run in
+    one process iterates every set in the same order twice, so only a second
+    *interpreter* with another ``PYTHONHASHSEED`` sees hash order leak into a
+    decision.  All four sweeps' chain hashes must come out equal."""
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def hash_lines(hash_seed):
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.analysis.sanitizer", "selfcheck", "--all"],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        return [line for line in done.stdout.splitlines() if "hash=" in line]
+
+    first = hash_lines("1")
+    assert len(first) == len(SCENARIOS) and all(": OK hash=" in line for line in first)
+    assert hash_lines("2") == first

@@ -10,11 +10,21 @@ partial batch and the batch timer vs. view-change interleaving — and the
 pipelined client (``client_max_outstanding > 1``).
 """
 
+import itertools
+
 import pytest
 
-from helpers import make_bare_replica, make_request, run_fingerprint, run_small_cluster
+from helpers import (
+    make_bare_replica,
+    make_request,
+    run_fingerprint,
+    run_small_cluster,
+    shared_and_unshared,
+    unshare,
+)
 from repro.adversary.behaviours import silent
 from repro.core.config import SBFTConfig
+from repro.core import runtime
 from repro.core.messages import ExecuteAck, PrePrepare
 from repro.core.replica import SBFTReplica
 from repro.core.viewchange import NewViewPlan
@@ -64,6 +74,14 @@ def test_describe_mentions_adaptive_policy():
 #: *before* the batch-policy layer and the pipelined client landed.  The
 #: default configuration (batch_policy="fixed", client_max_outstanding=1)
 #: must keep reproducing these decisions byte-for-byte.
+#:
+#: Every golden run (here, the fault runs below and the byzantine runs in
+#: tests/test_adversary_behaviours.py) is also replayed *unshared* against the
+#: same constant (``helpers.shared_and_unshared``): each recipient gets its own
+#: copy of every message and each replica its own collector-group dict, so
+#: every stash on a shared object is recomputed by whoever reads it.  If only
+#: the unshared half fails, a stash is not a pure function of what its guard
+#: compares — docs/static-analysis.md says how to read the difference.
 GOLDEN_RUNS = [
     ("sbft-c0", dict(f=1, num_clients=2, requests_per_client=6, seed=11),
      "752b0a51e27403174606b7284835a6f37a9fda1627e5990d62ca64ed2483c49a"),
@@ -77,10 +95,11 @@ GOLDEN_RUNS = [
 ]
 
 
+@shared_and_unshared
 @pytest.mark.parametrize("protocol,kwargs,expected", GOLDEN_RUNS,
                          ids=[f"{p}-seed{k['seed']}" for p, k, _ in GOLDEN_RUNS])
-def test_fixed_policy_reproduces_golden_seeds(protocol, kwargs, expected):
-    assert run_fingerprint(protocol, **kwargs) == expected
+def test_fixed_policy_reproduces_golden_seeds(protocol, kwargs, expected, post_build):
+    assert run_fingerprint(protocol, post_build=post_build, **kwargs) == expected
 
 
 #: Same fingerprint, wider net: fixed-seed runs through the code paths both
@@ -127,11 +146,42 @@ GOLDEN_FAULT_RUNS = [
 ]
 
 
+@shared_and_unshared
 @pytest.mark.parametrize("protocol,kwargs,expected",
                          [run[1:] for run in GOLDEN_FAULT_RUNS],
                          ids=[run[0] for run in GOLDEN_FAULT_RUNS])
-def test_fault_and_pipelining_runs_reproduce_golden_seeds(protocol, kwargs, expected):
-    assert run_fingerprint(protocol, **kwargs) == expected
+def test_fault_and_pipelining_runs_reproduce_golden_seeds(protocol, kwargs, expected, post_build):
+    assert run_fingerprint(protocol, post_build=post_build, **kwargs) == expected
+
+
+@pytest.mark.parametrize("protocol,kwargs", [GOLDEN_RUNS[0][:2], GOLDEN_RUNS[2][:2]],
+                         ids=["sbft-c0", "pbft"])
+def test_unshared_replay_sees_a_stash_that_depends_on_how_often_it_was_computed(
+    protocol, kwargs, monkeypatch
+):
+    """The differential fails demonstrably: salt the stashed block cost with
+    a call counter — nothing an AST model of "memo" identifiers can see — and
+    the shared run (one computation per block, every replica reads it) and the
+    unshared run (one per replica) no longer decide the same thing."""
+    real = runtime.block_execution_plan
+
+    def fingerprint(post_build):
+        calls = itertools.count()  # per run: only *sharing* differs between the two
+
+        def salted(pre_prepare, service, costs):
+            if pre_prepare._exec_plan is not None:
+                return real(pre_prepare, service, costs)
+            operations, cost = real(pre_prepare, service, costs)
+            cost += 1e-6 * (next(calls) % 7)
+            object.__setattr__(
+                pre_prepare, "_exec_plan", (type(service), costs, operations, cost)
+            )
+            return operations, cost
+
+        monkeypatch.setattr(runtime, "block_execution_plan", salted)
+        return run_fingerprint(protocol, post_build=post_build, **kwargs)
+
+    assert fingerprint(None) != fingerprint(unshare)
 
 
 def test_explicit_fixed_policy_matches_default():

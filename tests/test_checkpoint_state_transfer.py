@@ -72,7 +72,7 @@ def test_state_transfer_request_response_roundtrip():
 def test_primary_respects_active_window_backpressure():
     cluster, result = run_small_cluster(
         "sbft-c0", f=1, num_clients=4, requests_per_client=6, batch_size=1,
-        config_overrides={"window": 8, "active_window_divisor": 4},
+        config_overrides={"window": 8},
     )
     assert result.run.completed_requests == 24
     primary = cluster.replicas[0]

@@ -42,15 +42,6 @@ def test_config_validation():
 def test_collectors_per_slot_defaults_to_c_plus_one():
     assert SBFTConfig(f=4, c=0).collectors_per_slot == 1
     assert SBFTConfig(f=4, c=3).collectors_per_slot == 4
-    assert SBFTConfig(f=4, c=3, num_collectors=2).collectors_per_slot == 2
-
-
-def test_with_ingredients_toggles_only_requested_flags():
-    base = SBFTConfig(f=2)
-    variant = base.with_ingredients(fast_path=False)
-    assert not variant.fast_path_enabled
-    assert variant.linear_communication == base.linear_communication
-    assert variant.execution_collectors_enabled == base.execution_collectors_enabled
 
 
 def test_describe_mentions_active_ingredients():

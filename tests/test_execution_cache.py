@@ -8,17 +8,18 @@ traffic for fixed seeds, whether peers replay or every replica executes.
 
 import pytest
 
-from helpers import execute_everywhere
+from helpers import execute_everywhere, unshare
 from repro.core import execution_cache
 from repro.protocols.cluster import build_cluster
 from repro.workloads.ethereum_workload import EthereumWorkload
 
 
-def _run_cluster(protocol):
+def _run_cluster(protocol, post_build=None):
     cluster = build_cluster(
         protocol, f=1, c=1 if protocol == "sbft-c8" else None,
         num_clients=2, topology="continent", batch_size=2, seed=3,
     )
+    cluster.post_build = post_build
     workload = EthereumWorkload(num_transactions=120, num_accounts=40, num_clients=2, seed=7)
     result = cluster.run(workload, max_sim_time=600.0, label=protocol)
     fingerprint = {
@@ -46,6 +47,19 @@ def test_fixed_seed_identical_with_cache_on_and_off(protocol, monkeypatch):
 
     execute_everywhere(monkeypatch)
     assert _run_cluster(protocol) == replayed
+
+
+@pytest.mark.parametrize("protocol", ["sbft-c8", "pbft"])
+def test_fixed_seed_identical_with_nothing_shared(protocol):
+    """The ledger half of the unshared differential (the KV half is the golden
+    runs, tests/test_batching.py): with a private copy of every message per
+    recipient nobody finds a replay entry, an operation cost or a digest
+    somebody else stashed, and nothing a run decides moves."""
+    shared = _run_cluster(protocol)
+    blocks = execution_cache.stats()["misses"]
+    assert _run_cluster(protocol, post_build=unshare) == shared
+    n = len(shared["digests"])
+    assert execution_cache.stats() == {"hits": 0, "misses": n * blocks}
 
 
 def test_cache_shared_across_replicas_within_one_run():

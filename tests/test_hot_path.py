@@ -400,7 +400,7 @@ def test_broadcast_bulk_matches_per_destination_sends(scenario):
             src = round_number % 3
             message = f"m{round_number}"
             if use_bulk:
-                net.broadcast(src, message, range(6))
+                net.broadcast_bulk(src, message, range(6))
             else:
                 for dst in range(6):
                     net.send(src, dst, message)

@@ -7,6 +7,8 @@ read as plain attributes.  These tests pin that representation:
 * a microbench-shaped count proves ``size_bytes`` is computed once per
   instance, no matter how many times the network model reads it;
 * message instances carry no ``__dict__``;
+* whatever a run stashed on a sent message is deeply immutable (a walk over
+  every message the fault goldens send);
 * fixed seeds reproduce identical decision-hash chains and stats across two
   independently built clusters (the byte-identity invariant the perf work
   must preserve).
@@ -16,11 +18,14 @@ import dataclasses
 
 import pytest
 
+from helpers import make_request, run_small_cluster
+from test_batching import GOLDEN_FAULT_RUNS
 from repro.core import messages as core_messages
 from repro.core.messages import ClientRequest, PrePrepare, SignShare
 from repro.core.stats import ClientStats, SBFTReplicaStats
 from repro.pbft import messages as pbft_messages
 from repro.protocols.cluster import build_cluster
+from repro.services.interface import BlockOperations
 from repro.sim.network import _message_size
 from repro.workloads.kv_workload import KVWorkload
 
@@ -132,6 +137,102 @@ def test_every_message_class_is_frozen_without_mutable_defaults():
             assert field.default_factory not in (list, dict, set, bytearray), (
                 f"{name}.{field.name} defaults to a mutable {field.default_factory.__name__}"
             )
+
+
+# ---------------------------------------------------------------------------
+# Stashes: what a run leaves on a shared message is deeply immutable
+# ---------------------------------------------------------------------------
+
+
+def _mutable_stashes(messages):
+    """Walk every dataclass reachable from ``messages`` (through ``init=True``
+    fields and tuples) and check every ``init=False`` slot on the way: it may
+    hold str / int / float / bytes / bool / None / a type, tuples of those, or
+    frozen dataclasses (walked in turn).  ``BlockOperations.digests`` is
+    checked like a slot; ``BlockOperations.replay`` is the one exemption — the
+    first executor's entry is shared by design, and what replaying it decides
+    is compared against executing by the unshared differential
+    (tests/test_batching.py) and the ``execute_everywhere`` tests.
+
+    -> (problems, {(class name, slot) seen holding a non-default value}).
+    """
+    problems, filled, seen = [], set(), set()
+
+    def check(value, where):
+        if value is None or isinstance(value, (str, int, float, bytes, type)):
+            return
+        if isinstance(value, tuple):
+            for index, item in enumerate(value):
+                check(item, f"{where}[{index}]")
+            if type(value) is BlockOperations:
+                check(value.digests, f"{where}.digests")
+        elif dataclasses.is_dataclass(value) and value.__dataclass_params__.frozen:
+            walk(value)
+        else:
+            problems.append(f"{where} holds a {type(value).__name__}")
+
+    def walk(value):
+        if isinstance(value, tuple):
+            for item in value:
+                walk(item)
+        elif dataclasses.is_dataclass(value) and id(value) not in seen:
+            seen.add(id(value))  # every walked object is kept alive by ``messages``
+            for field in dataclasses.fields(value):
+                held = getattr(value, field.name)
+                if field.init:
+                    walk(held)
+                else:
+                    if held != field.default:
+                        filled.add((type(value).__name__, field.name))
+                    check(held, f"{type(value).__name__}.{field.name}")
+
+    walk(tuple(messages))
+    return problems, filled
+
+
+#: The seven lazily filled stashes (the other ``init=False`` slots are
+#: ``size_bytes`` / ``request_id``, set in ``__post_init__``).
+STASHES = {
+    ("PrePrepare", "_exec_plan"), ("PrePrepare", "_reply_values"),
+    ("PrePrepare", "_expected_digest"), ("Operation", "_authkv_digest"),
+    ("Signature", "_signed_by"), ("Signature", "_signed"), ("MerkleProof", "_proved"),
+}
+
+
+@pytest.mark.parametrize("protocol,kwargs", [run[1:3] for run in GOLDEN_FAULT_RUNS],
+                         ids=[run[0] for run in GOLDEN_FAULT_RUNS])
+def test_every_stash_on_a_sent_message_is_deeply_immutable(protocol, kwargs):
+    """One broadcast hands the same instance to every recipient, so a stash
+    that aliased a list or dict would let one replica's mutation reach the
+    rest (the unfrozen ``_exec_plan`` operations list of PR 9).  Walked after
+    the run: stashes are filled lazily, long after the send."""
+    sent = []
+    run_small_cluster(
+        protocol, post_build=lambda cluster: cluster.network.add_tap(
+            lambda src, dst, message: sent.append(message)), **kwargs,
+    )
+    problems, filled = _mutable_stashes(sent)
+    assert not problems, sorted(set(problems))[:10]
+    # The walk really reached the stashes, filled in (PBFT has no execute-ack
+    # and so cuts no Merkle proof).
+    assert len(sent) > 300
+    assert filled >= STASHES - ({("MerkleProof", "_proved")} if protocol == "pbft" else set())
+
+
+def test_the_stash_walk_fails_on_a_list_in_a_stash():
+    block = PrePrepare(sequence=1, view=0, requests=(make_request(1),), digest="d")
+    object.__setattr__(block, "_reply_values", ("digest", (("v",),)))
+    problems, filled = _mutable_stashes([block])
+    assert not problems and ("PrePrepare", "_reply_values") in filled
+    object.__setattr__(block, "_reply_values", ("digest", [("v",)]))
+    assert _mutable_stashes([block])[0] == ["PrePrepare._reply_values[1] holds a list"]
+    # ...and on an unfrozen plan: the operations of the block as a plain list.
+    object.__setattr__(block, "_exec_plan", (object, None, list(block.requests[0].operations), 0.0))
+    assert "PrePrepare._exec_plan[2] holds a list" in _mutable_stashes([block])[0]
+    digests = BlockOperations(block.requests[0].operations)
+    digests.digests = ["not", "a", "tuple"]
+    object.__setattr__(block, "_exec_plan", (object, None, digests, 0.0))
+    assert "PrePrepare._exec_plan[2].digests holds a list" in _mutable_stashes([block])[0]
 
 
 def test_stats_counters_behave_like_dicts():

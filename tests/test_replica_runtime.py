@@ -12,6 +12,7 @@ per protocol at the bottom.
 
 import ast
 import inspect
+import sys
 import textwrap
 from pathlib import Path
 
@@ -19,10 +20,19 @@ import pytest
 
 import repro
 from helpers import make_bare_replica, make_request, run_small_cluster
+from repro.core import messages as core_messages
 from repro.core.config import SBFTConfig
-from repro.core.messages import ClientReply, PrePrepare, StateTransferRequest
+from repro.core.messages import (
+    ClientReply,
+    ExecuteAck,
+    NewView,
+    PrePrepare,
+    StateTransferRequest,
+)
 from repro.core.replica import SBFTReplica
 from repro.core.runtime import Replica
+from repro.pbft import messages as pbft_messages
+from repro.pbft.messages import PbftCommit
 from repro.pbft.replica import PBFTReplica
 
 PROTOCOLS = [SBFTReplica, PBFTReplica]
@@ -208,6 +218,42 @@ def test_protocol_classes_do_not_redefine_the_runtime(replica_cls):
     assert "on_message" in vars(replica_cls) and "on_message" not in vars(Replica)
 
 
+#: Dispatched by the client (``core/client.py``), never by a replica.
+CLIENT_BOUND = {ExecuteAck, ClientReply}
+
+
+def _dispatch_gaps(replica):
+    """Message classes missing from (or stale in) a live replica's two
+    dispatch tables, as ``"Class.table: Message"`` strings.  What a replica
+    must handle: every message class its stack's ``messages`` module defines
+    or its own module imports, minus the client-bound two."""
+    stack = core_messages if isinstance(replica, SBFTReplica) else pbft_messages
+    names = {**vars(sys.modules[type(replica).__module__]), **vars(stack)}
+    required = {
+        cls for cls in names.values() if isinstance(cls, type) and hasattr(cls, "msg_type")
+    } - CLIENT_BOUND
+    return sorted(
+        f"{type(replica).__name__}.{table}: {cls.__name__}"
+        for table in ("_handlers", "_cost_table")
+        for cls in required ^ (set(getattr(replica, table)) - CLIENT_BOUND)
+    )
+
+
+def test_dispatch_tables_cover_every_message_class(replica_cls):
+    _sim, _network, replica = make_bare_replica(replica_cls, CONFIG)
+    assert _dispatch_gaps(replica) == []
+    assert len(replica._handlers) == {SBFTReplica: 15, PBFTReplica: 9}[replica_cls]
+    # A message without a handler is dropped silently and one without a cost
+    # is charged one hash: each deletion is reported, naming the class.
+    forgotten = NewView if replica_cls is SBFTReplica else PbftCommit
+    del replica._handlers[forgotten]
+    del replica._cost_table[PrePrepare]
+    name = replica_cls.__name__
+    assert _dispatch_gaps(replica) == [
+        f"{name}._cost_table: PrePrepare", f"{name}._handlers: {forgotten.__name__}",
+    ]
+
+
 #: What only an adversary needs: the old mode switch, share forgery, anything
 #: that equivocates.  The four behaviour names are banned as string literals
 #: only, so honest identifiers such as ``stale_checkpoints`` pass.
@@ -328,6 +374,75 @@ def test_runtime_table_detector_sees_what_it_must_and_no_more():
     """))
     assert sorted(what for _line, what in _runtime_tables(planted)) == [
         "_MEMO", "_by_kind", "_counts", "_seen", "global _enabled",
+    ]
+
+
+def _imports(tree):
+    """Every dotted name a module imports, wherever the statement stands (a
+    lazy import inside a function counts); ``from a import b`` yields ``a``
+    and ``a.b`` — ``b`` may be a submodule."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            yield node.lineno, base
+            for alias in node.names:
+                yield node.lineno, base.rstrip(".") + "." + alias.name
+
+
+def _forbidden_imports(tree, forbidden):
+    """Imports of a ``forbidden`` module or anything under it — and relative
+    imports, which ``src/repro`` does not use and this cannot resolve."""
+    return [
+        (line, name) for line, name in _imports(tree)
+        if name.startswith(".") or any(name == f or name.startswith(f + ".") for f in forbidden)
+    ]
+
+
+#: Everything that runs inside a simulation.  ``repro.experiments`` is the one
+#: package ``lint``'s ``no-wall-clock`` exempts (it times the host), so none
+#: of these may reach it: a clock read anywhere else is flagged at its own
+#: line, whoever calls it.
+IN_SIMULATION = ("core", "pbft", "sim", "crypto", "services", "evm", "workloads", "metrics",
+                 "protocols")
+#: Pure functions of their arguments: no simulator (so no ``sim.now`` and no
+#: simulator RNG), no ``random``, no ``time`` — nothing there *can* make a
+#: memoized value depend on who computed it or when.
+PURE = ("crypto", "evm", "services")
+
+
+@pytest.mark.parametrize("packages,forbidden", [
+    (IN_SIMULATION, ("repro.experiments",)),
+    (PURE, ("repro.sim", "random", "time")),
+], ids=["in-simulation", "pure"])
+def test_packages_do_not_import_what_would_let_them_see_a_clock(packages, forbidden):
+    root = Path(repro.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{line}: imports {name}"
+        for package in packages
+        for path in sorted((root / package).rglob("*.py"))
+        for line, name in _forbidden_imports(ast.parse(path.read_text()), forbidden)
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_import_detector_sees_what_it_must_and_no_more():
+    planted = ast.parse(textwrap.dedent("""
+        import random, timeit
+        import repro.experiments.harness as harness
+        from repro import experiments
+        from repro.core import config          # fine
+        from . import sibling                   # relative: cannot be resolved here
+        def lazily():
+            from repro.experiments.harness import run
+            import repro.experimentsx           # a different package
+    """))
+    forbidden = ("repro.experiments", "random", "time")
+    assert sorted({name for _line, name in _forbidden_imports(planted, forbidden)}) == [
+        ".", ".sibling", "random", "repro.experiments", "repro.experiments.harness",
+        "repro.experiments.harness.run",
     ]
 
 

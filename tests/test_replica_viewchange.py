@@ -119,7 +119,7 @@ def test_recovering_replica_catches_up_via_state_transfer():
         f=1,
         num_clients=2,
         requests_per_client=6,
-        config_overrides={"window": 8, "active_window_divisor": 4},
+        config_overrides={"window": 8},
     )
     # Simulate a lagging replica by restoring a fresh one from a peer snapshot.
     source = cluster.replicas[1]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.events import Simulator
-from repro.sim.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.sim.faults import FAULT_KINDS, FaultInjector, FaultPlan, FaultSpec
 from repro.sim.process import Process
 
 
@@ -71,6 +71,31 @@ def test_injector_byzantine_calls_the_behaviour_with_the_replica_at_the_schedule
     assert compromised == [(0.5, replicas[1])]
     assert not replicas[1].crashed
     assert [spec.kind for spec in injector.applied] == ["byzantine"]
+
+
+def _two_node_injector():
+    sim = Simulator()
+    replicas = {0: Dummy(sim, 0), 1: Dummy(sim, 1)}
+    return FaultInjector(sim, replicas, network=_network(sim, replicas))
+
+
+@pytest.mark.parametrize("kind", FAULT_KINDS)
+def test_every_fault_kind_has_an_activation_branch(kind):
+    """``_activate`` ends in ``else: raise``, so a kind added to
+    ``FAULT_KINDS`` without a branch fails here instead of silently doing
+    nothing (each heal counterpart is checked by the heal tests below)."""
+    injector = _two_node_injector()
+    spec = FaultSpec(replica_id=0, kind=kind, behaviour=lambda replica: None, peers=(1,))
+    injector._activate(spec)
+    assert injector.applied == [spec]
+
+
+def test_a_fault_kind_without_an_activation_branch_raises(monkeypatch):
+    monkeypatch.setattr("repro.sim.faults.FAULT_KINDS", FAULT_KINDS + ("pause",))
+    injector = _two_node_injector()
+    with pytest.raises(ConfigurationError, match="'pause' has no activation branch"):
+        injector._activate(FaultSpec(replica_id=0, kind="pause"))
+    assert injector.applied == []
 
 
 def test_injector_rejects_unknown_replica():

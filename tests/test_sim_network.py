@@ -51,7 +51,7 @@ def test_duplicate_registration_rejected():
 
 def test_broadcast_reaches_all_destinations():
     sim, net, nodes = make_net(4)
-    net.broadcast(0, "blast", [1, 2, 3])
+    net.broadcast_bulk(0, "blast", [1, 2, 3])
     sim.run()
     for node in nodes[1:]:
         assert node.received == [("blast", 0)]
