@@ -14,7 +14,7 @@ import pytest
 
 from conftest import attach_rows
 from repro.experiments import harness
-from repro.experiments.fault_sweep import SCENARIOS, SWEEP, SWEEP_SCALES, grid
+from repro.experiments.fault_sweep import DEFAULT_PROTOCOLS, SCENARIOS, SWEEP, SWEEP_SCALES, grid
 
 
 def _sweep_name() -> str:
@@ -22,7 +22,7 @@ def _sweep_name() -> str:
     return name if name in SWEEP_SCALES else "small"
 
 
-@pytest.mark.parametrize("protocol", ["sbft-c0", "pbft"])
+@pytest.mark.parametrize("protocol", DEFAULT_PROTOCOLS)
 def test_fault_sweep(benchmark, protocol):
     sweep = _sweep_name()
 

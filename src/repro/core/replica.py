@@ -79,6 +79,10 @@ class SBFTReplica(Replica):
 
     #: The view-change timeout doubles with every failed attempt.
     VIEW_CHANGE_BACKOFF = 2
+    #: Consecutive slow-path commits after which this replica is *degraded*:
+    #: as C-collector it stops waiting out ``fast_path_timeout`` for σ, and it
+    #: answers clients itself (PBFT's reply pattern).  One fast commit ends it.
+    DEGRADED_AFTER = 2
 
     def __init__(
         self,
@@ -112,6 +116,9 @@ class SBFTReplica(Replica):
 
         # Checkpoint state (used when execution collectors are disabled).
         self._checkpoint_shares: Dict[int, Dict[int, Any]] = {}
+
+        # Slow-path commits seen since the last fast one (see DEGRADED_AFTER).
+        self._slow_streak = 0
 
         # Hot-path dispatch: type-keyed handler and verification-cost tables,
         # built once here instead of a 15-branch isinstance chain per message.
@@ -311,9 +318,15 @@ class SBFTReplica(Replica):
             if not config.fast_path_enabled:
                 self._send_prepare(slot, view, digest)
             elif slot.fast_path_timer is None and not slot.fast_proof_sent:
-                slot.fast_path_timer = self.set_timer(
-                    config.fast_path_timeout, self._on_fast_path_timeout, slot.sequence, view, digest
-                )
+                if self._slow_streak >= self.DEGRADED_AFTER:
+                    # σ shares keep arriving; the branch above still sends the
+                    # fast proof if they complete, which is how the streak ends.
+                    self.stats.sigma_waits_skipped += 1
+                    self._send_prepare(slot, view, digest)
+                else:
+                    slot.fast_path_timer = self.set_timer(
+                        config.fast_path_timeout, self._on_fast_path_timeout, slot.sequence, view, digest
+                    )
 
     def _on_fast_path_timeout(self, sequence: int, view: int, digest: str) -> None:
         slot = self.log.peek(sequence)
@@ -397,9 +410,13 @@ class SBFTReplica(Replica):
         slot = self.log.slot(message.sequence)
         if slot.slow_proof_sent or message.replica_id in slot.commit_shares:
             return
-        if not self.keys.tau.verify_share(message.tau_share_on_tau):
+        # Only shares over this collector's own digest for the slot count: a
+        # valid share over anything else would make every combine fail.
+        share = message.tau_share_on_tau
+        commit_message = ("commit", message.sequence, message.view, slot.digest)
+        if share.message != commit_message or not self.keys.tau.verify_share(share):
             return
-        slot.commit_shares[message.replica_id] = message.tau_share_on_tau
+        slot.commit_shares[message.replica_id] = share
         if len(slot.commit_shares) >= self.config.tau_threshold:
             slot.slow_proof_sent = True
             shares = list(slot.commit_shares.values())[: self.config.tau_threshold]
@@ -411,7 +428,7 @@ class SBFTReplica(Replica):
                 return
             self._broadcast(
                 FullCommitProofSlow(
-                    sequence=message.sequence, view=message.view, digest=message.digest, tau_tau_signature=proof
+                    sequence=message.sequence, view=message.view, digest=slot.digest, tau_tau_signature=proof
                 )
             )
 
@@ -440,23 +457,28 @@ class SBFTReplica(Replica):
         self.stats.blocks_committed += 1
         if fast:
             self.stats.blocks_committed_fast += 1
-        else:
-            self.stats.blocks_committed_slow += 1
-        # Section V-F: committing in the fast path advances the stable point.
-        if fast:
+            self._slow_streak = 0
+            # Section V-F: committing in the fast path advances the stable point.
             implied_stable = slot.sequence - self.config.active_window
             if implied_stable > self.last_stable:
                 self.last_stable = implied_stable
+        else:
+            self.stats.blocks_committed_slow += 1
+            self._slow_streak += 1
         if slot.pre_prepare is None and slot.sequence > self.last_executed + self.config.active_window:
             self._request_state_transfer()
         self._try_execute()
 
     def _after_execute(self, slot: SlotState) -> None:
         """Acknowledge an executed block: π share to the E-collectors, or —
-        with ingredient 3 off — f+1 replies and the periodic checkpoint."""
+        with ingredient 3 off — f+1 replies and the periodic checkpoint.  A
+        degraded replica does both: the slot's E-collector may be dead."""
         if self.config.execution_collectors_enabled:
             self._send_sign_state(slot)
             self._maybe_send_execute_acks(slot.sequence)
+            if self._slow_streak >= self.DEGRADED_AFTER:
+                self.stats.blocks_replied_directly += 1
+                self._send_block_replies(slot)
         else:
             self._send_block_replies(slot)
             self._maybe_send_checkpoint(slot)
@@ -486,9 +508,11 @@ class SBFTReplica(Replica):
         slot = self.log.slot(message.sequence)
         if message.replica_id in slot.sign_state_shares:
             return
-        if not self.keys.pi.verify_share(message.pi_share):
+        share = message.pi_share
+        sign_message = ("state", message.sequence, message.state_digest)
+        if share.message != sign_message or not self.keys.pi.verify_share(share):
             return
-        slot.sign_state_shares[message.replica_id] = message.pi_share
+        slot.sign_state_shares[message.replica_id] = share
         if slot.execute_proof is None and len(slot.sign_state_shares) >= self.config.pi_threshold:
             shares = list(slot.sign_state_shares.values())[: self.config.pi_threshold]
             self.charge_cpu(self.costs.combine_cost(len(shares)))

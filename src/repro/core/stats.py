@@ -81,6 +81,10 @@ class SBFTReplicaStats(StatCounters):
         "blocks_executed",
         "view_changes",
         "state_transfers",
+        # Degraded mode: slots whose C-collector skipped the σ wait, and
+        # executed blocks this replica answered with direct signed replies.
+        "sigma_waits_skipped",
+        "blocks_replied_directly",
     )
 
 

@@ -161,7 +161,7 @@ SCENARIOS: Dict[str, FaultScenario] = {
     )
 }
 
-DEFAULT_PROTOCOLS: Tuple[str, ...] = ("sbft-c0", "pbft")
+DEFAULT_PROTOCOLS: Tuple[str, ...] = ("sbft-c0", "sbft-c8", "pbft")
 DEFAULT_TOPOLOGIES: Tuple[str, ...] = ("continent",)
 
 

@@ -44,11 +44,13 @@ _PRIMARY_CRASH = FaultPlan.crash_first(1, at_time=0.02)
 #: new primary (``next-primary``), a share forger's checkpoint π share
 #: (``linear-pbft`` has no execution collectors) and its view-change σ
 #: evidence (``then-view-change``).  The unit tests below pin those exactly.
+#: The six ``sbft-c0`` runs that leave the fast path were re-captured when
+#: degraded mode landed (see ``GOLDEN_FAULT_RUNS`` in tests/test_batching.py).
 GOLDEN_BYZANTINE_RUNS = [
     ("silent-primary-sbft-c0", "sbft-c0",
      dict(f=1, num_clients=2, requests_per_client=8, seed=21,
           fault_plan=FaultPlan.byzantine([0], silent, 0.02)),
-     "0e6765ff1f45e90549977298f8eeb59f72eb45fa43c07d075fbbb6a0f2697a59"),
+     "69791390ce0ab2c4d9922a09f54bc345b5437ef3246d0b545eed2b282bba2f84"),
     ("silent-primary-pbft", "pbft",
      dict(f=1, num_clients=2, requests_per_client=8, seed=21,
           fault_plan=FaultPlan.byzantine([0], silent, 0.02)),
@@ -68,7 +70,7 @@ GOLDEN_BYZANTINE_RUNS = [
     ("equivocate-next-primary-sbft-c0-f2", "sbft-c0",
      dict(f=2, num_clients=4, requests_per_client=6, seed=24,
           fault_plan=_PRIMARY_CRASH.extend(FaultPlan.byzantine([1], equivocate, 0.0))),
-     "0aa879c977abd1be446fa66d3c46f81737bb2a5efc4b801c355cb226a856eab9"),
+     "24897aa171323676e6c7d8b44ed5ec1af63a28c44754632cd368c7223894af84"),
     ("equivocate-next-primary-pbft-f2", "pbft",
      dict(f=2, num_clients=4, requests_per_client=6, seed=24,
           fault_plan=_PRIMARY_CRASH.extend(FaultPlan.byzantine([1], equivocate, 0.0))),
@@ -76,7 +78,7 @@ GOLDEN_BYZANTINE_RUNS = [
     ("stale-viewchange-sbft-c0", "sbft-c0",
      dict(f=1, num_clients=2, requests_per_client=8, seed=25,
           fault_plan=_PRIMARY_CRASH.extend(FaultPlan.byzantine([3], stale_view_change, 0.0))),
-     "00e8f33b19d922774572bea21d5ea162351098c1fa48cf64af5b9845091eaaec"),
+     "adc9f6769dba0db42d3eee5fd45642117523796d77834960b1f0893f1a16b621"),
     ("stale-viewchange-pbft", "pbft",
      dict(f=1, num_clients=2, requests_per_client=8, seed=25,
           fault_plan=_PRIMARY_CRASH.extend(FaultPlan.byzantine([3], stale_view_change, 0.0))),
@@ -85,11 +87,11 @@ GOLDEN_BYZANTINE_RUNS = [
      dict(f=2, num_clients=4, requests_per_client=6, batch_size=4, topology="continent", seed=26,
           fault_plan=FaultPlan.crash_first(1, at_time=0.3).extend(
               FaultPlan.byzantine([5, 6], stale_view_change, 0.1))),
-     "0017c502d1a405bc962612ef307a64e93714dad036ff8caa6a41f24346d14861"),
+     "f8742ad25f2abe3a76e17646dd100c1480277e8520cc480abfa7c8173d889780"),
     ("bad-shares-sbft-c0", "sbft-c0",
      dict(f=1, num_clients=2, requests_per_client=8, seed=27,
           fault_plan=FaultPlan.byzantine([3], bad_shares, 0.0)),
-     "5194f8615ddad00ac547cafd503a8d15b85325a45ed13cbb90a2f214a2f07581"),
+     "9ec08006d6ffe981cecd7324bb393babf82fb1e63c91010df97f119daba1f4f2"),
     ("bad-shares-sbft-c8", "sbft-c8",
      dict(f=1, c=1, num_clients=2, requests_per_client=8, seed=27,
           fault_plan=FaultPlan.byzantine([5], bad_shares, 0.01)),
@@ -102,7 +104,7 @@ GOLDEN_BYZANTINE_RUNS = [
     ("bad-shares-then-view-change-sbft-c0-f2", "sbft-c0",
      dict(f=2, num_clients=4, requests_per_client=6, seed=29,
           fault_plan=_PRIMARY_CRASH.extend(FaultPlan.byzantine([4], bad_shares, 0.0))),
-     "00c0fccdb36d1898285eb272868f07bf47ac3849bd1dc451bdaf4435d2c616ed"),
+     "bb8b5b4cc8d10dae3b62852987524b6e86ae5c46dbf7c1a0ecf33faad90958ba"),
 ]
 
 
