@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SBFTConfig
+from repro.core.log import Tally
 from repro.core.messages import ClientReply, ClientRequest, ExecuteAck
 from repro.core.stats import ClientStats
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
@@ -46,8 +47,8 @@ class _InFlightRequest:
         self.request = request
         self.issued_at = issued_at
         self.retry_timer: Optional[int] = None
-        # Reply-value digest -> set of replica ids that voted for it.
-        self.fallback_replies: Dict[str, set] = {}
+        # f+1 fallback votes per reply-value digest.
+        self.fallback_replies = Tally()
 
 
 class SBFTClient(Process):
@@ -250,9 +251,7 @@ class SBFTClient(Process):
         # Replies are matched by value digest (values may contain unhashable
         # structures such as ledger receipts).
         values_digest = sha256_hex("reply-values", message.values)
-        voters = pending.fallback_replies.setdefault(values_digest, set())
-        voters.add(message.replica_id)
-        if len(voters) >= self.config.f + 1:
+        if pending.fallback_replies.add(values_digest, message.replica_id) >= self.config.f + 1:
             self.stats.fallbacks += 1
             self._complete(pending, message.values)
 

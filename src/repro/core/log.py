@@ -16,7 +16,33 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.messages import PrePrepare
-from repro.crypto.threshold import CombinedSignature, SignatureShare
+from repro.crypto.threshold import CombinedSignature
+
+
+class Tally(dict):
+    """Votes counted per value: ``value -> {voter -> payload}``.
+
+    Every quorum in the repo is "k distinct voters for the *same* value", so
+    the value (a signed message, a digest, a view) picks the bucket and the
+    voter (the identity the signature check authenticated) the place in it.
+    A voter's first vote for a value stands; buckets keep arrival order.
+    """
+
+    __slots__ = ()
+
+    def add(self, value: Any, voter: int, payload: Any = None) -> int:
+        """Record a vote; the value's new voter count, or 0 for a repeat."""
+        bucket = self.get(value)
+        if bucket is None:
+            bucket = self[value] = {}
+        elif voter in bucket:
+            return 0
+        bucket[voter] = payload
+        return len(bucket)
+
+    def votes(self, value: Any) -> Dict[int, Any]:
+        """The ``voter -> payload`` bucket of ``value`` (empty if nobody voted)."""
+        return self.get(value) or {}
 
 
 @dataclass
@@ -30,9 +56,9 @@ class SlotState:
     pre_prepare_view: int = -1
     digest: Optional[str] = None
 
-    # C-collector state (fast path): sigma/tau shares received.
-    sigma_shares: Dict[int, SignatureShare] = field(default_factory=dict)
-    tau_shares: Dict[int, SignatureShare] = field(default_factory=dict)
+    # C-collector state (fast path): sigma/tau shares per signed message.
+    sigma_shares: Tally = field(default_factory=Tally)
+    tau_shares: Tally = field(default_factory=Tally)
     fast_proof_sent: bool = False
     prepare_sent: bool = False
     fast_path_timer: Optional[int] = None
@@ -41,7 +67,7 @@ class SlotState:
     prepare_certificate: Optional[CombinedSignature] = None
     prepare_certificate_view: int = -1
     commit_sent: bool = False
-    commit_shares: Dict[int, SignatureShare] = field(default_factory=dict)
+    commit_shares: Tally = field(default_factory=Tally)
     slow_proof_sent: bool = False
 
     # Commit state.
@@ -56,9 +82,8 @@ class SlotState:
     state_digest: Optional[str] = None
 
     # E-collector state.
-    sign_state_shares: Dict[int, SignatureShare] = field(default_factory=dict)
+    sign_state_shares: Tally = field(default_factory=Tally)
     execute_proof: Optional[CombinedSignature] = None      # π(d)
-    execute_proof_sent: bool = False
     acks_sent: bool = False
 
     # Bookkeeping for replies.

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import SBFTConfig
 from repro.core.keys import ReplicaKeys
-from repro.core.log import ReplicaLog, SlotState
+from repro.core.log import ReplicaLog, SlotState, Tally
 from repro.core.messages import (
     CheckpointMsg,
     ClientReply,
@@ -68,6 +68,7 @@ from repro.core.viewchange import (
     compute_new_view_plan,
 )
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
+from repro.crypto.threshold import ThresholdScheme
 from repro.errors import CryptoError
 from repro.services.interface import AuthenticatedService, ReplicatedService
 from repro.sim.events import Simulator
@@ -111,11 +112,11 @@ class SBFTReplica(Replica):
         self._group_memo = {} if collector_groups is None else collector_groups
         self.log = ReplicaLog(config.window, SlotState)
 
-        # View-change evidence gathered as (prospective) new primary.
-        self._view_changes_received: Dict[int, Dict[int, ViewChange]] = {}
+        self._new_view_quorum = config.view_change_quorum
 
-        # Checkpoint state (used when execution collectors are disabled).
-        self._checkpoint_shares: Dict[int, Dict[int, Any]] = {}
+        # Checkpoint π shares per sequence (used when execution collectors
+        # are disabled).
+        self._checkpoint_shares: Dict[int, Tally] = {}
 
         # Slow-path commits seen since the last fast one (see DEGRADED_AFTER).
         self._slow_streak = 0
@@ -224,6 +225,26 @@ class SBFTReplica(Replica):
         }
 
     # ==================================================================
+    # Collecting shares: the only ``verify_share`` and ``combine`` calls
+    # ==================================================================
+    def _count(self, tally: Tally, scheme: ThresholdScheme, share: Any, signed: Tuple) -> int:
+        """File a valid share over ``signed`` under the signer the scheme
+        authenticated (not the id its message claims): that message's new
+        signer count, or 0 if the share added nothing."""
+        if share is None or share.message != signed or not scheme.verify_share(share):
+            return 0
+        return tally.add(signed, share.signer_id, share)
+
+    def _combine(self, tally: Tally, scheme: ThresholdScheme, signed: Tuple) -> Optional[Any]:
+        """Combine the first ``threshold`` shares filed under ``signed``."""
+        shares = list(tally.votes(signed).values())[: scheme.threshold]
+        self.charge_cpu(self.costs.combine_cost(len(shares)))
+        try:
+            return scheme.combine(shares, verify=False)
+        except CryptoError:
+            return None
+
+    # ==================================================================
     # Fast path: pre-prepare -> sign-share -> full-commit-proof
     # ==================================================================
     def _on_pre_prepare(self, message: PrePrepare, src: int) -> None:
@@ -257,9 +278,6 @@ class SBFTReplica(Replica):
         slot.prepare_sent = False
         slot.commit_sent = False
         slot.slow_proof_sent = False
-        slot.sigma_shares.clear()
-        slot.tau_shares.clear()
-        slot.commit_shares.clear()
         slot.prepare_certificate = None
         slot.prepare_certificate_view = -1
         if slot.fast_path_timer is not None:
@@ -291,77 +309,58 @@ class SBFTReplica(Replica):
         if not self._is_c_collector(message.sequence, message.view):
             return
         slot = self.log.slot(message.sequence)
-        if message.replica_id in slot.sigma_shares or message.replica_id in slot.tau_shares:
-            return
-        sign_message = ("sign", message.sequence, message.view, message.digest)
-        if message.sigma_share is not None and self.keys.sigma.verify_share(message.sigma_share):
-            if message.sigma_share.message == sign_message:
-                slot.sigma_shares[message.replica_id] = message.sigma_share
-        if message.tau_share is not None and self.keys.tau.verify_share(message.tau_share):
-            if message.tau_share.message == sign_message:
-                slot.tau_shares[message.replica_id] = message.tau_share
+        signed = ("sign", message.sequence, message.view, message.digest)
+        sigma = self._count(slot.sigma_shares, self.keys.sigma, message.sigma_share, signed)
+        tau = self._count(slot.tau_shares, self.keys.tau, message.tau_share, signed)
+        self._collector_progress(slot, signed, sigma, tau)
 
-        self._collector_progress(slot, message.view, message.digest)
-
-    def _collector_progress(self, slot: SlotState, view: int, digest: str) -> None:
-        """Called whenever a C-collector gains shares for a slot."""
+    def _collector_progress(self, slot: SlotState, signed: Tuple, sigma: int, tau: int) -> None:
+        """A C-collector just counted ``sigma`` / ``tau`` signers over ``signed``."""
         config = self.config
-        if (
-            config.fast_path_enabled
-            and not slot.fast_proof_sent
-            and len(slot.sigma_shares) >= config.sigma_threshold
-        ):
-            self._send_full_commit_proof(slot, view, digest)
-            return
-
-        if len(slot.tau_shares) >= config.tau_threshold and not slot.prepare_sent:
+        if config.fast_path_enabled and not slot.fast_proof_sent and sigma >= config.sigma_threshold:
+            self._send_full_commit_proof(slot, signed)
+        elif tau >= config.tau_threshold and not slot.prepare_sent:
             if not config.fast_path_enabled:
-                self._send_prepare(slot, view, digest)
+                self._send_prepare(slot, signed)
             elif slot.fast_path_timer is None and not slot.fast_proof_sent:
                 if self._slow_streak >= self.DEGRADED_AFTER:
                     # σ shares keep arriving; the branch above still sends the
                     # fast proof if they complete, which is how the streak ends.
                     self.stats.sigma_waits_skipped += 1
-                    self._send_prepare(slot, view, digest)
+                    self._send_prepare(slot, signed)
                 else:
                     slot.fast_path_timer = self.set_timer(
-                        config.fast_path_timeout, self._on_fast_path_timeout, slot.sequence, view, digest
+                        config.fast_path_timeout, self._on_fast_path_timeout, slot.sequence, signed
                     )
 
-    def _on_fast_path_timeout(self, sequence: int, view: int, digest: str) -> None:
+    def _on_fast_path_timeout(self, sequence: int, signed: Tuple) -> None:
         slot = self.log.peek(sequence)
         if slot is None:
             return
         slot.fast_path_timer = None
         if slot.fast_proof_sent or slot.prepare_sent or slot.committed:
             return
-        if len(slot.tau_shares) >= self.config.tau_threshold:
-            self._send_prepare(slot, view, digest)
+        if len(slot.tau_shares.votes(signed)) >= self.config.tau_threshold:
+            self._send_prepare(slot, signed)
 
-    def _send_full_commit_proof(self, slot: SlotState, view: int, digest: str) -> None:
+    def _send_full_commit_proof(self, slot: SlotState, signed: Tuple) -> None:
+        proof = self._combine(slot.sigma_shares, self.keys.sigma, signed)
+        if proof is None:
+            return
         slot.fast_proof_sent = True
         if slot.fast_path_timer is not None:
             self.cancel_timer(slot.fast_path_timer)
             slot.fast_path_timer = None
-        shares = list(slot.sigma_shares.values())[: self.config.sigma_threshold]
-        self.charge_cpu(self.costs.combine_cost(len(shares)))
-        try:
-            proof = self.keys.sigma.combine(shares, verify=False)
-        except CryptoError:
-            slot.fast_proof_sent = False
-            return
-        self._broadcast(FullCommitProof(sequence=slot.sequence, view=view, digest=digest, sigma_signature=proof))
+        _, sequence, view, digest = signed
+        self._broadcast(FullCommitProof(sequence=sequence, view=view, digest=digest, sigma_signature=proof))
 
-    def _send_prepare(self, slot: SlotState, view: int, digest: str) -> None:
-        slot.prepare_sent = True
-        shares = list(slot.tau_shares.values())[: self.config.tau_threshold]
-        self.charge_cpu(self.costs.combine_cost(len(shares)))
-        try:
-            certificate = self.keys.tau.combine(shares, verify=False)
-        except CryptoError:
-            slot.prepare_sent = False
+    def _send_prepare(self, slot: SlotState, signed: Tuple) -> None:
+        certificate = self._combine(slot.tau_shares, self.keys.tau, signed)
+        if certificate is None:
             return
-        self._broadcast(Prepare(sequence=slot.sequence, view=view, digest=digest, tau_signature=certificate))
+        slot.prepare_sent = True
+        _, sequence, view, digest = signed
+        self._broadcast(Prepare(sequence=sequence, view=view, digest=digest, tau_signature=certificate))
 
     def _on_full_commit_proof(self, message: FullCommitProof, src: int) -> None:
         slot = self.log.slot(message.sequence)
@@ -408,29 +407,21 @@ class SBFTReplica(Replica):
         if not self._is_c_collector(message.sequence, message.view):
             return
         slot = self.log.slot(message.sequence)
-        if slot.slow_proof_sent or message.replica_id in slot.commit_shares:
+        if slot.slow_proof_sent:
             return
-        # Only shares over this collector's own digest for the slot count: a
-        # valid share over anything else would make every combine fail.
-        share = message.tau_share_on_tau
-        commit_message = ("commit", message.sequence, message.view, slot.digest)
-        if share.message != commit_message or not self.keys.tau.verify_share(share):
-            return
-        slot.commit_shares[message.replica_id] = share
-        if len(slot.commit_shares) >= self.config.tau_threshold:
-            slot.slow_proof_sent = True
-            shares = list(slot.commit_shares.values())[: self.config.tau_threshold]
-            self.charge_cpu(self.costs.combine_cost(len(shares)))
-            try:
-                proof = self.keys.tau.combine(shares, verify=False)
-            except CryptoError:
-                slot.slow_proof_sent = False
-                return
-            self._broadcast(
-                FullCommitProofSlow(
-                    sequence=message.sequence, view=message.view, digest=slot.digest, tau_tau_signature=proof
+        # Only shares over this collector's own digest for the slot count,
+        # whatever digest the sender's header names.
+        signed = ("commit", message.sequence, message.view, slot.digest)
+        count = self._count(slot.commit_shares, self.keys.tau, message.tau_share_on_tau, signed)
+        if count >= self.config.tau_threshold:
+            proof = self._combine(slot.commit_shares, self.keys.tau, signed)
+            if proof is not None:
+                slot.slow_proof_sent = True
+                self._broadcast(
+                    FullCommitProofSlow(
+                        sequence=message.sequence, view=message.view, digest=slot.digest, tau_tau_signature=proof
+                    )
                 )
-            )
 
     def _on_full_commit_proof_slow(self, message: FullCommitProofSlow, src: int) -> None:
         slot = self.log.slot(message.sequence)
@@ -506,27 +497,16 @@ class SBFTReplica(Replica):
         if not self._is_e_collector(message.sequence):
             return
         slot = self.log.slot(message.sequence)
-        if message.replica_id in slot.sign_state_shares:
-            return
-        share = message.pi_share
-        sign_message = ("state", message.sequence, message.state_digest)
-        if share.message != sign_message or not self.keys.pi.verify_share(share):
-            return
-        slot.sign_state_shares[message.replica_id] = share
-        if slot.execute_proof is None and len(slot.sign_state_shares) >= self.config.pi_threshold:
-            shares = list(slot.sign_state_shares.values())[: self.config.pi_threshold]
-            self.charge_cpu(self.costs.combine_cost(len(shares)))
-            try:
-                proof = self.keys.pi.combine(shares, verify=False)
-            except CryptoError:
-                return
-            slot.execute_proof = proof
-            slot.execute_proof_sent = True
-            self._broadcast(
-                FullExecuteProof(
-                    sequence=message.sequence, state_digest=message.state_digest, pi_signature=proof
+        signed = ("state", message.sequence, message.state_digest)
+        count = self._count(slot.sign_state_shares, self.keys.pi, message.pi_share, signed)
+        if count >= self.config.pi_threshold and slot.execute_proof is None:
+            slot.execute_proof = proof = self._combine(slot.sign_state_shares, self.keys.pi, signed)
+            if proof is not None:
+                self._broadcast(
+                    FullExecuteProof(
+                        sequence=message.sequence, state_digest=message.state_digest, pi_signature=proof
+                    )
                 )
-            )
         self._maybe_send_execute_acks(message.sequence)
 
     def _on_full_execute_proof(self, message: FullExecuteProof, src: int) -> None:
@@ -604,22 +584,18 @@ class SBFTReplica(Replica):
         self._broadcast(message)
 
     def _on_checkpoint(self, message: CheckpointMsg, src: int) -> None:
-        if not self.keys.pi.verify_share(message.pi_share):
-            return
-        shares = self._checkpoint_shares.setdefault(message.sequence, {})
-        shares[message.replica_id] = message.pi_share
-        if len(shares) >= self.config.pi_threshold and message.sequence > self.last_stable:
-            self.charge_cpu(self.costs.combine_cost(len(shares)))
-            try:
-                proof = self.keys.pi.combine(list(shares.values())[: self.config.pi_threshold], verify=False)
-            except CryptoError:
-                return
-            self._broadcast(
-                StableCheckpoint(
-                    sequence=message.sequence, state_digest=message.state_digest, pi_signature=proof
+        signed = ("checkpoint", message.sequence, message.state_digest)
+        shares = self._checkpoint_shares.setdefault(message.sequence, Tally())
+        count = self._count(shares, self.keys.pi, message.pi_share, signed)
+        if count >= self.config.pi_threshold and message.sequence > self.last_stable:
+            proof = self._combine(shares, self.keys.pi, signed)
+            if proof is not None:
+                self._broadcast(
+                    StableCheckpoint(
+                        sequence=message.sequence, state_digest=message.state_digest, pi_signature=proof
+                    )
                 )
-            )
-            self._advance_stable(message.sequence)
+                self._advance_stable(message.sequence)
 
     def _on_stable_checkpoint(self, message: StableCheckpoint, src: int) -> None:
         sign_message = ("checkpoint", message.sequence, message.state_digest)
@@ -689,33 +665,6 @@ class SBFTReplica(Replica):
             sequence=slot.sequence, lm=lm, fm=fm, requests_by_digest=requests_by_digest
         )
 
-    def _on_view_change(self, message: ViewChange, src: int) -> None:
-        if message.new_view <= self.view:
-            return
-        per_view = self._view_changes_received.setdefault(message.new_view, {})
-        per_view[message.replica_id] = message
-
-        # Liveness rule: join the view change once f+1 replicas want it.
-        if (
-            len(per_view) >= self.config.f + 1
-            and message.new_view not in self._view_change_sent_for
-        ):
-            self._start_view_change(message.new_view)
-
-        # If we are the new primary, try to assemble a new-view message.
-        if primary_of_view(message.new_view, self._n) == self.node_id:
-            if len(per_view) >= self.config.view_change_quorum:
-                self._send_new_view(message.new_view, per_view)
-
-    def _send_new_view(self, new_view: int, per_view: Dict[int, ViewChange]) -> None:
-        if self.view >= new_view or new_view in self._new_view_sent_for:
-            return
-        self._new_view_sent_for.add(new_view)
-        selected = tuple(list(per_view.values())[: self.config.view_change_quorum])
-        self.charge_cpu(self.costs.bls_verify_combined * len(selected))
-        message = NewView(view=new_view, view_changes=selected)
-        self._broadcast(message)
-
     def _on_new_view(self, message: NewView, src: int) -> None:
         if message.view <= self.view:
             return
@@ -745,9 +694,8 @@ class SBFTReplica(Replica):
         if self._batch_timer is not None:
             self.cancel_timer(self._batch_timer)
             self._batch_timer = None
-        self._view_changes_received = {
-            view: msgs for view, msgs in self._view_changes_received.items() if view > new_view
-        }
+        for view in [view for view in self._view_changes if view <= new_view]:
+            del self._view_changes[view]
 
         max_decided = plan.last_stable
         for sequence, decision in sorted(plan.decisions.items()):
@@ -787,6 +735,10 @@ class SBFTReplica(Replica):
         self._broadcast(self._signed_pre_prepare(sequence, requests))
 
     # Runtime hooks where SBFT differs (see repro.core.runtime.Replica).
+    def _new_view(self, view: int, view_changes: Tuple[ViewChange, ...]) -> NewView:
+        self.charge_cpu(self.costs.bls_verify_combined * len(view_changes))
+        return NewView(view=view, view_changes=view_changes)
+
     def _after_batch_timeout(self) -> None:
         # Re-arm the batch timer when the flush was blocked by a full window,
         # so the queue is re-examined once the stable point moves.

@@ -14,10 +14,11 @@ Subclass contract: after ``super().__init__`` set ``log`` (a
 :class:`~repro.core.log.ReplicaLog` of the protocol's slot type), ``stats``
 and the complete ``_handlers`` / ``_cost_table`` dict literals; define a
 two-line ``on_message`` of your own (the benchmark counts handled messages
-per protocol by that method's code object); implement ``build_view_change``
-and ``_after_execute``; override the hooks at the bottom of the class where
-the protocol differs.  docs/architecture.md ("Replica runtime") lists every
-such point and why it exists.
+per protocol by that method's code object) and ``_new_view_quorum``;
+implement ``build_view_change``, ``_new_view`` and ``_after_execute``;
+override the hooks at the bottom of the class where the protocol differs.
+docs/architecture.md ("Replica runtime") lists every such point and why it
+exists.
 
 Cost accounting: message verification cost is charged *before* a message is
 processed (so a saturated replica's queue grows and latency rises), while
@@ -30,6 +31,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import SBFTConfig
+from repro.core.log import Tally
 from repro.core.messages import (
     ClientReply,
     ClientRequest,
@@ -180,8 +182,9 @@ class Replica(Process):
         self._replies = ClientReplyTracker(config.client_max_outstanding)
         self._direct_reply_waiting: Dict[Tuple[int, int], int] = {}
 
-        # View-change timer state (the evidence a view change carries is the
-        # protocol's business).
+        # View-change state: the messages received per proposed view, and the
+        # timer (the evidence a view change carries is the protocol's business).
+        self._view_changes = Tally()
         self._view_change_timer: Optional[int] = None
         self._view_change_attempts = 0
         self._view_change_sent_for: set = set()
@@ -536,8 +539,28 @@ class Replica(Process):
         self._broadcast(self.build_view_change(new_view))
         self._ensure_view_change_timer()
 
+    def _on_view_change(self, message: Any, src: int) -> None:
+        new_view = message.new_view
+        if new_view <= self.view:
+            return
+        self._view_changes.add(new_view, message.replica_id, message)
+        view_changes = self._view_changes.votes(new_view)
+        # Liveness rule: join the view change once f+1 replicas want it.
+        if len(view_changes) >= self.config.f + 1:
+            self._start_view_change(new_view)
+        # The new view's primary announces it once it holds a quorum of them.
+        if (
+            new_view % self._n == self.node_id
+            and len(view_changes) >= self._new_view_quorum
+            and new_view not in self._new_view_sent_for
+        ):
+            self._new_view_sent_for.add(new_view)
+            selected = tuple(view_changes.values())[: self._new_view_quorum]
+            self._broadcast(self._new_view(new_view, selected))
+
     # ==================================================================
-    # Protocol hooks
+    # Protocol hooks (plus the attribute ``_new_view_quorum``: how many
+    # view-change messages the new primary's announcement carries)
     # ==================================================================
     def build_view_change(self, new_view: int) -> Any:
         """Construct this replica's view-change message for ``new_view``."""
@@ -545,6 +568,11 @@ class Replica(Process):
 
     def _after_execute(self, slot: Any) -> None:
         """Protocol tail of an executed block: replies/acks and checkpointing."""
+        raise NotImplementedError
+
+    def _new_view(self, view: int, view_changes: Tuple[Any, ...]) -> Any:
+        """The new primary's announcement of ``view`` (charges what checking
+        the ``view_changes`` it carries costs)."""
         raise NotImplementedError
 
     def _forwards_request_from(self, src: int) -> bool:

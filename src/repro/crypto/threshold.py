@@ -97,21 +97,24 @@ class ThresholdScheme:
     # ------------------------------------------------------------------
     # Signing / share verification
     # ------------------------------------------------------------------
+    def _memo(self, table: Dict[object, object], key: object, compute, argument):
+        """``compute(argument)``, remembered in ``table`` under ``key``."""
+        try:
+            cached = table.get(key)
+        except TypeError:  # unhashable message: fall back to direct computation
+            return compute(argument)
+        if cached is None:
+            cached = compute(argument)
+            if len(table) >= self.CACHE_LIMIT:
+                table.clear()
+            table[key] = cached
+        return cached
+
     def _hash_uncached(self, message: object) -> GroupElement:
         return self.group.hash_to_group(sha256_int("thresh", self.name, message))
 
     def _hash(self, message: object) -> GroupElement:
-        key = memo_key(message)
-        try:
-            cached = self._hash_memo.get(key)
-        except TypeError:  # unhashable message: fall back to direct computation
-            return self._hash_uncached(message)
-        if cached is None:
-            cached = self._hash_uncached(message)
-            if len(self._hash_memo) >= self.CACHE_LIMIT:
-                self._hash_memo.clear()
-            self._hash_memo[key] = cached
-        return cached
+        return self._memo(self._hash_memo, memo_key(message), self._hash_uncached, message)
 
     def sign_share(self, signer_id: int, message: object) -> SignatureShare:
         """Produce signer ``signer_id``'s share on ``message``."""
@@ -139,16 +142,7 @@ class ThresholdScheme:
     def verify_share(self, share: SignatureShare) -> bool:
         """Robustness check: ``e(share, G) == e(H(m), vk_i)``."""
         key = (share.scheme_name, share.signer_id, memo_key(share.message), share.point)
-        try:
-            cached = self._share_memo.get(key)
-        except TypeError:
-            return self._verify_share_uncached(share)
-        if cached is None:
-            cached = self._verify_share_uncached(share)
-            if len(self._share_memo) >= self.CACHE_LIMIT:
-                self._share_memo.clear()
-            self._share_memo[key] = cached
-        return cached
+        return self._memo(self._share_memo, key, self._verify_share_uncached, share)
 
     # ------------------------------------------------------------------
     # Combination / verification
@@ -211,16 +205,7 @@ class ThresholdScheme:
     def verify(self, signature: CombinedSignature) -> bool:
         """Verify a combined signature under the scheme public key."""
         key = (signature.scheme_name, memo_key(signature.message), signature.point)
-        try:
-            cached = self._combined_memo.get(key)
-        except TypeError:
-            return self._verify_uncached(signature)
-        if cached is None:
-            cached = self._verify_uncached(signature)
-            if len(self._combined_memo) >= self.CACHE_LIMIT:
-                self._combined_memo.clear()
-            self._combined_memo[key] = cached
-        return cached
+        return self._memo(self._combined_memo, key, self._verify_uncached, signature)
 
     def verify_message(self, signature: CombinedSignature, message: object) -> bool:
         """Verify a combined signature and that it covers ``message``."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import SBFTConfig
-from repro.core.log import ReplicaLog
+from repro.core.log import ReplicaLog, Tally
 from repro.core.messages import (
     ClientRequest,
     PrePrepare,
@@ -73,8 +73,9 @@ class _PbftSlot:
         self.pre_prepare: Optional[PrePrepare] = None
         self.view = -1
         self.digest: Optional[str] = None
-        self.prepares: Dict[int, str] = {}
-        self.commits: Dict[int, str] = {}
+        # Votes per digest (the voter's verified ``replica_id``).
+        self.prepares = Tally()
+        self.commits = Tally()
         self.prepare_sent = False
         self.commit_sent = False
         self.committed = False
@@ -104,10 +105,9 @@ class PBFTReplica(Replica):
         )
         self.verify_keys = verify_keys
         # Read on every vote, so looked up once (the config is frozen).
-        self.quorum = config.pbft_quorum
+        self.quorum = self._new_view_quorum = config.pbft_quorum
         self.log = ReplicaLog(config.window, _PbftSlot)
-        self._checkpoints: Dict[int, Dict[int, str]] = {}
-        self._view_changes: Dict[int, Dict[int, PbftViewChange]] = {}
+        self._checkpoints: Dict[int, Tally] = {}
         self.stats = PBFTReplicaStats()
 
         # Type-keyed dispatch and verification-cost tables (hot path); message
@@ -187,21 +187,14 @@ class PBFTReplica(Replica):
         ):
             return
         slot = self.log.slot(message.sequence)
-        slot.prepares[message.replica_id] = message.digest
+        slot.prepares.add(message.digest, message.replica_id)
         self._check_prepared(slot)
 
     def _check_prepared(self, slot: _PbftSlot) -> None:
         if slot.commit_sent or slot.digest is None or slot.pre_prepare is None:
             return
         # Prepared: pre-prepare + 2f (+2c) prepares from distinct replicas.
-        # Matching votes never outnumber votes, so nothing is counted until
-        # the dict itself can reach the quorum: with honest (all-matching)
-        # votes the scan below runs once per slot, not once per vote.
-        needed = self.quorum - 1
-        if len(slot.prepares) < needed:
-            return
-        matching = sum(1 for digest in slot.prepares.values() if digest == slot.digest)
-        if matching >= needed:
+        if len(slot.prepares.votes(slot.digest)) >= self.quorum - 1:
             slot.commit_sent = True
             self.charge_cpu(self.costs.rsa_sign)
             signature = self.signing_key.sign(("commit", slot.sequence, self.view, slot.digest))
@@ -224,16 +217,13 @@ class PBFTReplica(Replica):
         ):
             return
         slot = self.log.slot(message.sequence)
-        slot.commits[message.replica_id] = message.digest
+        slot.commits.add(message.digest, message.replica_id)
         self._check_committed(slot)
 
     def _check_committed(self, slot: _PbftSlot) -> None:
         if slot.committed or slot.digest is None:
             return
-        if len(slot.commits) < self.quorum:  # see _check_prepared
-            return
-        matching = sum(1 for digest in slot.commits.values() if digest == slot.digest)
-        if matching >= self.quorum and slot.pre_prepare is not None:
+        if len(slot.commits.votes(slot.digest)) >= self.quorum and slot.pre_prepare is not None:
             slot.committed = True
             self.stats.blocks_committed += 1
             self._try_execute()
@@ -265,14 +255,11 @@ class PBFTReplica(Replica):
             ("checkpoint", message.sequence, message.state_digest), message.signature
         ):
             return
-        votes = self._checkpoints.setdefault(message.sequence, {})
-        votes[message.replica_id] = message.state_digest
-        # Stable: a quorum voted for the *same* state digest (only the digest
-        # just voted for can have newly reached it).
+        votes = self._checkpoints.setdefault(message.sequence, Tally())
+        # Stable: a quorum voted for the *same* state digest.
         if (
-            message.sequence > self.last_stable
-            and len(votes) >= self.quorum
-            and list(votes.values()).count(message.state_digest) >= self.quorum
+            votes.add(message.state_digest, message.replica_id) >= self.quorum
+            and message.sequence > self.last_stable
         ):
             self.last_stable = message.sequence
             collect_up_to = min(self.last_stable, self.last_executed) - self.config.window
@@ -304,19 +291,6 @@ class PBFTReplica(Replica):
             prepared=tuple(prepared),
             signature=self.signing_key.sign(("view-change", new_view, self.last_stable)),
         )
-
-    def _on_view_change(self, message: PbftViewChange, src: int) -> None:
-        if message.new_view <= self.view:
-            return
-        per_view = self._view_changes.setdefault(message.new_view, {})
-        per_view[message.replica_id] = message
-        if len(per_view) >= self.config.f + 1 and message.new_view not in self._view_change_sent_for:
-            self._start_view_change(message.new_view)
-        if message.new_view % self._n == self.node_id and len(per_view) >= self.quorum:
-            if message.new_view not in self._new_view_sent_for:
-                self._new_view_sent_for.add(message.new_view)
-                selected = tuple(list(per_view.values())[: self.quorum])
-                self._broadcast(PbftNewView(view=message.new_view, view_changes=selected))
 
     def _on_new_view(self, message: PbftNewView, src: int) -> None:
         if message.view <= self.view or message.view % self._n != src:
@@ -353,6 +327,9 @@ class PBFTReplica(Replica):
                 slot.digest = None
 
     # Runtime hooks where the baseline differs (see repro.core.runtime.Replica).
+    def _new_view(self, view: int, view_changes: Tuple[PbftViewChange, ...]) -> PbftNewView:
+        return PbftNewView(view=view, view_changes=view_changes)
+
     def _forwards_request_from(self, src: int) -> bool:
         # A backup relays every request to its primary, whoever delivered it.
         return True

@@ -70,7 +70,7 @@ GOLDEN_BYZANTINE_RUNS = [
     ("equivocate-next-primary-sbft-c0-f2", "sbft-c0",
      dict(f=2, num_clients=4, requests_per_client=6, seed=24,
           fault_plan=_PRIMARY_CRASH.extend(FaultPlan.byzantine([1], equivocate, 0.0))),
-     "24897aa171323676e6c7d8b44ed5ec1af63a28c44754632cd368c7223894af84"),
+     "ddfa760808ab0bcd90bebd720c7794a6a83d20c70a26f37872f4c15293eecf69"),
     ("equivocate-next-primary-pbft-f2", "pbft",
      dict(f=2, num_clients=4, requests_per_client=6, seed=24,
           fault_plan=_PRIMARY_CRASH.extend(FaultPlan.byzantine([1], equivocate, 0.0))),

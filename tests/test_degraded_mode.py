@@ -5,13 +5,19 @@ for σ, and it answers clients with signed replies next to its ``SignState``
 (the slot's single E-collector may be the dead replica).  One fast commit
 ends it.  docs/architecture.md, "Degraded mode".
 
-Also here: the collector bug degraded mode would have made a steady-state
-wedge — a validly signed share over the wrong message.
+Also here: the collector bugs degraded mode would have made a steady-state
+wedge — a validly signed share over the wrong message, or one share replayed
+under several claimed ids — and the :class:`~repro.core.log.Tally` every
+quorum is counted on.
 """
+
+from hypothesis import given, strategies as st
 
 from helpers import assert_agreement, make_bare_replica, make_request, run_small_cluster
 from repro.core.config import SBFTConfig
+from repro.core.log import Tally
 from repro.core.messages import (
+    CheckpointMsg,
     ClientReply,
     Commit,
     ExecuteAck,
@@ -280,7 +286,7 @@ def test_commit_share_over_another_message_is_dropped_and_the_slow_proof_still_f
         replica._on_commit(
             Commit(sequence=1, view=0, replica_id=3, digest=header_digest,
                    tau_share_on_tau=replica.keys.tau.sign_share(3, wrong)), src=3)
-    assert replica.log.slot(1).commit_shares == {}
+    assert replica.log.slot(1).commit_shares.votes(("commit", 1, 0, digest)) == {}
 
     _commits(replica, 1, digest, (1, 2))
     # The quorum-completing commit lies in its header only: the proof must
@@ -300,10 +306,90 @@ def test_state_share_over_another_message_is_dropped_and_the_execute_proof_still
     replica._on_sign_state(
         SignState(sequence=1, replica_id=3, state_digest="s",
                   pi_share=pi.sign_share(3, ("state", 1, "other"))), src=3)
-    assert replica.log.slot(1).sign_state_shares == {}
+    assert replica.log.slot(1).sign_state_shares.votes(("state", 1, "s")) == {}
     for i in (0, 1):                                            # π threshold is f+1
         replica._on_sign_state(
             SignState(sequence=1, replica_id=i, state_digest="s",
                       pi_share=pi.sign_share(i, ("state", 1, "s"))), src=i)
     proof = _last(broadcasts, FullExecuteProof)
     assert pi.verify_message(proof.pi_signature, ("state", 1, "s"))
+
+
+def test_self_consistent_wrong_digest_sign_share_first_does_not_cost_the_slot_its_proof():
+    sim, replica, broadcasts, _ = _collector()
+    pre_prepare = _propose(replica, broadcasts, 1)
+    _sign_shares(replica, 1, "other", [3])              # header and both shares agree on it
+    _sign_shares(replica, 1, pre_prepare.digest, LIVE)
+    sim.run(until=sim.now + 0.06)                       # healthy: the σ wait
+    certificate = _last(broadcasts, Prepare)
+    assert certificate.digest == pre_prepare.digest
+    assert replica.keys.tau.verify_message(certificate.tau_signature, ("sign", 1, 0, pre_prepare.digest))
+    # The byzantine replica signing the real digest as well completes σ.
+    _sign_shares(replica, 1, pre_prepare.digest, [3])
+    assert _last(broadcasts, FullCommitProof).digest == pre_prepare.digest
+
+
+def test_one_share_replayed_under_three_claimed_ids_counts_once():
+    sim, replica, broadcasts, _ = _collector()
+    pre_prepare = _propose(replica, broadcasts, 1)
+    signed = ("sign", 1, 0, pre_prepare.digest)
+    sigma, tau = replica.keys.sigma.sign_share(3, signed), replica.keys.tau.sign_share(3, signed)
+    for claimed in (3, 1, 2):
+        replica._on_sign_share(
+            SignShare(sequence=1, view=0, replica_id=claimed, digest=pre_prepare.digest,
+                      sigma_share=sigma, tau_share=tau), src=3)
+    _sign_shares(replica, 1, pre_prepare.digest, LIVE)
+    assert _last(broadcasts, FullCommitProof).digest == pre_prepare.digest
+    slot = replica.log.slot(1)
+    assert list(slot.sigma_shares.votes(signed)) == list(slot.tau_shares.votes(signed)) == [3, 0, 1, 2]
+
+
+def test_wrong_digest_state_share_first_does_not_cost_the_block_its_execute_proof():
+    collector = execution_collectors(1, 0, CONFIG.n, CONFIG.collectors_per_slot)[0]
+    sim, replica, broadcasts, _ = _collector(node_id=collector)
+    pi = replica.keys.pi
+    for signer, state_digest in ((3, "other"), (0, "s"), (1, "s")):   # π threshold is f+1
+        replica._on_sign_state(
+            SignState(sequence=1, replica_id=signer, state_digest=state_digest,
+                      pi_share=pi.sign_share(signer, ("state", 1, state_digest))), src=signer)
+    proof = _last(broadcasts, FullExecuteProof)
+    assert proof.state_digest == "s" and pi.verify_message(proof.pi_signature, ("state", 1, "s"))
+
+
+def test_checkpoint_share_over_another_message_is_dropped_and_a_signer_counts_once():
+    sim, replica, broadcasts, _ = _collector()
+    pi, sequence = replica.keys.pi, CONFIG.checkpoint_every
+
+    def checkpoint(signer, signed_digest):
+        share = pi.sign_share(signer, ("checkpoint", sequence, signed_digest))
+        replica._on_checkpoint(
+            CheckpointMsg(sequence=sequence, replica_id=signer, state_digest="s", pi_share=share),
+            src=signer)
+        return share
+
+    checkpoint(3, "other")                              # not the message its header names
+    assert replica._checkpoint_shares[sequence] == {}
+    first = checkpoint(0, "s")
+    checkpoint(0, "s")
+    bucket = replica._checkpoint_shares[sequence].votes(("checkpoint", sequence, "s"))
+    assert bucket == {0: first} and not broadcasts and replica.last_stable == 0
+    checkpoint(1, "s")
+    assert replica.last_stable == sequence and len(broadcasts) == 1
+    assert pi.verify_message(broadcasts[0].pi_signature, ("checkpoint", sequence, "s"))
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers())))
+def test_tally_counts_each_voter_once_per_value_and_keeps_the_first_payload(votes):
+    tally, model, returned = Tally(), {}, []
+    for value, voter, payload in votes:
+        count = tally.add(value, voter, payload)
+        if voter in model.setdefault(value, {}):
+            assert count == 0
+        else:
+            model[value][voter] = payload
+            returned.append((value, count))
+    # add returned k for exactly one vote per (value, k), k = 1 .. distinct voters.
+    assert sorted(returned) == sorted((v, k) for v in model for k in range(1, len(model[v]) + 1))
+    for value in range(3):
+        assert tally.votes(value) == model.get(value, {})
+        assert list(tally.votes(value)) == list(model.get(value, {}))       # arrival order

@@ -1,11 +1,11 @@
-"""PBFT quorum tallies: counting lazily must not move a single decision.
+"""PBFT quorum tallies: reading a bucket's size must not move a single decision.
 
-``_check_prepared`` / ``_check_committed`` only count matching votes once the
-vote dict itself can reach the quorum, and ``_on_checkpoint`` counts votes for
-one state digest.  The first two are pure host-work savings, so one replica
-running them is driven in lockstep with a reference replica that rescans the
-whole dict on every vote (the code they replaced); after every hand-built
-message both must have sent the same messages and hold the same slot state.
+``_check_prepared`` / ``_check_committed`` read the size of the slot digest's
+bucket in a :class:`repro.core.log.Tally`, and ``_on_checkpoint`` counts votes
+for one state digest.  The first two are pure host-work savings, so one replica
+running them is driven in lockstep with a reference replica that recounts the
+matching voters one by one on every vote; after every hand-built message both
+must have sent the same messages and hold the same slot state and buckets.
 The checkpoint rule is a behaviour fix and gets its own test.
 """
 
@@ -36,12 +36,12 @@ ME = 1  # the replica under test: a backup in view 0, the primary of view 1
 
 
 class ScanningReplica(PBFTReplica):
-    """Reference: the every-vote full scans the lazy counts replaced."""
+    """Reference: a full recount of the matching voters on every vote."""
 
     def _check_prepared(self, slot):
         if slot.commit_sent or slot.digest is None or slot.pre_prepare is None:
             return
-        matching = sum(1 for digest in slot.prepares.values() if digest == slot.digest)
+        matching = sum(1 for _voter in slot.prepares.votes(slot.digest))
         if matching >= self.quorum - 1:
             slot.commit_sent = True
             self.charge_cpu(self.costs.rsa_sign)
@@ -53,7 +53,7 @@ class ScanningReplica(PBFTReplica):
     def _check_committed(self, slot):
         if slot.committed or slot.digest is None:
             return
-        matching = sum(1 for digest in slot.commits.values() if digest == slot.digest)
+        matching = sum(1 for _voter in slot.commits.votes(slot.digest))
         if matching >= self.quorum and slot.pre_prepare is not None:
             slot.committed = True
             self.stats.blocks_committed += 1
@@ -79,8 +79,8 @@ def _observe(replica, sent):
 
 
 class Lockstep:
-    """Delivers each message to the lazy and the scanning replica and checks
-    after every one that they are indistinguishable."""
+    """Delivers each message to the counting and the scanning replica and
+    checks after every one that they are indistinguishable."""
 
     def __init__(self):
         self.lazy, self.lazy_sent = _make_replica(PBFTReplica)
@@ -147,8 +147,8 @@ def test_prepared_and_committed_at_exactly_the_quorum_vote():
 
 
 def test_mismatching_digests_from_an_equivocating_primary():
-    """The dict fills up with votes for the other block long before enough
-    of them match: length alone must never prepare or commit."""
+    """The tally fills up with votes for the other block long before enough
+    of them match: the number of votes alone must never prepare or commit."""
     run = Lockstep()
     ours = _pre_prepare(1, 0, [_request(1), _request(2)])
     theirs = _pre_prepare(1, 0, [_request(2), _request(1)])
@@ -161,7 +161,8 @@ def test_mismatching_digests_from_an_equivocating_primary():
         for replica_id in OTHERS[3:]:
             run.deliver(_vote(phase, replica_id, 1, 0, ours.digest), replica_id)
         assert not getattr(run.slot(1), flag)  # 6 votes >= quorum, only 3 match
-        # Replicas re-vote for our block one by one (a vote overwrites).
+        # Replicas vote for our block as well, one by one (each bucket
+        # counts a voter once).
         run.deliver(_vote(phase, OTHERS[0], 1, 0, ours.digest), OTHERS[0])
         # 4 matching: quorum - 1 prepares suffice, quorum commits do not yet.
         assert getattr(run.slot(1), flag) is (phase is PbftPrepare)
@@ -235,7 +236,7 @@ def test_checkpoint_needs_a_quorum_for_one_state_digest():
         replica._on_checkpoint(_checkpoint(replica_id, sequence, f"bad-{replica_id}"), replica_id)
     for replica_id in range(CONFIG.f, 3 * CONFIG.f):  # ... plus 2f matching ones
         replica._on_checkpoint(_checkpoint(replica_id, sequence, "good"), replica_id)
-    assert len(replica._checkpoints[sequence]) == 3 * CONFIG.f >= QUORUM
+    assert sum(map(len, replica._checkpoints[sequence].values())) == 3 * CONFIG.f >= QUORUM
     assert replica.last_stable == 0
     replica._on_checkpoint(_checkpoint(3 * CONFIG.f, sequence, "good"), 3 * CONFIG.f)
     assert replica.last_stable == sequence

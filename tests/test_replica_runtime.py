@@ -187,6 +187,7 @@ HOOKS = {
     "__init__",
     "build_view_change",
     "_after_execute",
+    "_new_view",
     "_forwards_request_from",
     "_after_batch_timeout",
     "_unauthenticated_state_digest",
@@ -203,6 +204,7 @@ MOVED = {
     "_try_execute", "_finish_execution", "_signed_reply", "_send_direct_reply",
     "_request_state_transfer", "_on_state_transfer_request", "_on_state_transfer_response",
     "_ensure_view_change_timer", "_on_view_change_timeout", "_start_view_change",
+    "_on_view_change",
 }
 
 
@@ -216,6 +218,22 @@ def test_protocol_classes_do_not_redefine_the_runtime(replica_cls):
     # on_message stays per class: the benchmark counts handled messages per
     # protocol by the code object of each class's own method.
     assert "on_message" in vars(replica_cls) and "on_message" not in vars(Replica)
+
+
+def test_shares_are_checked_and_combined_in_one_place_and_view_changes_taken_in_the_runtime():
+    """``SBFTReplica._count`` / ``_combine`` hold the only ``verify_share`` and
+    ``combine`` calls of ``core/replica.py``; the view-change intake exists
+    once, in ``core/runtime.py``."""
+    trees = {cls: ast.parse(inspect.getsource(sys.modules[cls.__module__])) for cls in PROTOCOLS}
+    calls = [
+        node.func.attr for node in ast.walk(trees[SBFTReplica])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    assert (calls.count("combine"), calls.count("verify_share")) == (1, 1)
+    for tree in trees.values():
+        assert "_on_view_change" not in {
+            node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        }
 
 
 #: Dispatched by the client (``core/client.py``), never by a replica.
