@@ -121,13 +121,13 @@ class DeterminismSanitizer:
     def total_draws(self) -> int:
         return sum(rng.draws for rng in self._rngs)
 
-    def _observe(self, event) -> None:
+    def _observe(self, time: float, seq: int, callback: Callable, args: tuple) -> None:
         total = self.total_draws()
         record: TraceRecord = (
-            event.time,
-            event.seq,
-            _handler_name(event.callback),
-            _event_detail(event.args),
+            time,
+            seq,
+            _handler_name(callback),
+            _event_detail(args),
             total - self._last_total,
         )
         self._last_total = total

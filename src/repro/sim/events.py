@@ -1,12 +1,20 @@
 """Event queue and simulator clock.
 
-The simulator is a plain priority queue of ``(time, sequence, callback)``
-entries.  The sequence number gives deterministic FIFO ordering for events
-scheduled at the same instant, which keeps runs reproducible for a fixed seed.
+The simulator is a plain priority queue of ``(time, seq, callback, args,
+handle)`` entries.  The sequence number gives deterministic FIFO ordering for
+events scheduled at the same instant, which keeps runs reproducible for a
+fixed seed, and since ``(time, seq)`` is unique every heap comparison is a
+C-level tuple compare that never reaches the callback.
+
+Almost every event is fire-and-forget (a network delivery, a CPU completion,
+a fault activation) and is scheduled with :meth:`Simulator.schedule`, whose
+entry has ``handle`` ``None``.  Only :meth:`Simulator.timer` — protocol
+timers, through ``Process.set_timer`` — allocates an :class:`Event` handle,
+because only a timer can be cancelled.
 
 Cancelled events are lazily removed: :meth:`Event.cancel` only marks the
-entry, and the simulator skips it when its time arrives.  Protocol timers
-(client retries, batch timers, per-request view-change timers) churn
+handle, and the simulator skips the entry when its time arrives.  Protocol
+timers (client retries, batch timers, per-request view-change timers) churn
 constantly on long runs, so the simulator additionally *compacts* the heap
 once cancelled entries dominate it — otherwise the heap grows without bound
 and every push/pop pays ``log`` of the garbage, not of the live work.
@@ -20,35 +28,24 @@ from __future__ import annotations
 import gc
 import heapq
 import random
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import SimulationError
 
 
 class Event:
-    """A scheduled callback.
+    """Cancellation handle of a timer scheduled with :meth:`Simulator.timer`.
 
-    Events are returned by :meth:`Simulator.schedule` so callers can cancel
-    them (e.g. protocol timers).  A cancelled event is skipped when popped and
-    reclaimed by the owning simulator's next heap compaction.
+    A cancelled event is skipped when popped and reclaimed by the owning
+    simulator's next heap compaction.  ``owner`` is cleared once the entry has
+    left the heap, so a late cancel is not counted as heap garbage.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "owner")
+    __slots__ = ("cancelled", "owner")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple,
-        owner: Optional["Simulator"] = None,
-    ):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
+    def __init__(self, owner: "Simulator"):
         self.cancelled = False
-        self.owner = owner
+        self.owner: Optional[Simulator] = owner
 
     def cancel(self) -> None:
         """Mark the event so it is skipped when its time arrives."""
@@ -56,13 +53,6 @@ class Event:
             self.cancelled = True
             if self.owner is not None:
                 self.owner._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
 
 
 class Simulator:
@@ -84,33 +74,41 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        # Heap entries are ``(time, seq, event)`` tuples rather than bare
-        # events: ``(time, seq)`` is unique, so every sift comparison is a
-        # C-level tuple compare that never reaches the event object (the
-        # Python-level ``Event.__lt__`` is kept only for external sorting).
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple, Optional[Event]]] = []
         self._seq = 0
         self._events_processed = 0
         self._cancelled = 0
         self._compactions = 0
         self._stopped = False
         # Optional per-event observer installed by the determinism sanitizer
-        # (repro.analysis.sanitizer).  When set, it is invoked with each event
-        # immediately after its callback runs; ``None`` keeps the hot loop at
-        # one attribute load of overhead.
-        self._trace: Optional[Callable[[Event], None]] = None
+        # (repro.analysis.sanitizer).  When set, it is invoked as
+        # ``_trace(time, seq, callback, args)`` immediately after each
+        # callback runs; ``None`` keeps the hot loop at one attribute load of
+        # overhead.
+        self._trace: Optional[Callable[[float, int, Callable[..., None], tuple], None]] = None
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
+
+        The event cannot be cancelled; use :meth:`timer` for one that can.
+        """
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        time = self.now + delay
-        event = Event(time, self._seq, callback, args, owner=self)
-        heapq.heappush(self._heap, (time, self._seq, event))
-        self._seq += 1
+        seq = self._seq
+        heapq.heappush(self._heap, (self.now + delay, seq, callback, args, None))
+        self._seq = seq + 1
+
+    def timer(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
+        """:meth:`schedule`, returning a handle whose ``cancel()`` skips it."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
+        event = Event(self)
+        seq = self._seq
+        heapq.heappush(self._heap, (self.now + delay, seq, callback, args, event))
+        self._seq = seq + 1
         return event
 
     def schedule_many(
@@ -118,12 +116,12 @@ class Simulator:
         delays: Sequence[float],
         callback: Callable[..., None],
         args_list: Sequence[tuple],
-    ) -> List[Event]:
+    ) -> None:
         """Bulk-schedule one callback with many ``(delay, args)`` pairs.
 
         This is the fan-out primitive behind :meth:`Network.broadcast_bulk`:
         ``callback(*args_list[i])`` runs ``delays[i]`` seconds from now.
-        Events receive contiguous ``(time, seq)`` pairs in argument order —
+        Entries receive contiguous ``(time, seq)`` pairs in argument order —
         exactly the sequence numbers a loop of :meth:`schedule` calls would
         have assigned — so the total order guaranteed by the heap-compaction
         invariant (and therefore execution order) is identical to scheduling
@@ -134,34 +132,33 @@ class Simulator:
         re-heapified in O(heap + batch); small batches fall back to
         individual pushes.
         """
-        if len(delays) != len(args_list):
+        count = len(delays)
+        if count != len(args_list):
             raise SimulationError("schedule_many: delays and args_list length mismatch")
-        if not delays:
-            return []
+        if not count:
+            return
         lowest = min(delays)
         if lowest < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={lowest})")
         now = self.now
         seq = self._seq
-        events: List[Event] = [
-            Event(now + delay, seq + offset, callback, args, self)
+        self._seq = seq + count
+        entries = [
+            (now + delay, seq + offset, callback, args, None)
             for offset, (delay, args) in enumerate(zip(delays, args_list))
         ]
-        self._seq = seq + len(events)
-        entries = [(event.time, event.seq, event) for event in events]
         heap = self._heap
-        if len(entries) * 4 >= len(heap):
+        if count * 4 >= len(heap):
             heap.extend(entries)
             heapq.heapify(heap)
         else:
             push = heapq.heappush
             for entry in entries:
                 push(heap, entry)
-        return events
 
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
-        return self.schedule(max(0.0, time - self.now), callback, *args)
+        self.schedule(max(0.0, time - self.now), callback, *args)
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
@@ -187,7 +184,7 @@ class Simulator:
         compaction mid-run (a cancel storm inside an event handler).
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [entry for entry in heap if entry[4] is None or not entry[4].cancelled]
         heapq.heapify(heap)
         self._cancelled = 0
         self._compactions += 1
@@ -239,25 +236,24 @@ class Simulator:
             while heap:
                 if max_events is not None and processed >= max_events:
                     break
-                entry = heap[0]
-                event = entry[2]
-                if event.cancelled:
+                time, seq, callback, args, handle = heap[0]
+                if handle is not None and handle.cancelled:
                     pop(heap)
-                    event.owner = None
+                    handle.owner = None
                     self._cancelled -= 1
                     continue
-                time = entry[0]
                 if until is not None and time > until:
                     self.now = until
                     break
                 pop(heap)
-                # The event has left the heap: a late cancel() must not count it
-                # toward heap garbage (it would corrupt live_events / compaction).
-                event.owner = None
+                if handle is not None:
+                    # The entry has left the heap: a late cancel() must not
+                    # count it toward heap garbage (live_events / compaction).
+                    handle.owner = None
                 self.now = time
-                event.callback(*event.args)
+                callback(*args)
                 if self._trace is not None:
-                    self._trace(event)
+                    self._trace(time, seq, callback, args)
                 processed += 1
                 if self._stopped:
                     break

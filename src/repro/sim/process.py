@@ -27,18 +27,22 @@ class CPUModel:
         self._busy_until = 0.0
         self.total_busy_time = 0.0
 
-    def execute(self, cost: float, callback: Callable[..., None], *args: Any) -> Event:
+    def execute(self, cost: float, callback: Callable[..., None], *args: Any) -> None:
         """Charge ``cost`` seconds of CPU and run ``callback`` when done.
 
         Work is serialized: if the CPU is already busy the new work starts when
         the previous work completes.
         """
-        cost = max(0.0, cost) * self.speed_factor
-        start = max(self._sim.now, self._busy_until)
-        finish = start + cost
+        # Conditional expressions, not max(): the same floats (max(0.0, x)
+        # and max(now, busy) keep the first argument on a tie) without two
+        # builtin calls per message.
+        cost = (cost if cost > 0.0 else 0.0) * self.speed_factor
+        now = self._sim.now
+        busy = self._busy_until
+        finish = (busy if busy > now else now) + cost
         self._busy_until = finish
         self.total_busy_time += cost
-        return self._sim.schedule(finish - self._sim.now, callback, *args)
+        self._sim.schedule(finish - now, callback, *args)
 
     def charge(self, cost: float) -> float:
         """Charge ``cost`` seconds of CPU without a completion callback.
@@ -46,9 +50,10 @@ class CPUModel:
         Returns the simulated time at which the work completes.  Useful for
         accounting costs of work whose result is consumed synchronously.
         """
-        cost = max(0.0, cost) * self.speed_factor
-        start = max(self._sim.now, self._busy_until)
-        self._busy_until = start + cost
+        cost = (cost if cost > 0.0 else 0.0) * self.speed_factor
+        now = self._sim.now
+        busy = self._busy_until
+        self._busy_until = (busy if busy > now else now) + cost
         self.total_busy_time += cost
         return self._busy_until
 
@@ -101,7 +106,7 @@ class Process:
             if not self.crashed:
                 callback(*args)
 
-        self._timers[handle] = self.sim.schedule(delay, fire)
+        self._timers[handle] = self.sim.timer(delay, fire)
         return handle
 
     def cancel_timer(self, handle: int) -> None:
