@@ -116,10 +116,8 @@ def test_report_cost_model(benchmark):
             "rsa_sign",
             "rsa_verify",
             "bls_sign_share",
-            "bls_verify_share",
             "bls_verify_combined",
             "bls_combine_per_share",
-            "bls_aggregate_per_share",
             "evm_base_execute",
         )
     ]

@@ -30,6 +30,7 @@ from repro.core.stats import ClientStats
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.signatures import SigningKey, VerifyKey
+from repro.crypto.threshold import ThresholdScheme
 from repro.errors import ConfigurationError
 from repro.metrics.collector import LatencyRecorder
 from repro.services.interface import AuthenticatedService, Operation
@@ -74,6 +75,7 @@ class SBFTClient(Process):
         costs: CryptoCosts = DEFAULT_COSTS,
         start_delay: float = 0.0,
         replica_verify_keys: Optional[Dict[int, VerifyKey]] = None,
+        pi_scheme: Optional[ThresholdScheme] = None,
     ):
         super().__init__(sim, node_id, name=f"client-{client_id}")
         self.network = network
@@ -92,6 +94,8 @@ class SBFTClient(Process):
         # claimed sender has no key here is rejected; a reply reaching a
         # client that was given no keys at all is a wiring error and raises.
         self.replica_verify_keys = replica_verify_keys
+        # Scheme an execute-ack's π(d) is checked under; ``None`` accepts it.
+        self.pi_scheme = pi_scheme
 
         self._requests = [tuple(ops) for ops in requests]
         self._next_index = 0
@@ -229,10 +233,9 @@ class SBFTClient(Process):
 
     def verify_pi_signature(self, message: ExecuteAck, sign_message: Any) -> bool:
         """Verify π(d); split out so tests can substitute a failing verifier."""
-        pi_scheme = getattr(self, "pi_scheme", None)
-        if pi_scheme is None:
+        if self.pi_scheme is None:
             return True
-        return pi_scheme.verify_message(message.pi_signature, sign_message)
+        return self.pi_scheme.verify_message(message.pi_signature, sign_message)
 
     def _on_client_reply(self, message: ClientReply, src: int) -> None:
         pending = self._in_flight.get(message.timestamp)

@@ -13,7 +13,7 @@ runtime needs ``sequence``, ``pre_prepare``, ``digest``, ``committed``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.messages import PrePrepare
 from repro.crypto.threshold import CombinedSignature
@@ -78,7 +78,7 @@ class SlotState:
 
     # Execution state.
     executed: bool = False
-    execution_results: List[Any] = field(default_factory=list)
+    execution_results: Sequence[Any] = ()
     state_digest: Optional[str] = None
 
     # E-collector state.

@@ -29,7 +29,7 @@ retransmissions with real values.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 #: One cached reply: (sequence the request executed in, result values).
 ReplyEntry = Tuple[int, Tuple[Any, ...]]
@@ -44,7 +44,8 @@ class ClientReplyTracker:
         self.keep = max(1, keep)
         # client -> contiguous executed prefix (all ts <= prefix executed).
         self._prefix: Dict[int, int] = {}
-        # client -> executed timestamps above the prefix (holes pending).
+        # client -> executed timestamps above the prefix (holes pending);
+        # a client with no hole pending has no entry.
         self._gaps: Dict[int, Set[int]] = {}
         # client -> {timestamp: (sequence, values)}, the `keep` highest.
         self._cache: Dict[int, Dict[int, ReplyEntry]] = {}
@@ -79,11 +80,18 @@ class ClientReplyTracker:
         prefix = self._prefix.get(client_id, 0)
         if timestamp <= prefix:
             return
-        gaps = self._gaps.setdefault(client_id, set())
+        gaps = self._gaps.get(client_id)
+        if gaps is None:
+            if timestamp == prefix + 1:  # in order: only the prefix moves
+                self._prefix[client_id] = timestamp
+                return
+            gaps = self._gaps[client_id] = set()
         gaps.add(timestamp)
         while prefix + 1 in gaps:
             prefix += 1
             gaps.remove(prefix)
+        if not gaps:
+            del self._gaps[client_id]
         self._prefix[client_id] = prefix
 
     def record(self, client_id: int, timestamp: int, sequence: int, values: Tuple[Any, ...]) -> None:
@@ -93,6 +101,13 @@ class ClientReplyTracker:
         cache[timestamp] = (sequence, values)
         while len(cache) > self.keep:
             del cache[min(cache)]
+
+    def record_block(
+        self, sequence: int, requests: Sequence[Any], reply_values: Sequence[Tuple[Any, ...]]
+    ) -> None:
+        """Record the replies of every request of executed block ``sequence``."""
+        for request, values in zip(requests, reply_values):
+            self.record(request.client_id, request.timestamp, sequence, values)
 
     def adopt_prefixes(self, prefixes: Optional[Dict[int, int]]) -> None:
         """Adopt a state-transfer donor's executed prefixes (safe: every
@@ -105,6 +120,8 @@ class ClientReplyTracker:
             gaps = self._gaps.get(client)
             if gaps:
                 gaps.difference_update({t for t in gaps if t <= timestamp})
+                if not gaps:
+                    del self._gaps[client]
 
     def adopt_cache(self, donor: Optional[Dict[int, Dict[int, ReplyEntry]]]) -> None:
         """Merge a state-transfer donor's reply cache into ours.

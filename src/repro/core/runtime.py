@@ -403,9 +403,10 @@ class Replica(Process):
 
         # Remember recent replies per client (deduplication + retransmits) and
         # stop timing the requests that just executed.
+        requests = pre_prepare.requests
         reply_values = block_reply_values(pre_prepare, slot.execution_results, slot.state_digest)
-        for request, values in zip(pre_prepare.requests, reply_values):
-            self._replies.record(request.client_id, request.timestamp, sequence, values)
+        self._replies.record_block(sequence, requests, reply_values)
+        for request in requests:
             self._request_first_seen.pop(request.request_id, None)
         if not self._request_first_seen and self._view_change_timer is not None:
             self.cancel_timer(self._view_change_timer)

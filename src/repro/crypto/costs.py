@@ -15,7 +15,7 @@ interpretable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -23,14 +23,11 @@ class CryptoCosts:
     """Per-operation CPU costs in seconds."""
 
     hash_op: float = 1e-6
-    mac_op: float = 2e-6
     rsa_sign: float = 800e-6
     rsa_verify: float = 30e-6
     bls_sign_share: float = 280e-6
-    bls_verify_share: float = 900e-6
     bls_verify_combined: float = 900e-6
     bls_combine_per_share: float = 120e-6
-    bls_aggregate_per_share: float = 4e-6          # n-out-of-n group signature path
     bls_batch_verify_per_share: float = 250e-6     # batch verification of shares
     merkle_proof_per_level: float = 2e-6
     evm_base_execute: float = 150e-6               # per-transaction EVM overhead
@@ -41,28 +38,5 @@ class CryptoCosts:
         """Cost of a Lagrange combine over ``num_shares`` shares."""
         return self.bls_combine_per_share * max(1, num_shares)
 
-    def aggregate_cost(self, num_shares: int) -> float:
-        """Cost of an n-out-of-n aggregate over ``num_shares`` shares."""
-        return self.bls_aggregate_per_share * max(1, num_shares)
-
-    def batch_verify_cost(self, num_shares: int) -> float:
-        """Cost of batch-verifying ``num_shares`` signature shares."""
-        return self.bls_batch_verify_per_share * max(1, num_shares)
-
-    def scaled(self, factor: float) -> "CryptoCosts":
-        """Return a copy with every cost multiplied by ``factor``."""
-        return replace(
-            self,
-            **{
-                field: getattr(self, field) * factor
-                for field in self.__dataclass_fields__  # type: ignore[attr-defined]
-            },
-        )
-
 
 DEFAULT_COSTS = CryptoCosts()
-
-#: A cost model for MAC-authenticated PBFT (no public-key operations in the
-#: critical path); kept for ablations against the signed-message configuration
-#: the paper actually uses.
-MAC_ONLY_COSTS = CryptoCosts(rsa_sign=2e-6, rsa_verify=2e-6)

@@ -23,7 +23,7 @@ replies, state transfer, the view-change timer, dispatch — is the shared
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.config import SBFTConfig
 from repro.core.log import ReplicaLog, Tally
@@ -80,7 +80,7 @@ class _PbftSlot:
         self.commit_sent = False
         self.committed = False
         self.executed = False
-        self.execution_results: List[Any] = []
+        self.execution_results: Sequence[Any] = ()
         self.state_digest: Optional[str] = None
 
 

@@ -199,8 +199,8 @@ class Cluster:
                 costs=self.costs,
                 start_delay=0.001 * client_index,
                 replica_verify_keys=replica_verify_keys,
+                pi_scheme=self.setup.pi,
             )
-            client.pi_scheme = self.setup.pi
             self.network.register(client)
             self.clients[client_index] = client
 

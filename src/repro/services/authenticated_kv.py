@@ -122,8 +122,8 @@ class AuthenticatedKVStore(AuthenticatedService):
     def __init__(self, persist_cost_per_byte: float = 5e-9):
         self._store = KVStore(persist_cost_per_byte=persist_cost_per_byte)
         self._chain_digest = GENESIS_DIGEST
-        self._journal_entries: Dict[int, List[JournalEntry]] = {}
-        self._journal_results: Dict[int, List[OperationResult]] = {}
+        self._journal_entries: Dict[int, Tuple[JournalEntry, ...]] = {}
+        self._journal_results: Dict[int, Tuple[OperationResult, ...]] = {}
         self._journal_trees: Dict[int, MerkleTree] = {}
         self._prev_digest: Dict[int, str] = {}
         self._digest_at: Dict[int, str] = {}
@@ -155,7 +155,7 @@ class AuthenticatedKVStore(AuthenticatedService):
     def execution_cost(self, operation: Operation) -> float:
         return self._store.execution_cost(operation) + 2e-6
 
-    def execute_block(self, sequence: int, operations: Sequence[Operation]) -> List[OperationResult]:
+    def execute_block(self, sequence: int, operations: Sequence[Operation]) -> Sequence[OperationResult]:
         """Execute a decision block and journal it for later proofs.
 
         The first replica of a cluster to execute a committed block records
@@ -166,6 +166,7 @@ class AuthenticatedKVStore(AuthenticatedService):
         entries, same proofs, same chain digests, and the *simulated*
         ``execution_cost`` accounting untouched — which
         ``tests/test_kv_execution_cache.py`` pins on fixed-seed clusters.
+        Peers return and journal the first executor's results tuple itself.
         """
         fingerprint = self._state_fingerprint
         if fingerprint is None:
@@ -180,16 +181,16 @@ class AuthenticatedKVStore(AuthenticatedService):
             # recorded journal bookkeeping with no re-hashing at all.
             self._store.replay_effects(effects)
             self.replay_block(sequence, results, *journal)
-            return list(results)
+            return results
 
         # First execution of this block from this state: execute and record
         # the state delta (the exact mutation stream, not a compacted map) for
         # the peers.
         store_execute = self._store.execute
-        results = []
+        executed = []
         effects: List[Tuple[bool, str, Any]] = []
         for operation in operations:
-            results.append(store_execute(operation))
+            executed.append(store_execute(operation))
             payload = operation.payload
             if isinstance(payload, KVOperation):
                 action = payload.action
@@ -197,8 +198,9 @@ class AuthenticatedKVStore(AuthenticatedService):
                     effects.append((True, payload.key, payload.value))
                 elif action == "delete":
                     effects.append((False, payload.key, None))
+        results = tuple(executed)
         journal = self.journal_block(sequence, operations, results)
-        execution_cache.store(operations, state_key, (tuple(results), tuple(effects), journal))
+        execution_cache.store(operations, state_key, (results, tuple(effects), journal))
         return results
 
     def journal_block(
@@ -214,6 +216,7 @@ class AuthenticatedKVStore(AuthenticatedService):
         Returns the journal record ``(entries, tree, new chain digest)``: what
         a replay entry keeps so peers can :meth:`replay_block`.
         """
+        results = tuple(results)
         leaves = tuple(
             (sequence, position, op_digest, self._result_digest(result.value))
             for position, (op_digest, result) in enumerate(
@@ -228,15 +231,15 @@ class AuthenticatedKVStore(AuthenticatedService):
     def replay_block(
         self,
         sequence: int,
-        results: Sequence[OperationResult],
-        entries: Sequence[JournalEntry],
+        results: Tuple[OperationResult, ...],
+        entries: Tuple[JournalEntry, ...],
         tree: MerkleTree,
         new_digest: str,
     ) -> None:
         """Append a block whose journal record is already known: the
-        bookkeeping of :meth:`journal_block` with no hashing at all."""
-        self._journal_entries[sequence] = list(entries)
-        self._journal_results[sequence] = list(results)
+        bookkeeping of :meth:`journal_block` with no hashing and no copies."""
+        self._journal_entries[sequence] = entries
+        self._journal_results[sequence] = results
         self._journal_trees[sequence] = tree
         self._prev_digest[sequence] = self._chain_digest
         self._chain_digest = new_digest

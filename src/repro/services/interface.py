@@ -15,7 +15,7 @@ parameterised by:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 
 
@@ -112,9 +112,9 @@ class ReplicatedService:
         """Answer a read-only query without modifying state."""
         raise NotImplementedError
 
-    def execute_block(self, sequence: int, operations: Sequence[Operation]) -> List[OperationResult]:
+    def execute_block(self, sequence: int, operations: Sequence[Operation]) -> Sequence[OperationResult]:
         """Apply a whole decision block; the default executes sequentially."""
-        return [self.execute(op) for op in operations]
+        return tuple(self.execute(op) for op in operations)
 
     def execution_cost(self, operation: Operation) -> float:
         """Simulated CPU seconds needed to execute ``operation``."""

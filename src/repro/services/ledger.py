@@ -19,7 +19,7 @@ digests:
 
 The first replica to execute a committed block stores the operation results,
 transaction receipts and the ordered state delta (the backend ``put`` stream);
-its n-1 peers replay the delta and journal the same results instead of
+its n-1 peers replay the delta and journal the same results tuple instead of
 re-running the EVM.  Replay is decision-for-decision identical: same results,
 same receipts, same journal entries, same chain digest, and the *simulated*
 ``execution_cost`` accounting is untouched (every replica still charges the
@@ -156,7 +156,7 @@ class LedgerService(AuthenticatedService):
             )
         return OperationResult(ok=False, error="unknown ledger query")
 
-    def execute_block(self, sequence: int, operations: Sequence[Operation]) -> List[OperationResult]:
+    def execute_block(self, sequence: int, operations: Sequence[Operation]) -> Sequence[OperationResult]:
         self._block_number += 1
 
         authkv = self._authkv
@@ -179,7 +179,7 @@ class LedgerService(AuthenticatedService):
                 authkv.put(key, value)
             self.receipts.extend(receipts)
             authkv.replay_block(sequence, results, *journal)
-            return list(results)
+            return results
 
         # First execution of this block from this state: run the EVM and
         # record the state delta for the peers.
@@ -188,14 +188,14 @@ class LedgerService(AuthenticatedService):
         receipts_start = len(self.receipts)
         try:
             evm = EVM(self._world, BlockContext(number=self._block_number))
-            results = [self._execute_with(operation, evm) for operation in operations]
+            results = tuple(self._execute_with(operation, evm) for operation in operations)
         finally:
             self._backend.record = None
         journal = authkv.journal_block(sequence, operations, results)
         execution_cache.store(
             operations,
             state_key,
-            (tuple(results), tuple(self.receipts[receipts_start:]), tuple(record), journal),
+            (results, tuple(self.receipts[receipts_start:]), tuple(record), journal),
         )
         return results
 

@@ -53,8 +53,8 @@ def _make_client(requests=1, verifier=None):
         recorder=LatencyRecorder(),
         verifier=verifier if verifier is not None else store,
         replica_verify_keys={i: SETUP.replica_verify_key(i) for i in range(CONFIG.n)},
+        pi_scheme=SETUP.pi,
     )
-    client.pi_scheme = SETUP.pi
     network.register(client)
     return sim, network, replicas, client
 

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.crypto import signatures
-from repro.crypto.costs import DEFAULT_COSTS, MAC_ONLY_COSTS
+from repro.crypto.costs import DEFAULT_COSTS
 from repro.crypto.hashing import sha256_hex
 from repro.crypto.signatures import Signature, generate_keypair
 from repro.errors import CryptoError
@@ -174,25 +174,11 @@ def test_provenance_is_invisible_to_equality_hash_and_repr():
 def test_cost_helpers_scale_with_share_count():
     costs = DEFAULT_COSTS
     assert costs.combine_cost(10) == pytest.approx(10 * costs.bls_combine_per_share)
-    assert costs.aggregate_cost(4) == pytest.approx(4 * costs.bls_aggregate_per_share)
-    assert costs.batch_verify_cost(0) == pytest.approx(costs.bls_batch_verify_per_share)
-
-
-def test_scaled_costs_multiply_every_field():
-    doubled = DEFAULT_COSTS.scaled(2.0)
-    assert doubled.rsa_sign == pytest.approx(2 * DEFAULT_COSTS.rsa_sign)
-    assert doubled.bls_verify_share == pytest.approx(2 * DEFAULT_COSTS.bls_verify_share)
-
-
-def test_mac_only_profile_is_cheaper_for_verification():
-    assert MAC_ONLY_COSTS.rsa_verify < DEFAULT_COSTS.rsa_verify
-    assert MAC_ONLY_COSTS.rsa_sign < DEFAULT_COSTS.rsa_sign
+    assert costs.combine_cost(0) == pytest.approx(costs.bls_combine_per_share)
 
 
 def test_cost_model_reflects_paper_ratios():
-    """BLS signatures are slower to verify but much smaller than RSA; the
-    n-out-of-n aggregate is much cheaper than a threshold combine per share."""
+    """BLS signatures are slower to verify than RSA and cheaper to sign."""
     costs = DEFAULT_COSTS
     assert costs.bls_verify_combined > costs.rsa_verify
-    assert costs.bls_aggregate_per_share < costs.bls_combine_per_share
     assert costs.rsa_sign > costs.bls_sign_share

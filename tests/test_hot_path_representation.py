@@ -25,7 +25,8 @@ from repro.core.messages import ClientRequest, PrePrepare, SignShare
 from repro.core.stats import ClientStats, SBFTReplicaStats
 from repro.pbft import messages as pbft_messages
 from repro.protocols.cluster import build_cluster
-from repro.services.interface import BlockOperations
+from repro.services.authenticated_kv import JournalEntry
+from repro.services.interface import BlockOperations, OperationResult
 from repro.sim.network import _message_size
 from repro.workloads.kv_workload import KVWorkload
 
@@ -149,10 +150,12 @@ def _mutable_stashes(messages):
     fields and tuples) and check every ``init=False`` slot on the way: it may
     hold str / int / float / bytes / bool / None / a type, tuples of those, or
     frozen dataclasses (walked in turn).  ``BlockOperations.digests`` is
-    checked like a slot; ``BlockOperations.replay`` is the one exemption — the
-    first executor's entry is shared by design, and what replaying it decides
-    is compared against executing by the unshared differential
-    (tests/test_batching.py) and the ``execute_everywhere`` tests.
+    checked like a slot.  ``BlockOperations.replay`` — the first executor's
+    entry, shared by design; what replaying it decides is compared against
+    executing by the unshared differential (tests/test_batching.py) and the
+    ``execute_everywhere`` tests — is checked for the two tuples every peer
+    keeps as they are: its results hold only ``OperationResult`` and its
+    journal entries only ``JournalEntry``.
 
     -> (problems, {(class name, slot) seen holding a non-default value}).
     """
@@ -166,6 +169,13 @@ def _mutable_stashes(messages):
                 check(item, f"{where}[{index}]")
             if type(value) is BlockOperations:
                 check(value.digests, f"{where}.digests")
+                if value.replay is not None:
+                    filled.add(("BlockOperations", "replay"))
+                    entry = value.replay[1]
+                    for name, held, cls in (("results", entry[0], OperationResult),
+                                            ("entries", entry[-1][0], JournalEntry)):
+                        if type(held) is not tuple or any(type(item) is not cls for item in held):
+                            problems.append(f"{where}.replay {name} is not a tuple of {cls.__name__}")
         elif dataclasses.is_dataclass(value) and value.__dataclass_params__.frozen:
             walk(value)
         else:
@@ -217,6 +227,7 @@ def test_every_stash_on_a_sent_message_is_deeply_immutable(protocol, kwargs):
     # and so cuts no Merkle proof).
     assert len(sent) > 300
     assert filled >= STASHES - ({("MerkleProof", "_proved")} if protocol == "pbft" else set())
+    assert ("BlockOperations", "replay") in filled
 
 
 def test_the_stash_walk_fails_on_a_list_in_a_stash():
@@ -233,6 +244,16 @@ def test_the_stash_walk_fails_on_a_list_in_a_stash():
     digests.digests = ["not", "a", "tuple"]
     object.__setattr__(block, "_exec_plan", (object, None, digests, 0.0))
     assert "PrePrepare._exec_plan[2].digests holds a list" in _mutable_stashes([block])[0]
+    # ...and on a replay entry whose results a peer would have to copy.
+    digests.digests = None
+    object.__setattr__(block, "_reply_values", None)
+    result, entry = OperationResult(value="v"), JournalEntry(1, 0, "op", "res")
+    digests.replay = (("key",), ((result,), (), ((entry,), None, "d")))
+    assert not _mutable_stashes([block])[0]
+    digests.replay = (("key",), ([result], (), ((entry,), None, "d")))
+    assert _mutable_stashes([block])[0] == [
+        "PrePrepare._exec_plan[2].replay results is not a tuple of OperationResult"
+    ]
 
 
 def test_stats_counters_behave_like_dicts():

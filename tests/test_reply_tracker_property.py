@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from helpers import make_request
 from repro.core.reply_cache import ClientReplyTracker
 
 CLIENTS = (0, 1, 2)
@@ -168,3 +169,31 @@ def test_lowest_timestamp_eviction_not_insertion_order():
     assert tracker.reply(0, 12) == (2, ("later",))
     # Exact tracking survives eviction: ts=5 is still known-executed.
     assert tracker.executed(0, 5)
+
+
+@pytest.mark.parametrize("seed", [20, 21, 22])
+def test_block_recording_matches_model_and_keeps_no_empty_gap_set(seed):
+    """``record_block`` (one call per executed block) is ``record`` per
+    request; the in-order path only moves the prefix, and a client whose
+    holes are all filled has no gap set at all."""
+    rng = random.Random(seed)
+    tracker = ClientReplyTracker(3)
+    model = UnboundedModel(3)
+    next_ts = {client: 1 for client in CLIENTS}
+    for sequence in range(1, 120):
+        requests = []
+        for _ in range(rng.randint(1, 4)):
+            client = rng.choice(CLIENTS)
+            # Mostly in order; sometimes a lost request leaves a hole that a
+            # later block fills.
+            timestamp = next_ts[client] + (1 if rng.random() < 0.15 else 0)
+            if rng.random() < 0.2:
+                timestamp = rng.randint(1, next_ts[client])
+            next_ts[client] = max(next_ts[client], timestamp + 1)
+            requests.append(make_request(timestamp, client_id=client))
+        values = [(request.client_id, request.timestamp, sequence) for request in requests]
+        tracker.record_block(sequence, requests, values)
+        for request, value in zip(requests, values):
+            model.record(request.client_id, request.timestamp, sequence, value)
+        assert all(tracker._gaps.values()), tracker._gaps
+    assert_equivalent(tracker, model)
