@@ -38,6 +38,13 @@ def memo_key(value: Any) -> Any:
     which it does not, are excluded from the raw path); tagged keys are
     tuples whose first element is a type object, which never equals a raw
     element.  Equal raw keys therefore always share one canonical encoding.
+
+    A flat dict (``str`` keys, values of those four types: a ledger receipt)
+    is keyed by its raw sorted items.  Its keys are distinct strs — the sort
+    never compares values, and each is the ``str(key)`` the encoding sorts and
+    writes — so equal pairs encode equally, as above.  Its elements are pairs,
+    never equal to a raw tuple's scalars or a tagged key's type object; the
+    one key it shares is ``()``, and ``{}`` encodes like the empty tuple.
     """
     kind = type(value)
     if kind is str:
@@ -54,6 +61,15 @@ def memo_key(value: Any) -> Any:
                 return (tuple, tuple(memo_key(inner) for inner in value))
         return value
     if kind is dict:
+        for key, item in value.items():
+            item_type = type(item)
+            if type(key) is not str or (
+                item_type is not str and item_type is not int
+                and item_type is not bool and item is not None
+            ):
+                break
+        else:
+            return tuple(sorted(value.items()))
         # Ordered by ``str(key)`` alone: values of different types need not be
         # comparable.  Keys that collide under ``str`` keep insertion order,
         # which can only split one encoding over two memo keys, never merge two.

@@ -7,6 +7,13 @@ operation of decision block ``s`` with result ``val``, and ``verify`` checks
 the proof against the root digest.  The same machinery authenticates read-only
 queries against a state snapshot.
 
+A tree is immutable: it holds a tuple of leaves and hashes every level once,
+at construction.  Leaves ``H("merkle-leaf", index, value)`` and nodes
+``H("merkle-node", left, right)`` hash the canonical encoding; a node over two
+64-char ASCII strings and a journal leaf ``(s, l, H(o), H(val))`` with small
+ints and 64-char ASCII digests are hashed from pre-encoded bytes, anything
+else through :func:`sha256_hex`, with byte-identical results.
+
 Proof provenance (the ``Signature._signed`` pattern).  The replica that cuts a
 proof has the whole tree, so :meth:`MerkleTree.prove` records on the proof the
 leaf it was cut for and the root the path hashes to, and
@@ -25,21 +32,51 @@ write the record themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from hashlib import sha256
+from typing import Any, List, Sequence, Tuple
 
-from repro.crypto.hashing import memo_key, provenance_key, sha256_hex
+from repro.crypto.hashing import _LEN4, _SMALL_INTS, memo_key, provenance_key, sha256_hex
 from repro.errors import InvalidProof
 
 _LEAF_PREFIX = "merkle-leaf"
 _NODE_PREFIX = "merkle-node"
 _EMPTY_ROOT = sha256_hex("merkle-empty")
 
+# Canonical-encoding pieces of the two hot shapes.  The node pieces are ASCII,
+# so a node's input is built as one str and encoded once.
+_HEX_LEN = _LEN4[64]
+_LEAF_HEAD = _LEN4[11] + _LEAF_PREFIX.encode()
+_NODE_HEAD = (_LEN4[11] + _NODE_PREFIX.encode() + _HEX_LEN).decode()
+_NODE_GLUE = _HEX_LEN.decode()
 
-def _leaf_hash(index: int, value: Any) -> str:
+
+def _leaf_hash(index: Any, value: Any) -> str:
+    """``sha256_hex("merkle-leaf", index, value)``; a journal leaf's tuple
+    encodes as its two prefixed ints and two prefixed 64-byte digests
+    (``2 * (4 + 64) = 136`` bytes)."""
+    if type(value) is tuple and len(value) == 4 and type(index) is int and -128 <= index < 1024:
+        sequence, position, operation, result = value
+        if (
+            type(sequence) is int and -128 <= sequence < 1024
+            and type(position) is int and -128 <= position < 1024
+            and type(operation) is str and type(result) is str
+            and len(operation) == 64 == len(result) and operation.isascii() and result.isascii()
+        ):
+            ints = _SMALL_INTS[sequence] + _SMALL_INTS[position]
+            return sha256(b"".join((
+                _LEAF_HEAD, _SMALL_INTS[index], _LEN4[len(ints) + 136], ints,
+                _HEX_LEN, operation.encode(), _HEX_LEN, result.encode(),
+            ))).hexdigest()
     return sha256_hex(_LEAF_PREFIX, index, value)
 
 
-def _node_hash(left: str, right: str) -> str:
+def _node_hash(left: Any, right: Any) -> str:
+    """``sha256_hex("merkle-node", left, right)``."""
+    if (
+        type(left) is str and type(right) is str
+        and len(left) == 64 == len(right) and left.isascii() and right.isascii()
+    ):
+        return sha256((_NODE_HEAD + left + _NODE_GLUE + right).encode()).hexdigest()
     return sha256_hex(_NODE_PREFIX, left, right)
 
 
@@ -76,64 +113,39 @@ class MerkleProof:
 
 
 class MerkleTree:
-    """A Merkle tree over an ordered list of values."""
+    """An immutable Merkle tree over an ordered sequence of values."""
+
+    __slots__ = ("leaves", "_levels")
 
     def __init__(self, values: Sequence[Any] = ()):
-        self._values: List[Any] = list(values)
-        self._levels: Optional[List[List[str]]] = None
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def append(self, value: Any) -> int:
-        """Append a leaf; returns its index."""
-        self._values.append(value)
-        self._levels = None
-        return len(self._values) - 1
-
-    def extend(self, values: Sequence[Any]) -> None:
-        self._values.extend(values)
-        self._levels = None
-
-    def update(self, index: int, value: Any) -> None:
-        self._values[index] = value
-        self._levels = None
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    # ------------------------------------------------------------------
-    # Hashing
-    # ------------------------------------------------------------------
-    def _build(self) -> List[List[str]]:
-        if self._levels is not None:
-            return self._levels
-        if not self._values:
-            self._levels = [[_EMPTY_ROOT]]
-            return self._levels
-        level = [_leaf_hash(i, v) for i, v in enumerate(self._values)]
+        #: The values, as given (a tuple is kept as the very same object).
+        self.leaves: Tuple[Any, ...] = tuple(values)
+        if not self.leaves:
+            self._levels: List[List[str]] = [[_EMPTY_ROOT]]
+            return
+        level = [_leaf_hash(index, value) for index, value in enumerate(self.leaves)]
         levels = [level]
         while len(level) > 1:
-            nxt = []
-            for i in range(0, len(level), 2):
-                left = level[i]
-                right = level[i + 1] if i + 1 < len(level) else level[i]
-                nxt.append(_node_hash(left, right))
-            level = nxt
+            if len(level) & 1:
+                level = [*level, level[-1]]
+            pairs = iter(level)
+            level = [_node_hash(left, right) for left, right in zip(pairs, pairs)]
             levels.append(level)
         self._levels = levels
-        return levels
+
+    def __len__(self) -> int:
+        return len(self.leaves)
 
     @property
     def root(self) -> str:
         """Root digest (a stable constant for the empty tree)."""
-        return self._build()[-1][0]
+        return self._levels[-1][0]
 
     def prove(self, index: int) -> MerkleProof:
         """Produce an inclusion proof for the leaf at ``index``."""
-        if index < 0 or index >= len(self._values):
+        if index < 0 or index >= len(self.leaves):
             raise InvalidProof(f"leaf index {index} out of range")
-        levels = self._build()
+        levels = self._levels
         path = []
         position = index
         for level in levels[:-1]:
@@ -143,17 +155,19 @@ class MerkleTree:
             sibling_is_right = sibling_index > position or sibling_index == position
             path.append((level[sibling_index], bool(sibling_is_right)))
             position //= 2
-        proof = MerkleProof(leaf_index=index, leaf_count=len(self._values), path=tuple(path))
-        leaf = self._values[index]
+        proof = MerkleProof(leaf_index=index, leaf_count=len(self.leaves), path=tuple(path))
+        leaf = self.leaves[index]
         object.__setattr__(proof, "_proved", (provenance_key(leaf), levels[-1][0]))
         return proof
 
     @staticmethod
     def verify(root: str, value: Any, proof: MerkleProof) -> bool:
-        """Check that ``value`` is included under ``root`` per ``proof``."""
+        """Check that ``value`` is included under ``root`` per ``proof``.  A
+        malformed path (not iterable, or an entry that is not a pair) is no
+        proof; any other error is a bug and propagates."""
         try:
             return proof.root_from(value) == root
-        except Exception:  # noqa: BLE001 - malformed proofs simply fail
+        except (TypeError, ValueError):
             return False
 
 

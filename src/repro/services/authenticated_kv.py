@@ -104,13 +104,6 @@ def _entry_leaf(entry: JournalEntry) -> tuple:
     return (entry.sequence, entry.position, entry.operation_digest, entry.result_digest)
 
 
-def _journal_record(leaves: Tuple[tuple, ...]) -> tuple:
-    """(entries, tree) for one journaled block's leaf tuples ``(s, l, H(o),
-    H(val))``.  Built by the first replica to execute the block; its peers
-    get the record from the block's replay entry (:meth:`replay_block`)."""
-    return tuple(JournalEntry(*leaf) for leaf in leaves), MerkleTree(leaves)
-
-
 def chain_step(prev_digest: str, sequence: int, journal_root: str) -> str:
     """One step of the state-digest hash chain."""
     return sha256_hex("authkv-chain", prev_digest, sequence, journal_root)
@@ -122,7 +115,6 @@ class AuthenticatedKVStore(AuthenticatedService):
     def __init__(self, persist_cost_per_byte: float = 5e-9):
         self._store = KVStore(persist_cost_per_byte=persist_cost_per_byte)
         self._chain_digest = GENESIS_DIGEST
-        self._journal_entries: Dict[int, Tuple[JournalEntry, ...]] = {}
         self._journal_results: Dict[int, Tuple[OperationResult, ...]] = {}
         self._journal_trees: Dict[int, MerkleTree] = {}
         self._prev_digest: Dict[int, str] = {}
@@ -175,11 +167,11 @@ class AuthenticatedKVStore(AuthenticatedService):
         state_key = ("kv", fingerprint, self._chain_digest, sequence)
         cached = execution_cache.lookup(operations, state_key)
         if cached is not None:
-            results, effects, journal = cached
+            results, delta, journal = cached
             # Replay: same puts/deletes in the same order (so even the raw
             # dict insertion order matches an uncached execution), then the
             # recorded journal bookkeeping with no re-hashing at all.
-            self._store.replay_effects(effects)
+            self._store.replay_delta(delta)
             self.replay_block(sequence, results, *journal)
             return results
 
@@ -188,19 +180,21 @@ class AuthenticatedKVStore(AuthenticatedService):
         # the peers.
         store_execute = self._store.execute
         executed = []
-        effects: List[Tuple[bool, str, Any]] = []
+        writes: List[tuple] = []
+        has_deletes = False
         for operation in operations:
             executed.append(store_execute(operation))
             payload = operation.payload
             if isinstance(payload, KVOperation):
                 action = payload.action
                 if action == "put":
-                    effects.append((True, payload.key, payload.value))
+                    writes.append((payload.key, payload.value))
                 elif action == "delete":
-                    effects.append((False, payload.key, None))
+                    writes.append((payload.key,))
+                    has_deletes = True
         results = tuple(executed)
         journal = self.journal_block(sequence, operations, results)
-        execution_cache.store(operations, state_key, (results, tuple(effects), journal))
+        execution_cache.store(operations, state_key, (results, (tuple(writes), has_deletes), journal))
         return results
 
     def journal_block(
@@ -208,37 +202,35 @@ class AuthenticatedKVStore(AuthenticatedService):
         sequence: int,
         operations: Sequence[Operation],
         results: Sequence[OperationResult],
-    ) -> Tuple[Tuple[JournalEntry, ...], MerkleTree, str]:
+    ) -> Tuple[MerkleTree, str]:
         """Journal an already-executed block so it can be proven later.
 
         Used directly by services (e.g. the ledger) that execute operations
         through their own engine but store state in this authenticated store.
-        Returns the journal record ``(entries, tree, new chain digest)``: what
-        a replay entry keeps so peers can :meth:`replay_block`.
+        Returns the journal record ``(tree, new chain digest)``, the tree's
+        leaves being the entries ``(s, l, H(o), H(val))``: what a replay entry
+        keeps so peers can :meth:`replay_block`.
         """
         results = tuple(results)
-        leaves = tuple(
+        tree = MerkleTree(tuple(
             (sequence, position, op_digest, self._result_digest(result.value))
             for position, (op_digest, result) in enumerate(
                 zip(block_operation_digests(operations), results)
             )
-        )
-        entries, tree = _journal_record(leaves)
+        ))
         new_digest = chain_step(self._chain_digest, sequence, tree.root)
-        self.replay_block(sequence, results, entries, tree, new_digest)
-        return entries, tree, new_digest
+        self.replay_block(sequence, results, tree, new_digest)
+        return tree, new_digest
 
     def replay_block(
         self,
         sequence: int,
         results: Tuple[OperationResult, ...],
-        entries: Tuple[JournalEntry, ...],
         tree: MerkleTree,
         new_digest: str,
     ) -> None:
         """Append a block whose journal record is already known: the
         bookkeeping of :meth:`journal_block` with no hashing and no copies."""
-        self._journal_entries[sequence] = entries
         self._journal_results[sequence] = results
         self._journal_trees[sequence] = tree
         self._prev_digest[sequence] = self._chain_digest
@@ -247,12 +239,13 @@ class AuthenticatedKVStore(AuthenticatedService):
         self._block_order.append(sequence)
 
     def snapshot(self) -> Any:
+        # The leaf tuples hold only ints and strs: shipped as they are.
         return {
             "data": self._store.snapshot(),
             "blocks": [
                 {
                     "sequence": sequence,
-                    "entries": copy.deepcopy(self._journal_entries[sequence]),
+                    "leaves": self._journal_trees[sequence].leaves,
                     "results": copy.deepcopy(self._journal_results[sequence]),
                 }
                 for sequence in self._block_order
@@ -265,7 +258,6 @@ class AuthenticatedKVStore(AuthenticatedService):
         # re-fingerprint before the next cached block.
         self._state_fingerprint = None
         self._chain_digest = GENESIS_DIGEST
-        self._journal_entries = {}
         self._journal_results = {}
         self._journal_trees = {}
         self._prev_digest = {}
@@ -273,10 +265,9 @@ class AuthenticatedKVStore(AuthenticatedService):
         self._block_order = []
         for block in snapshot["blocks"]:
             sequence = block["sequence"]
-            leaves = tuple(_entry_leaf(entry) for entry in block["entries"])
-            entries, tree = _journal_record(leaves)
+            tree = MerkleTree(block["leaves"])
             new_digest = chain_step(self._chain_digest, sequence, tree.root)
-            self.replay_block(sequence, block["results"], entries, tree, new_digest)
+            self.replay_block(sequence, block["results"], tree, new_digest)
 
     def _result_digest(self, value: Any) -> str:
         # Only the return value is committed: it is what the client receives
@@ -315,14 +306,14 @@ class AuthenticatedKVStore(AuthenticatedService):
             raise InvalidProof(f"no executed block with sequence {sequence}") from None
 
     def prove(self, sequence: int, position: int) -> ExecutionProof:
-        entries = self._journal_entries.get(sequence)
-        if entries is None:
+        tree = self._journal_trees.get(sequence)
+        if tree is None:
             raise InvalidProof(f"no executed block with sequence {sequence}")
-        if position < 0 or position >= len(entries):
+        if position < 0 or position >= len(tree):
             raise InvalidProof(f"position {position} out of range for block {sequence}")
         proof = KVProof(
-            entry=entries[position],
-            entry_proof=self._journal_trees[sequence].prove(position),
+            entry=JournalEntry(*tree.leaves[position]),
+            entry_proof=tree.prove(position),
             prev_digest=self._prev_digest[sequence],
         )
         return ExecutionProof(
@@ -357,6 +348,11 @@ class AuthenticatedKVStore(AuthenticatedService):
     def result_for(self, sequence: int, position: int) -> OperationResult:
         """Recorded result of the ``position``-th operation of block ``sequence``."""
         return self._journal_results[sequence][position]
+
+    @property
+    def store(self) -> KVStore:
+        """The plain store under the journal."""
+        return self._store
 
     def get(self, key: str, default: Optional[Any] = None) -> Any:
         return self._store.get(key, default)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.crypto.hashing import sha256_hex
 from repro.services.interface import Operation, OperationResult, ReplicatedService
@@ -80,27 +80,41 @@ class KVStore(ReplicatedService):
             cost += self._persist_cost_per_byte * operation.size_bytes
         return cost
 
-    def replay_effects(self, effects) -> None:
-        """Apply a recorded mutation stream (the execution cache's state
-        delta): ``(True, key, value)`` puts, ``(False, key, None)`` deletes,
-        in the original operation order so even dict insertion order matches
-        an uncached execution."""
+    def replay_delta(self, delta: Tuple[Tuple[tuple, ...], bool]) -> None:
+        """Apply a recorded state delta (the execution cache's, for both the
+        KV service and the ledger): ``(writes, has_deletes)``, where
+        ``writes`` is the mutation stream in operation order — ``(key,
+        value)`` for a put, ``(key,)`` for a delete — so even dict insertion
+        order matches an uncached execution.  Without deletes that is one
+        ``dict.update``, which assigns in order exactly like a loop."""
+        writes, has_deletes = delta
         data = self._data
-        for is_put, key, value in effects:
-            if is_put:
-                data[key] = value
+        if not has_deletes:
+            data.update(writes)
+            return
+        for write in writes:
+            if len(write) == 2:
+                data[write[0]] = write[1]
             else:
-                data.pop(key, None)
+                data.pop(write[0], None)
 
     def snapshot(self) -> Any:
         return copy.deepcopy(self._data)
 
     def restore(self, snapshot: Any) -> None:
-        self._data = copy.deepcopy(snapshot)
+        contents = copy.deepcopy(snapshot)
+        self._data.clear()
+        self._data.update(contents)
 
     # ------------------------------------------------------------------
     # Direct access (tests, ledger backend)
     # ------------------------------------------------------------------
+    @property
+    def data(self) -> Dict[str, Any]:
+        """The live contents, one dict for the store's lifetime (``restore``
+        refills it in place)."""
+        return self._data
+
     def get(self, key: str, default: Optional[Any] = None) -> Any:
         return self._data.get(key, default)
 

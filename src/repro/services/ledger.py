@@ -61,31 +61,33 @@ def ledger_operation(transaction: Transaction, client_id: int = -1, timestamp: i
 class _LedgerBackend:
     """The world state's store backend, instrumented for the execution cache.
 
-    Delegates every read/write to the authenticated store.  While a block is
-    being executed for the first time, writes are additionally appended to
-    ``record`` (the state delta peers will replay).  Writes outside block
-    execution (genesis funding, direct ``apply``, unreplicated baselines)
-    invalidate the owner's state fingerprint so diverged ledgers never share
-    cache entries.
+    Reads and writes go straight to the authenticated store's contents dict
+    (``KVStore.restore`` refills that dict in place, so the reference holds
+    across state transfer).  While a block is being executed for the first
+    time, writes are additionally appended to ``record`` (the state delta
+    peers will replay).  Writes outside block execution (genesis funding,
+    direct ``apply``, unreplicated baselines) go through the authenticated
+    store's ``put`` and invalidate the owner's state fingerprint so diverged
+    ledgers never share cache entries.
     """
 
-    __slots__ = ("_authkv", "_owner", "record")
+    __slots__ = ("get", "_data", "_authkv", "_owner", "record")
 
     def __init__(self, authkv: AuthenticatedKVStore, owner: "LedgerService"):
+        self._data = authkv.store.data
+        self.get = self._data.get
         self._authkv = authkv
         self._owner = owner
         self.record: Optional[List[Tuple[str, Any]]] = None
-
-    def get(self, key: str) -> Any:
-        return self._authkv.get(key)
 
     def put(self, key: str, value: Any) -> None:
         record = self.record
         if record is not None:
             record.append((key, value))
+            self._data[key] = value
         else:
             self._owner._state_fingerprint = None
-        self._authkv.put(key, value)
+            self._authkv.put(key, value)
 
 
 class LedgerService(AuthenticatedService):
@@ -170,13 +172,12 @@ class LedgerService(AuthenticatedService):
         state_key = ("ledger", fingerprint, authkv.digest(), self._block_number, sequence)
         cached = execution_cache.lookup(operations, state_key)
         if cached is not None:
-            results, receipts, puts, journal = cached
+            results, receipts, delta, journal = cached
             # Replay the recorded state delta instead of re-interpreting:
             # same puts in the same order, applied directly (the delta is
             # journal-covered, so the fingerprint stays valid), then the
             # recorded journal bookkeeping with no re-hashing.
-            for key, value in puts:
-                authkv.put(key, value)
+            authkv.store.replay_delta(delta)
             self.receipts.extend(receipts)
             authkv.replay_block(sequence, results, *journal)
             return results
@@ -195,7 +196,7 @@ class LedgerService(AuthenticatedService):
         execution_cache.store(
             operations,
             state_key,
-            (results, tuple(self.receipts[receipts_start:]), tuple(record), journal),
+            (results, tuple(self.receipts[receipts_start:]), (tuple(record), False), journal),
         )
         return results
 

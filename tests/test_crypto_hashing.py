@@ -40,6 +40,13 @@ def test_equal_memo_keys_always_share_one_canonical_encoding():
     pool += [{"1": a} for a in scalars[:8]] + [("reply", {"gas": a}) for a in scalars[:8]]
     pool += [{"a": 1, "b": 2.0}, {"b": 2.0, "a": 1}, {"a": 1, "b": 2}, {"a": {"b": 1}}]
     pool += [{1: "x", "1": "y"}, {"1": "y", 1: "x"}, {1: "y", "1": "x"}, {}, ()]
+    # Flat dicts (str keys, str/int/bool/None values) take the raw path: next
+    # to look-alikes, reorderings, the tuples their items spell, and tagged
+    # dicts over the same keys.
+    flat = [{"a": a} for a in scalars] + [{"a": a, "b": "x"} for a in scalars[:8]]
+    flat += [{"b": "x", "a": a} for a in scalars[:8]] + [(("a", a),) for a in scalars[:8]]
+    flat += [("a", a) for a in scalars[:8]] + [{"a": a, "b": [1]} for a in scalars[:3]]
+    pool += flat + [("reply", {"gas": a, "ok": True}) for a in scalars[:8]]
     for a, b in itertools.combinations(pool, 2):
         if memo_key(a) == memo_key(b):
             assert hash(memo_key(a)) == hash(memo_key(b))
@@ -50,10 +57,20 @@ def test_equal_memo_keys_always_share_one_canonical_encoding():
     assert memo_key(votes) is votes and memo_key(flags) is flags
     assert memo_key((1, "x")) == memo_key((True, "x"))  # one encoding
     assert memo_key((1, "x")) != memo_key((1.0, "x"))  # two encodings
-    assert memo_key({1: "x"}) == memo_key({"1": "x"})  # one encoding
+    # {1: "x"} and {"1": "x"} share an encoding but not a key (the flat one
+    # is raw): a split, never a merge.
+    assert memo_key({1: "x"}) != memo_key({"1": "x"})
+    assert sha256_hex({1: "x"}) == sha256_hex({"1": "x"})
     assert memo_key({"a": 1, "b": 2.0}) == memo_key({"b": 2.0, "a": 1})  # insertion order
     assert memo_key({"k": 1}) != memo_key({"k": 1.0})
     assert memo_key(("reply", {"gas": 1})) != memo_key(("reply", {"gas": 1.0}))
+    # The flat path: raw sorted items, look-alikes as the encoding has them.
+    receipt = {"success": True, "gas_used": 21_000, "contract_address": None}
+    assert memo_key(receipt) == tuple(sorted(receipt.items()))
+    assert memo_key(receipt) == memo_key(dict(reversed(list(receipt.items()))))
+    assert memo_key({"a": 1}) == memo_key({"a": True})  # one encoding
+    assert memo_key({"a": 1}) != memo_key({"a": 1.0}) != memo_key({"a": True})
+    assert memo_key({"a": 1}) != memo_key((("a", 1),)) != memo_key(("a", 1))
     # Values of unlike types under keys that collide as strings still sort.
     hash(memo_key({1: "x", "1": 2}))
 

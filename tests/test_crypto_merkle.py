@@ -41,21 +41,19 @@ def test_proof_fails_for_wrong_value_or_wrong_position():
 
 
 def test_root_changes_when_leaf_changes():
-    tree = MerkleTree(["a", "b", "c"])
-    before = tree.root
-    tree.update(1, "B")
-    assert tree.root != before
+    assert MerkleTree(["a", "b", "c"]).root != MerkleTree(["a", "B", "c"]).root
 
 
-def test_append_and_extend_change_root():
-    tree = MerkleTree(["a"])
-    first = tree.root
-    index = tree.append("b")
-    assert index == 1
-    second = tree.root
-    tree.extend(["c", "d"])
-    assert len(tree) == 4
-    assert len({first, second, tree.root}) == 3
+def test_more_leaves_change_the_root():
+    roots = {MerkleTree(["a", "b", "c", "d"][:count]).root for count in (1, 2, 4)}
+    assert len(roots) == 3 and len(MerkleTree(["a", "b", "c", "d"])) == 4
+
+
+def test_tree_keeps_its_leaf_tuple():
+    leaves = ((1, 0, "op", "res"), (1, 1, "op", "res"))
+    tree = MerkleTree(leaves)
+    assert tree.leaves is leaves
+    assert MerkleTree(list(leaves)).leaves == leaves
 
 
 def test_prove_out_of_range_raises():
@@ -76,6 +74,38 @@ def test_malformed_proof_fails_closed():
     broken = MerkleProof(leaf_index=0, leaf_count=2, path=(("not-a-hash", True),))
     assert not MerkleTree.verify(tree.root, "a", broken)
     assert MerkleTree.verify(tree.root, "a", proof)
+
+
+def test_a_path_that_is_not_iterable_is_no_proof():
+    tree = MerkleTree(["a", "b"])
+    broken = MerkleProof(leaf_index=0, leaf_count=2, path=())
+    object.__setattr__(broken, "path", None)
+    with pytest.raises(TypeError):
+        broken.root_from("a")
+    assert not MerkleTree.verify(tree.root, "a", broken)
+
+
+@pytest.mark.parametrize("entry", [(), ("x",), ("x", True, "extra")], ids=["0", "1", "3"])
+def test_a_path_entry_of_the_wrong_length_is_no_proof(entry):
+    tree = MerkleTree(["a", "b"])
+    broken = MerkleProof(leaf_index=0, leaf_count=2, path=(entry,))
+    with pytest.raises(ValueError):
+        broken.root_from("a")
+    assert not MerkleTree.verify(tree.root, "a", broken)
+
+
+def test_verify_lets_any_other_error_through(monkeypatch):
+    """Only a malformed path reads as "invalid proof": a bug in the hashing
+    code must fail loudly."""
+    tree = MerkleTree(["a", "b"])
+    proof = dataclasses.replace(tree.prove(0))  # no stamp: the path is walked
+
+    def broken(*_args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(merkle, "_node_hash", broken)
+    with pytest.raises(KeyError):
+        MerkleTree.verify(tree.root, "a", proof)
 
 
 @settings(max_examples=50, deadline=None)
@@ -124,9 +154,12 @@ def _reference_root(proof, value):
 
 @pytest.fixture
 def hash_calls(monkeypatch):
+    """Every SHA-256 pass the Merkle code makes: through ``sha256_hex`` (the
+    canonical encoder) and over pre-encoded bytes (``merkle.sha256``)."""
     calls = []
-    real = merkle.sha256_hex
-    monkeypatch.setattr(merkle, "sha256_hex", lambda *parts: calls.append(parts) or real(*parts))
+    real_hex, real_sha256 = merkle.sha256_hex, merkle.sha256
+    monkeypatch.setattr(merkle, "sha256_hex", lambda *parts: calls.append(parts) or real_hex(*parts))
+    monkeypatch.setattr(merkle, "sha256", lambda data: calls.append(data) or real_sha256(data))
     return calls
 
 
@@ -203,3 +236,120 @@ def test_property_root_from_agrees_with_and_without_the_stamp(values, data):
         expected = _reference_root(proof, value)
         assert proof.root_from(value) == unstamped.root_from(value) == expected
         assert MerkleTree.verify(tree.root, value, proof) == (expected == tree.root)
+
+
+# ----------------------------------------------------------------------
+# Differential: the level hashing (pre-encoded nodes and journal leaves)
+# against the sha256_hex loop it replaced.  The roots and paths are the
+# contract; the loop is kept here, verbatim, as the reference.
+# ----------------------------------------------------------------------
+_EMPTY_ROOT = sha256_hex("merkle-empty")
+
+
+def _leaf_hash(index, value):
+    return sha256_hex("merkle-leaf", index, value)
+
+
+def _node_hash(left, right):
+    return sha256_hex("merkle-node", left, right)
+
+
+def _build(values):
+    if not values:
+        return [[_EMPTY_ROOT]]
+    level = [_leaf_hash(i, v) for i, v in enumerate(values)]
+    levels = [level]
+    while len(level) > 1:
+        nxt = []
+        for i in range(0, len(level), 2):
+            left = level[i]
+            right = level[i + 1] if i + 1 < len(level) else level[i]
+            nxt.append(_node_hash(left, right))
+        level = nxt
+        levels.append(level)
+    return levels
+
+
+def _reference_path(levels, index):
+    path = []
+    position = index
+    for level in levels[:-1]:
+        sibling_index = position ^ 1
+        if sibling_index >= len(level):
+            sibling_index = position
+        sibling_is_right = sibling_index > position or sibling_index == position
+        path.append((level[sibling_index], bool(sibling_is_right)))
+        position //= 2
+    return tuple(path)
+
+
+_HEX = st.text("0123456789abcdef", min_size=64, max_size=64)
+#: Strings a journal digest slot may hold: hex digests and near misses.
+_DIGESTS = st.one_of(
+    _HEX,
+    _HEX,
+    st.sampled_from(["a" * 63, "a" * 65, "é" * 64, "\x80" + "a" * 63, "ab" * 32 + "é", ""]),
+    st.text(min_size=62, max_size=66),
+)
+#: What a journal int slot may hold: table ints and near misses.
+_INTS = st.one_of(
+    st.integers(-128, 1023),
+    st.sampled_from([-129, -1, 0, 1023, 1024, 10**6, -(10**6), True, False, None]),
+    st.integers(),
+    st.floats(allow_nan=False),
+)
+_JOURNAL_LEAVES = st.one_of(
+    st.tuples(_INTS, _INTS, _DIGESTS, _DIGESTS),
+    st.tuples(_INTS, _INTS, st.one_of(_DIGESTS, st.lists(_HEX, max_size=1)), _DIGESTS),
+    st.tuples(_INTS, _INTS, _DIGESTS),
+    st.tuples(_INTS, _INTS, _DIGESTS, _DIGESTS, _INTS),
+    st.lists(st.one_of(_INTS, _DIGESTS), min_size=4, max_size=4),
+    _LEAVES,
+    _HEX,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_JOURNAL_LEAVES, max_size=20), st.data())
+def test_levels_match_the_reference_loop(values, data):
+    levels = _build(values)
+    tree = MerkleTree(values)
+    assert tree.root == levels[-1][0] == merkle_root(values)
+    if not values:
+        return
+    for index, value in enumerate(values):
+        proof = tree.prove(index)
+        assert proof.path == _reference_path(levels, index)
+        unstamped = dataclasses.replace(proof)
+        for candidate in (value, data.draw(_JOURNAL_LEAVES)):
+            assert unstamped.root_from(candidate) == _reference_root(proof, candidate)
+    # root_from over a path whose siblings are near misses, not digests.
+    index = data.draw(st.integers(0, len(values) - 1))
+    path = tuple(
+        (data.draw(st.one_of(st.just(sibling), _DIGESTS, _INTS)), is_right)
+        for sibling, is_right in tree.prove(index).path
+    )
+    forged = MerkleProof(index, len(values), path)
+    assert forged.root_from(values[index]) == _reference_root(forged, values[index])
+
+
+@pytest.mark.parametrize("count", [1023, 1025])
+@pytest.mark.parametrize("modulus", [1 << 20, 3], ids=["position=index", "small-position"])
+def test_leaf_indices_past_the_int_table_match_the_reference(count, modulus):
+    op, result = sha256_hex("op"), sha256_hex("result")
+    values = tuple((7, position % modulus, op, result) for position in range(count))
+    levels = _build(values)
+    tree = MerkleTree(values)
+    assert tree.root == levels[-1][0]
+    assert tree.prove(count - 1).path == _reference_path(levels, count - 1)
+
+
+def test_every_pass_of_a_build_is_counted(hash_calls):
+    op = sha256_hex("op")
+    MerkleTree([(1, position, op, op) for position in range(5)])
+    # Five leaves, then levels of 3, 2 and 1 nodes: all pre-encoded.
+    assert len(hash_calls) == 5 + 3 + 2 + 1
+    assert all(type(call) is bytes for call in hash_calls)
+    del hash_calls[:]
+    MerkleTree([(1, 0, "op", op)])  # a short digest: the encoder's path
+    assert hash_calls == [("merkle-leaf", 0, (1, 0, "op", op))]

@@ -154,19 +154,26 @@ def test_digest_memo_distinguishes_equal_but_distinct_values():
 def _count_sha256_passes(monkeypatch):
     """Count every SHA-256 pass of the process from here on, by domain tag:
     ``sha256_hex`` and ``sha256_int`` both hash what ``_canonical_bytes``
-    returns, and every caller's first part is its tag."""
+    returns, and every caller's first part is its tag; the Merkle tree hashes
+    its common leaves and nodes from pre-encoded bytes (``merkle.sha256``),
+    whose first length-prefixed item is the same tag."""
     from collections import Counter
 
-    from repro.crypto import hashing
+    from repro.crypto import hashing, merkle
 
     passes = Counter()
-    real = hashing._canonical_bytes
+    real, real_sha256 = hashing._canonical_bytes, merkle.sha256
 
     def counting(parts):
         passes[parts[0]] += 1
         return real(parts)
 
+    def counting_sha256(data):
+        passes[data[4:4 + int.from_bytes(data[:4], "big")].decode()] += 1
+        return real_sha256(data)
+
     monkeypatch.setattr(hashing, "_canonical_bytes", counting)
+    monkeypatch.setattr(merkle, "sha256", counting_sha256)
     return passes
 
 

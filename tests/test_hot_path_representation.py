@@ -23,9 +23,9 @@ from test_batching import GOLDEN_FAULT_RUNS
 from repro.core import messages as core_messages
 from repro.core.messages import ClientRequest, PrePrepare, SignShare
 from repro.core.stats import ClientStats, SBFTReplicaStats
+from repro.crypto.merkle import MerkleTree
 from repro.pbft import messages as pbft_messages
 from repro.protocols.cluster import build_cluster
-from repro.services.authenticated_kv import JournalEntry
 from repro.services.interface import BlockOperations, OperationResult
 from repro.sim.network import _message_size
 from repro.workloads.kv_workload import KVWorkload
@@ -155,11 +155,14 @@ def _mutable_stashes(messages):
     executing by the unshared differential (tests/test_batching.py) and the
     ``execute_everywhere`` tests — is checked for the two tuples every peer
     keeps as they are: its results hold only ``OperationResult`` and its
-    journal entries only ``JournalEntry``.
+    journal tree's leaves only tuples of str / int.
 
     -> (problems, {(class name, slot) seen holding a non-default value}).
     """
     problems, filled, seen = [], set(), set()
+
+    def is_leaf(leaf):
+        return type(leaf) is tuple and all(type(item) in (str, int) for item in leaf)
 
     def check(value, where):
         if value is None or isinstance(value, (str, int, float, bytes, type)):
@@ -172,10 +175,13 @@ def _mutable_stashes(messages):
                 if value.replay is not None:
                     filled.add(("BlockOperations", "replay"))
                     entry = value.replay[1]
-                    for name, held, cls in (("results", entry[0], OperationResult),
-                                            ("entries", entry[-1][0], JournalEntry)):
-                        if type(held) is not tuple or any(type(item) is not cls for item in held):
-                            problems.append(f"{where}.replay {name} is not a tuple of {cls.__name__}")
+                    results, leaves = entry[0], entry[-1][0].leaves
+                    if type(results) is not tuple or any(
+                        type(item) is not OperationResult for item in results
+                    ):
+                        problems.append(f"{where}.replay results is not a tuple of OperationResult")
+                    if type(leaves) is not tuple or not all(map(is_leaf, leaves)):
+                        problems.append(f"{where}.replay leaves are not tuples of str / int")
         elif dataclasses.is_dataclass(value) and value.__dataclass_params__.frozen:
             walk(value)
         else:
@@ -247,12 +253,17 @@ def test_the_stash_walk_fails_on_a_list_in_a_stash():
     # ...and on a replay entry whose results a peer would have to copy.
     digests.digests = None
     object.__setattr__(block, "_reply_values", None)
-    result, entry = OperationResult(value="v"), JournalEntry(1, 0, "op", "res")
-    digests.replay = (("key",), ((result,), (), ((entry,), None, "d")))
+    result, tree = OperationResult(value="v"), MerkleTree(((1, 0, "op", "res"),))
+    digests.replay = (("key",), ((result,), (), (tree, "d")))
     assert not _mutable_stashes([block])[0]
-    digests.replay = (("key",), ([result], (), ((entry,), None, "d")))
+    digests.replay = (("key",), ([result], (), (tree, "d")))
     assert _mutable_stashes([block])[0] == [
         "PrePrepare._exec_plan[2].replay results is not a tuple of OperationResult"
+    ]
+    # ...and on journal leaves holding anything but str / int.
+    digests.replay = (("key",), ((result,), (), (MerkleTree(((1, 0, "op", ["res"]),)), "d")))
+    assert _mutable_stashes([block])[0] == [
+        "PrePrepare._exec_plan[2].replay leaves are not tuples of str / int"
     ]
 
 

@@ -81,3 +81,51 @@ def test_contains_and_keys():
     assert "x" in store
     assert "y" not in store
     assert list(store.keys()) == ["x"]  # repro: allow[ordered-iteration]
+
+
+def _replayed_by_a_loop(store, writes):
+    """The per-key loop ``replay_delta`` stands for."""
+    for write in writes:
+        if len(write) == 2:
+            store.put(*write)
+        else:
+            store.data.pop(write[0], None)
+
+
+def _two_stores():
+    stores = KVStore(), KVStore()
+    for store in stores:
+        for key in ("b", "a", "c"):
+            store.put(key, key.upper())
+    return stores
+
+
+def test_put_only_delta_replays_like_a_per_key_loop():
+    writes = (("x", 1), ("a", 2), ("x", 3), ("d", None), ("b", [1]))
+    bulk, loop = _two_stores()
+    bulk.replay_delta((writes, False))
+    _replayed_by_a_loop(loop, writes)
+    assert list(bulk.data.items()) == list(loop.data.items())
+    assert list(bulk.data) == ["b", "a", "c", "x", "d"]
+
+
+def test_mixed_delta_replays_like_a_per_key_loop():
+    # A deleted then re-put key moves to the end; a missing key's delete is a no-op.
+    writes = (("a", 1), ("a",), ("x", 2), ("a", 3), ("zz",), ("b",), ("b", 4))
+    bulk, loop = _two_stores()
+    bulk.replay_delta((writes, True))
+    _replayed_by_a_loop(loop, writes)
+    assert list(bulk.data.items()) == list(loop.data.items())
+    assert list(bulk.data) == ["c", "x", "a", "b"]
+
+
+def test_restore_refills_the_same_dict():
+    store = KVStore()
+    data = store.data
+    store.put("a", 1)
+    snapshot = store.snapshot()
+    store.put("b", 2)
+    store.restore(snapshot)
+    assert store.data is data and data == {"a": 1}
+    store.restore(store.data)  # its own contents: copied before the clear
+    assert data == {"a": 1}

@@ -210,3 +210,30 @@ def test_execution_cost_is_cache_independent(cold_cache):
     peer.execute_block(1, block)
     assert execution_cache.stats()["hits"] == 1  # replayed
     assert peer.execution_cost(operation) == cost_before == first.execution_cost(operation)
+
+
+def test_world_state_reads_and_writes_the_restored_store(cold_cache):
+    """The world state's backend holds the store's contents dict; a restore
+    refills that dict, so reads, first executions and replays after it all
+    see the restored state."""
+    first = _funded_ledger()
+    first.execute_block(1, _block())
+    snapshot = first.snapshot()
+    restored = []
+    for _ in range(2):
+        ledger = _funded_ledger()
+        ledger.apply(Transaction.transfer(ALICE, BOB, 500))  # diverged, then restored
+        ledger.restore(snapshot)
+        assert ledger.world.get_balance(BOB) == first.world.get_balance(BOB)
+        restored.append(ledger)
+    operations = BlockOperations([ledger_operation(Transaction.transfer(BOB, ALICE, 5), timestamp=7)])
+    first.execute_block(2, list(operations))
+    misses = execution_cache.stats()["misses"]
+    # The two restored ledgers share a fingerprint: one executes, one replays.
+    for ledger in restored:
+        ledger.execute_block(2, operations)
+    assert execution_cache.stats() == {"hits": 1, "misses": misses + 1}
+    for ledger in restored:
+        assert ledger.digest() == first.digest()
+        assert ledger.snapshot()["authkv"]["data"] == first.snapshot()["authkv"]["data"]
+        assert ledger.world.get_balance(ALICE) == first.world.get_balance(ALICE)

@@ -2,18 +2,20 @@
 
 All n replicas of a simulated cluster share one process, so anything a
 replica copies out of the block's replay entry costs n times.  For every
-executed sequence, every replica's journal (``_journal_entries[s]``,
-``_journal_results[s]``) and its log slot's ``execution_results`` must be the
-very tuples the replay entry holds; a reintroduced ``list(...)`` anywhere on
-the replay path fails the identity checks below.  State transfer is the one
-place that copies (``snapshot`` deep-copies), and a replica restored that way
-must still prove and verify every block it holds.
+executed sequence, every replica's journal (``_journal_trees[s]``, whose
+leaves live only there, and ``_journal_results[s]``) and its log slot's
+``execution_results`` must be the very objects the replay entry holds; a
+reintroduced ``list(...)`` anywhere on the replay path fails the identity
+checks below.  State transfer is the one place that copies (``snapshot``
+deep-copies the results), and a replica restored that way must still prove
+and verify every block it holds.
 """
 
 import pytest
 
 from helpers import run_small_cluster
 from repro.core import execution_cache
+from repro.crypto.merkle import MerkleTree
 from repro.protocols.cluster import build_cluster
 from repro.services.ledger import LedgerService
 from repro.workloads.ethereum_workload import EthereumWorkload
@@ -56,10 +58,10 @@ def _assert_peers_hold_the_record(cluster, blocks):
         journal = _journal(replica.service)
         assert journal._block_order == sorted(entries)
         for sequence, entry in entries.items():
-            results, journal_entries = entry[0], entry[-1][0]
-            assert type(results) is tuple and type(journal_entries) is tuple
+            results, tree = entry[0], entry[-1][0]
+            assert type(results) is tuple and type(tree.leaves) is tuple
             assert journal._journal_results[sequence] is results
-            assert journal._journal_entries[sequence] is journal_entries
+            assert journal._journal_trees[sequence] is tree
         for slot in replica.log.slots():
             if slot.executed:
                 assert slot.execution_results is entries[slot.sequence][0]
@@ -84,7 +86,14 @@ def test_the_sharing_check_fails_on_a_copied_journal(recorded):
     cluster, _ = run_small_cluster("sbft-c0", f=1, num_clients=2, requests_per_client=2, seed=11)
     peer = cluster.replicas[1].service
     sequence = peer._block_order[0]
-    peer._journal_results[sequence] = list(peer._journal_results[sequence])  # equal, not identical
+    results = peer._journal_results[sequence]
+    peer._journal_results[sequence] = list(results)  # equal, not identical
+    with pytest.raises(AssertionError):
+        _assert_peers_hold_the_record(cluster, recorded)
+    peer._journal_results[sequence] = results
+    _assert_peers_hold_the_record(cluster, recorded)
+    # A peer that rebuilt the tree from the shared leaves holds a copy too.
+    peer._journal_trees[sequence] = MerkleTree(peer._journal_trees[sequence].leaves)
     with pytest.raises(AssertionError):
         _assert_peers_hold_the_record(cluster, recorded)
 
