@@ -73,6 +73,8 @@ class PrePrepare:
     # Per-request reply-values stash filled by ``block_reply_values``, guarded
     # by the post-execution state digest (see repro.core.replica).
     _reply_values: Any = field(init=False, compare=False, repr=False, default=None)
+    # Encoded reply bodies filled by ``block_reply_bodies``, the same guard.
+    _reply_bodies: Any = field(init=False, compare=False, repr=False, default=None)
     # Recomputed-digest stash filled by ``pre_prepare_expected_digest`` — a
     # pure function of the frozen fields, so replicas past the first reuse it
     # (each still compares against ``digest`` independently).

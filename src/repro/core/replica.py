@@ -68,6 +68,7 @@ from repro.core.viewchange import (
     compute_new_view_plan,
 )
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
+from repro.crypto.hashing import memo_key
 from repro.crypto.threshold import ThresholdScheme
 from repro.errors import CryptoError
 from repro.services.interface import AuthenticatedService, ReplicatedService
@@ -230,8 +231,9 @@ class SBFTReplica(Replica):
     def _count(self, tally: Tally, scheme: ThresholdScheme, share: Any, signed: Tuple) -> int:
         """File a valid share over ``signed`` under the signer the scheme
         authenticated (not the id its message claims): that message's new
-        signer count, or 0 if the share added nothing."""
-        if share is None or share.message != signed or not scheme.verify_share(share):
+        signer count, or 0 if the share added nothing.  ``signed`` is its own
+        ``memo_key``, so the match is type-exact (``1.0`` is not ``1``)."""
+        if share is None or memo_key(share.message) != signed or not scheme.verify_share(share):
             return 0
         return tally.add(signed, share.signer_id, share)
 

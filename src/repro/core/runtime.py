@@ -42,7 +42,7 @@ from repro.core.messages import (
 from repro.core.reply_cache import ClientReplyTracker
 from repro.crypto.costs import CryptoCosts
 from repro.crypto.hashing import block_digest, sha256_hex
-from repro.crypto.signatures import SigningKey
+from repro.crypto.signatures import SigningKey, encode
 from repro.services.interface import (
     AuthenticatedService,
     BlockOperations,
@@ -128,6 +128,18 @@ def block_reply_values(pre_prepare, execution_results, state_digest) -> Tuple[Tu
     values_per_request = tuple(values_per_request)
     object.__setattr__(pre_prepare, "_reply_values", (state_digest, values_per_request))
     return values_per_request
+
+
+def block_reply_bodies(pre_prepare, reply_values, state_digest) -> Tuple[Tuple[bytes, Any], ...]:
+    """``signatures.encode`` of each request's reply: every replica signs the
+    same bodies, so they are stashed beside ``_reply_values``, same guard."""
+    memo = pre_prepare._reply_bodies
+    if memo is None or memo[0] != state_digest:
+        memo = (state_digest, tuple(
+            encode(("reply", request.client_id, request.timestamp, values))
+            for request, values in zip(pre_prepare.requests, reply_values)))
+        object.__setattr__(pre_prepare, "_reply_bodies", memo)
+    return memo[1]
 
 
 class Replica(Process):
@@ -419,10 +431,12 @@ class Replica(Process):
             self._maybe_propose()
         self._try_execute()
 
-    def _signed_reply(self, sequence: int, client_id: int, timestamp: int, values: Tuple) -> ClientReply:
+    def _signed_reply(
+        self, sequence: int, client_id: int, timestamp: int, values: Tuple, encoded: Any = None
+    ) -> ClientReply:
         """This replica's signed f+1-path reply (charges the signature)."""
         self.charge_cpu(self.costs.rsa_sign)
-        signature = self.signing_key.sign(("reply", client_id, timestamp, values))
+        signature = self.signing_key.sign(("reply", client_id, timestamp, values), encoded=encoded)
         return ClientReply(
             sequence=sequence,
             client_id=client_id,
@@ -435,8 +449,9 @@ class Replica(Process):
     def _send_block_replies(self, slot: Any) -> None:
         """PBFT-style replies: one signed reply per request of an executed block."""
         reply_values = block_reply_values(slot.pre_prepare, slot.execution_results, slot.state_digest)
-        for request, values in zip(slot.pre_prepare.requests, reply_values):
-            reply = self._signed_reply(slot.sequence, request.client_id, request.timestamp, values)
+        bodies = block_reply_bodies(slot.pre_prepare, reply_values, slot.state_digest)
+        for request, values, body in zip(slot.pre_prepare.requests, reply_values, bodies):
+            reply = self._signed_reply(slot.sequence, request.client_id, request.timestamp, values, body)
             self._send_to_client(request.client_id, reply)
 
     def _send_direct_reply(self, client_id: int, timestamp: int) -> None:

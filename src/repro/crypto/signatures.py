@@ -24,10 +24,18 @@ themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from hashlib import sha256
+from typing import Any, Tuple
 
-from repro.crypto.hashing import memo_key, provenance_key, sha256_hex
+from repro.crypto.hashing import _canonical_bytes, memo_key, provenance_key, sha256_hex
 from repro.errors import CryptoError
+
+
+def encode(message: object) -> Tuple[bytes, Any]:
+    """``(body, record)``: ``message`` canonically encoded as one item, and
+    the provenance record a signature over it carries.  A caller signing one
+    message under many keys (a block's replies) encodes it once."""
+    return _canonical_bytes((message,)), provenance_key(message)
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,36 +55,45 @@ class Signature:
 
 
 @dataclass(frozen=True)
-class VerifyKey:
-    """Public half of a key pair."""
+class _Key:
+    """What both halves of a key pair hold.  A digest is
+    ``sha256_hex("pk-sign", key_id, message)``, hashed in one pass as
+    ``_prefix`` (built once) + the message's :func:`encode` body."""
 
     signer: str
     key_id: str
+    _prefix: bytes = field(init=False, compare=False, repr=False, default=b"")
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_prefix", _canonical_bytes(("pk-sign", self.key_id)))
+
+
+@dataclass(frozen=True)
+class VerifyKey(_Key):
+    """Public half of a key pair."""
 
     def verify(self, message: object, signature: Signature) -> bool:
         if signature.signer != self.signer:
             return False
         if signature._signed_by == self.key_id and signature._signed == memo_key(message):
             return True
-        return signature.digest == sha256_hex("pk-sign", self.key_id, message)
+        return signature.digest == sha256(self._prefix + _canonical_bytes((message,))).hexdigest()
 
 
 @dataclass(frozen=True)
-class SigningKey:
+class SigningKey(_Key):
     """Private half of a key pair."""
 
-    signer: str
-    key_id: str
-
-    def sign(self, message: object, *, provenance: bool = True) -> Signature:
-        """Sign ``message``.  ``provenance=False`` leaves the record off a
-        signature nobody will verify, which otherwise keeps the signed message
-        alive for as long as the signature is."""
-        digest = sha256_hex("pk-sign", self.key_id, message)
-        signature = Signature(signer=self.signer, digest=digest)
+    def sign(self, message: object, *, provenance: bool = True, encoded: Any = None) -> Signature:
+        """Sign ``message``; ``encoded`` is its :func:`encode` if the caller
+        holds it.  ``provenance=False`` leaves the record off a signature
+        nobody will verify, which otherwise keeps the signed message alive for
+        as long as the signature is."""
+        body, record = encode(message) if encoded is None else encoded
+        signature = Signature(signer=self.signer, digest=sha256(self._prefix + body).hexdigest())
         if provenance:
             object.__setattr__(signature, "_signed_by", self.key_id)
-            object.__setattr__(signature, "_signed", provenance_key(message))
+            object.__setattr__(signature, "_signed", record)
         return signature
 
     @property

@@ -17,8 +17,8 @@ before combining — exactly what the paper requires of its scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, List
 
 from repro.crypto.hashing import memo_key, sha256_int
 from repro.crypto.mockgroup import DEFAULT_GROUP, GroupElement, MockGroup
@@ -35,6 +35,8 @@ class SignatureShare:
     signer_id: int
     message: object
     point: GroupElement
+    # Written only by ``ThresholdScheme.sign_share`` (see its docstring).
+    _stamp: Any = field(init=False, compare=False, repr=False, default=None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,6 +49,8 @@ class CombinedSignature:
     message: object
     point: GroupElement
     signer_ids: tuple = ()
+    # Written only by ``ThresholdScheme.verify`` (see its docstring).
+    _verified: Any = field(init=False, compare=False, repr=False, default=None)
 
 
 class ThresholdScheme:
@@ -55,9 +59,17 @@ class ThresholdScheme:
     Instances are created by :class:`ThresholdDealer`; each replica holds the
     same ``ThresholdScheme`` object (public data) plus its own secret share,
     mirroring a PKI + trusted-setup deployment.
+
+    Provenance: :meth:`sign_share` stamps a share with the scheme's public
+    parameters (name, threshold, public key, verification keys), and
+    :meth:`verify` stashes them on a combined signature it accepts, so a
+    scheme with exactly those parameters answers ``True`` at once (the
+    dealer's secret shares match their verification keys).  Only a raw
+    message — its own ``memo_key``: strs, ints, bools, ``None``, nothing that
+    could change later — is stamped; everything else is computed.
     """
 
-    #: Entries kept per memo table before it is wholesale cleared; verification
+    #: Entries kept in the hash memo before it is wholesale cleared; hashing
     #: is pure, so clearing only costs recomputation, never correctness.
     CACHE_LIMIT = 1 << 16
 
@@ -82,39 +94,28 @@ class ThresholdScheme:
         self.verification_keys = dict(verification_keys)
         self._secret_shares = dict(secret_shares)
         self.group = group
-        # Memo tables.  A scheme instance is shared by every replica of a
-        # deployment (public data), so hashing a slot's sign-message once and
-        # verifying a broadcast combined signature once serves the whole
-        # cluster.  All memoized functions are pure, so results are identical
-        # with or without the cache.  Keys go through
-        # :func:`repro.crypto.hashing.memo_key` so that values Python
-        # considers equal but the canonical encoding distinguishes (``1`` vs
-        # ``1.0``) never share a cache entry.
+        self._stamp = (name, threshold, public_key, tuple(sorted(self.verification_keys.items())))
+        # ``memo_key(message) -> H(message)``, shared by every replica of the
+        # deployment; ``memo_key`` keeps ``1`` and ``1.0`` apart.
         self._hash_memo: Dict[object, GroupElement] = {}
-        self._share_memo: Dict[object, bool] = {}
-        self._combined_memo: Dict[object, bool] = {}
 
     # ------------------------------------------------------------------
     # Signing / share verification
     # ------------------------------------------------------------------
-    def _memo(self, table: Dict[object, object], key: object, compute, argument):
-        """``compute(argument)``, remembered in ``table`` under ``key``."""
-        try:
-            cached = table.get(key)
-        except TypeError:  # unhashable message: fall back to direct computation
-            return compute(argument)
-        if cached is None:
-            cached = compute(argument)
-            if len(table) >= self.CACHE_LIMIT:
-                table.clear()
-            table[key] = cached
-        return cached
-
     def _hash_uncached(self, message: object) -> GroupElement:
         return self.group.hash_to_group(sha256_int("thresh", self.name, message))
 
     def _hash(self, message: object) -> GroupElement:
-        return self._memo(self._hash_memo, memo_key(message), self._hash_uncached, message)
+        key = memo_key(message)
+        try:
+            point = self._hash_memo.get(key)
+        except TypeError:  # unhashable message: nothing to remember it by
+            return self._hash_uncached(message)
+        if point is None:
+            if len(self._hash_memo) >= self.CACHE_LIMIT:
+                self._hash_memo.clear()
+            point = self._hash_memo[key] = self._hash_uncached(message)
+        return point
 
     def sign_share(self, signer_id: int, message: object) -> SignatureShare:
         """Produce signer ``signer_id``'s share on ``message``."""
@@ -122,15 +123,20 @@ class ThresholdScheme:
             secret = self._secret_shares[signer_id]
         except KeyError:
             raise CryptoError(f"signer {signer_id} has no share in scheme {self.name}") from None
-        point = self._hash(message).scale(secret)
-        return SignatureShare(self.name, signer_id, message, point)
+        share = SignatureShare(self.name, signer_id, message, self._hash(message).scale(secret))
+        if memo_key(message) is message:
+            object.__setattr__(share, "_stamp", self._stamp)
+        return share
 
     def forge_share(self, signer_id: int, message: object) -> SignatureShare:
         """Produce an *invalid* share (used by Byzantine fault injection/tests)."""
         bogus = self._hash(("forged", message)).scale(signer_id + 7)
         return SignatureShare(self.name, signer_id, message, bogus)
 
-    def _verify_share_uncached(self, share: SignatureShare) -> bool:
+    def verify_share(self, share: SignatureShare) -> bool:
+        """Robustness check: ``e(share, G) == e(H(m), vk_i)``."""
+        if share._stamp == self._stamp:
+            return True
         if share.scheme_name != self.name:
             return False
         vk = self.verification_keys.get(share.signer_id)
@@ -138,11 +144,6 @@ class ThresholdScheme:
             return False
         h = self._hash(share.message)
         return self.group.pairing(share.point, self.group.generator) == self.group.pairing(h, vk)
-
-    def verify_share(self, share: SignatureShare) -> bool:
-        """Robustness check: ``e(share, G) == e(H(m), vk_i)``."""
-        key = (share.scheme_name, share.signer_id, memo_key(share.message), share.point)
-        return self._memo(self._share_memo, key, self._verify_share_uncached, share)
 
     # ------------------------------------------------------------------
     # Combination / verification
@@ -155,11 +156,11 @@ class ThresholdScheme:
         fewer than ``threshold`` distinct valid shares remain.
         """
         by_signer: Dict[int, SignatureShare] = {}
-        message = None
+        message = signed = None
         for share in shares:
-            if message is None:
-                message = share.message
-            elif share.message != message:
+            if not by_signer:
+                message, signed = share.message, memo_key(share.message)
+            elif memo_key(share.message) != signed:  # type-exact, as the encoding
                 raise CryptoError("cannot combine shares over different messages")
             if verify and not self.verify_share(share):
                 raise InvalidSignatureShare(
@@ -193,23 +194,24 @@ class ThresholdScheme:
         valid = [s for s in shares if self.verify_share(s)]
         return self.combine(valid, verify=False)
 
-    def _verify_uncached(self, signature: CombinedSignature) -> bool:
+    def verify(self, signature: CombinedSignature) -> bool:
+        """Verify a combined signature under the scheme public key."""
+        if signature._verified == self._stamp:
+            return True
         if signature.scheme_name != self.name:
             return False
         h = self._hash(signature.message)
-        return (
+        valid = (
             self.group.pairing(signature.point, self.group.generator)
             == self.group.pairing(h, self.public_key)
         )
-
-    def verify(self, signature: CombinedSignature) -> bool:
-        """Verify a combined signature under the scheme public key."""
-        key = (signature.scheme_name, memo_key(signature.message), signature.point)
-        return self._memo(self._combined_memo, key, self._verify_uncached, signature)
+        if valid and memo_key(signature.message) is signature.message:
+            object.__setattr__(signature, "_verified", self._stamp)
+        return valid
 
     def verify_message(self, signature: CombinedSignature, message: object) -> bool:
-        """Verify a combined signature and that it covers ``message``."""
-        return signature.message == message and self.verify(signature)
+        """Verify a combined signature over exactly ``message`` (``1.0`` is not ``1``)."""
+        return memo_key(signature.message) == memo_key(message) and self.verify(signature)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

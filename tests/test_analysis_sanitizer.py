@@ -128,13 +128,24 @@ def test_injected_global_state_divergence_is_bisected():
     assert "run A" in report and "run B" in report
 
 
+#: The four scenarios' chain hashes at seed 0: part of the fixed-seed
+#: contract.  A change that moves one changed the decisions of that run.
+CHAIN_HASHES = {
+    "client": "2ee61e75dbb7c9f8da1c8d0004cd0d9f1fef16e8b86ed68674f7f0ecb0e20dbe",
+    "contracts": "a5b13711427e59291c924efe466d2287f01d82c400a1f5940c86ad2c9f32f71d",
+    "fault": "0d59ffdfd57bc9da39e3566441ff20f1b9dcb17e5713981174fb2d5cbbb07d5e",
+    "scale": "b8484a13c76935d35eb89c22c3883fa128b1232a0c810c1017e540cf6daf92ef",
+}
+
+
 def test_selfcheck_all_four_sweeps_identical_chains():
-    """Acceptance: every sweep's fixed-seed point yields a stable hash chain."""
-    assert sorted(SCENARIOS) == ["client", "contracts", "fault", "scale"]
+    """Acceptance: every sweep's fixed-seed point yields a stable hash chain,
+    and it is the committed one."""
+    assert sorted(SCENARIOS) == sorted(CHAIN_HASHES)
     for scenario in sorted(SCENARIOS):
         result = selfcheck(scenario, seed=0)
         assert result.ok, f"{scenario}: {result.report}"
-        assert result.hash_a == result.hash_b
+        assert result.hash_a == result.hash_b == CHAIN_HASHES[scenario], scenario
         assert result.events > 0
 
 

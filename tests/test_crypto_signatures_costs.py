@@ -3,10 +3,14 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import make_request
+from repro.core.messages import PrePrepare
+from repro.core.runtime import block_reply_bodies
 from repro.crypto import signatures
 from repro.crypto.costs import DEFAULT_COSTS
-from repro.crypto.hashing import sha256_hex
+from repro.crypto.hashing import provenance_key, sha256_hex
 from repro.crypto.signatures import Signature, generate_keypair
 from repro.errors import CryptoError
 
@@ -45,14 +49,16 @@ def test_signature_size_matches_rsa2048():
 # ----------------------------------------------------------------------
 @pytest.fixture
 def hash_calls(monkeypatch):
-    """Counts the ``sha256_hex`` calls made by the signature module."""
+    """Counts the SHA-256 passes made by the signature module, by the domain
+    tag its key prefix starts with."""
     calls = []
+    real = signatures.sha256
 
-    def counting(*parts):
-        calls.append(parts[0])
-        return sha256_hex(*parts)
+    def counting(data):
+        calls.append(data[4:4 + int.from_bytes(data[:4], "big")].decode())
+        return real(data)
 
-    monkeypatch.setattr(signatures, "sha256_hex", counting)
+    monkeypatch.setattr(signatures, "sha256", counting)
     return calls
 
 
@@ -70,6 +76,8 @@ def test_verifying_an_honest_signature_never_hashes(hash_calls):
 
 
 def _honest_digest(key, message):
+    """The reference digest, as ``sign`` computed it before keys kept their
+    encoded prefix."""
     return sha256_hex("pk-sign", key.key_id, message)
 
 
@@ -161,6 +169,57 @@ def test_signing_without_provenance_keeps_nothing_and_verifies_by_recompute(hash
     del hash_calls[:]
     assert key.verify_key.verify(MESSAGE, signature)
     assert hash_calls == ["pk-sign"]
+
+
+# ----------------------------------------------------------------------
+# The key prefix: one pass over prefix + body is the reference digest
+# ----------------------------------------------------------------------
+_SCALARS = st.one_of(
+    st.text(max_size=8), st.integers(-(2**70), 2**70), st.floats(allow_nan=False),
+    st.booleans(), st.none(), st.binary(max_size=8),
+)
+_MESSAGES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(0, 9)), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(message=_MESSAGES, signer=st.text(min_size=1, max_size=6), seed=st.integers(0, 3))
+def test_signing_digest_equals_the_reference(message, signer, seed):
+    key = generate_keypair(signer, seed)
+    signature = key.sign(message)
+    assert signature.digest == _honest_digest(key, message)
+    assert key.sign(message, encoded=signatures.encode(message)).digest == signature.digest
+    bare = Signature(signer=signature.signer, digest=signature.digest)  # verified by recompute
+    assert key.verify_key.verify(message, signature) and key.verify_key.verify(message, bare)
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(st.lists(_MESSAGES, max_size=3).map(tuple), min_size=1, max_size=4))
+def test_reply_bodies_from_the_block_stash_sign_to_the_reference_digest(values):
+    values = tuple(values)
+    requests = tuple(make_request(timestamp) for timestamp in range(1, len(values) + 1))
+    block = PrePrepare(sequence=1, view=0, requests=requests, digest="d")
+    bodies = block_reply_bodies(block, values, "state")
+    assert block_reply_bodies(block, values, "state") is bodies  # stashed for the peers
+    for replica in range(3):
+        key = generate_keypair(f"replica-{replica}")
+        for request, request_values, body in zip(requests, values, bodies):
+            message = ("reply", request.client_id, request.timestamp, request_values)
+            signature = key.sign(message, encoded=body)
+            assert signature.digest == _honest_digest(key, message)
+            assert signature._signed == provenance_key(message)
+            assert key.verify_key.verify(message, signature)
+    # Another state digest misses the guard and encodes its own values.
+    other = tuple(request_values + ("x",) for request_values in values)
+    assert block_reply_bodies(block, other, "other") == tuple(map(signatures.encode, (
+        ("reply", r.client_id, r.timestamp, v) for r, v in zip(requests, other))))
 
 
 def test_provenance_is_invisible_to_equality_hash_and_repr():

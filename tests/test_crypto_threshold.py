@@ -1,8 +1,12 @@
 """Unit and property tests for the threshold signature schemes."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.adversary.behaviours import _ForgingScheme
+from repro.crypto.mockgroup import MockGroup
 from repro.crypto.threshold import ThresholdDealer
 from repro.errors import CryptoError, InvalidSignatureShare
 
@@ -115,6 +119,101 @@ def test_sbft_threshold_sizes():
     for scheme in (sigma, tau, pi):
         shares = [scheme.sign_share(i, "digest") for i in range(scheme.threshold)]
         assert scheme.verify(scheme.combine(shares))
+
+
+# ----------------------------------------------------------------------
+# Provenance: a stamp or a stashed verdict only ever saves a computation
+# ----------------------------------------------------------------------
+@pytest.fixture
+def pairings(monkeypatch):
+    """Counts the pairings computed: two per share or combined check that
+    takes the compute path, none for one answered by provenance."""
+    calls = []
+    real = MockGroup.pairing
+    monkeypatch.setattr(
+        MockGroup, "pairing", lambda self, a, b: calls.append(1) or real(self, a, b)
+    )
+    return calls
+
+
+SIGNED = ("sign", 7, 0, "d" * 64)
+
+
+def test_a_share_checked_by_its_own_scheme_costs_no_pairing(scheme, pairings):
+    share = scheme.sign_share(2, SIGNED)
+    assert share._stamp is not None and not pairings
+    assert all(scheme.verify_share(share) for _ in range(9)) and not pairings
+    # Another instance with the same public parameters (same dealer seed).
+    twin = ThresholdDealer(num_signers=7, seed=3).deal("sigma", threshold=5)
+    assert twin.verify_share(share) and not pairings
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["forged", "forging-scheme", "replace", "replace-message", "other-seed", "other-scheme",
+     "unhashable"],
+)
+def test_shares_without_a_matching_stamp_are_computed(scheme, pairings, case):
+    """Each of these takes the compute path (one pairing pair) and gets
+    exactly the verdict a computation gives."""
+    verifier, expected = scheme, True
+    if case == "forged":
+        share, expected = scheme.forge_share(2, SIGNED), False
+    elif case == "forging-scheme":  # the byzantine behaviour's wrapper
+        share, expected = _ForgingScheme(scheme).sign_share(2, SIGNED), False
+    elif case == "replace":  # same fields: valid, but unstamped
+        share = dataclasses.replace(scheme.sign_share(2, SIGNED))
+    elif case == "replace-message":
+        share = dataclasses.replace(scheme.sign_share(2, SIGNED), message=("sign", 8, 0, "d" * 64))
+        expected = False
+    elif case == "other-seed":  # same name, another deployment's keys
+        share = scheme.sign_share(2, SIGNED)
+        verifier, expected = ThresholdDealer(num_signers=7, seed=4).deal("sigma", 5), False
+    elif case == "other-scheme":  # the same deployment's tau
+        share = scheme.sign_share(2, SIGNED)
+        verifier, expected = ThresholdDealer(num_signers=7, seed=3).deal("tau", 5), False
+    else:  # a list could change after it was stamped
+        share = scheme.sign_share(2, ["sign", 7, 0])
+    assert share._stamp is None or case in ("other-seed", "other-scheme")
+    assert verifier.verify_share(share) is expected
+    # The computation rejects a share of another scheme by its name alone.
+    assert len(pairings) == (0 if case == "other-scheme" else 2)
+
+
+def test_combined_verdict_is_stashed_only_when_positive(scheme, pairings):
+    shares = [scheme.sign_share(i, SIGNED) for i in range(5)]
+    combined = scheme.combine(shares)
+    assert not pairings and combined._verified is None  # stamped shares; combine stashes nothing
+    assert scheme.verify(combined) and len(pairings) == 2
+    assert all(scheme.verify(combined) for _ in range(9)) and len(pairings) == 2
+    assert scheme.verify_message(combined, SIGNED) and len(pairings) == 2
+    # Another deployment's scheme of the same name computes, and rejects.
+    other = ThresholdDealer(num_signers=7, seed=4).deal("sigma", 5)
+    assert not other.verify(combined) and len(pairings) == 4
+    # A failed verification is not stashed: it is computed every time.
+    bad = dataclasses.replace(combined, point=combined.point.scale(2))
+    assert bad._verified is None
+    assert not scheme.verify(bad) and not scheme.verify(bad)
+    assert bad._verified is None and len(pairings) == 8
+    # Nor is a verdict over a message that could change.
+    listed = scheme.combine([scheme.sign_share(i, ["m"]) for i in range(5)])
+    assert scheme.verify(listed) and listed._verified is None
+
+
+def test_messages_are_matched_type_exactly():
+    """``1.0 == 1`` in Python, not in the canonical encoding: a share over
+    ``("sign", 7.0, ...)`` is valid for that message only."""
+    dealer = ThresholdDealer(num_signers=4, seed=2)
+    tau = dealer.deal("tau", 3)
+    look_alike = ("sign", 7.0, 0, "d" * 64)
+    assert look_alike == SIGNED
+    shares = [tau.sign_share(0, look_alike)] + [tau.sign_share(i, SIGNED) for i in (1, 2)]
+    assert all(tau.verify_share(share) for share in shares)
+    with pytest.raises(CryptoError):
+        tau.combine(shares)
+    floated = tau.combine([tau.sign_share(i, look_alike) for i in range(3)])
+    assert tau.verify(floated) and tau.verify_message(floated, look_alike)
+    assert not tau.verify_message(floated, SIGNED)
 
 
 @settings(max_examples=25, deadline=None)

@@ -329,6 +329,30 @@ def test_self_consistent_wrong_digest_sign_share_first_does_not_cost_the_slot_it
     assert _last(broadcasts, FullCommitProof).digest == pre_prepare.digest
 
 
+def test_share_over_a_float_look_alike_of_the_signed_message_is_not_counted():
+    """``("sign", 1.0, 0, d) == ("sign", 1, 0, d)`` in Python, but the two
+    encode — and so are signed — differently.  Replica 3's shares over the
+    float look-alike, made with its real secrets, verify for their own
+    message; filed under the slot's, they completed a σ quorum that combined
+    into a proof that does not verify, and the slot never prepared."""
+    sim, replica, broadcasts, _ = _collector()
+    pre_prepare = _propose(replica, broadcasts, 1)
+    signed = ("sign", 1, 0, pre_prepare.digest)
+    look_alike = ("sign", 1.0, 0, pre_prepare.digest)
+    sigma, tau = replica.keys.sigma, replica.keys.tau
+    replica._on_sign_share(
+        SignShare(sequence=1, view=0, replica_id=3, digest=pre_prepare.digest,
+                  sigma_share=sigma.sign_share(3, look_alike),
+                  tau_share=tau.sign_share(3, look_alike)), src=3)
+    slot = replica.log.slot(1)
+    assert slot.sigma_shares.votes(signed) == {} and slot.tau_shares.votes(signed) == {}
+    _sign_shares(replica, 1, pre_prepare.digest, LIVE)
+    sim.run(until=sim.now + 0.06)                       # healthy: the σ wait
+    assert tau.verify_message(_last(broadcasts, Prepare).tau_signature, signed)
+    _sign_shares(replica, 1, pre_prepare.digest, [3])   # now over the real message
+    assert sigma.verify_message(_last(broadcasts, FullCommitProof).sigma_signature, signed)
+
+
 def test_one_share_replayed_under_three_claimed_ids_counts_once():
     sim, replica, broadcasts, _ = _collector()
     pre_prepare = _propose(replica, broadcasts, 1)

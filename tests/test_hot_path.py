@@ -156,24 +156,29 @@ def _count_sha256_passes(monkeypatch):
     ``sha256_hex`` and ``sha256_int`` both hash what ``_canonical_bytes``
     returns, and every caller's first part is its tag; the Merkle tree hashes
     its common leaves and nodes from pre-encoded bytes (``merkle.sha256``),
-    whose first length-prefixed item is the same tag."""
+    and a key signs or checks prefix + body (``signatures.sha256``), each
+    starting with the same tag as its first length-prefixed item."""
     from collections import Counter
 
-    from repro.crypto import hashing, merkle
+    from repro.crypto import hashing, merkle, signatures
 
     passes = Counter()
-    real, real_sha256 = hashing._canonical_bytes, merkle.sha256
+    real = hashing._canonical_bytes
 
     def counting(parts):
         passes[parts[0]] += 1
         return real(parts)
 
-    def counting_sha256(data):
-        passes[data[4:4 + int.from_bytes(data[:4], "big")].decode()] += 1
-        return real_sha256(data)
+    def counting_sha256(real_sha256):
+        def count(data):
+            passes[data[4:4 + int.from_bytes(data[:4], "big")].decode()] += 1
+            return real_sha256(data)
+
+        return count
 
     monkeypatch.setattr(hashing, "_canonical_bytes", counting)
-    monkeypatch.setattr(merkle, "sha256", counting_sha256)
+    monkeypatch.setattr(merkle, "sha256", counting_sha256(merkle.sha256))
+    monkeypatch.setattr(signatures, "sha256", counting_sha256(signatures.sha256))
     return passes
 
 
@@ -201,34 +206,39 @@ def test_sha256_passes_of_a_run_do_not_depend_on_what_ran_before(monkeypatch):
 
 
 def test_pbft_run_hashes_once_per_signature_not_once_per_recipient(monkeypatch):
-    """A zero-noise work counter: the hashes the signature layer computes in
-    one fixed-seed f=2 PBFT run, and the run's SHA-256 total.  Signing hashes
-    once; verifying a broadcast vote at each of its n recipients must not
-    hash again."""
+    """Zero-noise work counters: the hashes and message encodings the
+    signature layer computes in one fixed-seed f=2 PBFT run, and the run's
+    SHA-256 total.  Signing hashes once; verifying a broadcast vote at each of
+    its n recipients must not hash again; and a block's replies are encoded
+    once, whichever of the n replicas signs them."""
     from collections import Counter
 
     from repro.crypto import signatures
 
     passes = _count_sha256_passes(monkeypatch)
-    hashes, verifies = Counter(), Counter()
-    real_hash, real_verify = signatures.sha256_hex, signatures.VerifyKey.verify
+    encodes, verifies = Counter(), Counter()
+    real_encode, real_verify = signatures._canonical_bytes, signatures.VerifyKey.verify
 
-    def counting_hash(*parts):
-        hashes[parts[0]] += 1
-        return real_hash(*parts)
+    def counting_encode(parts):
+        if len(parts) == 1:  # a message body; a key's prefix is two parts
+            encodes[parts[0][0]] += 1
+        return real_encode(parts)
 
     def counting_verify(self, message, signature):
         verifies[message[0]] += 1
         return real_verify(self, message, signature)
 
-    monkeypatch.setattr(signatures, "sha256_hex", counting_hash)
+    monkeypatch.setattr(signatures, "_canonical_bytes", counting_encode)
     monkeypatch.setattr(signatures.VerifyKey, "verify", counting_verify)
     cluster, result = run_small_cluster("pbft", f=2, num_clients=2, requests_per_client=6, seed=11)
     assert result.run.completed_requests == 12
     assert_agreement(cluster)
-    # 7 replica + 2 client keys; 12 requests + 6 pre-prepares + 7 x 6 prepares
+    # One pass per signature: 12 requests + 6 pre-prepares + 7 x 6 prepares
     # and commits + 7 x 12 replies.  No checkpoint falls in six blocks.
-    assert hashes == {"keygen": 9, "pk-sign": 12 + 6 + 42 + 42 + 84}
+    assert passes["pk-sign"] == 12 + 6 + 42 + 42 + 84
+    # One encoding per signed message: the 7 replicas sign each request's
+    # reply body from the encoding its first signer stashed on the block.
+    assert encodes == {"request": 12, "pre-prepare": 6, "prepare": 42, "commit": 42, "reply": 12}
     # Every vote is verified by all 7 replicas; a client stops at f + 1 replies.
     assert verifies == {"prepare": 7 * 42, "commit": 7 * 42, "reply": 12 * 3}
     # The whole run: trusted setup, the signatures above, one digest to sign
