@@ -28,11 +28,11 @@ Anyone holding the public keys can re-check a piece of evidence with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.messages import PrePrepare
 from repro.crypto.threshold import SignatureShare
+from repro.records import frozen_record
 
 #: Bound on recorded messages so a pathological episode cannot hold the whole
 #: message stream in memory; `dropped` counts what fell off the end.
@@ -54,7 +54,7 @@ class MessageLog:
             self.dropped += 1
 
 
-@dataclass(slots=True, frozen=True)
+@frozen_record
 class EquivocationEvidence:
     """Two validly signed conflicting messages attributable to one replica.
 

@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.adversary.forensics import MessageLog, find_equivocations
 from repro.adversary.strategies import get_strategy
 from repro.protocols.cluster import Cluster, build_cluster
+from repro.records import frozen_record
 
 #: Episode cluster shape: the smallest group that can survive one byzantine
 #: replica (f=1, n=4 for both protocol stacks at c=0).
@@ -54,7 +55,7 @@ EPISODE_CONFIG_OVERRIDES: Dict[str, Any] = {
 PLANTED_WEAK_QUORUM = 2
 
 
-@dataclass(slots=True, frozen=True)
+@frozen_record
 class EpisodeSpec:
     """One reproducible episode: ``(strategy, params, seed)`` plus context."""
 

@@ -8,8 +8,8 @@ RSA-2048 client/replica signatures are 256 bytes, digests are 32 bytes.
 Hot-path representation invariants (enforced on the real classes by
 ``tests/test_hot_path_representation.py``):
 
-* every message class passes ``slots=True`` to ``@dataclass``, so instances
-  carry no ``__dict__`` and attribute reads are C-level slot loads;
+* every message class is a ``repro.records.frozen_record`` (a slotted frozen
+  dataclass built through its slots), so instances carry no ``__dict__``;
 * ``size_bytes`` is an ``int`` computed exactly once in ``__post_init__``
   (or a class-level constant for fixed-size messages) — never a property
   recomputed on every send/record;
@@ -18,11 +18,12 @@ Hot-path representation invariants (enforced on the real classes by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.crypto.signatures import Signature
 from repro.crypto.threshold import CombinedSignature, SignatureShare
+from repro.records import frozen_record
 from repro.services.interface import ExecutionProof, Operation
 
 _HEADER = 24  # sequence/view/ids/typing overhead per message
@@ -37,7 +38,7 @@ def _stash(message: Any, size: int) -> None:
     object.__setattr__(message, "size_bytes", size)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ClientRequest:
     """⟨"request", o, t, k⟩ — a client's (possibly batched) operation request."""
 
@@ -55,7 +56,7 @@ class ClientRequest:
         object.__setattr__(self, "request_id", (self.client_id, self.timestamp))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class PrePrepare:
     """⟨"pre-prepare", s, v, r⟩ — the primary's decision-block proposal."""
 
@@ -84,7 +85,7 @@ class PrePrepare:
         _stash(self, _HEADER + 32 + sum(r.size_bytes for r in self.requests) + 256)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class SignShare:
     """⟨"sign-share", s, v, σ_i(h) [, τ_i(h)]⟩ sent to the C-collectors."""
 
@@ -103,7 +104,7 @@ class SignShare:
         _stash(self, _HEADER + 32 + 33 * shares)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class FullCommitProof:
     """⟨"full-commit-proof", s, v, σ(h)⟩ — the fast-path commit certificate."""
 
@@ -116,7 +117,7 @@ class FullCommitProof:
     sigma_signature: CombinedSignature
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Prepare:
     """⟨"prepare", s, v, τ(h)⟩ — linear-PBFT prepare certificate from a collector."""
 
@@ -129,7 +130,7 @@ class Prepare:
     tau_signature: CombinedSignature
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Commit:
     """⟨"commit", s, v, τ_i(τ(h))⟩ — a replica's share over the prepare certificate."""
 
@@ -143,7 +144,7 @@ class Commit:
     tau_share_on_tau: SignatureShare
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class FullCommitProofSlow:
     """⟨"full-commit-proof-slow", s, v, τ(τ(h))⟩ — the linear-PBFT commit certificate."""
 
@@ -156,7 +157,7 @@ class FullCommitProofSlow:
     tau_tau_signature: CombinedSignature
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class SignState:
     """⟨"sign-state", s, π_i(d)⟩ sent to the E-collectors after execution."""
 
@@ -169,7 +170,7 @@ class SignState:
     pi_share: SignatureShare
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class FullExecuteProof:
     """⟨"full-execute-proof", s, π(d)⟩ — the execution certificate."""
 
@@ -181,7 +182,7 @@ class FullExecuteProof:
     pi_signature: CombinedSignature
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ExecuteAck:
     """⟨"execute-ack", s, l, val, o, π(d), proof⟩ — the single client acknowledgement."""
 
@@ -202,7 +203,7 @@ class ExecuteAck:
         _stash(self, _HEADER + 32 + 33 + proof_size + 16 * max(1, len(self.values)))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ClientReply:
     """Fallback PBFT-style signed reply from one replica (f+1 path)."""
 
@@ -220,7 +221,7 @@ class ClientReply:
         _stash(self, _HEADER + 256 + 16 * max(1, len(self.values)))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class CheckpointMsg:
     """Checkpoint vote: the π-share over the state digest at a checkpoint sequence."""
 
@@ -233,7 +234,7 @@ class CheckpointMsg:
     pi_share: SignatureShare
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class StableCheckpoint:
     """A combined π(d) proof that a checkpoint is stable."""
 
@@ -250,7 +251,7 @@ class StableCheckpoint:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class SlotEvidence:
     """Per-slot evidence (lm_j, fm_j) carried in a view-change message.
 
@@ -288,7 +289,7 @@ class SlotEvidence:
         return None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ViewChange:
     """⟨"view-change", v, ls, x_ls .. x_{ls+win}⟩."""
 
@@ -305,7 +306,7 @@ class ViewChange:
         _stash(self, _HEADER + 33 + sum(s.size_bytes for s in self.slots))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class NewView:
     """The new primary's new-view message: the 2f+2c+1 view-change messages it used."""
 
@@ -324,7 +325,7 @@ class NewView:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class StateTransferRequest:
     """A lagging replica asks a peer for the state up to a sequence number."""
 
@@ -335,7 +336,7 @@ class StateTransferRequest:
     from_sequence: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class StateTransferResponse:
     """Snapshot shipped to a lagging replica."""
 

@@ -105,9 +105,20 @@ class ClientReplyTracker:
     def record_block(
         self, sequence: int, requests: Sequence[Any], reply_values: Sequence[Tuple[Any, ...]]
     ) -> None:
-        """Record the replies of every request of executed block ``sequence``."""
+        """Record the replies of every request of executed block ``sequence``:
+        :meth:`record` per request, with the common in-order step (the next
+        timestamp of a client with no gap pending) done inline."""
+        prefixes, gaps, caches, keep = self._prefix, self._gaps, self._cache, self.keep
         for request, values in zip(requests, reply_values):
-            self.record(request.client_id, request.timestamp, sequence, values)
+            client_id, timestamp = request.client_id, request.timestamp
+            if client_id not in gaps and timestamp == prefixes.get(client_id, 0) + 1:
+                prefixes[client_id] = timestamp
+            else:
+                self.mark_executed(client_id, timestamp)
+            cache = caches.setdefault(client_id, {})
+            cache[timestamp] = (sequence, values)
+            while len(cache) > keep:
+                del cache[min(cache)]
 
     def adopt_prefixes(self, prefixes: Optional[Dict[int, int]]) -> None:
         """Adopt a state-transfer donor's executed prefixes (safe: every

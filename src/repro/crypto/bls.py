@@ -15,9 +15,10 @@ from typing import Iterable, Optional
 from repro.crypto.hashing import sha256_int
 from repro.crypto.mockgroup import DEFAULT_GROUP, GroupElement, MockGroup
 from repro.errors import CryptoError, InvalidSignature
+from repro.records import frozen_record
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class BLSSignature:
     """A BLS signature (or aggregate) on a message digest."""
 

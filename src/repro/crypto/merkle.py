@@ -31,12 +31,13 @@ write the record themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from hashlib import sha256
 from typing import Any, List, Sequence, Tuple
 
 from repro.crypto.hashing import _LEN4, _SMALL_INTS, memo_key, provenance_key, sha256_hex
 from repro.errors import InvalidProof
+from repro.records import frozen_record
 
 _LEAF_PREFIX = "merkle-leaf"
 _NODE_PREFIX = "merkle-node"
@@ -80,7 +81,7 @@ def _node_hash(left: Any, right: Any) -> str:
     return sha256_hex(_NODE_PREFIX, left, right)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class MerkleProof:
     """An inclusion proof: the leaf index, value hash and sibling path."""
 
@@ -127,7 +128,7 @@ class MerkleTree:
         levels = [level]
         while len(level) > 1:
             if len(level) & 1:
-                level = [*level, level[-1]]
+                level.append(level[-1])  # kept: every sibling is at ``index ^ 1``
             pairs = iter(level)
             level = [_node_hash(left, right) for left, right in zip(pairs, pairs)]
             levels.append(level)
@@ -149,13 +150,9 @@ class MerkleTree:
         path = []
         position = index
         for level in levels[:-1]:
-            sibling_index = position ^ 1
-            if sibling_index >= len(level):
-                sibling_index = position
-            sibling_is_right = sibling_index > position or sibling_index == position
-            path.append((level[sibling_index], bool(sibling_is_right)))
-            position //= 2
-        proof = MerkleProof(leaf_index=index, leaf_count=len(self.leaves), path=tuple(path))
+            path.append((level[position ^ 1], not position & 1))
+            position >>= 1
+        proof = MerkleProof(index, len(self.leaves), tuple(path))
         leaf = self.leaves[index]
         object.__setattr__(proof, "_proved", (provenance_key(leaf), levels[-1][0]))
         return proof

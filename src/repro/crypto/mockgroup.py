@@ -18,17 +18,17 @@ by the cheap math.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.errors import CryptoError
+from repro.records import frozen_record
 
 # Order of the BN-P254 group (the curve the paper uses).  Any large prime
 # works; using the real order keeps scalar arithmetic representative.
 BN254_ORDER = 0x2523648240000001BA344D8000000007FF9F800000000010A10000000000000D
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class GroupElement:
     """An element of the mock group, represented by its exponent mod ``q``."""
 

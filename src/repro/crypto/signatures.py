@@ -29,6 +29,7 @@ from typing import Any, Tuple
 
 from repro.crypto.hashing import _canonical_bytes, memo_key, provenance_key, sha256_hex
 from repro.errors import CryptoError
+from repro.records import frozen_record
 
 
 def encode(message: object) -> Tuple[bytes, Any]:
@@ -38,7 +39,7 @@ def encode(message: object) -> Tuple[bytes, Any]:
     return _canonical_bytes((message,)), provenance_key(message)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Signature:
     """A signature over a message digest by one key pair."""
 
@@ -86,11 +87,13 @@ class SigningKey(_Key):
 
     def sign(self, message: object, *, provenance: bool = True, encoded: Any = None) -> Signature:
         """Sign ``message``; ``encoded`` is its :func:`encode` if the caller
-        holds it.  ``provenance=False`` leaves the record off a signature
-        nobody will verify, which otherwise keeps the signed message alive for
-        as long as the signature is."""
-        body, record = encode(message) if encoded is None else encoded
-        signature = Signature(signer=self.signer, digest=sha256(self._prefix + body).hexdigest())
+        holds it.  ``provenance=False`` neither computes nor writes the record
+        for a signature nobody will verify (it would keep the signed message
+        alive for as long as the signature is): only the body is encoded."""
+        if encoded is None:
+            encoded = encode(message) if provenance else (_canonical_bytes((message,)), None)
+        body, record = encoded
+        signature = Signature(self.signer, sha256(self._prefix + body).hexdigest())
         if provenance:
             object.__setattr__(signature, "_signed_by", self.key_id)
             object.__setattr__(signature, "_signed", record)

@@ -17,15 +17,16 @@ before combining — exactly what the paper requires of its scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Dict, Iterable, List
 
 from repro.crypto.hashing import memo_key, sha256_int
 from repro.crypto.mockgroup import DEFAULT_GROUP, GroupElement, MockGroup
 from repro.errors import CryptoError, InvalidSignatureShare
+from repro.records import frozen_record
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class SignatureShare:
     """A single signer's threshold signature share on a message digest."""
 
@@ -39,7 +40,7 @@ class SignatureShare:
     _stamp: Any = field(init=False, compare=False, repr=False, default=None)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class CombinedSignature:
     """A combined (full) threshold signature, verifiable with one public key."""
 

@@ -14,13 +14,14 @@ from typing import Optional
 from repro.errors import InvalidTransaction
 from repro.evm.state import WorldState
 from repro.evm.vm import EVM, ExecutionResult, Message
+from repro.records import frozen_record
 
 TX_CREATE = "create"
 TX_CALL = "call"
 TX_TRANSFER = "transfer"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Transaction:
     """One ledger transaction.
 

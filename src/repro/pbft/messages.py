@@ -13,15 +13,16 @@ constant for the fixed-size votes), never a recomputed property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Tuple
 
 from repro.crypto.signatures import Signature
+from repro.records import frozen_record
 
 _HEADER = 24
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class PbftPrepare:
     """⟨"prepare", s, v, d, i⟩ signed by replica ``i``, broadcast to all."""
 
@@ -35,7 +36,7 @@ class PbftPrepare:
     signature: Signature
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class PbftCommit:
     """⟨"commit", s, v, d, i⟩ signed by replica ``i``, broadcast to all."""
 
@@ -49,7 +50,7 @@ class PbftCommit:
     signature: Signature
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class PbftCheckpoint:
     """⟨"checkpoint", s, d, i⟩ — periodic checkpoint vote."""
 
@@ -62,7 +63,7 @@ class PbftCheckpoint:
     signature: Signature
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class PbftViewChange:
     """Simplified PBFT view-change: the replica's prepared slots."""
 
@@ -79,7 +80,7 @@ class PbftViewChange:
         object.__setattr__(self, "size_bytes", _HEADER + 256 + 96 * max(1, len(self.prepared)))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class PbftNewView:
     """Simplified PBFT new-view carrying the view-change set."""
 

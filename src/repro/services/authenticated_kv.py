@@ -29,13 +29,14 @@ execute-ack needs, since the π certificate is over ``d_s``.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import execution_cache
 from repro.crypto.hashing import memo_key, sha256_hex
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import InvalidProof
+from repro.records import frozen_record
 from repro.services.interface import (
     AuthenticatedService,
     BlockOperations,
@@ -48,24 +49,18 @@ from repro.services.kvstore import KVOperation, KVStore
 GENESIS_DIGEST = sha256_hex("authkv-genesis")
 
 
-@dataclass(frozen=True, slots=True)
-class JournalEntry:
-    """What the state commits to for one executed operation."""
-
-    sequence: int
-    position: int
-    operation_digest: str
-    result_digest: str
-
-
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class KVProof:
-    """Proof bundle: entry-in-block Merkle path plus the previous chain digest."""
+    """Proof bundle: entry-in-block Merkle path plus the previous chain digest.
+    ``entry`` is the tree's own leaf tuple ``(s, l, H(o), H(val))``; the
+    ``_chained`` stamp (written only by ``prove``, the ``MerkleProof._proved``
+    pattern) is the chain step ``(prev_digest, s, journal root, d_s)``."""
 
-    entry: JournalEntry
+    entry: Tuple[int, int, str, str]
     entry_proof: MerkleProof
     prev_digest: str
     size_bytes: int = field(init=False, compare=False, repr=False, default=0)
+    _chained: Any = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "size_bytes", 96 + self.entry_proof.size_bytes)
@@ -98,10 +93,6 @@ def block_operation_digests(operations: Sequence[Operation]) -> Tuple[str, ...]:
         if shared:
             operations.digests = digests
     return digests
-
-
-def _entry_leaf(entry: JournalEntry) -> tuple:
-    return (entry.sequence, entry.position, entry.operation_digest, entry.result_digest)
 
 
 def chain_step(prev_digest: str, sequence: int, journal_root: str) -> str:
@@ -311,14 +302,12 @@ class AuthenticatedKVStore(AuthenticatedService):
             raise InvalidProof(f"no executed block with sequence {sequence}")
         if position < 0 or position >= len(tree):
             raise InvalidProof(f"position {position} out of range for block {sequence}")
-        proof = KVProof(
-            entry=JournalEntry(*tree.leaves[position]),
-            entry_proof=tree.prove(position),
-            prev_digest=self._prev_digest[sequence],
-        )
-        return ExecutionProof(
-            sequence=sequence, position=position, digest=self._digest_at[sequence], proof=proof
-        )
+        prev_digest, digest = self._prev_digest[sequence], self._digest_at[sequence]
+        path = tree.prove(position)
+        proof = KVProof(tree.leaves[position], path, prev_digest)
+        # ``path._proved[1]`` is the journal root the path was cut under.
+        object.__setattr__(proof, "_chained", (prev_digest, sequence, path._proved[1], digest))
+        return ExecutionProof(sequence, position, digest, proof)
 
     def verify(
         self,
@@ -333,13 +322,18 @@ class AuthenticatedKVStore(AuthenticatedService):
         if not isinstance(kv_proof, KVProof):
             return False
         entry = kv_proof.entry
-        if entry.sequence != sequence or entry.position != position:
+        if type(entry) is not tuple or len(entry) != 4:
             return False
-        if entry.operation_digest != operation_digest(operation):
+        if entry[0] != sequence or entry[1] != position:
             return False
-        if entry.result_digest != self._result_digest(value):
+        if entry[2] != operation_digest(operation) or entry[3] != self._result_digest(value):
             return False
-        journal_root = kv_proof.entry_proof.root_from(_entry_leaf(entry))
+        journal_root = kv_proof.entry_proof.root_from(entry)
+        # The stamped chain step answers only for exactly what it hashed.
+        chained = kv_proof._chained
+        if (chained is not None and chained[0] is kv_proof.prev_digest and type(sequence) is int
+                and chained[1] == sequence and chained[2] == journal_root):
+            return chained[3] == digest
         return chain_step(kv_proof.prev_digest, sequence, journal_root) == digest
 
     # ------------------------------------------------------------------

@@ -14,12 +14,13 @@ parameterised by:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Optional, Sequence, Tuple
 
+from repro.records import frozen_record
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Operation:
     """A client operation submitted to the replicated service.
 
@@ -72,7 +73,7 @@ class BlockOperations(tuple):
     replay: Optional[Tuple[Tuple, Tuple]] = None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class OperationResult:
     """The value returned by executing one operation."""
 
@@ -81,7 +82,7 @@ class OperationResult:
     error: Optional[str] = None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ExecutionProof:
     """Proof that an operation executed at a given position of a block.
 

@@ -8,10 +8,10 @@ backend of the authenticated store and the ledger.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.crypto.hashing import sha256_hex
+from repro.records import frozen_record
 from repro.services.interface import Operation, OperationResult, ReplicatedService
 
 #: Shared constant results for the mutation fast paths.  ``OperationResult``
@@ -21,13 +21,19 @@ _TRUE_RESULT = OperationResult(value=True)
 _FALSE_RESULT = OperationResult(value=False)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class KVOperation:
     """Payload of a key-value operation: ``put``, ``get`` or ``delete``."""
 
     action: str
     key: str
     value: Any = None
+
+    def __repr__(self) -> str:
+        # The dataclass repr without its recursion guard (a frozen payload
+        # cannot contain itself).  Operation digests hash this text.
+        name = type(self).__qualname__
+        return f"{name}(action={self.action!r}, key={self.key!r}, value={self.value!r})"
 
     @staticmethod
     def put(key: str, value: Any) -> Operation:

@@ -159,12 +159,20 @@ def test_unhashable_message_parts_carry_no_provenance(hash_calls):
     assert hash_calls == ["pk-sign", "pk-sign"]
 
 
-def test_signing_without_provenance_keeps_nothing_and_verifies_by_recompute(hash_calls):
+def test_signing_without_provenance_keeps_nothing_and_verifies_by_recompute(
+    hash_calls, monkeypatch
+):
     """The client's request signatures, which nobody verifies, opt out so the
-    signed tuple is not kept alive; the signature itself is the same."""
+    signed tuple is not kept alive; the signature itself is the same, and no
+    provenance record is even computed (only the body is encoded)."""
     key = generate_keypair("client-0")
+    real_key, records = signatures.provenance_key, []
+    monkeypatch.setattr(
+        signatures, "provenance_key", lambda message: records.append(message) or real_key(message)
+    )
     signature = key.sign(MESSAGE, provenance=False)
-    assert signature == key.sign(MESSAGE)
+    assert records == []
+    assert signature == key.sign(MESSAGE) and records == [MESSAGE]
     assert signature._signed is None and signature._signed_by is None
     del hash_calls[:]
     assert key.verify_key.verify(MESSAGE, signature)
@@ -196,6 +204,7 @@ def test_signing_digest_equals_the_reference(message, signer, seed):
     signature = key.sign(message)
     assert signature.digest == _honest_digest(key, message)
     assert key.sign(message, encoded=signatures.encode(message)).digest == signature.digest
+    assert key.sign(message, provenance=False).digest == signature.digest
     bare = Signature(signer=signature.signer, digest=signature.digest)  # verified by recompute
     assert key.verify_key.verify(message, signature) and key.verify_key.verify(message, bare)
 

@@ -130,10 +130,14 @@ def test_every_message_class_declares_slots():
 def test_every_message_class_is_frozen_without_mutable_defaults():
     """One broadcast hands the same instance to every recipient, so a message
     must be a frozen dataclass, and no field may default to a fresh mutable
-    container a recipient could then fill."""
+    container a recipient could then fill.  Every one is built by
+    ``repro.records.frozen_record`` (tests/test_records.py compares each with
+    the stock frozen dataclass)."""
     for name, cls in _message_classes():
         assert dataclasses.is_dataclass(cls), f"{name} is not a dataclass"
         assert cls.__dataclass_params__.frozen, f"{name} is not frozen"
+        init = vars(cls)["__init__"].__code__.co_filename
+        assert init == f"<record {cls.__qualname__}>", f"{name} is not a frozen_record"
         for field in dataclasses.fields(cls):
             assert field.default_factory not in (list, dict, set, bytearray), (
                 f"{name}.{field.name} defaults to a mutable {field.default_factory.__name__}"
@@ -206,18 +210,22 @@ def _mutable_stashes(messages):
     return problems, filled
 
 
-#: The ten lazily filled stashes (the other ``init=False`` slots are
+#: The eleven lazily filled stashes (the other ``init=False`` slots are
 #: ``size_bytes`` / ``request_id``, set in ``__post_init__``).
 STASHES = {
     ("PrePrepare", "_exec_plan"), ("PrePrepare", "_reply_values"),
     ("PrePrepare", "_reply_bodies"), ("PrePrepare", "_expected_digest"),
     ("Operation", "_authkv_digest"), ("Signature", "_signed_by"), ("Signature", "_signed"),
     ("SignatureShare", "_stamp"), ("CombinedSignature", "_verified"), ("MerkleProof", "_proved"),
+    ("KVProof", "_chained"),
 }
 
 #: What PBFT never fills: it has no threshold shares or proofs and sends no
-#: execute-ack (so cuts no Merkle proof).
-NOT_IN_PBFT = {("SignatureShare", "_stamp"), ("CombinedSignature", "_verified"), ("MerkleProof", "_proved")}
+#: execute-ack (so cuts no Merkle or chain proof).
+NOT_IN_PBFT = {
+    ("SignatureShare", "_stamp"), ("CombinedSignature", "_verified"), ("MerkleProof", "_proved"),
+    ("KVProof", "_chained"),
+}
 
 
 @pytest.mark.parametrize("protocol,kwargs", [run[1:3] for run in GOLDEN_FAULT_RUNS],

@@ -17,8 +17,10 @@ after every step, so any divergence pins down the exact operation sequence.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import make_request
+from repro.core.messages import ClientRequest
 from repro.core.reply_cache import ClientReplyTracker
 
 CLIENTS = (0, 1, 2)
@@ -197,3 +199,37 @@ def test_block_recording_matches_model_and_keeps_no_empty_gap_set(seed):
             model.record(request.client_id, request.timestamp, sequence, value)
         assert all(tracker._gaps.values()), tracker._gaps
     assert_equivalent(tracker, model)
+
+
+def _tracker_state(tracker):
+    caches = {client: list(cache.items()) for client, cache in tracker._cache.items()}
+    return tracker._prefix, tracker._gaps, caches
+
+
+#: Blocks of (client, offset) requests: a request's timestamp is its client's
+#: highest so far plus the offset, at least 1 — offset 1 is the in-order next
+#: request, 0 and below a duplicate or a gap-filling retry, above 1 a skip.
+_BLOCKS = st.lists(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(-4, 4)), max_size=6), max_size=30
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=_BLOCKS, keep=st.integers(1, 8))
+def test_record_block_matches_the_per_request_record_loop(blocks, keep):
+    """``record_block`` does the in-order step inline; over random windows,
+    out-of-order and duplicate timestamps it must leave exactly the prefixes,
+    gap sets and caches (entries and their order) a ``record`` loop leaves."""
+    inline, reference = ClientReplyTracker(keep), ClientReplyTracker(keep)
+    highest = {}
+    for sequence, block in enumerate(blocks, start=1):
+        requests = []
+        for client, offset in block:
+            timestamp = max(1, highest.get(client, 0) + offset)
+            highest[client] = max(highest.get(client, 0), timestamp)
+            requests.append(ClientRequest(client, timestamp, ()))
+        values = [(request.client_id, request.timestamp, sequence) for request in requests]
+        inline.record_block(sequence, requests, values)
+        for request, value in zip(requests, values):
+            reference.record(request.client_id, request.timestamp, sequence, value)
+        assert _tracker_state(inline) == _tracker_state(reference)

@@ -102,7 +102,7 @@ def test_verify_rejects_a_stamped_proof_around_another_entry():
     swapped = type(proof)(1, 1, digest, dataclasses.replace(proof.proof, entry=other.proof.entry))
     assert not store.verify(digest, ops[1], results[1].value, 1, 1, swapped)
     # An entry claiming another result digest, with the value it claims.
-    lying = dataclasses.replace(proof.proof.entry, result_digest=other.proof.entry.result_digest)
+    lying = (*proof.proof.entry[:3], other.proof.entry[3])
     assert not store.verify(digest, ops[0], results[1].value, 1, 0, rewrap(entry=lying))
     # The same operations executed as block 2: its proof is no proof for block 1.
     later = store.prove(2, 0)
@@ -114,6 +114,84 @@ def test_verify_rejects_a_stamped_proof_around_another_entry():
         digest, ops[0], results[0].value, 1, 0, rewrap(entry_proof=later.proof.entry_proof)
     )
     assert not store.verify(digest, ops[0], results[0].value, 1, 0, rewrap(prev_digest=digest))
+
+
+@pytest.fixture
+def hash_passes(monkeypatch):
+    """Every SHA-256 pass from here on: the canonical encoder's (under
+    ``sha256_hex``) and the Merkle tree's pre-encoded ones."""
+    from repro.crypto import hashing, merkle
+
+    passes = []
+    real_bytes, real_sha256 = hashing._canonical_bytes, merkle.sha256
+    monkeypatch.setattr(hashing, "_canonical_bytes", lambda parts: passes.append(parts[0])
+                        or real_bytes(parts))
+    monkeypatch.setattr(merkle, "sha256", lambda data: passes.append("merkle") or real_sha256(data))
+    return passes
+
+
+def test_a_stamped_honest_proof_verifies_without_hashing(hash_passes):
+    """``prove`` stamps the chain step the store already took; its journal
+    leaf is the tree's own tuple and its path carries the (leaf, root) stamp,
+    so the client's check hashes nothing (the operation digest rides on the
+    operation, the result digest is memoized)."""
+    store = AuthenticatedKVStore()
+    ops, results = _block(store, 1, [("a", 1), ("b", 2), ("c", 3)])
+    proof = store.prove(1, 2)
+    assert proof.proof.entry is store._journal_trees[1].leaves[2]
+    assert proof.proof._chained == (GENESIS_DIGEST, 1, store._journal_trees[1].root, proof.digest)
+    assert proof.size_bytes == 48 + 96 + proof.proof.entry_proof.size_bytes
+    del hash_passes[:]
+    assert store.verify(store.digest_at(1), ops[2], results[2].value, 1, 2, proof)
+    assert hash_passes == []
+
+
+@pytest.mark.parametrize("case", [
+    "replace-prev-digest", "replace-entry", "replace-path", "set-prev-digest", "set-entry",
+    "set-path", "other-store", "other-sequence", "float-sequence",
+])
+def test_a_proof_without_a_matching_stamp_is_recomputed(case, hash_passes):
+    """Whatever the stamp does not vouch for exactly takes the recompute path
+    and is decided exactly as a proof with no stamp at all (``replace`` drops
+    both stamps): a ``replace`` of the chain predecessor or the entry, a path
+    cut for another leaf, the same tampering written over a stamped proof,
+    another store's proof, another sequence."""
+    store, other_store = AuthenticatedKVStore(), AuthenticatedKVStore()
+    ops = [AuthenticatedKVStore.make_put("a", "v"), AuthenticatedKVStore.make_get("a")]
+    results = store.execute_block(1, ops)
+    _block(other_store, 0, [("z", 1)])  # another history, then the same block
+    other_store.execute_block(1, ops)
+    digest = store.digest_at(1)
+    proof = store.prove(1, 0)
+    kv_proof, sibling = proof.proof, store.prove(1, 1).proof
+    lying_entry = (*kv_proof.entry[:3], sibling.entry[3])
+    value, sequence = results[0].value, 1
+    if case == "replace-prev-digest":
+        kv_proof = dataclasses.replace(kv_proof, prev_digest=digest)
+    elif case == "replace-entry":
+        kv_proof, value = dataclasses.replace(kv_proof, entry=lying_entry), results[1].value
+    elif case == "replace-path":
+        kv_proof = dataclasses.replace(kv_proof, entry_proof=sibling.entry_proof)
+    elif case == "set-prev-digest":  # written over the stamped proof itself
+        object.__setattr__(kv_proof, "prev_digest", digest)
+    elif case == "set-entry":
+        object.__setattr__(kv_proof, "entry", lying_entry)
+        value = results[1].value
+    elif case == "set-path":
+        object.__setattr__(kv_proof, "entry_proof", sibling.entry_proof)
+    elif case == "other-store":  # the same entry under another history, stamps intact
+        kv_proof = other_store.prove(1, 0).proof
+    else:
+        sequence = 2 if case == "other-sequence" else 1.0
+    stamped = type(proof)(1, 0, digest, kv_proof)
+    unstamped = type(proof)(1, 0, digest, dataclasses.replace(
+        kv_proof, entry_proof=dataclasses.replace(kv_proof.entry_proof)))
+    del hash_passes[:]
+    verdict = store.verify(digest, ops[0], value, sequence, 0, stamped)
+    assert verdict is store.verify(digest, ops[0], value, sequence, 0, unstamped) is False
+    chain_steps = hash_passes.count("authkv-chain")
+    # Another store's stamp vouches for its own chain step: read, not redone.
+    assert chain_steps == {"other-store": 1, "other-sequence": 0}.get(case, 2)
 
 
 def test_verify_rejects_foreign_proof_type():
@@ -225,6 +303,27 @@ def test_equal_dict_results_share_one_result_hash(monkeypatch):
     assert len(hashed) == 4
     assert AuthenticatedKVStore()._result_digest(receipt) == digests[0]
     assert len(hashed) == 5
+
+
+def test_operation_digests_of_fixed_kv_operations_are_pinned():
+    """An operation digest hashes ``KVOperation``'s repr (the canonical
+    encoding of a payload that is no builtin): these constants were computed
+    with the stock dataclass repr, so a drift of the explicit one fails here
+    by name, not only through a golden."""
+    from repro.services.authenticated_kv import operation_digest
+    from repro.services.interface import Operation
+    from repro.services.kvstore import KVOperation
+
+    put = Operation(kind="kv", payload=KVOperation("put", "k7", "v7"), client_id=3, timestamp=9)
+    get = Operation(kind="kv", payload=KVOperation("get", "k7"), client_id=3, timestamp=10,
+                    read_only=True)
+    delete = Operation(kind="kv", payload=KVOperation("delete", "k7"), client_id=3, timestamp=11)
+    assert repr(put.payload) == "KVOperation(action='put', key='k7', value='v7')"
+    assert [operation_digest(op) for op in (put, get, delete)] == [
+        "e9ac66670ea14ad23626733244f44e891af93c27eb46b53bbd8df0fa60f83e32",
+        "89bcf425dfd2e351f680dc11a088c96230c8e37e953aa939c73e2e0a645a8cc0",
+        "1203cfdeeb546926f4521eb55779ec245360be1688b0c22e203e74b19410eaf7",
+    ]
 
 
 @settings(max_examples=25, deadline=None)
