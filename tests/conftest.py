@@ -4,11 +4,21 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import clocks_trapped_in_runs
 from repro.core.config import SBFTConfig
 from repro.core.keys import TrustedSetup
 from repro.sim.events import Simulator
 from repro.sim.network import Network
 from repro.sim.latency import lan_topology
+
+
+@pytest.fixture(autouse=True, scope="session")
+def no_clock_inside_a_run():
+    """A run is a function of its seeds alone: a clock, entropy or
+    global-``random`` read anywhere inside ``Simulator.run`` or
+    ``Cluster.run`` fails the test that made it, at the reading line."""
+    with clocks_trapped_in_runs():
+        yield
 
 
 @pytest.fixture

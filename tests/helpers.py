@@ -9,9 +9,15 @@ visited first.  Fixtures stay in ``tests/conftest.py``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
+import os
+import random
+import sys
+import time
 
 import pytest
 
@@ -21,7 +27,7 @@ from repro.core.messages import ClientRequest
 from repro.core.replica import SBFTReplica
 from repro.crypto.signatures import generate_keypair
 from repro.pbft.replica import PBFTReplica
-from repro.protocols.cluster import build_cluster
+from repro.protocols.cluster import Cluster, build_cluster
 from repro.services.authenticated_kv import AuthenticatedKVStore
 from repro.sim.events import Simulator
 from repro.sim.latency import lan_topology
@@ -200,3 +206,63 @@ def make_request(timestamp, client_id=0):
     op = AuthenticatedKVStore.make_put(f"k{timestamp}", "v", client_id=client_id, timestamp=timestamp)
     return ClientRequest(client_id=client_id, timestamp=timestamp, operations=(op,),
                          signature=generate_keypair(f"client-{client_id}").sign("x"))
+
+
+#: What a simulated run must never read: the host's clocks, the OS entropy
+#: pool and the module-level ``random`` generator (every function ``random``
+#: exports that is bound to its hidden instance, ``random.seed`` included).
+#: Only the seeded ``random.Random`` instances a run is built with may draw.
+AMBIENT = (
+    [(time, name) for name in ("time", "monotonic", "perf_counter", "process_time")]
+    + [(time, name + "_ns") for name in ("time", "monotonic", "perf_counter", "process_time")]
+    + [(os, "urandom")]
+    + [(random, name) for name in random.__all__
+       if isinstance(getattr(getattr(random, name), "__self__", None), random.Random)]
+)
+
+
+def _trap(module, name):
+    def read(*args, **kwargs):
+        caller = sys._getframe(1)
+        raise AssertionError(
+            f"{caller.f_code.co_filename}:{caller.f_lineno}: "
+            f"{module.__name__}.{name}() read inside a simulated run"
+        )
+    return read
+
+
+@contextlib.contextmanager
+def clock_trap():
+    """Every ``AMBIENT`` function raises, naming its caller's ``file:line``.
+    Nests: an inner trap restores the outer one's."""
+    saved = [(module, name, getattr(module, name)) for module, name in AMBIENT]
+    for module, name, _ in saved:
+        setattr(module, name, _trap(module, name))
+    try:
+        yield
+    finally:
+        for module, name, value in saved:
+            setattr(module, name, value)
+
+
+@contextlib.contextmanager
+def clocks_trapped_in_runs():
+    """``Simulator.run`` and ``Cluster.run`` (which builds the workload
+    before the event loop) each run inside :func:`clock_trap`; host timing
+    around a run, as the sweeps do it, stays outside."""
+    originals = {cls: cls.run for cls in (Simulator, Cluster)}
+
+    def trapped(run):
+        @functools.wraps(run)
+        def run_without_clocks(*args, **kwargs):
+            with clock_trap():
+                return run(*args, **kwargs)
+        return run_without_clocks
+
+    for cls, run in originals.items():
+        cls.run = trapped(run)
+    try:
+        yield
+    finally:
+        for cls, run in originals.items():
+            cls.run = run

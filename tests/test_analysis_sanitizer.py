@@ -1,12 +1,20 @@
-"""Tests for the determinism sanitizer (``repro.analysis.sanitizer``)."""
+"""Determinism checks on executed code: the sanitizer
+(``repro.analysis.sanitizer``), every committed fixed-seed value under two
+interpreter hash seeds, and the clock trap around every run."""
 
+import json
 import os
 import random
+import re
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import pytest
+
+from helpers import AMBIENT, clocks_trapped_in_runs, run_fingerprint
 from repro.analysis.sanitizer import (
     CountingRandom,
     SCENARIOS,
@@ -15,8 +23,12 @@ from repro.analysis.sanitizer import (
     selfcheck,
 )
 from repro.analysis.sanitizer import main as sanitizer_main
+from repro.core.runtime import Replica
 from repro.protocols.cluster import build_cluster
+from repro.sim.events import Simulator
 from repro.workloads.kv_workload import KVWorkload
+from test_adversary_behaviours import GOLDEN_BYZANTINE_RUNS
+from test_batching import GOLDEN_FAULT_RUNS, GOLDEN_RUNS
 
 
 def _tiny_cluster(seed=3):
@@ -155,21 +167,133 @@ def test_selfcheck_cli_exits_zero(capsys):
     assert "scale: OK" in out
 
 
-def test_chain_hashes_do_not_depend_on_the_interpreter_hash_seed():
-    """The dynamic backstop of lint's ``ordered-iteration``: a double run in
-    one process iterates every set in the same order twice, so only a second
-    *interpreter* with another ``PYTHONHASHSEED`` sees hash order leak into a
-    decision.  All four sweeps' chain hashes must come out equal."""
-    src = Path(__file__).resolve().parent.parent / "src"
+#: The 26 golden runs: name -> (protocol, ``run_fingerprint`` kwargs, committed
+#: fingerprint).
+GOLDENS = {
+    **{f"{p}-seed{k['seed']}": (p, k, e) for p, k, e in GOLDEN_RUNS},
+    **{name: (p, k, e) for name, p, k, e in GOLDEN_FAULT_RUNS + GOLDEN_BYZANTINE_RUNS},
+}
+#: Every fixed-seed value tier-1 commits, by name: the golden fingerprints
+#: and the four sanitizer chain hashes.
+COMMITTED = {
+    **{f"golden {name}": e for name, (_p, _k, e) in GOLDENS.items()},
+    **{f"chain {name}": chain for name, chain in CHAIN_HASHES.items()},
+}
 
-    def hash_lines(hash_seed):
-        done = subprocess.run(
-            [sys.executable, "-m", "repro.analysis.sanitizer", "selfcheck", "--all"],
-            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, check=True,
+
+def fixed_seed_values():
+    """What ``COMMITTED`` holds, computed afresh: every golden (shared) and
+    every scenario's chain, each run inside the clock trap."""
+    with clocks_trapped_in_runs():
+        values = {f"golden {name}": run_fingerprint(p, **k) for name, (p, k, _e) in GOLDENS.items()}
+        values.update({f"chain {name}": selfcheck(name).hash_a for name in SCENARIOS})
+    return values
+
+
+_CHILD = """
+import json, sys
+sys.path[:0] = [{tests!r}, {src!r}]
+{plant}
+from test_analysis_sanitizer import fixed_seed_values
+print(json.dumps(fixed_seed_values()))
+"""
+
+
+def _moved_under_two_hash_seeds(plant=""):
+    """Compute every committed value in two interpreters at once, at
+    ``PYTHONHASHSEED=1`` and ``=2`` (``plant`` is source run first in each),
+    and name every value that is not the committed one."""
+    tests = Path(__file__).resolve().parent
+    script = _CHILD.format(tests=str(tests), src=str(tests.parent / "src"), plant=plant)
+    children = {
+        seed: subprocess.Popen(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
-        return [line for line in done.stdout.splitlines() if "hash=" in line]
+        for seed in ("1", "2")
+    }
+    moved = []
+    for seed, child in children.items():
+        out, err = child.communicate()
+        assert child.returncode == 0, err
+        values = json.loads(out)
+        moved += [
+            f"PYTHONHASHSEED={seed}: {name} is {values[name][:12]}, committed {committed[:12]}"
+            for name, committed in COMMITTED.items() if values[name] != committed
+        ]
+    return moved
 
-    first = hash_lines("1")
-    assert len(first) == len(SCENARIOS) and all(": OK hash=" in line for line in first)
-    assert hash_lines("2") == first
+
+def test_every_committed_value_holds_under_two_interpreter_hash_seeds():
+    """A double run in one process iterates every set in the same order
+    twice, so only another interpreter with another ``PYTHONHASHSEED`` sees
+    hash order leak into a decision.  ``str`` and ``bytes`` hashes (and the
+    tuples and frozensets holding them) are salted per seed; ``int`` hashes
+    are not, so a set of replica ids iterates alike under every seed."""
+    assert len(COMMITTED) == 30
+    moved = _moved_under_two_hash_seeds()
+    assert not moved, "\n".join(moved)
+
+
+_STR_SET_BROADCAST = """
+from repro.core.runtime import Replica
+
+def _broadcast(self, message):
+    if self.crashed:
+        return
+    peers = [int(peer) for peer in {str(peer) for peer in self._peers_all}]
+    self.network.broadcast_bulk(self.node_id, message, peers)
+
+Replica._broadcast = _broadcast
+"""
+
+
+def test_a_broadcast_in_hash_order_moves_goldens_under_another_hash_seed():
+    """The known answer for the test above: a broadcast that orders its peers
+    through a set of strings is caught at both hash seeds, by name."""
+    moved = _moved_under_two_hash_seeds(plant=_STR_SET_BROADCAST)
+    assert any(line.startswith("PYTHONHASHSEED=1: golden ") for line in moved), moved
+    assert any(line.startswith("PYTHONHASHSEED=2: golden ") for line in moved), moved
+
+
+class _GlobalRandomWorkload(KVWorkload):
+    def client_operations(self, client_id):
+        random.random()
+        return super().client_operations(client_id)
+
+
+def test_a_clock_read_inside_a_run_fails_at_the_reading_line(monkeypatch):
+    """The clock trap (``tests/conftest.py``) around a whole ``Cluster.run``:
+    the workload it builds before the event loop, and every event."""
+    line = _GlobalRandomWorkload.client_operations.__code__.co_firstlineno + 1
+    with pytest.raises(AssertionError, match=re.escape(f"{__file__}:{line}: random.random()")):
+        _tiny_cluster().run(_GlobalRandomWorkload(requests_per_client=3, batch_size=2, seed=5))
+
+    broadcast = Replica._broadcast
+
+    def broadcast_at_the_hosts_time(self, message):
+        time.time()
+        broadcast(self, message)
+
+    monkeypatch.setattr(Replica, "_broadcast", broadcast_at_the_hosts_time)
+    line = broadcast_at_the_hosts_time.__code__.co_firstlineno + 1
+    with pytest.raises(AssertionError, match=re.escape(f"{__file__}:{line}: time.time()")):
+        _tiny_cluster().run(_tiny_workload())
+
+
+@pytest.mark.parametrize("module,name", AMBIENT, ids=[f"{m.__name__}.{n}" for m, n in AMBIENT])
+def test_every_ambient_reader_is_trapped_inside_a_run_and_restored_after(module, name):
+    """Each of ``AMBIENT`` fails an event that reads it, at the reading
+    line, and is the host's own function again once the run is over."""
+    original = getattr(module, name)
+
+    def read():
+        getattr(module, name)()
+
+    sim = Simulator(seed=0)
+    sim.schedule(0.0, read)
+    line = read.__code__.co_firstlineno + 1
+    with pytest.raises(AssertionError, match=re.escape(f"{__file__}:{line}: {module.__name__}.{name}()")):
+        sim.run()
+    assert getattr(module, name) is original

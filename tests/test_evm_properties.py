@@ -96,7 +96,7 @@ def test_token_total_supply_invariant(operations):
         apply_transaction(state, Transaction.call(ALICE, address, encode_call(2, slot, amount // 2)))
         total = sum(
             state.storage_load(address, s)
-            for s in {alice_slot, *[s for s, _ in operations]}  # repro: allow[ordered-iteration]
+            for s in {alice_slot, *[s for s, _ in operations]}
         )
         assert total == minted
 

@@ -35,6 +35,7 @@ from repro.pbft import messages as pbft_messages
 from repro.pbft.messages import PbftCommit
 from repro.pbft.replica import PBFTReplica
 
+ROOT = Path(repro.__file__).parent
 PROTOCOLS = [SBFTReplica, PBFTReplica]
 CONFIG = SBFTConfig(f=1, batch_size=4, batch_timeout=0.01, window=16, client_retry_timeout=1.5)
 CLIENT_NODE = CONFIG.n + 1
@@ -306,7 +307,7 @@ def _adversary_code(tree):
 def test_honest_packages_carry_no_adversary_code(package):
     """core/, pbft/ and sim/ are the honest protocol plus environmental
     faults; what a compromised replica does lives in repro.adversary."""
-    root = Path(repro.__file__).parent / package
+    root = ROOT / package
     found = [
         f"{path.relative_to(root.parent)}:{line}: {what}"
         for path in sorted(root.rglob("*.py"))
@@ -361,16 +362,14 @@ def _runtime_tables(tree):
 def test_no_module_holds_a_table_filled_at_run_time():
     """Every memo rides on an object built for the run (the block's
     operations, a proof, a store, the per-run collector-group dict and
-    threshold schemes): no module outside ``analysis/`` binds a name to an
-    empty container or rebinds a global.  ``evm.opcodes.OPCODES`` is filled
-    by the import itself and constant afterwards."""
-    root = Path(repro.__file__).parent
+    threshold schemes): no module binds a name to an empty container or
+    rebinds a global.  ``evm.opcodes.OPCODES`` is filled by the import itself
+    and constant afterwards."""
     found = [
-        f"{path.relative_to(root)}:{line}: {what}"
-        for path in sorted(root.rglob("*.py"))
-        if path.relative_to(root).parts[0] != "analysis"
+        f"{path.relative_to(ROOT)}:{line}: {what}"
+        for path in sorted(ROOT.rglob("*.py"))
         for line, what in _runtime_tables(ast.parse(path.read_text()))
-        if (path.relative_to(root).as_posix(), what) != ("evm/opcodes.py", "OPCODES")
+        if (path.relative_to(ROOT).as_posix(), what) != ("evm/opcodes.py", "OPCODES")
     ]
     assert not found, "\n".join(found)
 
@@ -419,34 +418,53 @@ def _forbidden_imports(tree, forbidden):
     ]
 
 
-#: Everything that runs inside a simulation.  ``repro.experiments`` is the one
-#: package ``lint``'s ``no-wall-clock`` exempts (it times the host), so none
-#: of these may reach it: a clock read anywhere else is flagged at its own
-#: line, whoever calls it.
+#: Everything that runs inside a simulation: none of it may reach
+#: ``repro.experiments``, the one package that times the host.
 IN_SIMULATION = ("core", "pbft", "sim", "crypto", "services", "evm", "workloads", "metrics",
                  "protocols")
 #: Pure functions of their arguments: no simulator (so no ``sim.now`` and no
 #: simulator RNG), no ``random``, no ``time`` — nothing there *can* make a
 #: memoized value depend on who computed it or when.
 PURE = ("crypto", "evm", "services")
+#: What the clock trap (tests/conftest.py) raises on when a run reads it,
+#: kept out of code no test runs as well.
+CLOCKS = ("time", "datetime", "uuid", "secrets")
+
+
+def _all_but_experiments(root):
+    """Every package but ``experiments`` (it times the host), and ``""``:
+    the top-level modules."""
+    return ("",) + tuple(sorted(
+        path.name for path in root.iterdir()
+        if (path / "__init__.py").is_file() and path.name != "experiments"
+    ))
+
+
+def _modules(root, package):
+    """``package``'s modules, all levels down; ``""`` is the top level alone."""
+    return sorted((root / package).rglob("*.py") if package else root.glob("*.py"))
+
+
+def _import_findings(root, packages, forbidden):
+    return [
+        f"{path.relative_to(root)}:{line}: imports {name}"
+        for package in packages
+        for path in _modules(root, package)
+        for line, name in _forbidden_imports(ast.parse(path.read_text()), forbidden)
+    ]
 
 
 @pytest.mark.parametrize("packages,forbidden", [
     (IN_SIMULATION, ("repro.experiments",)),
     (PURE, ("repro.sim", "random", "time")),
-], ids=["in-simulation", "pure"])
+    (_all_but_experiments(ROOT), CLOCKS),
+], ids=["in-simulation", "pure", "no-clock"])
 def test_packages_do_not_import_what_would_let_them_see_a_clock(packages, forbidden):
-    root = Path(repro.__file__).parent
-    found = [
-        f"{path.relative_to(root)}:{line}: imports {name}"
-        for package in packages
-        for path in sorted((root / package).rglob("*.py"))
-        for line, name in _forbidden_imports(ast.parse(path.read_text()), forbidden)
-    ]
+    found = _import_findings(ROOT, packages, forbidden)
     assert not found, "\n".join(found)
 
 
-def test_import_detector_sees_what_it_must_and_no_more():
+def test_import_detector_sees_what_it_must_and_no_more(tmp_path):
     planted = ast.parse(textwrap.dedent("""
         import random, timeit
         import repro.experiments.harness as harness
@@ -461,6 +479,23 @@ def test_import_detector_sees_what_it_must_and_no_more():
     assert sorted({name for _line, name in _forbidden_imports(planted, forbidden)}) == [
         ".", ".sibling", "random", "repro.experiments", "repro.experiments.harness",
         "repro.experiments.harness.run",
+    ]
+    # A clock planted in an in-simulation module and in a top-level one is
+    # named at its line; the harness's own clock is not looked at.
+    for module, source in [
+        ("core/__init__.py", ""),
+        ("core/runtime.py", '"""Doc."""\nfrom repro.core import log\nimport time\n'),
+        ("records.py", "from datetime import datetime\n"),
+        ("experiments/__init__.py", ""),
+        ("experiments/harness.py", "import time\n"),
+    ]:
+        (tmp_path / module).parent.mkdir(exist_ok=True)
+        (tmp_path / module).write_text(source)
+    assert _all_but_experiments(tmp_path) == ("", "core")
+    assert _import_findings(tmp_path, _all_but_experiments(tmp_path), CLOCKS) == [
+        "records.py:1: imports datetime",
+        "records.py:1: imports datetime.datetime",
+        "core/runtime.py:3: imports time",
     ]
 
 

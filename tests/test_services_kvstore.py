@@ -80,7 +80,7 @@ def test_contains_and_keys():
     store.put("x", 1)
     assert "x" in store
     assert "y" not in store
-    assert list(store.keys()) == ["x"]  # repro: allow[ordered-iteration]
+    assert list(store.keys()) == ["x"]
 
 
 def _replayed_by_a_loop(store, writes):
