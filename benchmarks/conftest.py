@@ -28,7 +28,6 @@ from repro.experiments.harness import SCALES, ExperimentScale
 BENCH_SMALL = ExperimentScale(
     name="bench-small",
     f=2,
-    c_for_sbft_c8=1,
     client_counts=(4, 16, 32),
     requests_per_client=3,
     block_batch=8,

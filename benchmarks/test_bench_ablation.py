@@ -1,6 +1,7 @@
 """Ingredient ablation — Section IX's narrative, one row per protocol variant.
 
-Expected shapes at any scale:
+The ablation is a Figure 2 grid at one client count (``fast_blocks`` /
+``slow_blocks`` ride on every row).  Expected shapes at any scale:
 
 * the fast path commits blocks on the fast path only when it is enabled and
   there are at most ``c`` failures;
@@ -14,20 +15,23 @@ from __future__ import annotations
 
 
 from conftest import attach_rows
-from repro.experiments.ablation import run_ablation
+from repro.experiments import fig2_throughput, harness
 from repro.protocols.registry import PAPER_ORDER
 
 
-def test_ablation_no_failures(benchmark, scale):
-    def run():
-        return run_ablation(
-            scale=scale,
-            num_clients=min(16, max(scale.client_counts)),
-            kv_batch=8,
-            failure_counts=(0,),
-        )
+def ablation_rows(scale, failures, protocols=PAPER_ORDER):
+    points = fig2_throughput.grid(
+        scale=scale,
+        protocols=protocols,
+        batch_modes=[8],
+        failures=[failures],
+        client_counts=[min(16, max(scale.client_counts))],
+    )
+    return harness.run(fig2_throughput.SWEEP, points)
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+
+def test_ablation_no_failures(benchmark, scale):
+    rows = benchmark.pedantic(lambda: ablation_rows(scale, 0), rounds=1, iterations=1)
     attach_rows(benchmark, rows)
     by_protocol = {row["protocol"]: row for row in rows}
     assert set(by_protocol) == set(PAPER_ORDER)
@@ -41,13 +45,7 @@ def test_ablation_with_failures(benchmark, scale):
     failures = max(1, scale.f // 8)
 
     def run():
-        return run_ablation(
-            scale=scale,
-            num_clients=min(16, max(scale.client_counts)),
-            kv_batch=8,
-            failure_counts=(failures,),
-            protocols=["linear-pbft-fast", "sbft-c0", "sbft-c8"],
-        )
+        return ablation_rows(scale, failures, protocols=["linear-pbft-fast", "sbft-c0", "sbft-c8"])
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     attach_rows(benchmark, rows)

@@ -13,24 +13,34 @@ from __future__ import annotations
 import pytest
 
 from conftest import attach_rows
-from repro.experiments.fig2_throughput import run_figure2, scaled_failures, throughput_series
-from repro.experiments.harness import result_row, run_kv_point
+from repro.experiments import fig2_throughput, harness
+from repro.experiments.fig2_throughput import scaled_failures, throughput_series
 from repro.protocols.registry import PAPER_ORDER
 
 KV_BATCH = 8  # stands in for the paper's batch=64 request payload
 
 
+def figure2_rows(scale, protocols, failures, client_counts):
+    points = fig2_throughput.grid(
+        scale=scale,
+        protocols=protocols,
+        batch_modes=[KV_BATCH],
+        failures=[failures],
+        client_counts=client_counts,
+    )
+    return harness.run(fig2_throughput.SWEEP, points)
+
+
 @pytest.mark.parametrize("protocol", PAPER_ORDER)
 def test_fig2_throughput_under_load(benchmark, scale, protocol):
     """One Figure-2 point per protocol: the largest client count, no failures."""
-    clients = max(scale.client_counts)
 
     def run():
-        return run_kv_point(protocol, scale, num_clients=clients, kv_batch=KV_BATCH, failures=0)
+        return figure2_rows(scale, [protocol], 0, [max(scale.client_counts)])
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    attach_rows(benchmark, [result_row(result, protocol=protocol, clients=clients, failures=0)])
-    assert result.run.completed_requests > 0
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    attach_rows(benchmark, rows)
+    assert rows[0]["completed_operations"] > 0
 
 
 @pytest.mark.parametrize("failures_kind", ["none", "few"])
@@ -40,18 +50,12 @@ def test_fig2_grid(benchmark, scale, failures_kind):
     failures = 0 if failures_kind == "none" else failure_options[1] if len(failure_options) > 1 else 0
 
     def run():
-        return run_figure2(
-            scale=scale,
-            protocols=PAPER_ORDER,
-            batch_modes={"batch": KV_BATCH},
-            failures=[failures],
-            client_counts=list(scale.client_counts),
-        )
+        return figure2_rows(scale, PAPER_ORDER, failures, list(scale.client_counts))
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     attach_rows(benchmark, rows)
 
-    series = throughput_series(rows, mode="batch", failures=failures)
+    series = throughput_series(rows, kv_batch=KV_BATCH, failures=failures)
     assert set(series) == set(PAPER_ORDER)
     # Every protocol completed work at every client count.
     for protocol, values in series.items():

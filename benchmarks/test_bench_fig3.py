@@ -4,29 +4,28 @@ from __future__ import annotations
 
 
 from conftest import attach_rows
-from repro.experiments.fig2_throughput import run_figure2
-from repro.experiments.fig3_latency import latency_curves
+from repro.experiments import fig2_throughput, harness
+from repro.experiments.fig2_throughput import latency_curves
 from repro.protocols.registry import PAPER_ORDER
 
 KV_BATCH = 8
 
 
-def test_fig3_latency_vs_throughput(benchmark, scale):
+def test_figure3_latency_vs_throughput(benchmark, scale):
     """Sweep the client counts and report the per-protocol latency curves."""
-
-    def run():
-        return run_figure2(
-            scale=scale,
-            protocols=PAPER_ORDER,
-            batch_modes={"batch": KV_BATCH},
-            failures=[0],
-            client_counts=list(scale.client_counts),
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    points = fig2_throughput.grid(
+        scale=scale,
+        protocols=PAPER_ORDER,
+        batch_modes=[KV_BATCH],
+        failures=[0],
+        client_counts=list(scale.client_counts),
+    )
+    rows = benchmark.pedantic(
+        lambda: harness.run(fig2_throughput.SWEEP, points), rounds=1, iterations=1
+    )
     attach_rows(benchmark, rows)
 
-    curves = latency_curves(rows, mode="batch", failures=0)
+    curves = latency_curves(rows, kv_batch=KV_BATCH, failures=0)
     assert set(curves) == set(PAPER_ORDER)
     for protocol, points in curves.items():
         assert all(throughput > 0 and latency_ms > 0 for throughput, latency_ms in points)
@@ -41,16 +40,15 @@ def test_fig3_latency_vs_throughput(benchmark, scale):
 
 def test_fig3_no_batching_row(benchmark, scale):
     """The unbatched row of Figures 2/3 (each request is a single put)."""
-
-    def run():
-        return run_figure2(
-            scale=scale,
-            protocols=["pbft", "sbft-c0"],
-            batch_modes={"no batch": 1},
-            failures=[0],
-            client_counts=[max(scale.client_counts)],
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    points = fig2_throughput.grid(
+        scale=scale,
+        protocols=["pbft", "sbft-c0"],
+        batch_modes=[1],
+        failures=[0],
+        client_counts=[max(scale.client_counts)],
+    )
+    rows = benchmark.pedantic(
+        lambda: harness.run(fig2_throughput.SWEEP, points), rounds=1, iterations=1
+    )
     attach_rows(benchmark, rows)
     assert all(row["throughput_ops"] > 0 for row in rows)

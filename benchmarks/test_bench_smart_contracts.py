@@ -22,7 +22,6 @@ from repro.experiments import harness
 from repro.experiments.smart_contracts import (
     SWEEP,
     grid,
-    run_smart_contract_benchmark,
     single_node_baseline,
     slowdown_vs_baseline,
 )
@@ -38,22 +37,18 @@ def test_single_node_baseline(benchmark):
 
 @pytest.mark.parametrize("topology", ["continent", "world"])
 def test_smart_contract_table(benchmark, scale, topology):
-    def run():
-        return run_smart_contract_benchmark(
-            f=scale.f,
-            c_sbft=scale.c_for_sbft_c8,
-            num_clients=min(8, max(scale.client_counts)),
-            num_transactions=600,
-            topologies=(topology,),
-            protocols=("sbft-c8", "pbft"),
-            block_batch=scale.block_batch // 2 or 2,
-            max_sim_time=scale.max_sim_time,
-        )
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    points = grid(
+        f_values=(scale.f,),
+        num_transactions=600,
+        topologies=(topology,),
+        protocols=("sbft-c8", "pbft"),
+        clients=min(8, max(scale.client_counts)),
+        block_batch=scale.block_batch // 2 or 2,
+    )
+    rows = benchmark.pedantic(lambda: harness.run(SWEEP, points), rounds=1, iterations=1)
     attach_rows(benchmark, rows)
 
-    by_protocol = {row["protocol"]: row for row in rows if "protocol" in row}
+    by_protocol = {row["protocol"]: row for row in rows}
     sbft = by_protocol["sbft-c8"]
     pbft = by_protocol["pbft"]
     # Both variants executed the full stream.
@@ -61,7 +56,7 @@ def test_smart_contract_table(benchmark, scale, topology):
     # Shape: SBFT at least matches PBFT's latency (the paper reports ~1.5-2x better).
     assert sbft["mean_latency_ms"] <= pbft["mean_latency_ms"] * 1.25
     # Replication is slower than unreplicated execution.
-    slowdowns = slowdown_vs_baseline(rows)
+    slowdowns = slowdown_vs_baseline(single_node_baseline(), rows)
     assert all(value >= 1.0 for value in slowdowns.values())
 
 

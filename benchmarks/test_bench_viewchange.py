@@ -10,33 +10,26 @@ from __future__ import annotations
 
 
 from conftest import attach_rows
-from repro.experiments.viewchange_study import PRIMARY_FAULTS, run_viewchange_study, summarize
+from repro.experiments import harness
+from repro.experiments.viewchange_study import PRIMARY_FAULTS, SWEEP, grid, summarize
 
 
 def test_viewchange_robustness(benchmark, scale):
-    trials = 2 if scale.f <= 2 else 1
-
-    def run():
-        return run_viewchange_study(faults=PRIMARY_FAULTS, trials_per_fault=trials, f=1)
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    points = grid(faults=PRIMARY_FAULTS, trials_per_fault=2 if scale.f <= 2 else 1, f=1)
+    rows = benchmark.pedantic(lambda: harness.run(SWEEP, points), rounds=1, iterations=1)
     attach_rows(benchmark, rows)
 
     summary = summarize(rows)
-    assert set(summary) == set(PRIMARY_FAULTS)
+    assert list(summary) == list(PRIMARY_FAULTS)
     for fault, stats in summary.items():
         assert stats["success_rate"] == 1.0, f"liveness lost under {fault} primary"
+    assert all(row["max_view"] >= 1 for row in rows)
 
 
 def test_viewchange_latency_cost(benchmark):
     """A single crash-primary trial, timed: the cost of one view change."""
-    from repro.experiments.viewchange_study import run_viewchange_trial
-
-    result = benchmark.pedantic(
-        lambda: run_viewchange_trial("crash", f=1, requests_per_client=3),
-        rounds=1,
-        iterations=1,
-    )
-    attach_rows(benchmark, [result])
-    assert result["all_completed"]
-    assert result["max_view"] >= 1
+    points = grid(faults=("crash",), trials_per_fault=1, f=1)
+    rows = benchmark.pedantic(lambda: harness.run(SWEEP, points), rounds=1, iterations=1)
+    attach_rows(benchmark, rows)
+    assert rows[0]["all_completed"]
+    assert rows[0]["max_view"] >= 1

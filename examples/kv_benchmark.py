@@ -14,9 +14,9 @@ Run with::
 
 import argparse
 
-from repro.experiments.fig2_throughput import run_figure2, scaled_failures
-from repro.experiments.fig3_latency import latency_curves
-from repro.experiments.harness import SCALES, SMALL_SCALE, format_table
+from repro.experiments import fig2_throughput, harness
+from repro.experiments.fig2_throughput import latency_curves, scaled_failures
+from repro.experiments.harness import SCALES, format_table, protocol_sizes
 
 
 def main() -> None:
@@ -25,20 +25,22 @@ def main() -> None:
     parser.add_argument("--clients", type=int, nargs="*", default=None, help="client counts to sweep")
     args = parser.parse_args()
 
-    scale = SCALES["medium"] if args.medium else SMALL_SCALE
+    scale = SCALES["medium" if args.medium else "small"]
     client_counts = args.clients or list(scale.client_counts)
     failures = scaled_failures(scale)[:2]  # no failures + a few failures
 
-    print(f"Scale: f={scale.f} (n={scale.n_c0} replicas, {scale.n_c8} with redundant servers)")
+    n, n_redundant = (protocol_sizes(protocol, scale.f)[0] for protocol in ("sbft-c0", "sbft-c8"))
+    print(f"Scale: f={scale.f} (n={n} replicas, {n_redundant} with redundant servers)")
     print(f"Clients: {client_counts}; failure scenarios: {failures}")
     print()
 
-    rows = run_figure2(
+    points = fig2_throughput.grid(
         scale=scale,
-        batch_modes={"batch": 8},
+        batch_modes=[8],
         failures=failures,
         client_counts=client_counts,
     )
+    rows = harness.run(fig2_throughput.SWEEP, points)
 
     print("=== Figure 2 (throughput per clients) ===")
     print(
@@ -50,7 +52,7 @@ def main() -> None:
 
     print()
     print("=== Figure 3 (latency vs throughput, no failures) ===")
-    curves = latency_curves(rows, mode="batch", failures=0)
+    curves = latency_curves(rows, kv_batch=8, failures=0)
     curve_rows = [
         {
             "protocol": protocol,

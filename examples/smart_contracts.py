@@ -19,12 +19,9 @@ Run with::
 
 from repro.evm.contracts import encode_call, token_contract
 from repro.evm.transactions import Transaction
+from repro.experiments import harness, smart_contracts
 from repro.experiments.harness import format_table
-from repro.experiments.smart_contracts import (
-    run_smart_contract_benchmark,
-    single_node_baseline,
-    slowdown_vs_baseline,
-)
+from repro.experiments.smart_contracts import single_node_baseline, slowdown_vs_baseline
 from repro.services.ledger import LedgerService
 
 
@@ -48,21 +45,27 @@ def demo_direct_ledger() -> None:
     print()
 
 
-def demo_replicated_benchmark() -> None:
+def demo_replicated_benchmark(baseline) -> None:
     print("=== 2. Replicated smart-contract benchmark (continent + world WAN) ===")
-    rows = run_smart_contract_benchmark(
-        f=2,
-        c_sbft=1,
-        num_clients=4,
+    points = smart_contracts.grid(
+        f_values=(2,),
         num_transactions=800,
         topologies=("continent", "world"),
         protocols=("sbft-c8", "pbft"),
+        clients=4,
         block_batch=4,
     )
-    print(format_table(rows))
+    rows = harness.run(smart_contracts.SWEEP, points)
+    print(
+        format_table(
+            rows,
+            columns=["label", "n", "transactions", "throughput_tps", "mean_latency_ms",
+                     "median_latency_ms", "messages_sent"],
+        )
+    )
     print()
     print("  slowdown vs the unreplicated baseline (paper: 2x continent, 5x world):")
-    for label, slowdown in slowdown_vs_baseline(rows).items():
+    for label, slowdown in slowdown_vs_baseline(baseline, rows).items():
         print(f"    {label:<28} {slowdown}x")
     print()
 
@@ -73,7 +76,7 @@ def main() -> None:
     print(f"Unreplicated baseline: {baseline['throughput_tps']} tx/s "
           f"(paper reports 840 tx/s on its hardware)")
     print()
-    demo_replicated_benchmark()
+    demo_replicated_benchmark(baseline)
 
 
 if __name__ == "__main__":

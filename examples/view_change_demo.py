@@ -13,14 +13,15 @@ Run with::
     python examples/view_change_demo.py
 """
 
+from repro.experiments import harness
 from repro.experiments.harness import format_table
-from repro.experiments.viewchange_study import PRIMARY_FAULTS, run_viewchange_study, summarize
+from repro.experiments.viewchange_study import PRIMARY_FAULTS, SWEEP, grid, summarize
 
 
 def main() -> None:
     print("Primary faults exercised:", ", ".join(PRIMARY_FAULTS))
     print()
-    rows = run_viewchange_study(faults=PRIMARY_FAULTS, trials_per_fault=3, f=1)
+    rows = harness.run(SWEEP, grid(faults=PRIMARY_FAULTS, trials_per_fault=3, f=1))
     print(
         format_table(
             rows,
@@ -32,7 +33,7 @@ def main() -> None:
                 "all_completed",
                 "max_view",
                 "view_changes",
-                "sim_time",
+                "sim_seconds",
             ],
         )
     )

@@ -228,7 +228,6 @@ def _scenario_scale(seed: int):
     scale = ExperimentScale(
         name="sanitize",
         f=1,
-        c_for_sbft_c8=1,
         client_counts=(2,),
         requests_per_client=4,
         block_batch=2,

@@ -1,5 +1,8 @@
 """Experiment drivers — one module per figure/table of the paper (Section IX).
 
+Every module but :mod:`repro.experiments.harness` defines a ``SWEEP`` that
+the one grid runner runs (``python -m repro.experiments.<module> --help``):
+
 * :mod:`repro.experiments.harness` — shared scales, the one grid runner,
   the sweep CLI and the ``--check-against`` baseline gate.
 * :mod:`repro.experiments.scale_sweep` — throughput per replica count
@@ -11,13 +14,12 @@
 * :mod:`repro.experiments.smart_contracts` — the smart-contract benchmark
   (continent / world WAN tables plus the unreplicated baseline;
   ``BENCH_smart_contracts.json``).
-* :mod:`repro.experiments.fig2_throughput` — Figure 2 (throughput vs clients).
-* :mod:`repro.experiments.fig3_latency` — Figure 3 (latency vs throughput).
-* :mod:`repro.experiments.ablation` — per-ingredient contribution.
+* :mod:`repro.experiments.fig2_throughput` — Figures 2 and 3 (throughput vs
+  clients, latency vs throughput) and the per-ingredient ablation.
 * :mod:`repro.experiments.viewchange_study` — view-change robustness study.
 
-Every driver accepts a ``scale`` knob so the same code runs both the
-quick CI-sized configuration and larger paper-sized configurations.
+The sized sweeps take ``--scale small|medium|paper`` so the same code runs
+both the quick CI-sized configuration and larger paper-sized ones.
 """
 
 from repro.experiments.harness import ExperimentScale, run_kv_point, format_table

@@ -1,106 +1,166 @@
-"""Figure 2 — throughput vs number of clients.
+"""Figure 2/3 — throughput vs clients, latency vs throughput, and the ablation.
 
 The paper's Figure 2 is a 2x3 grid: rows are the batching modes (batch=64 and
 no batching), columns are the failure scenarios (no failures, 8 crashed
 backups, 64 crashed backups), and each panel plots throughput against the
-number of clients (4..256) for the five protocol variants.
+number of clients (4..256) for the five protocol variants.  Figure 3 plots
+the same runs with the axes swapped, so one sweep feeds both figures:
+:func:`throughput_series` and :func:`latency_curves` reshape its rows into
+one panel of each.
 
-:func:`run_figure2` reproduces the same grid at a configurable scale and
-returns one row per (mode, failures, protocol, clients) point; Figure 3 reuses
-the identical sweep, so the latency columns are carried along.
+Section IX's per-ingredient ablation is this sweep at one client count with
+failures (0, 1): every row carries its fast- and slow-path block commits, and
+:data:`repro.protocols.registry.PROTOCOLS` says which ingredient each variant
+adds.  :mod:`repro.experiments.harness` owns the CLI::
 
-Every grid point is an independent fixed-seed simulation, so ``jobs > 1``
-(the shared ``--jobs N`` experiment flag) fans the grid out over worker
-processes; rows come back in grid order and are identical to a serial run.
+    PYTHONPATH=src python -m repro.experiments.fig2_throughput --scale small --jobs 2
+    PYTHONPATH=src python -m repro.experiments.fig2_throughput \
+        --batch-modes 8 --failures 0 1 --client-counts 32
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import sys
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments import harness
 from repro.experiments.harness import (
+    COMMON_ROW_SCHEMA,
+    SCALES,
     ExperimentScale,
-    SMALL_SCALE,
+    protocol_sizes,
     result_row,
     run_kv_point,
-    run_points,
 )
+from repro.protocols.cluster import ClusterResult
 from repro.protocols.registry import PAPER_ORDER
 
 #: The paper's batching modes: each client request carries 64 operations, or one.
-PAPER_BATCH_MODES = {"batch=64": 64, "no batch": 1}
-
-#: The paper's failure columns (scaled via ``failure_fractions`` below).
-PAPER_FAILURES = (0, 8, 64)
+PAPER_BATCH_MODES: Tuple[int, ...] = (64, 1)
 
 
-def scaled_failures(scale: ExperimentScale, paper_failures: Sequence[int] = PAPER_FAILURES) -> List[int]:
+def scaled_failures(scale: ExperimentScale) -> List[int]:
     """Map the paper's failure counts (0, 8, 64 out of f=64) onto a scale.
 
     The ratios are preserved: 0 failures, f/8 failures and f failures.
     """
-    return sorted({0, max(1, scale.f // 8) if scale.f >= 2 else 1, scale.f})
+    return sorted({0, max(1, scale.f // 8), scale.f})
 
 
-def _figure2_point_worker(spec: Tuple) -> Dict:
-    """Run one grid point; module-level so it pickles for worker processes."""
-    scale, protocol, mode_name, kv_batch, failure_count, num_clients, topology, seed = spec
-    result = run_kv_point(
-        protocol,
-        scale,
-        num_clients=num_clients,
-        kv_batch=kv_batch,
-        failures=failure_count,
-        topology=topology,
-        seed=seed,
-        label=f"{protocol}/{mode_name}/fail={failure_count}/clients={num_clients}",
-    )
-    return result_row(
-        result,
-        protocol=protocol,
-        mode=mode_name,
-        failures=failure_count,
-        clients=num_clients,
-    )
-
-
-def run_figure2(
-    scale: ExperimentScale = SMALL_SCALE,
-    protocols: Optional[Iterable[str]] = None,
-    batch_modes: Optional[Dict[str, int]] = None,
+def grid(
+    scale_name: str = "small",
+    protocols: Sequence[str] = PAPER_ORDER,
+    batch_modes: Sequence[int] = PAPER_BATCH_MODES,
     failures: Optional[Sequence[int]] = None,
     client_counts: Optional[Sequence[int]] = None,
     topology: str = "continent",
     seed: int = 0,
-    jobs: int = 1,
+    scale: Optional[ExperimentScale] = None,
 ) -> List[Dict]:
-    """Run the Figure 2 sweep and return one result row per point.
+    """The sweep's ordered (batch mode, failures, protocol, clients) points.
 
-    ``jobs > 1`` runs the (mode x failures x protocol x clients) grid in that
-    many worker processes via :func:`repro.experiments.harness.run_points`;
-    each point is an independent fixed-seed simulation, so the rows are
-    identical to a serial run and stay in grid order.
+    ``scale`` replaces the named scale (the test and benchmark suites run
+    lighter ones); ``failures`` and ``client_counts`` default to the scale's.
     """
-    protocols = list(protocols) if protocols is not None else list(PAPER_ORDER)
-    batch_modes = dict(batch_modes) if batch_modes is not None else dict(PAPER_BATCH_MODES)
-    failures = list(failures) if failures is not None else scaled_failures(scale)
-    client_counts = list(client_counts) if client_counts is not None else list(scale.client_counts)
-
-    specs = [
-        (scale, protocol, mode_name, kv_batch, failure_count, num_clients, topology, seed)
-        for mode_name, kv_batch in batch_modes.items()
+    scale = scale or SCALES[scale_name]
+    if failures is None:
+        failures = scaled_failures(scale)
+    if client_counts is None:
+        client_counts = scale.client_counts
+    return [
+        dict(scale=scale, protocol=protocol, kv_batch=kv_batch, failures=failure_count,
+             clients=num_clients, topology=topology, seed=seed)
+        for kv_batch in batch_modes
         for failure_count in failures
         for protocol in protocols
         for num_clients in client_counts
     ]
-    return run_points(_figure2_point_worker, specs, jobs=jobs)
 
 
-def throughput_series(rows: List[Dict], mode: str, failures: int) -> Dict[str, List[float]]:
-    """Extract Figure 2's per-protocol throughput series for one panel."""
-    series: Dict[str, List[float]] = {}
+def run_grid_point(point: Dict) -> ClusterResult:
+    return run_kv_point(
+        point["protocol"],
+        point["scale"],
+        num_clients=point["clients"],
+        kv_batch=point["kv_batch"],
+        failures=point["failures"],
+        topology=point["topology"],
+        seed=point["seed"],
+        label=f"{point['protocol']}/batch={point['kv_batch']}"
+        f"/fail={point['failures']}/clients={point['clients']}",
+    )
+
+
+def figure2_row(point: Dict, result: ClusterResult) -> Dict:
+    stats = result.replica_stats.values()
+    f = point["scale"].f
+    return result_row(
+        result,
+        protocol=point["protocol"],
+        f=f,
+        n=protocol_sizes(point["protocol"], f)[0],
+        topology=point["topology"],
+        kv_batch=point["kv_batch"],
+        failures=point["failures"],
+        clients=point["clients"],
+        fast_blocks=sum(replica.get("blocks_committed_fast", 0) for replica in stats),
+        slow_blocks=sum(replica.get("blocks_committed_slow", 0) for replica in stats),
+    )
+
+
+def _panel(rows: List[Dict], kv_batch: int, failures: int) -> Dict[str, List[Dict]]:
+    """One panel of Figures 2/3: each protocol's rows, in grid order."""
+    panel: Dict[str, List[Dict]] = {}
     for row in rows:
-        if row["mode"] != mode or row["failures"] != failures:
-            continue
-        series.setdefault(row["protocol"], []).append(row["throughput_ops"])
-    return series
+        if row["kv_batch"] == kv_batch and row["failures"] == failures:
+            panel.setdefault(row["protocol"], []).append(row)
+    return panel
+
+
+def throughput_series(rows: List[Dict], kv_batch: int, failures: int) -> Dict[str, List[float]]:
+    """Figure 2's per-protocol throughput series for one panel."""
+    return {
+        protocol: [row["throughput_ops"] for row in series]
+        for protocol, series in _panel(rows, kv_batch, failures).items()
+    }
+
+
+def latency_curves(rows: List[Dict], kv_batch: int, failures: int) -> Dict[str, List[Tuple]]:
+    """Figure 3's per-protocol (throughput, mean latency ms) curves for one panel."""
+    return {
+        protocol: sorted((row["throughput_ops"], row["mean_latency_ms"]) for row in series)
+        for protocol, series in _panel(rows, kv_batch, failures).items()
+    }
+
+
+ROW_SCHEMA: Dict[str, str] = dict(
+    COMMON_ROW_SCHEMA,
+    topology="WAN latency model of this point",
+    kv_batch="operations per client request (the paper's 'batch=64' / 'no batch': 64 / 1)",
+    failures="backups crashed from the start of the run",
+    clients="number of closed-loop clients at this point",
+    fast_blocks="blocks committed on the fast path, summed over replicas",
+    slow_blocks="blocks committed on the slow path, summed over replicas",
+)
+
+SWEEP = harness.Sweep(
+    group="fig2",
+    summary=__doc__.splitlines()[0],
+    example="PYTHONPATH=src python -m repro.experiments.fig2_throughput --scale small --jobs 2",
+    row_schema=ROW_SCHEMA,
+    grid=grid,
+    run_point=run_grid_point,
+    row=figure2_row,
+    scales=tuple(SCALES),
+    axes={
+        "protocols": dict(nargs="+"),
+        "batch_modes": dict(nargs="+", type=int, help="operations per client request"),
+        "failures": dict(nargs="+", type=int, help="crashed backups (default: 0, f/8, f)"),
+        "client_counts": dict(nargs="+", type=int),
+        "topology": dict(),
+    },
+)
+
+
+if __name__ == "__main__":
+    sys.exit(harness.main(SWEEP))

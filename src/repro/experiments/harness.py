@@ -8,15 +8,11 @@ client sweep shape, same failure scenarios) at f=4; the "medium" and "paper"
 scales raise f towards the paper's value for overnight runs.  Every committed
 ``BENCH_*.json`` document records the scale that produced it (docs/benchmarks.md).
 
-Sweep grids (protocol x failures x client-count points) are embarrassingly
-parallel: every point is an independent simulation that is a pure function of
-its seed.  :func:`run_points` fans a grid out over a
-``concurrent.futures.ProcessPoolExecutor`` when ``jobs > 1`` and returns rows
-in input order, so parallel runs produce results identical to serial ones.
-
-The four committed sweeps and the adversary search share one grid runner: a
-module describes itself as a :class:`Sweep`, :func:`run` turns its points into
-rows that carry exactly its ``ROW_SCHEMA`` keys, and :func:`main` is its CLI
+Every experiment of :mod:`repro.experiments` and the adversary search share
+one grid runner: a module describes itself as a :class:`Sweep`, :func:`run`
+turns its points into rows that carry exactly its ``ROW_SCHEMA`` keys (in
+worker processes with ``jobs > 1``; every point is a pure function of its
+seed, so the rows equal a serial run's), and :func:`main` is its CLI
 (``--scale/--seed/--jobs/--output/--check-against`` plus the sweep's own grid
 flags).  ``--check-against`` is :func:`check_against_baseline`: every row key
 outside :data:`HOST_FIELDS` is a pure function of the seed and must equal the
@@ -46,55 +42,21 @@ class ExperimentScale:
 
     name: str
     f: int
-    c_for_sbft_c8: int
     client_counts: Sequence[int]
     requests_per_client: int
     block_batch: int            # client requests per decision block
     max_sim_time: float
 
-    @property
-    def n_c0(self) -> int:
-        return 3 * self.f + 1
 
-    @property
-    def n_c8(self) -> int:
-        return 3 * self.f + 2 * self.c_for_sbft_c8 + 1
-
-
-SMALL_SCALE = ExperimentScale(
-    name="small",
-    f=2,
-    c_for_sbft_c8=1,
-    client_counts=(4, 16, 32),
-    requests_per_client=4,
-    block_batch=8,
-    max_sim_time=240.0,
-)
-
-MEDIUM_SCALE = ExperimentScale(
-    name="medium",
-    f=8,
-    c_for_sbft_c8=2,
-    client_counts=(4, 32, 64, 128),
-    requests_per_client=4,
-    block_batch=16,
-    max_sim_time=600.0,
-)
-
-PAPER_SCALE = ExperimentScale(
-    name="paper",
-    f=64,
-    c_for_sbft_c8=8,
-    client_counts=(4, 32, 64, 128, 192, 256),
-    requests_per_client=16,
-    block_batch=16,
-    max_sim_time=3600.0,
-)
+SMALL_SCALE = ExperimentScale("small", f=2, client_counts=(4, 16, 32), requests_per_client=4,
+                              block_batch=8, max_sim_time=240.0)
+MEDIUM_SCALE = ExperimentScale("medium", f=8, client_counts=(4, 32, 64, 128),
+                               requests_per_client=4, block_batch=16, max_sim_time=600.0)
+PAPER_SCALE = ExperimentScale("paper", f=64, client_counts=(4, 32, 64, 128, 192, 256),
+                              requests_per_client=16, block_batch=16, max_sim_time=3600.0)
 
 SCALES: Dict[str, ExperimentScale] = {
-    "small": SMALL_SCALE,
-    "medium": MEDIUM_SCALE,
-    "paper": PAPER_SCALE,
+    scale.name: scale for scale in (SMALL_SCALE, MEDIUM_SCALE, PAPER_SCALE)
 }
 
 
@@ -103,8 +65,7 @@ def protocol_sizes(protocol: str, f: int) -> Tuple[int, int]:
 
     The sweeps' shared convention: ``sbft-c8`` runs with ``c = max(1, f //
     8)`` redundant servers (``n = 3f + 2c + 1``); every other variant runs
-    with ``c = 0`` (``n = 3f + 1``).  Single source of truth for the scale,
-    smart-contract and fault sweeps.
+    with ``c = 0`` (``n = 3f + 1``).  Single source of truth for every sweep.
     """
     c = max(1, f // 8) if protocol == "sbft-c8" else 0
     return 3 * f + 2 * c + 1, c
@@ -121,8 +82,7 @@ def run_kv_point(
     label: Optional[str] = None,
 ) -> ClusterResult:
     """Run one (protocol, #clients, #failures) point of the KV benchmark."""
-    c = scale.c_for_sbft_c8 if protocol == "sbft-c8" else None
-    n = scale.n_c8 if protocol == "sbft-c8" else scale.n_c0
+    n, c = protocol_sizes(protocol, scale.f)
     fault_plan = FaultPlan.crash_backups(failures, n) if failures else None
     cluster = build_cluster(
         protocol,
@@ -241,10 +201,17 @@ def run(sweep: Sweep, points: Sequence[Any], jobs: int = 1) -> List[Dict]:
 
     Every row carries exactly the keys of ``sweep.row_schema`` (a row
     function and a schema that disagree raise).  With ``jobs > 1`` the
-    points run in worker processes; rows equal a serial run's outside
-    :data:`HOST_FIELDS`.
+    points run in worker processes; each point seeds its own simulator, so
+    rows equal a serial run's outside :data:`HOST_FIELDS`.
     """
-    return run_points(_run_sweep_point, [(sweep, point) for point in points], jobs=jobs)
+    specs = [(sweep, point) for point in points]
+    jobs = max(1, int(jobs or 1))
+    if jobs > 1 and len(specs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
+            return list(pool.map(_run_sweep_point, specs))
+    return [_run_sweep_point(spec) for spec in specs]
 
 
 def _epilog(sweep: Sweep) -> str:
@@ -311,29 +278,6 @@ def main(sweep: Sweep, argv: Optional[Sequence[str]] = None) -> int:
         if not ok:
             status = 1
     return status
-
-
-def run_points(
-    worker: Callable[[Any], Dict],
-    specs: Sequence[Any],
-    jobs: int = 1,
-) -> List[Dict]:
-    """Run ``worker`` over every point spec, optionally in parallel.
-
-    ``worker`` must be a picklable module-level function taking one spec and
-    returning a plain-data row.  With ``jobs > 1`` the specs are mapped over
-    a ``ProcessPoolExecutor``; rows come back in spec order either way, and
-    since each point seeds its own simulator, parallel execution produces
-    the same rows as serial execution.
-    """
-    specs = list(specs)
-    jobs = max(1, int(jobs or 1))
-    if jobs > 1 and len(specs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-            return list(pool.map(worker, specs))
-    return [worker(spec) for spec in specs]
 
 
 def emit_benchmark_json(rows: List[Dict], group: str, commit_info: Optional[Dict] = None) -> Dict:

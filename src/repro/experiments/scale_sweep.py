@@ -49,7 +49,6 @@ def sweep_scale(name: str, f: int) -> ExperimentScale:
     return ExperimentScale(
         name=f"scale-sweep-{name}-f{f}",
         f=f,
-        c_for_sbft_c8=protocol_sizes("sbft-c8", f)[1],
         client_counts=(16,),
         requests_per_client=4,
         block_batch=16,

@@ -8,18 +8,18 @@ reports:
 * world-scale WAN:     SBFT 172 tx/s @ 622 ms vs PBFT  98 tx/s @ 934 ms,
 * an unreplicated single-machine baseline of 840 tx/s.
 
-:func:`run_smart_contract_benchmark` reproduces the table structure with the
-synthetic Ethereum-like workload; :func:`single_node_baseline` measures the
-unreplicated execution rate implied by the same cost model, so the
-"replication slowdown" rows of the paper can be recomputed.
+:func:`grid` reproduces the table structure with the synthetic
+Ethereum-like workload: one row per (protocol, topology, f) point carrying
+both the simulated metrics *and* the host cost (wall/CPU seconds, wall/CPU
+microseconds per simulated event) that the EVM pre-decode and the
+deployment-shared execution cache target.  Every point builds its own
+cluster and therefore starts from a cold execution cache, so the recorded
+cost is the reproducible first-execution-plus-(n-1)-replays path.  The
+sweep's report adds :func:`single_node_baseline`, the unreplicated
+execution rate implied by the same cost model, and the paper's "replication
+slowdown" per row (:func:`slowdown_vs_baseline`).
 
-:func:`grid` gives the table the scale-sweep treatment: one row per
-(protocol, topology, f) point carrying both the simulated metrics *and* the
-host cost (wall/CPU seconds, wall/CPU microseconds per simulated event) that
-the EVM pre-decode and the deployment-shared execution cache target.  Every
-point builds its own cluster and therefore starts from a cold execution cache,
-so the recorded cost is the reproducible first-execution-plus-(n-1)-replays
-path.  :mod:`repro.experiments.harness` owns the CLI (``--help`` prints the
+:mod:`repro.experiments.harness` owns the CLI (``--help`` prints the
 row schema)::
 
     PYTHONPATH=src python -m repro.experiments.smart_contracts \
@@ -175,68 +175,25 @@ def contract_row(point: Dict, result: ClusterResult) -> Dict:
     )
 
 
-def run_smart_contract_benchmark(
-    f: int = 2,
-    c_sbft: int = 1,
-    num_clients: int = 8,
-    num_transactions: int = 1_500,
-    topologies: Sequence[str] = ("continent", "world"),
-    protocols: Sequence[str] = ("sbft-c8", "pbft"),
-    block_batch: int = 4,
-    seed: int = 0,
-    max_sim_time: float = 600.0,
-) -> List[Dict]:
-    """Run the smart-contract table: (topology x protocol) rows plus baseline.
-
-    The paper's headline comparison is full SBFT vs scale-optimized PBFT; the
-    default ``protocols`` reflect that, but any registered variant works.
-    """
-    rows: List[Dict] = []
-    baseline = single_node_baseline(num_transactions=min(num_transactions, 1_000), seed=7)
-    rows.append(baseline)
-
-    for topology in topologies:
-        for protocol in protocols:
-            c = c_sbft if protocol == "sbft-c8" else None
-            result = run_contract_point(
-                protocol,
-                topology,
-                f,
-                c,
-                num_clients,
-                num_transactions,
-                block_batch,
-                seed,
-                max_sim_time,
-                f"{protocol}/{topology}",
-            )
-            rows.append(
-                {
-                    "label": f"{protocol} ({topology} WAN)",
-                    "protocol": protocol,
-                    "topology": topology,
-                    "transactions": result.completed_operations,
-                    "throughput_tps": round(result.throughput, 1),
-                    "mean_latency_ms": round(result.mean_latency * 1000, 1),
-                    "median_latency_ms": round(result.median_latency * 1000, 1),
-                    "messages": result.network_messages,
-                }
-            )
-    return rows
+def slowdown_vs_baseline(baseline: Dict, rows: List[Dict]) -> Dict[str, float]:
+    """The paper's "replication slowdown relative to the baseline" per row label."""
+    return {
+        row["label"]: round(baseline["throughput_tps"] / row["throughput_tps"], 2)
+        for row in rows
+        if row["throughput_tps"] > 0
+    }
 
 
-def slowdown_vs_baseline(rows: List[Dict]) -> Dict[str, float]:
-    """The paper's "replication slowdown relative to the baseline" numbers."""
-    baseline = next((row for row in rows if row["label"] == "single-node baseline"), None)
-    if baseline is None or baseline["throughput_tps"] <= 0:
-        return {}
-    slowdowns = {}
-    for row in rows:
-        if row is baseline or "protocol" not in row:
-            continue
-        if row["throughput_tps"] > 0:
-            slowdowns[row["label"]] = round(baseline["throughput_tps"] / row["throughput_tps"], 2)
-    return slowdowns
+def print_slowdowns(args, points: List[Dict], rows: List[Dict]) -> int:
+    """The CLI's second table: the unreplicated baseline and each row's slowdown."""
+    baseline = single_node_baseline()
+    print()
+    print(f"{baseline['label']}: {baseline['throughput_tps']} tx/s "
+          f"over {baseline['transactions']} transactions")
+    print("replication slowdown vs the baseline (paper: 2x continent, 5x world):")
+    for label, slowdown in slowdown_vs_baseline(baseline, rows).items():
+        print(f"  {label:<28} {slowdown}x")
+    return 0
 
 
 ROW_SCHEMA: Dict[str, str] = dict(
@@ -263,6 +220,7 @@ SWEEP = harness.Sweep(
         "clients": dict(type=int),
         "block_batch": dict(type=int),
     },
+    report=print_slowdowns,
 )
 
 

@@ -2,35 +2,44 @@
 
 import copy
 import dataclasses
+import importlib
 import json
+import os
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import client_sweep, fault_sweep, harness, scale_sweep, smart_contracts
-from repro.experiments.ablation import INGREDIENT_BY_PROTOCOL, run_ablation
-from repro.experiments.fig2_throughput import run_figure2, scaled_failures, throughput_series
-from repro.experiments.fig3_latency import latency_curves, run_figure3
+import repro.experiments
+from repro.experiments import (
+    client_sweep,
+    fault_sweep,
+    fig2_throughput,
+    harness,
+    scale_sweep,
+    smart_contracts,
+    viewchange_study,
+)
+from repro.experiments.fig2_throughput import latency_curves, scaled_failures, throughput_series
 from repro.experiments.harness import (
     ExperimentScale,
     SCALES,
     SMALL_SCALE,
     format_table,
+    protocol_sizes,
     run_kv_point,
 )
-from repro.experiments.smart_contracts import (
-    run_smart_contract_benchmark,
-    single_node_baseline,
-    slowdown_vs_baseline,
-)
-from repro.experiments.viewchange_study import run_viewchange_study, summarize
+from repro.experiments.smart_contracts import single_node_baseline, slowdown_vs_baseline
+from repro.experiments.viewchange_study import summarize
+from repro.protocols.registry import PAPER_ORDER, PROTOCOLS
 
 REPO = Path(__file__).resolve().parent.parent
 
 TINY = ExperimentScale(
     name="tiny",
     f=1,
-    c_for_sbft_c8=1,
     client_counts=(2,),
     requests_per_client=2,
     block_batch=2,
@@ -38,11 +47,19 @@ TINY = ExperimentScale(
 )
 
 
+def test_every_experiment_module_but_the_harness_defines_a_sweep():
+    modules = [info.name for info in pkgutil.iter_modules(repro.experiments.__path__)]
+    assert "fig2_throughput" in modules and "harness" in modules
+    for name in modules:
+        sweep = getattr(importlib.import_module(f"repro.experiments.{name}"), "SWEEP", None)
+        assert isinstance(sweep, harness.Sweep) == (name != "harness"), name
+
+
 def test_scales_registry():
     assert set(SCALES) == {"small", "medium", "paper"}
     assert SCALES["paper"].f == 64
-    assert SCALES["paper"].n_c8 == 209          # the paper's deployment size
-    assert SMALL_SCALE.n_c0 == 3 * SMALL_SCALE.f + 1
+    assert protocol_sizes("sbft-c8", 64) == (209, 8)    # the paper's deployment size
+    assert protocol_sizes("sbft-c0", SMALL_SCALE.f) == (3 * SMALL_SCALE.f + 1, 0)
 
 
 def test_scaled_failures_preserve_ratios():
@@ -57,36 +74,32 @@ def test_run_kv_point_returns_cluster_result():
     assert result.throughput > 0
 
 
-def test_figure2_rows_cover_the_grid():
-    rows = run_figure2(
-        scale=TINY,
-        protocols=["sbft-c0", "pbft"],
-        batch_modes={"no batch": 1},
-        failures=[0],
-        client_counts=[2],
+def tiny_figure2_points(protocols):
+    """Unbatched, failure-free Figure 2 points at two clients on a LAN."""
+    return fig2_throughput.grid(
+        scale=TINY, protocols=protocols, batch_modes=[1], failures=[0], client_counts=[2],
         topology="lan",
     )
+
+
+def tiny_figure2(protocols):
+    return harness.run(fig2_throughput.SWEEP, tiny_figure2_points(protocols))
+
+
+def test_figure2_rows_cover_the_grid():
+    rows = tiny_figure2(["sbft-c0", "pbft"])
     assert len(rows) == 2
     assert {row["protocol"] for row in rows} == {"sbft-c0", "pbft"}
     for row in rows:
         assert row["throughput_ops"] > 0
-        assert row["mode"] == "no batch"
-    series = throughput_series(rows, mode="no batch", failures=0)
+        assert row["kv_batch"] == 1
+    series = throughput_series(rows, kv_batch=1, failures=0)
     assert set(series) == {"sbft-c0", "pbft"}
 
 
-def test_figure3_reuses_rows_and_builds_curves():
-    rows = run_figure2(
-        scale=TINY,
-        protocols=["sbft-c0"],
-        batch_modes={"no batch": 1},
-        failures=[0],
-        client_counts=[2],
-        topology="lan",
-    )
-    same = run_figure3(rows=rows)
-    assert same is rows
-    curves = latency_curves(rows, mode="no batch", failures=0)
+def test_figure3_curves_come_from_the_figure2_rows():
+    rows = tiny_figure2(["sbft-c0"])
+    curves = latency_curves(rows, kv_batch=1, failures=0)
     assert "sbft-c0" in curves
     throughput, latency_ms = curves["sbft-c0"][0]
     assert throughput > 0 and latency_ms > 0
@@ -98,57 +111,81 @@ def test_single_node_baseline_positive_throughput():
     assert baseline["throughput_tps"] > 0
 
 
-def test_smart_contract_benchmark_rows_and_slowdowns():
-    rows = run_smart_contract_benchmark(
-        f=1,
-        c_sbft=1,
-        num_clients=2,
+def test_smart_contract_sweep_rows_and_slowdowns(capsys):
+    points = smart_contracts.grid(
+        f_values=(1,),
         num_transactions=150,
         topologies=("continent",),
         protocols=("sbft-c8", "pbft"),
+        clients=2,
         block_batch=2,
-        max_sim_time=240.0,
     )
-    labels = [row["label"] for row in rows]
-    assert "single-node baseline" in labels
-    assert any("sbft-c8" in label for label in labels)
-    assert any("pbft" in label for label in labels)
-    slowdowns = slowdown_vs_baseline(rows)
+    rows = harness.run(smart_contracts.SWEEP, points)
+    assert [row["label"] for row in rows] == ["sbft-c8/continent/f=1", "pbft/continent/f=1"]
+    slowdowns = slowdown_vs_baseline(single_node_baseline(), rows)
+    assert set(slowdowns) == {row["label"] for row in rows}
     # Replication always costs something relative to unreplicated execution.
     assert all(value >= 1.0 for value in slowdowns.values())
+    assert smart_contracts.SWEEP.report(None, points, rows) == 0
+    assert "single-node baseline" in capsys.readouterr().out
 
 
 def test_ablation_rows_track_ingredients_and_paths():
-    rows = run_ablation(
-        scale=TINY,
-        num_clients=2,
-        kv_batch=2,
-        failure_counts=(0,),
-        topology="lan",
-        protocols=["linear-pbft", "sbft-c0"],
-    )
+    rows = tiny_figure2(["linear-pbft", "sbft-c0"])
     assert len(rows) == 2
     by_protocol = {row["protocol"]: row for row in rows}
     # Without the fast path every block commits on the slow path, and vice versa.
     assert by_protocol["linear-pbft"]["slow_blocks"] > 0
     assert by_protocol["linear-pbft"]["fast_blocks"] == 0
     assert by_protocol["sbft-c0"]["fast_blocks"] > 0
-    assert set(INGREDIENT_BY_PROTOCOL) == {
-        "pbft",
-        "linear-pbft",
-        "linear-pbft-fast",
-        "sbft-c0",
-        "sbft-c8",
-    }
+    # The registry names the ingredient each variant adds.
+    assert set(PROTOCOLS) == set(PAPER_ORDER)
+    assert all(PROTOCOLS[name].description for name in PAPER_ORDER)
 
 
-def test_viewchange_study_reports_success():
-    rows = run_viewchange_study(faults=("crash",), trials_per_fault=1, f=1)
+def test_viewchange_study_reports_success(capsys):
+    points = viewchange_study.grid(faults=("crash",), trials_per_fault=1, f=1)
+    rows = harness.run(viewchange_study.SWEEP, points)
     assert len(rows) == 1
     assert rows[0]["all_completed"]
     assert rows[0]["max_view"] >= 1
     summary = summarize(rows)
     assert summary["crash"]["success_rate"] == 1.0
+    assert viewchange_study.SWEEP.report(None, points, rows) == 0
+    assert "crash" in capsys.readouterr().out
+
+
+def test_viewchange_summary_keeps_row_order_under_any_hash_seed():
+    """The per-fault summary follows the rows, not the interpreter's str hashes."""
+    script = (
+        "from repro.experiments.viewchange_study import summarize\n"
+        "rows = [dict(fault=fault, all_completed=True, view_changes=1)\n"
+        "        for fault in ('crash', 'silent', 'equivocate')]\n"
+        "print(' '.join(summarize(rows)))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=str(REPO / "src"))
+    output = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert output.split() == ["crash", "silent", "equivocate"]
+
+
+@pytest.mark.parametrize(
+    "sweep, points",
+    [
+        (fig2_throughput.SWEEP, tiny_figure2_points(["sbft-c0", "pbft"])),
+        (viewchange_study.SWEEP, viewchange_study.grid(faults=("crash",), trials_per_fault=2)),
+    ],
+    ids=["fig2", "viewchange"],
+)
+def test_worker_processes_produce_the_serial_rows(sweep, points):
+    """--jobs 2 runs two points in worker processes; rows equal a serial run
+    outside the host clocks."""
+
+    def simulated(rows):
+        return [{k: v for k, v in row.items() if k not in harness.HOST_FIELDS} for row in rows]
+
+    assert simulated(harness.run(sweep, points, jobs=2)) == simulated(harness.run(sweep, points))
 
 
 def test_client_sweep_rows_cover_grid():
