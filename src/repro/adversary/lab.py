@@ -6,8 +6,8 @@ adversary strategy installed, summarized by two oracle verdicts:
 safety
     No two honest replicas execute different blocks at the same sequence.
     Replicas report every execution through their ``execution_observer`` hook
-    (the *block* digest — state digests are node-salted for services that do
-    not authenticate state, so they cannot be compared across replicas).
+    (the *block* digest — the decision at that sequence; the state digest
+    also depends on every block executed before it).
 
 liveness
     Every correct client completes all of its requests within the episode's

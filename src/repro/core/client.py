@@ -70,12 +70,12 @@ class SBFTClient(Process):
         config: SBFTConfig,
         signing_key: SigningKey,
         requests: Sequence[Sequence[Operation]],
+        verifier: AuthenticatedService,
+        pi_scheme: ThresholdScheme,
         recorder: Optional[LatencyRecorder] = None,
-        verifier: Optional[AuthenticatedService] = None,
         costs: CryptoCosts = DEFAULT_COSTS,
         start_delay: float = 0.0,
         replica_verify_keys: Optional[Dict[int, VerifyKey]] = None,
-        pi_scheme: Optional[ThresholdScheme] = None,
     ):
         super().__init__(sim, node_id, name=f"client-{client_id}")
         self.network = network
@@ -94,7 +94,7 @@ class SBFTClient(Process):
         # claimed sender has no key here is rejected; a reply reaching a
         # client that was given no keys at all is a wiring error and raises.
         self.replica_verify_keys = replica_verify_keys
-        # Scheme an execute-ack's π(d) is checked under; ``None`` accepts it.
+        # Scheme an execute-ack's π(d) is checked under.
         self.pi_scheme = pi_scheme
 
         self._requests = [tuple(ops) for ops in requests]
@@ -215,27 +215,25 @@ class SBFTClient(Process):
         self._complete(pending, message.values)
 
     def _verify_ack(self, message: ExecuteAck, pending: _InFlightRequest) -> bool:
+        """π(d) over the state digest, then — for a request with operations —
+        the proof tying the first returned value to that digest: without it
+        nothing binds the values to the signed state."""
         sign_message = ("state", message.sequence, message.state_digest)
-        if not self.verify_pi_signature(message, sign_message):
+        if not self.pi_scheme.verify_message(message.pi_signature, sign_message):
             return False
-        if self.verifier is not None and message.proof is not None:
-            first_operation = pending.request.operations[0]
-            first_value = message.values[0] if message.values else None
-            return self.verifier.verify(
-                message.state_digest,
-                first_operation,
-                first_value,
-                message.sequence,
-                message.first_position,
-                message.proof,
-            )
-        return True
-
-    def verify_pi_signature(self, message: ExecuteAck, sign_message: Any) -> bool:
-        """Verify π(d); split out so tests can substitute a failing verifier."""
-        if self.pi_scheme is None:
+        operations = pending.request.operations
+        if not operations:
             return True
-        return self.pi_scheme.verify_message(message.pi_signature, sign_message)
+        if message.proof is None:
+            return False
+        return self.verifier.verify(
+            message.state_digest,
+            operations[0],
+            message.values[0] if message.values else None,
+            message.sequence,
+            message.first_position,
+            message.proof,
+        )
 
     def _on_client_reply(self, message: ClientReply, src: int) -> None:
         pending = self._in_flight.get(message.timestamp)

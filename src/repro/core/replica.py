@@ -71,7 +71,7 @@ from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
 from repro.crypto.hashing import memo_key
 from repro.crypto.threshold import ThresholdScheme
 from repro.errors import CryptoError
-from repro.services.interface import AuthenticatedService, ReplicatedService
+from repro.services.interface import AuthenticatedService
 from repro.sim.events import Simulator
 from repro.sim.network import Network
 
@@ -93,7 +93,7 @@ class SBFTReplica(Replica):
         node_id: int,
         config: SBFTConfig,
         keys: ReplicaKeys,
-        service: ReplicatedService,
+        service: AuthenticatedService,
         costs: CryptoCosts = DEFAULT_COSTS,
         client_directory: Optional[Dict[int, int]] = None,
         collector_groups: Optional[Dict[Tuple, Tuple[int, ...]]] = None,
@@ -541,7 +541,7 @@ class SBFTReplica(Replica):
         for request, values in zip(slot.pre_prepare.requests, reply_values):
             count = len(request.operations)
             proof = None
-            if isinstance(self.service, AuthenticatedService) and count > 0:
+            if count > 0:
                 self.charge_cpu(self.costs.merkle_proof_per_level * 20)
                 proof = self.service.prove(sequence, position)
             ack = ExecuteAck(

@@ -41,14 +41,9 @@ from repro.core.messages import (
 )
 from repro.core.reply_cache import ClientReplyTracker
 from repro.crypto.costs import CryptoCosts
-from repro.crypto.hashing import block_digest, sha256_hex
+from repro.crypto.hashing import block_digest
 from repro.crypto.signatures import SigningKey, encode
-from repro.services.interface import (
-    AuthenticatedService,
-    BlockOperations,
-    Operation,
-    ReplicatedService,
-)
+from repro.services.interface import AuthenticatedService, BlockOperations, Operation
 from repro.sim.events import Simulator
 from repro.sim.network import Network
 from repro.sim.process import Process
@@ -105,14 +100,13 @@ def block_reply_values(pre_prepare, execution_results, state_digest) -> Tuple[Tu
     """Per-request reply-value tuples for one executed block.
 
     Like :func:`block_execution_plan`, the same frozen ``PrePrepare`` reaches
-    every replica — and when the service is authenticated, the post-execution
-    state digest commits to every result value (the journal leaves hash them),
-    so two replicas at the same digest provably computed the same values.  The
-    partition is therefore stashed on the message guarded by the digest:
-    built once per cluster, reused by the n-1 peers (and by the several
-    reply/ack paths of one replica).  A replica at a different digest — or a
-    non-authenticated service, whose digest is salted with the node id —
-    misses the guard and rebuilds, which is exactly the old per-replica cost.
+    every replica — and the post-execution state digest commits to every
+    result value (the journal leaves hash them), so two replicas at the same
+    digest provably computed the same values.  The partition is therefore
+    stashed on the message guarded by the digest: built once per cluster,
+    reused by the n-1 peers (and by the several reply/ack paths of one
+    replica).  A replica at a different digest misses the guard and rebuilds,
+    which is exactly the old per-replica cost.
     """
     memo = pre_prepare._reply_values
     if memo is not None and memo[0] == state_digest:
@@ -157,7 +151,7 @@ class Replica(Process):
         name: str,
         config: SBFTConfig,
         signing_key: SigningKey,
-        service: ReplicatedService,
+        service: AuthenticatedService,
         costs: CryptoCosts,
         client_directory: Optional[Dict[int, int]],
     ):
@@ -210,9 +204,8 @@ class Replica(Process):
         # Adversary-lab hook: called as ``observer(node_id, sequence,
         # block_digest)`` after each block executes (None = no observer).
         # The safety oracle in repro.adversary compares the *block* digest
-        # across replicas — state digests are node-salted for services that
-        # do not authenticate state, so they are useless for cross-replica
-        # agreement checks.
+        # across replicas: it is the decision at that sequence, while the
+        # state digest also depends on every block executed before it.
         self.execution_observer: Optional[Any] = None
 
         # Cached broadcast destination list (the peer set is fixed for the
@@ -405,10 +398,7 @@ class Replica(Process):
         slot.executed = True
         self.last_executed = sequence
         self.stats.blocks_executed += 1
-        if isinstance(self.service, AuthenticatedService):
-            slot.state_digest = self.service.digest()
-        else:
-            slot.state_digest = self._unauthenticated_state_digest(sequence)
+        slot.state_digest = self.service.digest()
 
         if self.execution_observer is not None:
             self.execution_observer(self.node_id, sequence, pre_prepare.digest)
@@ -598,10 +588,6 @@ class Replica(Process):
 
     def _after_batch_timeout(self) -> None:
         """Runs after the batch timer flushed (or failed to flush) the queue."""
-
-    def _unauthenticated_state_digest(self, sequence: int) -> str:
-        """Stand-in state digest for a service that cannot authenticate state."""
-        return sha256_hex("state", self.node_id, sequence)
 
     def _execution_proof(self, slot: Any) -> Optional[Any]:
         """Proof of the executed state at ``slot`` shipped with a snapshot."""

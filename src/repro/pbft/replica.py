@@ -36,7 +36,6 @@ from repro.core.messages import (
 from repro.core.runtime import Replica, pre_prepare_expected_digest
 from repro.core.stats import PBFTReplicaStats
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
-from repro.crypto.hashing import sha256_hex
 from repro.crypto.signatures import SigningKey, VerifyKey
 from repro.pbft.messages import (
     PbftCheckpoint,
@@ -45,7 +44,7 @@ from repro.pbft.messages import (
     PbftPrepare,
     PbftViewChange,
 )
-from repro.services.interface import ReplicatedService
+from repro.services.interface import AuthenticatedService
 from repro.sim.events import Simulator
 from repro.sim.network import Network
 
@@ -95,7 +94,7 @@ class PBFTReplica(Replica):
         config: SBFTConfig,
         signing_key: SigningKey,
         verify_keys: Dict[int, VerifyKey],
-        service: ReplicatedService,
+        service: AuthenticatedService,
         costs: CryptoCosts = DEFAULT_COSTS,
         client_directory: Optional[Dict[int, int]] = None,
     ):
@@ -333,8 +332,3 @@ class PBFTReplica(Replica):
     def _forwards_request_from(self, src: int) -> bool:
         # A backup relays every request to its primary, whoever delivered it.
         return True
-
-    def _unauthenticated_state_digest(self, sequence: int) -> str:
-        # Not salted with the node id: a checkpoint becomes stable only when
-        # a quorum votes for the *same* digest.
-        return sha256_hex("state", sequence)

@@ -180,7 +180,10 @@ class Cluster:
         # proofs (verification is state-independent).
         verifier = workload.service_factory()
         if not isinstance(verifier, AuthenticatedService):
-            verifier = None
+            raise ConfigurationError(
+                f"{type(workload).__name__} serves {type(verifier).__name__}, which is not an "
+                "AuthenticatedService: replicas sign its state digest and clients check its proofs"
+            )
 
         # Clients.
         for client_index in range(self.num_clients):

@@ -12,14 +12,10 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import hashlib
-import json
 import os
 import random
 import sys
 import time
-
-import pytest
 
 from repro.core import execution_cache
 from repro.core.keys import TrustedSetup
@@ -111,13 +107,6 @@ def unshare(cluster):
             replica._group_memo = {}
 
 
-#: Runs a golden-fingerprint test twice against the same committed constant:
-#: as is, and with nothing shared (``post_build`` goes to ``run_fingerprint``).
-shared_and_unshared = pytest.mark.parametrize(
-    "post_build", [None, unshare], ids=["shared", "unshared"]
-)
-
-
 def execute_everywhere(monkeypatch):
     """The uncached reference run: every replica executes every block itself
     (no entry on the shared block is ever found)."""
@@ -137,33 +126,6 @@ def executed_histories(cluster):
             (slot.sequence, slot.digest) for slot in replica.log.slots() if slot.executed
         ]
     return histories
-
-
-#: Replica counters that joined the stats after the goldens were pinned and
-#: are 0 unless a replica degrades: hashed only when non-zero, so a run that
-#: never leaves the fast path keeps its fingerprint.
-DEGRADED_COUNTERS = ("sigma_waits_skipped", "blocks_replied_directly")
-
-
-def _pinned_stats(stats):
-    return {k: v for k, v in stats.items() if v or k not in DEGRADED_COUNTERS}
-
-
-def run_fingerprint(protocol, **kwargs):
-    """sha256 over everything a fixed-seed ``run_small_cluster`` run decided:
-    replica stats, executed histories, client stats, traffic, event count,
-    final sim time.  The golden-seed tests pin these across refactors."""
-    cluster, result = run_small_cluster(protocol, **kwargs)
-    payload = {
-        "stats": {rid: _pinned_stats(r.stats) for rid, r in sorted(cluster.replicas.items())},
-        "histories": {rid: h for rid, h in sorted(executed_histories(cluster).items())},
-        "client_stats": {cid: dict(c.stats) for cid, c in sorted(cluster.clients.items())},
-        "network_messages": result.network_messages,
-        "events": cluster.sim.events_processed,
-        "now": round(cluster.sim.now, 9),
-        "completed": result.run.completed_requests,
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def assert_agreement(cluster):

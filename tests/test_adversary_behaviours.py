@@ -1,16 +1,12 @@
-"""Byzantine replica behaviours (``repro.adversary.behaviours``).
-
-Fixed-seed golden fingerprints of whole-cluster runs — captured at commit
-c0ec39b, before the behaviours moved out of the replica classes, and not to be
-moved by any refactor of where the adversary code lives — and, below them,
-what each behaviour does and does not send or forge on one replica on a bare
-``Simulator`` + ``Network``.
+"""Byzantine replica behaviours (``repro.adversary.behaviours``): what each
+behaviour does and does not send or forge on one replica on a bare
+``Simulator`` + ``Network``.  Whole-cluster runs of every behaviour are
+goldens of the fixed-seed contract (``BYZANTINE_RUNS`` in tests/contract.py).
 """
 
 import pytest
 
-from helpers import make_bare_replica, make_request, run_fingerprint, shared_and_unshared
-from repro.adversary import EpisodeSpec, run_episode
+from helpers import make_bare_replica, make_request
 from repro.adversary.behaviours import (
     bad_shares,
     equivocate,
@@ -33,111 +29,7 @@ from repro.core.viewchange import ACTION_ADOPT, NewViewPlan, SlotDecision
 from repro.errors import ConfigurationError
 from repro.pbft.messages import PbftNewView, PbftViewChange
 from repro.pbft.replica import PBFTReplica
-from repro.sim.faults import FaultPlan
 from repro.sim.process import Process
-
-
-_PRIMARY_CRASH = FaultPlan.crash_first(1, at_time=0.02)
-
-#: Each behaviour on every protocol stack that supports it, plus runs through
-#: the paths a behaviour must *not* touch: re-proposals by an equivocating
-#: new primary (``next-primary``), a share forger's checkpoint π share
-#: (``linear-pbft`` has no execution collectors) and its view-change σ
-#: evidence (``then-view-change``).  The unit tests below pin those exactly.
-#: The six ``sbft-c0`` runs that leave the fast path were re-captured when
-#: degraded mode landed (see ``GOLDEN_FAULT_RUNS`` in tests/test_batching.py).
-GOLDEN_BYZANTINE_RUNS = [
-    ("silent-primary-sbft-c0", "sbft-c0",
-     dict(f=1, num_clients=2, requests_per_client=8, seed=21,
-          fault_plan=FaultPlan.byzantine([0], silent, 0.02)),
-     "69791390ce0ab2c4d9922a09f54bc345b5437ef3246d0b545eed2b282bba2f84"),
-    ("silent-primary-pbft", "pbft",
-     dict(f=1, num_clients=2, requests_per_client=8, seed=21,
-          fault_plan=FaultPlan.byzantine([0], silent, 0.02)),
-     "addbc50269c41f26aa719d48db02ca89c85700516e1a6f3e2927015e73b30e48"),
-    ("silent-backup-sbft-c8", "sbft-c8",
-     dict(f=1, c=1, num_clients=2, requests_per_client=8, seed=22,
-          fault_plan=FaultPlan.byzantine([4], silent, 0.01)),
-     "e08997719a2d42b25a8dc874c0c197497d8e83bd1c648fdd2b43cd24acec3b33"),
-    ("equivocate-primary-sbft-c0", "sbft-c0",
-     dict(f=1, num_clients=2, requests_per_client=8, seed=23,
-          fault_plan=FaultPlan.byzantine([0], equivocate, 0.0)),
-     "a337e65b5464f3bc4474e2d9929e3516752b3be2c1c2bbcd70d5a12f564c13e8"),
-    ("equivocate-primary-pbft", "pbft",
-     dict(f=1, num_clients=2, requests_per_client=8, seed=23,
-          fault_plan=FaultPlan.byzantine([0], equivocate, 0.0)),
-     "cceecb03b094da483dd092f2062fd962b26fb1a0196224313ca4a32e56448b3b"),
-    ("equivocate-next-primary-sbft-c0-f2", "sbft-c0",
-     dict(f=2, num_clients=4, requests_per_client=6, seed=24,
-          fault_plan=_PRIMARY_CRASH.extend(FaultPlan.byzantine([1], equivocate, 0.0))),
-     "ddfa760808ab0bcd90bebd720c7794a6a83d20c70a26f37872f4c15293eecf69"),
-    ("equivocate-next-primary-pbft-f2", "pbft",
-     dict(f=2, num_clients=4, requests_per_client=6, seed=24,
-          fault_plan=_PRIMARY_CRASH.extend(FaultPlan.byzantine([1], equivocate, 0.0))),
-     "d5213440e543da8968f52f4d474d4da234262860ebb02dcef2b903f18fcf9240"),
-    ("stale-viewchange-sbft-c0", "sbft-c0",
-     dict(f=1, num_clients=2, requests_per_client=8, seed=25,
-          fault_plan=_PRIMARY_CRASH.extend(FaultPlan.byzantine([3], stale_view_change, 0.0))),
-     "adc9f6769dba0db42d3eee5fd45642117523796d77834960b1f0893f1a16b621"),
-    ("stale-viewchange-pbft", "pbft",
-     dict(f=1, num_clients=2, requests_per_client=8, seed=25,
-          fault_plan=_PRIMARY_CRASH.extend(FaultPlan.byzantine([3], stale_view_change, 0.0))),
-     "24397fa23fc94f0cb3d558f71de7cb9070b5209c8557047bead802a94afe4c16"),
-    ("stale-viewchange-sbft-c0-f2-continent", "sbft-c0",
-     dict(f=2, num_clients=4, requests_per_client=6, batch_size=4, topology="continent", seed=26,
-          fault_plan=FaultPlan.crash_first(1, at_time=0.3).extend(
-              FaultPlan.byzantine([5, 6], stale_view_change, 0.1))),
-     "f8742ad25f2abe3a76e17646dd100c1480277e8520cc480abfa7c8173d889780"),
-    ("bad-shares-sbft-c0", "sbft-c0",
-     dict(f=1, num_clients=2, requests_per_client=8, seed=27,
-          fault_plan=FaultPlan.byzantine([3], bad_shares, 0.0)),
-     "9ec08006d6ffe981cecd7324bb393babf82fb1e63c91010df97f119daba1f4f2"),
-    ("bad-shares-sbft-c8", "sbft-c8",
-     dict(f=1, c=1, num_clients=2, requests_per_client=8, seed=27,
-          fault_plan=FaultPlan.byzantine([5], bad_shares, 0.01)),
-     "2699844d77ce71435edbb5a40e0bb8c6ca81a7b58f3985e2af772eca8f1d9d71"),
-    ("bad-shares-linear-pbft", "linear-pbft",
-     dict(f=1, num_clients=2, requests_per_client=20, seed=28,
-          config_overrides={"checkpoint_interval": 4},
-          fault_plan=FaultPlan.byzantine([2], bad_shares, 0.0)),
-     "4f0ac07a38c867fd754b1f68b42e6b5a49e447c9ca0395537971fc718ee9ad16"),
-    ("bad-shares-then-view-change-sbft-c0-f2", "sbft-c0",
-     dict(f=2, num_clients=4, requests_per_client=6, seed=29,
-          fault_plan=_PRIMARY_CRASH.extend(FaultPlan.byzantine([4], bad_shares, 0.0))),
-     "bb8b5b4cc8d10dae3b62852987524b6e86ae5c46dbf7c1a0ecf33faad90958ba"),
-]
-
-
-@shared_and_unshared
-@pytest.mark.parametrize("protocol,kwargs,expected",
-                         [run[1:] for run in GOLDEN_BYZANTINE_RUNS],
-                         ids=[run[0] for run in GOLDEN_BYZANTINE_RUNS])
-def test_byzantine_runs_reproduce_golden_seeds(protocol, kwargs, expected, post_build):
-    """Shared and unshared (``helpers.unshare``; see tests/test_batching.py)."""
-    assert run_fingerprint(protocol, post_build=post_build, **kwargs) == expected
-
-
-#: ``viewchange-spam`` with ``equivocate_claims``: per view, the spammer's
-#: honest view-change message and a stale one built by the same replica.
-#: (verdict, completed, compromised, evidence, sim time, events) per protocol.
-GOLDEN_SPAM_EPISODES = {
-    "sbft-c0": ("ok", 12, (3,), 0, 0.055588281, 415),
-    "pbft": ("ok", 12, (3,), 1, 0.027857588, 653),
-}
-
-
-@pytest.mark.parametrize("protocol", sorted(GOLDEN_SPAM_EPISODES))
-def test_viewchange_spam_with_conflicting_claims_reproduces_golden_episode(protocol):
-    spec = EpisodeSpec(
-        protocol=protocol, strategy="viewchange-spam", seed=31,
-        params=(("count", 12), ("equivocate_claims", True), ("jump", 3),
-                ("period", 0.01), ("start", 0.0)),
-    )
-    report = run_episode(spec, forensics=True)
-    assert (
-        report.verdict(), report.completed, report.compromised, report.evidence_count,
-        round(report.sim_time, 9), report.events_processed,
-    ) == GOLDEN_SPAM_EPISODES[protocol]
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,17 @@
 """Determinism checks on executed code: the sanitizer
-(``repro.analysis.sanitizer``), every committed fixed-seed value under two
-interpreter hash seeds, and the clock trap around every run."""
+(``repro.analysis.sanitizer``) and the clock trap around every run (every
+committed fixed-seed value under two interpreter hash seeds is
+tests/test_contract.py)."""
 
-import json
-import os
 import random
 import re
-import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import pytest
 
-from helpers import AMBIENT, clocks_trapped_in_runs, run_fingerprint
+import contract
+from helpers import AMBIENT
 from repro.analysis.sanitizer import (
     CountingRandom,
     SCENARIOS,
@@ -27,8 +24,6 @@ from repro.core.runtime import Replica
 from repro.protocols.cluster import build_cluster
 from repro.sim.events import Simulator
 from repro.workloads.kv_workload import KVWorkload
-from test_adversary_behaviours import GOLDEN_BYZANTINE_RUNS
-from test_batching import GOLDEN_FAULT_RUNS, GOLDEN_RUNS
 
 
 def _tiny_cluster(seed=3):
@@ -140,24 +135,15 @@ def test_injected_global_state_divergence_is_bisected():
     assert "run A" in report and "run B" in report
 
 
-#: The four scenarios' chain hashes at seed 0: part of the fixed-seed
-#: contract.  A change that moves one changed the decisions of that run.
-CHAIN_HASHES = {
-    "client": "2ee61e75dbb7c9f8da1c8d0004cd0d9f1fef16e8b86ed68674f7f0ecb0e20dbe",
-    "contracts": "a5b13711427e59291c924efe466d2287f01d82c400a1f5940c86ad2c9f32f71d",
-    "fault": "0d59ffdfd57bc9da39e3566441ff20f1b9dcb17e5713981174fb2d5cbbb07d5e",
-    "scale": "b8484a13c76935d35eb89c22c3883fa128b1232a0c810c1017e540cf6daf92ef",
-}
-
-
 def test_selfcheck_all_four_sweeps_identical_chains():
     """Acceptance: every sweep's fixed-seed point yields a stable hash chain,
-    and it is the committed one."""
-    assert sorted(SCENARIOS) == sorted(CHAIN_HASHES)
+    and it is the one in the fixed-seed contract (tests/contract.json)."""
+    chains = contract.committed()["chain"]
+    assert sorted(SCENARIOS) == sorted(chains)
     for scenario in sorted(SCENARIOS):
         result = selfcheck(scenario, seed=0)
         assert result.ok, f"{scenario}: {result.report}"
-        assert result.hash_a == result.hash_b == CHAIN_HASHES[scenario], scenario
+        assert result.hash_a == result.hash_b == chains[scenario]["decision_hash"], scenario
         assert result.events > 0
 
 
@@ -165,96 +151,6 @@ def test_selfcheck_cli_exits_zero(capsys):
     assert sanitizer_main(["selfcheck", "--sweep", "scale"]) == 0
     out = capsys.readouterr().out
     assert "scale: OK" in out
-
-
-#: The 26 golden runs: name -> (protocol, ``run_fingerprint`` kwargs, committed
-#: fingerprint).
-GOLDENS = {
-    **{f"{p}-seed{k['seed']}": (p, k, e) for p, k, e in GOLDEN_RUNS},
-    **{name: (p, k, e) for name, p, k, e in GOLDEN_FAULT_RUNS + GOLDEN_BYZANTINE_RUNS},
-}
-#: Every fixed-seed value tier-1 commits, by name: the golden fingerprints
-#: and the four sanitizer chain hashes.
-COMMITTED = {
-    **{f"golden {name}": e for name, (_p, _k, e) in GOLDENS.items()},
-    **{f"chain {name}": chain for name, chain in CHAIN_HASHES.items()},
-}
-
-
-def fixed_seed_values():
-    """What ``COMMITTED`` holds, computed afresh: every golden (shared) and
-    every scenario's chain, each run inside the clock trap."""
-    with clocks_trapped_in_runs():
-        values = {f"golden {name}": run_fingerprint(p, **k) for name, (p, k, _e) in GOLDENS.items()}
-        values.update({f"chain {name}": selfcheck(name).hash_a for name in SCENARIOS})
-    return values
-
-
-_CHILD = """
-import json, sys
-sys.path[:0] = [{tests!r}, {src!r}]
-{plant}
-from test_analysis_sanitizer import fixed_seed_values
-print(json.dumps(fixed_seed_values()))
-"""
-
-
-def _moved_under_two_hash_seeds(plant=""):
-    """Compute every committed value in two interpreters at once, at
-    ``PYTHONHASHSEED=1`` and ``=2`` (``plant`` is source run first in each),
-    and name every value that is not the committed one."""
-    tests = Path(__file__).resolve().parent
-    script = _CHILD.format(tests=str(tests), src=str(tests.parent / "src"), plant=plant)
-    children = {
-        seed: subprocess.Popen(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONHASHSEED": seed},
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        for seed in ("1", "2")
-    }
-    moved = []
-    for seed, child in children.items():
-        out, err = child.communicate()
-        assert child.returncode == 0, err
-        values = json.loads(out)
-        moved += [
-            f"PYTHONHASHSEED={seed}: {name} is {values[name][:12]}, committed {committed[:12]}"
-            for name, committed in COMMITTED.items() if values[name] != committed
-        ]
-    return moved
-
-
-def test_every_committed_value_holds_under_two_interpreter_hash_seeds():
-    """A double run in one process iterates every set in the same order
-    twice, so only another interpreter with another ``PYTHONHASHSEED`` sees
-    hash order leak into a decision.  ``str`` and ``bytes`` hashes (and the
-    tuples and frozensets holding them) are salted per seed; ``int`` hashes
-    are not, so a set of replica ids iterates alike under every seed."""
-    assert len(COMMITTED) == 30
-    moved = _moved_under_two_hash_seeds()
-    assert not moved, "\n".join(moved)
-
-
-_STR_SET_BROADCAST = """
-from repro.core.runtime import Replica
-
-def _broadcast(self, message):
-    if self.crashed:
-        return
-    peers = [int(peer) for peer in {str(peer) for peer in self._peers_all}]
-    self.network.broadcast_bulk(self.node_id, message, peers)
-
-Replica._broadcast = _broadcast
-"""
-
-
-def test_a_broadcast_in_hash_order_moves_goldens_under_another_hash_seed():
-    """The known answer for the test above: a broadcast that orders its peers
-    through a set of strings is caught at both hash seeds, by name."""
-    moved = _moved_under_two_hash_seeds(plant=_STR_SET_BROADCAST)
-    assert any(line.startswith("PYTHONHASHSEED=1: golden ") for line in moved), moved
-    assert any(line.startswith("PYTHONHASHSEED=2: golden ") for line in moved), moved
 
 
 class _GlobalRandomWorkload(KVWorkload):

@@ -2,8 +2,8 @@
 
 Covers the adaptive batching layer (``SBFTConfig.batch_policy``): the
 ``fixed`` policy must reproduce the pre-policy behaviour byte-for-byte for
-fixed seeds (golden fingerprints below were captured before the policy layer
-existed), while ``adaptive`` must hold requests back under load and drain the
+fixed seeds (the ``RUNS`` goldens of tests/contract.py predate the policy
+layer), while ``adaptive`` must hold requests back under load and drain the
 queue into large blocks bounded by ``batch_max``.  Also covers the batching
 edge cases that existed before this layer — the batch-timeout flush of a
 partial batch and the batch timer vs. view-change interleaving — and the
@@ -14,31 +14,20 @@ import itertools
 
 import pytest
 
-from helpers import (
-    make_bare_replica,
-    make_request,
-    run_fingerprint,
-    run_small_cluster,
-    shared_and_unshared,
-    unshare,
-)
+import contract
+from helpers import make_bare_replica, make_request, run_small_cluster, unshare
 from repro.adversary.behaviours import silent
 from repro.core.config import SBFTConfig
 from repro.core import runtime
-from repro.core.messages import ExecuteAck, PrePrepare
+from repro.core.messages import PrePrepare
 from repro.core.replica import SBFTReplica
 from repro.core.viewchange import NewViewPlan
-from repro.crypto.signatures import generate_keypair
 from repro.errors import ConfigurationError
-from repro.metrics.collector import LatencyRecorder
 from repro.pbft.replica import PBFTReplica
 from repro.protocols.cluster import build_cluster
-from repro.services.authenticated_kv import AuthenticatedKVStore
-from repro.sim.events import Simulator
 from repro.sim.faults import FaultPlan
-from repro.sim.latency import lan_topology
-from repro.sim.network import Network
 from repro.workloads.kv_workload import KVWorkload
+from test_client_behaviour import _executed_ack_for, _make_client
 
 
 # ----------------------------------------------------------------------
@@ -67,108 +56,20 @@ def test_describe_mentions_adaptive_policy():
 
 
 # ----------------------------------------------------------------------
-# Golden determinism: batch_policy="fixed" reproduces pre-policy seeds
+# Golden determinism (the goldens themselves: tests/test_contract.py)
 # ----------------------------------------------------------------------
-#: sha256 over (replica stats, executed histories, client stats, traffic,
-#: event count, final sim time) of fixed-seed runs, captured on the commit
-#: *before* the batch-policy layer and the pipelined client landed.  The
-#: default configuration (batch_policy="fixed", client_max_outstanding=1)
-#: must keep reproducing these decisions byte-for-byte.
-#:
-#: Every golden run (here, the fault runs below and the byzantine runs in
-#: tests/test_adversary_behaviours.py) is also replayed *unshared* against the
-#: same constant (``helpers.shared_and_unshared``): each recipient gets its own
-#: copy of every message and each replica its own collector-group dict, so
-#: every stash on a shared object is recomputed by whoever reads it.  If only
-#: the unshared half fails, a stash is not a pure function of what its guard
-#: compares — docs/static-analysis.md says how to read the difference.
-GOLDEN_RUNS = [
-    ("sbft-c0", dict(f=1, num_clients=2, requests_per_client=6, seed=11),
-     "752b0a51e27403174606b7284835a6f37a9fda1627e5990d62ca64ed2483c49a"),
-    ("sbft-c8", dict(f=1, c=1, num_clients=2, requests_per_client=6, seed=11),
-     "328afb2b7fd01820b82686655d19e48f5f3ecc6534fe66a1276b4a1d877f95d5"),
-    ("pbft", dict(f=1, num_clients=2, requests_per_client=6, seed=11),
-     "d8e141475a0cf18171e2ba53092399836ddf1217d0e634e31198693a1ebda5f0"),
-    ("sbft-c0", dict(f=2, num_clients=4, requests_per_client=5, batch_size=4,
-                     topology="continent", seed=7),
-     "96167b41c86129a1f6e6e88c5eec8e5b9d54c3f36b051ad4ba0fdaff1334ea6b"),
-]
-
-
-@shared_and_unshared
-@pytest.mark.parametrize("protocol,kwargs,expected", GOLDEN_RUNS,
-                         ids=[f"{p}-seed{k['seed']}" for p, k, _ in GOLDEN_RUNS])
-def test_fixed_policy_reproduces_golden_seeds(protocol, kwargs, expected, post_build):
-    assert run_fingerprint(protocol, post_build=post_build, **kwargs) == expected
-
-
-#: Same fingerprint, wider net: fixed-seed runs through the code paths both
-#: replica stacks share — view change after a primary crash, the slow path
-#: and fast-path timers under crashed backups, restart + state-transfer
-#: rejoin, adaptive batching with pipelined clients.  Captured at commit
-#: 718bfd1 (the parent of the replica-runtime extraction), which must not
-#: move any of them.  The three faulted SBFT runs that reach the slow path
-#: (both primary crashes, crashed backups) were re-captured when degraded
-#: mode landed: from the second consecutive slow commit on the collector skips
-#: the σ wait and replicas answer clients directly (docs/architecture.md).
-_CRASH_THEN_RESTART = FaultPlan.crash_first(1, at_time=0.02, node_ids=[3])
-_PIPELINED_ADAPTIVE = {"batch_policy": "adaptive", "client_max_outstanding": 4}
-GOLDEN_FAULT_RUNS = [
-    ("sbft-c0-primary-crash-f1", "sbft-c0",
-     dict(f=1, num_clients=2, requests_per_client=8, seed=3,
-          fault_plan=FaultPlan.crash_first(1, at_time=0.02)),
-     "4d9d9a44781bca1733290bf73e9893de42307daf7e21eedd61be9da486c01159"),
-    ("sbft-c0-primary-crash-f2-continent", "sbft-c0",
-     dict(f=2, num_clients=4, requests_per_client=6, batch_size=4, topology="continent", seed=5,
-          fault_plan=FaultPlan.crash_first(1, at_time=0.3)),
-     "35b05255d3b4c836cdc1eba09dfb831c5e9f84a7bbf23e5501b63aae36a3042c"),
-    ("sbft-c8-crashed-backups", "sbft-c8",
-     dict(f=1, c=1, num_clients=2, requests_per_client=8, seed=4,
-          fault_plan=FaultPlan.crash_backups(2, 6, at_time=0.02)),
-     "86c730102b90c1e29ee0c87e0bf7920477420cc3a87fa29e2e27f5511df222d4"),
-    ("pbft-primary-crash-f2-lan", "pbft",
-     dict(f=2, num_clients=4, requests_per_client=6, topology="lan", seed=6,
-          fault_plan=FaultPlan.crash_first(1, at_time=0.02)),
-     "cb98b772c23952c3760c43a0f0a247e0c38b9ada30da7b2f144eb40b4e29f6c5"),
-    ("sbft-c0-restart-state-transfer", "sbft-c0",
-     dict(f=1, num_clients=2, requests_per_client=40, seed=9,
-          fault_plan=_CRASH_THEN_RESTART.extend(FaultPlan.restart([3], at_time=0.1))),
-     "d0da4108c6c57130de1466d3d8b3d7affc239926a4de9ee890188076a963f0a1"),
-    ("pbft-restart-state-transfer", "pbft",
-     dict(f=1, num_clients=2, requests_per_client=40, seed=9,
-          fault_plan=_CRASH_THEN_RESTART.extend(FaultPlan.restart([3], at_time=0.08))),
-     "5796ae413c9846d8f159e5b5f913cdcfd8dcf0c7c2b08c811353839b763722e0"),
-    ("sbft-c8-adaptive-pipelined", "sbft-c8",
-     dict(f=1, c=1, num_clients=4, requests_per_client=12, seed=12,
-          config_overrides=_PIPELINED_ADAPTIVE),
-     "6af45ca9dec343b0daadf2dc63ffccb22dca8ae459ff269ab2b738720aaab529"),
-    ("pbft-adaptive-pipelined", "pbft",
-     dict(f=1, num_clients=4, requests_per_client=12, seed=12,
-          config_overrides=_PIPELINED_ADAPTIVE),
-     "a659b8e8d2a7dae24d27d06e61de715bb5781baa5a69ec14d1e2bff43092ea1d"),
-]
-
-
-@shared_and_unshared
-@pytest.mark.parametrize("protocol,kwargs,expected",
-                         [run[1:] for run in GOLDEN_FAULT_RUNS],
-                         ids=[run[0] for run in GOLDEN_FAULT_RUNS])
-def test_fault_and_pipelining_runs_reproduce_golden_seeds(protocol, kwargs, expected, post_build):
-    assert run_fingerprint(protocol, post_build=post_build, **kwargs) == expected
-
-
-@pytest.mark.parametrize("protocol,kwargs", [GOLDEN_RUNS[0][:2], GOLDEN_RUNS[2][:2]],
-                         ids=["sbft-c0", "pbft"])
+@pytest.mark.parametrize("name", ["sbft-c0-seed11", "pbft-seed11"], ids=["sbft-c0", "pbft"])
 def test_unshared_replay_sees_a_stash_that_depends_on_how_often_it_was_computed(
-    protocol, kwargs, monkeypatch
+    name, monkeypatch
 ):
     """The differential fails demonstrably: salt the stashed block cost with
     a call counter — nothing an AST model of "memo" identifiers can see — and
     the shared run (one computation per block, every replica reads it) and the
     unshared run (one per replica) no longer decide the same thing."""
     real = runtime.block_execution_plan
+    protocol, kwargs = contract.GOLDENS[name]
 
-    def fingerprint(post_build):
+    def decided(post_build):
         calls = itertools.count()  # per run: only *sharing* differs between the two
 
         def salted(pre_prepare, service, costs):
@@ -182,19 +83,16 @@ def test_unshared_replay_sees_a_stash_that_depends_on_how_often_it_was_computed(
             return operations, cost
 
         monkeypatch.setattr(runtime, "block_execution_plan", salted)
-        return run_fingerprint(protocol, post_build=post_build, **kwargs)
+        return contract.golden(protocol, post_build=post_build, **kwargs)
 
-    assert fingerprint(None) != fingerprint(unshare)
+    assert decided(None) != decided(unshare)
 
 
 def test_explicit_fixed_policy_matches_default():
     """batch_policy="fixed" spelled out is the same code path as the default."""
-    base = run_fingerprint("sbft-c0", f=1, num_clients=2, requests_per_client=6, seed=11)
-    explicit = run_fingerprint(
-        "sbft-c0", f=1, num_clients=2, requests_per_client=6, seed=11,
-        config_overrides={"batch_policy": "fixed"},
-    )
-    assert base == explicit == GOLDEN_RUNS[0][2]
+    protocol, kwargs = contract.GOLDENS["sbft-c0-seed11"]
+    explicit = contract.golden(protocol, config_overrides={"batch_policy": "fixed"}, **kwargs)
+    assert explicit == contract.committed()["golden"]["sbft-c0-seed11"]
 
 
 # ----------------------------------------------------------------------
@@ -465,27 +363,7 @@ def test_pipelined_retry_wave_rotates_primary_once():
     per wave, not once per request — with max_outstanding == n a per-request
     rotation would alias straight back onto the dead primary."""
     config = SBFTConfig(f=1, c=0, client_retry_timeout=0.5, client_max_outstanding=4)
-    sim = Simulator(seed=1)
-    network = Network(sim, latency=lan_topology(8), seed=1)
-
-    class _Sink:
-        def __init__(self, node_id):
-            self.node_id = node_id
-            self.crashed = False
-        def deliver(self, message, src):
-            pass
-
-    for replica_id in range(config.n):        # n == 4 == max_outstanding
-        network.register(_Sink(replica_id))
-    ops = [[AuthenticatedKVStore.make_put(f"k{i}", "v", client_id=0, timestamp=i + 1)]
-           for i in range(4)]
-    from repro.core.client import SBFTClient
-    client = SBFTClient(
-        sim=sim, network=network, node_id=config.n, client_id=0, config=config,
-        signing_key=generate_keypair("client-0"), requests=ops,
-        recorder=LatencyRecorder(),
-    )
-    network.register(client)
+    sim, _network, _replicas, client = _make_client(requests=4, config=config)  # n == 4
     sim.run(until=0.6)                        # one full retry wave, nobody answers
     assert client.stats["retries"] == 4       # every request retried...
     assert client._believed_primary == 1      # ...but the primary moved by one
@@ -497,33 +375,10 @@ def test_pipelined_client_completes_out_of_order():
     """Each in-flight request has its own state: acking the newest request
     first neither completes nor cancels the older one."""
     config = SBFTConfig(f=1, c=0, client_retry_timeout=5.0, client_max_outstanding=2)
-    sim = Simulator(seed=1)
-    network = Network(sim, latency=lan_topology(8), seed=1)
-
-    class _Sink:
-        def __init__(self, node_id):
-            self.node_id = node_id
-            self.crashed = False
-        def deliver(self, message, src):
-            pass
-
-    for replica_id in range(config.n):
-        network.register(_Sink(replica_id))
-    ops = [[AuthenticatedKVStore.make_put(f"k{i}", "v", client_id=0, timestamp=i + 1)]
-           for i in range(3)]
-    from repro.core.client import SBFTClient
-    client = SBFTClient(
-        sim=sim, network=network, node_id=config.n, client_id=0, config=config,
-        signing_key=generate_keypair("client-0"), requests=ops,
-        recorder=LatencyRecorder(),
-    )
-    network.register(client)
+    sim, network, _replicas, client = _make_client(requests=3, config=config)
 
     def ack(timestamp):
-        network.send(0, client.node_id, ExecuteAck(
-            sequence=timestamp, client_id=0, timestamp=timestamp, first_position=0,
-            values=(True,), state_digest="d", pi_signature=None, proof=None,
-        ))
+        network.send(0, client.node_id, _executed_ack_for(client, timestamp))
 
     sim.run(until=0.05)
     assert sorted(client._in_flight) == [1, 2]

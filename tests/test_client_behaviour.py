@@ -1,5 +1,7 @@
 """Tests for the SBFT client: single-ack acceptance, rejection, retry fallback."""
 
+import dataclasses
+
 import pytest
 
 from helpers import run_small_cluster
@@ -32,27 +34,28 @@ class _FakeReplica:
         self.received.append((message, src))
 
 
-def _make_client(requests=1, verifier=None):
+def _make_client(requests=1, config=CONFIG):
+    """A client of ``config`` (f=1, c=0, like ``SETUP``) on a bare network
+    whose replicas only record what they receive."""
     sim = Simulator(seed=1)
     network = Network(sim, latency=lan_topology(8), seed=1)
     replicas = []
-    for replica_id in range(CONFIG.n):
+    for replica_id in range(config.n):
         replica = _FakeReplica(sim, replica_id)
         network.register(replica)
         replicas.append(replica)
-    store = AuthenticatedKVStore()
     ops = [[AuthenticatedKVStore.make_put(f"k{i}", "v", client_id=0, timestamp=i + 1)] for i in range(requests)]
     client = SBFTClient(
         sim=sim,
         network=network,
-        node_id=CONFIG.n,
+        node_id=config.n,
         client_id=0,
-        config=CONFIG,
+        config=config,
         signing_key=generate_keypair("client-0"),
         requests=ops,
         recorder=LatencyRecorder(),
-        verifier=verifier if verifier is not None else store,
-        replica_verify_keys={i: SETUP.replica_verify_key(i) for i in range(CONFIG.n)},
+        verifier=AuthenticatedKVStore(),
+        replica_verify_keys={i: SETUP.replica_verify_key(i) for i in range(config.n)},
         pi_scheme=SETUP.pi,
     )
     network.register(client)
@@ -65,21 +68,22 @@ def _pi_signature(sequence, digest):
     )
 
 
-def _executed_ack_for(client):
-    """Build a valid execute-ack matching the client's oldest in-flight request."""
-    request = next(iter(client._in_flight.values())).request
+def _executed_ack_for(client, timestamp=1):
+    """A valid execute-ack for the client's in-flight request ``timestamp``,
+    executed as block ``timestamp``."""
+    request = client._in_flight[timestamp].request
     store = AuthenticatedKVStore()
-    results = store.execute_block(1, list(request.operations))
-    digest = store.digest_at(1)
+    results = store.execute_block(timestamp, list(request.operations))
+    digest = store.digest_at(timestamp)
     return ExecuteAck(
-        sequence=1,
+        sequence=timestamp,
         client_id=0,
-        timestamp=request.timestamp,
+        timestamp=timestamp,
         first_position=0,
         values=tuple(result.value for result in results),
         state_digest=digest,
-        pi_signature=_pi_signature(1, digest),
-        proof=store.prove(1, 0),
+        pi_signature=_pi_signature(timestamp, digest),
+        proof=store.prove(timestamp, 0),
     )
 
 
@@ -107,27 +111,9 @@ def test_client_rejects_ack_with_bad_proof_or_signature():
     genuine = _executed_ack_for(client)
 
     # Wrong value -> Merkle verification fails.
-    tampered_values = ExecuteAck(
-        sequence=genuine.sequence,
-        client_id=genuine.client_id,
-        timestamp=genuine.timestamp,
-        first_position=genuine.first_position,
-        values=("forged",),
-        state_digest=genuine.state_digest,
-        pi_signature=genuine.pi_signature,
-        proof=genuine.proof,
-    )
+    tampered_values = dataclasses.replace(genuine, values=("forged",))
     # pi signature over a different digest -> threshold verification fails.
-    bad_signature = ExecuteAck(
-        sequence=genuine.sequence,
-        client_id=genuine.client_id,
-        timestamp=genuine.timestamp,
-        first_position=genuine.first_position,
-        values=genuine.values,
-        state_digest=genuine.state_digest,
-        pi_signature=_pi_signature(1, "some-other-digest"),
-        proof=genuine.proof,
-    )
+    bad_signature = dataclasses.replace(genuine, pi_signature=_pi_signature(1, "some-other-digest"))
     network.send(1, client.node_id, tampered_values)
     network.send(1, client.node_id, bad_signature)
     sim.run(until=0.2)
@@ -135,20 +121,23 @@ def test_client_rejects_ack_with_bad_proof_or_signature():
     assert client.stats["acks_rejected"] == 2
 
 
+def test_client_rejects_an_ack_stripped_of_its_proof():
+    """π(d) signs only the state digest: without the proof nothing ties the
+    returned values to it, so a valid-π ack with forged values and no proof
+    must not complete the request."""
+    sim, network, replicas, client = _make_client()
+    sim.run(until=0.05)
+    stripped = dataclasses.replace(_executed_ack_for(client), values=("FORGED",), proof=None)
+    network.send(1, client.node_id, stripped)
+    sim.run(until=0.2)
+    assert client.completed == 0 and client.accepted_values == []
+    assert client.stats["acks_rejected"] == 1
+
+
 def test_client_ignores_acks_for_other_timestamps():
     sim, network, replicas, client = _make_client()
     sim.run(until=0.05)
-    stale = _executed_ack_for(client)
-    stale = ExecuteAck(
-        sequence=stale.sequence,
-        client_id=stale.client_id,
-        timestamp=99,
-        first_position=stale.first_position,
-        values=stale.values,
-        state_digest=stale.state_digest,
-        pi_signature=stale.pi_signature,
-        proof=stale.proof,
-    )
+    stale = dataclasses.replace(_executed_ack_for(client), timestamp=99)
     network.send(1, client.node_id, stale)
     sim.run(until=0.2)
     assert client.completed == 0

@@ -6,6 +6,7 @@ from helpers import assert_agreement, run_small_cluster
 from repro.errors import ConfigurationError
 from repro.protocols.cluster import build_cluster
 from repro.protocols.registry import PAPER_ORDER, get_protocol, protocol_names
+from repro.services.kvstore import KVStore
 from repro.workloads.ethereum_workload import EthereumWorkload
 from repro.workloads.kv_workload import KVWorkload
 
@@ -40,6 +41,15 @@ def test_unknown_protocol_rejected():
         build_cluster("hotstuff")
     with pytest.raises(ConfigurationError):
         build_cluster("pbft", f=0)
+
+
+def test_a_workload_serving_an_unauthenticated_service_is_refused():
+    """Replicas sign the service's state digest and clients check its proofs:
+    a service without that interface is a wiring error, not a downgrade."""
+    workload = KVWorkload(requests_per_client=1, seed=0)
+    workload.service_factory = KVStore
+    with pytest.raises(ConfigurationError, match="KVStore, which is not an AuthenticatedService"):
+        build_cluster("sbft-c0", f=1, num_clients=1).run(workload)
 
 
 def test_c_override_changes_group_size():

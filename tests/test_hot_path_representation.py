@@ -18,8 +18,8 @@ import dataclasses
 
 import pytest
 
+from contract import FAULT_RUNS
 from helpers import make_request, run_small_cluster
-from test_batching import GOLDEN_FAULT_RUNS
 from repro.core import messages as core_messages
 from repro.core.messages import ClientRequest, PrePrepare, SignShare
 from repro.core.stats import ClientStats, SBFTReplicaStats
@@ -228,8 +228,7 @@ NOT_IN_PBFT = {
 }
 
 
-@pytest.mark.parametrize("protocol,kwargs", [run[1:3] for run in GOLDEN_FAULT_RUNS],
-                         ids=[run[0] for run in GOLDEN_FAULT_RUNS])
+@pytest.mark.parametrize("protocol,kwargs", list(FAULT_RUNS.values()), ids=list(FAULT_RUNS))
 def test_every_stash_on_a_sent_message_is_deeply_immutable(protocol, kwargs):
     """One broadcast hands the same instance to every recipient, so a stash
     that aliased a list or dict would let one replica's mutation reach the

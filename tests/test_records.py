@@ -26,8 +26,8 @@ from typing import Tuple
 import pytest
 
 import repro
+from contract import FAULT_RUNS
 from helpers import run_small_cluster
-from test_batching import GOLDEN_FAULT_RUNS
 from repro.adversary.forensics import EquivocationEvidence
 from repro.adversary.lab import EpisodeSpec
 from repro.core.messages import CheckpointMsg, StableCheckpoint
@@ -106,11 +106,11 @@ def _harvest():
     state transfer of both stacks), walked through ``init`` fields, plus
     hand-built samples of the classes such a run never sends."""
     sent = []
-    for name, protocol, kwargs, _expected in GOLDEN_FAULT_RUNS:
-        if name in ("sbft-c0-primary-crash-f1", "pbft-primary-crash-f2-lan",
-                    "sbft-c0-restart-state-transfer"):
-            run_small_cluster(protocol, post_build=lambda cluster: cluster.network.add_tap(
-                lambda src, dst, message: sent.append(message)), **kwargs)
+    for name in ("sbft-c0-primary-crash-f1", "pbft-primary-crash-f2-lan",
+                 "sbft-c0-restart-state-transfer"):
+        protocol, kwargs = FAULT_RUNS[name]
+        run_small_cluster(protocol, post_build=lambda cluster: cluster.network.add_tap(
+            lambda src, dst, message: sent.append(message)), **kwargs)
     share = SignatureShare("pi", 1, ("checkpoint", 4, "d"), GroupElement(7))
     combined = CombinedSignature("pi", ("checkpoint", 4, "d"), GroupElement(9), (1, 2))
     sent += [

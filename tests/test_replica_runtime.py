@@ -191,7 +191,6 @@ HOOKS = {
     "_new_view",
     "_forwards_request_from",
     "_after_batch_timeout",
-    "_unauthenticated_state_digest",
     "_execution_proof",
     "_forget_timer_handles",
 }
