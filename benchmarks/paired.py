@@ -12,8 +12,9 @@ of every end-to-end metric over the pairs.  Printed per host metric: the
 pairs the change won, the median change / parent ratio, and the median gap
 against the parent's interquartile range — a gain counts only when the change
 wins nearly every pair and the gap exceeds the parent's IQR (ROADMAP aim 1,
-docs/benchmarks.md).  Exit status 1 if a rep fails or any ``sim_*`` value or
-work counter differs between the two sides, in any pair.
+docs/benchmarks.md) — and one verdict by that rule (:func:`verdict`).  Exit
+status 1 if a rep fails or any ``sim_*`` value or work counter differs
+between the two sides, in any pair.
 """
 
 from __future__ import annotations
@@ -58,6 +59,28 @@ def quartiles(values: Sequence[float]) -> List[float]:
     return statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
 
 
+def verdict(metric: catalogue.Metric, parent: Sequence[float], change: Sequence[float],
+            row: Dict[str, Any]) -> str:
+    """The repo's rule for one host metric, with ``metric.bound`` as a share
+    of the parent's median:
+
+    * ``gain`` — the change won at least 9/10 of the pairs and its median gap
+      is larger than the parent's IQR;
+    * ``unresolved`` — the parent's IQR is wider than the bound and not every
+      change rep beats every parent rep, so the spread hides the answer;
+    * ``no worse`` — the change's median is within the bound;
+    * ``worse`` — otherwise.
+    """
+    sign = 1 if metric.better == "lower" else -1
+    if row["won"] * 10 >= 9 * len(parent) and row["gap"] > row["parent_iqr"]:
+        return "gain"
+    allowed = metric.bound * abs(row["parent"][1])
+    if row["parent_iqr"] > allowed and not all(
+            sign * (b - a) < 0 for a in parent for b in change):
+        return "unresolved"
+    return "no worse" if -row["gap"] <= allowed else "worse"
+
+
 def summarise(pairs: List[Dict[str, Dict[str, Any]]]) -> Dict[str, Dict[str, Any]]:
     """Per end-to-end metric: both sides' quartiles and, for host metrics,
     pairs won, median ratio and median gap against the parent's IQR."""
@@ -73,6 +96,7 @@ def summarise(pairs: List[Dict[str, Dict[str, Any]]]) -> Dict[str, Dict[str, Any
             row["ratio"] = statistics.median(b / a for a, b in zip(parent, change) if a)
             row["gap"] = sign * (row["parent"][1] - row["change"][1])
             row["parent_iqr"] = row["parent"][2] - row["parent"][0]
+            row["verdict"] = verdict(metric, parent, change, row)
         summary[metric.name] = row
     return summary
 
@@ -128,6 +152,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             line += (f"  ratio {row['ratio']:.3f}, won {row['won']}/{len(pairs)}, "
                      f"gap {row['gap']:.4g} vs parent IQR {row['parent_iqr']:.4g}")
         print(line)
+    for name, row in summary.items():
+        if "verdict" in row:
+            print(f"verdict {name}: {row['verdict']}")
     found = differences(pairs)
     print("\n".join(found) if found else "every sim_* value and counter equal in every pair")
     if args.output:

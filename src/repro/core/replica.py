@@ -149,7 +149,7 @@ class SBFTReplica(Replica):
         self.stats = SBFTReplicaStats()
 
     def on_message(self, message: Any, src: int) -> None:
-        self.compute(self._message_cost(message), self._dispatch, message, src)
+        self.cpu.execute(self._message_cost(message), self._dispatch, message, src)
 
     # ==================================================================
     # Role helpers

@@ -228,9 +228,10 @@ class Replica(Process):
     def rejoin(self) -> None:
         """Recover from a crash and re-sync via the state-transfer machinery.
 
-        ``crash()`` dropped every timer and any in-flight ``compute`` callback
-        (their completions no-op on a crashed node), so all timer handles and
-        the execution-in-progress flag are stale and must be cleared.  The
+        ``crash()`` dropped every timer and any in-flight CPU work (its
+        completion, ``_dispatch`` or ``Process._computed``, no-ops on a crashed
+        node), so all timer handles and the execution-in-progress flag are
+        stale and must be cleared.  The
         replica then asks a peer for a state snapshot; if the cluster made no
         progress while it was down, the request simply goes unanswered and
         the replica catches up through the normal protocol flow (commits,
@@ -274,6 +275,10 @@ class Replica(Process):
         return cost_fn(message)
 
     def _dispatch(self, message: Any, src: int) -> None:
+        # The CPU completion of ``on_message``: the replica may have crashed
+        # while the message's verification cost was being charged.
+        if self.crashed:
+            return
         handler = self._handlers.get(type(message))
         if handler is not None:
             handler(message, src)

@@ -137,7 +137,7 @@ class PBFTReplica(Replica):
         }
 
     def on_message(self, message: Any, src: int) -> None:
-        self.compute(self._message_cost(message), self._dispatch, message, src)
+        self.cpu.execute(self._message_cost(message), self._dispatch, message, src)
 
     # ------------------------------------------------------------------
     # Three-phase agreement

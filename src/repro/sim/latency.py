@@ -56,16 +56,13 @@ class UniformLatency(LatencyModel):
     def delay(self, src: int, dst: int, rng: random.Random) -> float:
         if src == dst:
             return 0.0
-        return self.base + rng.uniform(0.0, self.jitter)
+        return self.base + self.jitter * rng.random()
 
     def delays_from(self, src: int, dsts: Sequence[int], rng: random.Random) -> list[float]:
         base = self.base
         jitter = self.jitter
-        uniform = rng.uniform
-        return [
-            0.0 if dst == src else base + uniform(0.0, jitter)
-            for dst in dsts
-        ]
+        draw = rng.random
+        return [0.0 if dst == src else base + jitter * draw() for dst in dsts]
 
 
 class RegionLatency(LatencyModel):
@@ -107,32 +104,36 @@ class RegionLatency(LatencyModel):
             return self.assignment[node]
         return node % self.num_regions
 
+    # ``j * rng.random()`` is ``rng.uniform(0.0, j)`` float for float and draw
+    # for draw (``0.0 + (j - 0.0) * random()``), minus a Python frame.
     def delay(self, src: int, dst: int, rng: random.Random) -> float:
         if src == dst:
             return 0.0
-        base = self.matrix[self.region_of(src)][self.region_of(dst)]
+        assignment, known, regions = self.assignment, len(self.assignment), self.num_regions
+        row = self.matrix[assignment[src] if src < known else src % regions]
+        base = row[assignment[dst] if dst < known else dst % regions]
         if base <= 0.0:
             base = self.intra_node_delay
-        return base * (1.0 + rng.uniform(0.0, self.jitter_fraction))
+        return base * (1.0 + self.jitter_fraction * rng.random())
 
     def delays_from(self, src: int, dsts: Sequence[int], rng: random.Random) -> list[float]:
-        # One row lookup per fan-out instead of two region_of() calls and a
-        # double index per destination; the RNG draw order matches delay().
-        row = self.matrix[self.region_of(src)]
-        region_of = self.region_of
+        # One row lookup per fan-out, region_of() inlined per destination;
+        # the RNG draw order matches delay().
+        assignment, known, regions = self.assignment, len(self.assignment), self.num_regions
+        row = self.matrix[assignment[src] if src < known else src % regions]
         intra = self.intra_node_delay
         jitter_fraction = self.jitter_fraction
-        uniform = rng.uniform
+        draw = rng.random
         delays = []
         append = delays.append
         for dst in dsts:
             if dst == src:
                 append(0.0)
                 continue
-            base = row[region_of(dst)]
+            base = row[assignment[dst] if dst < known else dst % regions]
             if base <= 0.0:
                 base = intra
-            append(base * (1.0 + uniform(0.0, jitter_fraction)))
+            append(base * (1.0 + jitter_fraction * draw()))
         return delays
 
 

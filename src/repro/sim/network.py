@@ -53,7 +53,11 @@ class NetworkStats:
 
 
 def _message_type(message: Any) -> str:
-    return getattr(message, "msg_type", type(message).__name__)
+    # No ``getattr`` with a default: the default would be built on every send.
+    try:
+        return message.msg_type
+    except AttributeError:
+        return type(message).__name__
 
 
 def _message_size(message: Any) -> int:

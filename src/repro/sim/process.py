@@ -100,14 +100,15 @@ class Process:
         """Arm a timer; returns a handle usable with :meth:`cancel_timer`."""
         handle = self._timer_seq
         self._timer_seq += 1
-
-        def fire() -> None:
-            self._timers.pop(handle, None)
-            if not self.crashed:
-                callback(*args)
-
-        self._timers[handle] = self.sim.timer(delay, fire)
+        self._timers[handle] = self.sim.timer(delay, self._fire, handle, callback, args)
         return handle
+
+    # Timers and CPU completions schedule a bound method, not a closure per
+    # call; both skip ``callback`` if the node crashed in the meantime.
+    def _fire(self, handle: int, callback: Callable[..., None], args: tuple) -> None:
+        self._timers.pop(handle, None)
+        if not self.crashed:
+            callback(*args)
 
     def cancel_timer(self, handle: int) -> None:
         """Cancel a previously armed timer; unknown handles are ignored."""
@@ -125,12 +126,11 @@ class Process:
     # ------------------------------------------------------------------
     def compute(self, cost: float, callback: Callable[..., None], *args: Any) -> None:
         """Charge CPU time and invoke ``callback`` once the work completes."""
+        self.cpu.execute(cost, self._computed, callback, args)
 
-        def done() -> None:
-            if not self.crashed:
-                callback(*args)
-
-        self.cpu.execute(cost, done)
+    def _computed(self, callback: Callable[..., None], args: tuple) -> None:
+        if not self.crashed:
+            callback(*args)
 
     def charge_cpu(self, cost: float) -> None:
         """Charge CPU time whose result is consumed inline (no callback)."""

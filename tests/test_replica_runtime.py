@@ -179,6 +179,41 @@ def test_rejoin_clears_stale_timer_handles_and_the_execution_flag(replica_cls):
     assert isinstance(unicasts[-1][1], StateTransferRequest)  # re-syncs from a peer
 
 
+@pytest.mark.parametrize("crash", [False, True], ids=["live", "crashed"])
+def test_a_message_whose_cpu_work_completes_after_a_crash_is_never_handled(replica_cls, crash):
+    """``on_message`` puts ``Replica._dispatch`` itself on the CPU, with no
+    closure per message, so the crashed check lives in ``_dispatch``: a
+    request delivered before the crash but verified after it changes nothing."""
+    sim, primary, broadcasts, _ = _replica(replica_cls)
+    request = make_request(1)
+    primary.deliver(request, CLIENT_NODE)
+    [(finish, _seq, callback, args, _handle)] = sim._heap
+    assert callback == primary._dispatch and args == (request, CLIENT_NODE) and finish > 0.0
+    if crash:
+        primary.crash()
+    sim.run(until=0.05)                                       # past the batch timeout
+    assert primary.stats["blocks_proposed"] == len(broadcasts) == (0 if crash else 1)
+    assert bool(primary._request_first_seen) is not crash
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["live", "crashed"])
+def test_a_replica_timer_armed_before_a_crash_never_fires(replica_cls, crash):
+    """The view-change timer is a bound ``Process._fire`` entry; a crash
+    cancels it, so it stays silent even when the replica rejoins before its
+    deadline (the request it was timing is still outstanding)."""
+    sim, backup, broadcasts, _ = _replica(replica_cls, node_id=2)
+    backup._on_client_request(make_request(1), src=CLIENT_NODE)     # arms the view-change timer
+    handle = backup._view_change_timer
+    [(_time, _seq, callback, args, event)] = sim._heap
+    assert callback == backup._fire and args[0] == handle and event is backup._timers[handle]
+    if crash:
+        backup.crash()
+        backup.rejoin()
+    sim.run(until=backup._view_change_timeout() * 1.5)
+    assert backup.stats["view_changes"] == len(broadcasts) == (0 if crash else 1)
+    assert bool(backup._request_first_seen)
+
+
 # ----------------------------------------------------------------------
 # One copy: nothing the runtime owns may be redefined by a protocol class
 # ----------------------------------------------------------------------
