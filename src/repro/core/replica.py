@@ -194,8 +194,12 @@ class SBFTReplica(Replica):
             return rsa_verify * (1 + len(message.requests)) + hash_op
 
         def sign_share_cost(message: SignShare) -> float:
-            shares = (1 if message.sigma_share else 0) + (1 if message.tau_share else 0)
-            return per_share * shares
+            # Beside a σ share the τ share is parked: one hash now, its check
+            # only if ``_send_prepare`` combines τ.  Alone (fast path off),
+            # τ is what gets combined and is checked on arrival.
+            if message.sigma_share:
+                return per_share + hash_op if message.tau_share else per_share
+            return per_share if message.tau_share else 0.0
 
         def view_change_cost(message: ViewChange) -> float:
             return combined + hash_op * max(1, len(message.slots))
@@ -228,19 +232,57 @@ class SBFTReplica(Replica):
     # ==================================================================
     # Collecting shares: the only ``verify_share`` and ``combine`` calls
     # ==================================================================
+    @staticmethod
+    def _valid(scheme: ThresholdScheme, share: Any) -> bool:
+        return scheme.verify_share(share)
+
     def _count(self, tally: Tally, scheme: ThresholdScheme, share: Any, signed: Tuple) -> int:
         """File a valid share over ``signed`` under the signer the scheme
         authenticated (not the id its message claims): that message's new
         signer count, or 0 if the share added nothing.  ``signed`` is its own
         ``memo_key``, so the match is type-exact (``1.0`` is not ``1``)."""
-        if share is None or memo_key(share.message) != signed or not scheme.verify_share(share):
+        if share is None or memo_key(share.message) != signed or not self._valid(scheme, share):
             return 0
         return tally.add(signed, share.signer_id, share)
 
-    def _combine(self, tally: Tally, scheme: ThresholdScheme, signed: Tuple) -> Optional[Any]:
-        """Combine the first ``threshold`` shares filed under ``signed``."""
+    @staticmethod
+    def _park(tally: Tally, share: Any, signed: Tuple, src: int) -> int:
+        """File a share over ``signed`` *unchecked*, as :meth:`_count` would
+        file a valid one, but only under its authenticated sender ``src``:
+        nobody can take another signer's place in the bucket.  Its check is
+        :meth:`_check_parked`, when and if the bucket is combined."""
+        if share is None or share.signer_id != src or memo_key(share.message) != signed:
+            return 0
+        return tally.add(signed, src, share)
+
+    def _check_parked(self, slot: SlotState, signed: Tuple) -> int:
+        """Check the parked τ shares over ``signed`` that no earlier call
+        checked, in arrival order, until ``tau_threshold`` are valid; each
+        invalid one is deleted from the bucket, so the checked shares stay a
+        prefix of it.  The number of shares checked."""
+        bucket = slot.tau_shares.votes(signed)
+        valid = slot.tau_valid[1] if slot.tau_valid and slot.tau_valid[0] == signed else 0
+        checked = 0
+        for voter, share in list(bucket.items())[valid:]:
+            if valid == self.config.tau_threshold:
+                break
+            checked += 1
+            if self._valid(self.keys.tau, share):
+                valid += 1
+            else:
+                del bucket[voter]
+        slot.tau_valid = (signed, valid)
+        self.stats.tau_shares_checked += checked
+        return checked
+
+    def _combine(
+        self, tally: Tally, scheme: ThresholdScheme, signed: Tuple, checked: int = 0
+    ) -> Optional[Any]:
+        """Combine the first ``threshold`` shares filed under ``signed``, in
+        one CPU charge with the ``checked`` share checks that preceded it."""
         shares = list(tally.votes(signed).values())[: scheme.threshold]
-        self.charge_cpu(self.costs.combine_cost(len(shares)))
+        costs = self.costs
+        self.charge_cpu(costs.combine_cost(len(shares)) + checked * costs.bls_batch_verify_per_share)
         try:
             return scheme.combine(shares, verify=False)
         except CryptoError:
@@ -312,8 +354,12 @@ class SBFTReplica(Replica):
             return
         slot = self.log.slot(message.sequence)
         signed = ("sign", message.sequence, message.view, message.digest)
-        sigma = self._count(slot.sigma_shares, self.keys.sigma, message.sigma_share, signed)
-        tau = self._count(slot.tau_shares, self.keys.tau, message.tau_share, signed)
+        if self.config.fast_path_enabled:
+            # σ is what the fast path combines; τ waits for the fallback.
+            sigma = self._count(slot.sigma_shares, self.keys.sigma, message.sigma_share, signed)
+            tau = self._park(slot.tau_shares, message.tau_share, signed, src)
+        else:
+            sigma, tau = 0, self._count(slot.tau_shares, self.keys.tau, message.tau_share, signed)
         self._collector_progress(slot, signed, sigma, tau)
 
     def _collector_progress(self, slot: SlotState, signed: Tuple, sigma: int, tau: int) -> None:
@@ -357,7 +403,8 @@ class SBFTReplica(Replica):
         self._broadcast(FullCommitProof(sequence=sequence, view=view, digest=digest, sigma_signature=proof))
 
     def _send_prepare(self, slot: SlotState, signed: Tuple) -> None:
-        certificate = self._combine(slot.tau_shares, self.keys.tau, signed)
+        checked = self._check_parked(slot, signed) if self.config.fast_path_enabled else 0
+        certificate = self._combine(slot.tau_shares, self.keys.tau, signed, checked)
         if certificate is None:
             return
         slot.prepare_sent = True

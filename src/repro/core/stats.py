@@ -85,6 +85,9 @@ class SBFTReplicaStats(StatCounters):
         # executed blocks this replica answered with direct signed replies.
         "sigma_waits_skipped",
         "blocks_replied_directly",
+        # Parked τ shares a C-collector checked before combining τ (zero
+        # while every slot commits on the fast path).
+        "tau_shares_checked",
     )
 
 

@@ -28,7 +28,11 @@ class CryptoCosts:
     bls_sign_share: float = 280e-6
     bls_verify_combined: float = 900e-6
     bls_combine_per_share: float = 120e-6
-    bls_batch_verify_per_share: float = 250e-6     # batch verification of shares
+    # Assumption: one robust check of one threshold share; nothing is batched.
+    # ``SBFTReplica`` charges it per share on arrival (σ, τ with the fast path
+    # off, ``Commit``, ``SignState``, ``CheckpointMsg``) and, for a τ share
+    # parked beside σ, only when ``_send_prepare`` checks it to combine τ.
+    bls_batch_verify_per_share: float = 250e-6
     merkle_proof_per_level: float = 2e-6
     evm_base_execute: float = 150e-6               # per-transaction EVM overhead
     evm_per_gas: float = 2e-9

@@ -190,11 +190,6 @@ class ThresholdScheme:
         combined = GroupElement(total % order, order)
         return CombinedSignature(self.name, message, combined, chosen)
 
-    def combine_filtering(self, shares: Iterable[SignatureShare]) -> CombinedSignature:
-        """Combine after silently dropping invalid shares (robust combine)."""
-        valid = [s for s in shares if self.verify_share(s)]
-        return self.combine(valid, verify=False)
-
     def verify(self, signature: CombinedSignature) -> bool:
         """Verify a combined signature under the scheme public key."""
         if signature._verified == self._stamp:

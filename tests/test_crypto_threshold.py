@@ -1,14 +1,20 @@
-"""Unit and property tests for the threshold signature schemes."""
+"""Unit and property tests for the threshold signature schemes, and the
+C-collector's robust combine: τ shares parked unchecked, checked only to combine τ."""
 
 import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import make_bare_replica, make_request, run_small_cluster
 from repro.adversary.behaviours import _ForgingScheme
+from repro.core.config import SBFTConfig
+from repro.core.messages import FullCommitProof, Prepare, SignShare
+from repro.core.replica import SBFTReplica
 from repro.crypto.mockgroup import MockGroup
 from repro.crypto.threshold import ThresholdDealer
 from repro.errors import CryptoError, InvalidSignatureShare
+from repro.sim.faults import FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -78,13 +84,6 @@ def test_combine_rejects_invalid_share(scheme):
     shares.append(scheme.forge_share(4, "msg"))
     with pytest.raises(InvalidSignatureShare):
         scheme.combine(shares)
-
-
-def test_combine_filtering_drops_bad_shares(scheme):
-    shares = [scheme.sign_share(i, "msg") for i in range(5)]
-    shares += [scheme.forge_share(i, "msg") for i in (5, 6)]
-    combined = scheme.combine_filtering(shares)
-    assert scheme.verify(combined)
 
 
 def test_combine_rejects_mixed_messages(scheme):
@@ -241,3 +240,98 @@ def test_property_below_threshold_never_combines(num_signers, seed):
     shares = [scheme.sign_share(i, "m") for i in range(threshold - 1)]
     with pytest.raises(CryptoError):
         scheme.combine(shares)
+
+
+# ----------------------------------------------------------------------
+# The collector's robust combine: beside a σ share a τ share is parked
+# unchecked, and checked only if the collector combines τ
+# ----------------------------------------------------------------------
+COLLECTOR = SBFTConfig(f=1, batch_size=2, batch_timeout=0.01, fast_path_timeout=0.05)
+
+
+def _tau_collector():
+    """-> (sim, replica, broadcasts, charges, signed): the view-0 primary
+    (at c=0 every slot's only C-collector) with block 1 proposed; what it
+    broadcasts and charges to its CPU from then on is recorded."""
+    sim, _network, replica = make_bare_replica(SBFTReplica, COLLECTOR)
+    client = COLLECTOR.n + 1
+    replica.client_directory[0] = client
+    broadcasts, charges = [], []
+    replica._broadcast = broadcasts.append
+    replica._send = lambda dst, message: None
+    for timestamp in (1, 2):
+        replica._on_client_request(make_request(timestamp), src=client)
+    pre_prepare = broadcasts[-1]
+    replica._on_pre_prepare(pre_prepare, src=0)
+    replica.charge_cpu = charges.append
+    return sim, replica, broadcasts, charges, ("sign", 1, 0, pre_prepare.digest)
+
+
+def _sign_share(replica, signed, signer, forged=False, src=None, tau_share=None):
+    """Replica ``signer``'s sign-share over ``signed`` (both shares forged
+    if ``forged``), delivered as sent by ``src`` (default: the signer)."""
+    sign = "forge_share" if forged else "sign_share"
+    keys = replica.keys
+    replica._on_sign_share(SignShare(
+        sequence=1, view=0, replica_id=signer, digest=signed[3],
+        sigma_share=getattr(keys.sigma, sign)(signer, signed),
+        tau_share=tau_share or getattr(keys.tau, sign)(signer, signed),
+    ), src=signer if src is None else src)
+
+
+def _sent(broadcasts, cls):
+    return [message for message in broadcasts if isinstance(message, cls)]
+
+
+def test_a_forged_tau_share_is_dropped_at_combine_time_charged_once_and_never_named():
+    sim, replica, broadcasts, charges, signed = _tau_collector()
+    tau, costs = replica.keys.tau, replica.costs
+    _sign_share(replica, signed, 3, forged=True)
+    _sign_share(replica, signed, 0)
+    _sign_share(replica, signed, 1)
+    bucket = replica.log.slot(1).tau_shares.votes(signed)
+    assert list(bucket) == [3, 0, 1] and replica.stats.tau_shares_checked == 0
+    sim.run(until=sim.now + 0.06)                   # the σ wait ends: τ is checked
+    assert list(bucket) == [0, 1] and not _sent(broadcasts, Prepare)
+    _sign_share(replica, signed, 2)
+    sim.run(until=sim.now + 0.06)
+    (prepare,) = _sent(broadcasts, Prepare)
+    assert prepare.tau_signature.signer_ids == (0, 1, 2)
+    assert tau.verify_message(prepare.tau_signature, signed)
+    # Each check rides on its combine's one charge, and no share is checked twice.
+    per_share = costs.bls_batch_verify_per_share
+    assert charges == [costs.combine_cost(2) + 3 * per_share, costs.combine_cost(3) + per_share]
+    assert replica.stats.tau_shares_checked == 4
+
+
+def test_a_tau_share_not_sent_by_its_signer_is_not_parked():
+    sim, replica, broadcasts, charges, signed = _tau_collector()
+    relayed = replica.keys.tau.sign_share(2, signed)        # valid, but replica 1 sends it
+    _sign_share(replica, signed, 1, tau_share=relayed)
+    slot = replica.log.slot(1)
+    assert slot.tau_shares.votes(signed) == {} and list(slot.sigma_shares.votes(signed)) == [1]
+    _sign_share(replica, signed, 2, forged=True, src=3)     # a forgery in replica 2's name
+    assert slot.tau_shares.votes(signed) == {}
+    _sign_share(replica, signed, 2)
+    assert list(slot.tau_shares.votes(signed)) == [2]
+
+
+def test_a_healthy_fast_path_slot_checks_no_tau_share():
+    sim, replica, broadcasts, charges, signed = _tau_collector()
+    for signer in range(COLLECTOR.n):
+        _sign_share(replica, signed, signer)
+    sim.run(until=sim.now + 0.06)
+    assert _sent(broadcasts, FullCommitProof) and not _sent(broadcasts, Prepare)
+    assert charges == [replica.costs.combine_cost(COLLECTOR.sigma_threshold)]   # σ only
+    assert replica.stats.tau_shares_checked == 0
+
+
+def test_tau_shares_are_checked_only_on_the_slow_path_of_a_cluster_run():
+    _cluster, healthy = run_small_cluster("sbft-c0", seed=11)
+    assert all(stats["tau_shares_checked"] == 0 for stats in healthy.replica_stats.values())
+    # The primary crashes: with one replica dead at c=0 every later block is slow.
+    _cluster, slow = run_small_cluster(
+        "sbft-c0", requests_per_client=8, seed=3, fault_plan=FaultPlan.crash_first(1, at_time=0.02))
+    checked = sum(stats["tau_shares_checked"] for stats in slow.replica_stats.values())
+    slow_blocks = max(stats["blocks_committed_slow"] for stats in slow.replica_stats.values())
+    assert slow_blocks > 0 and checked >= slow_blocks * COLLECTOR.tau_threshold

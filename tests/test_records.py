@@ -30,7 +30,8 @@ from contract import FAULT_RUNS
 from helpers import run_small_cluster
 from repro.adversary.forensics import EquivocationEvidence
 from repro.adversary.lab import EpisodeSpec
-from repro.core.messages import CheckpointMsg, StableCheckpoint
+from repro.core.messages import CheckpointMsg, SlotEvidence, StableCheckpoint
+from repro.core.viewchange import FM_PRE_PREPARED, LM_PREPARED
 from repro.crypto.bls import BLSSignature
 from repro.crypto.mockgroup import GroupElement
 from repro.crypto.signatures import Signature
@@ -104,7 +105,9 @@ def test_every_frozen_slotted_dataclass_is_a_record():
 def _harvest():
     """{class: [instances]}: what three fault goldens send (view changes and
     state transfer of both stacks), walked through ``init`` fields, plus
-    hand-built samples of the classes such a run never sends."""
+    hand-built samples of the classes such a run never sends, or sends only
+    as its timing falls (slot evidence needs a slot in flight at the view
+    change)."""
     sent = []
     for name in ("sbft-c0-primary-crash-f1", "pbft-primary-crash-f2-lan",
                  "sbft-c0-restart-state-transfer"):
@@ -115,6 +118,8 @@ def _harvest():
     combined = CombinedSignature("pi", ("checkpoint", 4, "d"), GroupElement(9), (1, 2))
     sent += [
         CheckpointMsg(4, 1, "d", share), StableCheckpoint(4, "d", combined),
+        SlotEvidence(4, (LM_PREPARED, combined, 0, "d"), (FM_PRE_PREPARED, share, 0, "d"),
+                     (("d", ()),)),
         PbftCheckpoint(4, "d", 1, Signature("replica-1", "ab")),
         BLSSignature(GroupElement(5), (1, 2)), OperationResult(3),
         OperationResult(ok=False, error="boom"),
