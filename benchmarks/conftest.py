@@ -10,6 +10,8 @@ variable:
 * ``paper``  — f=64, the paper's deployment sizes; hours (intended for
   overnight runs; the shapes are already visible at smaller scales).
 
+Any other name fails the session instead of running ``small``.
+
 Each benchmark prints the rows it produced (they are also attached to
 ``benchmark.extra_info`` so they appear in ``--benchmark-json`` output);
 docs/benchmarks.md describes the committed ``BENCH_*.json`` baselines.
@@ -35,16 +37,23 @@ BENCH_SMALL = ExperimentScale(
 )
 
 
-def _resolve_scale() -> ExperimentScale:
-    name = os.environ.get("REPRO_BENCH_SCALE", "small")
-    if name == "small":
-        return BENCH_SMALL
-    return SCALES.get(name, BENCH_SMALL)
+#: The one reading of ``REPRO_BENCH_SCALE``; every sweep benchmark runs the
+#: sweep's scale of this name.
+SCALE_NAME = os.environ.get("REPRO_BENCH_SCALE", "small")
+if SCALE_NAME not in SCALES:
+    raise pytest.UsageError(
+        f"REPRO_BENCH_SCALE={SCALE_NAME!r} is not a scale (known: {', '.join(SCALES)})"
+    )
+
+
+@pytest.fixture(scope="session")
+def scale_name() -> str:
+    return SCALE_NAME
 
 
 @pytest.fixture(scope="session")
 def scale() -> ExperimentScale:
-    return _resolve_scale()
+    return BENCH_SMALL if SCALE_NAME == "small" else SCALES[SCALE_NAME]
 
 
 def attach_rows(benchmark, rows):

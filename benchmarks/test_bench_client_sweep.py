@@ -14,8 +14,6 @@ policies behave alike.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from conftest import attach_rows
@@ -23,29 +21,23 @@ from repro.experiments import harness
 from repro.experiments.client_sweep import POLICIES, SWEEP, SWEEP_SCALES, grid
 
 
-def _sweep_name() -> str:
-    name = os.environ.get("REPRO_BENCH_SCALE", "small")
-    return name if name in SWEEP_SCALES else "small"
-
-
 @pytest.mark.parametrize("protocol", ["sbft-c0", "pbft"])
-def test_client_sweep(benchmark, protocol):
-    sweep = _sweep_name()
-    scale = SWEEP_SCALES[sweep]
+def test_client_sweep(benchmark, scale_name, protocol):
+    client_counts = SWEEP_SCALES[scale_name]["client_counts"]
 
     def run():
-        return harness.run(SWEEP, grid(scale_name=sweep, protocols=[protocol]))
+        return harness.run(SWEEP, grid(scale_name=scale_name, protocols=[protocol]))
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     attach_rows(benchmark, rows)
 
-    assert len(rows) == len(POLICIES) * len(scale.client_counts)
+    assert len(rows) == len(POLICIES) * len(client_counts)
     for row in rows:
         assert row["all_completed"], f"requests lost at {row['label']}"
         assert row["blocks_executed"] > 0
 
     by_point = {(row["policy"], row["clients"]): row for row in rows}
-    top = max(scale.client_counts)
+    top = max(client_counts)
 
     # The acceptance property: adaptive batching wins where the load is —
     # higher simulated throughput and larger blocks at the top of the curve.

@@ -8,26 +8,17 @@ before/during/after-fault phase aggregates next to the harness wall-clock.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from conftest import attach_rows
 from repro.experiments import harness
-from repro.experiments.fault_sweep import DEFAULT_PROTOCOLS, SCENARIOS, SWEEP, SWEEP_SCALES, grid
-
-
-def _sweep_name() -> str:
-    name = os.environ.get("REPRO_BENCH_SCALE", "small")
-    return name if name in SWEEP_SCALES else "small"
+from repro.experiments.fault_sweep import DEFAULT_PROTOCOLS, SCENARIOS, SWEEP, grid
 
 
 @pytest.mark.parametrize("protocol", DEFAULT_PROTOCOLS)
-def test_fault_sweep(benchmark, protocol):
-    sweep = _sweep_name()
-
+def test_fault_sweep(benchmark, scale_name, protocol):
     def run():
-        return harness.run(SWEEP, grid(scale_name=sweep, protocols=[protocol]))
+        return harness.run(SWEEP, grid(scale_name=scale_name, protocols=[protocol]))
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     # The timeline payloads are too wide for the printed table; attach a

@@ -9,8 +9,6 @@ order of the paper's ~200-replica deployments.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from conftest import attach_rows
@@ -18,22 +16,15 @@ from repro.experiments import harness
 from repro.experiments.scale_sweep import SWEEP, SWEEP_F_VALUES, grid
 
 
-def _sweep_name() -> str:
-    name = os.environ.get("REPRO_BENCH_SCALE", "small")
-    return name if name in SWEEP_F_VALUES else "small"
-
-
 @pytest.mark.parametrize("protocol", ["sbft-c0", "sbft-c8"])
-def test_scale_sweep(benchmark, protocol):
-    sweep = _sweep_name()
-
+def test_scale_sweep(benchmark, scale_name, protocol):
     def run():
-        return harness.run(SWEEP, grid(scale_name=sweep, protocols=[protocol]))
+        return harness.run(SWEEP, grid(scale_name=scale_name, protocols=[protocol]))
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     attach_rows(benchmark, rows)
 
-    assert len(rows) == len(SWEEP_F_VALUES[sweep])
+    assert len(rows) == len(SWEEP_F_VALUES[scale_name])
     for row in rows:
         assert row["completed_operations"] > 0, f"no progress at {row['label']}"
     # Linear communication: messages grow with n, but the per-point run must

@@ -16,7 +16,8 @@ import argparse
 
 from repro.experiments import fig2_throughput, harness
 from repro.experiments.fig2_throughput import latency_curves, scaled_failures
-from repro.experiments.harness import SCALES, format_table, protocol_sizes
+from repro.experiments.harness import SCALES, format_table
+from repro.protocols.registry import protocol_sizes
 
 
 def main() -> None:

@@ -23,7 +23,7 @@ Quickstart::
     from repro.workloads import KVWorkload
 
     cluster = build_cluster("sbft-c0", f=1, num_clients=4, topology="lan")
-    result = cluster.run(KVWorkload(requests_per_client=50), duration=20.0)
+    result = cluster.run(KVWorkload(requests_per_client=50), max_sim_time=20.0)
     print(result.throughput, result.mean_latency)
 """
 

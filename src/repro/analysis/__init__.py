@@ -2,7 +2,7 @@
 
 Fixed-seed byte-identity is the repository's contract.
 :mod:`repro.analysis.sanitizer` is an opt-in instrumentation mode
-(``REPRO_SANITIZE=1`` or ``Cluster.run(sanitize=True)``) that folds every
+(``Cluster.run(sanitize=True)``) that folds every
 executed event into a rolling decision-hash chain, plus a ``selfcheck`` CLI
 that runs a scenario twice and bisects to the first divergent event on
 mismatch.  The hazards a same-process double run cannot see — ambient clocks

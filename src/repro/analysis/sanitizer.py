@@ -5,8 +5,7 @@ fixed seeds must replay byte-identically through every refactor of the hot
 path (dispatch tables, heap compaction, ``broadcast_bulk`` RNG ordering,
 memoization).  This module turns that promise into a checkable artifact.
 
-When enabled (``REPRO_SANITIZE=1`` or ``Cluster.run(sanitize=True)``), the
-sanitizer
+When enabled (``Cluster.run(sanitize=True)``), the sanitizer
 
 * swaps the simulator's and network's ``random.Random`` instances for
   draw-counting clones (state-preserving, so the run itself is unchanged),
@@ -27,11 +26,15 @@ traces with context::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
-import os
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.experiments import client_sweep, fault_sweep
+from repro.experiments.harness import KV, Ethereum, Point, run_point
+from repro.protocols.cluster import ClusterResult
+from repro.sim.faults import FaultPlan
 
 TraceRecord = Tuple[float, int, str, str, int]
 
@@ -98,10 +101,9 @@ class DeterminismSanitizer:
     :meth:`track_rng` so their draws are counted.
     """
 
-    def __init__(self, sim, keep_records: bool = True) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
         self.records: List[TraceRecord] = []
-        self.keep_records = keep_records
         self.events_hashed = 0
         self._digest = hashlib.sha256(_CHAIN_SEED).digest()
         self._rngs: List[CountingRandom] = []
@@ -131,8 +133,7 @@ class DeterminismSanitizer:
             total - self._last_total,
         )
         self._last_total = total
-        if self.keep_records:
-            self.records.append(record)
+        self.records.append(record)
         self.events_hashed += 1
         self._digest = hashlib.sha256(self._digest + repr(record).encode("utf-8")).digest()
 
@@ -190,11 +191,11 @@ def format_divergence(
 
 
 # --------------------------------------------------------------------------
-# Selfcheck scenarios: one small fixed-seed point per sweep
+# Selfcheck scenarios: one small fixed-seed point per sweep, as harness.Points
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclasses.dataclass
 class SelfCheckResult:
     scenario: str
     ok: bool
@@ -205,102 +206,64 @@ class SelfCheckResult:
     report: str = ""
 
 
-class _sanitize_env:
-    """Temporarily force REPRO_SANITIZE=1 (restores the prior value)."""
-
-    def __enter__(self):
-        self._prior = os.environ.get("REPRO_SANITIZE")
-        os.environ["REPRO_SANITIZE"] = "1"
-        return self
-
-    def __exit__(self, *exc):
-        if self._prior is None:
-            del os.environ["REPRO_SANITIZE"]
-        else:
-            os.environ["REPRO_SANITIZE"] = self._prior
-        return False
-
-
-def _scenario_scale(seed: int):
-    """One fixed-seed point of the scale sweep (KV workload, cold cache)."""
-    from repro.experiments.harness import ExperimentScale, run_kv_point
-
-    scale = ExperimentScale(
-        name="sanitize",
+#: One small fixed-seed point per sweep, each starting from a cold execution
+#: cache; :func:`selfcheck` runs one at the seed it is given.
+SCENARIOS: Dict[str, Point] = {
+    "scale": Point(
+        protocol="sbft-c0",
         f=1,
-        client_counts=(2,),
-        requests_per_client=4,
+        clients=2,
+        workload=KV(requests=4, batch=2),
+        label="sanitize/scale",
         block_batch=2,
         max_sim_time=120.0,
-    )
-    return run_kv_point("sbft-c0", scale, num_clients=2, kv_batch=2, seed=seed)
-
-
-def _scenario_contracts(seed: int):
-    """One fixed-seed point of the smart-contract sweep (cold cache)."""
-    from repro.experiments.smart_contracts import run_contract_point
-
-    return run_contract_point(
+    ),
+    "contracts": Point(
         protocol="pbft",
-        topology="continent",
         f=1,
-        c=None,
-        num_clients=2,
-        num_transactions=60,
-        block_batch=2,
-        seed=seed,
-        max_sim_time=240.0,
+        clients=2,
+        workload=Ethereum(transactions=60),
         label="sanitize/contracts",
-    )
-
-
-def _scenario_fault(seed: int):
-    """One fixed-seed crash-backups point of the fault sweep (cold cache)."""
-    from repro.experiments.fault_sweep import SCENARIOS, FaultSweepScale, run_fault_point
-
-    scale = FaultSweepScale(
-        name="sanitize",
+        block_batch=2,
+        max_sim_time=240.0,
+    ),
+    "fault": Point(
+        protocol="sbft-c0",
         f=1,
-        num_clients=4,
-        requests_per_client=16,
-        kv_batch=2,
+        clients=4,
+        workload=KV(requests=16, batch=2),
+        label="sanitize/fault",
         block_batch=4,
+        fault_plan=FaultPlan.crash_backups(1, 4, at_time=1.0),
+        config_overrides=fault_sweep.CONFIG_OVERRIDES,
         max_sim_time=120.0,
-    )
-    return run_fault_point("sbft-c0", "continent", SCENARIOS["crash-backups"], scale, seed=seed)
-
-
-def _scenario_client(seed: int):
-    """One fixed-seed adaptive-batching point of the client sweep (cold cache)."""
-    from repro.experiments.client_sweep import ClientSweepScale, run_client_point
-
-    scale = ClientSweepScale(
-        name="sanitize",
+        timeline_bucket=fault_sweep.TIMELINE_BUCKET,
+        fault_phase=(1.0, 2.0),
+    ),
+    "client": Point(
+        protocol="sbft-c0",
         f=1,
-        client_counts=(4,),
-        requests_per_client=4,
-        kv_batch=2,
+        clients=4,
+        workload=KV(requests=4, batch=2),
+        label="sanitize/client",
         block_batch=4,
-        max_outstanding=2,
+        config_overrides=dict(
+            client_sweep.CONFIG_OVERRIDES, batch_policy="adaptive", client_max_outstanding=2
+        ),
         max_sim_time=120.0,
-    )
-    return run_client_point("sbft-c0", "adaptive", 4, scale, seed=seed)
-
-
-SCENARIOS: Dict[str, Callable[[int], object]] = {
-    "scale": _scenario_scale,
-    "contracts": _scenario_contracts,
-    "fault": _scenario_fault,
-    "client": _scenario_client,
+    ),
 }
+
+
+def run_scenario(scenario: str, seed: int = 0) -> ClusterResult:
+    """One sanitized run of ``scenario`` at ``seed``."""
+    return run_point(dataclasses.replace(SCENARIOS[scenario], seed=seed), sanitize=True)
 
 
 def selfcheck(scenario: str, seed: int = 0) -> SelfCheckResult:
     """Run ``scenario`` twice with the same seed and compare hash chains."""
-    runner = SCENARIOS[scenario]
-    with _sanitize_env():
-        first = runner(seed)
-        second = runner(seed)
+    first = run_scenario(scenario, seed)
+    second = run_scenario(scenario, seed)
     trace_a = first.decision_trace or []
     trace_b = second.decision_trace or []
     ok = first.decision_hash == second.decision_hash and trace_a == trace_b

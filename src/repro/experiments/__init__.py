@@ -3,8 +3,9 @@
 Every module but :mod:`repro.experiments.harness` defines a ``SWEEP`` that
 the one grid runner runs (``python -m repro.experiments.<module> --help``):
 
-* :mod:`repro.experiments.harness` — shared scales, the one grid runner,
-  the sweep CLI and the ``--check-against`` baseline gate.
+* :mod:`repro.experiments.harness` — shared scales, the one sweep-point
+  record (``Point``) and its one runner (``run_point``), the one grid
+  runner, the sweep CLI and the ``--check-against`` baseline gate.
 * :mod:`repro.experiments.scale_sweep` — throughput per replica count
   (``BENCH_scale_sweep.json``).
 * :mod:`repro.experiments.client_sweep` — the client-scaling axis, fixed vs
@@ -22,6 +23,6 @@ The sized sweeps take ``--scale small|medium|paper`` so the same code runs
 both the quick CI-sized configuration and larger paper-sized ones.
 """
 
-from repro.experiments.harness import ExperimentScale, run_kv_point, format_table
+from repro.experiments.harness import ExperimentScale, Point, format_table, run_point
 
-__all__ = ["ExperimentScale", "run_kv_point", "format_table"]
+__all__ = ["ExperimentScale", "Point", "format_table", "run_point"]

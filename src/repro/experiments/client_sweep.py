@@ -30,14 +30,12 @@ second form is the CI gate: every seed-determined row key must equal it.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments import harness
-from repro.experiments.harness import COMMON_ROW_SCHEMA, protocol_sizes, result_row
-from repro.protocols.cluster import ClusterResult, build_cluster
-from repro.workloads.kv_workload import KVWorkload
+from repro.experiments.harness import KV, COMMON_ROW_SCHEMA, Point, result_row
+from repro.protocols.cluster import ClusterResult
 
 #: Batching policies the sweep compares (the grid's middle axis).
 POLICIES: Tuple[str, ...] = ("fixed", "adaptive")
@@ -54,75 +52,21 @@ CONFIG_OVERRIDES = {
 }
 
 
-@dataclass(frozen=True)
-class ClientSweepScale:
-    """How big to run one client-sweep grid."""
-
-    name: str
-    f: int
-    client_counts: Sequence[int]
-    requests_per_client: int
-    kv_batch: int              # operations per client request
-    block_batch: int           # batch_size: minimum client requests per block
-    max_outstanding: int       # pipelined requests in flight per client
-    max_sim_time: float
-
-
+#: How big to run each grid, per scale: ``requests`` per client of
+#: ``kv_batch`` operations each, ``block_batch`` the minimum client requests
+#: per block, ``max_outstanding`` pipelined requests in flight per client.
 #: The top of each ``client_counts`` curve must saturate the primary so the
 #: adaptive policy has a queue to drain — that is where fixed batching pays a
 #: per-block protocol cost per ``block_batch`` requests and adaptive amortizes
 #: it over up to ``batch_max``.
-SWEEP_SCALES: Dict[str, ClientSweepScale] = {
-    "small": ClientSweepScale("small", f=1, client_counts=(4, 16, 64),
-                              requests_per_client=8, kv_batch=4, block_batch=8,
-                              max_outstanding=4, max_sim_time=240.0),
-    "medium": ClientSweepScale("medium", f=4, client_counts=(8, 32, 128),
-                               requests_per_client=8, kv_batch=4, block_batch=8,
-                               max_outstanding=4, max_sim_time=480.0),
-    "paper": ClientSweepScale("paper", f=16, client_counts=(16, 64, 256),
-                              requests_per_client=8, kv_batch=8, block_batch=16,
-                              max_outstanding=8, max_sim_time=1200.0),
+SWEEP_SCALES: Dict[str, Dict[str, Any]] = {
+    "small": dict(f=1, client_counts=(4, 16, 64), requests=8, kv_batch=4, block_batch=8,
+                  max_outstanding=4, max_sim_time=240.0),
+    "medium": dict(f=4, client_counts=(8, 32, 128), requests=8, kv_batch=4, block_batch=8,
+                   max_outstanding=4, max_sim_time=480.0),
+    "paper": dict(f=16, client_counts=(16, 64, 256), requests=8, kv_batch=8, block_batch=16,
+                  max_outstanding=8, max_sim_time=1200.0),
 }
-
-
-def run_client_point(
-    protocol: str,
-    policy: str,
-    num_clients: int,
-    scale: ClientSweepScale,
-    topology: str = "continent",
-    seed: int = 0,
-    label: Optional[str] = None,
-):
-    """Run one (protocol, policy, num_clients) point; returns a ClusterResult."""
-    if policy not in POLICIES:
-        raise ConfigurationError(
-            f"unknown batch policy {policy!r} (known: {', '.join(POLICIES)})"
-        )
-    n, c = protocol_sizes(protocol, scale.f)
-    overrides = dict(CONFIG_OVERRIDES)
-    overrides["batch_policy"] = policy
-    overrides["client_max_outstanding"] = scale.max_outstanding
-    cluster = build_cluster(
-        protocol,
-        f=scale.f,
-        c=c if protocol == "sbft-c8" else None,
-        num_clients=num_clients,
-        topology=topology,
-        batch_size=scale.block_batch,
-        seed=seed,
-        config_overrides=overrides,
-    )
-    workload = KVWorkload(
-        requests_per_client=scale.requests_per_client,
-        batch_size=scale.kv_batch,
-        seed=seed + 1,
-    )
-    return cluster.run(
-        workload,
-        max_sim_time=scale.max_sim_time,
-        label=label or f"{protocol}/{policy}/clients={num_clients}",
-    )
 
 
 def grid(
@@ -132,47 +76,52 @@ def grid(
     clients: Optional[Sequence[int]] = None,
     topology: str = "continent",
     seed: int = 0,
-) -> List[Dict]:
+) -> List[Point]:
     """The sweep's ordered (protocol, policy, num_clients) points;
     ``clients`` overrides the scale's client-count curve."""
-    if scale_name not in SWEEP_SCALES:
-        raise ConfigurationError(f"unknown client-sweep scale {scale_name!r}")
-    counts = clients if clients is not None else SWEEP_SCALES[scale_name].client_counts
+    size = harness.scale_entry(SWEEP_SCALES, scale_name)
+    for policy in policies:
+        if policy not in POLICIES:
+            raise ConfigurationError(
+                f"unknown batch policy {policy!r} (known: {', '.join(POLICIES)})"
+            )
     return [
-        dict(protocol=protocol, policy=policy, clients=num_clients,
-             scale_name=scale_name, topology=topology, seed=seed)
+        Point(
+            protocol=protocol,
+            f=size["f"],
+            clients=num_clients,
+            workload=KV(requests=size["requests"], batch=size["kv_batch"]),
+            label=f"{protocol}/{policy}/clients={num_clients}",
+            topology=topology,
+            block_batch=size["block_batch"],
+            seed=seed,
+            config_overrides=dict(
+                CONFIG_OVERRIDES,
+                batch_policy=policy,
+                client_max_outstanding=size["max_outstanding"],
+            ),
+            max_sim_time=size["max_sim_time"],
+        )
         for protocol in protocols
         for policy in policies
-        for num_clients in counts
+        for num_clients in (size["client_counts"] if clients is None else clients)
     ]
 
 
-def run_grid_point(point: Dict) -> ClusterResult:
-    return run_client_point(
-        point["protocol"],
-        point["policy"],
-        point["clients"],
-        SWEEP_SCALES[point["scale_name"]],
-        topology=point["topology"],
-        seed=point["seed"],
-    )
-
-
-def client_row(point: Dict, result: ClusterResult) -> Dict:
-    scale = SWEEP_SCALES[point["scale_name"]]
+def client_row(point: Point, result: ClusterResult) -> Dict:
     # Any non-crashed replica executed every block; the max is robust to
     # laggards that were still catching up when the last client finished.
     blocks = max(stats["blocks_executed"] for stats in result.replica_stats.values())
-    expected = point["clients"] * scale.requests_per_client
+    expected = point.clients * point.workload.requests
     completed = result.run.completed_requests
     return result_row(
         result,
-        protocol=point["protocol"],
-        policy=point["policy"],
-        clients=point["clients"],
-        max_outstanding=scale.max_outstanding,
-        f=scale.f,
-        n=protocol_sizes(point["protocol"], scale.f)[0],
+        protocol=point.protocol,
+        policy=point.config_overrides["batch_policy"],
+        clients=point.clients,
+        max_outstanding=point.config_overrides["client_max_outstanding"],
+        f=point.f,
+        n=point.n,
         completed_requests=completed,
         expected_requests=expected,
         all_completed=completed >= expected,
@@ -214,7 +163,6 @@ SWEEP = harness.Sweep(
     "--scale small --output BENCH_client_sweep.json",
     row_schema=ROW_SCHEMA,
     grid=grid,
-    run_point=run_grid_point,
     row=client_row,
     scales=tuple(SWEEP_SCALES),
     table_columns=TABLE_COLUMNS,

@@ -43,15 +43,15 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.adversary.behaviours import stale_view_change
 from repro.errors import ConfigurationError
 from repro.experiments import harness
-from repro.experiments.harness import COMMON_ROW_SCHEMA, protocol_sizes, result_row
-from repro.protocols.cluster import ClusterResult, build_cluster
+from repro.experiments.harness import KV, COMMON_ROW_SCHEMA, Point, result_row
+from repro.protocols.cluster import ClusterResult
+from repro.protocols.registry import protocol_sizes
 from repro.sim.faults import FaultPlan
-from repro.workloads.kv_workload import KVWorkload
 
 #: Width of one timeline bucket, seconds of simulated time.
 TIMELINE_BUCKET = 0.25
@@ -165,76 +165,40 @@ DEFAULT_PROTOCOLS: Tuple[str, ...] = ("sbft-c0", "sbft-c8", "pbft")
 DEFAULT_TOPOLOGIES: Tuple[str, ...] = ("continent",)
 
 
-@dataclass(frozen=True)
-class FaultSweepScale:
-    """How big to run one fault-sweep point."""
-
-    name: str
-    f: int
-    num_clients: int
-    requests_per_client: int
-    kv_batch: int
-    block_batch: int
-    max_sim_time: float
-
-
-#: ``requests_per_client`` must keep every (protocol, scenario) point busy
-#: past the latest ``fault_end`` (3.0 s), so that heal/restart actions fire
-#: and the *after* phase has data even for the protocol/scenario pairs that
-#: degrade the least (PBFT barely notices f crashed backups).
-SWEEP_SCALES: Dict[str, FaultSweepScale] = {
-    "small": FaultSweepScale("small", f=1, num_clients=6, requests_per_client=32,
-                             kv_batch=4, block_batch=4, max_sim_time=120.0),
-    "medium": FaultSweepScale("medium", f=2, num_clients=8, requests_per_client=40,
-                              kv_batch=4, block_batch=8, max_sim_time=240.0),
-    "paper": FaultSweepScale("paper", f=4, num_clients=16, requests_per_client=48,
-                             kv_batch=8, block_batch=8, max_sim_time=600.0),
+#: How big to run each point, per scale: ``requests`` per client of
+#: ``kv_batch`` puts each, ``block_batch`` client requests per block.
+#: ``requests`` must keep every (protocol, scenario) point busy past the
+#: latest ``fault_end`` (3.0 s), so that heal/restart actions fire and the
+#: *after* phase has data even for the protocol/scenario pairs that degrade
+#: the least (PBFT barely notices f crashed backups).
+SWEEP_SCALES: Dict[str, Dict[str, Any]] = {
+    "small": dict(f=1, clients=6, requests=32, kv_batch=4, block_batch=4, max_sim_time=120.0),
+    "medium": dict(f=2, clients=8, requests=40, kv_batch=4, block_batch=8, max_sim_time=240.0),
+    "paper": dict(f=4, clients=16, requests=48, kv_batch=8, block_batch=8, max_sim_time=600.0),
 }
 
 
-def run_fault_point(
-    protocol: str,
-    topology: str,
-    scenario: FaultScenario,
-    scale: FaultSweepScale,
-    seed: int = 0,
-    label: Optional[str] = None,
-):
-    """Run one (protocol, topology, scenario) point; returns a ClusterResult
-    whose RunResult carries the windowed timeline and phase aggregates, plus
-    ``faults_planned``/``faults_fired`` in ``run.extra`` — a row whose
-    workload finished before the scripted timeline (so faults never fired)
-    measures nothing, and these counters make that visible."""
-    n, c = protocol_sizes(protocol, scale.f)
-    plan = scenario.build_plan(protocol, n, scale.f, c)
-    cluster = build_cluster(
-        protocol,
-        f=scale.f,
-        c=c if protocol == "sbft-c8" else None,
-        num_clients=scale.num_clients,
+def _point(protocol: str, topology: str, scenario: FaultScenario, size: Dict, seed: int) -> Point:
+    """One (protocol, topology, scenario) point: its run carries the windowed
+    timeline and the phase aggregates."""
+    f = size["f"]
+    n, c = protocol_sizes(protocol, f)
+    return Point(
+        protocol=protocol,
+        f=f,
+        clients=size["clients"],
+        workload=KV(requests=size["requests"], batch=size["kv_batch"]),
+        label=f"{protocol}/{topology}/{scenario.name}",
         topology=topology,
-        batch_size=scale.block_batch,
+        block_batch=size["block_batch"],
         seed=seed,
-        fault_plan=plan,
-        config_overrides=dict(CONFIG_OVERRIDES),
-    )
-    workload = KVWorkload(
-        requests_per_client=scale.requests_per_client,
-        batch_size=scale.kv_batch,
-        seed=seed + 1,
-    )
-    result = cluster.run(
-        workload,
-        max_sim_time=scale.max_sim_time,
-        label=label or f"{protocol}/{topology}/{scenario.name}",
+        fault_plan=scenario.build_plan(protocol, n, f, c),
+        config_overrides=CONFIG_OVERRIDES,
+        max_sim_time=size["max_sim_time"],
+        tags={"scenario": scenario.name},
         timeline_bucket=TIMELINE_BUCKET,
         fault_phase=(scenario.fault_start, scenario.fault_end),
     )
-    result.run.extra["faults_planned"] = len(plan)
-    result.run.extra["faults_fired"] = (
-        len(cluster.injector.applied) if cluster.injector is not None else 0
-    )
-    return result
 
 
 def grid(
@@ -243,10 +207,9 @@ def grid(
     topologies: Sequence[str] = DEFAULT_TOPOLOGIES,
     scenarios: Optional[Sequence[str]] = None,
     seed: int = 0,
-) -> List[Dict]:
+) -> List[Point]:
     """The sweep's ordered (protocol, topology, scenario) points."""
-    if scale_name not in SWEEP_SCALES:
-        raise ConfigurationError(f"unknown fault-sweep scale {scale_name!r}")
+    size = harness.scale_entry(SWEEP_SCALES, scale_name)
     names = list(scenarios) if scenarios is not None else list(SCENARIOS)
     for name in names:
         if name not in SCENARIOS:
@@ -254,43 +217,36 @@ def grid(
                 f"unknown fault scenario {name!r} (known: {', '.join(SCENARIOS)})"
             )
     return [
-        dict(protocol=protocol, topology=topology, scenario=name,
-             scale_name=scale_name, seed=seed)
+        _point(protocol, topology, SCENARIOS[name], size, seed)
         for protocol in protocols
         for topology in topologies
         for name in names
     ]
 
 
-def run_grid_point(point: Dict) -> ClusterResult:
-    return run_fault_point(
-        point["protocol"],
-        point["topology"],
-        SCENARIOS[point["scenario"]],
-        SWEEP_SCALES[point["scale_name"]],
-        seed=point["seed"],
-    )
-
-
-def fault_row(point: Dict, result: ClusterResult) -> Dict:
-    scenario = SCENARIOS[point["scenario"]]
-    scale = SWEEP_SCALES[point["scale_name"]]
+def fault_row(point: Point, result: ClusterResult) -> Dict:
+    """The row; ``faults_planned``/``faults_fired`` make a point whose
+    workload finished before the scripted timeline (so faults never fired,
+    and it measures nothing) visible."""
     run = result.run
-    expected = scale.num_clients * scale.requests_per_client
+    expected = point.clients * point.workload.requests
+    fault_start, fault_end = point.fault_phase
     return result_row(
         result,
-        protocol=point["protocol"],
-        topology=point["topology"],
-        scenario=scenario.name,
-        f=scale.f,
-        n=protocol_sizes(point["protocol"], scale.f)[0],
-        clients=scale.num_clients,
+        faults_planned=result.faults_planned,
+        faults_fired=result.faults_fired,
+        protocol=point.protocol,
+        topology=point.topology,
+        scenario=point.tags["scenario"],
+        f=point.f,
+        n=point.n,
+        clients=point.clients,
         completed_requests=run.completed_requests,
         expected_requests=expected,
         all_completed=run.completed_requests >= expected,
         recovered=bool(run.phases and run.phases["after"]["throughput_ops"] > 0),
-        fault_start=scenario.fault_start,
-        fault_end=scenario.fault_end,
+        fault_start=fault_start,
+        fault_end=fault_end,
         phases=run.phases,
         timeline=run.timeline.as_rows() if run.timeline is not None else [],
     )
@@ -354,7 +310,6 @@ SWEEP = harness.Sweep(
     "--scale small --output BENCH_fault_sweep.json",
     row_schema=ROW_SCHEMA,
     grid=grid,
-    run_point=run_grid_point,
     row=fault_row,
     scales=tuple(SWEEP_SCALES),
     table_columns=TABLE_COLUMNS,

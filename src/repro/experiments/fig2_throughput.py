@@ -25,15 +25,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import harness
 from repro.experiments.harness import (
+    KV,
     COMMON_ROW_SCHEMA,
     SCALES,
     ExperimentScale,
-    protocol_sizes,
+    Point,
     result_row,
-    run_kv_point,
 )
 from repro.protocols.cluster import ClusterResult
-from repro.protocols.registry import PAPER_ORDER
+from repro.protocols.registry import PAPER_ORDER, protocol_sizes
+from repro.sim.faults import FaultPlan
 
 #: The paper's batching modes: each client request carries 64 operations, or one.
 PAPER_BATCH_MODES: Tuple[int, ...] = (64, 1)
@@ -56,20 +57,31 @@ def grid(
     topology: str = "continent",
     seed: int = 0,
     scale: Optional[ExperimentScale] = None,
-) -> List[Dict]:
-    """The sweep's ordered (batch mode, failures, protocol, clients) points.
+) -> List[Point]:
+    """The sweep's ordered (batch mode, failures, protocol, clients) points;
+    ``failures`` backups crash from the start of the run.
 
     ``scale`` replaces the named scale (the test and benchmark suites run
     lighter ones); ``failures`` and ``client_counts`` default to the scale's.
     """
-    scale = scale or SCALES[scale_name]
+    scale = scale or harness.scale_entry(SCALES, scale_name)
     if failures is None:
         failures = scaled_failures(scale)
     if client_counts is None:
         client_counts = scale.client_counts
     return [
-        dict(scale=scale, protocol=protocol, kv_batch=kv_batch, failures=failure_count,
-             clients=num_clients, topology=topology, seed=seed)
+        Point(
+            protocol=protocol,
+            f=scale.f,
+            clients=num_clients,
+            workload=KV(requests=scale.requests_per_client, batch=kv_batch),
+            label=f"{protocol}/batch={kv_batch}/fail={failure_count}/clients={num_clients}",
+            topology=topology,
+            block_batch=scale.block_batch,
+            seed=seed,
+            fault_plan=FaultPlan.crash_backups(failure_count, protocol_sizes(protocol, scale.f)[0]),
+            max_sim_time=scale.max_sim_time,
+        )
         for kv_batch in batch_modes
         for failure_count in failures
         for protocol in protocols
@@ -77,32 +89,17 @@ def grid(
     ]
 
 
-def run_grid_point(point: Dict) -> ClusterResult:
-    return run_kv_point(
-        point["protocol"],
-        point["scale"],
-        num_clients=point["clients"],
-        kv_batch=point["kv_batch"],
-        failures=point["failures"],
-        topology=point["topology"],
-        seed=point["seed"],
-        label=f"{point['protocol']}/batch={point['kv_batch']}"
-        f"/fail={point['failures']}/clients={point['clients']}",
-    )
-
-
-def figure2_row(point: Dict, result: ClusterResult) -> Dict:
+def figure2_row(point: Point, result: ClusterResult) -> Dict:
     stats = result.replica_stats.values()
-    f = point["scale"].f
     return result_row(
         result,
-        protocol=point["protocol"],
-        f=f,
-        n=protocol_sizes(point["protocol"], f)[0],
-        topology=point["topology"],
-        kv_batch=point["kv_batch"],
-        failures=point["failures"],
-        clients=point["clients"],
+        protocol=point.protocol,
+        f=point.f,
+        n=point.n,
+        topology=point.topology,
+        kv_batch=point.workload.batch,
+        failures=result.faults_planned,
+        clients=point.clients,
         fast_blocks=sum(replica.get("blocks_committed_fast", 0) for replica in stats),
         slow_blocks=sum(replica.get("blocks_committed_slow", 0) for replica in stats),
     )
@@ -149,7 +146,6 @@ SWEEP = harness.Sweep(
     example="PYTHONPATH=src python -m repro.experiments.fig2_throughput --scale small --jobs 2",
     row_schema=ROW_SCHEMA,
     grid=grid,
-    run_point=run_grid_point,
     row=figure2_row,
     scales=tuple(SCALES),
     axes={

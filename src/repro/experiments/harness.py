@@ -2,11 +2,14 @@
 
 The paper's deployment (f=64, 209 replicas, 256 clients, 1000 requests each)
 is far beyond what a pure-Python discrete-event simulation can sweep in
-minutes, so every experiment is parameterised by an :class:`ExperimentScale`:
-the default "small" scale keeps the same *structure* (same protocols, same
-client sweep shape, same failure scenarios) at f=4; the "medium" and "paper"
-scales raise f towards the paper's value for overnight runs.  Every committed
-``BENCH_*.json`` document records the scale that produced it (docs/benchmarks.md).
+minutes, so every sized sweep takes a named scale: "small" keeps the same
+*structure* (same protocols, same client sweep shape, same failure
+scenarios) at small f; "medium" and "paper" raise f towards the paper's
+value for overnight runs.  Every committed ``BENCH_*.json`` document
+records the scale that produced it (docs/benchmarks.md).
+
+Every cluster sweep point is one plain-data :class:`Point`, and
+:func:`run_point` is the one place a point's cluster is built and run.
 
 Every experiment of :mod:`repro.experiments` and the adversary search share
 one grid runner: a module describes itself as a :class:`Sweep`, :func:`run`
@@ -27,12 +30,14 @@ import json
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.protocols.cluster import ClusterResult, build_cluster
+from repro.protocols.registry import protocol_sizes
 from repro.sim.faults import FaultPlan
 from repro.version import __version__
+from repro.workloads.ethereum_workload import EthereumWorkload
 from repro.workloads.kv_workload import KVWorkload
 
 
@@ -60,46 +65,87 @@ SCALES: Dict[str, ExperimentScale] = {
 }
 
 
-def protocol_sizes(protocol: str, f: int) -> Tuple[int, int]:
-    """``(n, c)`` for one sweep point at replication factor ``f``.
+@dataclass(frozen=True)
+class KV:
+    """A point's KV workload: ``requests`` per client of ``batch`` puts each."""
 
-    The sweeps' shared convention: ``sbft-c8`` runs with ``c = max(1, f //
-    8)`` redundant servers (``n = 3f + 2c + 1``); every other variant runs
-    with ``c = 0`` (``n = 3f + 1``).  Single source of truth for every sweep.
+    requests: int
+    batch: int
+
+    def build(self, point: "Point") -> KVWorkload:
+        return KVWorkload(requests_per_client=self.requests, batch_size=self.batch,
+                          seed=point.seed + 1)
+
+
+@dataclass(frozen=True)
+class Ethereum:
+    """A point's smart-contract workload: ``transactions`` shared by the clients."""
+
+    transactions: int
+
+    def build(self, point: "Point") -> EthereumWorkload:
+        return EthereumWorkload(num_transactions=self.transactions, num_accounts=100,
+                                num_clients=point.clients, seed=7)
+
+
+@dataclass(frozen=True)
+class Point:
+    """One cluster sweep point, as plain data; :func:`run_point` runs it.
+
+    It has no ``c``: :func:`repro.protocols.registry.protocol_sizes` is the
+    one n/c rule.  ``tags`` are the grid's own axis values (a fault-scenario
+    name, a primary fault) that its row reports and the run does not read.
+    ``timeline_bucket`` and ``fault_phase`` are the fault sweep's
+    :meth:`~repro.protocols.cluster.Cluster.run` requests.
     """
-    c = max(1, f // 8) if protocol == "sbft-c8" else 0
-    return 3 * f + 2 * c + 1, c
+
+    protocol: str
+    f: int
+    clients: int
+    workload: Union[KV, Ethereum]
+    label: str
+    topology: str = "continent"
+    block_batch: int = 4
+    seed: int = 0
+    fault_plan: Optional[FaultPlan] = None
+    config_overrides: Dict[str, Any] = field(default_factory=dict)
+    max_sim_time: float = 300.0
+    tags: Dict[str, Any] = field(default_factory=dict)
+    timeline_bucket: Optional[float] = None
+    fault_phase: Optional[Tuple[float, float]] = None
+
+    @property
+    def n(self) -> int:
+        return protocol_sizes(self.protocol, self.f)[0]
 
 
-def run_kv_point(
-    protocol: str,
-    scale: ExperimentScale,
-    num_clients: int,
-    kv_batch: int,
-    failures: int = 0,
-    topology: str = "continent",
-    seed: int = 0,
-    label: Optional[str] = None,
-) -> ClusterResult:
-    """Run one (protocol, #clients, #failures) point of the KV benchmark."""
-    n, c = protocol_sizes(protocol, scale.f)
-    fault_plan = FaultPlan.crash_backups(failures, n) if failures else None
+def run_point(point: Point, sanitize: bool = False) -> ClusterResult:
+    """Build and run one point's cluster: the experiments' one cluster run."""
     cluster = build_cluster(
-        protocol,
-        f=scale.f,
-        c=c,
-        num_clients=num_clients,
-        topology=topology,
-        batch_size=scale.block_batch,
-        seed=seed,
-        fault_plan=fault_plan,
+        point.protocol,
+        f=point.f,
+        num_clients=point.clients,
+        topology=point.topology,
+        batch_size=point.block_batch,
+        seed=point.seed,
+        fault_plan=point.fault_plan,
+        config_overrides=point.config_overrides,
     )
-    workload = KVWorkload(
-        requests_per_client=scale.requests_per_client,
-        batch_size=kv_batch,
-        seed=seed + 1,
+    return cluster.run(
+        point.workload.build(point),
+        max_sim_time=point.max_sim_time,
+        label=point.label,
+        timeline_bucket=point.timeline_bucket,
+        fault_phase=point.fault_phase,
+        sanitize=sanitize,
     )
-    return cluster.run(workload, max_sim_time=scale.max_sim_time, label=label or protocol)
+
+
+def scale_entry(table: Dict[str, Any], name: str) -> Any:
+    """``table[name]`` of a sweep's per-scale table; an unknown name raises."""
+    if name not in table:
+        raise ConfigurationError(f"unknown scale {name!r} (known: {', '.join(table)})")
+    return table[name]
 
 
 #: Row keys read from the host's clocks.  They stay on the rows as
@@ -143,13 +189,15 @@ class Sweep:
 
     ``grid`` maps keyword grid axes (``scale_name`` when the sweep has
     ``scales``, ``seed``, and the ``axes`` names) to the ordered points;
-    ``run_point`` runs one point and is the only timed call; ``row`` turns
-    ``(point, result)`` into the row without its cost fields.  All three are
-    module-level functions and points are plain data, so a ``(sweep, point)``
-    pair pickles for the worker processes.  ``axes`` are the sweep's own
-    CLI flags, ``grid`` keyword -> argparse options: a flag that is not
-    passed leaves ``grid``'s default in force, and passing any of them marks
-    the run as a partial grid for the baseline gate.  ``report_flags`` are
+    ``run_point`` runs one point and is the only timed call (a cluster
+    sweep's points are :class:`Point` records and its ``run_point`` is
+    :func:`run_point`); ``row`` turns ``(point, result)`` into the row
+    without its cost fields.  All three are module-level functions and
+    points are plain data, so a ``(sweep, point)`` pair pickles for the
+    worker processes.  ``axes`` are the sweep's own CLI flags, ``grid``
+    keyword -> argparse options: a flag that is not passed leaves ``grid``'s
+    default in force, and passing any of them marks the run as a partial
+    grid for the baseline gate.  ``report_flags`` are
     flags only ``report`` reads; ``report(args, points, rows)`` prints what
     the table does not show and returns an exit status.
     """
@@ -159,9 +207,9 @@ class Sweep:
     example: str
     row_schema: Dict[str, str]
     grid: Callable[..., List[Any]]
-    run_point: Callable[[Any], Any]
     row: Callable[[Any, Any], Dict]
     axes: Dict[str, Dict]
+    run_point: Callable[[Any], Any] = run_point
     scales: Sequence[str] = ()
     table_columns: Optional[Sequence[str]] = None
     report_flags: Dict[str, Dict] = field(default_factory=dict)

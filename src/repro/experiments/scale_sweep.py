@@ -25,14 +25,9 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments import harness
-from repro.experiments.harness import (
-    COMMON_ROW_SCHEMA,
-    ExperimentScale,
-    protocol_sizes,
-    result_row,
-    run_kv_point,
-)
+from repro.experiments.harness import KV, COMMON_ROW_SCHEMA, Point, result_row
 from repro.protocols.cluster import ClusterResult
+from repro.protocols.registry import protocol_sizes
 
 #: Replication factors per sweep scale.  ``f`` values translate to
 #: ``n = 3f + 1`` replicas: small sweeps 4..25 replicas, medium to 49, and
@@ -44,18 +39,6 @@ SWEEP_F_VALUES: Dict[str, Sequence[int]] = {
 }
 
 
-def sweep_scale(name: str, f: int) -> ExperimentScale:
-    """A fig2-style point scale for one replication factor."""
-    return ExperimentScale(
-        name=f"scale-sweep-{name}-f{f}",
-        f=f,
-        client_counts=(16,),
-        requests_per_client=4,
-        block_batch=16,
-        max_sim_time=600.0,
-    )
-
-
 def grid(
     scale_name: str = "small",
     protocols: Sequence[str] = ("sbft-c0",),
@@ -64,36 +47,21 @@ def grid(
     kv_batch: int = 8,
     topology: str = "continent",
     seed: int = 0,
-) -> List[Dict]:
-    """The sweep's ordered (protocol, f) points."""
-    if f_values is None:
-        f_values = SWEEP_F_VALUES.get(scale_name, SWEEP_F_VALUES["small"])
+) -> List[Point]:
+    """The sweep's ordered (protocol, f) points: a fig2-style KV point per
+    replication factor."""
+    scale_f_values = harness.scale_entry(SWEEP_F_VALUES, scale_name)
     return [
-        dict(protocol=protocol, f=f, scale_name=scale_name, clients=clients,
-             kv_batch=kv_batch, topology=topology, seed=seed)
+        Point(protocol=protocol, f=f, clients=clients, workload=KV(requests=4, batch=kv_batch),
+              label=f"{protocol}/f={f}/n={protocol_sizes(protocol, f)[0]}", topology=topology,
+              block_batch=16, seed=seed, max_sim_time=600.0)
         for protocol in protocols
-        for f in f_values
+        for f in (scale_f_values if f_values is None else f_values)
     ]
 
 
-def run_scale_point(point: Dict) -> ClusterResult:
-    protocol, f = point["protocol"], point["f"]
-    return run_kv_point(
-        protocol,
-        sweep_scale(point["scale_name"], f),
-        num_clients=point["clients"],
-        kv_batch=point["kv_batch"],
-        topology=point["topology"],
-        seed=point["seed"],
-        label=f"{protocol}/f={f}/n={protocol_sizes(protocol, f)[0]}",
-    )
-
-
-def scale_row(point: Dict, result: ClusterResult) -> Dict:
-    protocol, f = point["protocol"], point["f"]
-    return result_row(
-        result, protocol=protocol, f=f, n=protocol_sizes(protocol, f)[0], clients=point["clients"]
-    )
+def scale_row(point: Point, result: ClusterResult) -> Dict:
+    return result_row(result, protocol=point.protocol, f=point.f, n=point.n, clients=point.clients)
 
 
 ROW_SCHEMA: Dict[str, str] = dict(
@@ -109,7 +77,6 @@ SWEEP = harness.Sweep(
     "--scale small --output BENCH_scale_sweep.json",
     row_schema=ROW_SCHEMA,
     grid=grid,
-    run_point=run_scale_point,
     row=scale_row,
     scales=tuple(SWEEP_F_VALUES),
     axes={

@@ -37,14 +37,14 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import harness
-from repro.experiments.harness import COMMON_ROW_SCHEMA, protocol_sizes, result_row
-from repro.protocols.cluster import ClusterResult, build_cluster
+from repro.experiments.harness import COMMON_ROW_SCHEMA, Ethereum, Point, result_row
+from repro.protocols.cluster import ClusterResult
 from repro.services.ledger import LedgerService, ledger_operation
-from repro.workloads.ethereum_workload import EthereumWorkload, SyntheticTrace
+from repro.workloads.ethereum_workload import SyntheticTrace
 
 #: Sweep grids per scale: replication factors, stream length and client count.
 #: ``f`` translates to ``n = 3f + 1`` (PBFT) or ``n = 3f + 2c + 1`` (SBFT with
-#: redundant servers, ``c = max(1, f // 8)`` as in the scale sweep).
+#: redundant servers, ``c = max(1, f // 8)``: ``registry.protocol_sizes``).
 SWEEP_F_VALUES: Dict[str, Sequence[int]] = {
     "small": (2, 4),
     "medium": (4, 8),
@@ -87,41 +87,6 @@ def single_node_baseline(num_transactions: int = 1_000, seed: int = 7) -> Dict[s
     }
 
 
-def run_contract_point(
-    protocol: str,
-    topology: str,
-    f: int,
-    c: Optional[int],
-    num_clients: int,
-    num_transactions: int,
-    block_batch: int,
-    seed: int,
-    max_sim_time: float,
-    label: str,
-):
-    """Run one replicated smart-contract point; returns a ClusterResult.
-
-    Public so the determinism sanitizer (`repro.analysis.sanitizer`) can
-    replay a fixed-seed contract point.
-    """
-    cluster = build_cluster(
-        protocol,
-        f=f,
-        c=c,
-        num_clients=num_clients,
-        topology=topology,
-        batch_size=block_batch,
-        seed=seed,
-    )
-    workload = EthereumWorkload(
-        num_transactions=num_transactions,
-        num_accounts=100,
-        num_clients=num_clients,
-        seed=7,
-    )
-    return cluster.run(workload, max_sim_time=max_sim_time, label=label)
-
-
 def grid(
     scale_name: str = "small",
     protocols: Sequence[str] = SWEEP_PROTOCOLS,
@@ -131,45 +96,29 @@ def grid(
     clients: int = SWEEP_NUM_CLIENTS,
     block_batch: int = SWEEP_BLOCK_BATCH,
     seed: int = 0,
-) -> List[Dict]:
+) -> List[Point]:
     """The sweep's ordered (f, topology, protocol) points."""
-    if f_values is None:
-        f_values = SWEEP_F_VALUES.get(scale_name, SWEEP_F_VALUES["small"])
+    scale_f_values = harness.scale_entry(SWEEP_F_VALUES, scale_name)
     if num_transactions is None:
-        num_transactions = SWEEP_NUM_TRANSACTIONS.get(scale_name, SWEEP_NUM_TRANSACTIONS["small"])
+        num_transactions = SWEEP_NUM_TRANSACTIONS[scale_name]
     return [
-        dict(protocol=protocol, topology=topology, f=f, num_transactions=num_transactions,
-             clients=clients, block_batch=block_batch, seed=seed)
-        for f in f_values
+        Point(protocol=protocol, f=f, clients=clients, workload=Ethereum(num_transactions),
+              label=f"{protocol}/{topology}/f={f}", topology=topology, block_batch=block_batch,
+              seed=seed, max_sim_time=SWEEP_MAX_SIM_TIME)
+        for f in (scale_f_values if f_values is None else f_values)
         for topology in topologies
         for protocol in protocols
     ]
 
 
-def run_grid_point(point: Dict) -> ClusterResult:
-    protocol, topology, f = point["protocol"], point["topology"], point["f"]
-    return run_contract_point(
-        protocol,
-        topology,
-        f,
-        protocol_sizes(protocol, f)[1] or None,
-        point["clients"],
-        point["num_transactions"],
-        point["block_batch"],
-        point["seed"],
-        SWEEP_MAX_SIM_TIME,
-        f"{protocol}/{topology}/f={f}",
-    )
-
-
-def contract_row(point: Dict, result: ClusterResult) -> Dict:
+def contract_row(point: Point, result: ClusterResult) -> Dict:
     return result_row(
         result,
-        protocol=point["protocol"],
-        topology=point["topology"],
-        f=point["f"],
-        n=protocol_sizes(point["protocol"], point["f"])[0],
-        clients=point["clients"],
+        protocol=point.protocol,
+        topology=point.topology,
+        f=point.f,
+        n=point.n,
+        clients=point.clients,
         transactions=result.completed_operations,
         throughput_tps=round(result.throughput, 1),
     )
@@ -211,7 +160,6 @@ SWEEP = harness.Sweep(
     "--scale small --output BENCH_smart_contracts.json",
     row_schema=ROW_SCHEMA,
     grid=grid,
-    run_point=run_grid_point,
     row=contract_row,
     scales=tuple(SWEEP_F_VALUES),
     axes={

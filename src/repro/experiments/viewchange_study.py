@@ -20,10 +20,9 @@ from typing import Dict, List, Sequence
 
 from repro.adversary.behaviours import equivocate, silent
 from repro.experiments import harness
-from repro.experiments.harness import COMMON_ROW_SCHEMA, protocol_sizes, result_row
-from repro.protocols.cluster import ClusterResult, build_cluster
+from repro.experiments.harness import KV, COMMON_ROW_SCHEMA, Point, result_row
+from repro.protocols.cluster import ClusterResult
 from repro.sim.faults import FaultPlan
-from repro.workloads.kv_workload import KVWorkload
 
 #: Primary misbehaviours exercised by the study: a crash, or a byzantine
 #: behaviour installed on the primary.
@@ -34,6 +33,13 @@ PRIMARY_FAULTS = ("crash", *_BEHAVIOURS)
 NUM_CLIENTS = 2
 REQUESTS_PER_CLIENT = 4
 MAX_SIM_TIME = 120.0
+CONFIG_OVERRIDES = {"view_change_timeout": 1.0, "client_retry_timeout": 1.5}
+
+
+def _primary_fault(fault: str) -> FaultPlan:
+    if fault == "crash":
+        return FaultPlan.crash_first(1, at_time=0.0)
+    return FaultPlan.byzantine([0], _BEHAVIOURS[fault], at_time=0.0)
 
 
 def grid(
@@ -42,54 +48,40 @@ def grid(
     f: int = 1,
     protocol: str = "sbft-c0",
     seed: int = 0,
-) -> List[Dict]:
-    """The sweep's ordered (fault, trial seed) points; trial ``k`` runs at
-    ``seed + k``."""
+) -> List[Point]:
+    """The sweep's ordered (fault, trial seed) points: trial ``k`` runs at
+    ``seed + k`` with a faulty primary."""
     return [
-        dict(fault=fault, seed=seed + trial, f=f, protocol=protocol)
+        Point(
+            protocol=protocol,
+            f=f,
+            clients=NUM_CLIENTS,
+            workload=KV(requests=REQUESTS_PER_CLIENT, batch=2),
+            label=f"{protocol}/{fault}/seed={seed + trial}",
+            topology="lan",
+            block_batch=2,
+            seed=seed + trial,
+            fault_plan=_primary_fault(fault),
+            config_overrides=CONFIG_OVERRIDES,
+            max_sim_time=MAX_SIM_TIME,
+            tags={"fault": fault},
+        )
         for fault in faults
         for trial in range(trials_per_fault)
     ]
 
 
-def run_trial(point: Dict) -> ClusterResult:
-    """Run one trial with a faulty primary; ``run.extra["max_view"]`` is the
-    highest view a non-crashed replica ended in."""
-    fault, seed, f, protocol = point["fault"], point["seed"], point["f"], point["protocol"]
-    if fault == "crash":
-        plan = FaultPlan.crash_first(1, at_time=0.0)
-    else:
-        plan = FaultPlan.byzantine([0], _BEHAVIOURS[fault], at_time=0.0)
-    cluster = build_cluster(
-        protocol,
-        f=f,
-        c=protocol_sizes(protocol, f)[1],
-        num_clients=NUM_CLIENTS,
-        topology="lan",
-        batch_size=2,
-        seed=seed,
-        fault_plan=plan,
-        config_overrides={"view_change_timeout": 1.0, "client_retry_timeout": 1.5},
-    )
-    workload = KVWorkload(requests_per_client=REQUESTS_PER_CLIENT, batch_size=2, seed=seed + 1)
-    result = cluster.run(
-        workload, max_sim_time=MAX_SIM_TIME, label=f"{protocol}/{fault}/seed={seed}"
-    )
-    views = [replica.view for replica in cluster.replicas.values() if not replica.crashed]
-    result.run.extra["max_view"] = max(views) if views else 0
-    return result
-
-
-def trial_row(point: Dict, result: ClusterResult) -> Dict:
-    expected = NUM_CLIENTS * REQUESTS_PER_CLIENT
+def trial_row(point: Point, result: ClusterResult) -> Dict:
+    expected = point.clients * point.workload.requests
     completed = result.run.completed_requests
     return result_row(
         result,
-        protocol=point["protocol"],
-        f=point["f"],
-        n=protocol_sizes(point["protocol"], point["f"])[0],
-        fault=point["fault"],
-        seed=point["seed"],
+        max_view=result.max_view,
+        protocol=point.protocol,
+        f=point.f,
+        n=point.n,
+        fault=point.tags["fault"],
+        seed=point.seed,
         completed_requests=completed,
         expected_requests=expected,
         all_completed=completed >= expected,
@@ -130,7 +122,7 @@ ROW_SCHEMA: Dict[str, str] = dict(
     expected_requests="clients x requests_per_client of every trial",
     all_completed="every offered request was acknowledged (liveness)",
     max_view="highest view a non-crashed replica ended in (> 0: a view change happened)",
-    view_changes="view changes completed, summed over replicas",
+    view_changes="view changes started, summed over replicas",
 )
 
 SWEEP = harness.Sweep(
@@ -139,7 +131,6 @@ SWEEP = harness.Sweep(
     example="PYTHONPATH=src python -m repro.experiments.viewchange_study --jobs 2",
     row_schema=ROW_SCHEMA,
     grid=grid,
-    run_point=run_trial,
     row=trial_row,
     table_columns=("label", "completed_requests", "expected_requests", "all_completed",
                    "max_view", "view_changes", "sim_seconds"),

@@ -14,7 +14,6 @@ This is the public entry point most examples and benchmarks use::
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -47,9 +46,12 @@ class ClusterResult:
     per_type_messages: Dict[str, int] = field(default_factory=dict)
     sim_time: float = 0.0
     events_processed: int = 0
-    # Populated only when the run was sanitized (REPRO_SANITIZE=1 or
-    # ``Cluster.run(sanitize=True)``): the rolling decision-hash chain over
-    # every executed event and the per-event records behind it.
+    faults_planned: int = 0      # fault actions in the cluster's plan
+    faults_fired: int = 0        # of those, the actions that activated
+    max_view: int = 0            # highest view a non-crashed replica ended in
+    # Populated only when the run was sanitized (``Cluster.run(sanitize=True)``):
+    # the rolling decision-hash chain over every executed event and the
+    # per-event records behind it.
     decision_hash: Optional[str] = None
     decision_trace: Optional[List[Tuple]] = None
 
@@ -84,7 +86,6 @@ class Cluster:
         costs: CryptoCosts = DEFAULT_COSTS,
         fault_plan: Optional[FaultPlan] = None,
         drop_rate: float = 0.0,
-        topology_kwargs: Optional[Dict[str, Any]] = None,
     ):
         self.spec = spec
         self.config = config
@@ -94,7 +95,6 @@ class Cluster:
         self.costs = costs
         self.fault_plan = fault_plan
         self.drop_rate = drop_rate
-        self.topology_kwargs = topology_kwargs or {}
 
         self.sim: Optional[Simulator] = None
         self.network: Optional[Network] = None
@@ -128,7 +128,7 @@ class Cluster:
             from repro.analysis.sanitizer import DeterminismSanitizer
 
             self.sanitizer = DeterminismSanitizer(self.sim)
-        latency = make_topology(self.topology, total_nodes, **self.topology_kwargs)
+        latency = make_topology(self.topology, total_nodes)
         self.network = Network(self.sim, latency=latency, drop_rate=self.drop_rate)
         if self.sanitizer is not None:
             # The network owns a second RNG (derived from the simulator's);
@@ -226,7 +226,7 @@ class Cluster:
         label: Optional[str] = None,
         timeline_bucket: Optional[float] = None,
         fault_phase: Optional[tuple] = None,
-        sanitize: Optional[bool] = None,
+        sanitize: bool = False,
     ) -> ClusterResult:
         """Build the cluster, run the workload and summarize the results.
 
@@ -238,11 +238,8 @@ class Cluster:
 
         ``sanitize`` turns on the determinism sanitizer
         (:mod:`repro.analysis.sanitizer`): the result then carries a
-        ``decision_hash`` chain and per-event ``decision_trace``.  ``None``
-        (the default) defers to the ``REPRO_SANITIZE`` environment variable.
+        ``decision_hash`` chain and per-event ``decision_trace``.
         """
-        if sanitize is None:
-            sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
         self._build(workload, sanitize=sanitize)
         assert self.sim is not None and self.network is not None
 
@@ -278,6 +275,7 @@ class Cluster:
         if fault_phase is not None:
             fault_start, fault_end = fault_phase
             run.phases = self.recorder.phase_summary(fault_start, fault_end, duration=duration)
+        views = [replica.view for replica in self.replicas.values() if not replica.crashed]
 
         return ClusterResult(
             run=run,
@@ -288,6 +286,9 @@ class Cluster:
             per_type_messages=dict(self.network.stats.per_type_count),
             sim_time=self.sim.now,
             events_processed=self.sim.events_processed,
+            faults_planned=len(self.fault_plan) if self.fault_plan is not None else 0,
+            faults_fired=len(self.injector.applied) if self.injector is not None else 0,
+            max_view=max(views) if views else 0,
             decision_hash=self.sanitizer.chain_hash if self.sanitizer else None,
             decision_trace=list(self.sanitizer.records) if self.sanitizer else None,
         )
@@ -305,14 +306,14 @@ def build_cluster(
     fault_plan: Optional[FaultPlan] = None,
     drop_rate: float = 0.0,
     config_overrides: Optional[Dict[str, Any]] = None,
-    topology_kwargs: Optional[Dict[str, Any]] = None,
 ) -> Cluster:
     """Build a cluster for one of the registered protocol variants.
 
     Parameters mirror the paper's experimental knobs: ``f`` (tolerated
-    Byzantine faults), ``c`` (redundant servers; defaults to the variant's
-    value), ``num_clients``, ``topology`` (``lan`` / ``continent`` / ``world``)
-    and ``batch_size`` (client requests per decision block).
+    Byzantine faults), ``c`` (redundant servers; ``None`` applies the one n/c
+    rule, :func:`repro.protocols.registry.protocol_sizes`), ``num_clients``,
+    ``topology`` (``lan`` / ``continent`` / ``world``) and ``batch_size``
+    (client requests per decision block).
     """
     if f < 1:
         raise ConfigurationError("f must be >= 1")
@@ -329,5 +330,4 @@ def build_cluster(
         costs=costs,
         fault_plan=fault_plan,
         drop_rate=drop_rate,
-        topology_kwargs=topology_kwargs,
     )

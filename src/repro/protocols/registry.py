@@ -17,7 +17,7 @@ the two ingredient booleans its :class:`~repro.core.config.SBFTConfig` carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import SBFTConfig
 from repro.errors import ConfigurationError
@@ -29,15 +29,15 @@ class ProtocolSpec:
 
     name: str
     kind: str                      # "sbft" or "pbft": which replica class runs it
-    default_c: int
     description: str
     fast_path: bool                # ingredient 2
     execution_collectors: bool     # ingredient 3
 
     def build_config(self, f: int, c: Optional[int] = None, **overrides) -> SBFTConfig:
+        """The variant's config at ``f``; ``c=None`` applies :func:`protocol_sizes`."""
         return SBFTConfig(
             f=f,
-            c=self.default_c if c is None else c,
+            c=protocol_sizes(self.name, f)[1] if c is None else c,
             fast_path_enabled=self.fast_path,
             execution_collectors_enabled=self.execution_collectors,
             **overrides,
@@ -48,7 +48,6 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {
     "pbft": ProtocolSpec(
         name="pbft",
         kind="pbft",
-        default_c=0,
         description="Scale-optimized PBFT baseline (all-to-all, f+1 client replies)",
         fast_path=False,
         execution_collectors=False,
@@ -56,7 +55,6 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {
     "linear-pbft": ProtocolSpec(
         name="linear-pbft",
         kind="sbft",
-        default_c=0,
         description="Ingredient 1: collectors and threshold signatures (no fast path)",
         fast_path=False,
         execution_collectors=False,
@@ -64,7 +62,6 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {
     "linear-pbft-fast": ProtocolSpec(
         name="linear-pbft-fast",
         kind="sbft",
-        default_c=0,
         description="Ingredients 1+2: linear communication plus the optimistic fast path",
         fast_path=True,
         execution_collectors=False,
@@ -72,7 +69,6 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {
     "sbft-c0": ProtocolSpec(
         name="sbft-c0",
         kind="sbft",
-        default_c=0,
         description="Ingredients 1+2+3: adds execution collectors (single client message)",
         fast_path=True,
         execution_collectors=True,
@@ -80,7 +76,6 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {
     "sbft-c8": ProtocolSpec(
         name="sbft-c8",
         kind="sbft",
-        default_c=8,
         description="All four ingredients: redundant servers tolerate c stragglers in the fast path",
         fast_path=True,
         execution_collectors=True,
@@ -89,6 +84,17 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {
 
 #: The order the paper's figures list the protocols in.
 PAPER_ORDER: List[str] = ["pbft", "linear-pbft", "linear-pbft-fast", "sbft-c0", "sbft-c8"]
+
+
+def protocol_sizes(protocol: str, f: int) -> Tuple[int, int]:
+    """``(n, c)`` of ``protocol`` at replication factor ``f``: the one n/c rule.
+
+    ``sbft-c8`` runs with ``c = max(1, f // 8)`` redundant servers (``n = 3f
+    + 2c + 1``; the paper's f=64 deployment has c=8); every other variant
+    runs with ``c = 0`` (``n = 3f + 1``).
+    """
+    c = max(1, f // 8) if protocol == "sbft-c8" else 0
+    return 3 * f + 2 * c + 1, c
 
 
 def get_protocol(name: str) -> ProtocolSpec:

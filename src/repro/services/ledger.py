@@ -93,9 +93,8 @@ class _LedgerBackend:
 class LedgerService(AuthenticatedService):
     """EVM-executing replicated service with Merkle authentication."""
 
-    def __init__(self, costs: CryptoCosts = DEFAULT_COSTS, persist_cost_per_byte: Optional[float] = None):
-        persist = costs.persist_per_byte if persist_cost_per_byte is None else persist_cost_per_byte
-        self._authkv = AuthenticatedKVStore(persist_cost_per_byte=persist)
+    def __init__(self, costs: CryptoCosts = DEFAULT_COSTS):
+        self._authkv = AuthenticatedKVStore(persist_cost_per_byte=costs.persist_per_byte)
         self._backend = _LedgerBackend(self._authkv, self)
         self._world = WorldState(backend=self._backend)
         self._block_number = 0

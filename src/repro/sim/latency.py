@@ -197,7 +197,7 @@ _TOPOLOGIES = {
 }
 
 
-def make_topology(name: str, num_nodes: int, **kwargs) -> LatencyModel:
+def make_topology(name: str, num_nodes: int) -> LatencyModel:
     """Build a named topology (``lan``, ``continent`` or ``world``)."""
     try:
         factory = _TOPOLOGIES[name]
@@ -205,4 +205,4 @@ def make_topology(name: str, num_nodes: int, **kwargs) -> LatencyModel:
         raise ConfigurationError(
             f"unknown topology {name!r}; expected one of {sorted(_TOPOLOGIES)}"
         ) from None
-    return factory(num_nodes, **kwargs)
+    return factory(num_nodes)

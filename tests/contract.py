@@ -19,7 +19,7 @@ from pathlib import Path
 from helpers import clocks_trapped_in_runs, executed_histories, run_small_cluster
 from repro.adversary import EpisodeSpec, run_episode
 from repro.adversary.behaviours import bad_shares, equivocate, silent, stale_view_change
-from repro.analysis.sanitizer import SCENARIOS, _sanitize_env
+from repro.analysis.sanitizer import SCENARIOS, run_scenario
 from repro.sim.faults import FaultPlan
 
 PATH = Path(__file__).with_name("contract.json")
@@ -172,8 +172,7 @@ def _summed(stats):
 
 def chain(name):
     """One sanitized run of the selfcheck scenario ``name`` at seed 0."""
-    with _sanitize_env():
-        result = SCENARIOS[name](0)
+    result = run_scenario(name, seed=0)
     return _plain({
         "decision_hash": result.decision_hash,
         "events": result.events_processed,

@@ -45,10 +45,12 @@ def run_small_cluster(
     max_sim_time: float = 120.0,
     seed: int = 0,
     post_build=None,
+    sanitize: bool = False,
 ):
     """Build and run a small cluster; returns (cluster, result).
     ``post_build(cluster)`` runs once everything is wired and before the first
-    event — ``post_build=unshare`` is the same run with nothing shared."""
+    event — ``post_build=unshare`` is the same run with nothing shared;
+    ``sanitize=True`` puts the decision-hash chain on the result."""
     overrides = {
         "fast_path_timeout": 0.05,
         "batch_timeout": 0.01,
@@ -69,7 +71,7 @@ def run_small_cluster(
     )
     cluster.post_build = post_build
     workload = KVWorkload(requests_per_client=requests_per_client, batch_size=kv_batch, seed=seed + 1)
-    result = cluster.run(workload, max_sim_time=max_sim_time)
+    result = cluster.run(workload, max_sim_time=max_sim_time, sanitize=sanitize)
     return cluster, result
 
 

@@ -5,8 +5,10 @@ tests/test_contract.py)."""
 
 import random
 import re
+import textwrap
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.analysis.sanitizer import (
 )
 from repro.analysis.sanitizer import main as sanitizer_main
 from repro.core.runtime import Replica
+from repro.experiments.harness import run_point
 from repro.protocols.cluster import build_cluster
 from repro.sim.events import Simulator
 from repro.workloads.kv_workload import KVWorkload
@@ -68,13 +71,11 @@ def test_different_seeds_diverge():
     assert first_divergence(first.decision_trace, second.decision_trace) is not None
 
 
-def test_sanitize_defaults_off_and_env_enables(monkeypatch):
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+def test_sanitize_defaults_off_and_a_sanitized_run_replays_the_plain_one():
     plain = _tiny_cluster().run(_tiny_workload())
     assert plain.decision_hash is None and plain.decision_trace is None
 
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    sanitized = _tiny_cluster().run(_tiny_workload())
+    sanitized = _tiny_cluster().run(_tiny_workload(), sanitize=True)
     assert sanitized.decision_hash is not None
 
     # The sanitized run replays the unsanitized one exactly (state-preserving
@@ -84,10 +85,25 @@ def test_sanitize_defaults_off_and_env_enables(monkeypatch):
     assert sanitized.events_processed == plain.events_processed
 
 
-def test_sanitize_keyword_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    result = _tiny_cluster().run(_tiny_workload(), sanitize=False)
-    assert result.decision_hash is None
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_a_selfcheck_scenario_sanitized_replays_its_plain_run(scenario):
+    """The one runner asks for the chain explicitly; without it, no chain."""
+    plain = run_point(SCENARIOS[scenario])
+    sanitized = run_point(SCENARIOS[scenario], sanitize=True)
+    assert plain.decision_hash is None and sanitized.decision_hash is not None
+    assert sanitized.run.completed_requests == plain.run.completed_requests
+    assert sanitized.sim_time == plain.sim_time
+    assert sanitized.events_processed == plain.events_processed
+    assert sanitized.replica_stats == plain.replica_stats
+
+
+def test_the_documented_golden_pair_bisect_runs_as_written(capsys):
+    """docs/static-analysis.md's recipe, verbatim: on a healthy tree the
+    shared and unshared chains are equal, so it prints nothing."""
+    text = (Path(__file__).resolve().parent.parent / "docs" / "static-analysis.md").read_text()
+    recipe = re.search(r"```python\n( *from helpers import run_small_cluster.*?)```", text, re.S)
+    exec(textwrap.dedent(recipe.group(1)), {})
+    assert capsys.readouterr().out == ""
 
 
 def test_first_divergence_identifies_perturbed_record():

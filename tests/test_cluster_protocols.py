@@ -1,7 +1,10 @@
 """Tests for the protocol registry, cluster builder and cross-variant behaviour."""
 
+import textwrap
+
 import pytest
 
+import repro
 from helpers import assert_agreement, run_small_cluster
 from repro.errors import ConfigurationError
 from repro.protocols.cluster import build_cluster
@@ -30,8 +33,17 @@ def test_registry_configs_toggle_the_right_ingredients():
     assert not linear.fast_path_enabled and not linear.execution_collectors_enabled
     assert fast.fast_path_enabled and not fast.execution_collectors_enabled
     assert sbft0.fast_path_enabled and sbft0.execution_collectors_enabled and sbft0.c == 0
-    assert sbft8.c == 8 and sbft8.n == 3 * f + 17
+    # The one n/c rule (registry.protocol_sizes): c = max(1, f // 8).
+    assert sbft8.c == 1 and sbft8.n == 3 * f + 3
     assert pbft.n == 3 * f + 1
+
+
+def test_the_package_quickstart_runs_as_written(capsys):
+    """The ``Quickstart::`` block of the ``repro`` package docstring, verbatim."""
+    block = repro.__doc__.split("Quickstart::\n", 1)[1]
+    exec(textwrap.dedent(block), {})
+    throughput, mean_latency = map(float, capsys.readouterr().out.split())
+    assert throughput > 0 and mean_latency > 0
 
 
 def test_unknown_protocol_rejected():

@@ -1,5 +1,6 @@
 """Tests for the experiment drivers (run at a tiny scale so they stay fast)."""
 
+import ast
 import copy
 import dataclasses
 import importlib
@@ -23,17 +24,19 @@ from repro.experiments import (
     viewchange_study,
 )
 from repro.experiments.fig2_throughput import latency_curves, scaled_failures, throughput_series
+from repro.errors import ConfigurationError
 from repro.experiments.harness import (
-    ExperimentScale,
+    KV,
     SCALES,
     SMALL_SCALE,
+    ExperimentScale,
+    Point,
     format_table,
-    protocol_sizes,
-    run_kv_point,
+    run_point,
 )
 from repro.experiments.smart_contracts import single_node_baseline, slowdown_vs_baseline
 from repro.experiments.viewchange_study import summarize
-from repro.protocols.registry import PAPER_ORDER, PROTOCOLS
+from repro.protocols.registry import PAPER_ORDER, PROTOCOLS, protocol_sizes
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -68,10 +71,14 @@ def test_scaled_failures_preserve_ratios():
     assert scaled_failures(TINY) == [0, 1]
 
 
-def test_run_kv_point_returns_cluster_result():
-    result = run_kv_point("sbft-c0", TINY, num_clients=2, kv_batch=2)
+def test_run_point_returns_cluster_result():
+    point = Point(protocol="sbft-c0", f=TINY.f, clients=2,
+                  workload=KV(requests=TINY.requests_per_client, batch=2), label="tiny",
+                  block_batch=TINY.block_batch, max_sim_time=TINY.max_sim_time)
+    result = run_point(point)
     assert result.run.completed_requests == 4
     assert result.throughput > 0
+    assert result.run.label == "tiny" and result.decision_hash is None
 
 
 def tiny_figure2_points(protocols):
@@ -275,3 +282,48 @@ def test_format_table_renders_rows():
     assert len(lines) == 4
     assert "a" in lines[0] and "b" in lines[0]
     assert format_table([]) == "(no rows)"
+
+
+#: Every sweep that takes ``--scale``, by its grid.
+SIZED_SWEEPS = [scale_sweep, fig2_throughput, fault_sweep, client_sweep, smart_contracts]
+
+
+@pytest.mark.parametrize("sweep", SIZED_SWEEPS, ids=lambda module: module.__name__.rsplit(".")[-1])
+def test_an_unknown_scale_name_fails_instead_of_running_small(sweep):
+    assert set(sweep.SWEEP.scales) == {"small", "medium", "paper"}
+    with pytest.raises(ConfigurationError, match="unknown scale 'medum'"):
+        sweep.grid(scale_name="medum")
+
+
+def _cluster_runners(path):
+    """The functions of ``path`` that call ``build_cluster`` (or ``Cluster``)
+    or ``.run`` on a name bound to what it returned."""
+    runners = []
+    for function in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        calls = [node for node in ast.walk(function) if isinstance(node, ast.Call)]
+        built = {
+            target.id
+            for node in ast.walk(function) if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+            and node.value.func.id in ("build_cluster", "Cluster")
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        if any(
+            (isinstance(call.func, ast.Name) and call.func.id in ("build_cluster", "Cluster"))
+            or (isinstance(call.func, ast.Attribute) and call.func.attr == "run"
+                and isinstance(call.func.value, ast.Name) and call.func.value.id in built)
+            for call in calls
+        ):
+            runners.append(f"{path.stem}.{function.name}")
+    return runners
+
+
+def test_one_function_builds_and_runs_every_experiment_cluster():
+    """``harness.run_point`` is the only code in ``repro.experiments`` and
+    ``repro.analysis`` that builds a cluster or runs one."""
+    packages = [REPO / "src" / "repro" / name for name in ("experiments", "analysis")]
+    runners = [runner for package in packages for path in sorted(package.glob("*.py"))
+               for runner in _cluster_runners(path)]
+    assert runners == ["harness.run_point"]

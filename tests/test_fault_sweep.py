@@ -12,14 +12,7 @@ from helpers import assert_agreement
 from repro.adversary.behaviours import bad_shares, stale_view_change
 from repro.errors import ConfigurationError
 from repro.experiments import harness
-from repro.experiments.fault_sweep import (
-    CONFIG_OVERRIDES,
-    SCENARIOS,
-    SWEEP,
-    SWEEP_SCALES,
-    grid,
-    run_fault_point,
-)
+from repro.experiments.fault_sweep import CONFIG_OVERRIDES, SCENARIOS, SWEEP, SWEEP_SCALES, grid
 from repro.protocols.cluster import build_cluster
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.workloads.kv_workload import KVWorkload
@@ -33,19 +26,19 @@ def _run_scenario(protocol, scenario_name, seed=0):
     cluster = build_cluster(
         protocol,
         f=1,
-        num_clients=SMALL.num_clients,
+        num_clients=SMALL["clients"],
         topology="continent",
-        batch_size=SMALL.block_batch,
+        batch_size=SMALL["block_batch"],
         seed=seed,
         fault_plan=plan,
         config_overrides=dict(CONFIG_OVERRIDES),
     )
     workload = KVWorkload(
-        requests_per_client=SMALL.requests_per_client, batch_size=SMALL.kv_batch, seed=seed + 1
+        requests_per_client=SMALL["requests"], batch_size=SMALL["kv_batch"], seed=seed + 1
     )
     result = cluster.run(
         workload,
-        max_sim_time=SMALL.max_sim_time,
+        max_sim_time=SMALL["max_sim_time"],
         timeline_bucket=0.25,
         fault_phase=(scenario.fault_start, scenario.fault_end),
     )
@@ -103,13 +96,12 @@ def test_sweep_rejects_unknown_scenario_and_scale():
         grid(scale_name="galactic")
 
 
-def test_run_fault_point_smoke():
-    result = run_fault_point(
-        "sbft-c0", "continent", SCENARIOS["slow-stragglers"], SMALL, seed=0
-    )
+def test_fault_point_smoke():
+    (point,) = grid(protocols=["sbft-c0"], scenarios=["slow-stragglers"], seed=0)
+    result = harness.run_point(point)
     assert result.run.timeline is not None
     assert result.run.phases is not None
-    assert result.run.completed_requests == SMALL.num_clients * SMALL.requests_per_client
+    assert result.run.completed_requests == SMALL["clients"] * SMALL["requests"]
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +110,7 @@ def test_run_fault_point_smoke():
 @pytest.mark.parametrize("protocol", ["sbft-c0", "pbft"])
 def test_restart_rejoin_reaches_cluster_chain_digest(protocol):
     cluster, result = _run_scenario(protocol, "crash-restart")
-    expected = SMALL.num_clients * SMALL.requests_per_client
+    expected = SMALL["clients"] * SMALL["requests"]
     assert result.run.completed_requests >= expected
     digests = {replica.service.digest() for replica in cluster.replicas.values()}
     assert len(digests) == 1, "restarted replicas must re-sync to the cluster digest"
@@ -132,7 +124,7 @@ def test_restart_rejoin_reaches_cluster_chain_digest(protocol):
 @pytest.mark.parametrize("protocol", ["sbft-c0", "pbft"])
 def test_partition_heal_resumes_client_completion(protocol):
     cluster, result = _run_scenario(protocol, "partition-heal")
-    expected = SMALL.num_clients * SMALL.requests_per_client
+    expected = SMALL["clients"] * SMALL["requests"]
     assert result.run.completed_requests >= expected
     # The minority replica catches back up after the heal.
     digests = {replica.service.digest() for replica in cluster.replicas.values()}
@@ -143,7 +135,7 @@ def test_partition_heal_resumes_client_completion(protocol):
 
 def test_faulty_primary_scenario_recovers_via_view_change():
     cluster, result = _run_scenario("sbft-c0", "faulty-primary")
-    expected = SMALL.num_clients * SMALL.requests_per_client
+    expected = SMALL["clients"] * SMALL["requests"]
     assert result.run.completed_requests >= expected
     views = [replica.view for replica in cluster.replicas.values() if not replica.crashed]
     assert max(views) > 0, "a view change must have happened"

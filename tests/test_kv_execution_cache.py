@@ -230,19 +230,19 @@ def _run_crash_restart(seed=0):
     cluster = build_cluster(
         "sbft-c0",
         f=1,
-        num_clients=small.num_clients,
+        num_clients=small["clients"],
         topology="continent",
-        batch_size=small.block_batch,
+        batch_size=small["block_batch"],
         seed=seed,
         fault_plan=plan,
         config_overrides=dict(CONFIG_OVERRIDES),
     )
     workload = KVWorkload(
-        requests_per_client=small.requests_per_client, batch_size=small.kv_batch, seed=seed + 1
+        requests_per_client=small["requests"], batch_size=small["kv_batch"], seed=seed + 1
     )
     result = cluster.run(
         workload,
-        max_sim_time=small.max_sim_time,
+        max_sim_time=small["max_sim_time"],
         timeline_bucket=0.25,
         fault_phase=(scenario.fault_start, scenario.fault_end),
     )

@@ -498,6 +498,30 @@ def test_packages_do_not_import_what_would_let_them_see_a_clock(packages, forbid
     assert not found, "\n".join(found)
 
 
+def _environment_reads(tree):
+    """Lines that read the process environment: ``os.environ`` /
+    ``os.getenv`` or either name imported from ``os``."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "os" and node.attr in ("environ", "getenv", "getenvb"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in ("environ", "getenv", "getenvb") for alias in node.names))
+    )
+
+
+def test_no_module_reads_the_process_environment():
+    """A run is a function of its arguments: no switch lives in the environment."""
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted(ROOT.rglob("*.py"))
+        for line in _environment_reads(ast.parse(path.read_text()))
+    ]
+    assert not found, found
+    planted = ast.parse("import os\nfrom os import getenv\nos.environ.get('X')\n")
+    assert _environment_reads(planted) == [2, 3]
+
+
 def test_import_detector_sees_what_it_must_and_no_more(tmp_path):
     planted = ast.parse(textwrap.dedent("""
         import random, timeit
