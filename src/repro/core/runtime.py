@@ -22,8 +22,12 @@ exists.
 
 Cost accounting: message verification cost is charged *before* a message is
 processed (so a saturated replica's queue grows and latency rises), while
-signing / combining / execution costs are charged to the CPU inline (so they
-bound throughput).  Costs come from :class:`repro.crypto.costs.CryptoCosts`.
+signing / combining costs are charged to the CPU inline (so they bound
+throughput).  Block execution runs on a second core of its own
+(``exec_cpu``, one block at a time in sequence order), so a long block
+delays the next block but not the messages that arrive while it runs
+(a modelling assumption, see :class:`repro.sim.process.CPUModel`).  Costs
+come from :class:`repro.crypto.costs.CryptoCosts`.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from repro.crypto.signatures import SigningKey, encode
 from repro.services.interface import AuthenticatedService, BlockOperations, Operation
 from repro.sim.events import Simulator
 from repro.sim.network import Network
-from repro.sim.process import Process
+from repro.sim.process import CPUModel, Process
 
 
 def block_execution_plan(pre_prepare, service, costs) -> Tuple[BlockOperations, float]:
@@ -179,12 +183,16 @@ class Replica(Process):
         self._pending_request_ids: set = set()
         self._batch_timer: Optional[int] = None
 
-        # Execution / reply state.  Clients pipeline requests as a sliding
-        # window (config.client_max_outstanding), so executed-request
-        # tracking and reply retention follow the exact per-timestamp rules
-        # of ClientReplyTracker (see repro.core.reply_cache for the window
+        # Execution / reply state.  Blocks execute on their own core, one at a
+        # time; ``_executing`` names the sequence in flight on it (None: idle).
+        # Clients pipeline requests as a sliding window
+        # (config.client_max_outstanding), so executed-request tracking and
+        # reply retention follow the exact per-timestamp rules of
+        # ClientReplyTracker (see repro.core.reply_cache for the window
         # invariant that makes the bounded cache sufficient).
-        self._executing = False
+        self.exec_cpu = CPUModel(sim)
+        self.cores = (self.cpu, self.exec_cpu)
+        self._executing: Optional[int] = None
         self._replies = ClientReplyTracker(config.client_max_outstanding)
         self._direct_reply_waiting: Dict[Tuple[int, int], int] = {}
 
@@ -231,7 +239,10 @@ class Replica(Process):
         ``crash()`` dropped every timer and any in-flight CPU work (its
         completion, ``_dispatch`` or ``Process._computed``, no-ops on a crashed
         node), so all timer handles and the execution-in-progress flag are
-        stale and must be cleared.  The
+        stale and must be cleared.  (If a block is still on the execution
+        core when the replica restarts and the restart starts that same
+        block again, whichever completion comes first finishes it and the
+        other is stale; any other leftover completion is stale.)  The
         replica then asks a peer for a state snapshot; if the cluster made no
         progress while it was down, the request simply goes unanswered and
         the replica catches up through the normal protocol flow (commits,
@@ -241,7 +252,7 @@ class Replica(Process):
         if not self.crashed:
             return
         self.recover()
-        self._executing = False
+        self._executing = None
         self._forget_timer_handles()
         self._request_state_transfer()
         self._try_execute()
@@ -375,17 +386,21 @@ class Replica(Process):
     # Execution and replies
     # ==================================================================
     def _try_execute(self) -> None:
-        if self._executing or self.crashed:
+        if self._executing is not None or self.crashed:
             return
         slot = self.log.peek(self.last_executed + 1)
         if slot is None or not slot.committed or slot.pre_prepare is None or slot.executed:
             return
         _operations, cost = block_execution_plan(slot.pre_prepare, self.service, self.costs)
-        self._executing = True
-        self.compute(cost, self._finish_execution, slot.sequence)
+        self._executing = slot.sequence
+        self.exec_cpu.execute(cost, self._computed, self._finish_execution, (slot.sequence,))
 
     def _finish_execution(self, sequence: int) -> None:
-        self._executing = False
+        if self._executing != sequence:
+            # Stale: a state transfer (or a restart) moved past this block
+            # while it ran, and started whatever runs next itself.
+            return
+        self._executing = None
         slot = self.log.peek(sequence)
         if (
             slot is None
@@ -511,7 +526,7 @@ class Replica(Process):
         self.last_stable = max(self.last_stable, message.up_to_sequence)
         self._replies.adopt_prefixes(message.last_executed_per_client)
         self._replies.adopt_cache(message.reply_cache)
-        self._executing = False
+        self._executing = None
         self._try_execute()
 
     # ==================================================================

@@ -30,7 +30,7 @@ from repro.sim.process import Process
 #: Every fault kind the injector knows how to activate.
 FAULT_KINDS = (
     "crash",       # drop timers, ignore all future messages
-    "slow",        # multiply the replica's CPU speed factor
+    "slow",        # multiply the speed factor of every core of the replica
     "byzantine",   # hand the replica to the adversary (``FaultSpec.behaviour``)
     "partition",   # take down the links between the replica and ``peers``
     "isolate",     # drop all traffic to and from the replica
@@ -46,8 +46,9 @@ class FaultSpec:
     ``kind`` is one of :data:`FAULT_KINDS`.  ``at_time`` is the **absolute
     simulation time** at which the fault activates (activation is immediate
     when the plan is applied after ``at_time`` has passed).  ``slow_factor``
-    *multiplies* the replica's CPU costs when ``kind == "slow"`` — stacked
-    slow faults compose, and ``heal`` restores the pre-fault factor.
+    *multiplies* the costs on every core of the replica when ``kind ==
+    "slow"`` — stacked slow faults compose, and ``heal`` restores the
+    pre-fault factors.
     ``behaviour`` is what a ``byzantine`` fault does: it is called with the
     replica when the fault activates (see :mod:`repro.adversary.behaviours`;
     this module knows nothing else about it).  ``peers`` lists the replicas
@@ -167,9 +168,9 @@ class FaultInjector:
         self.replicas = dict(replicas)
         self.network = network
         self.applied: list[FaultSpec] = []
-        # Undo state for heal: pre-fault CPU speed factors and the links this
-        # injector took down, per replica.
-        self._original_speed: dict[int, float] = {}
+        # Undo state for heal: pre-fault speed factors (one per core) and the
+        # links this injector took down, per replica.
+        self._original_speed: dict[int, tuple] = {}
         self._downed_links: dict[int, set] = {}
 
     def apply(self, plan: FaultPlan) -> None:
@@ -192,8 +193,11 @@ class FaultInjector:
         if spec.kind == "crash":
             replica.crash()
         elif spec.kind == "slow":
-            self._original_speed.setdefault(spec.replica_id, replica.cpu.speed_factor)
-            replica.cpu.speed_factor *= spec.slow_factor
+            self._original_speed.setdefault(
+                spec.replica_id, tuple(core.speed_factor for core in replica.cores)
+            )
+            for core in replica.cores:
+                core.speed_factor *= spec.slow_factor
         elif spec.kind == "byzantine":
             spec.behaviour(replica)
         elif spec.kind == "partition":
@@ -221,7 +225,8 @@ class FaultInjector:
         replica = self.replicas[replica_id]
         original = self._original_speed.pop(replica_id, None)
         if original is not None:
-            replica.cpu.speed_factor = original
+            for core, speed_factor in zip(replica.cores, original):
+                core.speed_factor = speed_factor
         if self.network is not None:
             self.network.reconnect(replica_id)
             for peer in self._downed_links.pop(replica_id, ()):

@@ -1,10 +1,13 @@
 """Process (node) abstraction with timers and a CPU occupancy model.
 
 Replicas and clients are :class:`Process` subclasses.  The CPU model is what
-turns cryptographic and execution *costs* into simulated *time*: a node can
-only process one costly operation at a time, so a replica that must verify
-hundreds of signature shares per block saturates and throughput flattens —
-exactly the effect the paper's Figure 2 measures.
+turns cryptographic and execution *costs* into simulated *time*: each core
+runs one costly operation at a time, so a replica that must verify hundreds
+of signature shares per block saturates its message core and throughput
+flattens — exactly the effect the paper's Figure 2 measures.  Every process
+has that one core (:attr:`Process.cpu`); a replica adds a second core for
+block execution (:class:`repro.core.runtime.Replica`), so a long block does
+not hold back the messages that arrive while it runs.
 """
 
 from __future__ import annotations
@@ -15,10 +18,20 @@ from repro.sim.events import Event, Simulator
 
 
 class CPUModel:
-    """Single-core CPU occupancy model with an optional speed factor.
+    """One core: FIFO occupancy with an optional speed factor.
+
+    Work charged to one core is serialized; work on two cores of the same
+    process overlaps.  *Modelling assumption:* a replica has two cores, one
+    for message handling (verification, share signing, combines, proofs,
+    state-transfer persistence) and one that only executes committed
+    blocks.  The paper's replicas run agreement ahead of execution (Section
+    V-F); how their work divides among cores is the model's choice, not a
+    figure taken from the paper (docs/architecture.md, "Two cores per
+    replica").
 
     ``speed_factor`` scales all costs; a straggler replica can be modelled by
-    setting it above 1.0 (see :mod:`repro.sim.faults`).
+    setting it above 1.0 (the ``slow`` fault of :mod:`repro.sim.faults`
+    scales every core of the process).
     """
 
     def __init__(self, sim: Simulator, speed_factor: float = 1.0):
@@ -76,6 +89,8 @@ class Process:
         self.node_id = node_id
         self.name = name or f"node-{node_id}"
         self.cpu = CPUModel(sim)
+        #: Every core of this process; a ``slow`` fault scales each of them.
+        self.cores: tuple = (self.cpu,)
         self.crashed = False
         self._timers: dict[int, Event] = {}
         self._timer_seq = 0

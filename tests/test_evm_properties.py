@@ -2,11 +2,16 @@
 differential fuzz of the pre-decoded interpreter against the retained naive
 reference loop (identical results, gas, logs, and state digests)."""
 
+import sys
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.hashing import sha256_hex
+from repro.evm import predecode
 from repro.evm.assembler import assemble
 from repro.evm.contracts import encode_call, token_contract
+from repro.evm.opcodes import OPCODES, opcode_name
 from repro.evm.state import WorldState
 from repro.evm.transactions import Transaction, apply_transaction
 from repro.evm.vm import EVM, WORD, Message
@@ -216,3 +221,74 @@ def test_differential_token_contract_calls(selectors, seed):
             outcomes.append((receipt.success, receipt.gas_used, receipt.return_data, receipt.error))
         states[engine] = (outcomes, sha256_hex("fuzz-state", sorted(backend.snapshot().items())))
     assert states["decoded"] == states["naive"]
+
+
+# ----------------------------------------------------------------------
+# Deterministic differential: every opcode-table entry on every run.
+# ----------------------------------------------------------------------
+
+#: Stack operands pushed before the opcode under test, top of stack first.
+#: Seven cover the deepest pop (CALL) and SWAP4/DUP6.  ``small`` makes every
+#: opcode do real work (memory at offset 2, a jump to a non-JUMPDEST, a call
+#: with value to an empty account); ``wide`` hits the sign bit, the low byte
+#: for BYTE, modular wrap-around and memory beyond the limit.
+STACK_READY = {
+    "small": (2, 0x1234, 7, 3, 0x20, 1, 0),
+    "wide": (31, WORD - 3, 2 ** 255, WORD - 1, 255, 2 ** 64, 1),
+}
+
+#: After the opcode: store the top of the stack and return it.
+_REPORT = assemble(["PUSH1 0x00", "MSTORE", "PUSH1 0x20", "PUSH1 0x00", "RETURN"])
+
+
+def _stack_ready_program(byte, operands):
+    """``operands`` pushed (PUSH32 each, last first), then ``byte`` — with
+    an immediate of 0xab.. bytes for a PUSH — then the report suffix."""
+    code = b"".join(b"\x7f" + value.to_bytes(32, "big") for value in reversed(operands))
+    width = OPCODES[byte].immediate_bytes
+    return code + bytes([byte]) + bytes([0xAB]) * width + _REPORT
+
+
+def _underflow_program(byte):
+    """``byte`` on an empty stack (a PUSH's immediate runs off the code)."""
+    return bytes([byte, 0x00])
+
+
+def _compare_engines(code):
+    outcomes = _run_both_engines(code, data=bytes(range(40)), gas=100_000)
+    assert outcomes["decoded"] == outcomes["naive"]
+    return outcomes["decoded"]
+
+
+@pytest.mark.parametrize("byte", sorted(OPCODES), ids=opcode_name)
+@pytest.mark.parametrize("operands", sorted(STACK_READY))
+def test_differential_every_opcode_with_a_ready_stack(byte, operands):
+    _compare_engines(_stack_ready_program(byte, STACK_READY[operands]))
+
+
+@pytest.mark.parametrize("byte", sorted(OPCODES), ids=opcode_name)
+def test_differential_every_opcode_on_an_empty_stack(byte):
+    success, _data, _gas, error, _logs, _digest = _compare_engines(_underflow_program(byte))
+    if OPCODES[byte].pops or opcode_name(byte).startswith(("DUP", "SWAP")):
+        assert not success and "stack underflow" in error
+
+
+def test_the_per_opcode_cases_enter_every_decoded_handler():
+    """The cases above compare each handler of the decoded engine on every
+    run; which ones the hypothesis draws reach is left to chance."""
+    handlers = {handler.__name__ for handler in predecode._HANDLERS.values()}
+    handlers |= {"_h_push", "_h_dup", "_h_swap", "_h_jumpdest"}
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name.startswith("_h_"):
+            entered.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for byte in sorted(OPCODES):
+            for operands in STACK_READY.values():
+                _compare_engines(_stack_ready_program(byte, operands))
+    finally:
+        sys.setprofile(None)
+    assert handlers - entered == set()

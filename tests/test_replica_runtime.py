@@ -168,14 +168,14 @@ def test_rejoin_clears_stale_timer_handles_and_the_execution_flag(replica_cls):
     sim, replica, _, unicasts = _replica(replica_cls, node_id=1)
     replica._on_client_request(make_request(1), src=CLIENT_NODE)     # arms the view-change timer
     replica._batch_timer = replica.set_timer(1.0, lambda: None)
-    replica._executing = True
+    replica._executing = 1                                    # block 1 on the execution core
     replica.rejoin()                                          # not crashed: a no-op
-    assert replica._executing and replica._view_change_timer is not None
+    assert replica._executing == 1 and replica._view_change_timer is not None
     replica.crash()
     replica.rejoin()
     assert not replica.crashed
     assert replica._batch_timer is None and replica._view_change_timer is None
-    assert replica._executing is False and replica._view_change_attempts == 0
+    assert replica._executing is None and replica._view_change_attempts == 0
     assert isinstance(unicasts[-1][1], StateTransferRequest)  # re-syncs from a peer
 
 
