@@ -3,10 +3,9 @@
 These measure the wall-clock speed of the *mock* primitives (they are fast by
 construction — the realistic costs are charged to the simulated CPU through
 ``repro.crypto.costs``), and report the cost model itself so benchmark readers
-can interpret the protocol-level numbers.  The structural comparisons the
-paper makes still hold for the mock implementation: aggregation (n-out-of-n)
-is cheaper than a threshold combine, and share verification dominates the
-collector's work.
+can interpret the protocol-level numbers.  The structural comparison the
+paper makes still holds for the mock implementation: share verification
+dominates the collector's work.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from conftest import attach_rows
-from repro.crypto.bls import bls_aggregate, bls_keygen, bls_sign, bls_verify
 from repro.crypto.costs import DEFAULT_COSTS
 from repro.crypto.hashing import sha256_hex, sha256_int
 from repro.crypto.merkle import MerkleTree
@@ -31,23 +29,6 @@ TAU_THRESHOLD = 17
 @pytest.fixture(scope="module")
 def tau_scheme():
     return ThresholdDealer(num_signers=N_REPLICAS, seed=1).deal("tau", TAU_THRESHOLD)
-
-
-def test_bls_sign(benchmark):
-    key = bls_keygen(seed=1)
-    benchmark(bls_sign, key, "digest")
-
-
-def test_bls_verify(benchmark):
-    key = bls_keygen(seed=1)
-    signature = bls_sign(key, "digest")
-    assert benchmark(bls_verify, key.public, "digest", signature)
-
-
-def test_bls_aggregate_n_of_n(benchmark):
-    keys = [bls_keygen(seed=i) for i in range(N_REPLICAS)]
-    signatures = [k.sign("digest") for k in keys]
-    benchmark(bls_aggregate, signatures)
 
 
 def test_threshold_share_sign(benchmark, tau_scheme):

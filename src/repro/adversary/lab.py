@@ -23,11 +23,12 @@ be shrunk by :mod:`repro.adversary.minimize` and lands in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.adversary.forensics import MessageLog, find_equivocations
 from repro.adversary.strategies import get_strategy
+from repro.core.config import SBFTConfig
 from repro.protocols.cluster import Cluster, build_cluster
 from repro.records import frozen_record
 
@@ -50,9 +51,25 @@ EPISODE_CONFIG_OVERRIDES: Dict[str, Any] = {
 }
 
 #: The planted weakness: a two-vote prepare/commit quorum at f=1 lets an
-#: equivocating primary commit both parity halves (see
-#: ``SBFTConfig.unsafe_quorum_override``).
+#: equivocating primary commit both parity halves.
 PLANTED_WEAK_QUORUM = 2
+
+
+@dataclass(frozen=True)
+class WeakQuorumConfig(SBFTConfig):
+    """The honest configuration with the planted weakness: the linear-PBFT
+    prepare/commit threshold (``tau_threshold``, which ``TrustedSetup`` deals
+    τ from) and the PBFT replica quorum (``pbft_quorum``) are both
+    :data:`PLANTED_WEAK_QUORUM`, so the search has a real safety violation to
+    find.  Only ``plant_weak_quorum`` episodes build one."""
+
+    @property
+    def tau_threshold(self) -> int:
+        return PLANTED_WEAK_QUORUM
+
+    @property
+    def pbft_quorum(self) -> int:
+        return PLANTED_WEAK_QUORUM
 
 
 @frozen_record
@@ -220,10 +237,6 @@ def run_episode(spec: EpisodeSpec, forensics: bool = False) -> EpisodeReport:
 
     strategy_cls = get_strategy(spec.strategy)
     adversary = strategy_cls(dict(spec.params))
-    overrides = dict(EPISODE_CONFIG_OVERRIDES)
-    if spec.plant_weak_quorum:
-        overrides["unsafe_quorum_override"] = PLANTED_WEAK_QUORUM
-
     cluster = build_cluster(
         spec.protocol,
         f=EPISODE_F,
@@ -231,8 +244,10 @@ def run_episode(spec: EpisodeSpec, forensics: bool = False) -> EpisodeReport:
         topology="lan",
         batch_size=EPISODE_BATCH,
         seed=spec.seed,
-        config_overrides=overrides,
+        config_overrides=EPISODE_CONFIG_OVERRIDES,
     )
+    if spec.plant_weak_quorum:
+        cluster.config = WeakQuorumConfig(**asdict(cluster.config))
     lab = AdversaryLab(cluster)
     if forensics:
         lab.message_log = MessageLog()

@@ -202,7 +202,7 @@ ROW_SCHEMA: Dict[str, str] = {
     "strategy": "adversary strategy kind (see repro.adversary.strategies)",
     "episode_seed": "fixed seed of this episode's simulation",
     "params": "strategy parameters of this episode",
-    "plant_weak_quorum": "episode ran with the planted unsafe quorum override",
+    "plant_weak_quorum": "episode ran on the planted weak-quorum config (WeakQuorumConfig)",
     "verdict": "'ok' or the violated oracles ('SAFETY', 'LIVENESS', ...)",
     "safety_ok": "no two honest replicas executed different blocks at a sequence",
     "liveness_ok": "every correct client completed all requests in budget",
@@ -277,7 +277,7 @@ SWEEP = harness.Sweep(
         ),
         "plant_weak_quorum": dict(
             action="store_true",
-            help="run every episode with the test-only unsafe quorum override; "
+            help="run every episode on the planted weak-quorum config; "
             "pair with --expect-violation to assert the search finds the hole",
         ),
     },

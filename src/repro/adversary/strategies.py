@@ -77,7 +77,7 @@ class EquivocatingPrimary(Adversary):
     """The view-0 primary proposes conflicting blocks to odd/even replicas.
 
     Against a sound quorum this costs liveness only until the view change
-    demotes the primary; with the planted ``unsafe_quorum_override`` the
+    demotes the primary; with the planted weak quorum (``WeakQuorumConfig``) the
     parity halves can commit different blocks at the same sequence — the
     safety violation the search harness must find.
     """

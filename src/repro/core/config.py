@@ -14,9 +14,10 @@ protocol variants compared in Figure 2/3 are realised (see
 
 Batching is a policy: ``batch_policy="fixed"`` (the default) proposes blocks
 of exactly ``batch_size`` requests, while ``"adaptive"`` sizes blocks from
-the observed queue depth and in-flight load, bounded by ``batch_max`` —
-see ``docs/architecture.md``.  ``client_max_outstanding`` pipelines clients
-(requests kept in flight concurrently per client).
+the observed queue depth and in-flight load, bounded by
+``effective_batch_max`` — see ``docs/architecture.md``.
+``client_max_outstanding`` pipelines clients (requests kept in flight
+concurrently per client).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ class SBFTConfig:
     batch_size: int = 1                    # minimum client requests per block
     batch_timeout: float = 0.05            # seconds the primary waits to fill a batch
     batch_policy: str = "fixed"            # "fixed" | "adaptive" (see batching notes)
-    batch_max: Optional[int] = None        # adaptive block-size cap; default max(64, 4*batch_size)
     window: int = 256                      # max outstanding decision blocks (win)
 
     # Client pipelining: requests a client may keep in flight concurrently.
@@ -53,12 +53,6 @@ class SBFTConfig:
     view_change_timeout: float = 5.0       # base timeout before suspecting the primary
     client_retry_timeout: float = 4.0      # client re-send / f+1 fallback timeout
     checkpoint_interval: Optional[int] = None  # default: window // 2
-
-    # Test-only planted weakness for the adversary lab (repro.adversary):
-    # overrides the linear-PBFT prepare/commit quorum (tau_threshold) and the
-    # PBFT replica quorum (pbft_quorum) with a too-small value so the search has
-    # a real safety violation to find.  Never set outside adversary episodes.
-    unsafe_quorum_override: Optional[int] = None
 
     def __post_init__(self):
         if self.f < 0 or self.c < 0:
@@ -71,14 +65,16 @@ class SBFTConfig:
             raise ConfigurationError(
                 f"unknown batch_policy {self.batch_policy!r} (expected 'fixed' or 'adaptive')"
             )
-        if self.batch_max is not None and self.batch_max < self.batch_size:
-            raise ConfigurationError("batch_max must be >= batch_size")
         if self.client_max_outstanding < 1:
             raise ConfigurationError("client_max_outstanding must be >= 1")
         if self.window < 4:
             raise ConfigurationError("window must be >= 4")
-        if self.unsafe_quorum_override is not None and self.unsafe_quorum_override < 1:
-            raise ConfigurationError("unsafe_quorum_override must be >= 1")
+        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
+            raise ConfigurationError("checkpoint_interval must be >= 1")
+        for timer in ("batch_timeout", "fast_path_timeout", "view_change_timeout",
+                      "client_retry_timeout"):
+            if not getattr(self, timer) > 0:
+                raise ConfigurationError(f"{timer} must be > 0")
 
     # ------------------------------------------------------------------
     # Derived sizes (Section II / V)
@@ -95,21 +91,13 @@ class SBFTConfig:
 
     @property
     def tau_threshold(self) -> int:
-        """Linear-PBFT prepare/commit threshold, ``2f + c + 1``.
-
-        ``unsafe_quorum_override`` (a test-only adversary-lab knob) replaces
-        the sound threshold when set; see the field comment above.
-        """
-        if self.unsafe_quorum_override is not None:
-            return self.unsafe_quorum_override
+        """Linear-PBFT prepare/commit threshold, ``2f + c + 1``."""
         return 2 * self.f + self.c + 1
 
     @property
     def pbft_quorum(self) -> int:
         """All-to-all PBFT prepare/commit/checkpoint quorum, ``2f + 2c + 1``
-        (the classic ``2f + 1`` at ``c = 0``), under the same override."""
-        if self.unsafe_quorum_override is not None:
-            return self.unsafe_quorum_override
+        (the classic ``2f + 1`` at ``c = 0``)."""
         return 2 * self.f + 2 * self.c + 1
 
     @property
@@ -132,11 +120,11 @@ class SBFTConfig:
         """Upper bound on adaptive block size (requests per decision block).
 
         The adaptive policy drains the primary's queue into one block of at
-        most this many requests; the default keeps a healthy headroom above
-        ``batch_size`` so deep queues amortize per-block protocol cost
-        (signature shares, combines, fan-out) over many requests.
+        most this many requests: a healthy headroom above ``batch_size`` so
+        deep queues amortize per-block protocol cost (signature shares,
+        combines, fan-out) over many requests.
         """
-        return self.batch_max if self.batch_max is not None else max(64, 4 * self.batch_size)
+        return max(64, 4 * self.batch_size)
 
     def batch_threshold(self, in_flight_blocks: int) -> int:
         """Queue depth that triggers an immediate proposal (both replica stacks).

@@ -65,6 +65,3 @@ class TrustedSetup:
         if client_id not in self._client_keys:
             self._client_keys[client_id] = generate_keypair(f"client-{client_id}", self.seed)
         return self._client_keys[client_id]
-
-    def client_verify_key(self, client_id: int) -> VerifyKey:
-        return self.client_signing_key(client_id).verify_key

@@ -111,12 +111,6 @@ class ReplicaLog:
         """Slot if it exists, without creating it."""
         return self._slots.get(sequence)
 
-    def __contains__(self, sequence: int) -> bool:
-        return sequence in self._slots
-
-    def sequences(self) -> List[int]:
-        return sorted(self._slots)
-
     def slots(self) -> List[Any]:
         """Every slot held, in sequence order."""
         return [self._slots[sequence] for sequence in sorted(self._slots)]
@@ -131,6 +125,3 @@ class ReplicaLog:
     def in_window(self, sequence: int, last_stable: int) -> bool:
         """Is ``sequence`` within (ls, ls + win]? (Section V-C acceptance rule.)"""
         return last_stable < sequence <= last_stable + self.window
-
-    def __len__(self) -> int:
-        return len(self._slots)

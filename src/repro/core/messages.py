@@ -69,10 +69,10 @@ class PrePrepare:
     primary_signature: Optional[Signature] = None
     size_bytes: int = field(init=False, compare=False, repr=False, default=0)
     # Execution-plan stash filled lazily by ``block_execution_plan`` (the same
-    # frozen object reaches every replica; see repro.core.replica).
+    # frozen object reaches every replica; see repro.core.runtime).
     _exec_plan: Any = field(init=False, compare=False, repr=False, default=None)
     # Per-request reply-values stash filled by ``block_reply_values``, guarded
-    # by the post-execution state digest (see repro.core.replica).
+    # by the post-execution state digest (see repro.core.runtime).
     _reply_values: Any = field(init=False, compare=False, repr=False, default=None)
     # Encoded reply bodies filled by ``block_reply_bodies``, the same guard.
     _reply_bodies: Any = field(init=False, compare=False, repr=False, default=None)

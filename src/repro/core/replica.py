@@ -16,9 +16,10 @@ One :class:`SBFTReplica` plays every role the paper assigns to replicas:
 
 The same class also implements checkpointing / garbage collection
 (Section V-F), the dual-mode view change (Section V-G, with the safe-value
-computation in :mod:`repro.core.viewchange`), state transfer for lagging
-replicas, and the ingredient toggles used to build the protocol variants of
-the evaluation (linear communication, fast path, execution collectors).
+computation in :mod:`repro.core.viewchange`), and the two ingredient toggles
+used to build the protocol variants of the evaluation (fast path, execution
+collectors); linear communication is this class itself, against the
+all-to-all :class:`repro.pbft.replica.PBFTReplica`.
 
 Client intake, batching, execution, state transfer, the view-change timer,
 dispatch and cost accounting are the shared :class:`repro.core.runtime.Replica`.
@@ -539,8 +540,6 @@ class SBFTReplica(Replica):
         )
         for collector in self._e_collectors(slot.sequence):
             self._send(collector, message)
-        # The collector may be this replica itself only if selection allows it;
-        # E-collectors exclude the primary but may include us.
 
     def _on_sign_state(self, message: SignState, src: int) -> None:
         if not self._is_e_collector(message.sequence):

@@ -6,17 +6,16 @@ increment is ``stats.blocks_committed += 1`` (a C-level slot store) instead
 of a dict hash-probe read-modify-write, and the fixed slot tuple documents
 exactly which counters exist.
 
-The base class speaks enough of the mapping protocol (``keys``,
-``__getitem__``, ``get``, ``items``, iteration) that existing consumers —
-``dict(stats)`` in :class:`repro.protocols.cluster.ClusterResult`,
-``stats["view_changes"]`` in tests and experiments — keep working unchanged.
-Key *order* (slot declaration order) matches the literal dicts these classes
-replaced, so serialized results are byte-identical.
+The base class speaks the two methods of the mapping protocol that
+``dict(stats)`` (:class:`repro.protocols.cluster.ClusterResult`) and
+``stats["view_changes"]`` need: ``keys`` and ``__getitem__``.  Key *order*
+(slot declaration order) matches the literal dicts these classes replaced, so
+serialized results are byte-identical.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Tuple
+from typing import Tuple
 
 
 class StatCounters:
@@ -34,40 +33,8 @@ class StatCounters:
         except AttributeError:
             raise KeyError(key) from None
 
-    def __setitem__(self, key: str, value: int) -> None:
-        if key not in self.__slots__:
-            raise KeyError(key)
-        setattr(self, key, value)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return getattr(self, key, default)
-
     def keys(self) -> Tuple[str, ...]:
         return self.__slots__
-
-    def items(self) -> Iterator[Tuple[str, int]]:
-        for key in self.__slots__:
-            yield key, getattr(self, key)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.__slots__)
-
-    def __len__(self) -> int:
-        return len(self.__slots__)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self.__slots__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, StatCounters):
-            return dict(self) == dict(other)
-        if isinstance(other, dict):
-            return dict(self) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{key}={getattr(self, key)}" for key in self.__slots__)
-        return f"{type(self).__name__}({inner})"
 
 
 class SBFTReplicaStats(StatCounters):

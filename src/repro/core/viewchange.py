@@ -59,9 +59,6 @@ class NewViewPlan:
     last_stable: int
     decisions: Dict[int, SlotDecision]
 
-    def decision_for(self, sequence: int) -> Optional[SlotDecision]:
-        return self.decisions.get(sequence)
-
 
 def _collect_requests(evidences: Iterable[SlotEvidence], digest: str) -> Optional[Tuple[ClientRequest, ...]]:
     for evidence in evidences:

@@ -1,8 +1,7 @@
 """SHA256 digest helpers.
 
 SBFT hashes a decision block together with its sequence number and view as
-``h = H(s || v || r)`` (Section V-C); the pipelined view-change variant
-additionally chains the previous block hash (Section V-G.1).
+``h = H(s || v || r)`` (Section V-C).
 """
 
 from __future__ import annotations
@@ -198,7 +197,3 @@ def block_digest(sequence: int, view: int, requests: Iterable[Any]) -> str:
     """``H(s || v || r)`` — the digest replicas sign in the sign-share phase."""
     return sha256_hex("block", sequence, view, list(requests))
 
-
-def chain_digest(sequence: int, view: int, requests: Iterable[Any], prev_digest: str) -> str:
-    """``H(s || v || r || h_{x-1})`` — pipelined view-change block digest."""
-    return sha256_hex("chain-block", sequence, view, list(requests), prev_digest)

@@ -8,7 +8,7 @@ and the pairing with field multiplication::
     e(aG, bG) = ab  (mod q)
 
 Every identity that BLS relies on holds exactly (bilinearity, the hardness
-assumptions obviously do not), so signing, verification, aggregation and
+assumptions obviously do not), so threshold signing, verification and
 Lagrange interpolation in the exponent run the same arithmetic a real library
 performs, just over a trivially breakable group.  :mod:`repro.crypto.costs`
 charges realistic times for each operation so the simulation is not distorted
@@ -35,30 +35,9 @@ class GroupElement:
     value: int
     order: int = BN254_ORDER
 
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement((self.value + other.value) % self.order, self.order)
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement((-self.value) % self.order, self.order)
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
-
     def scale(self, scalar: int) -> "GroupElement":
         """Scalar multiplication (``scalar * P``)."""
         return GroupElement((self.value * (scalar % self.order)) % self.order, self.order)
-
-    def _check(self, other: "GroupElement") -> None:
-        if self.order != other.order:
-            raise CryptoError("group elements from different groups")
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def encode(self) -> bytes:
-        """33-byte encoding, matching the size of a compressed BLS point."""
-        return self.value.to_bytes(33, "big")
 
 
 class MockGroup:
@@ -74,9 +53,6 @@ class MockGroup:
         # :meth:`lagrange_coefficients` up to the largest index seen.
         self._inverses: List[int] = [0, 1]
         self._inverse_factorials: List[int] = [1, 1]
-
-    def element(self, value: int) -> GroupElement:
-        return GroupElement(value % self.order, self.order)
 
     def hash_to_group(self, digest_int: int) -> GroupElement:
         """Hash a digest (as an integer) onto the group."""
@@ -96,25 +72,13 @@ class MockGroup:
         value = rng_value % self.order
         return value if value != 0 else 1
 
-    def lagrange_coefficient(self, index: int, indices: list[int]) -> int:
-        """Lagrange coefficient at zero for ``index`` over ``indices`` (1-based)."""
-        if index not in indices:
-            raise CryptoError("index not in interpolation set")
-        num, den = 1, 1
-        for j in indices:
-            if j == index:
-                continue
-            num = (num * (-j)) % self.order
-            den = (den * (index - j)) % self.order
-        return (num * pow(den, -1, self.order)) % self.order
-
     def lagrange_coefficients(self, indices: Sequence[int]) -> tuple[int, ...]:
         """All Lagrange coefficients at zero over ``indices``, index-aligned.
 
-        Equal to ``[lagrange_coefficient(i, indices) for i in indices]`` for
-        distinct positive ``indices`` (Shamir x-coordinates), in
-        O(k * (span - k) + span) small-integer steps instead of O(k^2) field
-        multiplications, where ``span = max - min + 1``.  With ``lo``/``hi``
+        Equal to the textbook per-index product over distinct positive
+        ``indices`` (Shamir x-coordinates), in O(k * (span - k) + span)
+        small-integer steps instead of O(k^2) field multiplications, where
+        ``span = max - min + 1``.  With ``lo``/``hi``
         the extremes of the set, ``missing`` the integers between them that
         are not in it and ``P`` the product of all indices::
 

@@ -209,11 +209,6 @@ class ThresholdScheme:
         """Verify a combined signature over exactly ``message`` (``1.0`` is not ``1``)."""
         return memo_key(signature.message) == memo_key(message) and self.verify(signature)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ThresholdScheme(name={self.name!r}, k={self.threshold}, n={self.num_signers})"
-        )
-
 
 class ThresholdDealer:
     """Trusted dealer producing the three SBFT threshold schemes.

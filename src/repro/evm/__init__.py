@@ -10,23 +10,20 @@ models (contract creation and contract execution).  The synthetic workload in
 the paper's description (~5000 creations among 500k transactions).
 """
 
-from repro.evm.opcodes import Op, OPCODES, opcode_name
-from repro.evm.assembler import assemble, disassemble
+from repro.evm.opcodes import Op, OPCODES
+from repro.evm.assembler import assemble
 from repro.evm.vm import EVM, ExecutionResult, Message
-from repro.evm.state import Account, WorldState
+from repro.evm.state import WorldState
 from repro.evm.transactions import Transaction, TransactionReceipt, apply_transaction
 from repro.evm.contracts import counter_contract, token_contract, storage_contract
 
 __all__ = [
     "Op",
     "OPCODES",
-    "opcode_name",
     "assemble",
-    "disassemble",
     "EVM",
     "ExecutionResult",
     "Message",
-    "Account",
     "WorldState",
     "Transaction",
     "TransactionReceipt",

@@ -1,4 +1,4 @@
-"""A tiny assembler/disassembler for mini-EVM bytecode.
+"""A tiny assembler for mini-EVM bytecode.
 
 Lets the examples and tests write contracts as readable mnemonic listings
 instead of raw byte strings::
@@ -16,30 +16,12 @@ Labels are supported for jump targets: a line ``":loop"`` defines a label and
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import Sequence, Union
 
 from repro.errors import EVMError
-from repro.evm.opcodes import IMMEDIATE_WIDTHS, OPCODE_INFO, OPCODES, Op
+from repro.evm.opcodes import OPCODES, Op
 
 Instruction = Union[str, int]
-
-
-def instruction_offsets(code: bytes) -> List[int]:
-    """Byte offsets of instruction boundaries (the linear decode walk).
-
-    The same walk the JUMPDEST-validity analysis uses: PUSH immediates are
-    skipped, unknown bytes advance by one.  Exposed so tests can cross-check
-    the interpreter's pre-decode pass against the assembler's view of the
-    program.
-    """
-    offsets: List[int] = []
-    widths = IMMEDIATE_WIDTHS
-    pc = 0
-    length = len(code)
-    while pc < length:
-        offsets.append(pc)
-        pc += 1 + widths[code[pc]]
-    return offsets
 
 
 def _parse_value(token: str, labels: dict) -> int:
@@ -103,23 +85,3 @@ def assemble(lines: Sequence[Instruction]) -> bytes:
             raise EVMError(f"{name} takes no operand")
     return bytes(code)
 
-
-def disassemble(code: bytes) -> List[str]:
-    """Disassemble bytecode into mnemonic lines."""
-    out: List[str] = []
-    pc = 0
-    while pc < len(code):
-        byte = code[pc]
-        info = OPCODE_INFO[byte]
-        if info is None:
-            out.append(f"UNKNOWN_{byte:02x}")
-            pc += 1
-            continue
-        if info.immediate_bytes:
-            imm = int.from_bytes(code[pc + 1 : pc + 1 + info.immediate_bytes], "big")
-            out.append(f"{info.op.name} 0x{imm:x}")
-            pc += 1 + info.immediate_bytes
-        else:
-            out.append(info.op.name)
-            pc += 1
-    return out

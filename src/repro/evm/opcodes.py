@@ -185,10 +185,3 @@ IMMEDIATE_WIDTHS = [info.immediate_bytes if info is not None else 0 for info in 
 
 JUMPDEST_BYTE = int(Op.JUMPDEST)
 
-
-def opcode_name(byte: int) -> str:
-    """Readable name of an opcode byte (``UNKNOWN_xx`` if unsupported)."""
-    info = OPCODES.get(byte)
-    if info is None:
-        return f"UNKNOWN_{byte:02x}"
-    return info.op.name

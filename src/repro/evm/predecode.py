@@ -1,7 +1,7 @@
 """Pre-decoded instruction streams for the mini-EVM.
 
-The naive interpreter in :mod:`repro.evm.vm` re-decodes raw bytecode on every
-step: a dict lookup per byte, an immediate re-parse per PUSH, and a ~40-branch
+A naive interpreter (the reference in ``tests/evm_reference.py``) re-decodes
+raw bytecode on every step: a dict lookup per byte, an immediate re-parse per PUSH, and a ~40-branch
 ``if``/``elif`` chain per simple opcode.  EVM bytecode is immutable once
 deployed, so all of that work can be hoisted into a one-time pre-decode pass
 per code blob:
@@ -29,15 +29,14 @@ assembler-generated and raw-byte programs.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.crypto.hashing import sha256_int
 from repro.errors import EVMError, OutOfGas
-from repro.evm.opcodes import IMMEDIATE_WIDTHS, JUMPDEST_BYTE, OPCODE_INFO, OPCODES, Op
+from repro.evm.opcodes import JUMPDEST_BYTE, OPCODE_INFO, OPCODES, Op
 
-# Execution limits shared by both engines (vm.py re-exports them): they are
-# part of the observable semantics, so a single definition keeps the decoded
-# and naive loops in lock-step.
+# Execution limits: they are part of the observable semantics, so the naive
+# reference engine imports these same definitions.
 WORD = 2**256
 _MASK = WORD - 1
 MAX_STACK = 1024
@@ -46,26 +45,6 @@ MAX_STEPS = 100_000
 #: Instruction index returned by halting handlers; larger than any real
 #: program (``len(instructions) <= len(code)``), so the run loop exits.
 _END = 1 << 60
-
-
-def compute_valid_jumpdests(code: bytes) -> frozenset:
-    """Valid JUMPDEST byte offsets: ``0x5b`` bytes *at instruction boundaries*.
-
-    This is the real EVM's JUMPDEST analysis — a linear scan from offset 0
-    that skips PUSH immediates — implemented independently of
-    :func:`predecode` so the naive reference loop does not inherit decoder
-    bugs (the differential tests cross-check the two walks).
-    """
-    valid = set()
-    widths = IMMEDIATE_WIDTHS
-    pc = 0
-    length = len(code)
-    while pc < length:
-        byte = code[pc]
-        if byte == JUMPDEST_BYTE:
-            valid.add(pc)
-        pc += 1 + widths[byte]
-    return frozenset(valid)
 
 
 class DecodedProgram:

@@ -3,14 +3,13 @@
 The paper's implementation keeps contract code and contract storage in the
 replicated key-value store (Section IV: "The key-value store keeps the state
 of the ledger service"); this module provides that mapping.  Any object with
-``get(key)`` / ``put(key, value)`` works as the backend, so the ledger service
-can hand in the authenticated KV store and inherit Merkle authentication of
-the whole EVM state.
+``get(key)`` / ``put(key, value)`` works as the backend; the ledger service
+hands in its ``_LedgerBackend`` over the authenticated KV store, so the
+whole EVM state inherits Merkle authentication.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, Optional
 
@@ -24,20 +23,6 @@ def _decode_code(hex_code: str) -> bytes:
     # decoding the same hex blob every call was measurable interpreter
     # overhead.
     return bytes.fromhex(hex_code)
-
-
-@dataclass
-class Account:
-    """An externally-owned account or a contract account."""
-
-    address: str
-    balance: int = 0
-    nonce: int = 0
-    code: bytes = b""
-
-    @property
-    def is_contract(self) -> bool:
-        return bool(self.code)
 
 
 class WorldState:
@@ -54,14 +39,6 @@ class WorldState:
     # ------------------------------------------------------------------
     # Accounts
     # ------------------------------------------------------------------
-    def get_account(self, address: str) -> Account:
-        return Account(
-            address=address,
-            balance=int(self._backend_get(f"acct/{address}/balance", 0)),
-            nonce=int(self._backend_get(f"acct/{address}/nonce", 0)),
-            code=bytes.fromhex(self._backend_get(f"code/{address}", "")),
-        )
-
     def set_balance(self, address: str, balance: int) -> None:
         if balance < 0:
             raise EVMError(f"negative balance for {address}")

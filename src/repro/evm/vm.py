@@ -7,18 +7,12 @@ replication layer requires ("the fact that EVM bytecode is deterministic
 ensures that the new state digest will be equal in all non-faulty replicas",
 Section IV).
 
-Two engines share these semantics:
-
-* ``decoded`` (the default): runs over the pre-decoded instruction stream of
-  :mod:`repro.evm.predecode` — PUSH immediates parsed once per code blob,
-  direct handler references, O(1) jump resolution.
-* ``naive``: the original fetch-decode-execute loop over raw bytes, retained
-  as the differential-testing reference (``tests/test_evm_properties.py``
-  fuzzes both engines against each other).
-
-Both engines validate jump targets against the *instruction-boundary*
-JUMPDEST set: a ``0x5b`` byte inside PUSH immediate data is not a valid jump
-target (the naive loop historically accepted it).
+Execution runs over the pre-decoded instruction stream of
+:mod:`repro.evm.predecode`: PUSH immediates parsed once per code blob, direct
+handler references, O(1) jump resolution against the *instruction-boundary*
+JUMPDEST set (a ``0x5b`` byte inside PUSH immediate data is not a valid jump
+target).  The naive fetch-decode-execute loop over raw bytes it is tested
+against lives with its tests (``tests/evm_reference.py``).
 """
 
 from __future__ import annotations
@@ -26,20 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.crypto.hashing import sha256_int
 from repro.errors import EVMError, OutOfGas
-from repro.evm.opcodes import OPCODES, Op
-
-# The execution limits are owned by predecode (both engines must agree on
-# them byte for byte) and re-exported here for the public API.
-from repro.evm.predecode import (
-    MAX_STACK,
-    MAX_STEPS,
-    WORD,
-    compute_valid_jumpdests,
-    predecode,
-    run_decoded,
-)
+from repro.evm.predecode import MAX_STACK, WORD, predecode, run_decoded
 from repro.evm.state import WorldState
 
 MAX_CALL_DEPTH = 64
@@ -49,10 +31,6 @@ MAX_CALL_DEPTH = 64
 #: (found by the differential fuzzer).  Exceeding the cap is a deterministic
 #: in-VM failure instead.
 MAX_MEMORY = 1 << 24
-
-
-def _to_signed(value: int) -> int:
-    return value - WORD if value >= WORD // 2 else value
 
 
 @dataclass
@@ -102,7 +80,6 @@ class _Frame:
         "logs",
         "halt",
         "program",
-        "valid_jumpdests",
     )
 
     def __init__(self, code: bytes, message: Message):
@@ -113,11 +90,9 @@ class _Frame:
         self.pc = 0
         self.gas_remaining = message.gas
         self.logs: List[tuple] = []
-        # Decoded engine: the outcome of a halting instruction and the
-        # pre-decoded program.  Naive engine: the valid JUMPDEST set.
+        # The outcome of a halting instruction and the pre-decoded program.
         self.halt: Optional[Tuple[bytes, bool, Optional[str]]] = None
         self.program = None
-        self.valid_jumpdests: Optional[frozenset] = None
 
     # -- stack ----------------------------------------------------------
     def push(self, value: int) -> None:
@@ -162,25 +137,11 @@ class _Frame:
 
 
 class EVM:
-    """The interpreter.  One instance can execute many messages.
+    """The interpreter.  One instance can execute many messages."""
 
-    ``engine`` selects the execution strategy: ``"decoded"`` (default) runs
-    the pre-decoded instruction stream, ``"naive"`` the byte-at-a-time
-    reference loop.  Both produce identical results, gas accounting, logs and
-    state effects.
-    """
-
-    def __init__(
-        self,
-        state: WorldState,
-        block: Optional[BlockContext] = None,
-        engine: str = "decoded",
-    ):
-        if engine not in ("decoded", "naive"):
-            raise ValueError(f"unknown EVM engine {engine!r}")
+    def __init__(self, state: WorldState, block: Optional[BlockContext] = None):
         self.state = state
         self.block = block or BlockContext()
-        self.engine = engine
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -197,84 +158,19 @@ class EVM:
             return ExecutionResult(success=True, gas_used=0)
         frame = _Frame(run_code, message)
         try:
-            if self.engine == "decoded":
-                frame.program = predecode(run_code)
-                run_decoded(self, frame)
-                halt = frame.halt
-                if halt is None:
-                    result = self._finish(frame, b"", True)
-                else:
-                    result = self._finish(frame, halt[0], halt[1], error=halt[2])
+            frame.program = predecode(run_code)
+            run_decoded(self, frame)
+            halt = frame.halt
+            if halt is None:
+                result = self._finish(frame, b"", True)
             else:
-                frame.valid_jumpdests = compute_valid_jumpdests(run_code)
-                result = self._run(frame)
+                result = self._finish(frame, halt[0], halt[1], error=halt[2])
         except OutOfGas as exc:
             return ExecutionResult(success=False, error=str(exc), gas_used=message.gas, logs=frame.logs)
         except EVMError as exc:
             gas_used = message.gas - frame.gas_remaining
             return ExecutionResult(success=False, error=str(exc), gas_used=gas_used, logs=frame.logs)
         return result
-
-    # ------------------------------------------------------------------
-    # Naive interpreter loop (the differential-testing reference)
-    # ------------------------------------------------------------------
-    def _run(self, frame: _Frame) -> ExecutionResult:
-        code = frame.code
-        msg = frame.message
-        steps = 0
-        while frame.pc < len(code):
-            steps += 1
-            if steps > MAX_STEPS:
-                raise EVMError("step limit exceeded")
-            byte = code[frame.pc]
-            info = OPCODES.get(byte)
-            if info is None:
-                raise EVMError(f"invalid opcode 0x{byte:02x} at pc {frame.pc}")
-            frame.charge(info.gas)
-            op = info.op
-            frame.pc += 1
-
-            # -- control flow ------------------------------------------
-            if op is Op.STOP:
-                return self._finish(frame, b"", True)
-            if op is Op.RETURN:
-                offset, length = frame.pop(), frame.pop()
-                return self._finish(frame, frame.mslice(offset, length), True)
-            if op is Op.REVERT:
-                offset, length = frame.pop(), frame.pop()
-                return self._finish(frame, frame.mslice(offset, length), False, error="revert")
-            if op is Op.JUMP:
-                frame.pc = self._jump_target(frame, frame.pop())
-                continue
-            if op is Op.JUMPI:
-                target, condition = frame.pop(), frame.pop()
-                if condition:
-                    frame.pc = self._jump_target(frame, target)
-                continue
-            if op is Op.JUMPDEST:
-                continue
-
-            # -- pushes / dups / swaps ----------------------------------
-            if info.immediate_bytes:
-                value = int.from_bytes(code[frame.pc : frame.pc + info.immediate_bytes], "big")
-                frame.pc += info.immediate_bytes
-                frame.push(value)
-                continue
-            if Op.DUP1 <= op <= Op.DUP6:
-                depth = op - Op.DUP1 + 1
-                if len(frame.stack) < depth:
-                    raise EVMError("stack underflow in DUP")
-                frame.push(frame.stack[-depth])
-                continue
-            if Op.SWAP1 <= op <= Op.SWAP4:
-                depth = op - Op.SWAP1 + 1
-                if len(frame.stack) < depth + 1:
-                    raise EVMError("stack underflow in SWAP")
-                frame.stack[-1], frame.stack[-1 - depth] = frame.stack[-1 - depth], frame.stack[-1]
-                continue
-
-            self._execute_simple(op, frame, msg)
-        return self._finish(frame, b"", True)
 
     def _finish(
         self, frame: _Frame, return_data: bytes, success: bool, error: Optional[str] = None
@@ -286,148 +182,6 @@ class EVM:
             error=error,
             logs=list(frame.logs),
         )
-
-    @staticmethod
-    def _jump_target(frame: _Frame, target: int) -> int:
-        # A valid target is a JUMPDEST *at an instruction boundary*; a 0x5b
-        # byte inside PUSH immediate data is data, not a jump destination.
-        if target not in frame.valid_jumpdests:
-            raise EVMError(f"invalid jump target {target}")
-        return target
-
-    # ------------------------------------------------------------------
-    # Simple (non-control-flow) opcodes
-    # ------------------------------------------------------------------
-    def _execute_simple(self, op: Op, frame: _Frame, msg: Message) -> None:
-        pop = frame.pop
-        push = frame.push
-        if op is Op.ADD:
-            push(pop() + pop())
-        elif op is Op.MUL:
-            push(pop() * pop())
-        elif op is Op.SUB:
-            a, b = pop(), pop()
-            push(a - b)
-        elif op is Op.DIV:
-            a, b = pop(), pop()
-            push(0 if b == 0 else a // b)
-        elif op is Op.MOD:
-            a, b = pop(), pop()
-            push(0 if b == 0 else a % b)
-        elif op is Op.ADDMOD:
-            a, b, n = pop(), pop(), pop()
-            push(0 if n == 0 else (a + b) % n)
-        elif op is Op.MULMOD:
-            a, b, n = pop(), pop(), pop()
-            push(0 if n == 0 else (a * b) % n)
-        elif op is Op.EXP:
-            a, b = pop(), pop()
-            push(pow(a, b, WORD))
-        elif op is Op.LT:
-            a, b = pop(), pop()
-            push(1 if a < b else 0)
-        elif op is Op.GT:
-            a, b = pop(), pop()
-            push(1 if a > b else 0)
-        elif op is Op.SLT:
-            a, b = pop(), pop()
-            push(1 if _to_signed(a) < _to_signed(b) else 0)
-        elif op is Op.SGT:
-            a, b = pop(), pop()
-            push(1 if _to_signed(a) > _to_signed(b) else 0)
-        elif op is Op.EQ:
-            push(1 if pop() == pop() else 0)
-        elif op is Op.ISZERO:
-            push(1 if pop() == 0 else 0)
-        elif op is Op.AND:
-            push(pop() & pop())
-        elif op is Op.OR:
-            push(pop() | pop())
-        elif op is Op.XOR:
-            push(pop() ^ pop())
-        elif op is Op.NOT:
-            push(~pop() % WORD)
-        elif op is Op.BYTE:
-            index, value = pop(), pop()
-            push((value >> (8 * (31 - index))) & 0xFF if index < 32 else 0)
-        elif op is Op.SHL:
-            shift, value = pop(), pop()
-            push(0 if shift >= 256 else (value << shift) % WORD)
-        elif op is Op.SHR:
-            shift, value = pop(), pop()
-            push(0 if shift >= 256 else value >> shift)
-        elif op is Op.SHA3:
-            offset, length = pop(), pop()
-            push(sha256_int("evm-sha3", frame.mslice(offset, length)) % WORD)
-        elif op is Op.ADDRESS:
-            push(self._address_to_word(msg.to))
-        elif op is Op.BALANCE:
-            address = self._word_to_address(pop())
-            push(self.state.get_balance(address))
-        elif op is Op.ORIGIN:
-            push(self._address_to_word(msg.origin or msg.sender))
-        elif op is Op.CALLER:
-            push(self._address_to_word(msg.sender))
-        elif op is Op.CALLVALUE:
-            push(msg.value)
-        elif op is Op.CALLDATALOAD:
-            offset = pop()
-            data = msg.data[offset : offset + 32]
-            push(int.from_bytes(data.ljust(32, b"\x00"), "big"))
-        elif op is Op.CALLDATASIZE:
-            push(len(msg.data))
-        elif op is Op.CODESIZE:
-            push(len(frame.code))
-        elif op is Op.GASPRICE:
-            push(1)
-        elif op is Op.BLOCKHASH:
-            push(sha256_int("blockhash", pop()) % WORD)
-        elif op is Op.COINBASE:
-            push(self._address_to_word(self.block.coinbase))
-        elif op is Op.TIMESTAMP:
-            push(self.block.timestamp)
-        elif op is Op.NUMBER:
-            push(self.block.number)
-        elif op is Op.GASLIMIT:
-            push(self.block.gas_limit)
-        elif op is Op.POP:
-            pop()
-        elif op is Op.MLOAD:
-            push(frame.mload(pop()))
-        elif op is Op.MSTORE:
-            offset, value = pop(), pop()
-            frame.mstore(offset, value)
-        elif op is Op.MSTORE8:
-            offset, value = pop(), pop()
-            frame.mstore8(offset, value)
-        elif op is Op.SLOAD:
-            push(self.state.storage_load(msg.to, pop()))
-        elif op is Op.SSTORE:
-            slot, value = pop(), pop()
-            self.state.storage_store(msg.to, slot, value)
-        elif op is Op.PC:
-            push(frame.pc - 1)
-        elif op is Op.MSIZE:
-            push(len(frame.memory))
-        elif op is Op.GAS:
-            push(frame.gas_remaining)
-        elif op is Op.LOG0:
-            offset, length = pop(), pop()
-            frame.logs.append((msg.to, (), frame.mslice(offset, length)))
-        elif op is Op.LOG1:
-            offset, length, topic = pop(), pop(), pop()
-            frame.logs.append((msg.to, (topic,), frame.mslice(offset, length)))
-        elif op is Op.CALL:
-            self._do_call(frame, msg)
-        elif op is Op.SELFDESTRUCT:
-            beneficiary = self._word_to_address(pop())
-            balance = self.state.get_balance(msg.to)
-            self.state.sub_balance(msg.to, balance)
-            self.state.add_balance(beneficiary, balance)
-            self.state.set_code(msg.to, b"")
-            frame.pc = len(frame.code)
-        else:  # pragma: no cover - table and handlers are kept in sync
-            raise EVMError(f"unhandled opcode {op.name}")
 
     def _do_call(self, frame: _Frame, msg: Message) -> None:
         gas = frame.pop()

@@ -11,7 +11,8 @@ lockstep.
 
 ``batch_policy="fixed"`` is today's static ``batch_size`` blocks;
 ``"adaptive"`` sizes each block from the observed queue depth and in-flight
-load (bounded by ``batch_max``), which is what keeps throughput climbing at
+load (bounded by ``SBFTConfig.effective_batch_max``, ``max(64, 4 *
+batch_size)``), which is what keeps throughput climbing at
 the top of the client-scaling curve — deep queues drain into a few large
 blocks instead of a stream of minimum-size ones.
 
@@ -58,7 +59,7 @@ CONFIG_OVERRIDES = {
 #: The top of each ``client_counts`` curve must saturate the primary so the
 #: adaptive policy has a queue to drain — that is where fixed batching pays a
 #: per-block protocol cost per ``block_batch`` requests and adaptive amortizes
-#: it over up to ``batch_max``.
+#: it over up to ``effective_batch_max``.
 SWEEP_SCALES: Dict[str, Dict[str, Any]] = {
     "small": dict(f=1, client_counts=(4, 16, 64), requests=8, kv_batch=4, block_batch=8,
                   max_outstanding=4, max_sim_time=240.0),

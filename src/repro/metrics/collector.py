@@ -87,19 +87,12 @@ class LatencyRecorder:
     def completed_requests(self) -> int:
         return len(self._completions)
 
-    @property
-    def completed_operations(self) -> int:
-        return self._operations
-
     @staticmethod
     def _percentile_of(ordered: List[float], fraction: float) -> float:
         if not ordered:
             return 0.0
         index = min(len(ordered) - 1, max(0, math.ceil(fraction * len(ordered)) - 1))
         return ordered[index]
-
-    def percentile(self, fraction: float) -> float:
-        return self._percentile_of(sorted(self.samples), fraction)
 
     def timeline(self, bucket_width: float, duration: Optional[float] = None) -> Timeline:
         """Bucket the completion stream into a :class:`Timeline`.
@@ -237,11 +230,3 @@ class RunResult:
         }
         row.update(self.extra)
         return row
-
-    def __str__(self) -> str:
-        return (
-            f"{self.label or 'run'}: {self.throughput:.1f} ops/s, "
-            f"mean latency {self.mean_latency_ms:.1f} ms, "
-            f"median {self.median_latency_ms:.1f} ms "
-            f"({self.completed_operations} ops in {self.duration:.1f}s)"
-        )

@@ -1,13 +1,12 @@
 """Cluster construction and the registry of evaluated protocol variants."""
 
-from repro.protocols.registry import PROTOCOLS, ProtocolSpec, get_protocol, protocol_names
+from repro.protocols.registry import PROTOCOLS, ProtocolSpec, get_protocol
 from repro.protocols.cluster import Cluster, ClusterResult, build_cluster
 
 __all__ = [
     "PROTOCOLS",
     "ProtocolSpec",
     "get_protocol",
-    "protocol_names",
     "Cluster",
     "ClusterResult",
     "build_cluster",

@@ -106,6 +106,3 @@ def get_protocol(name: str) -> ProtocolSpec:
             f"unknown protocol {name!r}; expected one of {sorted(PROTOCOLS)}"
         ) from None
 
-
-def protocol_names() -> List[str]:
-    return list(PAPER_ORDER)

@@ -289,13 +289,6 @@ class AuthenticatedKVStore(AuthenticatedService):
         """
         return self._store.contents_digest()
 
-    def digest_at(self, sequence: int) -> str:
-        """State digest right after executing block ``sequence``."""
-        try:
-            return self._digest_at[sequence]
-        except KeyError:
-            raise InvalidProof(f"no executed block with sequence {sequence}") from None
-
     def prove(self, sequence: int, position: int) -> ExecutionProof:
         tree = self._journal_trees.get(sequence)
         if tree is None:
@@ -336,30 +329,16 @@ class AuthenticatedKVStore(AuthenticatedService):
             return chained[3] == digest
         return chain_step(kv_proof.prev_digest, sequence, journal_root) == digest
 
-    # ------------------------------------------------------------------
-    # Convenience accessors
-    # ------------------------------------------------------------------
-    def result_for(self, sequence: int, position: int) -> OperationResult:
-        """Recorded result of the ``position``-th operation of block ``sequence``."""
-        return self._journal_results[sequence][position]
-
     @property
     def store(self) -> KVStore:
         """The plain store under the journal."""
         return self._store
-
-    def get(self, key: str, default: Optional[Any] = None) -> Any:
-        return self._store.get(key, default)
 
     def put(self, key: str, value: Any) -> None:
         # Direct (non-journaled) write: drop the execution-cache fingerprint
         # so a diverged store can never hit a stale entry.
         self._state_fingerprint = None
         self._store.put(key, value)
-
-    @property
-    def executed_blocks(self) -> int:
-        return len(self._block_order)
 
     @staticmethod
     def make_put(key: str, value: Any, client_id: int = -1, timestamp: int = 0) -> Operation:

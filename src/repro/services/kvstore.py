@@ -8,7 +8,7 @@ backend of the authenticated store and the ledger.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.crypto.hashing import sha256_hex
 from repro.records import frozen_record
@@ -121,20 +121,8 @@ class KVStore(ReplicatedService):
         refills it in place)."""
         return self._data
 
-    def get(self, key: str, default: Optional[Any] = None) -> Any:
-        return self._data.get(key, default)
-
     def put(self, key: str, value: Any) -> None:
         self._data[key] = value
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
-    def keys(self):
-        return self._data.keys()
 
     def contents_digest(self) -> str:
         """Order-independent digest of the full key-value contents.

@@ -105,10 +105,6 @@ class LedgerService(AuthenticatedService):
     # ------------------------------------------------------------------
     # Direct (unreplicated) access — used by workload setup and examples
     # ------------------------------------------------------------------
-    @property
-    def world(self) -> WorldState:
-        return self._world
-
     def fund(self, address: str, amount: int) -> None:
         """Credit an account out-of-band (genesis allocation)."""
         self._world.add_balance(address, amount)
@@ -248,6 +244,3 @@ class LedgerService(AuthenticatedService):
         proof: ExecutionProof,
     ) -> bool:
         return self._authkv.verify(digest, operation, value, sequence, position, proof)
-
-    def result_for(self, sequence: int, position: int) -> OperationResult:
-        return self._authkv.result_for(sequence, position)

@@ -248,7 +248,7 @@ class Simulator:
                 pop(heap)
                 if handle is not None:
                     # The entry has left the heap: a late cancel() must not
-                    # count it toward heap garbage (live_events / compaction).
+                    # count it toward heap garbage (compaction).
                     handle.owner = None
                 self.now = time
                 callback(*args)
@@ -269,25 +269,6 @@ class Simulator:
         return processed
 
     @property
-    def pending_events(self) -> int:
-        """Number of heap entries, including cancelled ones not yet compacted.
-
-        Progress/termination heuristics should use :attr:`live_events`; this
-        property reflects raw heap occupancy (useful for memory accounting).
-        """
-        return len(self._heap)
-
-    @property
-    def live_events(self) -> int:
-        """Number of events still queued that will actually fire."""
-        return len(self._heap) - self._cancelled
-
-    @property
-    def cancelled_events(self) -> int:
-        """Cancelled entries currently awaiting compaction or skip-on-pop."""
-        return self._cancelled
-
-    @property
     def compactions(self) -> int:
         """Number of heap compactions performed (observability for tests)."""
         return self._compactions
@@ -296,9 +277,3 @@ class Simulator:
     def events_processed(self) -> int:
         """Total number of events processed over the simulator's lifetime."""
         return self._events_processed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Simulator(now={self.now:.6f}, live={self.live_events}, "
-            f"pending={len(self._heap)})"
-        )

@@ -147,10 +147,6 @@ class FaultPlan:
     def extend(self, other: "FaultPlan") -> "FaultPlan":
         return FaultPlan(self.faults + other.faults)
 
-    @property
-    def faulty_ids(self) -> set:
-        return {spec.replica_id for spec in self.faults}
-
     def __len__(self) -> int:
         return len(self.faults)
 

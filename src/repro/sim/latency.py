@@ -39,10 +39,6 @@ class LatencyModel:
         delay = self.delay
         return [delay(src, dst, rng) for dst in dsts]
 
-    def region_of(self, node: int) -> int:
-        """Region index of a node (0 for flat topologies)."""
-        return 0
-
 
 class UniformLatency(LatencyModel):
     """Every pair of nodes sees the same base delay plus uniform jitter."""
@@ -99,11 +95,6 @@ class RegionLatency(LatencyModel):
         self.jitter_fraction = jitter_fraction
         self.intra_node_delay = intra_node_delay
 
-    def region_of(self, node: int) -> int:
-        if node < len(self.assignment):
-            return self.assignment[node]
-        return node % self.num_regions
-
     # ``j * rng.random()`` is ``rng.uniform(0.0, j)`` float for float and draw
     # for draw (``0.0 + (j - 0.0) * random()``), minus a Python frame.
     def delay(self, src: int, dst: int, rng: random.Random) -> float:
@@ -117,7 +108,7 @@ class RegionLatency(LatencyModel):
         return base * (1.0 + self.jitter_fraction * rng.random())
 
     def delays_from(self, src: int, dsts: Sequence[int], rng: random.Random) -> list[float]:
-        # One row lookup per fan-out, region_of() inlined per destination;
+        # One row lookup per fan-out, the region lookup inlined per destination;
         # the RNG draw order matches delay().
         assignment, known, regions = self.assignment, len(self.assignment), self.num_regions
         row = self.matrix[assignment[src] if src < known else src % regions]

@@ -63,13 +63,11 @@ def _message_type(message: Any) -> str:
 def _message_size(message: Any) -> int:
     # Protocol messages carry ``size_bytes`` as a plain ``int`` fixed at
     # construction (``tests/test_hot_path_representation.py`` pins it), so
-    # sizing is one attribute load.  Foreign payloads (tests, ad-hoc probes)
-    # may still expose a callable or nothing at all; those fall through.
+    # sizing is one attribute load.  A payload without one (a test's probe)
+    # is charged 256 bytes.
     size = getattr(message, "size_bytes", None)
     if isinstance(size, int):
         return size
-    if callable(size):
-        return int(size())
     return 256
 
 
@@ -83,8 +81,10 @@ class Network:
     latency:
         Latency model used for propagation delays; defaults to a 1 ms LAN.
     bandwidth_bytes_per_sec:
-        Per-sender serialization bandwidth.  ``None`` disables the
-        serialization delay.
+        Serialization bandwidth, charged per copy: every send and every
+        copy of a broadcast adds ``size / bandwidth`` to its own delay, with
+        no queue shared by a sender's copies (ROADMAP item 1).  ``None``
+        disables the serialization delay.
     drop_rate:
         Independent probability that any given message is dropped.  Per the
         system model the adversary may drop each packet a finite number of
@@ -109,7 +109,6 @@ class Network:
         self.rng = random.Random(seed if seed is not None else sim.rng.getrandbits(32))
         self.stats = NetworkStats()
         self._nodes: dict[int, Process] = {}
-        self._node_ids_cache: Optional[tuple[int, ...]] = None
         self._down_links: set[tuple[int, int]] = set()
         self._isolated: set[int] = set()
         self._taps: list[Callable[[int, int, Any], None]] = []
@@ -123,24 +122,6 @@ class Network:
         if node.node_id in self._nodes:
             raise NetworkError(f"node id {node.node_id} registered twice")
         self._nodes[node.node_id] = node
-        self._node_ids_cache = None
-
-    def node(self, node_id: int) -> Process:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise NetworkError(f"unknown node id {node_id}") from None
-
-    @property
-    def node_ids(self) -> list[int]:
-        """Sorted registered node ids.
-
-        The sorted order is cached until the next :meth:`register`; callers
-        get a fresh list (safe to mutate) without re-sorting per access.
-        """
-        if self._node_ids_cache is None:
-            self._node_ids_cache = tuple(sorted(self._nodes))
-        return list(self._node_ids_cache)
 
     # ------------------------------------------------------------------
     # Fault / partition control

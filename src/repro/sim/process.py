@@ -70,12 +70,6 @@ class CPUModel:
         self.total_busy_time += cost
         return self._busy_until
 
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` wall-clock (simulated) time spent busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.total_busy_time / elapsed)
-
 
 class Process:
     """Base class for every simulated node (replicas, collectors, clients).
@@ -162,6 +156,3 @@ class Process:
     def recover(self) -> None:
         """Clear the crash flag (state is whatever the subclass kept)."""
         self.crashed = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(id={self.node_id}, name={self.name!r})"

@@ -57,10 +57,6 @@ class SyntheticTrace:
     # Genesis
     # ------------------------------------------------------------------
     @property
-    def accounts(self) -> List[str]:
-        return list(self._accounts)
-
-    @property
     def deployer(self) -> str:
         return self._accounts[0]
 
@@ -179,10 +175,6 @@ class EthereumWorkload:
         self._chunks: List[List[Transaction]] = []
         self._requests_by_client: Optional[List[List[List[Operation]]]] = None
 
-    @property
-    def trace(self) -> SyntheticTrace:
-        return self._trace
-
     def set_num_clients(self, num_clients: int) -> None:
         """Tell the workload how many clients share the stream."""
         num_clients = max(1, num_clients)
@@ -241,9 +233,3 @@ class EthereumWorkload:
     def client_operations(self, client_id: int) -> List[List[Operation]]:
         """Requests for one client: its round-robin share of the chunks."""
         return self._build_requests()[client_id % self.num_clients]
-
-    def describe(self) -> str:
-        return (
-            f"Ethereum-like workload ({self.num_transactions} transactions, "
-            f"{self.chunk_bytes // 1024} KB client chunks)"
-        )

@@ -25,7 +25,7 @@ from repro.adversary.forensics import (
     find_equivocations,
     verify_evidence,
 )
-from repro.adversary.lab import SafetyOracle
+from repro.adversary.lab import PLANTED_WEAK_QUORUM, SafetyOracle, WeakQuorumConfig
 from repro.adversary.minimize import minimize, non_default_params
 from repro.adversary.search import (
     SWEEP,
@@ -132,6 +132,15 @@ def test_episode_is_deterministic():
 # ----------------------------------------------------------------------
 # Planted weakness: the acceptance path
 # ----------------------------------------------------------------------
+def test_weak_quorum_config_plants_both_quorums_and_deals_tau_from_them():
+    honest = SBFTConfig(f=64, c=8)
+    weak = WeakQuorumConfig(**dataclasses.asdict(honest))
+    assert weak.tau_threshold == weak.pbft_quorum == PLANTED_WEAK_QUORUM
+    assert (weak.n, weak.sigma_threshold) == (honest.n, honest.sigma_threshold)
+    small = WeakQuorumConfig(f=1)
+    assert TrustedSetup(small).tau.threshold == PLANTED_WEAK_QUORUM
+
+
 def test_planted_weak_quorum_breaks_safety_and_sound_quorum_does_not():
     base = EpisodeSpec(protocol="pbft", strategy="equivocating-primary", seed=1)
     sound = run_episode(base)

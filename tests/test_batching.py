@@ -4,7 +4,7 @@ Covers the adaptive batching layer (``SBFTConfig.batch_policy``): the
 ``fixed`` policy must reproduce the pre-policy behaviour byte-for-byte for
 fixed seeds (the ``RUNS`` goldens of tests/contract.py predate the policy
 layer), while ``adaptive`` must hold requests back under load and drain the
-queue into large blocks bounded by ``batch_max``.  Also covers the batching
+queue into large blocks bounded by ``effective_batch_max``.  Also covers the batching
 edge cases that existed before this layer — the batch-timeout flush of a
 partial batch and the batch timer vs. view-change interleaving — and the
 pipelined client (``client_max_outstanding > 1``).
@@ -38,15 +38,12 @@ def test_batch_policy_validation():
     with pytest.raises(ConfigurationError):
         SBFTConfig(f=1, batch_policy="magic")
     with pytest.raises(ConfigurationError):
-        SBFTConfig(f=1, batch_size=8, batch_max=4)
-    with pytest.raises(ConfigurationError):
         SBFTConfig(f=1, client_max_outstanding=0)
 
 
-def test_effective_batch_max_default_and_override():
+def test_effective_batch_max_is_64_or_four_batches():
     assert SBFTConfig(f=1, batch_size=4).effective_batch_max == 64
     assert SBFTConfig(f=1, batch_size=32).effective_batch_max == 128
-    assert SBFTConfig(f=1, batch_size=4, batch_max=16).effective_batch_max == 16
 
 
 def test_describe_mentions_adaptive_policy():
@@ -147,8 +144,7 @@ def test_batch_timeout_flushes_partial_batch(kind):
 
 @pytest.mark.parametrize("kind", ["sbft", "pbft"])
 def test_adaptive_policy_drains_queue_into_large_blocks(kind):
-    config = SBFTConfig(f=1, batch_size=2, batch_max=8, batch_policy="adaptive",
-                        batch_timeout=0.01)
+    config = SBFTConfig(f=1, batch_size=2, batch_policy="adaptive", batch_timeout=0.01)
     sim, replica, captured = _make_primary(config, kind)
     # Idle pipeline: the first two requests propose at the batch_size minimum.
     _feed(replica, [_request(1), _request(2)])
@@ -160,16 +156,16 @@ def test_adaptive_policy_drains_queue_into_large_blocks(kind):
     # ...until the batch timer flushes the whole queue as one block.
     sim.run(until=0.05)
     assert [len(b.requests) for b in _proposed_blocks(captured)] == [2, 5]
-    # A queue reaching batch_max proposes immediately, capped at batch_max.
-    _feed(replica, [_request(t) for t in range(8, 17)])
+    # A queue reaching effective_batch_max (64) proposes immediately, capped
+    # at it: 65 queued requests leave one behind.
+    _feed(replica, [_request(t) for t in range(8, 73)])
     blocks = _proposed_blocks(captured)
     assert len(blocks) == 3
-    assert len(blocks[2].requests) == 8
+    assert len(blocks[2].requests) == 64
 
 
 def test_adaptive_resumes_minimum_batches_when_idle():
-    config = SBFTConfig(f=1, batch_size=2, batch_max=8, batch_policy="adaptive",
-                        batch_timeout=0.01)
+    config = SBFTConfig(f=1, batch_size=2, batch_policy="adaptive", batch_timeout=0.01)
     sim, replica, captured = _make_primary(config)
     _feed(replica, [_request(1), _request(2)])
     assert len(_proposed_blocks(captured)) == 1

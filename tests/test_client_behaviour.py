@@ -74,7 +74,7 @@ def _executed_ack_for(client, timestamp=1):
     request = client._in_flight[timestamp].request
     store = AuthenticatedKVStore()
     results = store.execute_block(timestamp, list(request.operations))
-    digest = store.digest_at(timestamp)
+    digest = store._digest_at[timestamp]
     return ExecuteAck(
         sequence=timestamp,
         client_id=0,

@@ -8,14 +8,14 @@ import repro
 from helpers import assert_agreement, run_small_cluster
 from repro.errors import ConfigurationError
 from repro.protocols.cluster import build_cluster
-from repro.protocols.registry import PAPER_ORDER, get_protocol, protocol_names
+from repro.protocols.registry import PAPER_ORDER, get_protocol
 from repro.services.kvstore import KVStore
 from repro.workloads.ethereum_workload import EthereumWorkload
 from repro.workloads.kv_workload import KVWorkload
 
 
 def test_registry_contains_the_papers_five_variants():
-    assert protocol_names() == ["pbft", "linear-pbft", "linear-pbft-fast", "sbft-c0", "sbft-c8"]
+    assert list(PAPER_ORDER) == ["pbft", "linear-pbft", "linear-pbft-fast", "sbft-c0", "sbft-c8"]
     for name in PAPER_ORDER:
         spec = get_protocol(name)
         assert spec.name == name
@@ -97,7 +97,7 @@ def test_smart_contract_workload_end_to_end(protocol):
     assert len(digests) == 1
     # Balances/state actually changed (the EVM really ran).
     ledger = next(iter(cluster.replicas.values())).service
-    assert ledger.world.get_nonce(workload.trace.accounts[0]) >= 0
+    assert ledger._world.get_nonce(workload._trace.deployer) >= 0
     assert len(ledger.receipts) >= 120
 
 

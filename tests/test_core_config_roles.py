@@ -20,7 +20,6 @@ def test_replica_count_formula():
     assert config.pi_threshold == 65
     assert config.view_change_quorum == 2 * 64 + 2 * 8 + 1
     assert config.pbft_quorum == 2 * 64 + 2 * 8 + 1
-    assert SBFTConfig(f=64, c=8, unsafe_quorum_override=3).pbft_quorum == 3
 
 
 def test_paper_deployment_sizes():
@@ -37,6 +36,19 @@ def test_config_validation():
         SBFTConfig(f=1, batch_size=0)
     with pytest.raises(ConfigurationError):
         SBFTConfig(f=1, window=2)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("checkpoint_interval", 0), ("checkpoint_interval", -4), ("batch_timeout", -0.01),
+    ("batch_timeout", 0.0), ("fast_path_timeout", 0.0), ("fast_path_timeout", -0.5),
+    ("view_change_timeout", 0.0), ("view_change_timeout", -1.0),
+    ("client_retry_timeout", 0.0), ("client_retry_timeout", -2.0),
+])
+def test_config_rejects_a_checkpoint_interval_or_timer_that_cannot_run(field, value):
+    """A zero checkpoint interval divides by zero at the first executed block
+    and a timer <= 0 fails mid-run, so the config rejects both when built."""
+    with pytest.raises(ConfigurationError):
+        SBFTConfig(f=1, **{field: value})
 
 
 def test_collectors_per_slot_defaults_to_c_plus_one():
@@ -120,7 +132,7 @@ def test_trusted_setup_client_keys_are_stable():
     setup = TrustedSetup(SBFTConfig(f=1), seed=1)
     assert setup.client_signing_key(4) is setup.client_signing_key(4)
     signature = setup.client_signing_key(4).sign("m")
-    assert setup.client_verify_key(4).verify("m", signature)
+    assert setup.client_signing_key(4).verify_key.verify("m", signature)
 
 
 # ----------------------------------------------------------------------
@@ -131,8 +143,7 @@ def test_log_slot_creation_and_peek():
     assert log.peek(3) is None
     slot = log.slot(3)
     assert log.peek(3) is slot
-    assert 3 in log
-    assert log.sequences() == [3]
+    assert [slot.sequence for slot in log.slots()] == [3]
 
 
 def test_log_window_check():
@@ -149,5 +160,4 @@ def test_log_garbage_collection():
         log.slot(sequence)
     removed = log.garbage_collect(stable_sequence=5)
     assert removed == 5
-    assert log.sequences() == [6, 7, 8, 9, 10]
-    assert len(log) == 5
+    assert [slot.sequence for slot in log.slots()] == [6, 7, 8, 9, 10]

@@ -8,7 +8,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import hashing
-from repro.crypto.hashing import block_digest, chain_digest, memo_key, sha256_hex, sha256_int
+from repro.crypto.hashing import block_digest, memo_key, sha256_hex, sha256_int
 
 
 def test_sha256_hex_deterministic():
@@ -85,13 +85,6 @@ def test_block_digest_depends_on_every_field():
     assert base != block_digest(1, 1, ["op1", "op2"])
     assert base != block_digest(1, 0, ["op1"])
     assert base == block_digest(1, 0, ["op1", "op2"])
-
-
-def test_chain_digest_includes_previous_hash():
-    first = chain_digest(1, 0, ["op"], "genesis")
-    second = chain_digest(1, 0, ["op"], first)
-    assert first != second
-    assert chain_digest(1, 0, ["op"], "genesis") == first
 
 
 def test_dict_hash_is_order_independent():

@@ -1,27 +1,22 @@
-"""Unit tests for the mock group and BLS signatures."""
+"""Unit tests for the mock group."""
 
 import random
 
 import pytest
 
-from repro.crypto.bls import (
-    bls_aggregate,
-    bls_keygen,
-    bls_sign,
-    bls_verify,
-    bls_verify_aggregate,
-)
 from repro.crypto.mockgroup import DEFAULT_GROUP, MockGroup
 from repro.errors import CryptoError
 
 
-def test_group_addition_and_negation():
-    group = MockGroup()
-    a = group.element(10)
-    b = group.element(25)
-    assert (a + b).value == 35
-    assert (a - a).value == 0
-    assert (-a + a).value == 0
+def lagrange_coefficient(group, index, indices):
+    """Reference: the textbook Lagrange coefficient at zero for ``index`` over
+    ``indices``, one modular inversion per call."""
+    num, den = 1, 1
+    for j in indices:
+        if j != index:
+            num = (num * (-j)) % group.order
+            den = (den * (index - j)) % group.order
+    return (num * pow(den, -1, group.order)) % group.order
 
 
 def test_group_scaling_is_bilinear_under_pairing():
@@ -44,7 +39,7 @@ def test_lagrange_coefficients_reconstruct_secret():
     shares = {i: (5 + 3 * i) % group.order for i in (1, 2, 3)}
     indices = [1, 3]
     secret = sum(
-        shares[i] * group.lagrange_coefficient(i, indices) for i in indices
+        shares[i] * lagrange_coefficient(group, i, indices) for i in indices
     ) % group.order
     assert secret == 5
 
@@ -64,7 +59,7 @@ def test_lagrange_coefficients_match_the_per_index_reference(n, k):
     for _ in range(5):
         subset = rng.sample(range(1, n + 1), k)
         for indices in (subset, sorted(subset), sorted(subset, reverse=True)):
-            expected = tuple(group.lagrange_coefficient(i, indices) for i in indices)
+            expected = tuple(lagrange_coefficient(group, i, indices) for i in indices)
             assert group.lagrange_coefficients(indices) == expected
 
 
@@ -82,7 +77,7 @@ def test_lagrange_coefficients_match_the_per_index_reference(n, k):
 )
 def test_lagrange_coefficients_edge_shapes(indices):
     group = MockGroup()
-    expected = tuple(group.lagrange_coefficient(i, indices) for i in indices)
+    expected = tuple(lagrange_coefficient(group, i, indices) for i in indices)
     assert group.lagrange_coefficients(indices) == expected
     # Interpolating the constant polynomial: the coefficients sum to one.
     assert sum(expected) % group.order == 1
@@ -93,7 +88,7 @@ def test_lagrange_coefficients_inverse_tables_grow_in_steps_and_fit_small_primes
     seen; growing them piecemeal, on a small prime order too, changes nothing."""
     for group in (MockGroup(), MockGroup(order=101)):
         for indices in ([2, 1], [5, 1, 9], [30, 4, 17, 2], [100], [3, 100, 1]):
-            expected = tuple(group.lagrange_coefficient(i, indices) for i in indices)
+            expected = tuple(lagrange_coefficient(group, i, indices) for i in indices)
             assert group.lagrange_coefficients(indices) == expected
 
 
@@ -102,45 +97,3 @@ def test_lagrange_coefficients_reject_degenerate_index_sets():
     for indices in ([2, 2, 3], [0, 1, 2], [-1, 4]):
         with pytest.raises(CryptoError):
             group.lagrange_coefficients(indices)
-
-
-def test_element_encoding_is_33_bytes():
-    assert len(DEFAULT_GROUP.generator.encode()) == 33
-
-
-def test_bls_sign_verify_roundtrip():
-    key = bls_keygen(seed=1)
-    signature = bls_sign(key, "message")
-    assert bls_verify(key.public, "message", signature)
-    assert not bls_verify(key.public, "other message", signature)
-
-
-def test_bls_verify_fails_with_wrong_key():
-    key_a = bls_keygen(seed=1)
-    key_b = bls_keygen(seed=2)
-    signature = key_a.sign("m")
-    assert not bls_verify(key_b.public, "m", signature)
-
-
-def test_bls_keygen_deterministic():
-    assert bls_keygen(seed=9).secret == bls_keygen(seed=9).secret
-    assert bls_keygen(seed=9).secret != bls_keygen(seed=10).secret
-
-
-def test_bls_aggregate_verifies_against_combined_keys():
-    keys = [bls_keygen(seed=i) for i in range(4)]
-    signatures = [k.sign("shared") for k in keys]
-    aggregate = bls_aggregate(signatures, signer_ids=range(4))
-    assert bls_verify_aggregate([k.public for k in keys], "shared", aggregate)
-    # Leaving one key out must break verification.
-    assert not bls_verify_aggregate([k.public for k in keys[:-1]], "shared", aggregate)
-
-
-def test_bls_aggregate_rejects_empty():
-    with pytest.raises(CryptoError):
-        bls_aggregate([])
-
-
-def test_signature_size_matches_bls_encoding():
-    key = bls_keygen(seed=3)
-    assert key.sign("x").size_bytes == 33

@@ -1,21 +1,21 @@
 """Property-based tests for the mini-EVM: arithmetic/token invariants plus a
-differential fuzz of the pre-decoded interpreter against the retained naive
-reference loop (identical results, gas, logs, and state digests)."""
+differential fuzz of the pre-decoded interpreter against the naive reference
+loop of ``evm_reference`` (identical results, gas, logs, and state digests)."""
 
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evm_reference import NaiveEVM
 from repro.crypto.hashing import sha256_hex
 from repro.evm import predecode
 from repro.evm.assembler import assemble
 from repro.evm.contracts import encode_call, token_contract
-from repro.evm.opcodes import OPCODES, opcode_name
+from repro.evm.opcodes import OPCODES
 from repro.evm.state import WorldState
 from repro.evm.transactions import Transaction, apply_transaction
 from repro.evm.vm import EVM, WORD, Message
-from repro.services.kvstore import KVStore
 
 ALICE = "0x" + "aa" * 20
 CONTRACT = "0x" + "cc" * 20
@@ -114,17 +114,16 @@ def _run_both_engines(code, data=b"", gas=20_000, balance=1000):
     """Run ``code`` through both engines on identical fresh states; return
     the (outcome, state digest) pair per engine."""
     outcomes = {}
-    for engine in ("decoded", "naive"):
-        backend = KVStore()
-        state = WorldState(backend=backend)
+    for name, engine in (("decoded", EVM), ("naive", NaiveEVM)):
+        state = WorldState()
         state.add_balance(CONTRACT, balance)
         state.add_balance("0x" + "bb" * 20, balance)
-        vm = EVM(state, engine=engine)
+        vm = engine(state)
         result = vm.execute(
             Message(sender=ALICE, to=CONTRACT, data=data, gas=gas), code=code
         )
-        state_digest = sha256_hex("fuzz-state", sorted(backend.snapshot().items()))
-        outcomes[engine] = (
+        state_digest = sha256_hex("fuzz-state", sorted(state._backend._data.items()))
+        outcomes[name] = (
             result.success,
             result.return_data,
             result.gas_used,
@@ -204,11 +203,10 @@ def test_differential_token_contract_calls(selectors, seed):
     """The token contract (jumps, reverts, storage) agrees across engines for
     random call sequences applied to evolving state."""
     states = {}
-    for engine in ("decoded", "naive"):
-        backend = KVStore()
-        state = WorldState(backend=backend)
+    for name, engine in (("decoded", EVM), ("naive", NaiveEVM)):
+        state = WorldState()
         state.add_balance(ALICE, 10**9)
-        vm = EVM(state, engine=engine)
+        vm = engine(state)
         address = apply_transaction(
             state, Transaction.create(ALICE, token_contract()), vm
         ).contract_address
@@ -219,7 +217,7 @@ def test_differential_token_contract_calls(selectors, seed):
                 state, Transaction.call(ALICE, address, data, gas_limit=100_000), vm
             )
             outcomes.append((receipt.success, receipt.gas_used, receipt.return_data, receipt.error))
-        states[engine] = (outcomes, sha256_hex("fuzz-state", sorted(backend.snapshot().items())))
+        states[name] = (outcomes, sha256_hex("fuzz-state", sorted(state._backend._data.items())))
     assert states["decoded"] == states["naive"]
 
 
@@ -254,22 +252,26 @@ def _underflow_program(byte):
     return bytes([byte, 0x00])
 
 
+def _opcode_name(byte):
+    return OPCODES[byte].op.name
+
+
 def _compare_engines(code):
     outcomes = _run_both_engines(code, data=bytes(range(40)), gas=100_000)
     assert outcomes["decoded"] == outcomes["naive"]
     return outcomes["decoded"]
 
 
-@pytest.mark.parametrize("byte", sorted(OPCODES), ids=opcode_name)
+@pytest.mark.parametrize("byte", sorted(OPCODES), ids=_opcode_name)
 @pytest.mark.parametrize("operands", sorted(STACK_READY))
 def test_differential_every_opcode_with_a_ready_stack(byte, operands):
     _compare_engines(_stack_ready_program(byte, STACK_READY[operands]))
 
 
-@pytest.mark.parametrize("byte", sorted(OPCODES), ids=opcode_name)
+@pytest.mark.parametrize("byte", sorted(OPCODES), ids=_opcode_name)
 def test_differential_every_opcode_on_an_empty_stack(byte):
     success, _data, _gas, error, _logs, _digest = _compare_engines(_underflow_program(byte))
-    if OPCODES[byte].pops or opcode_name(byte).startswith(("DUP", "SWAP")):
+    if OPCODES[byte].pops or _opcode_name(byte).startswith(("DUP", "SWAP")):
         assert not success and "stack underflow" in error
 
 

@@ -44,11 +44,11 @@ def test_heavy_timer_churn_keeps_heap_bounded():
     for i in range(10_000):
         event = sim.timer(1000.0 + i, lambda: None)
         event.cancel()
-        high_water = max(high_water, sim.pending_events)
+        high_water = max(high_water, len(sim._heap))
     # Lazy deletion alone would leave all 10k cancelled entries in the heap.
     assert high_water <= 2 * Simulator.COMPACT_MIN_CANCELLED
     assert sim.compactions > 0
-    assert sim.live_events == 0
+    assert len(sim._heap) - sim._cancelled == 0
 
 
 def test_live_events_excludes_cancelled():
@@ -57,8 +57,8 @@ def test_live_events_excludes_cancelled():
     drop = [sim.timer(2.0, lambda: None) for _ in range(3)]
     for event in drop:
         event.cancel()
-    assert sim.live_events == 5
-    assert sim.pending_events == sim.live_events + sim.cancelled_events
+    assert len(sim._heap) - sim._cancelled == 5
+    assert sim._cancelled == 3
     assert keep  # silence unused warning
 
 
@@ -110,12 +110,12 @@ def test_cluster_run_with_retry_churn_keeps_garbage_subdominant():
     sim = cluster.sim
     # The compaction invariant: garbage is below the floor or below half the heap.
     assert (
-        sim.cancelled_events < Simulator.COMPACT_MIN_CANCELLED
-        or 2 * sim.cancelled_events < sim.pending_events
+        sim._cancelled < Simulator.COMPACT_MIN_CANCELLED
+        or 2 * sim._cancelled < len(sim._heap)
     )
     # Plenty of timers churned in this run; without compaction-on-cancel the
     # heap would have accumulated hundreds of dead entries.
-    assert sim.pending_events < 10 * Simulator.COMPACT_MIN_CANCELLED
+    assert len(sim._heap) < 10 * Simulator.COMPACT_MIN_CANCELLED
 
 
 def test_cancel_after_fire_does_not_corrupt_accounting():
@@ -125,10 +125,10 @@ def test_cancel_after_fire_does_not_corrupt_accounting():
     live = sim.timer(5.0, lambda: None)
     sim.run(until=1.0)
     fired.cancel()  # late cancel: the event left the heap when it executed
-    assert sim.cancelled_events == 0
-    assert sim.live_events == 1
+    assert sim._cancelled == 0
+    assert len(sim._heap) - sim._cancelled == 1
     live.cancel()
-    assert sim.live_events == 0
+    assert len(sim._heap) - sim._cancelled == 0
 
 
 def test_digest_memo_distinguishes_equal_but_distinct_values():
@@ -521,17 +521,6 @@ def test_delays_from_matches_scalar_delay_draws(model):
         bulk = latency.delays_from(src, dsts, rng_bulk)
         assert bulk == scalar
         assert rng_bulk.getstate() == rng_scalar.getstate()
-
-
-def test_node_ids_cache_invalidated_on_register():
-    sim = Simulator()
-    net = Network(sim)
-    first = _RecordingSink(sim, 5)
-    net.register(first)
-    assert net.node_ids == [5]
-    second = _RecordingSink(sim, 1)
-    net.register(second)
-    assert net.node_ids == [1, 5]
 
 
 @pytest.mark.parametrize(

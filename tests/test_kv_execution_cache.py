@@ -106,14 +106,14 @@ def test_warm_replay_is_decision_identical_to_cold_execution(counters):
     assert warm.digest() == cold.digest()
     assert warm.snapshot() == cold.snapshot()
     for sequence in (1, 2, 3):
-        assert warm.digest_at(sequence) == cold.digest_at(sequence)
+        assert warm._digest_at[sequence] == cold._digest_at[sequence]
         for position in range(4):
             assert warm.prove(sequence, position) == cold.prove(sequence, position)
-            assert warm.result_for(sequence, position) == cold.result_for(sequence, position)
+            assert warm._journal_results[sequence][position] == cold._journal_results[sequence][position]
     # Replayed proofs verify like executed ones.
     proof = warm.prove(2, 1)
     operation = blocks[1][1][1]
-    value = warm.result_for(2, 1).value
+    value = warm._journal_results[2][1].value
     assert warm.verify(proof.digest, operation, value, 2, 1, proof)
 
 

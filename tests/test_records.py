@@ -32,7 +32,6 @@ from repro.adversary.forensics import EquivocationEvidence
 from repro.adversary.lab import EpisodeSpec
 from repro.core.messages import CheckpointMsg, SlotEvidence, StableCheckpoint
 from repro.core.viewchange import FM_PRE_PREPARED, LM_PREPARED
-from repro.crypto.bls import BLSSignature
 from repro.crypto.mockgroup import GroupElement
 from repro.crypto.signatures import Signature
 from repro.crypto.threshold import CombinedSignature, SignatureShare
@@ -121,7 +120,7 @@ def _harvest():
         SlotEvidence(4, (LM_PREPARED, combined, 0, "d"), (FM_PRE_PREPARED, share, 0, "d"),
                      (("d", ()),)),
         PbftCheckpoint(4, "d", 1, Signature("replica-1", "ab")),
-        BLSSignature(GroupElement(5), (1, 2)), OperationResult(3),
+        OperationResult(3),
         OperationResult(ok=False, error="boom"),
         Transaction("transfer", "alice", to="bob", value=5),
         Transaction("create", "alice", code=b"\x60\x00"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import InvalidProof
-from repro.services.authenticated_kv import AuthenticatedKVStore, GENESIS_DIGEST
+from repro.services.authenticated_kv import AuthenticatedKVStore, GENESIS_DIGEST, chain_step
 from repro.services.interface import OperationResult
 
 
@@ -19,16 +19,16 @@ def _block(store, sequence, items):
 def test_genesis_digest_before_any_block():
     store = AuthenticatedKVStore()
     assert store.digest() == GENESIS_DIGEST
-    assert store.executed_blocks == 0
+    assert len(store._block_order) == 0
 
 
 def test_execute_block_changes_digest_and_state():
     store = AuthenticatedKVStore()
     _block(store, 1, [("a", 1), ("b", 2)])
-    assert store.get("a") == 1
-    assert store.get("b") == 2
+    assert store.store.data["a"] == 1
+    assert store.store.data["b"] == 2
     assert store.digest() != GENESIS_DIGEST
-    assert store.executed_blocks == 1
+    assert len(store._block_order) == 1
 
 
 def test_digests_are_deterministic_across_replicas():
@@ -38,7 +38,7 @@ def test_digests_are_deterministic_across_replicas():
         _block(store, 1, [("x", "1"), ("y", "2")])
         _block(store, 2, [("x", "3")])
     assert store_a.digest() == store_b.digest()
-    assert store_a.digest_at(1) == store_b.digest_at(1)
+    assert store_a._digest_at[1] == store_b._digest_at[1]
 
 
 def test_digest_depends_on_execution_order():
@@ -54,7 +54,7 @@ def test_prove_and_verify_roundtrip():
     ops, results = _block(store, 1, [("a", 1), ("b", 2), ("c", 3)])
     for position, op in enumerate(ops):
         proof = store.prove(1, position)
-        assert store.verify(store.digest_at(1), op, results[position].value, 1, position, proof)
+        assert store.verify(store._digest_at[1], op, results[position].value, 1, position, proof)
 
 
 def test_proof_remains_valid_after_later_blocks():
@@ -64,7 +64,7 @@ def test_proof_remains_valid_after_later_blocks():
     _block(store, 2, [("b", 2)])
     _block(store, 3, [("c", 3)])
     proof = store.prove(1, 0)
-    assert store.verify(store.digest_at(1), ops[0], results[0].value, 1, 0, proof)
+    assert store.verify(store._digest_at[1], ops[0], results[0].value, 1, 0, proof)
     # ... but it does not verify against the tip digest.
     assert not store.verify(store.digest(), ops[0], results[0].value, 1, 0, proof)
 
@@ -73,7 +73,7 @@ def test_verify_rejects_wrong_value_operation_or_position():
     store = AuthenticatedKVStore()
     ops, results = _block(store, 1, [("a", 1), ("b", 2)])
     proof = store.prove(1, 0)
-    digest = store.digest_at(1)
+    digest = store._digest_at[1]
     assert not store.verify(digest, ops[0], "wrong-value", 1, 0, proof)
     assert not store.verify(digest, ops[1], results[0].value, 1, 0, proof)
     assert not store.verify(digest, ops[0], results[0].value, 1, 1, proof)
@@ -92,7 +92,7 @@ def test_verify_rejects_a_stamped_proof_around_another_entry():
     proof = store.prove(1, 0)
     other = store.prove(1, 1)
     assert proof.proof.entry_proof._proved is not None
-    digest = store.digest_at(1)
+    digest = store._digest_at[1]
     assert store.verify(digest, ops[0], results[0].value, 1, 0, proof)
 
     def rewrap(**changes):
@@ -106,9 +106,9 @@ def test_verify_rejects_a_stamped_proof_around_another_entry():
     assert not store.verify(digest, ops[0], results[1].value, 1, 0, rewrap(entry=lying))
     # The same operations executed as block 2: its proof is no proof for block 1.
     later = store.prove(2, 0)
-    assert store.verify(store.digest_at(2), later_ops[0], later_results[0].value, 2, 0, later)
+    assert store.verify(store._digest_at[2], later_ops[0], later_results[0].value, 2, 0, later)
     assert not store.verify(digest, ops[0], results[0].value, 1, 0, later)
-    assert not store.verify(store.digest_at(2), ops[0], results[0].value, 1, 0, later)
+    assert not store.verify(store._digest_at[2], ops[0], results[0].value, 1, 0, later)
     # Block 2's path under block 1's entry, and a wrong chain predecessor.
     assert not store.verify(
         digest, ops[0], results[0].value, 1, 0, rewrap(entry_proof=later.proof.entry_proof)
@@ -142,7 +142,7 @@ def test_a_stamped_honest_proof_verifies_without_hashing(hash_passes):
     assert proof.proof._chained == (GENESIS_DIGEST, 1, store._journal_trees[1].root, proof.digest)
     assert proof.size_bytes == 48 + 96 + proof.proof.entry_proof.size_bytes
     del hash_passes[:]
-    assert store.verify(store.digest_at(1), ops[2], results[2].value, 1, 2, proof)
+    assert store.verify(store._digest_at[1], ops[2], results[2].value, 1, 2, proof)
     assert hash_passes == []
 
 
@@ -161,7 +161,7 @@ def test_a_proof_without_a_matching_stamp_is_recomputed(case, hash_passes):
     results = store.execute_block(1, ops)
     _block(other_store, 0, [("z", 1)])  # another history, then the same block
     other_store.execute_block(1, ops)
-    digest = store.digest_at(1)
+    digest = store._digest_at[1]
     proof = store.prove(1, 0)
     kv_proof, sibling = proof.proof, store.prove(1, 1).proof
     lying_entry = (*kv_proof.entry[:3], sibling.entry[3])
@@ -199,7 +199,7 @@ def test_verify_rejects_foreign_proof_type():
     ops, results = _block(store, 1, [("a", 1)])
     proof = store.prove(1, 0)
     hacked = type(proof)(sequence=1, position=0, digest=proof.digest, proof="not-a-proof")
-    assert not store.verify(store.digest_at(1), ops[0], results[0].value, 1, 0, hacked)
+    assert not store.verify(store._digest_at[1], ops[0], results[0].value, 1, 0, hacked)
 
 
 def test_prove_unknown_block_or_position_raises():
@@ -209,14 +209,22 @@ def test_prove_unknown_block_or_position_raises():
         store.prove(9, 0)
     with pytest.raises(InvalidProof):
         store.prove(1, 5)
-    with pytest.raises(InvalidProof):
-        store.digest_at(9)
+
+
+def test_chain_digest_includes_previous_hash():
+    first = chain_step(GENESIS_DIGEST, 1, "root")
+    second = chain_step(first, 1, "root")
+    assert first != second
+    assert chain_step(GENESIS_DIGEST, 1, "root") == first
+    assert first != chain_step(GENESIS_DIGEST, 2, "root")
+    assert first != chain_step(GENESIS_DIGEST, 1, "other-root")
 
 
 def test_result_for_returns_recorded_results():
     store = AuthenticatedKVStore()
     ops, results = _block(store, 1, [("a", 1), ("b", 2)])
-    assert store.result_for(1, 1).value == results[1].value
+    assert store._journal_results[1][1].value == results[1].value
+    assert [r.value for r in store._journal_results[1]] == [r.value for r in results]
 
 
 def test_snapshot_restore_preserves_digest_chain_and_proofs():
@@ -228,9 +236,9 @@ def test_snapshot_restore_preserves_digest_chain_and_proofs():
     fresh = AuthenticatedKVStore()
     fresh.restore(snapshot)
     assert fresh.digest() == store.digest()
-    assert fresh.get("a") == 1
+    assert fresh.store.data["a"] == 1
     proof = fresh.prove(1, 0)
-    assert fresh.verify(fresh.digest_at(1), ops[0], results[0].value, 1, 0, proof)
+    assert fresh.verify(fresh._digest_at[1], ops[0], results[0].value, 1, 0, proof)
 
 
 def test_journal_block_with_external_results():
@@ -240,7 +248,7 @@ def test_journal_block_with_external_results():
     result = OperationResult(value="external")
     store.journal_block(5, [op], [result])
     proof = store.prove(5, 0)
-    assert store.verify(store.digest_at(5), op, "external", 5, 0, proof)
+    assert store.verify(store._digest_at[5], op, "external", 5, 0, proof)
 
 
 def test_replay_block_reproduces_a_journaled_block_exactly():
@@ -253,7 +261,7 @@ def test_replay_block_reproduces_a_journaled_block_exactly():
     peer.replay_block(5, results, *record)
     assert peer.digest() == first.digest() == record[1]
     assert peer.prove(5, 0) == first.prove(5, 0)
-    assert peer.executed_blocks == 1
+    assert len(peer._block_order) == 1
 
 
 def test_block_operation_digests_ride_on_the_shared_plan_tuple():
@@ -345,5 +353,5 @@ def test_property_any_executed_operation_is_provable(blocks, data):
     position = data.draw(st.integers(min_value=0, max_value=len(ops) - 1))
     proof = store.prove(sequence, position)
     assert store.verify(
-        store.digest_at(sequence), ops[position], results[position].value, sequence, position, proof
+        store._digest_at[sequence], ops[position], results[position].value, sequence, position, proof
     )

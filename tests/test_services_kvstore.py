@@ -18,7 +18,7 @@ def test_query_is_read_only():
     store.put("a", 1)
     result = store.query(KVOperation.get("a"))
     assert result.value == 1
-    assert len(store) == 1
+    assert len(store.data) == 1
 
 
 def test_query_rejects_writes():
@@ -46,7 +46,7 @@ def test_execute_block_applies_in_order():
     ops = [KVOperation.put("k", i) for i in range(5)]
     results = store.execute_block(1, ops)
     assert len(results) == 5
-    assert store.get("k") == 4
+    assert store.data["k"] == 4
 
 
 def test_snapshot_restore_roundtrip():
@@ -56,15 +56,15 @@ def test_snapshot_restore_roundtrip():
     snapshot = store.snapshot()
     store.put("a", "overwritten")
     store.restore(snapshot)
-    assert store.get("a") == [1, 2, 3]
-    assert store.get("b") == {"nested": True}
+    assert store.data["a"] == [1, 2, 3]
+    assert store.data["b"] == {"nested": True}
 
 
 def test_snapshot_is_deep_copy():
     store = KVStore()
     store.put("list", [1])
     snapshot = store.snapshot()
-    store.get("list").append(2)
+    store.data["list"].append(2)
     assert snapshot["list"] == [1]
 
 
@@ -78,9 +78,11 @@ def test_execution_cost_includes_persistence():
 def test_contains_and_keys():
     store = KVStore()
     store.put("x", 1)
-    assert "x" in store
-    assert "y" not in store
-    assert list(store.keys()) == ["x"]
+    assert "x" in store.data
+    assert "y" not in store.data
+    assert list(store.data) == ["x"]
+    store.execute(KVOperation.delete("x"))
+    assert "x" not in store.data
 
 
 def _replayed_by_a_loop(store, writes):

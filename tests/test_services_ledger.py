@@ -22,7 +22,7 @@ def ledger():
 def test_execute_transfer_operation(ledger):
     result = ledger.execute(ledger_operation(Transaction.transfer(ALICE, BOB, 100)))
     assert result.ok
-    assert ledger.world.get_balance(BOB) == 1_000_100
+    assert ledger._world.get_balance(BOB) == 1_000_100
 
 
 def test_execute_rejects_non_transaction_payload(ledger):
@@ -81,7 +81,7 @@ def test_snapshot_restore_roundtrip(ledger):
     other = LedgerService()
     other.restore(snapshot)
     assert other.digest() == ledger.digest()
-    assert other.world.get_balance(BOB) == ledger.world.get_balance(BOB)
+    assert other._world.get_balance(BOB) == ledger._world.get_balance(BOB)
 
 
 def test_failed_transaction_reported_not_raised(ledger):
@@ -139,7 +139,7 @@ def test_peer_replica_replays_from_cache(cold_cache):
     assert results_peer == results_first
     assert peer.digest() == first.digest()
     assert peer.receipts == first.receipts
-    assert peer.world.get_balance(BOB) == first.world.get_balance(BOB)
+    assert peer._world.get_balance(BOB) == first._world.get_balance(BOB)
     # Proofs over the replayed journal verify exactly like the original's.
     proof = peer.prove(1, 0)
     assert peer.verify(peer.digest(), operations[0], results_peer[0].value, 1, 0, proof)
@@ -224,7 +224,7 @@ def test_world_state_reads_and_writes_the_restored_store(cold_cache):
         ledger = _funded_ledger()
         ledger.apply(Transaction.transfer(ALICE, BOB, 500))  # diverged, then restored
         ledger.restore(snapshot)
-        assert ledger.world.get_balance(BOB) == first.world.get_balance(BOB)
+        assert ledger._world.get_balance(BOB) == first._world.get_balance(BOB)
         restored.append(ledger)
     operations = BlockOperations([ledger_operation(Transaction.transfer(BOB, ALICE, 5), timestamp=7)])
     first.execute_block(2, list(operations))
@@ -236,4 +236,4 @@ def test_world_state_reads_and_writes_the_restored_store(cold_cache):
     for ledger in restored:
         assert ledger.digest() == first.digest()
         assert ledger.snapshot()["authkv"]["data"] == first.snapshot()["authkv"]["data"]
-        assert ledger.world.get_balance(ALICE) == first.world.get_balance(ALICE)
+        assert ledger._world.get_balance(ALICE) == first._world.get_balance(ALICE)

@@ -107,8 +107,8 @@ def test_a_replica_restored_by_state_transfer_proves_and_verifies_its_blocks(rec
     assert service._block_order
     for sequence in service._block_order:
         operations = operations_at[sequence]
-        digest = service.digest_at(sequence)
+        digest = service._digest_at[sequence]
         for position, operation in enumerate(operations):
             proof = service.prove(sequence, position)
-            value = service.result_for(sequence, position).value
+            value = service._journal_results[sequence][position].value
             assert service.verify(digest, operation, value, sequence, position, proof)

@@ -107,7 +107,7 @@ def test_stop_requests_early_exit():
     sim.schedule(0.2, fired.append, "b")
     sim.run()
     assert fired == [("a", None)] or fired[0][0] == "a"
-    assert sim.pending_events >= 1
+    assert len(sim._heap) >= 1
 
 
 def test_deterministic_rng_from_seed():
@@ -261,13 +261,12 @@ class _SortedListSimulator:
         return processed
 
     def observe(self):
-        return (self.now, self.processed_total, len(self.queue) - self.cancelled,
-                len(self.queue), self.cancelled, self.compactions)
+        return (self.now, self.processed_total, len(self.queue), self.cancelled,
+                self.compactions)
 
 
 def _observe_kernel(sim):
-    return (sim.now, sim.events_processed, sim.live_events, sim.pending_events,
-            sim.cancelled_events, sim.compactions)
+    return (sim.now, sim.events_processed, len(sim._heap), sim._cancelled, sim.compactions)
 
 
 def _drive(sim, observe, program):
@@ -340,8 +339,8 @@ _steps = st.one_of(
 @given(st.lists(_steps, max_size=30))
 def test_kernel_matches_a_sorted_list_model(program):
     """Same firing order and times, ``run`` return values, and
-    ``events_processed`` / ``live_events`` / ``pending_events`` /
-    ``cancelled_events`` / ``compactions`` after every step, including late
+    ``events_processed``, live and cancelled heap entries and ``compactions``
+    after every step, including late
     cancels, cancel storms past ``COMPACT_MIN_CANCELLED`` (between runs and
     from inside a callback) and ``run(until=, max_events=)``."""
     model = _SortedListSimulator()
@@ -356,5 +355,5 @@ def test_kernel_model_reaches_compaction_and_late_cancels():
     program = [("timers", 150, 1.0), ("storm", 100), ("run", 0.5, None),
                ("timer", 0.0, None), ("run", None, None), ("storm", 150)]
     log = _drive(sim, _observe_kernel, program)
-    assert sim.compactions == 1 and sim.cancelled_events == 0 and sim.live_events == 0
+    assert sim.compactions == 1 and sim._cancelled == 0 and len(sim._heap) == 0
     assert log == _drive(_SortedListSimulator(), _SortedListSimulator.observe, program)

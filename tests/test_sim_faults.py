@@ -22,19 +22,19 @@ def test_fault_spec_validation():
 
 def test_crash_first_plan():
     plan = FaultPlan.crash_first(3)
-    assert plan.faulty_ids == {0, 1, 2}
+    assert {spec.replica_id for spec in plan.faults} == {0, 1, 2}
     assert len(plan) == 3
 
 
 def test_crash_backups_never_touches_replica_zero():
     plan = FaultPlan.crash_backups(2, n=7)
-    assert 0 not in plan.faulty_ids
-    assert plan.faulty_ids == {6, 5}
+    assert 0 not in {spec.replica_id for spec in plan.faults}
+    assert {spec.replica_id for spec in plan.faults} == {6, 5}
 
 
 def test_plan_extend():
     plan = FaultPlan.crash_first(1).extend(FaultPlan.slow([3], factor=4.0))
-    assert plan.faulty_ids == {0, 3}
+    assert {spec.replica_id for spec in plan.faults} == {0, 3}
 
 
 def test_injector_crashes_at_scheduled_time():
@@ -181,7 +181,7 @@ def test_crash_backups_rejects_more_than_n_minus_one():
         FaultPlan.crash_backups(4, n=4)
     # The maximum legal count leaves replica 0 untouched.
     plan = FaultPlan.crash_backups(3, n=4)
-    assert plan.faulty_ids == {1, 2, 3}
+    assert {spec.replica_id for spec in plan.faults} == {1, 2, 3}
 
 
 # ----------------------------------------------------------------------

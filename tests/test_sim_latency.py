@@ -58,8 +58,9 @@ def test_region_latency_rejects_bad_config():
 def test_region_assignment_round_robin_for_unknown_nodes(rng):
     matrix = [[0.0, 0.05], [0.05, 0.0]]
     model = RegionLatency(assignment=[0, 1], matrix=matrix)
-    # Node 7 is outside the assignment list; it falls back to id % regions.
-    assert model.region_of(7) == 1
+    # Node 7 is outside the assignment list; it falls back to id % regions = 1.
+    assert 0.05 <= model.delay(7, 0, rng) <= 0.05 * 1.1
+    assert model.delay(7, 1, rng) <= model.intra_node_delay * 1.1
 
 
 def test_continent_topology_is_slower_than_lan(rng):
@@ -97,16 +98,22 @@ def test_latency_symmetry(rng):
 # ----------------------------------------------------------------------
 # Differential: jitter drawn as ``j * rng.random()`` is ``rng.uniform``'s
 # ----------------------------------------------------------------------
+def _region_of(model, node):
+    if node < len(model.assignment):
+        return model.assignment[node]
+    return node % model.num_regions
+
+
 def _reference_delay(model, src, dst, rng):
     """The reference: ``delay`` of both models written with ``rng.uniform``
-    and ``region_of``, as it was before the draws were inlined."""
+    and a region lookup, as it was before the draws were inlined."""
     if isinstance(model, UniformLatency):
         if src == dst:
             return 0.0
         return model.base + rng.uniform(0.0, model.jitter)
     if src == dst:
         return 0.0
-    base = model.matrix[model.region_of(src)][model.region_of(dst)]
+    base = model.matrix[_region_of(model, src)][_region_of(model, dst)]
     if base <= 0.0:
         base = model.intra_node_delay
     return base * (1.0 + rng.uniform(0.0, model.jitter_fraction))

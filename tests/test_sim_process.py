@@ -50,14 +50,6 @@ def test_cpu_charge_advances_busy_time_without_callback():
     assert sim.now == pytest.approx(0.03)
 
 
-def test_cpu_utilization():
-    sim = Simulator()
-    cpu = CPUModel(sim)
-    cpu.charge(0.5)
-    assert cpu.utilization(elapsed=1.0) == pytest.approx(0.5)
-    assert cpu.utilization(elapsed=0.0) == 0.0
-
-
 def test_timer_fires_and_can_be_cancelled():
     sim = Simulator()
     proc = Echo(sim, 0)

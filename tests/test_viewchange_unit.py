@@ -116,7 +116,7 @@ def test_fast_certificate_decides_commit():
         requests_by_digest=((digest, requests),),
     )
     plan = _plan([_view_change(0, [evidence]), _view_change(1, []), _view_change(2, [])])
-    decision = plan.decision_for(1)
+    decision = plan.decisions[1]
     assert decision.action == ACTION_COMMIT
     assert decision.via_fast_path
     assert decision.digest == digest
@@ -131,7 +131,7 @@ def test_slow_certificate_decides_commit():
         fm=(FM_NO_PRE_PREPARE,),
     )
     plan = _plan([_view_change(0, [evidence]), _view_change(1, []), _view_change(2, [])])
-    decision = plan.decision_for(1)
+    decision = plan.decisions[1]
     assert decision.action == ACTION_COMMIT
     assert not decision.via_fast_path
 
@@ -147,7 +147,7 @@ def test_certificate_over_other_digest_cannot_decide_slot():
         fm=(FM_FAST_PROOF, mismatched, digest),
     )
     plan = _plan([_view_change(0, [evidence]), _view_change(1, []), _view_change(2, [])])
-    assert plan.decision_for(1).action == ACTION_NOOP
+    assert plan.decisions[1].action == ACTION_NOOP
 
 
 def test_prepared_certificate_is_adopted():
@@ -160,7 +160,7 @@ def test_prepared_certificate_is_adopted():
         requests_by_digest=((digest, requests),),
     )
     plan = _plan([_view_change(0, [evidence]), _view_change(1, [_empty_evidence(2)]), _view_change(2, [])])
-    decision = plan.decision_for(2)
+    decision = plan.decisions[2]
     assert decision.action == ACTION_ADOPT
     assert decision.digest == digest
     assert decision.requests == requests
@@ -174,7 +174,7 @@ def test_fast_value_needs_f_plus_c_plus_one_supporters():
         fm=(FM_PRE_PREPARED, _sigma_share(0, 1, 0, digest), 0, digest),
     )
     plan = _plan([_view_change(0, [single]), _view_change(1, []), _view_change(2, [])])
-    assert plan.decision_for(1).action == ACTION_NOOP
+    assert plan.decisions[1].action == ACTION_NOOP
 
     supporters = [
         SlotEvidence(
@@ -190,7 +190,7 @@ def test_fast_value_needs_f_plus_c_plus_one_supporters():
         _view_change(1, [supporters[1]]),
         _view_change(2, []),
     ])
-    decision = plan.decision_for(1)
+    decision = plan.decisions[1]
     assert decision.action == ACTION_ADOPT
     assert decision.digest == digest
 
@@ -220,7 +220,7 @@ def test_slow_path_preferred_over_fast_on_view_tie():
         _view_change(1, [fast_votes[0]]),
         _view_change(2, [fast_votes[1]]),
     ])
-    decision = plan.decision_for(1)
+    decision = plan.decisions[1]
     assert decision.action == ACTION_ADOPT
     assert decision.digest == tau_digest
 
@@ -247,7 +247,7 @@ def test_higher_view_fast_value_beats_lower_view_prepared():
         _view_change(1, [fast_votes[0]]),
         _view_change(2, [fast_votes[1]]),
     ])
-    decision = plan.decision_for(1)
+    decision = plan.decisions[1]
     assert decision.action == ACTION_ADOPT
     assert decision.digest == fast_digest
 
@@ -282,7 +282,7 @@ def test_conflicting_fast_values_at_same_view_are_not_adopted():
         tau=SETUP.tau,
         pi=SETUP.pi,
     )
-    assert plan.decision_for(1).action == ACTION_NOOP
+    assert plan.decisions[1].action == ACTION_NOOP
 
 
 def test_gap_slots_between_evidence_become_noops():
@@ -293,9 +293,9 @@ def test_gap_slots_between_evidence_become_noops():
         fm=(FM_NO_PRE_PREPARE,),
     )
     plan = _plan([_view_change(0, [high]), _view_change(1, []), _view_change(2, [])])
-    assert plan.decision_for(1).action == ACTION_NOOP
-    assert plan.decision_for(2).action == ACTION_NOOP
-    assert plan.decision_for(3).action == ACTION_ADOPT
+    assert plan.decisions[1].action == ACTION_NOOP
+    assert plan.decisions[2].action == ACTION_NOOP
+    assert plan.decisions[3].action == ACTION_ADOPT
 
 
 def test_last_stable_taken_from_highest_proved_checkpoint():

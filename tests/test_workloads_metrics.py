@@ -65,7 +65,7 @@ def test_genesis_deploys_contracts_at_predicted_addresses():
     ledger = LedgerService()
     trace.genesis(ledger)
     for _kind, address in trace.genesis_contracts():
-        assert ledger.world.get_code(address) != b""
+        assert ledger._world.get_code(address) != b""
 
 
 def test_trace_calls_target_genesis_contracts():
@@ -116,7 +116,6 @@ def test_latency_recorder_summary():
     assert result.mean_latency == pytest.approx((0.2 + 0.1 + 0.4) / 3)
     assert result.median_latency == pytest.approx(0.2)
     assert result.p99_latency == pytest.approx(0.4)
-    assert "50.0 ops/s" in str(result)
 
 
 def test_latency_recorder_empty_summary():
