@@ -4,6 +4,8 @@
     python3 benchmarks/paired.py PARENT_TREE CHANGE_TREE --workload kv-sbft-pipelined-rw \\
         --seed 0 --pairs 10 [--smoke] [--output pairs.json]
 
+    python3 benchmarks/paired.py PARENT_TREE CHANGE_TREE --workload kv-sbft-fast --jitter 12
+
 A tree is a checkout of this repo (``git worktree add ../parent HEAD~1``, or
 a ``git archive`` export).  Each pair runs one ``benchmarks/perf/worker.py``
 rep from each tree — that tree's worker on that tree's ``src`` — one at a
@@ -15,13 +17,22 @@ wins nearly every pair and the gap exceeds the parent's IQR (ROADMAP aim 1,
 docs/benchmarks.md) — and one verdict by that rule (:func:`verdict`).  Exit
 status 1 if a rep fails or any ``sim_*`` value or work counter differs
 between the two sides, in any pair.
+
+``--jitter N`` asks instead whether a change of simulated numbers holds off
+the one cost model: it runs one rep of each tree at the exact
+``CryptoCosts`` and at N seeded draws that scale every cost by its own
+factor in [0.99, 1.01] (draw ``k`` seeds ``random.Random(k)``; both trees get
+the same factors), and prints per draw the change / parent ratio of the three
+``sim_*`` metrics and, per metric, the draws the change wins.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -33,12 +44,45 @@ import catalogue  # noqa: E402
 
 REP_TIMEOUT_S = 150.0
 
+#: ``python -c`` program of a jittered rep: scales the fields of the one
+#: ``DEFAULT_COSTS`` object every cluster is built with by the factors in
+#: ``argv[1]``, in place and before anything else is imported, then runs the
+#: worker script ``argv[2]`` with the remaining arguments.
+JITTER_BOOT = """
+import json, os, runpy, sys
+from repro.crypto import costs
+factors, worker = json.loads(sys.argv[1]), sys.argv[2]
+for name, factor in factors.items():
+    object.__setattr__(costs.DEFAULT_COSTS, name, getattr(costs.DEFAULT_COSTS, name) * factor)
+sys.argv = [worker] + sys.argv[3:]
+sys.path.insert(0, os.path.dirname(worker))
+runpy.run_path(worker, run_name="__main__")
+"""
 
-def spawn(tree: str, workload: str, seed: int, smoke: bool) -> Dict[str, Any]:
-    """One untraced rep of ``workload`` from ``tree``; ``{"error": ...}`` if
-    it crashed, timed out or failed its correctness gate."""
+#: The ``sim_*`` metrics a jitter draw compares, each with its better side.
+SIM_METRICS = {metric.name: metric.better for metric in catalogue.END_TO_END
+               if metric.source != "host"}
+
+
+def jitter_factors(draw: int, fields: Sequence[str]) -> Dict[str, float]:
+    """Draw ``draw``'s factor per cost field, each in [0.99, 1.01]; draw 0
+    is the exact model (no factor)."""
+    if draw == 0:
+        return {}
+    rng = random.Random(draw)
+    return {name: 1.0 + rng.uniform(-0.01, 0.01) for name in fields}
+
+
+def spawn(tree: str, workload: str, seed: int, smoke: bool,
+          factors: Optional[Dict[str, float]] = None) -> Dict[str, Any]:
+    """One untraced rep of ``workload`` from ``tree`` (its costs scaled by
+    ``factors``); ``{"error": ...}`` if it crashed, timed out or failed its
+    correctness gate."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONHASHSEED="0")
-    command = [sys.executable, os.path.join(tree, "benchmarks", "perf", "worker.py")]
+    worker = os.path.join(tree, "benchmarks", "perf", "worker.py")
+    command = [sys.executable, worker]
+    if factors:
+        command = [sys.executable, "-c", JITTER_BOOT, json.dumps(factors), worker]
     command += ["--workload", workload, "--seed", str(seed)] + (["--smoke"] if smoke else [])
     command += ["--spawned-at", repr(perf_counter())]
     try:
@@ -114,6 +158,42 @@ def differences(pairs: List[Dict[str, Dict[str, Any]]]) -> List[str]:
     return found
 
 
+def jitter_wins(ratios: List[Dict[str, float]]) -> Dict[str, int]:
+    """Per ``sim_*`` metric: the draws whose change / parent ratio is on the
+    metric's better side of 1."""
+    return {name: sum((row[name] > 1.0) if better == "higher" else (row[name] < 1.0)
+                      for row in ratios)
+            for name, better in SIM_METRICS.items()}
+
+
+def run_jitter(trees: Dict[str, str], args: argparse.Namespace) -> int:
+    """The ``--jitter`` mode (see the module docstring)."""
+    sys.path.insert(0, os.path.join(trees["parent"], "src"))
+    from repro.crypto.costs import CryptoCosts
+
+    fields = [field.name for field in dataclasses.fields(CryptoCosts)]
+    ratios = []
+    for draw in range(args.jitter + 1):
+        factors = jitter_factors(draw, fields)
+        reps = {side: spawn(trees[side], args.workload, args.seed, args.smoke, factors)
+                for side in ("parent", "change")}
+        errors = [f"draw {draw} {side}: {rep['error']}" for side, rep in reps.items()
+                  if "error" in rep]
+        if errors:
+            print("\n".join(errors))
+            return 1
+        row = {name: reps["change"]["sim"][name] / reps["parent"]["sim"][name]
+               for name in SIM_METRICS}
+        print(f"draw {draw:>2} ({'exact' if draw == 0 else 'jitter'}): " + ", ".join(
+            f"{name} {ratio:.4f}" for name, ratio in row.items()), flush=True)
+        if draw:
+            ratios.append(row)
+    if ratios:
+        print(f"\n{args.workload}, seed {args.seed}: the change wins, of {len(ratios)} draws: "
+              + ", ".join(f"{name} {won}" for name, won in jitter_wins(ratios).items()))
+    return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="source tree of the baseline")
@@ -124,9 +204,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="tiny request counts: exercises the tool, measures nothing")
     parser.add_argument("--output", help="write every pair's records here (JSON)")
+    parser.add_argument("--jitter", type=int, metavar="N",
+                        help="compare sim_* metrics at the exact costs and N jittered draws")
     args = parser.parse_args(argv)
 
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    if args.jitter is not None:
+        return run_jitter(trees, args)
     pairs = []
     for index in range(args.pairs):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")

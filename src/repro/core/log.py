@@ -13,7 +13,7 @@ runtime needs ``sequence``, ``pre_prepare``, ``digest``, ``committed``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.messages import PrePrepare
 from repro.crypto.threshold import CombinedSignature
@@ -59,9 +59,6 @@ class SlotState:
     # C-collector state (fast path): sigma/tau shares per signed message.
     sigma_shares: Tally = field(default_factory=Tally)
     tau_shares: Tally = field(default_factory=Tally)
-    # ``(signed, k)``: ``SBFTReplica._check_parked`` found the first k shares
-    # of the (parked) τ bucket of ``signed`` valid.
-    tau_valid: Optional[Tuple[Any, int]] = None
     fast_proof_sent: bool = False
     prepare_sent: bool = False
     fast_path_timer: Optional[int] = None

@@ -119,6 +119,12 @@ class SBFTReplica(Replica):
         # Checkpoint π shares per sequence (used when execution collectors
         # are disabled).
         self._checkpoint_shares: Dict[int, Tally] = {}
+        # ``(scheme name, signed) -> k``: a fallback of ``_combine`` found the
+        # first k shares of that bucket valid, and too few of them.
+        self._valid_prefix: Dict[Tuple[str, Tuple], int] = {}
+        # Senders of a share that failed its check: nothing more of theirs is
+        # filed (a forger cannot make a collector pay a fallback per resend).
+        self._blamed: set = set()
 
         # Slow-path commits seen since the last fast one (see DEGRADED_AFTER).
         self._slow_streak = 0
@@ -150,7 +156,7 @@ class SBFTReplica(Replica):
         self.stats = SBFTReplicaStats()
 
     def on_message(self, message: Any, src: int) -> None:
-        self.cpu.execute(self._message_cost(message), self._dispatch, message, src)
+        self.cpu.execute(self._message_cost(message, src), self._dispatch, message, src)
 
     # ==================================================================
     # Role helpers
@@ -182,8 +188,9 @@ class SBFTReplica(Replica):
     # Per-message verification costs
     # ==================================================================
     def _build_cost_table(self, costs: CryptoCosts) -> Dict[type, Any]:
-        """Precompute per-type verification-cost functions (hot path)."""
-        per_share = costs.bls_batch_verify_per_share
+        """Precompute per-type verification-cost functions (hot path).  A
+        threshold share is filed unchecked, one hash; ``_combine`` pays for
+        checking the combined signature (see ``CryptoCosts``)."""
         combined = costs.bls_verify_combined
         rsa_verify = costs.rsa_verify
         hash_op = costs.hash_op
@@ -195,12 +202,7 @@ class SBFTReplica(Replica):
             return rsa_verify * (1 + len(message.requests)) + hash_op
 
         def sign_share_cost(message: SignShare) -> float:
-            # Beside a σ share the τ share is parked: one hash now, its check
-            # only if ``_send_prepare`` combines τ.  Alone (fast path off),
-            # τ is what gets combined and is checked on arrival.
-            if message.sigma_share:
-                return per_share + hash_op if message.tau_share else per_share
-            return per_share if message.tau_share else 0.0
+            return hash_op * ((message.sigma_share is not None) + (message.tau_share is not None))
 
         def view_change_cost(message: ViewChange) -> float:
             return combined + hash_op * max(1, len(message.slots))
@@ -212,9 +214,9 @@ class SBFTReplica(Replica):
             ClientRequest: constant(rsa_verify),
             PrePrepare: pre_prepare_cost,
             SignShare: sign_share_cost,
-            Commit: constant(per_share),
-            SignState: constant(per_share),
-            CheckpointMsg: constant(per_share),
+            Commit: constant(hash_op),
+            SignState: constant(hash_op),
+            CheckpointMsg: constant(hash_op),
             FullCommitProof: constant(combined),
             FullCommitProofSlow: constant(combined),
             Prepare: constant(combined),
@@ -233,69 +235,72 @@ class SBFTReplica(Replica):
     # ==================================================================
     # Collecting shares: the only ``verify_share`` and ``combine`` calls
     # ==================================================================
-    @staticmethod
-    def _valid(scheme: ThresholdScheme, share: Any) -> bool:
-        return scheme.verify_share(share)
-
-    def _count(self, tally: Tally, scheme: ThresholdScheme, share: Any, signed: Tuple) -> int:
-        """File a valid share over ``signed`` under the signer the scheme
-        authenticated (not the id its message claims): that message's new
-        signer count, or 0 if the share added nothing.  ``signed`` is its own
-        ``memo_key``, so the match is type-exact (``1.0`` is not ``1``)."""
-        if share is None or memo_key(share.message) != signed or not self._valid(scheme, share):
-            return 0
-        return tally.add(signed, share.signer_id, share)
-
-    @staticmethod
-    def _park(tally: Tally, share: Any, signed: Tuple, src: int) -> int:
-        """File a share over ``signed`` *unchecked*, as :meth:`_count` would
-        file a valid one, but only under its authenticated sender ``src``:
-        nobody can take another signer's place in the bucket.  Its check is
-        :meth:`_check_parked`, when and if the bucket is combined."""
-        if share is None or share.signer_id != src or memo_key(share.message) != signed:
+    def _file(self, tally: Tally, share: Any, signed: Tuple, src: int) -> int:
+        """File a share over ``signed`` *unchecked* (its arrival costs one
+        hash), and only under its authenticated sender ``src``: nobody can
+        take another signer's place in the bucket, and a blamed sender files
+        nothing.  That message's new signer count, or 0 if the share added
+        nothing.  ``signed`` is its own ``memo_key``, so the match is
+        type-exact (``1.0`` is not ``1``)."""
+        if (
+            share is None or share.signer_id != src or src in self._blamed
+            or memo_key(share.message) != signed
+        ):
             return 0
         return tally.add(signed, src, share)
 
-    def _check_parked(self, slot: SlotState, signed: Tuple) -> int:
-        """Check the parked τ shares over ``signed`` that no earlier call
-        checked, in arrival order, until ``tau_threshold`` are valid; each
-        invalid one is deleted from the bucket, so the checked shares stay a
-        prefix of it.  The number of shares checked."""
-        bucket = slot.tau_shares.votes(signed)
-        valid = slot.tau_valid[1] if slot.tau_valid and slot.tau_valid[0] == signed else 0
+    def _combine(self, tally: Tally, scheme: ThresholdScheme, signed: Tuple) -> Optional[Any]:
+        """Combine the first ``threshold`` shares filed under ``signed`` and
+        check the result: one combine and one combined check, whatever the
+        share count.  If the check fails, ``_drop_invalid_shares`` and, once
+        ``threshold`` valid shares lead the bucket, combine those (no second
+        check).  ``None`` while too few valid shares remain."""
+        bucket = tally.votes(signed)
+        proof = self._combine_first(bucket, scheme, self.costs.bls_verify_combined)
+        if proof is not None and scheme.verify(proof):
+            return proof
+        key = (scheme.name, signed)
+        valid = self._drop_invalid_shares(bucket, scheme, self._valid_prefix.pop(key, 0))
+        if valid < scheme.threshold:
+            self._valid_prefix[key] = valid
+            return None
+        return self._combine_first(bucket, scheme, 0.0)
+
+    def _combine_first(self, bucket: Dict[int, Any], scheme: ThresholdScheme, check: float) -> Optional[Any]:
+        """The first ``threshold`` shares of ``bucket`` combined, charged with
+        the ``check`` that follows; ``None`` if one is off the group (forged)."""
+        self.charge_cpu(self.costs.combine_cost(scheme.threshold) + check)
+        try:
+            return scheme.combine(list(bucket.values())[: scheme.threshold], verify=False)
+        except CryptoError:
+            return None
+
+    def _drop_invalid_shares(self, bucket: Dict[int, Any], scheme: ThresholdScheme, valid: int) -> int:
+        """The fallback of a combined signature that did not verify (only a
+        forged share makes one): check the shares after the first ``valid``
+        one at a time in arrival order until ``threshold`` are valid,
+        deleting the invalid ones and blaming their senders.  The checked
+        valid shares stay a prefix of the bucket, so no share is checked
+        twice.  The prefix's new length."""
+        self.stats.combine_fallbacks += 1
         checked = 0
         for voter, share in list(bucket.items())[valid:]:
-            if valid == self.config.tau_threshold:
+            if valid == scheme.threshold:
                 break
             checked += 1
-            if self._valid(self.keys.tau, share):
+            if scheme.verify_share(share):
                 valid += 1
             else:
                 del bucket[voter]
-        slot.tau_valid = (signed, valid)
-        self.stats.tau_shares_checked += checked
-        return checked
-
-    def _combine(
-        self, tally: Tally, scheme: ThresholdScheme, signed: Tuple, checked: int = 0
-    ) -> Optional[Any]:
-        """Combine the first ``threshold`` shares filed under ``signed``, in
-        one CPU charge with the ``checked`` share checks that preceded it."""
-        shares = list(tally.votes(signed).values())[: scheme.threshold]
-        costs = self.costs
-        self.charge_cpu(costs.combine_cost(len(shares)) + checked * costs.bls_batch_verify_per_share)
-        try:
-            return scheme.combine(shares, verify=False)
-        except CryptoError:
-            return None
+                self._blamed.add(voter)
+        self.charge_cpu(checked * self.costs.bls_batch_verify_per_share)
+        return valid
 
     # ==================================================================
     # Fast path: pre-prepare -> sign-share -> full-commit-proof
     # ==================================================================
     def _on_pre_prepare(self, message: PrePrepare, src: int) -> None:
-        if message.view != self.view:
-            return
-        if src != self.primary:
+        if self._not_this_view(message, src) or src != self.primary:
             return
         slot = self.log.slot(message.sequence)
         if slot.pre_prepare is not None and slot.pre_prepare_view == message.view:
@@ -355,12 +360,8 @@ class SBFTReplica(Replica):
             return
         slot = self.log.slot(message.sequence)
         signed = ("sign", message.sequence, message.view, message.digest)
-        if self.config.fast_path_enabled:
-            # σ is what the fast path combines; τ waits for the fallback.
-            sigma = self._count(slot.sigma_shares, self.keys.sigma, message.sigma_share, signed)
-            tau = self._park(slot.tau_shares, message.tau_share, signed, src)
-        else:
-            sigma, tau = 0, self._count(slot.tau_shares, self.keys.tau, message.tau_share, signed)
+        sigma = self._file(slot.sigma_shares, message.sigma_share, signed, src)
+        tau = self._file(slot.tau_shares, message.tau_share, signed, src)
         self._collector_progress(slot, signed, sigma, tau)
 
     def _collector_progress(self, slot: SlotState, signed: Tuple, sigma: int, tau: int) -> None:
@@ -368,7 +369,8 @@ class SBFTReplica(Replica):
         config = self.config
         if config.fast_path_enabled and not slot.fast_proof_sent and sigma >= config.sigma_threshold:
             self._send_full_commit_proof(slot, signed)
-        elif tau >= config.tau_threshold and not slot.prepare_sent:
+        # Not ``elif``: a σ combine a forger spoiled must not hold τ back.
+        if tau >= config.tau_threshold and not slot.prepare_sent:
             if not config.fast_path_enabled:
                 self._send_prepare(slot, signed)
             elif slot.fast_path_timer is None and not slot.fast_proof_sent:
@@ -404,8 +406,7 @@ class SBFTReplica(Replica):
         self._broadcast(FullCommitProof(sequence=sequence, view=view, digest=digest, sigma_signature=proof))
 
     def _send_prepare(self, slot: SlotState, signed: Tuple) -> None:
-        checked = self._check_parked(slot, signed) if self.config.fast_path_enabled else 0
-        certificate = self._combine(slot.tau_shares, self.keys.tau, signed, checked)
+        certificate = self._combine(slot.tau_shares, self.keys.tau, signed)
         if certificate is None:
             return
         slot.prepare_sent = True
@@ -462,7 +463,7 @@ class SBFTReplica(Replica):
         # Only shares over this collector's own digest for the slot count,
         # whatever digest the sender's header names.
         signed = ("commit", message.sequence, message.view, slot.digest)
-        count = self._count(slot.commit_shares, self.keys.tau, message.tau_share_on_tau, signed)
+        count = self._file(slot.commit_shares, message.tau_share_on_tau, signed, src)
         if count >= self.config.tau_threshold:
             proof = self._combine(slot.commit_shares, self.keys.tau, signed)
             if proof is not None:
@@ -546,7 +547,7 @@ class SBFTReplica(Replica):
             return
         slot = self.log.slot(message.sequence)
         signed = ("state", message.sequence, message.state_digest)
-        count = self._count(slot.sign_state_shares, self.keys.pi, message.pi_share, signed)
+        count = self._file(slot.sign_state_shares, message.pi_share, signed, src)
         if count >= self.config.pi_threshold and slot.execute_proof is None:
             slot.execute_proof = proof = self._combine(slot.sign_state_shares, self.keys.pi, signed)
             if proof is not None:
@@ -634,7 +635,7 @@ class SBFTReplica(Replica):
     def _on_checkpoint(self, message: CheckpointMsg, src: int) -> None:
         signed = ("checkpoint", message.sequence, message.state_digest)
         shares = self._checkpoint_shares.setdefault(message.sequence, Tally())
-        count = self._count(shares, self.keys.pi, message.pi_share, signed)
+        count = self._file(shares, message.pi_share, signed, src)
         if count >= self.config.pi_threshold and message.sequence > self.last_stable:
             proof = self._combine(shares, self.keys.pi, signed)
             if proof is not None:
@@ -662,6 +663,8 @@ class SBFTReplica(Replica):
             stale_checkpoints = [s for s in self._checkpoint_shares if s <= collect_up_to]
             for stale in stale_checkpoints:
                 del self._checkpoint_shares[stale]
+            for key in [key for key in self._valid_prefix if key[1][1] <= collect_up_to]:
+                del self._valid_prefix[key]  # key[1] is the signed tuple, [1] its sequence
 
     # ==================================================================
     # View change (Section V-G)
@@ -736,6 +739,9 @@ class SBFTReplica(Replica):
     def _enter_view(self, new_view: int, plan: NewViewPlan) -> None:
         self.view = new_view
         self._view_change_attempts = 0
+        # A view change is evidence of a failed replica, and at c = 0 one
+        # failure denies the fast path: start degraded (a fast commit ends it).
+        self._slow_streak = max(self._slow_streak, self.DEGRADED_AFTER)
         if self._view_change_timer is not None:
             self.cancel_timer(self._view_change_timer)
             self._view_change_timer = None
@@ -774,7 +780,10 @@ class SBFTReplica(Replica):
 
         if self.is_primary:
             self.next_sequence = max(self.next_sequence, max_decided + 1)
-            self._maybe_propose()
+        self._view_entered({
+            request.request_id for decision in plan.decisions.values()
+            for request in decision.requests or ()
+        })
         self._try_execute()
 
     def _repropose(self, sequence: int, requests: Tuple[ClientRequest, ...]) -> None:

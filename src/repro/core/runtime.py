@@ -178,7 +178,9 @@ class Replica(Process):
         self.last_stable = 0
         self.next_sequence = 1
 
-        # Primary state.
+        # Primary state.  ``_pending_request_ids``: requests queued or
+        # proposed in this view that have not executed (a copy relayed late
+        # is not queued twice).
         self._pending_requests: List[ClientRequest] = []
         self._pending_request_ids: set = set()
         self._batch_timer: Optional[int] = None
@@ -194,7 +196,7 @@ class Replica(Process):
         self.cores = (self.cpu, self.exec_cpu)
         self._executing: Optional[int] = None
         self._replies = ClientReplyTracker(config.client_max_outstanding)
-        self._direct_reply_waiting: Dict[Tuple[int, int], int] = {}
+        self._direct_reply_waiting: Dict[Tuple[int, int], ClientRequest] = {}
 
         # View-change state: the messages received per proposed view, and the
         # timer (the evidence a view change carries is the protocol's business).
@@ -204,6 +206,10 @@ class Replica(Process):
         self._view_change_sent_for: set = set()
         self._new_view_sent_for: set = set()
         self._request_first_seen: Dict[Tuple[int, int], float] = {}
+        # Pre-prepares from the primary of a view not entered yet, the first
+        # per ``(view, sequence)``: they can overtake its new-view message,
+        # and are taken once the view is.
+        self._early_pre_prepares: Dict[Tuple[int, int], Tuple[PrePrepare, int]] = {}
 
         # State-transfer throttle (one outstanding request per lag position).
         self._state_transfer_seq = -1
@@ -278,8 +284,11 @@ class Replica(Process):
     # ==================================================================
     # Message dispatch (``on_message`` itself lives in each protocol class)
     # ==================================================================
-    def _message_cost(self, message: Any) -> float:
-        """Verification cost charged before processing a message."""
+    def _message_cost(self, message: Any, src: int) -> float:
+        """Verification cost charged before processing a message; nothing
+        for one this replica sent itself (it still queues on the core)."""
+        if src == self.node_id:
+            return 0.0
         cost_fn = self._cost_table.get(type(message))
         if cost_fn is None:
             return self.costs.hash_op
@@ -307,10 +316,11 @@ class Replica(Process):
         self._request_first_seen.setdefault(request_id, self.sim.now)
         if not self.is_primary:
             if self._forwards_request_from(src):
-                # Remember who to answer directly if the client asked every
-                # replica (its retry path), and make sure a view change
-                # happens if the primary never orders the request.
-                self._direct_reply_waiting[request_id] = request.client_id
+                # Keep the request until it executes: its client is answered
+                # directly if it asked every replica (its retry path), and a
+                # new primary gets it if this one never orders it.  Make sure
+                # a view change happens if the primary never orders it.
+                self._direct_reply_waiting[request_id] = request
                 self._send(self.primary, request)
                 self._ensure_view_change_timer()
             return
@@ -351,8 +361,6 @@ class Replica(Process):
         take = self.config.batch_take()
         batch = tuple(self._pending_requests[:take])
         self._pending_requests = self._pending_requests[take:]
-        for request in batch:
-            self._pending_request_ids.discard(request.request_id)
 
         sequence = self.next_sequence
         self.next_sequence += 1
@@ -430,6 +438,7 @@ class Replica(Process):
         self._replies.record_block(sequence, requests, reply_values)
         for request in requests:
             self._request_first_seen.pop(request.request_id, None)
+            self._pending_request_ids.discard(request.request_id)
         if not self._request_first_seen and self._view_change_timer is not None:
             self.cancel_timer(self._view_change_timer)
             self._view_change_timer = None
@@ -549,8 +558,9 @@ class Replica(Process):
         # full timeout (progress on other requests resets nothing — the timer
         # measures the oldest outstanding request, as in PBFT).
         oldest = min(self._request_first_seen.values())
-        if self.sim.now - oldest < self._view_change_timeout():
-            self._ensure_view_change_timer()
+        remaining = oldest + self._view_change_timeout() - self.sim.now
+        if remaining > 0:
+            self._view_change_timer = self.set_timer(remaining, self._on_view_change_timeout)
             return
         self._view_change_attempts += 1
         self._start_view_change(self.view + 1)
@@ -583,6 +593,48 @@ class Replica(Process):
             self._new_view_sent_for.add(new_view)
             selected = tuple(view_changes.values())[: self._new_view_quorum]
             self._broadcast(self._new_view(new_view, selected))
+
+    def _not_this_view(self, message: PrePrepare, src: int) -> bool:
+        """Is the pre-prepare for another view?  One from the primary of a
+        view this replica may enter next (the one after its own, or one it
+        asked for) is kept for when it does, if inside the window: a future
+        primary cannot make the buffer grow without bound."""
+        view = message.view
+        if view == self.view:
+            return False
+        if (
+            view > self.view and src == view % self._n
+            and (view == self.view + 1 or view in self._view_change_sent_for)
+            and self.log.in_window(message.sequence, self.last_stable)
+        ):
+            self._early_pre_prepares.setdefault((view, message.sequence), (message, src))
+        return True
+
+    def _view_entered(self, reproposed: set) -> None:
+        """The runtime's end of entering a view.  Requests this replica
+        forwarded and nobody ordered go to the new primary, or into its
+        queue if it is the primary, unless executed (then forgotten: a state
+        transfer skips ``_after_execute``) or in ``reproposed`` (ids in the
+        slots the new-view plan re-proposes).  ``_pending_request_ids``
+        restarts as what the view queues or re-proposes.  Then the view's
+        kept pre-prepares are handled and the primary proposes."""
+        self._pending_request_ids = reproposed | {r.request_id for r in self._pending_requests}
+        for request_id, request in list(self._direct_reply_waiting.items()):
+            if self._replies.executed(*request_id):
+                del self._direct_reply_waiting[request_id]
+            elif request_id in self._pending_request_ids:
+                continue
+            elif self.is_primary:
+                self._pending_request_ids.add(request_id)
+                self._pending_requests.append(request)
+            else:
+                self._send(self.primary, request)
+        early = self._early_pre_prepares
+        self._early_pre_prepares = {key: entry for key, entry in early.items() if key[0] > self.view}
+        for (view, _sequence), (message, src) in early.items():
+            if view == self.view:
+                self._on_pre_prepare(message, src)
+        self._maybe_propose()
 
     # ==================================================================
     # Protocol hooks (plus the attribute ``_new_view_quorum``: how many

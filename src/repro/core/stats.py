@@ -52,9 +52,9 @@ class SBFTReplicaStats(StatCounters):
         # executed blocks this replica answered with direct signed replies.
         "sigma_waits_skipped",
         "blocks_replied_directly",
-        # Parked τ shares a C-collector checked before combining τ (zero
-        # while every slot commits on the fast path).
-        "tau_shares_checked",
+        # Combined signatures that did not verify, so the collector checked
+        # the shares one by one (zero unless a replica forges shares).
+        "combine_fallbacks",
     )
 
 

@@ -11,6 +11,15 @@ message sizes involved.
 The exact constants matter less than the *ratios*; the ablation benchmark
 (`benchmarks/test_bench_crypto.py`) reports the model so experiments are
 interpretable.
+
+Assumption, optimistic combining: a collector files each threshold share
+unchecked (``hash_op``), combines the first ``threshold`` and checks the
+combined signature once (``combine_cost(k) + bls_verify_combined``).  Only
+when that check fails, which takes a forged share, does it check shares one
+by one (``bls_batch_verify_per_share`` each, every share at most once).
+Whether the paper's implementation does exactly this cannot be checked from
+the paper's text here; docs/benchmarks.md keeps the per-share rows.
+Assumption too: a replica pays no check for a message it sent itself.
 """
 
 from __future__ import annotations
@@ -29,9 +38,7 @@ class CryptoCosts:
     bls_verify_combined: float = 900e-6
     bls_combine_per_share: float = 120e-6
     # Assumption: one robust check of one threshold share; nothing is batched.
-    # ``SBFTReplica`` charges it per share on arrival (σ, τ with the fast path
-    # off, ``Commit``, ``SignState``, ``CheckpointMsg``) and, for a τ share
-    # parked beside σ, only when ``_send_prepare`` checks it to combine τ.
+    # Paid only on a collector's fallback ("optimistic combining", above).
     bls_batch_verify_per_share: float = 250e-6
     merkle_proof_per_level: float = 2e-6
     evm_base_execute: float = 150e-6               # per-transaction EVM overhead

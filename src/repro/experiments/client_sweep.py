@@ -59,9 +59,12 @@ CONFIG_OVERRIDES = {
 #: The top of each ``client_counts`` curve must saturate the primary so the
 #: adaptive policy has a queue to drain — that is where fixed batching pays a
 #: per-block protocol cost per ``block_batch`` requests and adaptive amortizes
-#: it over up to ``effective_batch_max``.
+#: it over up to ``effective_batch_max``.  Below the knee the primary has no
+#: queue and adaptive's hold-back only adds latency: at ``small`` the
+#: 64-client rung (primary message core 57 % busy under ``fixed``) is under
+#: it, so the curve goes on to 256.
 SWEEP_SCALES: Dict[str, Dict[str, Any]] = {
-    "small": dict(f=1, client_counts=(4, 16, 64), requests=8, kv_batch=4, block_batch=8,
+    "small": dict(f=1, client_counts=(4, 16, 64, 256), requests=8, kv_batch=4, block_batch=8,
                   max_outstanding=4, max_sim_time=240.0),
     "medium": dict(f=4, client_counts=(8, 32, 128), requests=8, kv_batch=4, block_batch=8,
                    max_outstanding=4, max_sim_time=480.0),

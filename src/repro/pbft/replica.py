@@ -137,18 +137,19 @@ class PBFTReplica(Replica):
         }
 
     def on_message(self, message: Any, src: int) -> None:
-        self.cpu.execute(self._message_cost(message), self._dispatch, message, src)
+        self.cpu.execute(self._message_cost(message, src), self._dispatch, message, src)
 
     # ------------------------------------------------------------------
     # Three-phase agreement
     # ------------------------------------------------------------------
     def _on_pre_prepare(self, message: PrePrepare, src: int) -> None:
-        if message.view != self.view or src != self.primary:
+        if self._not_this_view(message, src) or src != self.primary:
             return
         if not self.log.in_window(message.sequence, self.last_stable):
             return
         slot = self.log.slot(message.sequence)
-        if slot.pre_prepare is not None and slot.view == message.view:
+        # A committed block is final: a new view's re-proposal does not replace it.
+        if slot.committed or (slot.pre_prepare is not None and slot.view == message.view):
             return
         if pre_prepare_expected_digest(message) != message.digest:
             return
@@ -308,13 +309,6 @@ class PBFTReplica(Replica):
                     continue
                 if sequence not in best or view > best[sequence][0]:
                     best[sequence] = (view, digest, requests)
-        if self.is_primary:
-            for sequence in sorted(best):
-                # Frozen baseline accounting: the signature only, no hash.
-                self.charge_cpu(self.costs.rsa_sign)
-                self._broadcast(self._signed_pre_prepare(sequence, tuple(best[sequence][2])))
-            self.next_sequence = max(self.next_sequence, max(best) + 1 if best else self.last_executed + 1)
-            self._maybe_propose()
         # Reset per-view vote state for open slots.
         for slot in self.log.slots():
             if not slot.committed:
@@ -324,6 +318,15 @@ class PBFTReplica(Replica):
                 slot.commit_sent = False
                 slot.pre_prepare = None
                 slot.digest = None
+        if self.is_primary:
+            for sequence in sorted(best):
+                # Frozen baseline accounting: the signature only, no hash.
+                self.charge_cpu(self.costs.rsa_sign)
+                self._broadcast(self._signed_pre_prepare(sequence, tuple(best[sequence][2])))
+            self.next_sequence = max(self.next_sequence, max(best) + 1 if best else self.last_executed + 1)
+        self._view_entered({
+            request.request_id for _view, _digest, requests in best.values() for request in requests
+        })
 
     # Runtime hooks where the baseline differs (see repro.core.runtime.Replica).
     def _new_view(self, view: int, view_changes: Tuple[PbftViewChange, ...]) -> PbftNewView:

@@ -321,7 +321,13 @@ class AuthenticatedKVStore(AuthenticatedService):
             return False
         if entry[2] != operation_digest(operation) or entry[3] != self._result_digest(value):
             return False
-        journal_root = kv_proof.entry_proof.root_from(entry)
+        # A malformed path is no proof (``MerkleTree.verify``'s guard).
+        if not isinstance(kv_proof.entry_proof, MerkleProof):
+            return False
+        try:
+            journal_root = kv_proof.entry_proof.root_from(entry)
+        except (TypeError, ValueError):
+            return False
         # The stamped chain step answers only for exactly what it hashed.
         chained = kv_proof._chained
         if (chained is not None and chained[0] is kv_proof.prev_digest and type(sequence) is int

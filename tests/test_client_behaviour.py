@@ -134,6 +134,47 @@ def test_client_rejects_an_ack_stripped_of_its_proof():
     assert client.stats["acks_rejected"] == 1
 
 
+class _ClaimsARoot:
+    """Not a ``MerkleProof``: whatever the leaf, it names the root it was given."""
+
+    size_bytes = 0
+
+    def __init__(self, root):
+        self.root = root
+
+    def root_from(self, value):
+        return self.root
+
+
+@pytest.mark.parametrize("entry_proof", [
+    lambda proof: dataclasses.replace(proof, path=((1,),)),       # a pair short of a pair
+    lambda proof: dataclasses.replace(proof, path=(5,)),          # not a pair at all
+    lambda proof: _ClaimsARoot(proof._proved[1]),                 # the genuine root, for any leaf
+], ids=["short-pair", "not-a-pair", "not-a-merkle-proof"])
+def test_an_ack_with_a_malformed_entry_proof_is_rejected_and_the_fallback_completes(entry_proof):
+    """A faulty E-collector's entry proof that is no Merkle path is no proof:
+    the client rejects the ack (nothing raises) and completes the request
+    through f+1 signed replies."""
+    sim, network, replicas, client = _make_client()
+    sim.run(until=0.05)
+    genuine = _executed_ack_for(client)
+    kv_proof = genuine.proof.proof
+    forged = dataclasses.replace(kv_proof, entry_proof=entry_proof(kv_proof.entry_proof))
+    network.send(1, client.node_id, dataclasses.replace(
+        genuine, proof=dataclasses.replace(genuine.proof, proof=forged)))
+    sim.run(until=0.2)
+    assert client.completed == 0 and client.stats["acks_rejected"] == 1
+    sim.run(until=0.7)                                      # the retry asks every replica
+    values = genuine.values
+    for replica_id in range(CONFIG.f + 1):
+        key = SETUP.replica_keys(replica_id).signing_key
+        network.send(replica_id, client.node_id, ClientReply(
+            sequence=1, client_id=0, timestamp=1, values=values, replica_id=replica_id,
+            signature=key.sign(("reply", 0, 1, values))))
+    sim.run(until=1.0)
+    assert client.completed == 1 and client.stats["fallbacks"] == 1
+
+
 def test_client_ignores_acks_for_other_timestamps():
     sim, network, replicas, client = _make_client()
     sim.run(until=0.05)

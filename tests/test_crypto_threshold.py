@@ -1,5 +1,6 @@
 """Unit and property tests for the threshold signature schemes, and the
-C-collector's robust combine: τ shares parked unchecked, checked only to combine τ."""
+collectors' optimistic combine: shares filed unchecked, the combined
+signature checked once, shares checked one by one only when that fails."""
 
 import dataclasses
 
@@ -7,9 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import make_bare_replica, make_request, run_small_cluster
-from repro.adversary.behaviours import _ForgingScheme
+from repro.adversary.behaviours import _ForgingScheme, bad_shares
 from repro.core.config import SBFTConfig
-from repro.core.messages import FullCommitProof, Prepare, SignShare
+from repro.core.messages import (
+    FullCommitProof,
+    FullCommitProofSlow,
+    FullExecuteProof,
+    Prepare,
+    SignShare,
+    SignState,
+)
 from repro.core.replica import SBFTReplica
 from repro.crypto.mockgroup import MockGroup
 from repro.crypto.threshold import ThresholdDealer
@@ -243,13 +251,14 @@ def test_property_below_threshold_never_combines(num_signers, seed):
 
 
 # ----------------------------------------------------------------------
-# The collector's robust combine: beside a σ share a τ share is parked
-# unchecked, and checked only if the collector combines τ
+# The collectors' optimistic combine: every share is filed unchecked, the
+# combined signature is checked once, and only a failed check (a forger)
+# makes the collector check shares one by one
 # ----------------------------------------------------------------------
 COLLECTOR = SBFTConfig(f=1, batch_size=2, batch_timeout=0.01, fast_path_timeout=0.05)
 
 
-def _tau_collector():
+def _collector():
     """-> (sim, replica, broadcasts, charges, signed): the view-0 primary
     (at c=0 every slot's only C-collector) with block 1 proposed; what it
     broadcasts and charges to its CPU from then on is recorded."""
@@ -267,15 +276,16 @@ def _tau_collector():
     return sim, replica, broadcasts, charges, ("sign", 1, 0, pre_prepare.digest)
 
 
-def _sign_share(replica, signed, signer, forged=False, src=None, tau_share=None):
-    """Replica ``signer``'s sign-share over ``signed`` (both shares forged
-    if ``forged``), delivered as sent by ``src`` (default: the signer)."""
-    sign = "forge_share" if forged else "sign_share"
+def _sign_share(replica, signed, signer, forged=(), src=None, tau_share=None):
+    """Replica ``signer``'s sign-share over ``signed`` (the schemes named in
+    ``forged`` forged), delivered as sent by ``src`` (default: the signer)."""
     keys = replica.keys
+    share = {name: getattr(getattr(keys, name), "forge_share" if name in forged else "sign_share")
+             for name in ("sigma", "tau")}
     replica._on_sign_share(SignShare(
         sequence=1, view=0, replica_id=signer, digest=signed[3],
-        sigma_share=getattr(keys.sigma, sign)(signer, signed),
-        tau_share=tau_share or getattr(keys.tau, sign)(signer, signed),
+        sigma_share=share["sigma"](signer, signed),
+        tau_share=tau_share or share["tau"](signer, signed),
     ), src=signer if src is None else src)
 
 
@@ -283,55 +293,165 @@ def _sent(broadcasts, cls):
     return [message for message in broadcasts if isinstance(message, cls)]
 
 
-def test_a_forged_tau_share_is_dropped_at_combine_time_charged_once_and_never_named():
-    sim, replica, broadcasts, charges, signed = _tau_collector()
-    tau, costs = replica.keys.tau, replica.costs
-    _sign_share(replica, signed, 3, forged=True)
+def _attempt(costs, k):
+    """What one combine of ``k`` shares and its one check cost."""
+    return costs.combine_cost(k) + costs.bls_verify_combined
+
+
+def test_a_forged_sigma_share_is_dropped_at_combine_time_and_checked_once():
+    sim, replica, broadcasts, charges, signed = _collector()
+    costs, k = replica.costs, COLLECTOR.sigma_threshold
+    _sign_share(replica, signed, 3, forged=("sigma",))
+    for signer in (0, 1):
+        _sign_share(replica, signed, signer)
+    assert charges == [] and replica.stats.combine_fallbacks == 0      # nothing checked yet
+    _sign_share(replica, signed, 2)                 # k shares: the combine fails its check
+    bucket = replica.log.slot(1).sigma_shares.votes(signed)
+    assert list(bucket) == [0, 1, 2] and not _sent(broadcasts, FullCommitProof)
+    assert charges == [_attempt(costs, k), 4 * costs.bls_batch_verify_per_share]
+    assert replica.stats.combine_fallbacks == 1
+    sim.run(until=sim.now + 0.06)                   # τ carries the slot instead
+    (prepare,) = _sent(broadcasts, Prepare)
+    assert prepare.tau_signature.signer_ids == (0, 1, 3)   # 3 forged σ only
+    assert replica.stats.combine_fallbacks == 1
+
+
+def test_a_blamed_forger_resending_its_share_costs_the_collector_one_hash_per_share():
+    """Its check named the forger: the resent share is not filed, so it
+    costs the arrival's hashes and no second combine or fallback."""
+    sim, replica, broadcasts, charges, signed = _collector()
+    for signer in (3, 0, 1, 2):
+        _sign_share(replica, signed, signer, forged=("sigma",) if signer == 3 else ())
+    assert replica.stats.combine_fallbacks == 1 and replica._blamed == {3}
+    del charges[:]
+    busy = replica.cpu.total_busy_time
+    forged = replica.keys.sigma.forge_share(3, signed)
+    resend = SignShare(sequence=1, view=0, replica_id=3, digest=signed[3], sigma_share=forged,
+                       tau_share=replica.keys.tau.sign_share(3, signed))
+    for _ in range(3):
+        replica.deliver(resend, 3)
+    sim.run(until=sim.now + 0.01)
+    assert charges == [] and replica.stats.combine_fallbacks == 1
+    assert replica.cpu.total_busy_time - busy == pytest.approx(3 * 2 * replica.costs.hash_op)
+    assert list(replica.log.slot(1).sigma_shares.votes(signed)) == [0, 1, 2]
+
+
+def test_a_forged_tau_share_is_dropped_at_combine_time_and_checked_once():
+    sim, replica, broadcasts, charges, signed = _collector()
+    tau, costs, k = replica.keys.tau, replica.costs, COLLECTOR.tau_threshold
+    _sign_share(replica, signed, 3, forged=("sigma", "tau"))
     _sign_share(replica, signed, 0)
     _sign_share(replica, signed, 1)
     bucket = replica.log.slot(1).tau_shares.votes(signed)
-    assert list(bucket) == [3, 0, 1] and replica.stats.tau_shares_checked == 0
-    sim.run(until=sim.now + 0.06)                   # the σ wait ends: τ is checked
+    assert list(bucket) == [3, 0, 1] and charges == []
+    sim.run(until=sim.now + 0.06)                   # the σ wait ends: τ combined, check fails
     assert list(bucket) == [0, 1] and not _sent(broadcasts, Prepare)
-    _sign_share(replica, signed, 2)
+    assert charges == [_attempt(costs, k), 3 * costs.bls_batch_verify_per_share]
+    del charges[:]
+    _sign_share(replica, signed, 2)                 # σ fails (its forged share), τ does not
     sim.run(until=sim.now + 0.06)
     (prepare,) = _sent(broadcasts, Prepare)
     assert prepare.tau_signature.signer_ids == (0, 1, 2)
     assert tau.verify_message(prepare.tau_signature, signed)
-    # Each check rides on its combine's one charge, and no share is checked twice.
+    # No share is checked twice: 0 and 1 were, and the σ fallback is the σ bucket's.
     per_share = costs.bls_batch_verify_per_share
-    assert charges == [costs.combine_cost(2) + 3 * per_share, costs.combine_cost(3) + per_share]
-    assert replica.stats.tau_shares_checked == 4
+    assert charges == [_attempt(costs, 4), 4 * per_share, _attempt(costs, k)]
+    assert replica.stats.combine_fallbacks == 2
 
 
-def test_a_tau_share_not_sent_by_its_signer_is_not_parked():
-    sim, replica, broadcasts, charges, signed = _tau_collector()
+def test_a_fallback_that_finds_enough_valid_shares_combines_them_unchecked():
+    sim, replica, broadcasts, charges, signed = _collector()
+    costs, per_share = replica.costs, replica.costs.bls_batch_verify_per_share
+    _sign_share(replica, signed, 3, forged=("sigma", "tau"))
+    for signer in (0, 1, 2):
+        _sign_share(replica, signed, signer)
+    del charges[:]                                  # the σ bucket's own fallback
+    sim.run(until=sim.now + 0.06)                   # τ: [3, 0, 1] fails, 0, 1, 2 are valid
+    (prepare,) = _sent(broadcasts, Prepare)
+    assert prepare.tau_signature.signer_ids == (0, 1, 2)
+    k = COLLECTOR.tau_threshold
+    assert charges == [_attempt(costs, k), 4 * per_share, costs.combine_cost(k)]
+    assert replica.stats.combine_fallbacks == 2
+
+
+def test_a_forged_pi_share_is_dropped_at_combine_time_and_checked_once():
+    sim, _network, replica = make_bare_replica(SBFTReplica, COLLECTOR, node_id=1)
+    broadcasts, charges = [], []
+    replica._broadcast, replica.charge_cpu = broadcasts.append, charges.append
+    pi, costs, k = replica.keys.pi, replica.costs, COLLECTOR.pi_threshold
+    sequence = next(s for s in range(1, 20) if replica._is_e_collector(s))
+    signed = ("state", sequence, "d")
+
+    def sign_state(signer, forged=False):
+        share = (pi.forge_share if forged else pi.sign_share)(signer, signed)
+        replica._on_sign_state(SignState(
+            sequence=sequence, replica_id=signer, state_digest="d", pi_share=share), src=signer)
+
+    sign_state(3, forged=True)
+    sign_state(1)                                   # k = 2 shares: the check fails
+    assert list(replica.log.slot(sequence).sign_state_shares.votes(signed)) == [1]
+    assert charges == [_attempt(costs, k), 2 * costs.bls_batch_verify_per_share]
+    sign_state(2)
+    (proof,) = _sent(broadcasts, FullExecuteProof)
+    assert proof.pi_signature.signer_ids == (1, 2) and pi.verify_message(proof.pi_signature, signed)
+    assert charges[2:] == [_attempt(costs, k)] and replica.stats.combine_fallbacks == 1
+
+
+def test_a_share_not_sent_by_its_signer_is_not_filed():
+    sim, replica, broadcasts, charges, signed = _collector()
     relayed = replica.keys.tau.sign_share(2, signed)        # valid, but replica 1 sends it
     _sign_share(replica, signed, 1, tau_share=relayed)
     slot = replica.log.slot(1)
     assert slot.tau_shares.votes(signed) == {} and list(slot.sigma_shares.votes(signed)) == [1]
-    _sign_share(replica, signed, 2, forged=True, src=3)     # a forgery in replica 2's name
+    _sign_share(replica, signed, 2, forged=("tau",), src=3)  # a forgery in replica 2's name
     assert slot.tau_shares.votes(signed) == {}
     _sign_share(replica, signed, 2)
     assert list(slot.tau_shares.votes(signed)) == [2]
 
 
-def test_a_healthy_fast_path_slot_checks_no_tau_share():
-    sim, replica, broadcasts, charges, signed = _tau_collector()
+def test_a_healthy_fast_path_slot_checks_one_combined_signature_and_no_share():
+    sim, replica, broadcasts, charges, signed = _collector()
     for signer in range(COLLECTOR.n):
         _sign_share(replica, signed, signer)
     sim.run(until=sim.now + 0.06)
     assert _sent(broadcasts, FullCommitProof) and not _sent(broadcasts, Prepare)
-    assert charges == [replica.costs.combine_cost(COLLECTOR.sigma_threshold)]   # σ only
-    assert replica.stats.tau_shares_checked == 0
+    assert charges == [_attempt(replica.costs, COLLECTOR.sigma_threshold)]   # σ only
+    assert replica.stats.combine_fallbacks == 0
 
 
-def test_tau_shares_are_checked_only_on_the_slow_path_of_a_cluster_run():
+def test_only_a_forger_makes_a_cluster_collector_fall_back():
     _cluster, healthy = run_small_cluster("sbft-c0", seed=11)
-    assert all(stats["tau_shares_checked"] == 0 for stats in healthy.replica_stats.values())
     # The primary crashes: with one replica dead at c=0 every later block is slow.
     _cluster, slow = run_small_cluster(
         "sbft-c0", requests_per_client=8, seed=3, fault_plan=FaultPlan.crash_first(1, at_time=0.02))
-    checked = sum(stats["tau_shares_checked"] for stats in slow.replica_stats.values())
-    slow_blocks = max(stats["blocks_committed_slow"] for stats in slow.replica_stats.values())
-    assert slow_blocks > 0 and checked >= slow_blocks * COLLECTOR.tau_threshold
+    assert max(stats["blocks_committed_slow"] for stats in slow.replica_stats.values()) > 0
+    for result in (healthy, slow):
+        assert all(stats["combine_fallbacks"] == 0 for stats in result.replica_stats.values())
+
+
+#: The proofs combined from shares ``bad_shares`` forges (its checkpoint π
+#: share stays valid).
+PROOFS = {FullCommitProof: "sigma_signature", Prepare: "tau_signature",
+          FullCommitProofSlow: "tau_tau_signature", FullExecuteProof: "pi_signature"}
+
+
+@pytest.mark.parametrize("protocol,forger", [("sbft-c0", 3), ("sbft-c8", 5), ("linear-pbft", 2)])
+def test_a_bad_shares_replica_never_gets_a_share_into_a_proof(protocol, forger):
+    """A forger's shares are filed like any other; every combine they spoil
+    falls back, and no proof any replica sends names the forger."""
+    proofs = []
+
+    def tap(cluster):
+        cluster.network.add_tap(lambda src, dst, message: type(message) in PROOFS and proofs.append(
+            getattr(message, PROOFS[type(message)])))
+
+    cluster, result = run_small_cluster(
+        protocol, c=1 if protocol == "sbft-c8" else None, requests_per_client=8, seed=27,
+        config_overrides={"checkpoint_interval": 4}, post_build=tap,
+        fault_plan=FaultPlan.byzantine([forger], bad_shares, 0.0))
+    assert result.run.completed_requests == 16
+    honest = [replica for node, replica in cluster.replicas.items() if node != forger]
+    assert len({replica.service.digest() for replica in honest
+                if replica.last_executed == honest[0].last_executed}) == 1
+    assert sum(stats["combine_fallbacks"] for stats in result.replica_stats.values()) > 0
+    assert proofs and all(forger not in proof.signer_ids for proof in proofs)

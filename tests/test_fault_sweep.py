@@ -180,9 +180,10 @@ def test_stale_viewchange_replica_sends_empty_outdated_evidence():
 
 
 def test_injector_activates_stale_viewchange_mid_run():
-    # LAN runs are fast; activate early enough that requests are in flight.
-    plan = FaultPlan.crash_first(1, at_time=0.05).extend(
-        FaultPlan.byzantine([3], stale_view_change, at_time=0.02)
+    # LAN runs are fast (all 16 requests finish by 0.045 s): crash the primary
+    # and activate the behaviour early enough that requests are in flight.
+    plan = FaultPlan.crash_first(1, at_time=0.02).extend(
+        FaultPlan.byzantine([3], stale_view_change, at_time=0.01)
     )
     cluster = build_cluster(
         "sbft-c0",

@@ -616,20 +616,21 @@ def test_message_cost_table_matches_formulas(sim, network, small_config, setup):
         service=KVStore(),
     )
     costs = replica.costs
+    peer = 1  # a message from the replica itself costs nothing (tests/test_replica_runtime.py)
     request = ClientRequest(client_id=0, timestamp=1, operations=(), signature=None)
-    assert replica._message_cost(request) == costs.rsa_verify
+    assert replica._message_cost(request, peer) == costs.rsa_verify
 
     pre_prepare = PrePrepare(sequence=1, view=0, requests=(request, request), digest="d", primary_signature=None)
-    assert replica._message_cost(pre_prepare) == pytest.approx(
+    assert replica._message_cost(pre_prepare, peer) == pytest.approx(
         costs.rsa_verify * 3 + costs.hash_op
     )
 
     share = setup.sigma.sign_share(0, ("sign", 1, 0, "d"))
     both = SignShare(sequence=1, view=0, replica_id=0, digest="d", sigma_share=share, tau_share=share)
     tau_only = SignShare(sequence=1, view=0, replica_id=0, digest="d", sigma_share=None, tau_share=share)
-    # Beside σ the τ share is parked (one hash); alone it is checked on arrival.
-    assert replica._message_cost(both) == costs.bls_batch_verify_per_share + costs.hash_op
-    assert replica._message_cost(tau_only) == costs.bls_batch_verify_per_share
+    # Every share is filed unchecked (one hash); its check is the combine's.
+    assert replica._message_cost(both, peer) == 2 * costs.hash_op
+    assert replica._message_cost(tau_only, peer) == costs.hash_op
 
     # Unknown message types fall back to a hash-op charge.
-    assert replica._message_cost(object()) == costs.hash_op
+    assert replica._message_cost(object(), peer) == costs.hash_op

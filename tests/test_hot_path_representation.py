@@ -233,11 +233,14 @@ def test_every_stash_on_a_sent_message_is_deeply_immutable(protocol, kwargs):
     """One broadcast hands the same instance to every recipient, so a stash
     that aliased a list or dict would let one replica's mutation reach the
     rest (the unfrozen ``_exec_plan`` operations list of PR 9).  Walked after
-    the run: stashes are filled lazily, long after the send."""
+    the run: stashes are filled lazily, long after the send.  Each run is
+    its golden with four more requests per client, so every walk covers
+    over 300 sent messages."""
     sent = []
     _cluster, result = run_small_cluster(
         protocol, post_build=lambda cluster: cluster.network.add_tap(
-            lambda src, dst, message: sent.append(message)), **kwargs,
+            lambda src, dst, message: sent.append(message)),
+        **dict(kwargs, requests_per_client=kwargs["requests_per_client"] + 4),
     )
     problems, filled = _mutable_stashes(sent)
     assert not problems, sorted(set(problems))[:10]

@@ -58,3 +58,18 @@ def test_each_metric_is_judged_by_its_own_bound_from_the_catalogue():
     summary = paired.summarise(pairs)
     assert summary["run_wall_s"]["verdict"] == "no worse"
     assert summary["peak_rss_mb"]["verdict"] == "worse"
+
+
+def test_jitter_draws_are_seeded_within_one_percent_and_draw_zero_is_exact():
+    fields = ["hash_op", "rsa_sign", "bls_verify_combined"]
+    assert paired.jitter_factors(0, fields) == {}
+    draw = paired.jitter_factors(3, fields)
+    assert draw == paired.jitter_factors(3, fields) != paired.jitter_factors(4, fields)
+    assert sorted(draw) == sorted(fields) and all(0.99 <= f <= 1.01 for f in draw.values())
+
+
+def test_jitter_wins_count_each_metric_on_its_better_side():
+    ratios = [{"sim_throughput_ops": 1.02, "sim_latency_p50_ms": 0.97, "sim_latency_p99_ms": 1.01},
+              {"sim_throughput_ops": 0.99, "sim_latency_p50_ms": 0.98, "sim_latency_p99_ms": 1.00}]
+    assert paired.jitter_wins(ratios) == {
+        "sim_throughput_ops": 1, "sim_latency_p50_ms": 2, "sim_latency_p99_ms": 0}

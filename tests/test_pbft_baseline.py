@@ -67,26 +67,15 @@ def test_pbft_survives_primary_crash_via_view_change():
     assert_agreement(cluster)
 
 
-@pytest.mark.parametrize(
-    "protocol",
-    [
-        "sbft-c0",
-        pytest.param(
-            "pbft",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="simplified PBFT view change wedges when the crash lands mid-run on a "
-                "WAN: replicas keep voting in a view after asking to leave it, so the new "
-                "primary re-assigns a sequence one replica already committed (ROADMAP item 4)",
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("protocol", ["sbft-c0", "pbft"])
 def test_primary_crash_mid_run_on_a_wan_completes_with_agreement(protocol):
     """Primary crash at 50 ms on ``continent`` with a view-change timeout
-    below the client retry timeout: SBFT recovers; the PBFT baseline ends with
-    replica 1 at 67 executed blocks and replicas 2 and 3 stuck at 3 (4 of 24
-    requests) — pinned until the view change is repaired, see ROADMAP item 4."""
+    below the client retry timeout: both stacks recover.  The PBFT baseline
+    used to end with 4 of 24 requests (replicas 2 and 3 stuck at block 3):
+    the new primary's re-proposals overtook its new-view message and were
+    dropped, and a committed slot took a later view's re-proposal.  Replicas
+    now keep a later view's pre-prepares until they enter it, and a committed
+    block stays (ROADMAP item 2)."""
     cluster, result = run_small_cluster(
         protocol,
         f=1,
@@ -100,6 +89,27 @@ def test_primary_crash_mid_run_on_a_wan_completes_with_agreement(protocol):
     )
     assert result.run.completed_requests == 24
     assert_agreement(cluster)
+
+
+@pytest.mark.parametrize("protocol", ["sbft-c0", "pbft"])
+@pytest.mark.parametrize("topology", ["continent", "lan"])
+@pytest.mark.parametrize("view_change_timeout,client_retry_timeout", [(0.5, 1.0), (1.0, 1.5), (2.0, 1.0)])
+def test_primary_crash_grid_completes_with_agreement(
+        protocol, topology, view_change_timeout, client_retry_timeout):
+    """The same crash over six seeds, both topologies and three timeout
+    pairs (ROADMAP item 2's grid): every run completes all 24 requests.  The
+    PBFT baseline completed 27 of these 36 runs before replicas kept a later
+    view's pre-prepares and committed slots kept their blocks."""
+    for seed in range(6):
+        cluster, result = run_small_cluster(
+            protocol, f=1, num_clients=4, requests_per_client=6, topology=topology, seed=seed,
+            fault_plan=FaultPlan.crash_first(1, at_time=0.05),
+            config_overrides={"view_change_timeout": view_change_timeout,
+                              "client_retry_timeout": client_retry_timeout},
+            max_sim_time=120,
+        )
+        assert result.run.completed_requests == 24, seed
+        assert_agreement(cluster)
 
 
 def test_pbft_checkpoint_garbage_collects_log():

@@ -240,3 +240,27 @@ def test_checkpoint_needs_a_quorum_for_one_state_digest():
     assert replica.last_stable == 0
     replica._on_checkpoint(_checkpoint(3 * CONFIG.f, sequence, "good"), 3 * CONFIG.f)
     assert replica.last_stable == sequence
+
+
+def test_a_committed_block_is_not_replaced_by_a_later_views_re_proposal():
+    """A new primary re-proposes what the view-change set says was prepared,
+    under a new digest (the view is part of it); a replica that already
+    committed the slot keeps its block, or it would execute another one."""
+    run = Lockstep()
+    block = _pre_prepare(1, 0, [_request(1)])
+    run.deliver(block, 0)
+    for phase in (PbftPrepare, PbftCommit):
+        for replica_id in OTHERS[:QUORUM]:
+            run.deliver(_vote(phase, replica_id, 1, 0, block.digest), replica_id)
+    assert run.slot(1).committed
+    view_changes = tuple(
+        PbftViewChange(
+            new_view=2, replica_id=replica_id, last_stable=0,
+            prepared=((1, 0, block.digest, block.requests),),
+            signature=SETUP.replica_keys(replica_id).signing_key.sign(("view-change", 2, 0)),
+        )
+        for replica_id in range(QUORUM)
+    )
+    run.deliver(PbftNewView(view=2, view_changes=view_changes), 2)
+    run.deliver(_pre_prepare(1, 2, block.requests), 2)
+    assert (run.slot(1).pre_prepare, run.slot(1).digest) == (block, block.digest)

@@ -31,8 +31,10 @@ from repro.core.messages import (
 )
 from repro.core.replica import SBFTReplica
 from repro.core.runtime import Replica
+from repro.core.viewchange import ACTION_ADOPT, NewViewPlan, SlotDecision
+from repro.crypto.hashing import block_digest
 from repro.pbft import messages as pbft_messages
-from repro.pbft.messages import PbftCommit
+from repro.pbft.messages import PbftCommit, PbftNewView, PbftViewChange
 from repro.pbft.replica import PBFTReplica
 
 ROOT = Path(repro.__file__).parent
@@ -85,10 +87,91 @@ def test_backup_forwards_a_client_request_and_starts_timing_it(replica_cls):
     request = make_request(1)
     backup._on_client_request(request, src=CLIENT_NODE)
     assert unicasts == [(0, request)]                         # relayed to the primary
-    assert backup._direct_reply_waiting == {request.request_id: 0}
+    assert backup._direct_reply_waiting == {request.request_id: request}     # held until executed
     assert backup._request_first_seen == {request.request_id: 0.0}
     assert backup._view_change_timer is not None
     assert not backup._pending_requests
+
+
+def _enter_view(replica, view, adopted):
+    """Enter ``view`` through the protocol's own new-view path, with slot 1
+    re-proposing the requests ``adopted``."""
+    if isinstance(replica, SBFTReplica):
+        decision = SlotDecision(sequence=1, action=ACTION_ADOPT, digest="d", requests=adopted)
+        replica._enter_view(view, NewViewPlan(view=view, last_stable=0, decisions={1: decision}))
+    else:
+        claim = PbftViewChange(new_view=view, replica_id=3, last_stable=0, prepared=((1, 0, "d", adopted),))
+        replica._on_new_view(PbftNewView(view=view, view_changes=(claim,) * replica.quorum), src=view)
+
+
+def test_a_new_primary_orders_the_requests_it_forwarded_to_the_old_one(replica_cls):
+    sim, replica, broadcasts, _ = _replica(replica_cls, node_id=1)
+    adopted, executed, queued, fresh = (make_request(timestamp) for timestamp in (1, 2, 3, 4))
+    for request in (adopted, executed, queued, fresh):
+        replica._on_client_request(request, src=CLIENT_NODE)  # view 0: forwarded to replica 0
+    replica._replies.record(0, 2, 5, ("stored",))             # `executed` ran meanwhile
+    replica._pending_requests.append(queued)                  # and `queued` is queued
+    _enter_view(replica, 1, (adopted,))
+    sim.run(until=0.05)                                       # past the batch timeout
+    proposals = [message.requests for message in broadcasts if isinstance(message, PrePrepare)]
+    assert proposals == [(adopted,), (queued, fresh)]          # each request proposed once
+
+
+def test_a_backup_hands_what_it_forwarded_to_the_new_primary(replica_cls):
+    sim, replica, _, unicasts = _replica(replica_cls, node_id=2)
+    adopted, fresh = make_request(1), make_request(2)
+    for request in (adopted, fresh):
+        replica._on_client_request(request, src=CLIENT_NODE)
+    del unicasts[:]
+    _enter_view(replica, 1, (adopted,))
+    assert unicasts == [(1, fresh)]
+
+
+def test_a_pre_prepare_that_overtakes_the_new_view_is_taken_on_entering_the_view(replica_cls):
+    sim, replica, _, _ = _replica(replica_cls, node_id=2)
+    requests = (make_request(1),)
+    early = PrePrepare(sequence=1, view=1, requests=requests, primary_signature=None,
+                       digest=block_digest(1, 1, [request.request_id for request in requests]))
+    replica._on_pre_prepare(early, src=1)                     # view 1's primary: kept
+    replica._on_pre_prepare(early, src=3)                     # anyone else: dropped
+    assert replica._early_pre_prepares == {(1, 1): (early, 1)} and replica.log.peek(1) is None
+    _enter_view(replica, 1, requests)
+    assert replica.log.peek(1).pre_prepare is early and replica._early_pre_prepares == {}
+
+
+def test_a_future_primarys_flood_of_pre_prepares_keeps_the_buffer_bounded(replica_cls):
+    """Replica 1 is the primary of views 1, 5, 9, ...  Only the next view
+    and the views this replica asked for are kept, inside the window, and
+    one pre-prepare per (view, sequence)."""
+    sim, replica, _, _ = _replica(replica_cls, node_id=2)
+    def flood(view, sequence, tag):
+        requests = (make_request(tag),)
+        digest = block_digest(sequence, view, [request.request_id for request in requests])
+        replica._on_pre_prepare(PrePrepare(sequence=sequence, view=view, requests=requests,
+                                           primary_signature=None, digest=digest), src=1)
+    for view in (1, 5, 9, 10_001):
+        for sequence in range(1, 3 * CONFIG.window):
+            flood(view, sequence, tag=1)
+            flood(view, sequence, tag=2)                      # a second one per slot
+    assert sorted(replica._early_pre_prepares) == [(1, sequence) for sequence in range(1, CONFIG.window + 1)]
+    replica._view_change_sent_for.add(5)                      # it asked for view 5 itself
+    flood(5, 1, tag=1)
+    assert len(replica._early_pre_prepares) == CONFIG.window + 1
+
+
+def test_a_replica_charges_nothing_for_its_own_messages(replica_cls):
+    """A message a replica sent itself costs no check, but still takes its
+    place in the queue of the message core."""
+    sim, replica, _, _ = _replica(replica_cls)
+    request = make_request(1)
+    own = replica._signed_pre_prepare(1, (request,))
+    assert replica._message_cost(own, replica.node_id) == 0.0
+    assert replica._message_cost(own, 1) == replica._cost_table[PrePrepare](own) > 0.0
+    replica.deliver(request, CLIENT_NODE)
+    replica.deliver(own, replica.node_id)
+    assert replica.cpu.total_busy_time == replica.costs.rsa_verify        # the request's check only
+    first, second = sorted(entry[:2] for entry in sim._heap)
+    assert first[0] == second[0] > 0.0                                   # queued behind it
 
 
 def test_retransmission_of_executed_request_is_answered_only_from_the_cache(replica_cls):
@@ -196,6 +279,22 @@ def test_a_message_whose_cpu_work_completes_after_a_crash_is_never_handled(repli
     assert bool(primary._request_first_seen) is not crash
 
 
+def test_the_view_change_starts_one_timeout_after_the_oldest_request(replica_cls):
+    """The timer armed for an older request that has since executed re-arms
+    for what is left of the oldest one's timeout, not for a fresh one."""
+    sim, backup, broadcasts, _ = _replica(replica_cls, node_id=2)
+    timeout = backup._view_change_timeout()
+    first, second = make_request(1), make_request(2)
+    backup._on_client_request(first, src=CLIENT_NODE)         # arms the timer for `timeout`
+    sim.run(until=0.6 * timeout)
+    backup._on_client_request(second, src=CLIENT_NODE)        # the timer is already armed
+    del backup._request_first_seen[first.request_id]          # as if `first` executed
+    sim.run(until=1.6 * timeout - 1e-6)
+    assert broadcasts == []
+    sim.run(until=1.6 * timeout + 1e-6)
+    assert [message.new_view for message in broadcasts] == [1]
+
+
 @pytest.mark.parametrize("crash", [False, True], ids=["live", "crashed"])
 def test_a_replica_timer_armed_before_a_crash_never_fires(replica_cls, crash):
     """The view-change timer is a bound ``Process._fire`` entry; a crash
@@ -256,9 +355,9 @@ def test_protocol_classes_do_not_redefine_the_runtime(replica_cls):
 
 
 def test_shares_are_checked_and_combined_in_one_place_and_view_changes_taken_in_the_runtime():
-    """``SBFTReplica._count`` / ``_combine`` hold the only ``verify_share`` and
-    ``combine`` calls of ``core/replica.py``; the view-change intake exists
-    once, in ``core/runtime.py``."""
+    """``SBFTReplica._combine`` holds the only ``verify_share`` and ``combine``
+    calls of ``core/replica.py``; the view-change intake exists once, in
+    ``core/runtime.py``."""
     trees = {cls: ast.parse(inspect.getsource(sys.modules[cls.__module__])) for cls in PROTOCOLS}
     calls = [
         node.func.attr for node in ast.walk(trees[SBFTReplica])
