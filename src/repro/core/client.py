@@ -10,6 +10,13 @@ replicas and falls back to the classic PBFT acknowledgement, waiting for
 replica it claims to come from (so one faulty replica counts once, whatever
 ids it writes into its replies).
 
+Clients follow the view.  A replica entering a view sends each client one
+signed ``ViewNotice``.  The client keeps the latest view each replica claims
+(at most n entries) and adopts the highest view f+1 of them claim, so one
+faulty replica cannot move it.  It then sends each in-flight request to that
+view's primary once, unless a retry broadcast or an earlier send reached it.
+Without f+1 notices the client still rotates its believed primary on retry.
+
 Clients can be *pipelined*: ``config.client_max_outstanding`` bounds how many
 requests one client keeps in flight concurrently (the default of 1 reproduces
 the classic closed-loop client one decision at a time).  Each in-flight
@@ -21,11 +28,12 @@ simulated node per request.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SBFTConfig
 from repro.core.log import Tally
-from repro.core.messages import ClientReply, ClientRequest, ExecuteAck
+from repro.core.messages import ClientReply, ClientRequest, ExecuteAck, ViewNotice
 from repro.core.stats import ClientStats
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
 from repro.crypto.hashing import sha256_hex
@@ -42,14 +50,17 @@ from repro.sim.process import Process
 class _InFlightRequest:
     """Book-keeping for one not-yet-acknowledged request."""
 
-    __slots__ = ("request", "issued_at", "retry_timer", "fallback_replies")
+    __slots__ = ("request", "issued_at", "retry_timer", "fallback_replies", "sent_to")
 
-    def __init__(self, request: ClientRequest, issued_at: float):
+    def __init__(self, request: ClientRequest, issued_at: float, primary: int):
         self.request = request
         self.issued_at = issued_at
         self.retry_timer: Optional[int] = None
         # f+1 fallback votes per reply-value digest.
         self.fallback_replies = Tally()
+        # Replicas sent the request alone; None once a retry broadcast
+        # reached them all.
+        self.sent_to: Optional[set] = {primary}
 
 
 class SBFTClient(Process):
@@ -101,6 +112,9 @@ class SBFTClient(Process):
         self._next_index = 0
         self._timestamp = 0
         self._believed_primary = 0
+        # Highest view adopted, and the latest view each replica claims.
+        self.view = 0
+        self._view_claims: Dict[int, int] = {}
 
         # timestamp -> in-flight state; timestamps are unique and monotone.
         self._in_flight: Dict[int, _InFlightRequest] = {}
@@ -163,7 +177,7 @@ class SBFTClient(Process):
             operations=tuple(operations),
             signature=signature,
         )
-        pending = _InFlightRequest(request, issued_at=self.sim.now)
+        pending = _InFlightRequest(request, self.sim.now, self._believed_primary)
         self._in_flight[request.timestamp] = pending
         self.network.send(self.node_id, self._believed_primary, request)
         pending.retry_timer = self.set_timer(
@@ -177,6 +191,7 @@ class SBFTClient(Process):
         pending.retry_timer = None
         # Retry path: re-send to all replicas and ask for f+1 signed replies.
         self.stats.retries += 1
+        pending.sent_to = None
         self.network.broadcast_bulk(self.node_id, pending.request, range(self.config.n))
         pending.retry_timer = self.set_timer(
             self.config.client_retry_timeout, self._on_retry_timeout, timestamp
@@ -197,6 +212,8 @@ class SBFTClient(Process):
             self.compute(self._ack_cost(message), self._on_execute_ack, message, src)
         elif isinstance(message, ClientReply):
             self.compute(self.costs.rsa_verify, self._on_client_reply, message, src)
+        elif isinstance(message, ViewNotice):
+            self.compute(self.costs.rsa_verify, self._on_view_notice, message, src)
 
     def _ack_cost(self, message: ExecuteAck) -> float:
         proof_levels = 20 if message.proof is not None else 0
@@ -255,6 +272,31 @@ class SBFTClient(Process):
         if pending.fallback_replies.add(values_digest, message.replica_id) >= self.config.f + 1:
             self.stats.fallbacks += 1
             self._complete(pending, message.values)
+
+    def _on_view_notice(self, message: ViewNotice, src: int) -> None:
+        """Follow the view (module docstring): the adopted view is the
+        (f+1)-th highest claim, so at least one correct replica reached it.
+        A client built without replica keys never follows (it rotates)."""
+        claims = self._view_claims
+        key = (self.replica_verify_keys or {}).get(message.replica_id)
+        if (
+            key is None
+            or message.view <= claims.get(message.replica_id, -1)
+            or not key.verify(("view-notice", message.view), message.signature)
+        ):
+            return
+        claims[message.replica_id] = message.view
+        if len(claims) <= self.config.f:
+            return
+        view = heapq.nlargest(self.config.f + 1, claims.values())[-1]
+        if view <= self.view:
+            return
+        self.view = view
+        primary = self._believed_primary = view % self.config.n
+        for pending in self._in_flight.values():
+            if pending.sent_to is not None and primary not in pending.sent_to:
+                pending.sent_to.add(primary)
+                self.network.send(self.node_id, primary, pending.request)
 
     def _complete(self, pending: _InFlightRequest, values: Tuple[Any, ...]) -> None:
         request = pending.request

@@ -222,6 +222,18 @@ class ClientReply:
 
 
 @frozen_record
+class ViewNotice:
+    """A replica's signed word to every client that it entered ``view``."""
+
+    msg_type = "view-notice"
+    size_bytes = _HEADER + 256
+
+    view: int
+    replica_id: int
+    signature: Signature
+
+
+@frozen_record
 class CheckpointMsg:
     """Checkpoint vote: the π-share over the state digest at a checkpoint sequence."""
 

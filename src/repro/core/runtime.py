@@ -42,6 +42,7 @@ from repro.core.messages import (
     PrePrepare,
     StateTransferRequest,
     StateTransferResponse,
+    ViewNotice,
 )
 from repro.core.reply_cache import ClientReplyTracker
 from repro.crypto.costs import CryptoCosts
@@ -562,8 +563,10 @@ class Replica(Process):
         if remaining > 0:
             self._view_change_timer = self.set_timer(remaining, self._on_view_change_timeout)
             return
+        # Escalate past every view already asked for: the primary of the
+        # last one may be down too (a repeated request would be a no-op).
         self._view_change_attempts += 1
-        self._start_view_change(self.view + 1)
+        self._start_view_change(max([self.view, *self._view_change_sent_for]) + 1)
 
     def _start_view_change(self, new_view: int) -> None:
         if new_view <= self.view or new_view in self._view_change_sent_for:
@@ -617,7 +620,9 @@ class Replica(Process):
         transfer skips ``_after_execute``) or in ``reproposed`` (ids in the
         slots the new-view plan re-proposes).  ``_pending_request_ids``
         restarts as what the view queues or re-proposes.  Then the view's
-        kept pre-prepares are handled and the primary proposes."""
+        kept pre-prepares are handled, the primary proposes, and every client
+        is told the view (one signature: ``ViewNotice``, core/client.py)."""
+        self._view_change_sent_for = {v for v in self._view_change_sent_for if v > self.view}
         self._pending_request_ids = reproposed | {r.request_id for r in self._pending_requests}
         for request_id, request in list(self._direct_reply_waiting.items()):
             if self._replies.executed(*request_id):
@@ -635,6 +640,10 @@ class Replica(Process):
             if view == self.view:
                 self._on_pre_prepare(message, src)
         self._maybe_propose()
+        self.charge_cpu(self.costs.rsa_sign)
+        notice = ViewNotice(self.view, self.node_id, self.signing_key.sign(("view-notice", self.view)))
+        for node in self.client_directory.values():
+            self._send(node, notice)
 
     # ==================================================================
     # Protocol hooks (plus the attribute ``_new_view_quorum``: how many

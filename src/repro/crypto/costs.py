@@ -20,6 +20,10 @@ by one (``bls_batch_verify_per_share`` each, every share at most once).
 Whether the paper's implementation does exactly this cannot be checked from
 the paper's text here; docs/benchmarks.md keeps the per-share rows.
 Assumption too: a replica pays no check for a message it sent itself.
+Assumption, EVM execution: ``LedgerService.execution_cost`` charges
+``evm_per_gas`` on ``min(gas_limit, 60 000)``, not on the gas a
+transaction uses; on ``evm-sbft-lan`` that is 56 128 gas per transaction
+on average against 21 463 used.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ class TimelineBucket:
     end: float
     completed_requests: int
     completed_operations: int
-    throughput: float        # operations per second within the window
+    throughput: float        # operations per second of the nominal width
     mean_latency: float      # seconds; 0.0 for an empty window
     max_latency: float       # seconds; 0.0 for an empty window
 
@@ -123,9 +123,10 @@ class LatencyRecorder:
                 end=min(end, (i + 1) * bucket_width),
                 completed_requests=requests[i],
                 completed_operations=operations[i],
-                # The final bucket may be clamped to the run's end; divide by
-                # the window it actually covers, not the nominal width.
-                throughput=operations[i] / (min(end, (i + 1) * bucket_width) - i * bucket_width),
+                # Every rate is over the nominal width, the final bucket's
+                # too: its ``end`` is clamped to the run's, but dividing by
+                # that sliver would turn a few late completions into a peak.
+                throughput=operations[i] / bucket_width,
                 mean_latency=latency_sum[i] / requests[i] if requests[i] else 0.0,
                 max_latency=latency_max[i],
             )

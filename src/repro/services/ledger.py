@@ -196,6 +196,11 @@ class LedgerService(AuthenticatedService):
         return results
 
     def execution_cost(self, operation: Operation) -> float:
+        """Modelled CPU seconds for one transaction.  Assumption (unsourced,
+        ROADMAP item 16): gas is charged on ``min(gas_limit, 60_000)``, not
+        on the gas used.  On ``evm-sbft-lan`` every call and deploy (90 % of
+        transactions) pays for 60 000 gas; the receipts average 21 463 gas
+        used, at most 54 800."""
         # The cost of an operation is a pure function of the transaction and
         # the cost model; every replica of a cluster (same cost model) charges
         # it for the same shared Operation object, so it is stashed on the

@@ -112,6 +112,23 @@ def test_primary_crash_grid_completes_with_agreement(
         assert_agreement(cluster)
 
 
+@pytest.mark.parametrize("protocol", ["sbft-c0", "pbft"])
+def test_two_consecutive_crashed_primaries_escalate_to_view_two(protocol):
+    """f=2: the primaries of views 0 and 1 both crash.  A replica whose view
+    change to 1 times out asks for view 2 (ROADMAP item 2 (iv)); it used to
+    repeat its request for view 1, a no-op, and the run wedged at view 0
+    with 4 (``pbft``) and 0 (``sbft-c0``) of 24 requests done."""
+    cluster, result = run_small_cluster(
+        protocol, f=2, num_clients=4, requests_per_client=6, topology="continent", seed=0,
+        fault_plan=FaultPlan.crash_first(2, at_time=0.05),
+        config_overrides={"view_change_timeout": 1.0, "client_retry_timeout": 1.5},
+        max_sim_time=60,
+    )
+    assert result.run.completed_requests == 24
+    assert max(r.view for r in cluster.replicas.values() if not r.crashed) == 2
+    assert_agreement(cluster)
+
+
 def test_pbft_checkpoint_garbage_collects_log():
     cluster, result = run_small_cluster(
         "pbft",

@@ -28,6 +28,7 @@ from repro.core.messages import (
     NewView,
     PrePrepare,
     StateTransferRequest,
+    ViewNotice,
 )
 from repro.core.replica import SBFTReplica
 from repro.core.runtime import Replica
@@ -371,7 +372,7 @@ def test_shares_are_checked_and_combined_in_one_place_and_view_changes_taken_in_
 
 
 #: Dispatched by the client (``core/client.py``), never by a replica.
-CLIENT_BOUND = {ExecuteAck, ClientReply}
+CLIENT_BOUND = {ExecuteAck, ClientReply, ViewNotice}
 
 
 def _dispatch_gaps(replica):

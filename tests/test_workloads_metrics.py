@@ -155,15 +155,18 @@ def test_timeline_buckets_cover_run_including_empty_windows():
 
 
 def test_timeline_final_bucket_clamped_throughput():
-    """A final bucket clamped to the run's end divides by the window it
-    actually covers, not the nominal bucket width."""
+    """A final bucket clamped to the run's end keeps its true ``end`` but
+    divides by the nominal bucket width: 10 operations in the last 0.1 s of
+    a 0.5 s bucket are 20 ops/s, not a 100 ops/s peak."""
     recorder = LatencyRecorder()
+    recorder.record(0.0, 0.2, operations=10)
     recorder.record(0.0, 2.05, operations=10)
     timeline = recorder.timeline(0.5, duration=2.1)
-    last = timeline.buckets[-1]
+    first, last = timeline.buckets[0], timeline.buckets[-1]
     assert last.start == pytest.approx(2.0)
     assert last.end == pytest.approx(2.1)
-    assert last.throughput == pytest.approx(10.0 / 0.1)
+    assert last.throughput == pytest.approx(10.0 / 0.5) == first.throughput
+    assert max(bucket.throughput for bucket in timeline.buckets) == first.throughput
 
 
 def test_phase_summary_slices_before_during_after():
