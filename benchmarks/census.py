@@ -1,8 +1,9 @@
 """The results census: every ``src/repro`` function that no result enters.
 
 Runs everything the repo reports — the five ``benchmarks/perf`` workloads at
-``--smoke``, the four examples and the six sweeps at ``--scale small`` (the
-view-change study has no ``--scale``) — in this one process under a stdlib
+``--smoke``, the four examples, the six sweeps at ``--scale small`` (the
+view-change study has no ``--scale``) and the adversary search's default
+grid — in this one process under a stdlib
 ``sys.setprofile`` hook, then prints, one per line and sorted, the
 ``module:qualname`` of each function defined under ``src/repro`` that was
 never entered.  No line numbers are printed, so an unrelated edit does not
@@ -82,6 +83,7 @@ def run_results() -> None:
     sys.path[:0] = [SRC, PERF]
     import worker
 
+    from repro.adversary import search
     from repro.experiments import harness
     from repro.experiments import viewchange_study
 
@@ -97,8 +99,9 @@ def run_results() -> None:
         module = importlib.import_module(f"repro.experiments.{sweep}")
         if harness.main(module.SWEEP, ["--scale", "small"]) != 0:
             raise SystemExit(f"{sweep} failed")
-    if harness.main(viewchange_study.SWEEP, []) != 0:
-        raise SystemExit("viewchange_study failed")
+    for sweep in (viewchange_study, search):
+        if harness.main(sweep.SWEEP, []) != 0:
+            raise SystemExit(f"{sweep.__name__} failed")
 
 
 def entered_by_results() -> Set[Tuple[str, str]]:

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.messages import PrePrepare
 from repro.crypto.threshold import SignatureShare
+from repro.pbft.messages import PbftViewChange
 from repro.records import frozen_record
 
 #: Bound on recorded messages so a pathological episode cannot hold the whole
@@ -72,12 +73,6 @@ class EquivocationEvidence:
     digest_b: Any
     message_a: Any
     message_b: Any
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind} equivocation by replica {self.culprit} at "
-            f"{self.context}: {str(self.digest_a)[:12]}... vs {str(self.digest_b)[:12]}..."
-        )
 
 
 def _signer_id(signature: Any) -> Optional[int]:
@@ -142,9 +137,6 @@ def find_view_change_equivocations(
     records: List[Tuple[int, int, Any]], verify_keys: Dict[int, Any]
 ) -> List[EquivocationEvidence]:
     """Conflicting validly signed PBFT ``last_stable`` claims per new view."""
-    # Imported lazily: SBFT-only episodes never materialize PBFT messages.
-    from repro.pbft.messages import PbftViewChange
-
     by_claim: Dict[Tuple[int, int], Dict[int, Any]] = {}
     for _src, _dst, message in records:
         if type(message) is not PbftViewChange or message.signature is None:
@@ -245,14 +237,14 @@ def find_share_equivocations(
 def find_equivocations(
     records: List[Tuple[int, int, Any]],
     verify_keys: Dict[int, Any],
-    schemes: Optional[Dict[str, Any]] = None,
+    schemes: Dict[str, Any],
 ) -> List[EquivocationEvidence]:
     """All reconstructable equivocation evidence in a message log."""
-    evidence = find_pre_prepare_equivocations(records, verify_keys)
-    evidence.extend(find_view_change_equivocations(records, verify_keys))
-    if schemes:
-        evidence.extend(find_share_equivocations(records, schemes))
-    return evidence
+    return (
+        find_pre_prepare_equivocations(records, verify_keys)
+        + find_view_change_equivocations(records, verify_keys)
+        + find_share_equivocations(records, schemes)
+    )
 
 
 def verify_evidence(
@@ -284,8 +276,6 @@ def verify_evidence(
             and key.verify(("pre-prepare", b.sequence, b.view, b.digest), b.primary_signature)
         )
     if evidence.kind == "view-change":
-        from repro.pbft.messages import PbftViewChange
-
         if type(a) is not PbftViewChange or type(b) is not PbftViewChange:
             return False
         if a.new_view != b.new_view or (a.new_view,) != evidence.context:

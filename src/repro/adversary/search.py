@@ -1,16 +1,20 @@
-"""Randomized strategy search over the adversary lab's episode space.
+"""Randomized strategy search: adversary episodes as sweep points.
 
 ``python -m repro.adversary.search`` samples fixed-seed episodes from the
-strategy/parameter/timing space (:mod:`repro.adversary.strategies`), runs
-each one through the safety and liveness oracles
-(:mod:`repro.adversary.lab`) and reports every violation.  Sampling is done
-serially upfront from ``--seed``, so the episode list — and therefore every
-row — is identical between ``--jobs 1`` and ``--jobs N``.
+strategy/parameter/timing space (:mod:`repro.adversary.strategies`).  Each
+episode is a :class:`~repro.experiments.harness.Point` with an
+:class:`~repro.experiments.harness.Attack` (:func:`episode_point`), run by
+the one point runner, ``harness.run_point``, whose cluster checks agreement
+on every run.  A row reports two verdicts: *safety* (no two honest replicas
+executed different blocks at a sequence) and *liveness* (every request
+completed within the budget).  Sampling is done serially upfront from
+``--seed``, so the point list — and therefore every row — is identical
+between ``--jobs 1`` and ``--jobs N``.
 
 Violations are shrunk by the delta-debugging minimizer
 (:mod:`repro.adversary.minimize`) into the smallest reproducing
-``(strategy, params, seed)`` triple; ``--corpus-dir`` writes each minimized
-triple as a JSON file suitable for ``tests/adversary_corpus/``, and
+``(strategy, params, seed)`` point; ``--corpus-dir`` writes each one as a
+JSON file suitable for ``tests/adversary_corpus/``, and
 ``--violations-json`` writes the machine-readable CI artifact.
 
 Against the sound protocol stacks every strategy must lose, so a violation
@@ -24,13 +28,14 @@ from __future__ import annotations
 import json
 import random
 import sys
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.adversary.lab import EpisodeReport, EpisodeSpec, run_episode
 from repro.adversary.minimize import minimize, non_default_params
-from repro.adversary.strategies import STRATEGIES, STRATEGY_KINDS
+from repro.adversary.strategies import STRATEGIES, STRATEGY_KINDS, get_strategy
 from repro.errors import ConfigurationError
 from repro.experiments import harness
+from repro.experiments.harness import KV, Attack, Point
+from repro.protocols.cluster import ClusterResult
 from repro.protocols.registry import get_protocol
 
 DEFAULT_PROTOCOLS = ("sbft-c0", "pbft")
@@ -40,17 +45,60 @@ DEFAULT_EPISODES = 25
 def eligible_strategies(protocol: str, strategies: Sequence[str]) -> List[str]:
     """The requested strategy kinds that apply to ``protocol``, catalog order."""
     kind = get_protocol(protocol).kind
-    requested = set(strategies)
-    for name in sorted(requested):
-        if name not in STRATEGIES:
-            raise ConfigurationError(
-                f"unknown adversary strategy {name!r} (known: {', '.join(STRATEGY_KINDS)})"
-            )
+    requested = {get_strategy(name).KIND for name in sorted(strategies)}
     return [
         name
         for name in STRATEGY_KINDS
         if name in requested and kind in STRATEGIES[name].PROTOCOLS
     ]
+
+
+def episode_point(
+    protocol: str,
+    strategy: str,
+    seed: int,
+    params: Optional[Dict[str, Any]] = None,
+    plant_weak_quorum: bool = False,
+) -> Point:
+    """The episode shape, from a corpus entry's fields: ``f = 1`` (n = 4 at
+    c = 0, the smallest group that survives one byzantine replica) on a LAN,
+    two clients × six requests, blocks of 2 (so equivocating proposals
+    really conflict), short timers so view changes and client retries
+    resolve inside a 60-simulated-second budget."""
+    attack = Attack(strategy, tuple(sorted((params or {}).items())), plant_weak_quorum)
+    planted = "+weak-quorum" if plant_weak_quorum else ""
+    shown = ";".join(f"{name}={value}" for name, value in attack.params)
+    return Point(
+        protocol=protocol,
+        f=1,
+        clients=2,
+        workload=KV(requests=6, batch=2),
+        label=f"{protocol}/{strategy}{planted}@{seed}[{shown}]",
+        topology="lan",
+        block_batch=2,
+        seed=seed,
+        config_overrides={
+            "fast_path_timeout": 0.05,
+            "batch_timeout": 0.01,
+            "view_change_timeout": 1.0,
+            "client_retry_timeout": 1.5,
+            "checkpoint_interval": 4,
+        },
+        max_sim_time=60.0,
+        adversary=attack,
+    )
+
+
+def episode_fields(point: Point) -> Dict[str, Any]:
+    """The corpus entry fields of ``point``: ``episode_point(**fields)``."""
+    attack = point.adversary
+    return {
+        "protocol": point.protocol,
+        "strategy": attack.strategy,
+        "seed": point.seed,
+        "params": dict(attack.params),
+        "plant_weak_quorum": attack.plant_weak_quorum,
+    }
 
 
 def sample_episodes(
@@ -59,10 +107,10 @@ def sample_episodes(
     protocols: Sequence[str] = DEFAULT_PROTOCOLS,
     strategies: Sequence[str] = STRATEGY_KINDS,
     plant_weak_quorum: bool = False,
-) -> List[EpisodeSpec]:
-    """Sample ``episodes`` specs from the strategy/parameter/timing space.
+) -> List[Point]:
+    """Sample ``episodes`` points from the strategy/parameter/timing space.
 
-    One serial pass over one seeded RNG: the resulting spec list is a pure
+    One serial pass over one seeded RNG: the resulting point list is a pure
     function of the arguments, which is what makes ``--jobs N`` rows
     byte-identical to serial rows (workers never touch this RNG).
     """
@@ -75,7 +123,7 @@ def sample_episodes(
                 f"no requested strategy applies to protocol {protocol!r}"
             )
     rng = random.Random(seed)
-    specs: List[EpisodeSpec] = []
+    points: List[Point] = []
     for _ in range(episodes):
         protocol = protocols[rng.randrange(len(protocols))]
         eligible = by_protocol[protocol]
@@ -85,77 +133,79 @@ def sample_episodes(
         for name in sorted(space):
             candidates = space[name]
             params[name] = candidates[rng.randrange(len(candidates))]
-        specs.append(
-            EpisodeSpec(
-                protocol=protocol,
-                strategy=strategy,
-                seed=rng.randrange(1_000_000),
-                params=tuple(sorted(params.items())),
-                plant_weak_quorum=plant_weak_quorum,
+        points.append(
+            episode_point(
+                protocol, strategy, rng.randrange(1_000_000), params, plant_weak_quorum
             )
         )
-    return specs
+    return points
 
 
-def run_search_episode(spec: EpisodeSpec) -> EpisodeReport:
-    """Forensics always runs: evidence reconstruction is part of what the
-    search exercises, and ``evidence_count`` is a row-level signal."""
-    return run_episode(spec, forensics=True)
+def liveness_ok(point: Point, result: ClusterResult) -> bool:
+    """Every request of every client completed within the budget."""
+    return result.run.completed_requests >= point.clients * point.workload.requests
 
 
-def episode_row(spec: EpisodeSpec, report: EpisodeReport) -> Dict:
+def verdict(point: Point, result: ClusterResult) -> str:
+    """``ok``, or the violated verdicts (``SAFETY``, ``LIVENESS``) joined by ``+``."""
+    failed = ["SAFETY"] if result.disagreements else []
+    if not liveness_ok(point, result):
+        failed.append("LIVENESS")
+    return "+".join(failed) or "ok"
+
+
+def episode_row(point: Point, result: ClusterResult) -> Dict:
+    attack = point.adversary
     return {
-        "label": spec.describe(),
-        "protocol": spec.protocol,
-        "strategy": spec.strategy,
-        "episode_seed": spec.seed,
-        "params": dict(spec.params),
-        "plant_weak_quorum": spec.plant_weak_quorum,
-        "verdict": report.verdict(),
-        "safety_ok": report.safety_ok,
-        "liveness_ok": report.liveness_ok,
-        "completed_requests": report.completed,
-        "expected_requests": report.expected,
+        "label": point.label,
+        "protocol": point.protocol,
+        "strategy": attack.strategy,
+        "episode_seed": point.seed,
+        "params": dict(attack.params),
+        "plant_weak_quorum": attack.plant_weak_quorum,
+        "verdict": verdict(point, result),
+        "safety_ok": not result.disagreements,
+        "liveness_ok": liveness_ok(point, result),
+        "completed_requests": result.run.completed_requests,
+        "expected_requests": point.clients * point.workload.requests,
         "violations": [
             {"sequence": sequence, "digests": list(digests)}
-            for sequence, digests in report.violations
+            for sequence, digests in result.disagreements
         ],
-        "compromised": list(report.compromised),
-        "evidence_count": report.evidence_count,
+        "compromised": list(result.compromised),
+        "evidence_count": len(result.evidence),
     }
 
 
 def _reproduces_same_verdict(row: Dict):
-    """Predicate preserving the *specific* oracle failure of ``row``."""
+    """Predicate preserving the *specific* failed verdict of ``row``."""
     want_safety_broken = not row["safety_ok"]
 
-    def reproduces(spec: EpisodeSpec) -> bool:
-        report = run_episode(spec)
+    def reproduces(point: Point) -> bool:
+        result = harness.run_point(point)
         if want_safety_broken:
-            return not report.safety_ok
-        return not report.liveness_ok
+            return bool(result.disagreements)
+        return not liveness_ok(point, result)
 
     return reproduces
 
 
-def minimize_violations(
-    specs: Sequence[EpisodeSpec], rows: Sequence[Dict]
-) -> List[Dict]:
+def minimize_violations(points: Sequence[Point], rows: Sequence[Dict]) -> List[Dict]:
     """Shrink every violating episode; returns corpus-ready entry dicts."""
     entries: List[Dict] = []
-    for spec, row in zip(specs, rows):
+    for point, row in zip(points, rows):
         if row["verdict"] == "ok":
             continue
-        minimized = minimize(spec, _reproduces_same_verdict(row))
-        replay = run_episode(minimized)
+        minimized = minimize(point, _reproduces_same_verdict(row))
+        replay = harness.run_point(minimized)
         entries.append(
             {
-                "spec": minimized.as_dict(),
+                "spec": episode_fields(minimized),
                 "expect": {
-                    "safety_ok": replay.safety_ok,
-                    "liveness_ok": replay.liveness_ok,
+                    "safety_ok": not replay.disagreements,
+                    "liveness_ok": liveness_ok(minimized, replay),
                 },
-                "found_by": spec.as_dict(),
+                "found_by": episode_fields(point),
                 "non_default_params": len(non_default_params(minimized)),
             }
         )
@@ -194,22 +244,23 @@ TABLE_COLUMNS = (
     "cpu_us_per_event",
 )
 
-#: Search rows document oracle verdicts, not client-visible throughput, so
-#: the schema is standalone rather than extending COMMON_ROW_SCHEMA.
+#: Search rows document safety and liveness verdicts, not client-visible
+#: throughput, so the schema is standalone rather than extending
+#: COMMON_ROW_SCHEMA.
 ROW_SCHEMA: Dict[str, str] = {
-    "label": "episode spec in protocol/strategy@seed[params] form",
+    "label": "episode point in protocol/strategy@seed[params] form",
     "protocol": "protocol variant the episode ran against",
     "strategy": "adversary strategy kind (see repro.adversary.strategies)",
     "episode_seed": "fixed seed of this episode's simulation",
     "params": "strategy parameters of this episode",
     "plant_weak_quorum": "episode ran on the planted weak-quorum config (WeakQuorumConfig)",
-    "verdict": "'ok' or the violated oracles ('SAFETY', 'LIVENESS', ...)",
+    "verdict": "'ok' or the violated verdicts ('SAFETY', 'LIVENESS', ...)",
     "safety_ok": "no two honest replicas executed different blocks at a sequence",
     "liveness_ok": "every correct client completed all requests in budget",
     "completed_requests": "client requests acknowledged by the cluster",
     "expected_requests": "clients x requests_per_client for the episode shape",
-    "violations": "per-sequence conflicting block digests (safety oracle)",
-    "compromised": "replica ids the strategy compromised",
+    "violations": "per-sequence conflicting block digests (the agreement monitor)",
+    "compromised": "replica ids the agreement monitor did not judge (the strategy's)",
     "evidence_count": "signed equivocation proofs reconstructed by forensics",
     "wall_seconds": "host wall-clock cost of the episode (information, not gated)",
     "cpu_seconds": "host per-process CPU cost of the episode (not gated)",
@@ -220,16 +271,16 @@ ROW_SCHEMA: Dict[str, str] = {
 }
 
 
-def report_violations(args, specs: List[EpisodeSpec], rows: List[Dict]) -> int:
+def report_violations(args, points: List[Point], rows: List[Dict]) -> int:
     """Minimize and record every violation; the exit status says whether the
     search met its contract (none on a sound stack, some with
     ``--expect-violation``)."""
     violating = [row for row in rows if row["verdict"] != "ok"]
     print(f"{len(rows)} episodes, {len(violating)} violations")
-    entries = minimize_violations(specs, rows)
+    entries = minimize_violations(points, rows)
     for entry in entries:
         print(
-            f"minimized: {EpisodeSpec.from_dict(entry['spec']).describe()} "
+            f"minimized: {episode_point(**entry['spec']).label} "
             f"({entry['non_default_params']} non-default params)"
         )
     if args.corpus_dir and entries:
@@ -263,7 +314,6 @@ SWEEP = harness.Sweep(
     "--episodes 25 --seed 0 --violations-json violations.json",
     row_schema=ROW_SCHEMA,
     grid=sample_episodes,
-    run_point=run_search_episode,
     row=episode_row,
     table_columns=TABLE_COLUMNS,
     axes={

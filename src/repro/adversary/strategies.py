@@ -1,11 +1,11 @@
-"""Pluggable byzantine strategies for the adversary lab.
+"""Pluggable byzantine strategies, and the planted weakness they hunt.
 
 Every strategy is an :class:`Adversary` subclass describing *one* scripted
 attack: which replicas it compromises, what it does with the network
 interceptor (:meth:`repro.sim.network.Network.set_interceptor`) and which
 replica behaviours (:mod:`repro.adversary.behaviours`) it installs on them.
 Strategies are pure functions of their parameters and the episode seed — they
-draw no randomness of their own, so a fixed-seed episode is byte-identical
+draw no randomness of their own, so a fixed-seed run is byte-identical
 across runs and across ``--jobs`` workers.
 
 The registry at the bottom is one literal: ``STRATEGIES`` keys every class by
@@ -21,6 +21,7 @@ minimized repro.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.adversary.behaviours import (
@@ -30,6 +31,7 @@ from repro.adversary.behaviours import (
     stale_view_change,
     stale_view_change_message,
 )
+from repro.core.config import SBFTConfig
 from repro.crypto.hashing import sha256_hex
 from repro.errors import ConfigurationError
 from repro.pbft.messages import PbftCheckpoint
@@ -41,10 +43,11 @@ class Adversary:
     Subclasses set :attr:`KIND` (the registry key), :attr:`PROTOCOLS` (the
     ``ProtocolSpec.kind`` values the strategy applies to) and
     :attr:`PARAM_SPACE` (ordered candidate tuples per parameter, benign
-    default first), and implement :meth:`install`, which receives the
-    :class:`repro.adversary.lab.AdversaryLab` wrapped around a fully built
-    cluster and arms the attack (compromise replicas, install an interceptor,
-    schedule activations).  ``install`` runs before the first simulator
+    default first), and implement :meth:`install`, which receives the fully
+    built :class:`~repro.protocols.cluster.Cluster` and arms the attack: it
+    adds the replicas it takes over to ``cluster.compromised`` (the agreement
+    monitor does not judge them), installs a network interceptor or
+    schedules activations.  ``install`` runs before the first simulator
     event.
     """
 
@@ -63,14 +66,14 @@ class Adversary:
             merged[name] = value
         self.params = merged
 
-    def install(self, lab) -> None:
+    def install(self, cluster) -> None:
         raise NotImplementedError
 
 
-def _activate_at(lab, replica_id: int, behaviour: Callable, at_time: float) -> None:
+def _activate_at(cluster, replica_id: int, behaviour: Callable, at_time: float) -> None:
     """Compromise ``replica_id`` and install ``behaviour`` on it at ``at_time``."""
-    lab.compromise(replica_id)
-    lab.sim.schedule(max(0.0, at_time), behaviour, lab.replicas[replica_id])
+    cluster.compromised.add(replica_id)
+    cluster.sim.schedule(max(0.0, at_time), behaviour, cluster.replicas[replica_id])
 
 
 class EquivocatingPrimary(Adversary):
@@ -85,8 +88,8 @@ class EquivocatingPrimary(Adversary):
     KIND = "equivocating-primary"
     PARAM_SPACE = {"activate_at": (0.0, 0.01, 0.05)}
 
-    def install(self, lab) -> None:
-        _activate_at(lab, 0, equivocate, self.params["activate_at"])
+    def install(self, cluster) -> None:
+        _activate_at(cluster, 0, equivocate, self.params["activate_at"])
 
 
 class DelayToCollectors(Adversary):
@@ -107,20 +110,20 @@ class DelayToCollectors(Adversary):
         "duration": (1.0, 4.0),
     }
 
-    def install(self, lab) -> None:
-        n = lab.config.n
+    def install(self, cluster) -> None:
+        n = cluster.config.n
         victims = frozenset(range(n - int(self.params["victims"]), n))
         extra = float(self.params["extra_delay"])
         start = float(self.params["start"])
         end = start + float(self.params["duration"])
-        sim = lab.sim
+        sim = cluster.sim
 
         def intercept(src: int, dst: int, message: Any):
             if src < n and dst in victims and start <= sim.now < end:
                 return message, extra
             return message, 0.0
 
-        lab.set_interceptor(intercept)
+        cluster.network.set_interceptor(intercept)
 
 
 class SilenceToCollectors(Adversary):
@@ -139,19 +142,19 @@ class SilenceToCollectors(Adversary):
         "duration": (0.5, 2.0),
     }
 
-    def install(self, lab) -> None:
-        n = lab.config.n
+    def install(self, cluster) -> None:
+        n = cluster.config.n
         victims = frozenset(range(n - int(self.params["victims"]), n))
         start = float(self.params["start"])
         end = start + float(self.params["duration"])
-        sim = lab.sim
+        sim = cluster.sim
 
         def intercept(src: int, dst: int, message: Any):
             if src < n and dst in victims and start <= sim.now < end:
                 return None
             return message, 0.0
 
-        lab.set_interceptor(intercept)
+        cluster.network.set_interceptor(intercept)
 
 
 class ViewChangeSpam(Adversary):
@@ -174,12 +177,12 @@ class ViewChangeSpam(Adversary):
         "equivocate_claims": (False, True),
     }
 
-    def install(self, lab) -> None:
-        n = lab.config.n
+    def install(self, cluster) -> None:
+        n = cluster.config.n
         spammer_id = n - 1
-        lab.compromise(spammer_id)
-        replica = lab.replicas[spammer_id]
-        network = lab.network
+        cluster.compromised.add(spammer_id)
+        replica = cluster.replicas[spammer_id]
+        network = cluster.network
         jump = int(self.params["jump"])
         conflicting_claims = bool(self.params["equivocate_claims"])
         peers = tuple(range(n))
@@ -199,7 +202,7 @@ class ViewChangeSpam(Adversary):
         start = float(self.params["start"])
         period = float(self.params["period"])
         for index in range(int(self.params["count"])):
-            lab.sim.schedule(start + index * period, spam_once)
+            cluster.sim.schedule(start + index * period, spam_once)
 
 
 class StaleCheckpointLies(Adversary):
@@ -221,12 +224,12 @@ class StaleCheckpointLies(Adversary):
         "repeat": (1, 3),
     }
 
-    def install(self, lab) -> None:
-        n = lab.config.n
+    def install(self, cluster) -> None:
+        n = cluster.config.n
         liar_id = n - 1
-        lab.compromise(liar_id)
-        replica = lab.replicas[liar_id]
-        network = lab.network
+        cluster.compromised.add(liar_id)
+        replica = cluster.replicas[liar_id]
+        network = cluster.network
         ahead = int(self.params["claim_ahead"])
         peers = tuple(range(n))
 
@@ -246,7 +249,7 @@ class StaleCheckpointLies(Adversary):
 
         start = float(self.params["start"])
         for index in range(int(self.params["repeat"])):
-            lab.sim.schedule(start + index * 0.01, lie_once)
+            cluster.sim.schedule(start + index * 0.01, lie_once)
 
 
 class SilentReplica(Adversary):
@@ -255,8 +258,8 @@ class SilentReplica(Adversary):
     KIND = "silent-replica"
     PARAM_SPACE = {"replica": (1, 3), "activate_at": (0.0, 1.0)}
 
-    def install(self, lab) -> None:
-        _activate_at(lab, int(self.params["replica"]), silent, self.params["activate_at"])
+    def install(self, cluster) -> None:
+        _activate_at(cluster, int(self.params["replica"]), silent, self.params["activate_at"])
 
 
 class BadShares(Adversary):
@@ -271,8 +274,8 @@ class BadShares(Adversary):
     PROTOCOLS = ("sbft",)
     PARAM_SPACE = {"replica": (1, 3), "activate_at": (0.0, 0.5)}
 
-    def install(self, lab) -> None:
-        _activate_at(lab, int(self.params["replica"]), bad_shares, self.params["activate_at"])
+    def install(self, cluster) -> None:
+        _activate_at(cluster, int(self.params["replica"]), bad_shares, self.params["activate_at"])
 
 
 class StaleViewChange(Adversary):
@@ -281,10 +284,32 @@ class StaleViewChange(Adversary):
     KIND = "stale-viewchange"
     PARAM_SPACE = {"replica": (3, 1), "activate_at": (0.0, 0.5)}
 
-    def install(self, lab) -> None:
+    def install(self, cluster) -> None:
         _activate_at(
-            lab, int(self.params["replica"]), stale_view_change, self.params["activate_at"]
+            cluster, int(self.params["replica"]), stale_view_change, self.params["activate_at"]
         )
+
+
+#: The planted weakness: a two-vote prepare/commit quorum at f=1 lets an
+#: equivocating primary commit both parity halves.
+PLANTED_WEAK_QUORUM = 2
+
+
+@dataclass(frozen=True)
+class WeakQuorumConfig(SBFTConfig):
+    """The honest configuration with the planted weakness: the linear-PBFT
+    prepare/commit threshold (``tau_threshold``, which ``TrustedSetup`` deals
+    τ from) and the PBFT replica quorum (``pbft_quorum``) are both
+    :data:`PLANTED_WEAK_QUORUM`, so the search has a real safety violation to
+    find.  Only points whose adversary plants the weak quorum build one."""
+
+    @property
+    def tau_threshold(self) -> int:
+        return PLANTED_WEAK_QUORUM
+
+    @property
+    def pbft_quorum(self) -> int:
+        return PLANTED_WEAK_QUORUM
 
 
 #: Every strategy, keyed by its ``KIND``, in catalog order (docs/adversary.md):

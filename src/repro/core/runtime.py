@@ -216,11 +216,11 @@ class Replica(Process):
         self._state_transfer_seq = -1
         self._state_transfer_at = float("-inf")
 
-        # Adversary-lab hook: called as ``observer(node_id, sequence,
-        # block_digest)`` after each block executes (None = no observer).
-        # The safety oracle in repro.adversary compares the *block* digest
-        # across replicas: it is the decision at that sequence, while the
-        # state digest also depends on every block executed before it.
+        # Called as ``observer(node_id, sequence, block_digest)`` after each
+        # block executes (None = no observer).  ``Cluster`` points it at its
+        # agreement monitor, which compares the *block* digest across
+        # replicas: it is the decision at that sequence, while the state
+        # digest also depends on every block executed before it.
         self.execution_observer: Optional[Any] = None
 
         # Cached broadcast destination list (the peer set is fixed for the

@@ -103,7 +103,7 @@ def _faulty_primary_plan(protocol: str, n: int, f: int, c: int) -> FaultPlan:
         # its empty evidence.  The behaviour covers PBFT too (see
         # repro.adversary.behaviours), but the committed BENCH_fault_sweep.json
         # trajectories predate it, so the PBFT scenario stays a plain primary
-        # crash; the adversary lab covers the Byzantine PBFT view change.
+        # crash; the adversary search covers the Byzantine PBFT view change.
         plan = plan.extend(FaultPlan.byzantine([n - 1], stale_view_change, at_time=0.0))
     return plan
 

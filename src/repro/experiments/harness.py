@@ -9,7 +9,9 @@ value for overnight runs.  Every committed ``BENCH_*.json`` document
 records the scale that produced it (docs/benchmarks.md).
 
 Every cluster sweep point is one plain-data :class:`Point`, and
-:func:`run_point` is the one place a point's cluster is built and run.
+:func:`run_point` is the one place a point's cluster is built and run; a
+point with an :class:`Attack` is an adversary episode (the adversary search's
+points, :mod:`repro.adversary.search`).
 
 Every experiment of :mod:`repro.experiments` and the adversary search share
 one grid runner: a module describes itself as a :class:`Sweep`, :func:`run`
@@ -29,11 +31,13 @@ import argparse
 import json
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.adversary.forensics import MessageLog, find_equivocations
+from repro.adversary.strategies import WeakQuorumConfig, get_strategy
 from repro.errors import ConfigurationError
-from repro.protocols.cluster import ClusterResult, build_cluster
+from repro.protocols.cluster import Cluster, ClusterResult, build_cluster
 from repro.protocols.registry import protocol_sizes
 from repro.sim.faults import FaultPlan
 from repro.version import __version__
@@ -89,6 +93,18 @@ class Ethereum:
 
 
 @dataclass(frozen=True)
+class Attack:
+    """A point's adversary: a strategy kind of
+    :mod:`repro.adversary.strategies`, its parameters as sorted ``(name,
+    value)`` pairs, and whether the run plants the weak quorum
+    (:class:`~repro.adversary.strategies.WeakQuorumConfig`)."""
+
+    strategy: str
+    params: Tuple[Tuple[str, Any], ...] = ()
+    plant_weak_quorum: bool = False
+
+
+@dataclass(frozen=True)
 class Point:
     """One cluster sweep point, as plain data; :func:`run_point` runs it.
 
@@ -96,7 +112,8 @@ class Point:
     one n/c rule.  ``tags`` are the grid's own axis values (a fault-scenario
     name, a primary fault) that its row reports and the run does not read.
     ``timeline_bucket`` and ``fault_phase`` are the fault sweep's
-    :meth:`~repro.protocols.cluster.Cluster.run` requests.
+    :meth:`~repro.protocols.cluster.Cluster.run` requests.  ``adversary``
+    is None or the :class:`Attack` the run installs.
     """
 
     protocol: str
@@ -113,6 +130,7 @@ class Point:
     tags: Dict[str, Any] = field(default_factory=dict)
     timeline_bucket: Optional[float] = None
     fault_phase: Optional[Tuple[float, float]] = None
+    adversary: Optional[Attack] = None
 
     @property
     def n(self) -> int:
@@ -120,7 +138,12 @@ class Point:
 
 
 def run_point(point: Point, sanitize: bool = False) -> ClusterResult:
-    """Build and run one point's cluster: the experiments' one cluster run."""
+    """Build and run one point's cluster: the experiments' one cluster run.
+
+    A point's adversary is installed after the fault plan and before the
+    first event, with a forensics log tapping every sent message; the
+    result then carries the equivocation evidence found in that log.
+    """
     cluster = build_cluster(
         point.protocol,
         f=point.f,
@@ -131,7 +154,19 @@ def run_point(point: Point, sanitize: bool = False) -> ClusterResult:
         fault_plan=point.fault_plan,
         config_overrides=point.config_overrides,
     )
-    return cluster.run(
+    attack = point.adversary
+    if attack is not None:
+        log = MessageLog()
+        adversary = get_strategy(attack.strategy)(dict(attack.params))
+        if attack.plant_weak_quorum:
+            cluster.config = WeakQuorumConfig(**asdict(cluster.config))
+
+        def install(built: Cluster) -> None:
+            built.network.add_tap(log.tap)
+            adversary.install(built)
+
+        cluster.post_build = install
+    result = cluster.run(
         point.workload.build(point),
         max_sim_time=point.max_sim_time,
         label=point.label,
@@ -139,6 +174,12 @@ def run_point(point: Point, sanitize: bool = False) -> ClusterResult:
         fault_phase=point.fault_phase,
         sanitize=sanitize,
     )
+    if attack is not None:
+        setup = cluster.setup
+        verify_keys = {i: setup.replica_verify_key(i) for i in range(cluster.config.n)}
+        schemes = {scheme.name: scheme for scheme in (setup.sigma, setup.tau, setup.pi)}
+        result.evidence = find_equivocations(log.records, verify_keys, schemes)
+    return result
 
 
 def scale_entry(table: Dict[str, Any], name: str) -> Any:
@@ -188,13 +229,11 @@ class Sweep:
     """What one sweep tells the grid runner (:func:`run` and :func:`main`).
 
     ``grid`` maps keyword grid axes (``scale_name`` when the sweep has
-    ``scales``, ``seed``, and the ``axes`` names) to the ordered points;
-    ``run_point`` runs one point and is the only timed call (a cluster
-    sweep's points are :class:`Point` records and its ``run_point`` is
-    :func:`run_point`); ``row`` turns ``(point, result)`` into the row
-    without its cost fields.  All three are module-level functions and
-    points are plain data, so a ``(sweep, point)`` pair pickles for the
-    worker processes.  ``axes`` are the sweep's own CLI flags, ``grid``
+    ``scales``, ``seed``, and the ``axes`` names) to the ordered
+    :class:`Point` records, which :func:`run_point` runs (the only timed
+    call); ``row`` turns ``(point, result)`` into the row without its cost
+    fields.  Both are module-level functions and points are plain data, so
+    a ``(sweep, point)`` pair pickles for the worker processes.  ``axes`` are the sweep's own CLI flags, ``grid``
     keyword -> argparse options: a flag that is not passed leaves ``grid``'s
     default in force, and passing any of them marks the run as a partial
     grid for the baseline gate.  ``report_flags`` are
@@ -206,10 +245,9 @@ class Sweep:
     summary: str
     example: str
     row_schema: Dict[str, str]
-    grid: Callable[..., List[Any]]
-    row: Callable[[Any, Any], Dict]
+    grid: Callable[..., List[Point]]
+    row: Callable[[Point, ClusterResult], Dict]
     axes: Dict[str, Dict]
-    run_point: Callable[[Any], Any] = run_point
     scales: Sequence[str] = ()
     table_columns: Optional[Sequence[str]] = None
     report_flags: Dict[str, Dict] = field(default_factory=dict)
@@ -221,7 +259,7 @@ def _run_sweep_point(spec: Tuple[Sweep, Any]) -> Dict:
     sweep, point = spec
     started = time.perf_counter()
     cpu_started = time.process_time()
-    result = sweep.run_point(point)
+    result = run_point(point)
     wall = time.perf_counter() - started
     cpu = time.process_time() - cpu_started
     events = max(1, result.events_processed)

@@ -49,6 +49,13 @@ class ClusterResult:
     faults_planned: int = 0      # fault actions in the cluster's plan
     faults_fired: int = 0        # of those, the actions that activated
     max_view: int = 0            # highest view a non-crashed replica ended in
+    # The agreement monitor's verdict: ``(sequence, conflicting block
+    # digests)`` wherever honest replicas executed different blocks.
+    disagreements: Tuple[Tuple[int, Tuple[str, ...]], ...] = ()
+    compromised: Tuple[int, ...] = ()  # replicas the monitor did not judge
+    # Signed equivocation evidence; ``harness.run_point`` fills it on a
+    # point with an adversary (``repro.adversary.forensics``).
+    evidence: Any = ()
     # Populated only when the run was sanitized (``Cluster.run(sanitize=True)``):
     # the rolling decision-hash chain over every executed event and the
     # per-event records behind it.
@@ -71,6 +78,38 @@ class ClusterResult:
     @property
     def completed_operations(self) -> int:
         return self.run.completed_operations
+
+
+class AgreementMonitor:
+    """One block per sequence across honest replicas, checked on every run.
+
+    Every replica's ``execution_observer`` reports each block it executes;
+    the monitor keeps the first digest per sequence and every other digest an
+    honest replica executed there.  It compares *block* digests, the decision
+    at a sequence; a state digest also depends on every earlier block.
+    Replicas in ``compromised`` are skipped (a byzantine replica executing
+    garbage is not a protocol violation); the set is complete before the
+    first event, so each observation is judged as it arrives.
+    """
+
+    def __init__(self, compromised: set):
+        self.compromised = compromised
+        self._decided: Dict[int, str] = {}
+        self._conflicts: Dict[int, set] = {}
+
+    def observe(self, node_id: int, sequence: int, digest: str) -> None:
+        if node_id in self.compromised:
+            return
+        decided = self._decided.setdefault(sequence, digest)
+        if decided != digest:
+            self._conflicts.setdefault(sequence, {decided}).add(digest)
+
+    def disagreements(self) -> Tuple[Tuple[int, Tuple[str, ...]], ...]:
+        """``(sequence, sorted conflicting digests)``, by sequence."""
+        return tuple(
+            (sequence, tuple(sorted(self._conflicts[sequence])))
+            for sequence in sorted(self._conflicts)
+        )
 
 
 class Cluster:
@@ -104,10 +143,15 @@ class Cluster:
         self.injector: Optional[FaultInjector] = None
         self.recorder = LatencyRecorder()
         self.sanitizer: Optional[Any] = None
-        # Adversary-lab hook: called as ``post_build(cluster)`` once the
-        # cluster is fully wired (replicas, clients, network, fault plan) but
-        # before any event runs — the point where strategies install
-        # interceptors, observers and compromised-replica behaviour.
+        # Replicas the agreement monitor does not judge: each run fills it
+        # from the fault plan's ``byzantine`` entries, and an adversary's
+        # ``install`` adds the replicas it takes over.
+        self.compromised: set = set()
+        self.monitor = AgreementMonitor(self.compromised)
+        # Called as ``post_build(cluster)`` once the cluster is fully wired
+        # (replicas, clients, network, fault plan) but before any event runs:
+        # where ``harness.run_point`` installs a point's adversary, tests
+        # unshare messages and the benchmark worker starts its clock.
         self.post_build: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -208,9 +252,14 @@ class Cluster:
             self.clients[client_index] = client
 
         self.injector = None
-        if self.fault_plan is not None and len(self.fault_plan):
+        faults = self.fault_plan.faults if self.fault_plan is not None else []
+        if faults:
             self.injector = FaultInjector(self.sim, self.replicas, network=self.network)
             self.injector.apply(self.fault_plan)
+        self.compromised = {spec.replica_id for spec in faults if spec.kind == "byzantine"}
+        self.monitor = AgreementMonitor(self.compromised)
+        for replica in self.replicas.values():
+            replica.execution_observer = self.monitor.observe
 
         if self.post_build is not None:
             self.post_build(self)
@@ -289,6 +338,8 @@ class Cluster:
             faults_planned=len(self.fault_plan) if self.fault_plan is not None else 0,
             faults_fired=len(self.injector.applied) if self.injector is not None else 0,
             max_view=max(views) if views else 0,
+            disagreements=self.monitor.disagreements(),
+            compromised=tuple(sorted(self.compromised)),
             decision_hash=self.sanitizer.chain_hash if self.sanitizer else None,
             decision_trace=list(self.sanitizer.records) if self.sanitizer else None,
         )

@@ -17,9 +17,10 @@ from collections import Counter
 from pathlib import Path
 
 from helpers import clocks_trapped_in_runs, executed_histories, run_small_cluster
-from repro.adversary import EpisodeSpec, run_episode
 from repro.adversary.behaviours import bad_shares, equivocate, silent, stale_view_change
+from repro.adversary.search import episode_point, verdict
 from repro.analysis.sanitizer import SCENARIOS, run_scenario
+from repro.experiments.harness import run_point
 from repro.sim.faults import FaultPlan
 
 PATH = Path(__file__).with_name("contract.json")
@@ -135,10 +136,9 @@ GOLDENS = {**RUNS, **FAULT_RUNS, **BYZANTINE_RUNS}
 #: ``viewchange-spam`` with ``equivocate_claims``: per view, the spammer's
 #: honest view-change message and a stale one built by the same replica.
 EPISODES = {
-    f"viewchange-spam-{protocol}": EpisodeSpec(
-        protocol=protocol, strategy="viewchange-spam", seed=31,
-        params=(("count", 12), ("equivocate_claims", True), ("jump", 3),
-                ("period", 0.01), ("start", 0.0)),
+    f"viewchange-spam-{protocol}": episode_point(
+        protocol, "viewchange-spam", 31,
+        params={"count": 12, "equivocate_claims": True, "jump": 3, "period": 0.01, "start": 0.0},
     )
     for protocol in ("sbft-c0", "pbft")
 }
@@ -149,10 +149,11 @@ def _plain(payload):
     return json.loads(json.dumps(payload, sort_keys=True))
 
 
-def golden(protocol, post_build=None, **kwargs):
-    """Everything a fixed-seed ``run_small_cluster`` run decided."""
+def golden_run(protocol, post_build=None, **kwargs):
+    """``(result, golden entry)`` of one fixed-seed ``run_small_cluster`` run;
+    the result carries the agreement verdicts, which the file does not hold."""
     cluster, result = run_small_cluster(protocol, post_build=post_build, **kwargs)
-    return _plain({
+    return result, _plain({
         "stats": {rid: dict(r.stats) for rid, r in cluster.replicas.items()},
         "histories": executed_histories(cluster),
         "client_stats": {cid: dict(c.stats) for cid, c in cluster.clients.items()},
@@ -161,6 +162,11 @@ def golden(protocol, post_build=None, **kwargs):
         "now": round(cluster.sim.now, 9),
         "completed": result.run.completed_requests,
     })
+
+
+def golden(protocol, post_build=None, **kwargs):
+    """Everything a fixed-seed ``run_small_cluster`` run decided."""
+    return golden_run(protocol, post_build=post_build, **kwargs)[1]
 
 
 def _summed(stats):
@@ -186,15 +192,16 @@ def chain(name):
 
 
 def episode(name):
-    """The verdict of episode ``name``, run with forensics."""
-    report = run_episode(EPISODES[name], forensics=True)
+    """The verdicts and evidence count of episode ``name``."""
+    point = EPISODES[name]
+    result = run_point(point)
     return _plain({
-        "verdict": report.verdict(),
-        "completed": report.completed,
-        "compromised": report.compromised,
-        "evidence": report.evidence_count,
-        "sim_time": round(report.sim_time, 9),
-        "events": report.events_processed,
+        "verdict": verdict(point, result),
+        "completed": result.run.completed_requests,
+        "compromised": result.compromised,
+        "evidence": len(result.evidence),
+        "sim_time": round(result.sim_time, 9),
+        "events": result.events_processed,
     })
 
 

@@ -1,7 +1,8 @@
 """Replay the committed adversary regression corpus (tier-1).
 
 Every file under ``tests/adversary_corpus/`` is a minimized violating
-``(strategy, params, seed)`` triple produced by ``python -m
+``(strategy, params, seed)`` episode, loaded as a sweep point by
+``search.episode_point``, produced by ``python -m
 repro.adversary.search --corpus-dir`` — the permanent record of every
 violation the search has ever found.  Replaying each one asserts the oracle
 verdict is byte-for-byte stable: if a protocol change silently fixes (or
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.adversary import EpisodeSpec, run_episode
+from repro.adversary.search import episode_point, liveness_ok
+from repro.experiments.harness import run_point
 
 CORPUS = Path(__file__).resolve().parent / "adversary_corpus"
 
@@ -25,14 +27,14 @@ def test_corpus_is_present_and_well_formed():
     for path in ENTRIES:
         entry = json.loads(path.read_text())
         assert set(entry) >= {"spec", "expect"}, path.name
-        spec = EpisodeSpec.from_dict(entry["spec"])
+        attack = episode_point(**entry["spec"]).adversary
         # Minimized means minimized: the committed repro carries at most 3
-        # non-default parameters (the acceptance bound for the lab).
-        assert len(spec.params) <= 3, path.name
+        # non-default parameters (the acceptance bound for the search).
+        assert len(attack.params) <= 3, path.name
         # Violations against *sound* configurations must never be committed
         # silently: every corpus entry documents a planted weakness.
         if not (entry["expect"]["safety_ok"] and entry["expect"]["liveness_ok"]):
-            assert spec.plant_weak_quorum, (
+            assert attack.plant_weak_quorum, (
                 f"{path.name}: a violation without a planted weakness would "
                 "mean a real protocol bug — fix it, don't enshrine it"
             )
@@ -41,13 +43,10 @@ def test_corpus_is_present_and_well_formed():
 @pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)
 def test_corpus_entry_replays_to_stable_verdict(path):
     entry = json.loads(path.read_text())
-    spec = EpisodeSpec.from_dict(entry["spec"])
-    report = run_episode(spec)
-    assert report.safety_ok == entry["expect"]["safety_ok"], path.name
-    assert report.liveness_ok == entry["expect"]["liveness_ok"], path.name
-    if not report.safety_ok:
-        # A safety violation must come with divergent honest executions and
-        # attributable forensic evidence.
-        assert report.violations
-        forensic = run_episode(spec, forensics=True)
-        assert forensic.evidence_count > 0
+    point = episode_point(**entry["spec"])
+    result = run_point(point)
+    assert (not result.disagreements) == entry["expect"]["safety_ok"], path.name
+    assert liveness_ok(point, result) == entry["expect"]["liveness_ok"], path.name
+    if result.disagreements:
+        # A safety violation must come with attributable forensic evidence.
+        assert result.evidence

@@ -26,9 +26,17 @@ def _assert_holds(kind, name, entry):
 def test_golden_run_decides_what_the_contract_holds(name, post_build):
     """Also with nothing shared (``helpers.unshare``): if only that half
     fails, a stash is not a pure function of what its guard compares —
-    docs/static-analysis.md says how to read the difference."""
+    docs/static-analysis.md says how to read the difference.  The cluster's
+    agreement monitor finds no disagreement, and judges every replica but
+    the plan's ``byzantine`` ones."""
     protocol, kwargs = contract.GOLDENS[name]
-    _assert_holds("golden", name, contract.golden(protocol, post_build=post_build, **kwargs))
+    result, entry = contract.golden_run(protocol, post_build=post_build, **kwargs)
+    _assert_holds("golden", name, entry)
+    assert result.disagreements == ()
+    plan = kwargs.get("fault_plan")
+    byzantine = {spec.replica_id for spec in plan.faults if spec.kind == "byzantine"} if plan else set()
+    assert result.compromised == tuple(sorted(byzantine))
+    assert bool(byzantine) == (name in contract.BYZANTINE_RUNS)
 
 
 @pytest.mark.parametrize("kind,name", [

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro.experiments
+from repro.adversary import search
 from repro.experiments import (
     client_sweep,
     fault_sweep,
@@ -262,6 +263,7 @@ BASELINES = {
     fault_sweep: "BENCH_fault_sweep.json",
     fig2_throughput: "BENCH_fig2.json",
     viewchange_study: "BENCH_viewchange.json",
+    search: "BENCH_adversary_search.json",
 }
 
 
@@ -334,9 +336,9 @@ def _cluster_runners(path):
 
 
 def test_one_function_builds_and_runs_every_experiment_cluster():
-    """``harness.run_point`` is the only code in ``repro.experiments`` and
-    ``repro.analysis`` that builds a cluster or runs one."""
-    packages = [REPO / "src" / "repro" / name for name in ("experiments", "analysis")]
-    runners = [runner for package in packages for path in sorted(package.glob("*.py"))
+    """``harness.run_point`` is the only code under ``src/repro`` that builds
+    a cluster or runs one, apart from ``build_cluster`` itself."""
+    package = REPO / "src" / "repro"
+    runners = [runner for path in sorted(package.rglob("*.py"))
                for runner in _cluster_runners(path)]
-    assert runners == ["harness.run_point"]
+    assert runners == ["harness.run_point", "cluster.build_cluster"]

@@ -29,7 +29,6 @@ import repro
 from contract import FAULT_RUNS
 from helpers import run_small_cluster
 from repro.adversary.forensics import EquivocationEvidence
-from repro.adversary.lab import EpisodeSpec
 from repro.core.messages import CheckpointMsg, SlotEvidence, StableCheckpoint
 from repro.core.viewchange import FM_PRE_PREPARED, LM_PREPARED
 from repro.crypto.mockgroup import GroupElement
@@ -124,7 +123,6 @@ def _harvest():
         OperationResult(ok=False, error="boom"),
         Transaction("transfer", "alice", to="bob", value=5),
         Transaction("create", "alice", code=b"\x60\x00"),
-        EpisodeSpec("pbft", "silent", 3, params=(("at", 0.1),)),
         EquivocationEvidence("share", 2, (4, 0), "a", "b", ("m", 1), ("m", 2)),
         Everything(1), Everything(2, "e", (3,), [4], keyword=5, named="r"),
     ]
