@@ -13,7 +13,10 @@ its own ``KIND`` and ``STRATEGY_KINDS`` is read off it, so a strategy in the
 list cannot fall out of the search space.
 
 Parameter spaces are small ordered candidate tuples with the *first* entry as
-the benign default; the delta-debugging minimizer
+the benign default.  Timing candidates (``activate_at``, ``start``) lie
+inside an episode: the search's episodes (``search.episode_point``) end
+after 0.026–0.034 simulated seconds when nothing delays them, so an attack
+that starts at 0.01 s lands mid-run.  The delta-debugging minimizer
 (:mod:`repro.adversary.minimize`) shrinks violating parameter sets toward
 those defaults, so "non-default parameter count" is the size measure of a
 minimized repro.
@@ -86,7 +89,7 @@ class EquivocatingPrimary(Adversary):
     """
 
     KIND = "equivocating-primary"
-    PARAM_SPACE = {"activate_at": (0.0, 0.01, 0.05)}
+    PARAM_SPACE = {"activate_at": (0.0, 0.005, 0.01)}
 
     def install(self, cluster) -> None:
         _activate_at(cluster, 0, equivocate, self.params["activate_at"])
@@ -106,7 +109,7 @@ class DelayToCollectors(Adversary):
     PARAM_SPACE = {
         "extra_delay": (0.02, 0.1, 0.5),
         "victims": (1, 2),
-        "start": (0.0, 0.5),
+        "start": (0.0, 0.01),
         "duration": (1.0, 4.0),
     }
 
@@ -138,7 +141,7 @@ class SilenceToCollectors(Adversary):
     KIND = "silence-commit-collectors"
     PARAM_SPACE = {
         "victims": (1,),
-        "start": (0.0, 0.5),
+        "start": (0.0, 0.01),
         "duration": (0.5, 2.0),
     }
 
@@ -173,7 +176,7 @@ class ViewChangeSpam(Adversary):
         "period": (0.01, 0.1),
         "jump": (1, 3),
         "count": (4, 12),
-        "start": (0.0, 0.2),
+        "start": (0.0, 0.01),
         "equivocate_claims": (False, True),
     }
 
@@ -220,7 +223,7 @@ class StaleCheckpointLies(Adversary):
     PROTOCOLS = ("pbft",)
     PARAM_SPACE = {
         "claim_ahead": (16, 64),
-        "start": (0.0, 0.5),
+        "start": (0.0, 0.01),
         "repeat": (1, 3),
     }
 
@@ -256,7 +259,7 @@ class SilentReplica(Adversary):
     """One replica goes byzantine-silent (receives but never sends)."""
 
     KIND = "silent-replica"
-    PARAM_SPACE = {"replica": (1, 3), "activate_at": (0.0, 1.0)}
+    PARAM_SPACE = {"replica": (1, 3), "activate_at": (0.0, 0.01)}
 
     def install(self, cluster) -> None:
         _activate_at(cluster, int(self.params["replica"]), silent, self.params["activate_at"])
@@ -272,7 +275,7 @@ class BadShares(Adversary):
 
     KIND = "bad-shares"
     PROTOCOLS = ("sbft",)
-    PARAM_SPACE = {"replica": (1, 3), "activate_at": (0.0, 0.5)}
+    PARAM_SPACE = {"replica": (1, 3), "activate_at": (0.0, 0.01)}
 
     def install(self, cluster) -> None:
         _activate_at(cluster, int(self.params["replica"]), bad_shares, self.params["activate_at"])
@@ -282,7 +285,7 @@ class StaleViewChange(Adversary):
     """A backup joins every view change with a zeroed, evidence-free claim."""
 
     KIND = "stale-viewchange"
-    PARAM_SPACE = {"replica": (3, 1), "activate_at": (0.0, 0.5)}
+    PARAM_SPACE = {"replica": (3, 1), "activate_at": (0.0, 0.01)}
 
     def install(self, cluster) -> None:
         _activate_at(

@@ -68,7 +68,7 @@ class PrePrepare:
     digest: str
     primary_signature: Optional[Signature] = None
     size_bytes: int = field(init=False, compare=False, repr=False, default=0)
-    # Execution-plan stash filled lazily by ``block_execution_plan`` (the same
+    # Block-operations stash filled lazily by ``block_operations`` (the same
     # frozen object reaches every replica; see repro.core.runtime).
     _exec_plan: Any = field(init=False, compare=False, repr=False, default=None)
     # Per-request reply-values stash filled by ``block_reply_values``, guarded

@@ -54,31 +54,37 @@ from repro.sim.network import Network
 from repro.sim.process import CPUModel, Process
 
 
-def block_execution_plan(pre_prepare, service, costs) -> Tuple[BlockOperations, float]:
-    """Flattened operations and total simulated execution cost of a block.
+def block_operations(pre_prepare, service, costs) -> BlockOperations:
+    """The flattened operations of a block, as the one shared instance.
 
-    The same frozen ``PrePrepare`` object reaches every replica, and the cost
-    of a block is a pure function of its operations and the cluster's
-    (service type, cost model) pair — so the plan is stashed on the message
-    instance and computed once per cluster instead of twice per replica.
-    The guard re-computes if a differently-configured replica ever shares the
-    message.
+    The same frozen ``PrePrepare`` object reaches every replica, so the
+    ``BlockOperations`` is stashed on the message instance and built once per
+    cluster; what services derive from the block (digests, the replay entry,
+    the default price) rides on it.  The guard re-builds it if a
+    differently-configured replica ever shares the message.
     """
     memo = pre_prepare._exec_plan
     service_type = type(service)
     if memo is not None and memo[0] is service_type and memo[1] is costs:
-        return memo[2], memo[3]
+        return memo[2]
     flattened: List[Operation] = []
     for request in pre_prepare.requests:
         flattened.extend(request.operations)
-    cost = sum(service.execution_cost(op) for op in flattened)
-    cost += costs.hash_op * max(1, len(flattened))
     # Freeze before stashing: the stashed plan is shared by every replica
     # that sees this message, so a consumer mutating its copy must not be
     # able to corrupt the cluster-wide entry.
     operations = BlockOperations(flattened)
-    object.__setattr__(pre_prepare, "_exec_plan", (service_type, costs, operations, cost))
-    return operations, cost
+    object.__setattr__(pre_prepare, "_exec_plan", (service_type, costs, operations))
+    return operations
+
+
+def block_execution_plan(pre_prepare, service, costs) -> Tuple[BlockOperations, float]:
+    """Flattened operations and total simulated execution cost of a block,
+    priced by ``service`` from its current state (the block's pre-state when
+    ``Replica._try_execute`` asks)."""
+    operations = block_operations(pre_prepare, service, costs)
+    cost = service.block_execution_cost(pre_prepare.sequence, operations)
+    return operations, cost + costs.hash_op * max(1, len(operations))
 
 
 def pre_prepare_expected_digest(pre_prepare) -> str:
@@ -104,7 +110,7 @@ def pre_prepare_expected_digest(pre_prepare) -> str:
 def block_reply_values(pre_prepare, execution_results, state_digest) -> Tuple[Tuple, ...]:
     """Per-request reply-value tuples for one executed block.
 
-    Like :func:`block_execution_plan`, the same frozen ``PrePrepare`` reaches
+    Like :func:`block_operations`, the same frozen ``PrePrepare`` reaches
     every replica — and the post-execution state digest commits to every
     result value (the journal leaves hash them), so two replicas at the same
     digest provably computed the same values.  The partition is therefore
@@ -422,7 +428,7 @@ class Replica(Process):
             return
 
         pre_prepare = slot.pre_prepare
-        operations, _cost = block_execution_plan(pre_prepare, self.service, self.costs)
+        operations = block_operations(pre_prepare, self.service, self.costs)
         slot.execution_results = self.service.execute_block(sequence, operations)
         slot.executed = True
         self.last_executed = sequence

@@ -20,10 +20,6 @@ by one (``bls_batch_verify_per_share`` each, every share at most once).
 Whether the paper's implementation does exactly this cannot be checked from
 the paper's text here; docs/benchmarks.md keeps the per-share rows.
 Assumption too: a replica pays no check for a message it sent itself.
-Assumption, EVM execution: ``LedgerService.execution_cost`` charges
-``evm_per_gas`` on ``min(gas_limit, 60 000)``, not on the gas a
-transaction uses; on ``evm-sbft-lan`` that is 56 128 gas per transaction
-on average against 21 463 used.
 """
 
 from __future__ import annotations
@@ -45,8 +41,14 @@ class CryptoCosts:
     # Paid only on a collector's fallback ("optimistic combining", above).
     bls_batch_verify_per_share: float = 250e-6
     merkle_proof_per_level: float = 2e-6
+    # ``LedgerService.transaction_cost``: base + per_gas x the receipt's gas
+    # used + persist_per_byte x size.  Assumption, both EVM rates, each varied
+    # 0.5x-2x (docs/benchmarks.md, "Execution charge"): evm-sbft-lan moves
+    # 8 246 / 5 116 / 2 897 ops/sim-s with the base, 5 739 / 5 116 / 4 199
+    # with the per-gas rate.  Together they run the synthetic trace 6.2x
+    # faster than the paper's unreplicated 840 tx/s (Section IX).
     evm_base_execute: float = 150e-6               # per-transaction EVM overhead
-    evm_per_gas: float = 2e-9
+    evm_per_gas: float = 2e-9                      # per unit of gas burned
     persist_per_byte: float = 5e-9                 # RocksDB-style WAL append
 
     def combine_cost(self, num_shares: int) -> float:

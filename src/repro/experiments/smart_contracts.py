@@ -66,7 +66,8 @@ def single_node_baseline(num_transactions: int = 1_000, seed: int = 7) -> Dict[s
     """Unreplicated baseline: execute the trace on one ledger, no replication.
 
     Throughput is computed against the same execution cost model the replicas
-    use, i.e. the simulated seconds a single CPU would need.
+    use (``LedgerService.transaction_cost``: the gas each transaction burned),
+    i.e. the simulated seconds a single CPU would need.
     """
     trace = SyntheticTrace(num_transactions=num_transactions, seed=seed)
     ledger = LedgerService()
@@ -75,8 +76,7 @@ def single_node_baseline(num_transactions: int = 1_000, seed: int = 7) -> Dict[s
     executed = 0
     for tx in trace.transactions():
         operation = ledger_operation(tx)
-        total_cost += ledger.execution_cost(operation)
-        ledger.execute(operation)
+        total_cost += ledger.transaction_cost(operation, ledger.execute(operation))
         executed += 1
     throughput = executed / total_cost if total_cost > 0 else 0.0
     return {

@@ -194,24 +194,31 @@ class AuthenticatedKVStore(AuthenticatedService):
         operations: Sequence[Operation],
         results: Sequence[OperationResult],
     ) -> Tuple[MerkleTree, str]:
-        """Journal an already-executed block so it can be proven later.
-
-        Used directly by services (e.g. the ledger) that execute operations
-        through their own engine but store state in this authenticated store.
-        Returns the journal record ``(tree, new chain digest)``, the tree's
-        leaves being the entries ``(s, l, H(o), H(val))``: what a replay entry
-        keeps so peers can :meth:`replay_block`.
-        """
+        """Journal an already-executed block so it can be proven later:
+        :meth:`journal_record` then :meth:`replay_block`."""
         results = tuple(results)
+        record = self.journal_record(sequence, operations, results)
+        self.replay_block(sequence, results, *record)
+        return record
+
+    def journal_record(
+        self,
+        sequence: int,
+        operations: Sequence[Operation],
+        results: Sequence[OperationResult],
+    ) -> Tuple[MerkleTree, str]:
+        """The journal record of a block executed on top of the current chain
+        digest, appending nothing: ``(tree, new chain digest)``, the tree's
+        leaves being the entries ``(s, l, H(o), H(val))``.  What a replay
+        entry keeps so every replica can :meth:`replay_block`; the ledger
+        computes it in its dry run, before any replica's state moves."""
         tree = MerkleTree(tuple(
             (sequence, position, op_digest, self._result_digest(result.value))
             for position, (op_digest, result) in enumerate(
                 zip(block_operation_digests(operations), results)
             )
         ))
-        new_digest = chain_step(self._chain_digest, sequence, tree.root)
-        self.replay_block(sequence, results, tree, new_digest)
-        return tree, new_digest
+        return tree, chain_step(self._chain_digest, sequence, tree.root)
 
     def replay_block(
         self,

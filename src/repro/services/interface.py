@@ -32,7 +32,7 @@ class Operation:
     The same Operation object is sized, journaled and priced by every replica
     (hot path at large n), so all per-instance derived values live in slots
     computed once: ``size_bytes`` at construction, the service-layer digest
-    and cost stashes on first use (via ``object.__setattr__``).
+    stash on first use (via ``object.__setattr__``).
     """
 
     kind: str
@@ -41,9 +41,8 @@ class Operation:
     timestamp: int = 0
     read_only: bool = False
     size_bytes: int = field(init=False, compare=False, repr=False, default=0)
-    # First-use stashes owned by repro.services.authenticated_kv / ledger.
+    # First-use stash owned by repro.services.authenticated_kv.
     _authkv_digest: Optional[str] = field(init=False, compare=False, repr=False, default=None)
-    _ledger_cost: Any = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         payload = self.payload
@@ -60,17 +59,19 @@ class BlockOperations(tuple):
     """The flattened operations of one decision block.
 
     A plain tuple to every consumer.  The replica layer builds one instance
-    per shared ``PrePrepare`` (see ``block_execution_plan``), so what a
+    per shared ``PrePrepare`` (see ``block_operations``), so what a
     service derives from the whole block can ride on it and be computed once
     per deployment instead of once per replica: ``digests`` holds the
     per-operation digest tuple, filled by
-    :func:`repro.services.authenticated_kv.block_operation_digests`, and
-    ``replay`` the first executor's ``(state key, entry)``, written and read
-    through :mod:`repro.core.execution_cache`.
+    :func:`repro.services.authenticated_kv.block_operation_digests`,
+    ``replay`` the recorder's ``(state key, entry)``, written and read
+    through :mod:`repro.core.execution_cache`, and ``cost`` the per-operation
+    price sum of :meth:`ReplicatedService.block_execution_cost`.
     """
 
     digests: Optional[Tuple[str, ...]] = None
     replay: Optional[Tuple[Tuple, Tuple]] = None
+    cost: Optional[float] = None
 
 
 @frozen_record
@@ -120,6 +121,19 @@ class ReplicatedService:
     def execution_cost(self, operation: Operation) -> float:
         """Simulated CPU seconds needed to execute ``operation``."""
         return 5e-6
+
+    def block_execution_cost(self, sequence: int, operations: Sequence[Operation]) -> float:
+        """Simulated CPU seconds to execute block ``sequence`` from the current
+        state.  By default every operation is priced alone, whatever the
+        state, so the sum is kept on a shared block and computed once per
+        cluster; a service whose price depends on what a block does (the
+        ledger's gas) overrides this."""
+        cost = getattr(operations, "cost", None)
+        if cost is None:
+            cost = sum(self.execution_cost(op) for op in operations)
+            if type(operations) is BlockOperations:
+                operations.cost = cost
+        return cost
 
     def snapshot(self) -> Any:
         """Serializable copy of the full state (used by state transfer)."""

@@ -10,6 +10,8 @@ registry/parameter plumbing.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +191,19 @@ def test_search_finds_and_minimizes_planted_violation():
         assert not entry["expect"]["safety_ok"]
         assert entry["non_default_params"] <= 3
         assert run_point(episode_point(**entry["spec"])).disagreements
+
+
+def test_every_committed_search_row_attacks_inside_its_episode():
+    """A timing candidate past the episode's end samples an episode with no
+    attack in it: every row of the committed search baseline starts its
+    attack (``activate_at`` or ``start``) before its run ends."""
+    path = Path(__file__).resolve().parents[1] / "BENCH_adversary_search.json"
+    rows = [bench["extra_info"] for bench in json.loads(path.read_text())["benchmarks"]]
+    assert len(rows) == 25
+    for row in rows:
+        params = row["params"]
+        start = params["activate_at"] if "activate_at" in params else params["start"]
+        assert start < row["sim_seconds"], row["label"]
 
 
 def test_sampling_is_deterministic_and_jobs_identical():

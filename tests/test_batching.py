@@ -18,13 +18,13 @@ import contract
 from helpers import make_bare_replica, make_request, run_small_cluster, unshare
 from repro.adversary.behaviours import silent
 from repro.core.config import SBFTConfig
-from repro.core import runtime
 from repro.core.messages import PrePrepare
 from repro.core.replica import SBFTReplica
 from repro.core.viewchange import NewViewPlan
 from repro.errors import ConfigurationError
 from repro.pbft.replica import PBFTReplica
 from repro.protocols.cluster import build_cluster
+from repro.services.interface import ReplicatedService
 from repro.sim.faults import FaultPlan
 from repro.workloads.kv_workload import KVWorkload
 from test_client_behaviour import _executed_ack_for, _make_client
@@ -63,23 +63,18 @@ def test_unshared_replay_sees_a_stash_that_depends_on_how_often_it_was_computed(
     a call counter — nothing an AST model of "memo" identifiers can see — and
     the shared run (one computation per block, every replica reads it) and the
     unshared run (one per replica) no longer decide the same thing."""
-    real = runtime.block_execution_plan
+    real = ReplicatedService.block_execution_cost
     protocol, kwargs = contract.GOLDENS[name]
 
     def decided(post_build):
         calls = itertools.count()  # per run: only *sharing* differs between the two
 
-        def salted(pre_prepare, service, costs):
-            if pre_prepare._exec_plan is not None:
-                return real(pre_prepare, service, costs)
-            operations, cost = real(pre_prepare, service, costs)
-            cost += 1e-6 * (next(calls) % 7)
-            object.__setattr__(
-                pre_prepare, "_exec_plan", (type(service), costs, operations, cost)
-            )
-            return operations, cost
+        def salted(self, sequence, operations):
+            if operations.cost is None:
+                operations.cost = real(self, sequence, operations) + 1e-6 * (next(calls) % 7)
+            return real(self, sequence, operations)
 
-        monkeypatch.setattr(runtime, "block_execution_plan", salted)
+        monkeypatch.setattr(ReplicatedService, "block_execution_cost", salted)
         return contract.golden(protocol, post_build=post_build, **kwargs)
 
     assert decided(None) != decided(unshare)

@@ -41,7 +41,7 @@ def _run_cluster(protocol, post_build=None):
 def test_fixed_seed_identical_with_cache_on_and_off(protocol, monkeypatch):
     replayed = _run_cluster(protocol)
     stats = execution_cache.stats()
-    # Replay actually engaged: one miss per block, n-1 hits each.
+    # Replay actually engaged: one miss per block, 2n-1 hits each.
     assert stats["misses"] > 0
     assert stats["hits"] >= stats["misses"]
 
@@ -59,15 +59,18 @@ def test_fixed_seed_identical_with_nothing_shared(protocol):
     blocks = execution_cache.stats()["misses"]
     assert _run_cluster(protocol, post_build=unshare) == shared
     n = len(shared["digests"])
-    assert execution_cache.stats() == {"hits": 0, "misses": n * blocks}
+    # Each replica dry-runs each block to price it (a miss) and applies its
+    # own entry when the block finishes (a hit).
+    assert execution_cache.stats() == {"hits": n * blocks, "misses": n * blocks}
 
 
 def test_cache_shared_across_replicas_within_one_run():
     _run_cluster("sbft-c8")
     stats = execution_cache.stats()
     n = 3 * 1 + 2 * 1 + 1  # f=1, c=1 -> 6 replicas
-    # Every block: first replica misses, the other n-1 replay.
-    assert stats["hits"] == (n - 1) * stats["misses"]
+    # Every block: the first replica to start it dry-runs it (the miss), the
+    # other n-1 price it off the entry and all n apply the entry.
+    assert stats["hits"] == (2 * n - 1) * stats["misses"]
 
 
 def test_counters_start_at_zero_for_every_run():
@@ -81,12 +84,12 @@ def test_counters_start_at_zero_for_every_run():
 
 
 def test_cache_hit_replays_the_journal_record_without_rejournaling(monkeypatch):
-    """A peer's hit appends the recorded journal entry through
-    ``replay_block``; only the first replica of the deployment journals a
-    block."""
+    """Only the dry run that records a block's entry computes its journal
+    record; every replica, the first one included, appends that record
+    through ``replay_block``."""
     from repro.services.authenticated_kv import AuthenticatedKVStore
 
-    calls = {"journal_block": 0, "replay_block": 0}
+    calls = {"journal_record": 0, "replay_block": 0}
 
     def counting(name):
         real = getattr(AuthenticatedKVStore, name)
@@ -97,13 +100,12 @@ def test_cache_hit_replays_the_journal_record_without_rejournaling(monkeypatch):
 
         monkeypatch.setattr(AuthenticatedKVStore, name, wrapper)
 
-    counting("journal_block")
+    counting("journal_record")
     counting("replay_block")
     fingerprint = _run_cluster("sbft-c8")
     stats = execution_cache.stats()
+    executed = sum(stats_["blocks_executed"] for stats_ in fingerprint["replica_stats"].values())
     assert stats["misses"] > 0
-    assert calls == {
-        "journal_block": stats["misses"],
-        "replay_block": stats["misses"] + stats["hits"],
-    }
+    assert calls == {"journal_record": stats["misses"], "replay_block": executed}
+    assert stats["hits"] + stats["misses"] == 2 * executed
     assert len(set(fingerprint["digests"].values())) == 1

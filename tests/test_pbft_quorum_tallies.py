@@ -264,3 +264,56 @@ def test_a_committed_block_is_not_replaced_by_a_later_views_re_proposal():
     run.deliver(PbftNewView(view=2, view_changes=view_changes), 2)
     run.deliver(_pre_prepare(1, 2, block.requests), 2)
     assert (run.slot(1).pre_prepare, run.slot(1).digest) == (block, block.digest)
+
+
+class ResetEverySlot(PBFTReplica):
+    """A new view that also clears the vote state of *committed* slots (the
+    prepare / commit tallies and both sent flags; the block stays)."""
+
+    def _on_new_view(self, message, src):
+        if message.view > self.view:
+            for slot in self.log.slots():
+                slot.prepares.clear()
+                slot.commits.clear()
+                slot.prepare_sent = slot.commit_sent = False
+        super()._on_new_view(message, src)
+
+
+def test_new_view_vote_reset_on_committed_slots_is_moot():
+    """ROADMAP item 2 (i): ``_on_new_view`` resets vote state only on
+    uncommitted slots.  Since a committed slot ignores a later view's
+    re-proposal, resetting its votes too changes nothing a replica sends or
+    decides under the traffic honest peers send: the slot never votes in the
+    new view either way and stays committed to its own block.  (The reset
+    copy would send a view-2 commit for its old digest after 2f view-2
+    prepares for that digest, but no honest replica sends one: an uncommitted
+    slot restarts under the re-proposal's digest and a committed one never
+    prepares again.)"""
+    replicas = [_make_replica(PBFTReplica), _make_replica(ResetEverySlot)]
+    block = _pre_prepare(1, 0, [_request(1)])
+    re_proposal = _pre_prepare(1, 2, block.requests)
+    view_changes = tuple(
+        PbftViewChange(
+            new_view=2, replica_id=replica_id, last_stable=0,
+            prepared=((1, 0, block.digest, block.requests),),
+            signature=SETUP.replica_keys(replica_id).signing_key.sign(("view-change", 2, 0)),
+        )
+        for replica_id in range(QUORUM)
+    )
+    script = [(block, 0)]
+    script += [(_vote(phase, i, 1, 0, block.digest), i)
+               for phase in (PbftPrepare, PbftCommit) for i in OTHERS[:QUORUM]]
+    script += [(PbftNewView(view=2, view_changes=view_changes), 2), (re_proposal, 2)]
+    script += [(_vote(phase, i, 1, 2, re_proposal.digest), i)
+               for phase in (PbftPrepare, PbftCommit) for i in OTHERS]
+    seen = []
+    for replica, sent in replicas:
+        for message, src in script:
+            replica._dispatch(message, src)
+        slot = replica.log.peek(1)
+        assert slot.committed and (slot.pre_prepare, slot.digest) == (block, block.digest)
+        seen.append(([(type(m).__name__, m.sequence, m.view, m.digest) for m in sent],
+                     dict(replica.stats), replica.cpu.total_busy_time))
+    assert seen[0] == seen[1]
+    # Nothing was sent in view 2: the re-proposal was ignored by both.
+    assert all(view == 0 for _name, _sequence, view, _digest in seen[0][0])

@@ -68,10 +68,30 @@ def test_digest_identical_across_replicas():
 
 
 def test_execution_cost_scales_with_gas_and_size(ledger):
-    cheap = ledger_operation(Transaction.transfer(ALICE, BOB, 1))
-    heavy = ledger_operation(Transaction.call(ALICE, BOB, data=b"x" * 4000, gas_limit=500_000))
-    assert ledger.execution_cost(heavy) > ledger.execution_cost(cheap)
-    assert ledger.execution_cost(Operation(kind="ledger", payload=None)) > 0
+    """A transaction is charged the gas its receipt burned, not its gas limit,
+    plus its persisted bytes."""
+    costs = ledger._costs
+
+    def charged(transaction):
+        operation = ledger_operation(transaction)
+        result = ledger.execute(operation)
+        gas_used = result.value["gas_used"]
+        cost = ledger.transaction_cost(operation, result)
+        assert cost == (costs.evm_base_execute + costs.evm_per_gas * gas_used
+                        + costs.persist_per_byte * transaction.size_bytes)
+        return cost, gas_used
+
+    transfer, transfer_gas = charged(Transaction.transfer(ALICE, BOB, 1))
+    # BOB holds no code: the call burns a transfer's gas whatever its limit,
+    # and pays only for its 4 000 extra bytes.
+    padded, padded_gas = charged(Transaction.call(ALICE, BOB, data=b"x" * 4000, gas_limit=500_000))
+    assert padded_gas == transfer_gas == 21_000
+    assert padded - transfer == pytest.approx(costs.persist_per_byte * 4000)
+    # A deploy burns 32 000 + 200 per code byte: over the old 60 000 cap.
+    deploy, deploy_gas = charged(Transaction.create(ALICE, counter_contract() * 10))
+    assert deploy_gas > 60_000 and deploy > transfer + costs.evm_per_gas * 39_000
+    junk = Operation(kind="ledger", payload=None)
+    assert ledger.transaction_cost(junk, ledger.execute(junk)) > 0
 
 
 def test_snapshot_restore_roundtrip(ledger):
@@ -202,14 +222,21 @@ def test_restore_invalidates_fingerprint(cold_cache):
 
 
 def test_execution_cost_is_cache_independent(cold_cache):
-    operation = ledger_operation(Transaction.transfer(ALICE, BOB, 1))
-    first, peer = _funded_ledger(), _funded_ledger()
-    cost_before = first.execution_cost(operation)
-    block = BlockOperations([operation])
+    """The price a peer reads off the replay entry is the one the first
+    planner's dry run computed, the one a ledger pricing the block alone
+    computes and the sum over a plain ``execute`` loop's results."""
+    block = _block()
+    first, peer, alone, plain = (_funded_ledger() for _ in range(4))
+    cost = first.block_execution_cost(1, block)
+    assert peer.block_execution_cost(1, block) == cost
+    assert execution_cache.stats() == {"hits": 1, "misses": 1}  # priced off the entry
+    assert alone.block_execution_cost(1, list(block)) == cost
+    plain._block_number = 1  # the block context ``execute_block`` runs in
+    assert sum(plain.transaction_cost(op, plain.execute(op)) for op in block) == cost
+    assert alone.digest() == _funded_ledger().digest()  # priced, not executed
     first.execute_block(1, block)
     peer.execute_block(1, block)
-    assert execution_cache.stats()["hits"] == 1  # replayed
-    assert peer.execution_cost(operation) == cost_before == first.execution_cost(operation)
+    assert first.digest() == peer.digest() != alone.digest()
 
 
 def test_world_state_reads_and_writes_the_restored_store(cold_cache):
