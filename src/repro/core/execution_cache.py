@@ -1,34 +1,39 @@
-"""Execute once, replay n-1 times: the replay entry rides on the block.
+"""Run once, apply everywhere: the replay entry rides on the block.
 
 "EVM bytecode is deterministic [so] the new state digest will be equal in all
 non-faulty replicas" (Section IX) — and the same holds for every deterministic
 service in this simulator: the n replicas of a cluster all apply the
 *identical* committed block over the *identical* pre-state and produce the
-identical results.  Re-executing it n times is pure waste in a simulation
-where all replicas share one process.
+identical results.  Running it n times is pure waste in a simulation where
+all replicas share one process.
 
 Every replica is handed the same :class:`BlockOperations` instance (the plan
 of the shared ``PrePrepare``), so the entry is a stash on that instance, next
-to ``digests``: the first replica to execute the block writes ``(state key,
-entry)``, a peer whose own state key equals the recorded one replays the
-entry, anyone else — a replica restored by state transfer, a store written
-out of band, a caller passing a plain list — executes for itself and leaves
-the stash alone.  The state key is made *entirely of digests*::
+to ``digests``.  One recorder, one key, one apply, for both services
+(``AuthenticatedKVStore._entry``, which the ledger inherits): the first
+replica to *start* the block — ``Replica._try_execute`` prices it — dry-runs
+it and writes ``(state key, entry)``; a replica whose own state key equals the
+recorded one prices the block off the entry; every replica applies the entry
+it priced from when the block finishes.  Anyone else — a replica restored by
+state transfer, a store written out of band, a caller passing a plain list —
+dry-runs the block for itself and leaves the stash alone.  The state key is
+made *entirely of digests*::
 
-    (service tag, state fingerprint, chain digest[, block number], sequence)
+    (state fingerprint, chain digest, sequence)
 
-and which operations the entry belongs to is implied by the instance it sits
-on.  The entry is freed with the log slot that holds the ``PrePrepare``; a
-block re-proposed in a new view is a new instance and executes once more.
+(the chain digest also fixes the ledger's block number, one per journaled
+block), and which operations the entry belongs to is implied by the instance
+it sits on.  The entry is freed with the log slot that holds the
+``PrePrepare``; a block re-proposed in a new view is a new instance and runs
+once more.
 
-Replay must be decision-for-decision identical: same results, same journal
-entries, same proofs, same chain digests, and the *simulated*
-``execution_cost`` accounting untouched (every replica still charges the same
-simulated CPU; only host wall-clock is saved).
-``tests/test_execution_cache.py`` and ``tests/test_kv_execution_cache.py`` pin
-replay-vs-execute byte-equality on fixed-seed clusters.  The hit/miss
-counters are the only state here; ``Cluster._build`` zeroes them, and in a
-healthy n-replica run every block shows 1 miss and n-1 hits.
+Applying must be decision-for-decision identical to running: same results,
+same journal entries, same proofs, same chain digests, and the *simulated*
+execution price untouched (every replica still charges the same simulated
+CPU; only host wall-clock is saved).  ``tests/test_execution_cache.py`` and
+``tests/test_kv_execution_cache.py`` pin that on fixed-seed clusters.  The
+hit/miss counters are the only state here; ``Cluster._build`` zeroes them,
+and in a healthy n-replica run every block shows 1 miss and n-1 hits.
 """
 
 from __future__ import annotations
@@ -62,6 +67,6 @@ def lookup(operations: Sequence, state_key: Tuple) -> Optional[Tuple]:
 
 
 def store(operations: Sequence, state_key: Tuple, entry: Tuple) -> None:
-    """Record the replay entry the first executing replica produced."""
+    """Record the replay entry the first replica to start the block produced."""
     if type(operations) is BlockOperations and operations.replay is None:
         operations.replay = (state_key, entry)

@@ -59,8 +59,8 @@ def block_operations(pre_prepare, service, costs) -> BlockOperations:
 
     The same frozen ``PrePrepare`` object reaches every replica, so the
     ``BlockOperations`` is stashed on the message instance and built once per
-    cluster; what services derive from the block (digests, the replay entry,
-    the default price) rides on it.  The guard re-builds it if a
+    cluster; what services derive from the block (digests, the replay entry
+    with its price) rides on it.  The guard re-builds it if a
     differently-configured replica ever shares the message.
     """
     memo = pre_prepare._exec_plan
@@ -81,7 +81,8 @@ def block_operations(pre_prepare, service, costs) -> BlockOperations:
 def block_execution_plan(pre_prepare, service, costs) -> Tuple[BlockOperations, float]:
     """Flattened operations and total simulated execution cost of a block,
     priced by ``service`` from its current state (the block's pre-state when
-    ``Replica._try_execute`` asks)."""
+    ``Replica._try_execute`` asks, which is when the block's replay entry is
+    recorded and the one this replica applies is fixed)."""
     operations = block_operations(pre_prepare, service, costs)
     cost = service.block_execution_cost(pre_prepare.sequence, operations)
     return operations, cost + costs.hash_op * max(1, len(operations))

@@ -4,8 +4,8 @@ The paper's implementation keeps contract code and contract storage in the
 replicated key-value store (Section IV: "The key-value store keeps the state
 of the ledger service"); this module provides that mapping.  Any object with
 ``get(key)`` / ``put(key, value)`` works as the backend; the ledger service
-hands in its ``_LedgerBackend`` over the authenticated KV store, so the
-whole EVM state inherits Merkle authentication.
+hands in the key-value store under its journal, so the whole EVM state
+inherits Merkle authentication.
 """
 
 from __future__ import annotations

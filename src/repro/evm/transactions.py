@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import InvalidTransaction
+from repro.errors import EVMError, InvalidTransaction
 from repro.evm.state import WorldState
 from repro.evm.vm import EVM, ExecutionResult, Message
 from repro.records import frozen_record
@@ -76,29 +76,37 @@ class TransactionReceipt:
     logs: tuple = ()
 
 
+def _move_value(state: WorldState, sender: str, to: str, value: int) -> Optional[TransactionReceipt]:
+    """Move ``value`` from ``sender`` to ``to``, or return the failed receipt
+    (21 000 gas, nothing moved) of a sender that cannot cover it."""
+    try:
+        state.sub_balance(sender, value)
+    except EVMError as exc:
+        return TransactionReceipt(success=False, gas_used=21_000, error=str(exc))
+    state.add_balance(to, value)
+    return None
+
+
 def apply_transaction(state: WorldState, transaction: Transaction, evm: Optional[EVM] = None) -> TransactionReceipt:
     """Apply one transaction to the world state and return its receipt."""
     vm = evm if evm is not None else EVM(state)
     state.increment_nonce(transaction.sender)
 
     if transaction.kind == TX_TRANSFER:
-        try:
-            state.sub_balance(transaction.sender, transaction.value)
-        except Exception as exc:  # noqa: BLE001 - converted to a failed receipt
-            return TransactionReceipt(success=False, gas_used=21_000, error=str(exc))
-        state.add_balance(transaction.to, transaction.value)
-        return TransactionReceipt(success=True, gas_used=21_000)
+        failed = _move_value(state, transaction.sender, transaction.to, transaction.value)
+        return failed or TransactionReceipt(success=True, gas_used=21_000)
 
     if transaction.kind == TX_CREATE:
         address = state.derive_contract_address(transaction.sender, state.get_nonce(transaction.sender))
+        if transaction.value:
+            failed = _move_value(state, transaction.sender, address, transaction.value)
+            if failed is not None:
+                return failed
         # The real EVM runs init code whose return data becomes the runtime
         # code.  The mini-EVM deploys ``transaction.code`` verbatim (no
         # CODECOPY-based constructor support); ``transaction.data`` may carry
         # an optional initialisation call executed right after deployment.
         state.set_code(address, transaction.code)
-        if transaction.value:
-            state.sub_balance(transaction.sender, transaction.value)
-            state.add_balance(address, transaction.value)
         init_result = ExecutionResult(success=True)
         if transaction.data:
             init_message = Message(
@@ -121,11 +129,9 @@ def apply_transaction(state: WorldState, transaction: Transaction, evm: Optional
 
     # TX_CALL
     if transaction.value:
-        try:
-            state.sub_balance(transaction.sender, transaction.value)
-        except Exception as exc:  # noqa: BLE001 - converted to a failed receipt
-            return TransactionReceipt(success=False, gas_used=21_000, error=str(exc))
-        state.add_balance(transaction.to, transaction.value)
+        failed = _move_value(state, transaction.sender, transaction.to, transaction.value)
+        if failed is not None:
+            return failed
     message = Message(
         sender=transaction.sender,
         to=transaction.to,

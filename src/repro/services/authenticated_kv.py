@@ -101,7 +101,24 @@ def chain_step(prev_digest: str, sequence: int, journal_root: str) -> str:
 
 
 class AuthenticatedKVStore(AuthenticatedService):
-    """Key-value store with the paper's ``digest``/``proof``/``verify`` API."""
+    """Key-value store with the paper's ``digest``/``proof``/``verify`` API.
+
+    **Run once, apply everywhere.**  A block's replay entry is ``(results,
+    delta, price, receipts, journal record)``: what the block returned, the
+    ordered writes it made, its simulated CPU price, the ledger's receipts
+    (none here) and ``(journal tree, new chain digest)``.  The first replica
+    to *start* block s (``Replica._try_execute`` asks
+    :meth:`block_execution_cost`, when its state is s's pre-state) records it
+    by a dry run (:meth:`_dry_run`) on the shared block
+    (:mod:`repro.core.execution_cache`) under the state key
+    ``(fingerprint, chain digest, s)``; each replica whose key matches prices
+    the block off that entry, and every replica, the recorder included,
+    applies the entry it priced from when the block finishes
+    (:meth:`execute_block`).  A replica whose key differs (restored by state
+    transfer, written out of band) dry-runs the block itself and leaves the
+    shared entry alone.  The ledger subclass changes only how a block runs
+    (:meth:`_run_block`) and keeps its receipts.
+    """
 
     def __init__(self, persist_cost_per_byte: float = 5e-9):
         self._store = KVStore(persist_cost_per_byte=persist_cost_per_byte)
@@ -112,24 +129,26 @@ class AuthenticatedKVStore(AuthenticatedService):
         self._digest_at: Dict[int, str] = {}
         self._block_order: List[int] = []
         # Execution-cache state fingerprint: ``(contents digest, chain digest
-        # at computation time)``.  The anchor pins *when* the contents were
+        # at computation time)``.  The chain digest covers every journaled
+        # block after it; the anchor pins *when* the contents were
         # fingerprinted, so a fingerprint computed after a state transfer can
         # never alias one computed at genesis even if the raw contents digests
-        # coincide.  Invalidated by every non-journaled mutation.
+        # coincide.  Recomputed after any write the journal does not cover
+        # (``KVStore.written_directly``).
         self._state_fingerprint: Optional[Tuple[str, str]] = None
-        # ``memo_key(value) -> H("result", value)``: the first executor's
-        # journal and the clients' verifier see the same few values over and
-        # over (ledger receipts are rebuilt per transaction).  At most one
-        # entry per distinct result this store journaled or checked.
+        # ``(operations, state key, entry)`` of the block this store last
+        # priced: the entry its ``execute_block`` applies.
+        self._priced: Optional[Tuple[Sequence[Operation], Tuple, Tuple]] = None
+        # ``memo_key(value) -> H("result", value)``: the recorder's journal
+        # and the clients' verifier see the same few values over and over
+        # (ledger receipts are rebuilt per transaction).  At most one entry
+        # per distinct result this store journaled or checked.
         self._digest_memo: Dict[Any, str] = {}
 
     # ------------------------------------------------------------------
     # ReplicatedService
     # ------------------------------------------------------------------
     def execute(self, operation: Operation) -> OperationResult:
-        # Out-of-band execution (tests, direct callers) mutates the store
-        # without journaling; drop the fingerprint like ``put`` does.
-        self._state_fingerprint = None
         return self._store.execute(operation)
 
     def query(self, operation: Operation) -> OperationResult:
@@ -138,68 +157,58 @@ class AuthenticatedKVStore(AuthenticatedService):
     def execution_cost(self, operation: Operation) -> float:
         return self._store.execution_cost(operation) + 2e-6
 
+    def block_execution_cost(self, sequence: int, operations: Sequence[Operation]) -> float:
+        """Simulated CPU seconds block ``sequence`` takes from the current
+        state: the price its replay entry carries."""
+        return self._entry(sequence, operations)[2]
+
     def execute_block(self, sequence: int, operations: Sequence[Operation]) -> Sequence[OperationResult]:
-        """Execute a decision block and journal it for later proofs.
+        """Execute a decision block and journal it for later proofs, by
+        applying its replay entry; peers return and journal the recorder's
+        results tuple itself."""
+        return self._apply(sequence, self._entry(sequence, operations))
 
-        The first replica of a cluster to execute a committed block records
-        the results, the ordered state delta and the journal record on the
-        shared block (:mod:`repro.core.execution_cache`); its n-1 peers replay
-        that entry instead of re-running ``KVStore.execute`` per operation.
-        Replay is decision-for-decision identical — same results, same journal
-        entries, same proofs, same chain digests, and the *simulated*
-        ``execution_cost`` accounting untouched — which
-        ``tests/test_kv_execution_cache.py`` pins on fixed-seed clusters.
-        Peers return and journal the first executor's results tuple itself.
-        """
+    def _entry(self, sequence: int, operations: Sequence[Operation]) -> Tuple:
+        """The replay entry of block ``sequence`` from the current state: the
+        one this store priced the block from, else the one on the shared
+        block if it was recorded from this state, else a fresh dry run
+        (offered to the block for the peers)."""
+        store = self._store
         fingerprint = self._state_fingerprint
-        if fingerprint is None:
-            fingerprint = (self._store.contents_digest(), self._chain_digest)
-            self._state_fingerprint = fingerprint
-        state_key = ("kv", fingerprint, self._chain_digest, sequence)
-        cached = execution_cache.lookup(operations, state_key)
-        if cached is not None:
-            results, delta, journal = cached
-            # Replay: same puts/deletes in the same order (so even the raw
-            # dict insertion order matches an uncached execution), then the
-            # recorded journal bookkeeping with no re-hashing at all.
-            self._store.replay_delta(delta)
-            self.replay_block(sequence, results, *journal)
-            return results
+        if fingerprint is None or store.written_directly:
+            fingerprint = self._state_fingerprint = (store.contents_digest(), self._chain_digest)
+            store.written_directly = False
+        state_key = (fingerprint, self._chain_digest, sequence)
+        priced = self._priced
+        if priced is not None and priced[0] is operations and priced[1] == state_key:
+            return priced[2]
+        entry = execution_cache.lookup(operations, state_key)
+        if entry is None:
+            entry = self._dry_run(sequence, operations)
+            execution_cache.store(operations, state_key, entry)
+        self._priced = (operations, state_key, entry)
+        return entry
 
-        # First execution of this block from this state: execute and record
-        # the state delta (the exact mutation stream, not a compacted map) for
-        # the peers.
-        store_execute = self._store.execute
-        executed = []
-        writes: List[tuple] = []
-        has_deletes = False
-        for operation in operations:
-            executed.append(store_execute(operation))
-            payload = operation.payload
-            if isinstance(payload, KVOperation):
-                action = payload.action
-                if action == "put":
-                    writes.append((payload.key, payload.value))
-                elif action == "delete":
-                    writes.append((payload.key,))
-                    has_deletes = True
-        results = tuple(executed)
-        journal = self.journal_block(sequence, operations, results)
-        execution_cache.store(operations, state_key, (results, (tuple(writes), has_deletes), journal))
+    def _dry_run(self, sequence: int, operations: Sequence[Operation]) -> Tuple:
+        """Run block ``sequence`` over an overlay of the current state and
+        return its replay entry; the contents, fingerprint and journal are
+        left as they were."""
+        (results, price, receipts), delta = self._store.dry_run(self._run_block, operations)
+        return results, delta, price, receipts, self.journal_record(sequence, operations, results)
+
+    def _run_block(self, operations: Sequence[Operation]) -> Tuple:
+        """``(results, price, receipts)`` of running ``operations`` in order."""
+        results = tuple(map(self._store.execute, operations))
+        return results, sum(map(self.execution_cost, operations)), ()
+
+    def _apply(self, sequence: int, entry: Tuple) -> Tuple[OperationResult, ...]:
+        """Apply a replay entry: its writes, then its journal record, with
+        no execution and no hashing."""
+        results, delta, _price, _receipts, journal = entry
+        self._priced = None
+        self._store.replay_delta(delta)
+        self.replay_block(sequence, results, *journal)
         return results
-
-    def journal_block(
-        self,
-        sequence: int,
-        operations: Sequence[Operation],
-        results: Sequence[OperationResult],
-    ) -> Tuple[MerkleTree, str]:
-        """Journal an already-executed block so it can be proven later:
-        :meth:`journal_record` then :meth:`replay_block`."""
-        results = tuple(results)
-        record = self.journal_record(sequence, operations, results)
-        self.replay_block(sequence, results, *record)
-        return record
 
     def journal_record(
         self,
@@ -210,8 +219,7 @@ class AuthenticatedKVStore(AuthenticatedService):
         """The journal record of a block executed on top of the current chain
         digest, appending nothing: ``(tree, new chain digest)``, the tree's
         leaves being the entries ``(s, l, H(o), H(val))``.  What a replay
-        entry keeps so every replica can :meth:`replay_block`; the ledger
-        computes it in its dry run, before any replica's state moves."""
+        entry keeps so every replica can :meth:`replay_block`."""
         tree = MerkleTree(tuple(
             (sequence, position, op_digest, self._result_digest(result.value))
             for position, (op_digest, result) in enumerate(
@@ -227,8 +235,8 @@ class AuthenticatedKVStore(AuthenticatedService):
         tree: MerkleTree,
         new_digest: str,
     ) -> None:
-        """Append a block whose journal record is already known: the
-        bookkeeping of :meth:`journal_block` with no hashing and no copies."""
+        """Append a block whose journal record is already known, with no
+        hashing and no copies."""
         self._journal_results[sequence] = results
         self._journal_trees[sequence] = tree
         self._prev_digest[sequence] = self._chain_digest
@@ -251,10 +259,9 @@ class AuthenticatedKVStore(AuthenticatedService):
         }
 
     def restore(self, snapshot: Any) -> None:
+        # ``KVStore.restore`` marks the contents written directly: the
+        # restored state was not built through this instance's journal chain.
         self._store.restore(snapshot["data"])
-        # Restored state was not built through this instance's journal chain;
-        # re-fingerprint before the next cached block.
-        self._state_fingerprint = None
         self._chain_digest = GENESIS_DIGEST
         self._journal_results = {}
         self._journal_trees = {}
@@ -285,16 +292,6 @@ class AuthenticatedKVStore(AuthenticatedService):
     def digest(self) -> str:
         """Current state digest (the tip of the hash chain)."""
         return self._chain_digest
-
-    def contents_digest(self) -> str:
-        """Digest of the raw key-value contents (not the journal chain).
-
-        The chain digest only commits to *journaled* blocks; direct writes
-        (genesis allocations, unreplicated baselines) bypass it.  The ledger's
-        execution cache therefore fingerprints the raw contents once and
-        relies on the chain digest for everything journaled afterwards.
-        """
-        return self._store.contents_digest()
 
     def prove(self, sequence: int, position: int) -> ExecutionProof:
         tree = self._journal_trees.get(sequence)
@@ -341,17 +338,6 @@ class AuthenticatedKVStore(AuthenticatedService):
                 and chained[1] == sequence and chained[2] == journal_root):
             return chained[3] == digest
         return chain_step(kv_proof.prev_digest, sequence, journal_root) == digest
-
-    @property
-    def store(self) -> KVStore:
-        """The plain store under the journal."""
-        return self._store
-
-    def put(self, key: str, value: Any) -> None:
-        # Direct (non-journaled) write: drop the execution-cache fingerprint
-        # so a diverged store can never hit a stale entry.
-        self._state_fingerprint = None
-        self._store.put(key, value)
 
     @staticmethod
     def make_put(key: str, value: Any, client_id: int = -1, timestamp: int = 0) -> Operation:

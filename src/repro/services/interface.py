@@ -63,15 +63,13 @@ class BlockOperations(tuple):
     service derives from the whole block can ride on it and be computed once
     per deployment instead of once per replica: ``digests`` holds the
     per-operation digest tuple, filled by
-    :func:`repro.services.authenticated_kv.block_operation_digests`,
+    :func:`repro.services.authenticated_kv.block_operation_digests`, and
     ``replay`` the recorder's ``(state key, entry)``, written and read
-    through :mod:`repro.core.execution_cache`, and ``cost`` the per-operation
-    price sum of :meth:`ReplicatedService.block_execution_cost`.
+    through :mod:`repro.core.execution_cache`.
     """
 
     digests: Optional[Tuple[str, ...]] = None
     replay: Optional[Tuple[Tuple, Tuple]] = None
-    cost: Optional[float] = None
 
 
 @frozen_record
@@ -121,19 +119,6 @@ class ReplicatedService:
     def execution_cost(self, operation: Operation) -> float:
         """Simulated CPU seconds needed to execute ``operation``."""
         return 5e-6
-
-    def block_execution_cost(self, sequence: int, operations: Sequence[Operation]) -> float:
-        """Simulated CPU seconds to execute block ``sequence`` from the current
-        state.  By default every operation is priced alone, whatever the
-        state, so the sum is kept on a shared block and computed once per
-        cluster; a service whose price depends on what a block does (the
-        ledger's gas) overrides this."""
-        cost = getattr(operations, "cost", None)
-        if cost is None:
-            cost = sum(self.execution_cost(op) for op in operations)
-            if type(operations) is BlockOperations:
-                operations.cost = cost
-        return cost
 
     def snapshot(self) -> Any:
         """Serializable copy of the full state (used by state transfer)."""

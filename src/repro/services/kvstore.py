@@ -8,7 +8,7 @@ backend of the authenticated store and the ledger.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.hashing import sha256_hex
 from repro.records import frozen_record
@@ -19,6 +19,9 @@ from repro.services.interface import Operation, OperationResult, ReplicatedServi
 #: KV benchmark) can return one immutable instance instead of allocating.
 _TRUE_RESULT = OperationResult(value=True)
 _FALSE_RESULT = OperationResult(value=False)
+
+#: A key a dry run deleted, in its overlay (never in the contents).
+_DELETED = object()
 
 
 @frozen_record
@@ -49,11 +52,23 @@ class KVOperation:
 
 
 class KVStore(ReplicatedService):
-    """Deterministic dictionary-backed key-value store."""
+    """Deterministic dictionary-backed key-value store.
+
+    A write outside :meth:`dry_run` and :meth:`replay_delta` sets
+    ``written_directly``: whoever fingerprints the contents
+    (``AuthenticatedKVStore``) re-fingerprints them and clears it.
+    """
 
     def __init__(self, persist_cost_per_byte: float = 0.0):
         self._data: Dict[str, Any] = {}
         self._persist_cost_per_byte = persist_cost_per_byte
+        # During ``dry_run``: the latest write per key (``_DELETED`` for a
+        # delete), read before the contents; from the run's first delete on,
+        # also the write stream, which starts with the overlay's puts so far
+        # (put-only writes replay exactly in first-write order, last value).
+        self._overlay: Optional[Dict[str, Any]] = None
+        self._writes: Optional[List[tuple]] = None
+        self.written_directly = False
 
     # ------------------------------------------------------------------
     # ReplicatedService
@@ -64,14 +79,24 @@ class KVStore(ReplicatedService):
             return OperationResult(ok=False, error="not a KV operation")
         action = payload.action
         if action == "put":
-            self._data[payload.key] = payload.value
+            self.put(payload.key, payload.value)
             return _TRUE_RESULT
         if action == "get":
-            return OperationResult(value=self._data.get(payload.key))
+            return OperationResult(value=self.get(payload.key))
         if action == "delete":
-            existed = payload.key in self._data
-            self._data.pop(payload.key, None)
-            return _TRUE_RESULT if existed else _FALSE_RESULT
+            key = payload.key
+            if self.get(key, _DELETED) is _DELETED:
+                return _FALSE_RESULT
+            overlay = self._overlay
+            if overlay is None:
+                del self._data[key]
+                self.written_directly = True
+                return _TRUE_RESULT
+            if self._writes is None:
+                self._writes = list(overlay.items())
+            overlay[key] = _DELETED
+            self._writes.append((key,))
+            return _TRUE_RESULT
         return OperationResult(ok=False, error=f"unknown action {action!r}")
 
     def query(self, operation: Operation) -> OperationResult:
@@ -86,13 +111,28 @@ class KVStore(ReplicatedService):
             cost += self._persist_cost_per_byte * operation.size_bytes
         return cost
 
+    def dry_run(self, run: Callable[..., Any], *args: Any) -> Tuple[Any, Tuple[Tuple[tuple, ...], bool]]:
+        """Call ``run(*args)`` with this store's writes held in an overlay:
+        reads through :meth:`get` (and :meth:`execute`) see them, the contents
+        do not change.  Returns what ``run`` returned and the delta that
+        applies its writes (:meth:`replay_delta`)."""
+        self._overlay = overlay = {}
+        try:
+            value = run(*args)
+            writes = self._writes
+        finally:
+            self._overlay = self._writes = None
+        if writes is None:
+            return value, (tuple(overlay.items()), False)
+        return value, (tuple(writes), True)
+
     def replay_delta(self, delta: Tuple[Tuple[tuple, ...], bool]) -> None:
-        """Apply a recorded state delta (the execution cache's, for both the
-        KV service and the ledger): ``(writes, has_deletes)``, where
-        ``writes`` is the mutation stream in operation order — ``(key,
-        value)`` for a put, ``(key,)`` for a delete — so even dict insertion
-        order matches an uncached execution.  Without deletes that is one
-        ``dict.update``, which assigns in order exactly like a loop."""
+        """Apply a dry run's delta: ``(writes, has_deletes)``, where
+        ``writes`` replays the run's mutations in order — ``(key, value)``
+        for a put, ``(key,)`` for a delete — so even dict insertion order
+        matches executing the operations.  Without deletes it is each key's
+        last value in first-write order, one ``dict.update``, which assigns
+        in order exactly like a loop."""
         writes, has_deletes = delta
         data = self._data
         if not has_deletes:
@@ -111,24 +151,33 @@ class KVStore(ReplicatedService):
         contents = copy.deepcopy(snapshot)
         self._data.clear()
         self._data.update(contents)
+        self.written_directly = True
 
     # ------------------------------------------------------------------
-    # Direct access (tests, ledger backend)
+    # Direct access (tests, the ledger's world state)
     # ------------------------------------------------------------------
-    @property
-    def data(self) -> Dict[str, Any]:
-        """The live contents, one dict for the store's lifetime (``restore``
-        refills it in place)."""
-        return self._data
+    def get(self, key: str, default: Any = None) -> Any:
+        overlay = self._overlay
+        if overlay and key in overlay:
+            value = overlay[key]
+            return default if value is _DELETED else value
+        return self._data.get(key, default)
 
     def put(self, key: str, value: Any) -> None:
-        self._data[key] = value
+        overlay = self._overlay
+        if overlay is None:
+            self._data[key] = value
+            self.written_directly = True
+            return
+        overlay[key] = value
+        if self._writes is not None:
+            self._writes.append((key, value))
 
     def contents_digest(self) -> str:
         """Order-independent digest of the full key-value contents.
 
-        Used by the ledger's execution cache as a state fingerprint: two
-        stores with equal contents produce equal digests.  O(store size) —
+        What the execution cache's state fingerprint hashes: two stores with
+        equal contents produce equal digests.  O(store size) —
         callers are expected to memoize.
         """
         return sha256_hex("kv-contents", sorted(self._data.items()))

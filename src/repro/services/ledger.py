@@ -6,58 +6,30 @@ authenticated key-value store, and execution costs are derived from the gas
 each transaction burns (its receipt's ``gas_used``), so the replication
 benchmarks see the per-transaction work the block actually did.
 
-**Price by a dry run, replay everywhere.**  "EVM bytecode is deterministic
-[so] the new state digest will be equal in all non-faulty replicas" (Section
-IX) — which means the n replicas of a cluster all interpret the *identical*
-committed block over the *identical* pre-state and produce the identical
-results.  Re-interpreting it n times is pure waste in a simulation where all
-replicas share one process.  The gas a block burns is known only once it has
-run, and a replica must know its cost when it *starts* the block (that is
-when ``Replica._try_execute`` reserves the execution core).  So the first
-replica to start block s, whose state is then exactly s's pre-state,
-dry-runs it (:meth:`LedgerService._dry_run`) against an overlay of that
-state: reads see the block's own writes, nothing reaches the store, the
-state fingerprint, the receipts or the journal.  The dry run yields the
-block's replay entry — results, receipts, the ordered state delta, the price
-and the journal record ``(tree, new chain digest)`` — stored on the shared
-block (:mod:`repro.core.execution_cache`, also used by the authenticated KV
-store) under a key made entirely of digests:
-
-    ("ledger", state fingerprint, chain digest, block number, sequence)
-
-Every replica whose own key matches prices the block off the entry
-(:meth:`block_execution_cost`) and, when its execution core finishes, applies
-it (:meth:`execute_block`): the delta through ``KVStore.replay_delta``, the
-journal record through ``replay_block``, with no EVM run and no hashing.  The
-first replica replays too, so state changes only when a block finishes
-executing, on every replica alike.  A replica whose key differs (restored by
-state transfer, written out of band) dry-runs the block for itself and leaves
-the shared entry alone.
-
-The state fingerprint covers what the chain digest cannot: direct
-(unjournaled) writes such as genesis allocations.  It is computed lazily from
-the full store contents and invalidated whenever the state mutates outside
-``execute_block``, so a ledger that diverges through direct ``apply`` calls
-can never hit a stale entry.
+The ledger *is* an :class:`AuthenticatedKVStore` whose world state reads and
+writes the store's contents, so it runs once and applies everywhere exactly
+as the KV store does: "EVM bytecode is deterministic [so] the new state
+digest will be equal in all non-faulty replicas" (Section IX).  The first
+replica to start a block dry-runs it over the store's overlay and records the
+replay entry; every replica prices the block off that entry and applies it
+when its execution core finishes.  A block's gas is known only once it has
+run, which is why the entry is recorded when a replica *starts* the block:
+its price is the gas its receipts burned.  What this class adds is only what
+differs from the KV store — how a transaction runs (:meth:`_execute_with`),
+what it costs (:meth:`transaction_cost`) and the receipts it leaves.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.core import execution_cache
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
 from repro.errors import InvalidTransaction
 from repro.evm.state import WorldState
 from repro.evm.transactions import Transaction, TransactionReceipt, apply_transaction
 from repro.evm.vm import EVM, BlockContext
 from repro.services.authenticated_kv import AuthenticatedKVStore
-from repro.services.interface import (
-    AuthenticatedService,
-    ExecutionProof,
-    Operation,
-    OperationResult,
-)
+from repro.services.interface import Operation, OperationResult
 
 
 def ledger_operation(transaction: Transaction, client_id: int = -1, timestamp: int = 0) -> Operation:
@@ -65,64 +37,20 @@ def ledger_operation(transaction: Transaction, client_id: int = -1, timestamp: i
     return Operation(kind="ledger", payload=transaction, client_id=client_id, timestamp=timestamp)
 
 
-class _LedgerBackend:
-    """The world state's store backend, with an overlay for dry runs.
-
-    Reads and writes go straight to the authenticated store's contents dict
-    (``KVStore.restore`` refills that dict in place, so the reference holds
-    across state transfer).  Writes outside a dry run (genesis funding,
-    direct ``apply``/``execute``, unreplicated baselines) go through the
-    authenticated store's ``put`` and invalidate the owner's state
-    fingerprint so diverged ledgers never share cache entries.  During a dry
-    run, writes land in ``overlay`` (first-write order, last value: replayed
-    by one ``dict.update`` that leaves the same contents and insertion order
-    as the writes themselves) and reads look there first.
-    """
-
-    __slots__ = ("get", "_data", "_authkv", "_owner", "overlay")
-
-    def __init__(self, authkv: AuthenticatedKVStore, owner: "LedgerService"):
-        self._data = authkv.store.data
-        self.get = self._data.get
-        self._authkv = authkv
-        self._owner = owner
-        self.overlay: Optional[Dict[str, Any]] = None
-
-    def put(self, key: str, value: Any) -> None:
-        overlay = self.overlay
-        if overlay is not None:
-            overlay[key] = value
-        else:
-            self._owner._state_fingerprint = None
-            self._authkv.put(key, value)
-
-    def begin_overlay(self) -> Dict[str, Any]:
-        overlay = self.overlay = {}
-        overlay_get, data_get = overlay.get, self._data.get
-
-        def get(key: str) -> Any:
-            value = overlay_get(key)
-            return data_get(key) if value is None else value
-
-        self.get = get
-        return overlay
-
-    def end_overlay(self) -> None:
-        self.overlay = None
-        self.get = self._data.get
-
-
-class LedgerService(AuthenticatedService):
+class LedgerService(AuthenticatedKVStore):
     """EVM-executing replicated service with Merkle authentication."""
 
     def __init__(self, costs: CryptoCosts = DEFAULT_COSTS):
-        self._authkv = AuthenticatedKVStore(persist_cost_per_byte=costs.persist_per_byte)
-        self._backend = _LedgerBackend(self._authkv, self)
-        self._world = WorldState(backend=self._backend)
-        self._block_number = 0
+        super().__init__(persist_cost_per_byte=costs.persist_per_byte)
+        self._world = WorldState(backend=self._store)
         self._costs = costs
-        self._state_fingerprint: Optional[Tuple[str, str]] = None
         self.receipts: List[TransactionReceipt] = []
+
+    @property
+    def _block_number(self) -> int:
+        """Blocks executed so far: one per journaled block, so the chain
+        digest implies it."""
+        return len(self._block_order)
 
     # ------------------------------------------------------------------
     # Direct (unreplicated) access — used by workload setup and examples
@@ -195,84 +123,15 @@ class LedgerService(AuthenticatedService):
             )
         return OperationResult(ok=False, error="unknown ledger query")
 
-    def block_execution_cost(self, sequence: int, operations: Sequence[Operation]) -> float:
-        """What block ``sequence`` burns from the current state: the price
-        its replay entry carries, recorded by whoever dry-ran it first."""
-        return self._block_entry(sequence, operations)[3]
-
     def execute_block(self, sequence: int, operations: Sequence[Operation]) -> Sequence[OperationResult]:
-        results, receipts, delta, _cost, journal = self._block_entry(sequence, operations)
-        # Apply the recorded state delta (journal-covered, so the fingerprint
-        # stays valid), then the recorded journal bookkeeping with no hashing.
-        self._block_number += 1
-        self._authkv.store.replay_delta(delta)
-        self.receipts.extend(receipts)
-        self._authkv.replay_block(sequence, results, *journal)
-        return results
+        """Apply the block's replay entry as the KV store does, keeping its
+        receipts."""
+        entry = self._entry(sequence, operations)
+        self.receipts.extend(entry[3])
+        return self._apply(sequence, entry)
 
-    def _block_entry(self, sequence: int, operations: Sequence[Operation]) -> Tuple:
-        """The replay entry of block ``sequence`` from the current state: the
-        one on the shared block if it was recorded from this state, else a
-        fresh dry run (offered to the block for the peers)."""
-        fingerprint = self._state_fingerprint
-        if fingerprint is None:
-            # Anchored to the chain digest at computation time, so a
-            # fingerprint taken after a restore can never alias one taken
-            # at genesis even if the raw contents digests coincide.
-            fingerprint = (self._authkv.contents_digest(), self._authkv.digest())
-            self._state_fingerprint = fingerprint
-        state_key = ("ledger", fingerprint, self._authkv.digest(), self._block_number + 1, sequence)
-        entry = execution_cache.lookup(operations, state_key)
-        if entry is None:
-            entry = self._dry_run(sequence, operations)
-            execution_cache.store(operations, state_key, entry)
-        return entry
-
-    def _dry_run(self, sequence: int, operations: Sequence[Operation]) -> Tuple:
-        """Run block ``sequence`` over an overlay of the current state and
-        return its replay entry ``(results, receipts, delta, cost, journal
-        record)``; the ledger's state, fingerprint, receipts and journal are
-        left as they were."""
-        backend = self._backend
-        overlay = backend.begin_overlay()
+    def _run_block(self, operations: Sequence[Operation]) -> Tuple:
         receipts: List[TransactionReceipt] = []
-        try:
-            evm = EVM(self._world, BlockContext(number=self._block_number + 1))
-            results = tuple(
-                self._execute_with(operation, evm, receipts) for operation in operations
-            )
-        finally:
-            backend.end_overlay()
-        cost = sum(map(self.transaction_cost, operations, results))
-        journal = self._authkv.journal_record(sequence, operations, results)
-        return results, tuple(receipts), (tuple(overlay.items()), False), cost, journal
-
-    def snapshot(self) -> Any:
-        return {"authkv": self._authkv.snapshot(), "block_number": self._block_number}
-
-    def restore(self, snapshot: Any) -> None:
-        self._authkv.restore(snapshot["authkv"])
-        self._block_number = snapshot["block_number"]
-        # Restored state was not built through this instance's journal chain;
-        # re-fingerprint before the next cached block.
-        self._state_fingerprint = None
-
-    # ------------------------------------------------------------------
-    # AuthenticatedService
-    # ------------------------------------------------------------------
-    def digest(self) -> str:
-        return self._authkv.digest()
-
-    def prove(self, sequence: int, position: int) -> ExecutionProof:
-        return self._authkv.prove(sequence, position)
-
-    def verify(
-        self,
-        digest: str,
-        operation: Operation,
-        value: Any,
-        sequence: int,
-        position: int,
-        proof: ExecutionProof,
-    ) -> bool:
-        return self._authkv.verify(digest, operation, value, sequence, position, proof)
+        evm = EVM(self._world, BlockContext(number=self._block_number + 1))
+        results = tuple(self._execute_with(operation, evm, receipts) for operation in operations)
+        return results, sum(map(self.transaction_cost, operations, results)), tuple(receipts)

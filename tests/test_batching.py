@@ -24,7 +24,7 @@ from repro.core.viewchange import NewViewPlan
 from repro.errors import ConfigurationError
 from repro.pbft.replica import PBFTReplica
 from repro.protocols.cluster import build_cluster
-from repro.services.interface import ReplicatedService
+from repro.services.authenticated_kv import AuthenticatedKVStore
 from repro.sim.faults import FaultPlan
 from repro.workloads.kv_workload import KVWorkload
 from test_client_behaviour import _executed_ack_for, _make_client
@@ -59,22 +59,22 @@ def test_describe_mentions_adaptive_policy():
 def test_unshared_replay_sees_a_stash_that_depends_on_how_often_it_was_computed(
     name, monkeypatch
 ):
-    """The differential fails demonstrably: salt the stashed block cost with
-    a call counter — nothing an AST model of "memo" identifiers can see — and
-    the shared run (one computation per block, every replica reads it) and the
-    unshared run (one per replica) no longer decide the same thing."""
-    real = ReplicatedService.block_execution_cost
+    """The differential fails demonstrably: salt the price a block's dry run
+    records with a call counter — nothing an AST model of "memo" identifiers
+    can see — and the shared run (one dry run per block, every replica reads
+    its entry) and the unshared run (one per replica) no longer decide the
+    same thing."""
+    real = AuthenticatedKVStore._dry_run
     protocol, kwargs = contract.GOLDENS[name]
 
     def decided(post_build):
         calls = itertools.count()  # per run: only *sharing* differs between the two
 
         def salted(self, sequence, operations):
-            if operations.cost is None:
-                operations.cost = real(self, sequence, operations) + 1e-6 * (next(calls) % 7)
-            return real(self, sequence, operations)
+            results, delta, price, receipts, journal = real(self, sequence, operations)
+            return results, delta, price + 1e-6 * (next(calls) % 7), receipts, journal
 
-        monkeypatch.setattr(ReplicatedService, "block_execution_cost", salted)
+        monkeypatch.setattr(AuthenticatedKVStore, "_dry_run", salted)
         return contract.golden(protocol, post_build=post_build, **kwargs)
 
     assert decided(None) != decided(unshare)

@@ -128,4 +128,4 @@ def test_world_state_on_authenticated_backend_changes_digest():
     ledger = LedgerService()
     ledger._world.add_balance("0x" + "05" * 20, 10)
     # Balances live in the backing (authenticated) store.
-    assert ledger._authkv.store.data["acct/0x" + "05" * 20 + "/balance"] == 10
+    assert ledger._store._data["acct/0x" + "05" * 20 + "/balance"] == 10

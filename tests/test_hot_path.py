@@ -244,9 +244,9 @@ def test_pbft_run_hashes_once_per_signature_not_once_per_recipient(monkeypatch):
     # The whole run: trusted setup, the signatures above, one digest to sign
     # and one to check per pre-prepare, one state fingerprint per replica, and
     # per block one journal (4 operation digests, a 4-leaf tree, a chain step)
-    # by its first executor; a client digests the values of each of the f + 1
+    # by its first planner; a client digests the values of each of the f + 1
     # replies it counts per request.  ``True`` is the only result value, and
-    # four different replicas were some block's first executor.
+    # four different replicas were some block's first planner.
     assert passes == {
         "dealer-poly": 15, "keygen": 9, "pk-sign": 186, "block": 6 + 6, "kv-contents": 7,
         "op": 24, "result": 4, "merkle-leaf": 24, "merkle-node": 18, "authkv-chain": 6,

@@ -154,7 +154,7 @@ def _mutable_stashes(messages):
     fields and tuples) and check every ``init=False`` slot on the way: it may
     hold str / int / float / bytes / bool / None / a type, tuples of those, or
     frozen dataclasses (walked in turn).  ``BlockOperations.digests`` is
-    checked like a slot.  ``BlockOperations.replay`` — the first executor's
+    checked like a slot.  ``BlockOperations.replay`` — the first planner's
     entry, shared by design; what replaying it decides is compared against
     executing by the unshared differential (tests/test_batching.py) and the
     ``execute_everywhere`` tests — is checked for the two tuples every peer

@@ -2,7 +2,7 @@
 ``tests/test_execution_cache.py``, which pins the same invariants for the
 ledger).
 
-ROADMAP "Hot-path invariants": replaying the first executor's entry must be
+ROADMAP "Hot-path invariants": applying the recorded entry must be
 decision-for-decision identical to re-executing the block — same per-replica
 ``stats``, journal entries, proofs, chain digests, client results and network
 traffic for fixed seeds, whether peers replay or every replica executes — and
@@ -17,7 +17,7 @@ import pytest
 from helpers import assert_agreement, execute_everywhere
 from repro.core.execution_cache import clear, stats
 from repro.core.messages import ClientRequest, PrePrepare
-from repro.core.runtime import block_execution_plan
+from repro.core.runtime import block_operations
 from repro.crypto.costs import DEFAULT_COSTS
 from repro.experiments.fault_sweep import CONFIG_OVERRIDES, SCENARIOS, SWEEP_SCALES
 from repro.protocols.cluster import build_cluster
@@ -139,11 +139,11 @@ def test_direct_put_invalidates_fingerprint(counters):
     recorded = ops.replay
 
     # Out-of-band write: same block, different pre-state.
-    diverged.put("x", "boom")
+    diverged._store.put("x", "boom")
     diverged_results = diverged.execute_block(seq, ops)
     assert diverged_results[1].value == "boom"
     assert counters() == {"hits": 0, "misses": 2}
-    assert ops.replay is recorded  # the first executor's entry stands
+    assert ops.replay is recorded  # the recorder's entry stands
 
 
 def test_direct_execute_invalidates_fingerprint(counters):
@@ -197,7 +197,7 @@ def test_block_reproposed_in_a_new_view_executes_once_more(counters):
 
     def proposal(view):
         message = PrePrepare(sequence=1, view=view, requests=(request,), digest=f"d{view}")
-        return block_execution_plan(message, service, DEFAULT_COSTS)[0]
+        return block_operations(message, service, DEFAULT_COSTS)
 
     old_view, new_view = proposal(0), proposal(1)
     assert old_view == new_view and old_view is not new_view

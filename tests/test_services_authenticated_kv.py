@@ -25,8 +25,8 @@ def test_genesis_digest_before_any_block():
 def test_execute_block_changes_digest_and_state():
     store = AuthenticatedKVStore()
     _block(store, 1, [("a", 1), ("b", 2)])
-    assert store.store.data["a"] == 1
-    assert store.store.data["b"] == 2
+    assert store._store._data["a"] == 1
+    assert store._store._data["b"] == 2
     assert store.digest() != GENESIS_DIGEST
     assert len(store._block_order) == 1
 
@@ -236,28 +236,29 @@ def test_snapshot_restore_preserves_digest_chain_and_proofs():
     fresh = AuthenticatedKVStore()
     fresh.restore(snapshot)
     assert fresh.digest() == store.digest()
-    assert fresh.store.data["a"] == 1
+    assert fresh._store._data["a"] == 1
     proof = fresh.prove(1, 0)
     assert fresh.verify(fresh._digest_at[1], ops[0], results[0].value, 1, 0, proof)
 
 
-def test_journal_block_with_external_results():
-    """Services like the ledger execute elsewhere and journal afterwards."""
+def test_journal_record_with_external_results():
+    """A block's journal record commits to whatever results it is given."""
     store = AuthenticatedKVStore()
     op = AuthenticatedKVStore.make_put("k", "v")
-    result = OperationResult(value="external")
-    store.journal_block(5, [op], [result])
+    results = (OperationResult(value="external"),)
+    store.replay_block(5, results, *store.journal_record(5, [op], results))
     proof = store.prove(5, 0)
     assert store.verify(store._digest_at[5], op, "external", 5, 0, proof)
 
 
 def test_replay_block_reproduces_a_journaled_block_exactly():
-    """The record ``journal_block`` returns is all a peer needs: replaying it
-    gives the same digest chain and proofs with no hashing of its own."""
+    """The record ``journal_record`` returns is all a peer needs: replaying
+    it gives the same digest chain and proofs with no hashing of its own."""
     first, peer = AuthenticatedKVStore(), AuthenticatedKVStore()
     op = AuthenticatedKVStore.make_put("k", "v")
-    results = [OperationResult(value={"success": True, "gas_used": 21000})]
-    record = first.journal_block(5, [op], results)
+    results = (OperationResult(value={"success": True, "gas_used": 21000}),)
+    record = first.journal_record(5, [op], results)
+    first.replay_block(5, results, *record)
     peer.replay_block(5, results, *record)
     assert peer.digest() == first.digest() == record[1]
     assert peer.prove(5, 0) == first.prove(5, 0)

@@ -18,7 +18,7 @@ def test_query_is_read_only():
     store.put("a", 1)
     result = store.query(KVOperation.get("a"))
     assert result.value == 1
-    assert len(store.data) == 1
+    assert len(store._data) == 1
 
 
 def test_query_rejects_writes():
@@ -46,7 +46,7 @@ def test_execute_block_applies_in_order():
     ops = [KVOperation.put("k", i) for i in range(5)]
     results = store.execute_block(1, ops)
     assert len(results) == 5
-    assert store.data["k"] == 4
+    assert store._data["k"] == 4
 
 
 def test_snapshot_restore_roundtrip():
@@ -56,15 +56,15 @@ def test_snapshot_restore_roundtrip():
     snapshot = store.snapshot()
     store.put("a", "overwritten")
     store.restore(snapshot)
-    assert store.data["a"] == [1, 2, 3]
-    assert store.data["b"] == {"nested": True}
+    assert store._data["a"] == [1, 2, 3]
+    assert store._data["b"] == {"nested": True}
 
 
 def test_snapshot_is_deep_copy():
     store = KVStore()
     store.put("list", [1])
     snapshot = store.snapshot()
-    store.data["list"].append(2)
+    store._data["list"].append(2)
     assert snapshot["list"] == [1]
 
 
@@ -78,11 +78,11 @@ def test_execution_cost_includes_persistence():
 def test_contains_and_keys():
     store = KVStore()
     store.put("x", 1)
-    assert "x" in store.data
-    assert "y" not in store.data
-    assert list(store.data) == ["x"]
+    assert "x" in store._data
+    assert "y" not in store._data
+    assert list(store._data) == ["x"]
     store.execute(KVOperation.delete("x"))
-    assert "x" not in store.data
+    assert "x" not in store._data
 
 
 def _replayed_by_a_loop(store, writes):
@@ -91,7 +91,7 @@ def _replayed_by_a_loop(store, writes):
         if len(write) == 2:
             store.put(*write)
         else:
-            store.data.pop(write[0], None)
+            store._data.pop(write[0], None)
 
 
 def _two_stores():
@@ -107,8 +107,8 @@ def test_put_only_delta_replays_like_a_per_key_loop():
     bulk, loop = _two_stores()
     bulk.replay_delta((writes, False))
     _replayed_by_a_loop(loop, writes)
-    assert list(bulk.data.items()) == list(loop.data.items())
-    assert list(bulk.data) == ["b", "a", "c", "x", "d"]
+    assert list(bulk._data.items()) == list(loop._data.items())
+    assert list(bulk._data) == ["b", "a", "c", "x", "d"]
 
 
 def test_mixed_delta_replays_like_a_per_key_loop():
@@ -117,17 +117,17 @@ def test_mixed_delta_replays_like_a_per_key_loop():
     bulk, loop = _two_stores()
     bulk.replay_delta((writes, True))
     _replayed_by_a_loop(loop, writes)
-    assert list(bulk.data.items()) == list(loop.data.items())
-    assert list(bulk.data) == ["c", "x", "a", "b"]
+    assert list(bulk._data.items()) == list(loop._data.items())
+    assert list(bulk._data) == ["c", "x", "a", "b"]
 
 
 def test_restore_refills_the_same_dict():
     store = KVStore()
-    data = store.data
+    data = store._data
     store.put("a", 1)
     snapshot = store.snapshot()
     store.put("b", 2)
     store.restore(snapshot)
-    assert store.data is data and data == {"a": 1}
-    store.restore(store.data)  # its own contents: copied before the clear
+    assert store._data is data and data == {"a": 1}
+    store.restore(store._data)  # its own contents: copied before the clear
     assert data == {"a": 1}

@@ -1,4 +1,4 @@
-"""Peers hold the first executor's record itself, never a copy of it.
+"""Peers hold the recorder's entry itself, never a copy of it.
 
 All n replicas of a simulated cluster share one process, so anything a
 replica copies out of the block's replay entry costs n times.  For every
@@ -17,14 +17,13 @@ from helpers import run_small_cluster
 from repro.core import execution_cache
 from repro.crypto.merkle import MerkleTree
 from repro.protocols.cluster import build_cluster
-from repro.services.ledger import LedgerService
 from repro.workloads.ethereum_workload import EthereumWorkload
 from test_kv_execution_cache import _run_crash_restart
 
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every ``BlockOperations`` a first executor offered a replay entry to."""
+    """Every ``BlockOperations`` a recorder offered a replay entry to."""
     blocks = []
     real = execution_cache.store
 
@@ -46,16 +45,12 @@ def _entries_by_sequence(blocks):
     return by_sequence
 
 
-def _journal(service):
-    return service._authkv if isinstance(service, LedgerService) else service
-
-
 def _assert_peers_hold_the_record(cluster, blocks):
     entries = _entries_by_sequence(blocks)
     assert entries
     slots_checked = 0
     for replica in cluster.replicas.values():
-        journal = _journal(replica.service)
+        journal = replica.service
         assert journal._block_order == sorted(entries)
         for sequence, entry in entries.items():
             results, tree = entry[0], entry[-1][0]
