@@ -29,6 +29,7 @@ execute-ack needs, since the π certificate is over ``d_s``.
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -114,10 +115,12 @@ class AuthenticatedKVStore(AuthenticatedService):
     ``(fingerprint, chain digest, s)``; each replica whose key matches prices
     the block off that entry, and every replica, the recorder included,
     applies the entry it priced from when the block finishes
-    (:meth:`execute_block`).  A replica whose key differs (restored by state
-    transfer, written out of band) dry-runs the block itself and leaves the
-    shared entry alone.  The ledger subclass changes only how a block runs
-    (:meth:`_run_block`) and keeps its receipts.
+    (:meth:`execute_block`); those that priced off the recorded entry end
+    up holding one copy-on-write contents object (:meth:`_apply`).  A
+    replica whose key differs (restored by state transfer, written out of
+    band) dry-runs the block itself and leaves the shared entry alone.  The
+    ledger subclass changes only how a block runs (:meth:`_run_block`) and
+    keeps its receipts.
     """
 
     def __init__(self, persist_cost_per_byte: float = 5e-9):
@@ -202,11 +205,28 @@ class AuthenticatedKVStore(AuthenticatedService):
         return results, sum(map(self.execution_cost, operations)), ()
 
     def _apply(self, sequence: int, entry: Tuple) -> Tuple[OperationResult, ...]:
-        """Apply a replay entry: its writes, then its journal record, with
-        no execution and no hashing."""
+        """Apply the replay entry this store priced from: its writes, then
+        its journal record, with no execution and no hashing.  Replicas that
+        priced the block off the recorded entry share one post-state: the
+        first of them to apply builds it (a copy of its pre-state, then the
+        writes) and leaves a weak handle on the block, and the others adopt
+        it while any store still holds it.  A replica that ran the block
+        itself applies the writes to its own contents."""
         results, delta, _price, _receipts, journal = entry
+        operations = self._priced[0]
         self._priced = None
-        self._store.replay_delta(delta)
+        store = self._store
+        replay = operations.replay if type(operations) is BlockOperations else None
+        if replay is None or replay[1] is not entry:
+            store.replay_delta(delta)
+        else:
+            handle = operations.post_state
+            post_state = handle() if handle is not None else None
+            if post_state is None:
+                store.replay_delta(delta)
+                operations.post_state = weakref.ref(store.share())
+            else:
+                store.adopt(post_state)
         self.replay_block(sequence, results, *journal)
         return results
 

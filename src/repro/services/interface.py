@@ -14,6 +14,7 @@ parameterised by:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import field
 from typing import Any, Optional, Sequence, Tuple
 
@@ -63,13 +64,16 @@ class BlockOperations(tuple):
     service derives from the whole block can ride on it and be computed once
     per deployment instead of once per replica: ``digests`` holds the
     per-operation digest tuple, filled by
-    :func:`repro.services.authenticated_kv.block_operation_digests`, and
+    :func:`repro.services.authenticated_kv.block_operation_digests`,
     ``replay`` the recorder's ``(state key, entry)``, written and read
-    through :mod:`repro.core.execution_cache`.
+    through :mod:`repro.core.execution_cache`, and ``post_state`` a weak
+    reference to the store contents that applying that entry produced
+    (``AuthenticatedKVStore._apply``).
     """
 
     digests: Optional[Tuple[str, ...]] = None
     replay: Optional[Tuple[Tuple, Tuple]] = None
+    post_state: Optional[weakref.ref] = None
 
 
 @frozen_record

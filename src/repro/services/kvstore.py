@@ -24,6 +24,14 @@ _FALSE_RESULT = OperationResult(value=False)
 _DELETED = object()
 
 
+class Contents(dict):
+    """A store's contents: a plain dict that can be weakly referenced, so
+    replicas at one state can share one version of it (:meth:`KVStore.share`)
+    without anything but a store keeping it alive."""
+
+    __slots__ = ("__weakref__",)
+
+
 @frozen_record
 class KVOperation:
     """Payload of a key-value operation: ``put``, ``get`` or ``delete``."""
@@ -57,10 +65,17 @@ class KVStore(ReplicatedService):
     A write outside :meth:`dry_run` and :meth:`replay_delta` sets
     ``written_directly``: whoever fingerprints the contents
     (``AuthenticatedKVStore``) re-fingerprints them and clears it.
+
+    **Copy-on-write.**  Once :meth:`share` hands the contents out (or
+    :meth:`adopt` takes another store's), no one mutates that version: the
+    next write of any kind first gives this store a private copy
+    (:meth:`_writable`).  :meth:`restore` binds fresh private contents.
     """
 
     def __init__(self, persist_cost_per_byte: float = 0.0):
-        self._data: Dict[str, Any] = {}
+        self._data: Contents = Contents()
+        # Whether another store may hold ``_data``.
+        self._shared = False
         self._persist_cost_per_byte = persist_cost_per_byte
         # During ``dry_run``: the latest write per key (``_DELETED`` for a
         # delete), read before the contents; from the run's first delete on,
@@ -89,7 +104,7 @@ class KVStore(ReplicatedService):
                 return _FALSE_RESULT
             overlay = self._overlay
             if overlay is None:
-                del self._data[key]
+                del self._writable()[key]
                 self.written_directly = True
                 return _TRUE_RESULT
             if self._writes is None:
@@ -134,7 +149,7 @@ class KVStore(ReplicatedService):
         last value in first-write order, one ``dict.update``, which assigns
         in order exactly like a loop."""
         writes, has_deletes = delta
-        data = self._data
+        data = self._writable()
         if not has_deletes:
             data.update(writes)
             return
@@ -144,13 +159,31 @@ class KVStore(ReplicatedService):
             else:
                 data.pop(write[0], None)
 
+    def _writable(self) -> Contents:
+        """The contents, copied first if another store may hold them."""
+        if self._shared:
+            self._data = Contents(self._data)
+            self._shared = False
+        return self._data
+
+    def share(self) -> Contents:
+        """The contents, from now on never mutated: what a store at the same
+        state may :meth:`adopt`."""
+        self._shared = True
+        return self._data
+
+    def adopt(self, contents: Contents) -> None:
+        """Take another store's shared contents as this store's own, in
+        place of contents equal to them (no write is recorded)."""
+        self._data = contents
+        self._shared = True
+
     def snapshot(self) -> Any:
-        return copy.deepcopy(self._data)
+        return copy.deepcopy(dict(self._data))
 
     def restore(self, snapshot: Any) -> None:
-        contents = copy.deepcopy(snapshot)
-        self._data.clear()
-        self._data.update(contents)
+        self._data = Contents(copy.deepcopy(snapshot))
+        self._shared = False
         self.written_directly = True
 
     # ------------------------------------------------------------------
@@ -166,7 +199,7 @@ class KVStore(ReplicatedService):
     def put(self, key: str, value: Any) -> None:
         overlay = self._overlay
         if overlay is None:
-            self._data[key] = value
+            self._writable()[key] = value
             self.written_directly = True
             return
         overlay[key] = value

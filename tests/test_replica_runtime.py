@@ -465,7 +465,10 @@ def test_adversary_code_detector_sees_what_it_must_and_no_more():
     ]
 
 
-_EMPTY_CONTAINER_CALLS = {"dict", "list", "set", "Counter", "defaultdict", "OrderedDict", "deque"}
+_EMPTY_CONTAINER_CALLS = {
+    "dict", "list", "set", "Counter", "defaultdict", "OrderedDict", "deque",
+    "WeakValueDictionary", "WeakKeyDictionary", "WeakSet",
+}
 
 
 def _runtime_tables(tree):
@@ -511,20 +514,27 @@ def test_no_module_holds_a_table_filled_at_run_time():
 def test_runtime_table_detector_sees_what_it_must_and_no_more():
     planted = ast.parse(textwrap.dedent("""
         import collections
+        import weakref
+        from weakref import WeakSet
         _MEMO = {}
         _seen: set = set()
         _by_kind = collections.defaultdict(list)
         _counts = Counter()
+        _versions = weakref.WeakValueDictionary()
+        _owners: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        _live = WeakSet()
         LIMITS = {"hits": 0}
         NAMES = ("a", "b")
         _copy = dict(LIMITS)
+        _ref = weakref.ref(LIMITS)
         def toggle(on):
             global _enabled
             _enabled = on
             local = {}
+            handles = weakref.WeakValueDictionary()
     """))
     assert sorted(what for _line, what in _runtime_tables(planted)) == [
-        "_MEMO", "_by_kind", "_counts", "_seen", "global _enabled",
+        "_MEMO", "_by_kind", "_counts", "_live", "_owners", "_seen", "_versions", "global _enabled",
     ]
 
 

@@ -121,13 +121,15 @@ def test_mixed_delta_replays_like_a_per_key_loop():
     assert list(bulk._data) == ["c", "x", "a", "b"]
 
 
-def test_restore_refills_the_same_dict():
+def test_restore_binds_private_contents():
     store = KVStore()
-    data = store._data
     store.put("a", 1)
     snapshot = store.snapshot()
+    assert type(snapshot) is dict
     store.put("b", 2)
+    data = store._data
     store.restore(snapshot)
-    assert store._data is data and data == {"a": 1}
-    store.restore(store._data)  # its own contents: copied before the clear
-    assert data == {"a": 1}
+    assert store._data is not data and store._data == {"a": 1}
+    assert data == {"a": 1, "b": 2}  # the old version is left as it was
+    store.restore(store._data)  # its own contents: copied, not aliased
+    assert store._data == {"a": 1}
