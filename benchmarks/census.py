@@ -1,9 +1,9 @@
 """The results census: every ``src/repro`` function that no result enters.
 
 Runs everything the repo reports — the five ``benchmarks/perf`` workloads at
-``--smoke``, the four examples, the six sweeps at ``--scale small`` (the
-view-change study has no ``--scale``) and the adversary search's default
-grid — in this one process under a stdlib
+``--smoke``, the four examples, the throughput and fault sweeps at ``--scale
+small``, the view-change study (no ``--scale``) and the adversary search's
+default grid — in this one process under a stdlib
 ``sys.setprofile`` hook, then prints, one per line and sorted, the
 ``module:qualname`` of each function defined under ``src/repro`` that was
 never entered.  No line numbers are printed, so an unrelated edit does not
@@ -42,7 +42,7 @@ WORKLOADS = (
     "kv-sbft-pipelined-rw",
 )
 EXAMPLES = ("quickstart.py", "view_change_demo.py", "kv_benchmark.py", "smart_contracts.py")
-SCALED_SWEEPS = ("scale_sweep", "client_sweep", "smart_contracts", "fault_sweep", "fig2_throughput")
+SCALED_SWEEPS = ("throughput", "fault_sweep")
 
 
 def _module_name(path: str) -> str:

@@ -4,13 +4,15 @@ Every benchmark regenerates (a scaled-down version of) one table or figure of
 the paper.  The scale is controlled by the ``REPRO_BENCH_SCALE`` environment
 variable:
 
-* ``small`` (default) — f=2, a couple of client counts; the whole suite runs
-  in a few minutes on a laptop.
-* ``medium`` — f=8; tens of minutes.
+* ``small`` (default) — the committed baselines' scale; the whole suite
+  runs in about a minute.
+* ``medium`` — f=8 Figure 2 panels; tens of minutes.
 * ``paper``  — f=64, the paper's deployment sizes; hours (intended for
   overnight runs; the shapes are already visible at smaller scales).
 
-Any other name fails the session instead of running ``small``.
+Any other name fails the session instead of running ``small``.  The
+throughput benchmarks run panels of :data:`repro.experiments.throughput.SCALES`
+at that scale.
 
 Each benchmark prints the rows it produced (they are also attached to
 ``benchmark.extra_info`` so they appear in ``--benchmark-json`` output);
@@ -23,19 +25,7 @@ import os
 
 import pytest
 
-from repro.experiments.harness import SCALES, ExperimentScale
-
-#: Benchmark-sized "small" scale: slightly lighter than the experiments' small
-#: scale so that the quadratic PBFT runs stay quick.
-BENCH_SMALL = ExperimentScale(
-    name="bench-small",
-    f=2,
-    client_counts=(4, 16, 32),
-    requests_per_client=3,
-    block_batch=8,
-    max_sim_time=300.0,
-)
-
+from repro.experiments.throughput import SCALES
 
 #: The one reading of ``REPRO_BENCH_SCALE``; every sweep benchmark runs the
 #: sweep's scale of this name.
@@ -49,11 +39,6 @@ if SCALE_NAME not in SCALES:
 @pytest.fixture(scope="session")
 def scale_name() -> str:
     return SCALE_NAME
-
-
-@pytest.fixture(scope="session")
-def scale() -> ExperimentScale:
-    return BENCH_SMALL if SCALE_NAME == "small" else SCALES[SCALE_NAME]
 
 
 def attach_rows(benchmark, rows):

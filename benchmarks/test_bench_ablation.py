@@ -1,6 +1,6 @@
 """Ingredient ablation — Section IX's narrative, one row per protocol variant.
 
-The ablation is a Figure 2 grid at one client count (``fast_blocks`` /
+The ablation is the throughput sweep's ``figures`` panel at one client count (``fast_blocks`` /
 ``slow_blocks`` ride on every row).  Expected shapes at any scale:
 
 * the fast path commits blocks on the fast path only when it is enabled and
@@ -13,25 +13,22 @@ The ablation is a Figure 2 grid at one client count (``fast_blocks`` /
 
 from __future__ import annotations
 
+from dataclasses import replace
 
 from conftest import attach_rows
-from repro.experiments import fig2_throughput, harness
+from repro.experiments import harness, throughput
 from repro.protocols.registry import PAPER_ORDER
 
 
-def ablation_rows(scale, failures, protocols=PAPER_ORDER):
-    points = fig2_throughput.grid(
-        scale=scale,
-        protocols=protocols,
-        batch_modes=[8],
-        failures=[failures],
-        client_counts=[min(16, max(scale.client_counts))],
-    )
-    return harness.run(fig2_throughput.SWEEP, points)
+def ablation_rows(scale_name, failures, protocols=PAPER_ORDER):
+    figures = throughput.panel(scale_name, "figures")
+    figures = replace(figures, protocols=tuple(protocols), kv_batch=(8,), failures=(failures,),
+                      clients=(min(16, max(figures.clients)),))
+    return harness.run(throughput.SWEEP, figures.points())
 
 
-def test_ablation_no_failures(benchmark, scale):
-    rows = benchmark.pedantic(lambda: ablation_rows(scale, 0), rounds=1, iterations=1)
+def test_ablation_no_failures(benchmark, scale_name):
+    rows = benchmark.pedantic(lambda: ablation_rows(scale_name, 0), rounds=1, iterations=1)
     attach_rows(benchmark, rows)
     by_protocol = {row["protocol"]: row for row in rows}
     assert set(by_protocol) == set(PAPER_ORDER)
@@ -41,11 +38,13 @@ def test_ablation_no_failures(benchmark, scale):
     assert by_protocol["sbft-c0"]["fast_blocks"] > 0
 
 
-def test_ablation_with_failures(benchmark, scale):
-    failures = max(1, scale.f // 8)
+def test_ablation_with_failures(benchmark, scale_name):
+    (f,) = throughput.panel(scale_name, "figures").f
+    failures = max(1, f // 8)
 
     def run():
-        return ablation_rows(scale, failures, protocols=["linear-pbft-fast", "sbft-c0", "sbft-c8"])
+        return ablation_rows(scale_name, failures,
+                             protocols=["linear-pbft-fast", "sbft-c0", "sbft-c8"])
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     attach_rows(benchmark, rows)

@@ -1,7 +1,7 @@
 """Client-load sweep as a benchmark (Section IX, Figure 2's load axis).
 
-One row per (protocol, batch-policy, num_clients) point of the pipelined
-client-scaling grid; rows carry simulated throughput/latency, the batching
+One row per (protocol, batch-policy, num_clients) point of the throughput
+sweep's pipelined ``clients`` panel; rows carry simulated throughput/latency, the batching
 evidence (blocks executed, requests per block) and the harness wall/CPU cost.
 ``REPRO_BENCH_SCALE`` picks the sweep size like the other benchmarks.
 
@@ -14,19 +14,22 @@ policies behave alike.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import attach_rows
-from repro.experiments import harness
-from repro.experiments.client_sweep import POLICIES, SWEEP, SWEEP_SCALES, grid
+from repro.experiments import harness, throughput
+from repro.experiments.throughput import POLICIES, SWEEP
 
 
 @pytest.mark.parametrize("protocol", ["sbft-c0", "pbft"])
 def test_client_sweep(benchmark, scale_name, protocol):
-    client_counts = SWEEP_SCALES[scale_name]["client_counts"]
+    ladder = replace(throughput.panel(scale_name, "clients"), protocols=(protocol,))
+    client_counts = ladder.clients
 
     def run():
-        return harness.run(SWEEP, grid(scale_name=scale_name, protocols=[protocol]))
+        return harness.run(SWEEP, ladder.points())
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     attach_rows(benchmark, rows)
@@ -58,5 +61,6 @@ def _stable(rows):
 
 def test_client_sweep_deterministic():
     """The sweep is a pure function of its seed (same rows serial or not)."""
-    points = grid(scale_name="small", protocols=["sbft-c0"], clients=[8], seed=3)
+    ladder = replace(throughput.panel("small", "clients"), protocols=("sbft-c0",), clients=(8,))
+    points = ladder.points(seed=3)
     assert _stable(harness.run(SWEEP, points)) == _stable(harness.run(SWEEP, points))

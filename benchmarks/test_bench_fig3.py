@@ -1,27 +1,24 @@
-"""Figure 3 — latency vs throughput curves for the five protocol variants."""
+"""Figure 3 — latency vs throughput curves for the five protocol variants
+(the throughput sweep's ``figures`` panel with the axes swapped)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 
 from conftest import attach_rows
-from repro.experiments import fig2_throughput, harness
-from repro.experiments.fig2_throughput import latency_curves
+from repro.experiments import harness, throughput
+from repro.experiments.throughput import latency_curves
 from repro.protocols.registry import PAPER_ORDER
 
 KV_BATCH = 8
 
 
-def test_figure3_latency_vs_throughput(benchmark, scale):
+def test_figure3_latency_vs_throughput(benchmark, scale_name):
     """Sweep the client counts and report the per-protocol latency curves."""
-    points = fig2_throughput.grid(
-        scale=scale,
-        protocols=PAPER_ORDER,
-        batch_modes=[KV_BATCH],
-        failures=[0],
-        client_counts=list(scale.client_counts),
-    )
+    figures = replace(throughput.panel(scale_name, "figures"), kv_batch=(KV_BATCH,), failures=(0,))
+    points = figures.points()
     rows = benchmark.pedantic(
-        lambda: harness.run(fig2_throughput.SWEEP, points), rounds=1, iterations=1
+        lambda: harness.run(throughput.SWEEP, points), rounds=1, iterations=1
     )
     attach_rows(benchmark, rows)
 
@@ -38,17 +35,13 @@ def test_figure3_latency_vs_throughput(benchmark, scale):
     assert light_load["linear-pbft"] >= light_load["linear-pbft-fast"]
 
 
-def test_fig3_no_batching_row(benchmark, scale):
+def test_fig3_no_batching_row(benchmark, scale_name):
     """The unbatched row of Figures 2/3 (each request is a single put)."""
-    points = fig2_throughput.grid(
-        scale=scale,
-        protocols=["pbft", "sbft-c0"],
-        batch_modes=[1],
-        failures=[0],
-        client_counts=[max(scale.client_counts)],
-    )
+    figures = throughput.panel(scale_name, "figures")
+    points = replace(figures, protocols=("pbft", "sbft-c0"), kv_batch=(1,), failures=(0,),
+                     clients=(max(figures.clients),)).points()
     rows = benchmark.pedantic(
-        lambda: harness.run(fig2_throughput.SWEEP, points), rounds=1, iterations=1
+        lambda: harness.run(throughput.SWEEP, points), rounds=1, iterations=1
     )
     attach_rows(benchmark, rows)
     assert all(row["throughput_ops"] > 0 for row in rows)

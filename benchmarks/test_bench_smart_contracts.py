@@ -6,25 +6,23 @@ Paper values (f=64, 209 replicas, 500k real Ethereum transactions):
 * world WAN:     SBFT 172 tx/s @ 622 ms vs PBFT  98 tx/s @ 934 ms
 * single unreplicated node: 840 tx/s
 
-The benchmark regenerates the same rows with the synthetic Ethereum-like
-workload at the configured scale; the expected *shape* is that SBFT beats PBFT
+The benchmark regenerates the same rows (the throughput sweep's
+``contracts`` panel) with the synthetic Ethereum-like workload at the
+configured scale; the expected *shape* is that SBFT beats PBFT
 on both throughput and latency, the world WAN is slower than the continent
 WAN, and both are slower than the unreplicated baseline.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import attach_rows
 from repro.core import execution_cache
-from repro.experiments import harness
-from repro.experiments.smart_contracts import (
-    SWEEP,
-    grid,
-    single_node_baseline,
-    slowdown_vs_baseline,
-)
+from repro.experiments import harness, throughput
+from repro.experiments.throughput import SWEEP, single_node_baseline, slowdown_vs_baseline
 
 
 def test_single_node_baseline(benchmark):
@@ -32,19 +30,14 @@ def test_single_node_baseline(benchmark):
         lambda: single_node_baseline(num_transactions=800), rounds=1, iterations=1
     )
     attach_rows(benchmark, [result])
-    assert result["throughput_tps"] > 0
+    assert result["throughput_ops"] > 0
 
 
 @pytest.mark.parametrize("topology", ["continent", "world"])
-def test_smart_contract_table(benchmark, scale, topology):
-    points = grid(
-        f_values=(scale.f,),
-        num_transactions=600,
-        topologies=(topology,),
-        protocols=("sbft-c8", "pbft"),
-        clients=min(8, max(scale.client_counts)),
-        block_batch=scale.block_batch // 2 or 2,
-    )
+def test_smart_contract_table(benchmark, scale_name, topology):
+    contracts = throughput.panel(scale_name, "contracts")
+    points = replace(contracts, f=contracts.f[:1], transactions=600, topologies=(topology,),
+                     protocols=("sbft-c8", "pbft")).points()
     rows = benchmark.pedantic(lambda: harness.run(SWEEP, points), rounds=1, iterations=1)
     attach_rows(benchmark, rows)
 
@@ -52,7 +45,7 @@ def test_smart_contract_table(benchmark, scale, topology):
     sbft = by_protocol["sbft-c8"]
     pbft = by_protocol["pbft"]
     # Both variants executed the full stream.
-    assert sbft["transactions"] == pbft["transactions"] == 600
+    assert sbft["completed_operations"] == pbft["completed_operations"] == 600
     # Shape: SBFT at least matches PBFT's latency (the paper reports ~1.5-2x better).
     assert sbft["mean_latency_ms"] <= pbft["mean_latency_ms"] * 1.25
     # Replication is slower than unreplicated execution.
@@ -60,28 +53,28 @@ def test_smart_contract_table(benchmark, scale, topology):
     assert all(value >= 1.0 for value in slowdowns.values())
 
 
+def _points():
+    """The small contracts panel at f=2 on the continent WAN, 300 transactions."""
+    contracts = throughput.panel("small", "contracts")
+    return replace(contracts, f=(2,), transactions=300, topologies=("continent",)).points()
+
+
 def test_smart_contract_sweep_rows_and_perf_columns(benchmark):
-    """The BENCH_smart_contracts.json generator: per-point wall/CPU columns,
+    """The contracts rows of BENCH_throughput.json: per-point wall/CPU columns,
     and the deployment-shared execution cache actually engaging."""
     execution_cache.clear()
 
     def run():
-        return harness.run(
-            SWEEP,
-            grid(
-                scale_name="small",
-                f_values=(2,),
-                num_transactions=300,
-                topologies=("continent",),
-                protocols=("sbft-c8", "pbft"),
-            ),
-        )
+        return harness.run(SWEEP, _points())
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     attach_rows(benchmark, rows)
-    assert [row["label"] for row in rows] == ["sbft-c8/continent/f=2", "pbft/continent/f=2"]
+    assert [row["label"] for row in rows] == [
+        "contracts/sbft-c8/f=2/tx=300/fail=0/fixed/clients=8/continent",
+        "contracts/pbft/f=2/tx=300/fail=0/fixed/clients=8/continent",
+    ]
     for row in rows:
-        assert row["transactions"] == 300
+        assert row["completed_operations"] == 300
         assert row["wall_seconds"] > 0 and row["cpu_seconds"] > 0
         assert row["wall_us_per_event"] > 0 and row["cpu_us_per_event"] > 0
         assert row["events_processed"] > 0
@@ -92,13 +85,7 @@ def test_smart_contract_sweep_rows_and_perf_columns(benchmark):
 def test_smart_contract_sweep_parallel_rows_match_serial():
     """--jobs N must not change the simulated rows (worker processes start
     with cold caches; only the host-clock columns may differ)."""
-    points = grid(
-        scale_name="small",
-        f_values=(2,),
-        num_transactions=300,
-        topologies=("continent",),
-        protocols=("sbft-c8", "pbft"),
-    )
+    points = _points()
     serial = harness.run(SWEEP, points, jobs=1)
     parallel = harness.run(SWEEP, points, jobs=2)
 

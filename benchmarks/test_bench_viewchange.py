@@ -14,8 +14,8 @@ from repro.experiments import harness
 from repro.experiments.viewchange_study import PRIMARY_FAULTS, SWEEP, grid, summarize
 
 
-def test_viewchange_robustness(benchmark, scale):
-    points = grid(faults=PRIMARY_FAULTS, trials_per_fault=2 if scale.f <= 2 else 1, f=1)
+def test_viewchange_robustness(benchmark, scale_name):
+    points = grid(faults=PRIMARY_FAULTS, trials_per_fault=2 if scale_name == "small" else 1, f=1)
     rows = benchmark.pedantic(lambda: harness.run(SWEEP, points), rounds=1, iterations=1)
     attach_rows(benchmark, rows)
 

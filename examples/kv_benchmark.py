@@ -14,9 +14,11 @@ Run with::
 
 import argparse
 
-from repro.experiments import fig2_throughput, harness
-from repro.experiments.fig2_throughput import latency_curves, scaled_failures
-from repro.experiments.harness import SCALES, format_table
+from dataclasses import replace
+
+from repro.experiments import harness, throughput
+from repro.experiments.harness import format_table
+from repro.experiments.throughput import latency_curves
 from repro.protocols.registry import protocol_sizes
 
 
@@ -26,22 +28,18 @@ def main() -> None:
     parser.add_argument("--clients", type=int, nargs="*", default=None, help="client counts to sweep")
     args = parser.parse_args()
 
-    scale = SCALES["medium" if args.medium else "small"]
-    client_counts = args.clients or list(scale.client_counts)
-    failures = scaled_failures(scale)[:2]  # no failures + a few failures
+    figures = throughput.panel("medium" if args.medium else "small", "figures")
+    # No failures + a few failures, one KV batch.
+    figures = replace(figures, kv_batch=(8,), failures=figures.failures[:2],
+                      clients=tuple(args.clients or figures.clients))
+    (f,) = figures.f
 
-    n, n_redundant = (protocol_sizes(protocol, scale.f)[0] for protocol in ("sbft-c0", "sbft-c8"))
-    print(f"Scale: f={scale.f} (n={n} replicas, {n_redundant} with redundant servers)")
-    print(f"Clients: {client_counts}; failure scenarios: {failures}")
+    n, n_redundant = (protocol_sizes(protocol, f)[0] for protocol in ("sbft-c0", "sbft-c8"))
+    print(f"Scale: f={f} (n={n} replicas, {n_redundant} with redundant servers)")
+    print(f"Clients: {list(figures.clients)}; failure scenarios: {list(figures.failures)}")
     print()
 
-    points = fig2_throughput.grid(
-        scale=scale,
-        batch_modes=[8],
-        failures=failures,
-        client_counts=client_counts,
-    )
-    rows = harness.run(fig2_throughput.SWEEP, points)
+    rows = harness.run(throughput.SWEEP, figures.points())
 
     print("=== Figure 2 (throughput per clients) ===")
     print(

@@ -19,9 +19,11 @@ Run with::
 
 from repro.evm.contracts import encode_call, token_contract
 from repro.evm.transactions import Transaction
-from repro.experiments import harness, smart_contracts
+from dataclasses import replace
+
+from repro.experiments import harness, throughput
 from repro.experiments.harness import format_table
-from repro.experiments.smart_contracts import single_node_baseline, slowdown_vs_baseline
+from repro.experiments.throughput import single_node_baseline, slowdown_vs_baseline
 from repro.services.ledger import LedgerService
 
 
@@ -47,33 +49,26 @@ def demo_direct_ledger() -> None:
 
 def demo_replicated_benchmark(baseline) -> None:
     print("=== 2. Replicated smart-contract benchmark (continent + world WAN) ===")
-    points = smart_contracts.grid(
-        f_values=(2,),
-        num_transactions=800,
-        topologies=("continent", "world"),
-        protocols=("sbft-c8", "pbft"),
-        clients=4,
-        block_batch=4,
-    )
-    rows = harness.run(smart_contracts.SWEEP, points)
+    contracts = replace(throughput.panel("small", "contracts"), f=(2,), transactions=800, clients=(4,))
+    rows = harness.run(throughput.SWEEP, contracts.points())
     print(
         format_table(
             rows,
-            columns=["label", "n", "transactions", "throughput_tps", "mean_latency_ms",
+            columns=["label", "n", "completed_operations", "throughput_ops", "mean_latency_ms",
                      "median_latency_ms", "messages_sent"],
         )
     )
     print()
     print("  slowdown vs the unreplicated baseline (paper: 2x continent, 5x world):")
     for label, slowdown in slowdown_vs_baseline(baseline, rows).items():
-        print(f"    {label:<28} {slowdown}x")
+        print(f"    {label:<62} {slowdown}x")
     print()
 
 
 def main() -> None:
     demo_direct_ledger()
     baseline = single_node_baseline(num_transactions=500)
-    print(f"Unreplicated baseline: {baseline['throughput_tps']} tx/s "
+    print(f"Unreplicated baseline: {baseline['throughput_ops']} tx/s "
           f"(paper reports 840 tx/s on its hardware)")
     print()
     demo_replicated_benchmark(baseline)

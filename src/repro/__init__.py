@@ -15,7 +15,7 @@ every substrate it depends on:
 * :mod:`repro.pbft` - the scale-optimized PBFT baseline the paper compares to.
 * :mod:`repro.protocols` - cluster builder and the registry of the five
   protocol variants evaluated in the paper.
-* :mod:`repro.experiments` - one module per figure/table of Section IX.
+* :mod:`repro.experiments` - the Section IX throughput grid, fault sweep and view-change study.
 
 Quickstart::
 

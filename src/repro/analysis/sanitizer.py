@@ -31,7 +31,7 @@ import hashlib
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments import client_sweep, fault_sweep
+from repro.experiments import fault_sweep, throughput
 from repro.experiments.harness import KV, Ethereum, Point, run_point
 from repro.protocols.cluster import ClusterResult
 from repro.sim.faults import FaultPlan
@@ -248,7 +248,7 @@ SCENARIOS: Dict[str, Point] = {
         label="sanitize/client",
         block_batch=4,
         config_overrides=dict(
-            client_sweep.CONFIG_OVERRIDES, batch_policy="adaptive", client_max_outstanding=2
+            throughput.CONFIG_OVERRIDES, batch_policy="adaptive", client_max_outstanding=2
         ),
         max_sim_time=120.0,
     ),

@@ -46,30 +46,6 @@ from repro.workloads.kv_workload import KVWorkload
 
 
 @dataclass(frozen=True)
-class ExperimentScale:
-    """How big to run an experiment."""
-
-    name: str
-    f: int
-    client_counts: Sequence[int]
-    requests_per_client: int
-    block_batch: int            # client requests per decision block
-    max_sim_time: float
-
-
-SMALL_SCALE = ExperimentScale("small", f=2, client_counts=(4, 16, 32), requests_per_client=4,
-                              block_batch=8, max_sim_time=240.0)
-MEDIUM_SCALE = ExperimentScale("medium", f=8, client_counts=(4, 32, 64, 128),
-                               requests_per_client=4, block_batch=16, max_sim_time=600.0)
-PAPER_SCALE = ExperimentScale("paper", f=64, client_counts=(4, 32, 64, 128, 192, 256),
-                              requests_per_client=16, block_batch=16, max_sim_time=3600.0)
-
-SCALES: Dict[str, ExperimentScale] = {
-    scale.name: scale for scale in (SMALL_SCALE, MEDIUM_SCALE, PAPER_SCALE)
-}
-
-
-@dataclass(frozen=True)
 class KV:
     """A point's KV workload: ``requests`` per client of ``batch`` puts each."""
 
@@ -288,8 +264,13 @@ def run(sweep: Sweep, points: Sequence[Any], jobs: int = 1) -> List[Dict]:
     Every row carries exactly the keys of ``sweep.row_schema`` (a row
     function and a schema that disagree raise).  With ``jobs > 1`` the
     points run in worker processes; each point seeds its own simulator, so
-    rows equal a serial run's outside :data:`HOST_FIELDS`.
+    rows equal a serial run's outside :data:`HOST_FIELDS`.  A label that
+    names two points raises before any point runs: the baseline gate
+    matches rows by label.
     """
+    repeated = _repeated_label(point.label for point in points)
+    if repeated is not None:
+        raise ConfigurationError(f"two sweep points share the label {repeated!r}")
     specs = [(sweep, point) for point in points]
     jobs = max(1, int(jobs or 1))
     if jobs > 1 and len(specs) > 1:
@@ -417,13 +398,16 @@ def check_against_baseline(
     difference is a behaviour change, never noise.  Having no label in
     common with the baseline fails; with ``full_grid`` (same ``--scale`` as
     the baseline and no grid-axis flag passed) so does a label present on
-    one side only.  Returns ``(ok, message)``; a failure names the first
-    ``(label, key, baseline, current)`` that differs.
+    one side only.  A baseline with a repeated label always fails: matched
+    by label, all but one of its rows would go unchecked (:func:`run`
+    refuses such a point list).  Returns ``(ok, message)``; a failure names
+    the first ``(label, key, baseline, current)`` that differs.
     """
-    baseline = {
-        bench["extra_info"]["label"]: bench["extra_info"]
-        for bench in baseline_document.get("benchmarks", [])
-    }
+    baseline_rows = [bench["extra_info"] for bench in baseline_document.get("benchmarks", [])]
+    repeated = _repeated_label(row["label"] for row in baseline_rows)
+    if repeated is not None:
+        return False, f"the baseline has two rows labelled {repeated!r}"
+    baseline = {row["label"]: row for row in baseline_rows}
     current = {row["label"]: row for row in json.loads(json.dumps(rows))}
     common = [label for label in current if label in baseline]
     if not common:
@@ -444,6 +428,16 @@ def check_against_baseline(
     return True, (
         f"{len(common)} point(s) equal the baseline on every key outside the host clocks"
     )
+
+
+def _repeated_label(labels: Iterable[str]) -> Optional[str]:
+    """The first label that occurs twice in ``labels``, or None."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            return label
+        seen.add(label)
+    return None
 
 
 def format_table(rows: Iterable[Dict], columns: Optional[Sequence[str]] = None) -> str:

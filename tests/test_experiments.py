@@ -15,67 +15,66 @@ import pytest
 
 import repro.experiments
 from repro.adversary import search
-from repro.experiments import (
-    client_sweep,
-    fault_sweep,
-    fig2_throughput,
-    harness,
-    scale_sweep,
-    smart_contracts,
-    viewchange_study,
-)
-from repro.experiments.fig2_throughput import latency_curves, scaled_failures, throughput_series
+from repro.experiments import fault_sweep, harness, throughput, viewchange_study
 from repro.errors import ConfigurationError
-from repro.experiments.harness import (
-    KV,
-    SCALES,
-    SMALL_SCALE,
-    ExperimentScale,
-    Point,
-    format_table,
-    run_point,
+from repro.experiments.harness import KV, Point, format_table, run_point
+from repro.experiments.throughput import (
+    latency_curves,
+    select,
+    single_node_baseline,
+    slowdown_vs_baseline,
+    throughput_series,
 )
-from repro.experiments.smart_contracts import single_node_baseline, slowdown_vs_baseline
 from repro.experiments.viewchange_study import summarize
 from repro.protocols.registry import PAPER_ORDER, PROTOCOLS, protocol_sizes
 
 REPO = Path(__file__).resolve().parent.parent
 
-TINY = ExperimentScale(
-    name="tiny",
-    f=1,
-    client_counts=(2,),
-    requests_per_client=2,
-    block_batch=2,
-    max_sim_time=120.0,
-)
+#: A one-point-per-protocol Figure 2 panel: unbatched, failure-free, two
+#: clients of two requests each.
+TINY = throughput.Panel("figures", PAPER_ORDER, f=(1,), clients=(2,), kv_batch=(1,), requests=2,
+                        block_batch=2, max_sim_time=120.0)
 
 
 def test_every_experiment_module_but_the_harness_defines_a_sweep():
     modules = [info.name for info in pkgutil.iter_modules(repro.experiments.__path__)]
-    assert "fig2_throughput" in modules and "harness" in modules
+    assert "throughput" in modules and "harness" in modules
     for name in modules:
         sweep = getattr(importlib.import_module(f"repro.experiments.{name}"), "SWEEP", None)
         assert isinstance(sweep, harness.Sweep) == (name != "harness"), name
 
 
 def test_scales_registry():
-    assert set(SCALES) == {"small", "medium", "paper"}
-    assert SCALES["paper"].f == 64
+    assert set(throughput.SCALES) == {"small", "medium", "paper"}
+    for panels in throughput.SCALES.values():
+        assert [panel.name for panel in panels] == ["figures", "scale", "clients", "contracts"]
+    paper = throughput.grid("paper")
+    assert max(point.f for point in paper) == 64
+    assert max(point.n for point in paper) == 209
     assert protocol_sizes("sbft-c8", 64) == (209, 8)    # the paper's deployment size
-    assert protocol_sizes("sbft-c0", SMALL_SCALE.f) == (3 * SMALL_SCALE.f + 1, 0)
+    (small_f,) = throughput.panel("small", "figures").f
+    assert protocol_sizes("sbft-c0", small_f) == (3 * small_f + 1, 0)
 
 
 def test_scaled_failures_preserve_ratios():
-    failures = scaled_failures(SCALES["paper"])
-    assert failures == [0, 8, 64]
-    assert scaled_failures(TINY) == [0, 1]
+    """The figures panel crashes 0, f/8 (at least one) and f backups."""
+    failures = {name: throughput.panel(name, "figures").failures for name in throughput.SCALES}
+    assert failures == {"small": (0, 1, 2), "medium": (0, 1, 8), "paper": (0, 8, 64)}
+    for name, values in failures.items():
+        (f,) = throughput.panel(name, "figures").f
+        assert values == (0, max(1, f // 8), f)
+
+
+def test_full_grids_have_unique_labels():
+    """Built, not run: every scale's grid names each point once."""
+    for scale_name in throughput.SCALES:
+        labels = [point.label for point in throughput.grid(scale_name)]
+        assert len(labels) == len(set(labels)), scale_name
 
 
 def test_run_point_returns_cluster_result():
-    point = Point(protocol="sbft-c0", f=TINY.f, clients=2,
-                  workload=KV(requests=TINY.requests_per_client, batch=2), label="tiny",
-                  block_batch=TINY.block_batch, max_sim_time=TINY.max_sim_time)
+    point = Point(protocol="sbft-c0", f=1, clients=2, workload=KV(requests=2, batch=2),
+                  label="tiny", block_batch=2, max_sim_time=120.0)
     result = run_point(point)
     assert result.run.completed_requests == 4
     assert result.throughput > 0
@@ -84,14 +83,11 @@ def test_run_point_returns_cluster_result():
 
 def tiny_figure2_points(protocols):
     """Unbatched, failure-free Figure 2 points at two clients on a LAN."""
-    return fig2_throughput.grid(
-        scale=TINY, protocols=protocols, batch_modes=[1], failures=[0], client_counts=[2],
-        topology="lan",
-    )
+    return dataclasses.replace(TINY, protocols=tuple(protocols), topologies=("lan",)).points()
 
 
 def tiny_figure2(protocols):
-    return harness.run(fig2_throughput.SWEEP, tiny_figure2_points(protocols))
+    return harness.run(throughput.SWEEP, tiny_figure2_points(protocols))
 
 
 def test_figure2_rows_cover_the_grid():
@@ -109,32 +105,33 @@ def test_figure3_curves_come_from_the_figure2_rows():
     rows = tiny_figure2(["sbft-c0"])
     curves = latency_curves(rows, kv_batch=1, failures=0)
     assert "sbft-c0" in curves
-    throughput, latency_ms = curves["sbft-c0"][0]
-    assert throughput > 0 and latency_ms > 0
+    throughput_ops, latency_ms = curves["sbft-c0"][0]
+    assert throughput_ops > 0 and latency_ms > 0
 
 
 def test_single_node_baseline_positive_throughput():
     baseline = single_node_baseline(num_transactions=200)
-    assert baseline["transactions"] == 200
-    assert baseline["throughput_tps"] > 0
+    assert baseline["completed_operations"] == 200
+    assert baseline["throughput_ops"] > 0
 
 
 def test_smart_contract_sweep_rows_and_slowdowns(capsys):
-    points = smart_contracts.grid(
-        f_values=(1,),
-        num_transactions=150,
-        topologies=("continent",),
-        protocols=("sbft-c8", "pbft"),
-        clients=2,
-        block_batch=2,
+    contracts = dataclasses.replace(
+        throughput.panel("small", "contracts"), f=(1,), transactions=150, clients=(2,),
+        topologies=("continent",), block_batch=2,
     )
-    rows = harness.run(smart_contracts.SWEEP, points)
-    assert [row["label"] for row in rows] == ["sbft-c8/continent/f=1", "pbft/continent/f=1"]
+    points = contracts.points()
+    rows = harness.run(throughput.SWEEP, points)
+    assert [row["label"] for row in rows] == [
+        "contracts/sbft-c8/f=1/tx=150/fail=0/fixed/clients=2/continent",
+        "contracts/pbft/f=1/tx=150/fail=0/fixed/clients=2/continent",
+    ]
+    assert all(row["kv_batch"] is None and row["all_completed"] for row in rows)
     slowdowns = slowdown_vs_baseline(single_node_baseline(), rows)
     assert set(slowdowns) == {row["label"] for row in rows}
     # Replication always costs something relative to unreplicated execution.
     assert all(value >= 1.0 for value in slowdowns.values())
-    assert smart_contracts.SWEEP.report(None, points, rows) == 0
+    assert throughput.SWEEP.report(None, points, rows) == 0
     assert "single-node baseline" in capsys.readouterr().out
 
 
@@ -149,6 +146,38 @@ def test_ablation_rows_track_ingredients_and_paths():
     # The registry names the ingredient each variant adds.
     assert set(PROTOCOLS) == set(PAPER_ORDER)
     assert all(PROTOCOLS[name].description for name in PAPER_ORDER)
+
+
+def test_committed_throughput_rows_have_the_papers_shapes():
+    """Shapes of the paper that the committed small grid shows; no simulation runs."""
+    document = json.loads((REPO / "BENCH_throughput.json").read_text())
+    rows = [bench["extra_info"] for bench in document["benchmarks"]]
+    # The ablation: the fast path commits blocks exactly where it is enabled,
+    # and under one crashed backup only SBFT with c > 0 keeps it, which is
+    # at least as fast as the c = 0 variant that fell back.
+    for kv_batch in (64, 1):
+        for clients in throughput.panel("small", "figures").clients:
+            healthy = {row["protocol"]: row for row in select(
+                rows, "figures", failures=0, clients=clients, kv_batch=kv_batch)}
+            assert healthy["linear-pbft"]["fast_blocks"] == 0
+            assert healthy["linear-pbft-fast"]["fast_blocks"] > 0
+            assert healthy["sbft-c0"]["fast_blocks"] > 0
+            crashed = {row["protocol"]: row for row in select(
+                rows, "figures", failures=1, clients=clients, kv_batch=kv_batch)}
+            assert crashed["sbft-c8"]["fast_blocks"] > 0
+            assert crashed["sbft-c0"]["fast_blocks"] == 0
+            assert crashed["sbft-c8"]["mean_latency_ms"] <= crashed["sbft-c0"]["mean_latency_ms"]
+    # The client ladder: adaptive batching wins at the top rung.
+    top = max(throughput.panel("small", "clients").clients)
+    for protocol in throughput.panel("small", "clients").protocols:
+        fixed, adaptive = (select(rows, "clients", protocol=protocol, clients=top, policy=policy)[0]
+                           for policy in ("fixed", "adaptive"))
+        assert adaptive["throughput_ops"] > fixed["throughput_ops"], protocol
+        assert adaptive["requests_per_block"] > fixed["requests_per_block"], protocol
+    # The scale column: more replicas, more messages.
+    column = sorted((row["n"], row["messages_sent"]) for row in select(rows, "scale"))
+    assert len(column) == 4
+    assert all(a[1] < b[1] for a, b in zip(column, column[1:])), column
 
 
 def test_viewchange_study_reports_success(capsys):
@@ -181,10 +210,10 @@ def test_viewchange_summary_keeps_row_order_under_any_hash_seed():
 @pytest.mark.parametrize(
     "sweep, points",
     [
-        (fig2_throughput.SWEEP, tiny_figure2_points(["sbft-c0", "pbft"])),
+        (throughput.SWEEP, tiny_figure2_points(["sbft-c0", "pbft"])),
         (viewchange_study.SWEEP, viewchange_study.grid(faults=("crash",), trials_per_fault=2)),
     ],
-    ids=["fig2", "viewchange"],
+    ids=["throughput", "viewchange"],
 )
 def test_worker_processes_produce_the_serial_rows(sweep, points):
     """--jobs 2 runs two points in worker processes; rows equal a serial run
@@ -197,10 +226,9 @@ def test_worker_processes_produce_the_serial_rows(sweep, points):
 
 
 def test_client_sweep_rows_cover_grid():
-    rows = harness.run(
-        client_sweep.SWEEP,
-        client_sweep.grid(scale_name="small", protocols=["sbft-c0"], clients=[4], seed=2),
-    )
+    ladder = dataclasses.replace(throughput.panel("small", "clients"), protocols=("sbft-c0",),
+                                 clients=(4,))
+    rows = harness.run(throughput.SWEEP, ladder.points(seed=2))
     assert [row["policy"] for row in rows] == ["fixed", "adaptive"]
     for row in rows:
         assert row["all_completed"]
@@ -210,23 +238,24 @@ def test_client_sweep_rows_cover_grid():
 def test_gate_roundtrip_names_the_first_difference(tmp_path, capsys):
     """Real clocks: the gate compares only what the seed determines."""
     output = tmp_path / "bench.json"
-    argv = ["--scale", "small", "--protocols", "sbft-c0", "--clients", "4", "--seed", "2"]
-    assert harness.main(client_sweep.SWEEP, argv + ["--output", str(output)]) == 0
+    argv = ["--scale", "small", "--protocols", "sbft-c0", "--clients", "4", "--kv-batch", "4",
+            "--failures", "0", "--topologies", "continent", "--seed", "2"]
+    assert harness.main(throughput.SWEEP, argv + ["--output", str(output)]) == 0
     document = json.loads(output.read_text())
     assert {b["extra_info"]["policy"] for b in document["benchmarks"]} == {"fixed", "adaptive"}
     # A run gated against its own output passes, whatever the clocks read.
     gate = argv + ["--check-against", str(output)]
-    assert harness.main(client_sweep.SWEEP, gate) == 0
+    assert harness.main(throughput.SWEEP, gate) == 0
 
     # One more simulated event in one baseline row fails, naming row and key.
-    label = "sbft-c0/adaptive/clients=4"
+    label = "clients/sbft-c0/f=1/batch=4/fail=0/adaptive/clients=4/continent"
     bumped = copy.deepcopy(document)
     for bench in bumped["benchmarks"]:
         if bench["extra_info"]["label"] == label:
             bench["extra_info"]["events_processed"] += 1
     output.write_text(json.dumps(bumped))
     capsys.readouterr()
-    assert harness.main(client_sweep.SWEEP, gate) == 1
+    assert harness.main(throughput.SWEEP, gate) == 1
     message = capsys.readouterr().out.splitlines()[-1]
     assert message.startswith("FAIL: ") and label in message and "events_processed" in message
 
@@ -235,7 +264,7 @@ def test_gate_roundtrip_names_the_first_difference(tmp_path, capsys):
     for bench in renamed["benchmarks"]:
         bench["extra_info"]["label"] += "-renamed"
     output.write_text(json.dumps(renamed))
-    assert harness.main(client_sweep.SWEEP, gate) == 1
+    assert harness.main(throughput.SWEEP, gate) == 1
     assert "no sweep point" in capsys.readouterr().out.splitlines()[-1]
 
 
@@ -254,20 +283,44 @@ def test_gate_reports_a_point_missing_on_either_side_of_a_full_grid():
     assert not ok and "'c' is missing from the baseline" in message
 
 
+def test_a_repeated_label_is_refused_before_any_point_runs(monkeypatch, capsys):
+    """The gate matches rows by label, so two points of one label would be gated once."""
+
+    def no_run(point, sanitize=False):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(harness, "run_point", no_run)
+    points = tiny_figure2_points(["sbft-c0", "pbft"])
+    with pytest.raises(ConfigurationError, match="'figures/pbft/f=1/batch=1/fail=0/fixed/clients=2/lan'"):
+        harness.run(throughput.SWEEP, points + points[1:])
+    # A repeated axis value is such a list; the CLI names the label and exits 2.
+    with pytest.raises(SystemExit) as exit_info:
+        harness.main(throughput.SWEEP, ["--scale", "small", "--clients", "4", "4"])
+    assert exit_info.value.code == 2
+    assert "share the label 'figures/pbft/f=2/batch=64/fail=0/fixed/clients=4/continent'" in (
+        capsys.readouterr().err
+    )
+
+
+def test_gate_fails_on_a_baseline_with_a_repeated_label():
+    rows = [{"label": "a", "x": 1, "wall_seconds": 0.5}, {"label": "b", "x": 2, "wall_seconds": 0.5}]
+    baseline = harness.emit_benchmark_json(rows + [dict(rows[0], x=9)], group="g")
+    for full_grid in (False, True):
+        ok, message = harness.check_against_baseline(rows, baseline, full_grid)
+        assert not ok and "two rows labelled 'a'" in message
+
+
 #: Every sweep with a committed baseline, and the file (the view-change
 #: study takes no ``--scale``).
 BASELINES = {
-    scale_sweep: "BENCH_scale_sweep.json",
-    client_sweep: "BENCH_client_sweep.json",
-    smart_contracts: "BENCH_smart_contracts.json",
+    throughput: "BENCH_throughput.json",
     fault_sweep: "BENCH_fault_sweep.json",
-    fig2_throughput: "BENCH_fig2.json",
     viewchange_study: "BENCH_viewchange.json",
     search: "BENCH_adversary_search.json",
 }
 
 
-@pytest.mark.parametrize("sweep", BASELINES)
+@pytest.mark.parametrize("sweep", BASELINES, ids=lambda module: module.__name__.rsplit(".")[-1])
 def test_committed_baseline_equals_a_fresh_small_sweep(sweep):
     """A stale BENCH_*.json fails pytest, not only the CI bench-smoke job."""
     scale = ["--scale", "small"] if sweep.SWEEP.scales else []
@@ -276,16 +329,16 @@ def test_committed_baseline_equals_a_fresh_small_sweep(sweep):
 
 
 def test_runner_raises_when_rows_and_row_schema_disagree():
-    points = scale_sweep.grid(scale_name="small", f_values=[1], clients=2)
+    points = dataclasses.replace(throughput.panel("small", "scale"), f=(1,), clients=(2,)).points()
 
     def row_with_undocumented_key(point, result):
-        return dict(scale_sweep.scale_row(point, result), undocumented_key=1)
+        return dict(throughput.throughput_row(point, result), undocumented_key=1)
 
-    emits_more = dataclasses.replace(scale_sweep.SWEEP, row=row_with_undocumented_key)
+    emits_more = dataclasses.replace(throughput.SWEEP, row=row_with_undocumented_key)
     with pytest.raises(ValueError, match="undocumented_key"):
         harness.run(emits_more, points)
     documents_more = dataclasses.replace(
-        scale_sweep.SWEEP, row_schema=dict(scale_sweep.ROW_SCHEMA, ghost_key="never emitted")
+        throughput.SWEEP, row_schema=dict(throughput.ROW_SCHEMA, ghost_key="never emitted")
     )
     with pytest.raises(ValueError, match="ghost_key"):
         harness.run(documents_more, points)
@@ -300,7 +353,7 @@ def test_format_table_renders_rows():
 
 
 #: Every sweep that takes ``--scale``, by its grid.
-SIZED_SWEEPS = [scale_sweep, fig2_throughput, fault_sweep, client_sweep, smart_contracts]
+SIZED_SWEEPS = [throughput, fault_sweep]
 
 
 @pytest.mark.parametrize("sweep", SIZED_SWEEPS, ids=lambda module: module.__name__.rsplit(".")[-1])
