@@ -39,6 +39,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ConfigurationError
 from repro.experiments import harness
 from repro.experiments.harness import COMMON_ROW_SCHEMA, KV, Ethereum, Point, result_row
 from repro.protocols.cluster import ClusterResult
@@ -158,8 +159,13 @@ SCALES: Dict[str, Tuple[Panel, ...]] = {
 
 
 def panel(scale_name: str, name: str) -> Panel:
-    """The panel ``name`` of a scale."""
-    return next(entry for entry in harness.scale_entry(SCALES, scale_name) if entry.name == name)
+    """The panel ``name`` of a scale; an unknown name raises."""
+    panels = harness.scale_entry(SCALES, scale_name)
+    for entry in panels:
+        if entry.name == name:
+            return entry
+    raise ConfigurationError(
+        f"unknown panel {name!r} (known: {', '.join(entry.name for entry in panels)})")
 
 
 def grid(scale_name: str = "small", seed: int = 0, **axes: Optional[Sequence]) -> List[Point]:

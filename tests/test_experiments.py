@@ -363,6 +363,36 @@ def test_an_unknown_scale_name_fails_instead_of_running_small(sweep):
         sweep.grid(scale_name="medum")
 
 
+def test_an_unknown_panel_name_fails_naming_the_panels():
+    with pytest.raises(ConfigurationError,
+                       match="unknown panel 'figure' \\(known: figures, scale, clients, contracts\\)"):
+        throughput.panel("small", "figure")
+    with pytest.raises(ConfigurationError, match="unknown scale 'medum'"):
+        throughput.panel("medum", "figures")
+
+
+def test_a_grid_axis_replaces_that_axis_in_every_panel():
+    """Built, not run: a given axis holds on every point; ``kv_batch`` leaves
+    the Ethereum panel's points as they are."""
+    panels = [panel.name for panel in throughput.SCALES["small"]]
+    points = throughput.grid("small", clients=(4,), topologies=("lan",), failures=(0,))
+    assert [point.tags["panel"] for point in points] == sorted(
+        (point.tags["panel"] for point in points), key=panels.index)
+    assert {point.tags["panel"] for point in points} == set(panels)
+    assert {(point.clients, point.topology) for point in points} == {(4, "lan")}
+    assert all(not point.fault_plan.faults for point in points)
+    for point in points:
+        assert point.label.startswith(point.tags["panel"] + "/")
+        assert "/clients=4/lan" in point.label and "/fail=0/" in point.label
+
+    batched = throughput.grid("small", kv_batch=(2,))
+    untouched = throughput.grid("small")
+    assert len(batched) < len(untouched)    # figures had two batch sizes
+    assert {point.workload.batch for point in batched if isinstance(point.workload, KV)} == {2}
+    assert ([point.label for point in batched if point.tags["panel"] == "contracts"]
+            == [point.label for point in untouched if point.tags["panel"] == "contracts"])
+
+
 def _cluster_runners(path):
     """The functions of ``path`` that call ``build_cluster`` (or ``Cluster``)
     or ``.run`` on a name bound to what it returned."""
