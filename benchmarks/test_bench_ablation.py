@@ -13,18 +13,16 @@ The ablation is the throughput sweep's ``figures`` panel at one client count (``
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from conftest import attach_rows
 from repro.experiments import harness, throughput
 from repro.protocols.registry import PAPER_ORDER
 
 
 def ablation_rows(scale_name, failures, protocols=PAPER_ORDER):
-    figures = throughput.panel(scale_name, "figures")
-    figures = replace(figures, protocols=tuple(protocols), kv_batch=(8,), failures=(failures,),
-                      clients=(min(16, max(figures.clients)),))
-    return harness.run(throughput.SWEEP, figures.points())
+    clients = min(16, max(throughput.panel(scale_name, "figures").clients))
+    points = throughput.grid(scale_name, panels=("figures",), protocols=protocols, kv_batch=(8,),
+                             failures=(failures,), clients=(clients,))
+    return harness.run(throughput.SWEEP, points)
 
 
 def test_ablation_no_failures(benchmark, scale_name):

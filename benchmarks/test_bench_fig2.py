@@ -1,16 +1,14 @@
 """Figure 2 — throughput per number of clients, per protocol, per failure mode.
 
 The paper's grid is (batch mode) x (failures) x (protocol) x (clients), the
-``figures`` panel of the throughput sweep.  The benchmark runs a cut of it: the batched mode at every client
-count for each protocol with no failures, plus one failure scenario, and
-prints the throughput rows.  The per-protocol single-point benchmarks make the
-headline comparison (throughput under load) visible directly in the
-pytest-benchmark table.
+``figures`` panel of the throughput sweep.  The benchmark runs a cut of it:
+the batched mode at every client count for each protocol with no failures,
+plus one failure scenario, and prints the throughput rows.  The
+per-protocol single-point benchmarks make the headline comparison
+(throughput under load) visible directly in the pytest-benchmark table.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 
@@ -22,10 +20,10 @@ from repro.protocols.registry import PAPER_ORDER
 KV_BATCH = 8  # stands in for the paper's batch=64 request payload
 
 
-def figure2_rows(figures, protocols, failures, client_counts):
-    figures = replace(figures, protocols=tuple(protocols), kv_batch=(KV_BATCH,),
-                      failures=(failures,), clients=tuple(client_counts))
-    return harness.run(throughput.SWEEP, figures.points())
+def figure2_rows(scale_name, protocols, failures, client_counts):
+    points = throughput.grid(scale_name, panels=("figures",), protocols=protocols,
+                             kv_batch=(KV_BATCH,), failures=(failures,), clients=client_counts)
+    return harness.run(throughput.SWEEP, points)
 
 
 @pytest.mark.parametrize("protocol", PAPER_ORDER)
@@ -34,7 +32,7 @@ def test_fig2_throughput_under_load(benchmark, scale_name, protocol):
     figures = throughput.panel(scale_name, "figures")
 
     def run():
-        return figure2_rows(figures, [protocol], 0, [max(figures.clients)])
+        return figure2_rows(scale_name, [protocol], 0, [max(figures.clients)])
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     attach_rows(benchmark, rows)
@@ -49,7 +47,7 @@ def test_fig2_grid(benchmark, scale_name, failures_kind):
     failures = 0 if failures_kind == "none" else failure_options[1] if len(failure_options) > 1 else 0
 
     def run():
-        return figure2_rows(figures, PAPER_ORDER, failures, figures.clients)
+        return figure2_rows(scale_name, PAPER_ORDER, failures, figures.clients)
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     attach_rows(benchmark, rows)

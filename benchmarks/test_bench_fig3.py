@@ -3,8 +3,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from conftest import attach_rows
 from repro.experiments import harness, throughput
 from repro.experiments.throughput import latency_curves
@@ -15,8 +13,7 @@ KV_BATCH = 8
 
 def test_figure3_latency_vs_throughput(benchmark, scale_name):
     """Sweep the client counts and report the per-protocol latency curves."""
-    figures = replace(throughput.panel(scale_name, "figures"), kv_batch=(KV_BATCH,), failures=(0,))
-    points = figures.points()
+    points = throughput.grid(scale_name, panels=("figures",), kv_batch=(KV_BATCH,), failures=(0,))
     rows = benchmark.pedantic(
         lambda: harness.run(throughput.SWEEP, points), rounds=1, iterations=1
     )
@@ -38,8 +35,8 @@ def test_figure3_latency_vs_throughput(benchmark, scale_name):
 def test_fig3_no_batching_row(benchmark, scale_name):
     """The unbatched row of Figures 2/3 (each request is a single put)."""
     figures = throughput.panel(scale_name, "figures")
-    points = replace(figures, protocols=("pbft", "sbft-c0"), kv_batch=(1,), failures=(0,),
-                     clients=(max(figures.clients),)).points()
+    points = throughput.grid(scale_name, panels=("figures",), protocols=("pbft", "sbft-c0"),
+                             kv_batch=(1,), failures=(0,), clients=(max(figures.clients),))
     rows = benchmark.pedantic(
         lambda: harness.run(throughput.SWEEP, points), rounds=1, iterations=1
     )

@@ -8,7 +8,8 @@ Paper values (f=64, 209 replicas, 500k real Ethereum transactions):
 
 The benchmark regenerates the same rows (the throughput sweep's
 ``contracts`` panel) with the synthetic Ethereum-like workload at the
-configured scale; the expected *shape* is that SBFT beats PBFT
+configured scale's Figure 2 size (f=2 at ``small``, f=8 at ``medium``, the
+paper's f=64 at ``paper``); the expected *shape* is that SBFT beats PBFT
 on both throughput and latency, the world WAN is slower than the continent
 WAN, and both are slower than the unreplicated baseline.
 """
@@ -22,6 +23,7 @@ import pytest
 from conftest import attach_rows
 from repro.core import execution_cache
 from repro.experiments import harness, throughput
+from repro.experiments.harness import Ethereum
 from repro.experiments.throughput import SWEEP, single_node_baseline, slowdown_vs_baseline
 
 
@@ -35,9 +37,10 @@ def test_single_node_baseline(benchmark):
 
 @pytest.mark.parametrize("topology", ["continent", "world"])
 def test_smart_contract_table(benchmark, scale_name, topology):
-    contracts = throughput.panel(scale_name, "contracts")
-    points = replace(contracts, f=contracts.f[:1], transactions=600, topologies=(topology,),
-                     protocols=("sbft-c8", "pbft")).points()
+    figures = throughput.panel(scale_name, "figures")
+    points = replace(throughput.panel(scale_name, "contracts"), f=figures.f,
+                     block_batch=figures.block_batch // 2, workloads=(Ethereum(transactions=600),),
+                     topologies=(topology,), protocols=("sbft-c8", "pbft")).points()
     rows = benchmark.pedantic(lambda: harness.run(SWEEP, points), rounds=1, iterations=1)
     attach_rows(benchmark, rows)
 
@@ -56,7 +59,8 @@ def test_smart_contract_table(benchmark, scale_name, topology):
 def _points():
     """The small contracts panel at f=2 on the continent WAN, 300 transactions."""
     contracts = throughput.panel("small", "contracts")
-    return replace(contracts, f=(2,), transactions=300, topologies=("continent",)).points()
+    return replace(contracts, f=(2,), workloads=(Ethereum(transactions=300),),
+                   topologies=("continent",)).points()
 
 
 def test_smart_contract_sweep_rows_and_perf_columns(benchmark):

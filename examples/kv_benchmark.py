@@ -14,8 +14,6 @@ Run with::
 
 import argparse
 
-from dataclasses import replace
-
 from repro.experiments import harness, throughput
 from repro.experiments.harness import format_table
 from repro.experiments.throughput import latency_curves
@@ -28,18 +26,20 @@ def main() -> None:
     parser.add_argument("--clients", type=int, nargs="*", default=None, help="client counts to sweep")
     args = parser.parse_args()
 
-    figures = throughput.panel("medium" if args.medium else "small", "figures")
-    # No failures + a few failures, one KV batch.
-    figures = replace(figures, kv_batch=(8,), failures=figures.failures[:2],
-                      clients=tuple(args.clients or figures.clients))
+    scale_name = "medium" if args.medium else "small"
+    figures = throughput.panel(scale_name, "figures")
     (f,) = figures.f
+    clients = tuple(args.clients or figures.clients)
+    failures = figures.failures[:2]  # no failures + a few failures
 
     n, n_redundant = (protocol_sizes(protocol, f)[0] for protocol in ("sbft-c0", "sbft-c8"))
     print(f"Scale: f={f} (n={n} replicas, {n_redundant} with redundant servers)")
-    print(f"Clients: {list(figures.clients)}; failure scenarios: {list(figures.failures)}")
+    print(f"Clients: {list(clients)}; failure scenarios: {list(failures)}")
     print()
 
-    rows = harness.run(throughput.SWEEP, figures.points())
+    points = throughput.grid(scale_name, panels=("figures",), kv_batch=(8,), failures=failures,
+                             clients=clients)
+    rows = harness.run(throughput.SWEEP, points)
 
     print("=== Figure 2 (throughput per clients) ===")
     print(

@@ -17,12 +17,12 @@ Run with::
     python examples/smart_contracts.py
 """
 
-from repro.evm.contracts import encode_call, token_contract
-from repro.evm.transactions import Transaction
 from dataclasses import replace
 
+from repro.evm.contracts import encode_call, token_contract
+from repro.evm.transactions import Transaction
 from repro.experiments import harness, throughput
-from repro.experiments.harness import format_table
+from repro.experiments.harness import Ethereum, format_table
 from repro.experiments.throughput import single_node_baseline, slowdown_vs_baseline
 from repro.services.ledger import LedgerService
 
@@ -49,7 +49,8 @@ def demo_direct_ledger() -> None:
 
 def demo_replicated_benchmark(baseline) -> None:
     print("=== 2. Replicated smart-contract benchmark (continent + world WAN) ===")
-    contracts = replace(throughput.panel("small", "contracts"), f=(2,), transactions=800, clients=(4,))
+    contracts = replace(throughput.panel("small", "contracts"), f=(2,),
+                        workloads=(Ethereum(transactions=800),), clients=(4,))
     rows = harness.run(throughput.SWEEP, contracts.points())
     print(
         format_table(

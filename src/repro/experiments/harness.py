@@ -31,6 +31,7 @@ import argparse
 import json
 import platform
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -158,10 +159,10 @@ def run_point(point: Point, sanitize: bool = False) -> ClusterResult:
     return result
 
 
-def scale_entry(table: Dict[str, Any], name: str) -> Any:
-    """``table[name]`` of a sweep's per-scale table; an unknown name raises."""
+def scale_entry(table: Dict[str, Any], name: str, kind: str = "scale") -> Any:
+    """``table[name]`` of a sweep's per-``kind`` table; an unknown name raises."""
     if name not in table:
-        raise ConfigurationError(f"unknown scale {name!r} (known: {', '.join(table)})")
+        raise ConfigurationError(f"unknown {kind} {name!r} (known: {', '.join(table)})")
     return table[name]
 
 
@@ -431,13 +432,8 @@ def check_against_baseline(
 
 
 def _repeated_label(labels: Iterable[str]) -> Optional[str]:
-    """The first label that occurs twice in ``labels``, or None."""
-    seen = set()
-    for label in labels:
-        if label in seen:
-            return label
-        seen.add(label)
-    return None
+    """The first label that occurs more than once in ``labels``, or None."""
+    return next((label for label, count in Counter(labels).items() if count > 1), None)
 
 
 def format_table(rows: Iterable[Dict], columns: Optional[Sequence[str]] = None) -> str:
@@ -447,11 +443,7 @@ def format_table(rows: Iterable[Dict], columns: Optional[Sequence[str]] = None) 
         return "(no rows)"
     if columns is None:
         # Union of keys across rows, in order of first appearance.
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
+        columns = list(dict.fromkeys(key for row in rows for key in row))
     widths = {col: max(len(str(col)), max(len(str(row.get(col, ""))) for row in rows)) for col in columns}
     header = "  ".join(str(col).ljust(widths[col]) for col in columns)
     separator = "  ".join("-" * widths[col] for col in columns)

@@ -24,8 +24,9 @@ settings its points share, and :func:`grid` concatenates their products:
 
 :func:`throughput_series`, :func:`latency_curves` and :func:`select` project
 the rows onto one figure panel, the ablation or a column.
-:mod:`repro.experiments.harness` owns the CLI; ``BENCH_throughput.json`` is
-the committed ``small`` baseline and the second form below its gate::
+:mod:`repro.experiments.harness` owns the CLI, where ``--panels`` names the
+panels to run (all by default); ``BENCH_throughput.json`` is the committed
+``small`` baseline and the second form below its gate::
 
     PYTHONPATH=src python -m repro.experiments.throughput --scale small --jobs 2 \
         --output BENCH_throughput.json
@@ -37,9 +38,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigurationError
 from repro.experiments import harness
 from repro.experiments.harness import COMMON_ROW_SCHEMA, KV, Ethereum, Point, result_row
 from repro.protocols.cluster import ClusterResult
@@ -65,25 +65,24 @@ CONFIG_OVERRIDES = {
 class Panel:
     """One product of axes and the settings its points share.
 
-    The axes are ``f`` × ``kv_batch`` × ``failures`` (crashed backups, from
+    The axes are ``f`` × ``workloads`` × ``failures`` (crashed backups, from
     the start of the run) × ``topologies`` × ``protocols`` × ``policies`` ×
-    ``clients``, in that nesting order.  A panel with ``transactions`` runs
-    that many Ethereum-like transactions shared by its clients and has no KV
-    batch axis; otherwise each client sends ``requests`` requests of
-    ``kv_batch`` puts.  ``block_batch`` is the minimum client requests per
-    block, ``max_outstanding`` each client's pipelined requests in flight.
+    ``clients``, in that nesting order.  A :class:`~repro.experiments.harness.KV`
+    workload sends ``requests`` requests of ``batch`` puts per client, an
+    :class:`~repro.experiments.harness.Ethereum` one ``transactions``
+    transactions shared by the clients.  ``block_batch`` is the minimum
+    client requests per block, ``max_outstanding`` each client's pipelined
+    requests in flight.
     """
 
     name: str
     protocols: Tuple[str, ...]
     f: Tuple[int, ...]
     clients: Tuple[int, ...]
-    kv_batch: Tuple[int, ...] = ()
+    workloads: Tuple[Union[KV, Ethereum], ...]
     failures: Tuple[int, ...] = (0,)
     policies: Tuple[str, ...] = ("fixed",)
     topologies: Tuple[str, ...] = ("continent",)
-    requests: int = 4
-    transactions: int = 0
     block_batch: int = 8
     max_outstanding: int = 1
     max_sim_time: float = 600.0
@@ -92,8 +91,8 @@ class Panel:
     def points(self, seed: int = 0) -> List[Point]:
         """The panel's ordered product; a label is
         ``panel/protocol/f=F/batch=B|tx=T/fail=K/policy/clients=C/topology``."""
-        loads = ([(f"tx={self.transactions}", Ethereum(self.transactions))] if self.transactions
-                 else [(f"batch={batch}", KV(self.requests, batch)) for batch in self.kv_batch])
+        loads = [(f"batch={load.batch}" if isinstance(load, KV) else f"tx={load.transactions}",
+                  load) for load in self.workloads]
         return [
             Point(
                 protocol=protocol,
@@ -126,15 +125,17 @@ class Panel:
 #: saturate the primary so adaptive batching has a queue to drain: the
 #: 64-client rung (primary message core 57 % busy under ``fixed``) is below
 #: that knee, so the ladder goes on to 256.
-FIGURES = Panel("figures", PAPER_ORDER, f=(2,), clients=(4, 16, 32), kv_batch=(64, 1),
+FIGURES = Panel("figures", PAPER_ORDER, f=(2,), clients=(4, 16, 32),
+                workloads=(KV(requests=4, batch=64), KV(requests=4, batch=1)),
                 failures=(0, 1, 2), max_sim_time=240.0)
-SCALE_COLUMN = Panel("scale", ("sbft-c0",), f=(1, 2, 4, 8), clients=(16,), kv_batch=(8,),
-                     block_batch=16)
+SCALE_COLUMN = Panel("scale", ("sbft-c0",), f=(1, 2, 4, 8), clients=(16,),
+                     workloads=(KV(requests=4, batch=8),), block_batch=16)
 CLIENT_LADDER = Panel("clients", ("sbft-c0", "pbft"), f=(1,), clients=(4, 16, 64, 256),
-                      kv_batch=(4,), policies=POLICIES, requests=8, max_outstanding=4,
+                      workloads=(KV(requests=8, batch=4),), policies=POLICIES, max_outstanding=4,
                       max_sim_time=240.0, overrides=CONFIG_OVERRIDES)
 CONTRACTS = Panel("contracts", ("sbft-c8", "pbft"), f=(2, 4), clients=(8,),
-                  topologies=("continent", "world"), transactions=600, block_batch=4)
+                  workloads=(Ethereum(transactions=600),), topologies=("continent", "world"),
+                  block_batch=4)
 
 #: Each scale's panels, in grid order; ``paper`` reaches f=64 (n=209 for
 #: ``sbft-c8``, the paper's deployment).
@@ -145,35 +146,43 @@ SCALES: Dict[str, Tuple[Panel, ...]] = {
                 max_sim_time=600.0),
         replace(SCALE_COLUMN, f=(1, 2, 4, 8, 16)),
         replace(CLIENT_LADDER, f=(4,), clients=(8, 32, 128), max_sim_time=480.0),
-        replace(CONTRACTS, f=(4, 8), transactions=1500),
+        replace(CONTRACTS, f=(4, 8), workloads=(Ethereum(transactions=1500),)),
     ),
     "paper": (
         replace(FIGURES, f=(64,), clients=(4, 32, 64, 128, 192, 256), failures=(0, 8, 64),
-                requests=16, block_batch=16, max_sim_time=3600.0),
+                workloads=(KV(requests=16, batch=64), KV(requests=16, batch=1)), block_batch=16,
+                max_sim_time=3600.0),
         replace(SCALE_COLUMN, f=(1, 4, 16, 32, 64)),
-        replace(CLIENT_LADDER, f=(16,), clients=(16, 64, 256), kv_batch=(8,), block_batch=16,
-                max_outstanding=8, max_sim_time=1200.0),
-        replace(CONTRACTS, f=(16, 64), transactions=2000),
+        replace(CLIENT_LADDER, f=(16,), clients=(16, 64, 256), workloads=(KV(requests=8, batch=8),),
+                block_batch=16, max_outstanding=8, max_sim_time=1200.0),
+        replace(CONTRACTS, f=(16, 64), workloads=(Ethereum(transactions=2000),)),
     ),
 }
 
 
 def panel(scale_name: str, name: str) -> Panel:
     """The panel ``name`` of a scale; an unknown name raises."""
-    panels = harness.scale_entry(SCALES, scale_name)
-    for entry in panels:
-        if entry.name == name:
-            return entry
-    raise ConfigurationError(
-        f"unknown panel {name!r} (known: {', '.join(entry.name for entry in panels)})")
+    panels = {entry.name: entry for entry in harness.scale_entry(SCALES, scale_name)}
+    return harness.scale_entry(panels, name, "panel")
 
 
-def grid(scale_name: str = "small", seed: int = 0, **axes: Optional[Sequence]) -> List[Point]:
-    """Every panel's points, in panel order; each given axis replaces that
-    axis of every panel (``kv_batch`` leaves the Ethereum panel as it is)."""
+def grid(scale_name: str = "small", seed: int = 0, panels: Optional[Sequence[str]] = None,
+         kv_batch: Optional[Sequence[int]] = None, **axes: Optional[Sequence]) -> List[Point]:
+    """The points of the scale's panels, or of the ``panels`` named, in that
+    order.  Each other given axis replaces that axis of every panel run;
+    ``kv_batch`` replaces the batch of every KV workload."""
     given = {axis: tuple(values) for axis, values in axes.items() if values is not None}
-    return [point for entry in harness.scale_entry(SCALES, scale_name)
-            for point in replace(entry, **given).points(seed)]
+    entries = (harness.scale_entry(SCALES, scale_name) if panels is None
+               else [panel(scale_name, name) for name in panels])
+    points = []
+    for entry in entries:
+        entry = replace(entry, **given)
+        if kv_batch is not None:
+            entry = replace(entry, workloads=tuple(dict.fromkeys(
+                replace(load, batch=batch) if isinstance(load, KV) else load
+                for load in entry.workloads for batch in kv_batch)))
+        points += entry.points(seed)
+    return points
 
 
 def throughput_row(point: Point, result: ClusterResult) -> Dict:
@@ -214,24 +223,20 @@ def select(rows: List[Dict], panel_name: str, **keys: Any) -> List[Dict]:
             if row["panel"] == panel_name and all(row[key] == value for key, value in keys.items())]
 
 
-def _by_protocol(rows: List[Dict], kv_batch: int, failures: int) -> Dict[str, List[Dict]]:
-    """One panel of Figures 2/3: each protocol's rows, in grid order."""
-    series: Dict[str, List[Dict]] = {}
+def throughput_series(rows: List[Dict], kv_batch: int, failures: int,
+                      key: str = "throughput_ops") -> Dict[str, List[float]]:
+    """Figure 2's per-protocol series of ``key`` for one panel, in grid order."""
+    series: Dict[str, List[float]] = {}
     for row in select(rows, "figures", kv_batch=kv_batch, failures=failures):
-        series.setdefault(row["protocol"], []).append(row)
+        series.setdefault(row["protocol"], []).append(row[key])
     return series
-
-
-def throughput_series(rows: List[Dict], kv_batch: int, failures: int) -> Dict[str, List[float]]:
-    """Figure 2's per-protocol throughput series for one panel."""
-    return {protocol: [row["throughput_ops"] for row in series]
-            for protocol, series in _by_protocol(rows, kv_batch, failures).items()}
 
 
 def latency_curves(rows: List[Dict], kv_batch: int, failures: int) -> Dict[str, List[Tuple]]:
     """Figure 3's per-protocol (throughput, mean latency ms) curves for one panel."""
-    return {protocol: sorted((row["throughput_ops"], row["mean_latency_ms"]) for row in series)
-            for protocol, series in _by_protocol(rows, kv_batch, failures).items()}
+    latency = throughput_series(rows, kv_batch, failures, key="mean_latency_ms")
+    return {protocol: sorted(zip(series, latency[protocol]))
+            for protocol, series in throughput_series(rows, kv_batch, failures).items()}
 
 
 def single_node_baseline(num_transactions: int = 1_000, seed: int = 7) -> Dict[str, float]:
@@ -244,16 +249,13 @@ def single_node_baseline(num_transactions: int = 1_000, seed: int = 7) -> Dict[s
     trace = SyntheticTrace(num_transactions=num_transactions, seed=seed)
     ledger = LedgerService()
     trace.genesis(ledger)
-    total_cost = 0.0
-    executed = 0
-    for tx in trace.transactions():
-        operation = ledger_operation(tx)
-        total_cost += ledger.transaction_cost(operation, ledger.execute(operation))
-        executed += 1
+    operations = [ledger_operation(tx) for tx in trace.transactions()]
+    total_cost = sum(ledger.transaction_cost(operation, ledger.execute(operation))
+                     for operation in operations)
     return {
         "label": "single-node baseline",
-        "completed_operations": executed,
-        "throughput_ops": round(executed / total_cost if total_cost > 0 else 0.0, 1),
+        "completed_operations": len(operations),
+        "throughput_ops": round(len(operations) / total_cost if total_cost > 0 else 0.0, 1),
         "cpu_seconds": round(total_cost, 4),
     }
 
@@ -311,10 +313,14 @@ SWEEP = harness.Sweep(
                    "slow_blocks", "requests_per_block", "all_completed", "wall_seconds",
                    "cpu_us_per_event"),
     axes={
+        "panels": dict(nargs="+", choices=[entry.name for entry in SCALES["small"]],
+                       help="run only these panels (default: all)"),
         "protocols": dict(nargs="+"),
         "clients": dict(nargs="+", type=int, help="replace every panel's client counts"),
-        "kv_batch": dict(nargs="+", type=int, help="replace every KV panel's puts per request"),
-        "failures": dict(nargs="+", type=int, help="replace every panel's crashed-backup counts"),
+        "kv_batch": dict(nargs="+", type=int, help="replace every KV workload's puts per request"),
+        "failures": dict(nargs="+", type=int,
+                         help="replace every panel's crashed-backup counts (more than a "
+                         "panel's f stalls its runs: pick the panels with --panels)"),
         "policies": dict(nargs="+", choices=POLICIES),
         "topologies": dict(nargs="+"),
     },

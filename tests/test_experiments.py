@@ -17,7 +17,7 @@ import repro.experiments
 from repro.adversary import search
 from repro.experiments import fault_sweep, harness, throughput, viewchange_study
 from repro.errors import ConfigurationError
-from repro.experiments.harness import KV, Point, format_table, run_point
+from repro.experiments.harness import KV, Ethereum, Point, format_table, run_point
 from repro.experiments.throughput import (
     latency_curves,
     select,
@@ -32,8 +32,8 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: A one-point-per-protocol Figure 2 panel: unbatched, failure-free, two
 #: clients of two requests each.
-TINY = throughput.Panel("figures", PAPER_ORDER, f=(1,), clients=(2,), kv_batch=(1,), requests=2,
-                        block_batch=2, max_sim_time=120.0)
+TINY = throughput.Panel("figures", PAPER_ORDER, f=(1,), clients=(2,),
+                        workloads=(KV(requests=2, batch=1),), block_batch=2, max_sim_time=120.0)
 
 
 def test_every_experiment_module_but_the_harness_defines_a_sweep():
@@ -117,8 +117,8 @@ def test_single_node_baseline_positive_throughput():
 
 def test_smart_contract_sweep_rows_and_slowdowns(capsys):
     contracts = dataclasses.replace(
-        throughput.panel("small", "contracts"), f=(1,), transactions=150, clients=(2,),
-        topologies=("continent",), block_batch=2,
+        throughput.panel("small", "contracts"), f=(1,), workloads=(Ethereum(transactions=150),),
+        clients=(2,), topologies=("continent",), block_batch=2,
     )
     points = contracts.points()
     rows = harness.run(throughput.SWEEP, points)
@@ -372,8 +372,8 @@ def test_an_unknown_panel_name_fails_naming_the_panels():
 
 
 def test_a_grid_axis_replaces_that_axis_in_every_panel():
-    """Built, not run: a given axis holds on every point; ``kv_batch`` leaves
-    the Ethereum panel's points as they are."""
+    """Built, not run: a given axis holds on every point; ``kv_batch`` sets
+    every KV workload's batch and leaves the Ethereum workload as it is."""
     panels = [panel.name for panel in throughput.SCALES["small"]]
     points = throughput.grid("small", clients=(4,), topologies=("lan",), failures=(0,))
     assert [point.tags["panel"] for point in points] == sorted(
@@ -391,6 +391,27 @@ def test_a_grid_axis_replaces_that_axis_in_every_panel():
     assert {point.workload.batch for point in batched if isinstance(point.workload, KV)} == {2}
     assert ([point.label for point in batched if point.tags["panel"] == "contracts"]
             == [point.label for point in untouched if point.tags["panel"] == "contracts"])
+
+
+def test_the_panels_axis_runs_only_the_named_panels_in_that_order():
+    """Built, not run: ``panels`` picks panels, the other axes then apply to
+    those only, and an unknown panel name raises."""
+    untouched = throughput.grid("paper")
+    points = throughput.grid("paper", panels=("contracts", "scale"), failures=(0, 1))
+    assert [point.label for point in points if point.tags["panel"] == "scale"][:2] == [
+        "scale/sbft-c0/f=1/batch=8/fail=0/fixed/clients=16/continent",
+        "scale/sbft-c0/f=1/batch=8/fail=1/fixed/clients=16/continent",
+    ]
+    assert [point.tags["panel"] for point in points] == sorted(
+        (point.tags["panel"] for point in points), key=["contracts", "scale"].index)
+    assert len(points) == 2 * sum(1 for point in untouched
+                                  if point.tags["panel"] in ("contracts", "scale"))
+    with pytest.raises(ConfigurationError, match="unknown panel 'figure'"):
+        throughput.grid("small", panels=("figure",))
+    # The CLI takes the panel names, and nothing else, as ``--panels``.
+    with pytest.raises(SystemExit) as exit_info:
+        harness.main(throughput.SWEEP, ["--panels", "figure"])
+    assert exit_info.value.code == 2
 
 
 def _cluster_runners(path):
