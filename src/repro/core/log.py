@@ -2,8 +2,9 @@
 
 A :class:`SlotState` accumulates everything an SBFT replica learns about one
 sequence number: the accepted pre-prepare, signature shares collected when the
-replica acts as a C-/E-collector, the fast/slow commit certificates, execution
-results and the execution certificate.  :class:`ReplicaLog` is the window of
+replica acts as a C-/E-collector (a :class:`Tally` allocated by the first
+share filed), the fast/slow commit certificates, execution results and the
+execution certificate.  :class:`ReplicaLog` is the window of
 slots between the last stable sequence number and ``ls + win``; it is shared
 by both protocols and creates slots of whatever type the replica names (the
 runtime needs ``sequence``, ``pre_prepare``, ``digest``, ``committed``,
@@ -12,11 +13,17 @@ runtime needs ``sequence``, ``pre_prepare``, ``digest``, ``committed``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.messages import PrePrepare
 from repro.crypto.threshold import CombinedSignature
+
+
+#: The one bucket every closed value shares (see :meth:`Tally.close`): empty
+#: and read-only.
+CLOSED: Mapping[int, Any] = MappingProxyType({})
 
 
 class Tally(dict):
@@ -26,6 +33,8 @@ class Tally(dict):
     the value (a signed message, a digest, a view) picks the bucket and the
     voter (the identity the signature check authenticated) the place in it.
     A voter's first vote for a value stands; buckets keep arrival order.
+    Once a value's certificate exists its bucket is closed: the votes are
+    dropped and any later vote counts as a repeat.
     """
 
     __slots__ = ()
@@ -35,17 +44,22 @@ class Tally(dict):
         bucket = self.get(value)
         if bucket is None:
             bucket = self[value] = {}
-        elif voter in bucket:
+        elif bucket is CLOSED or voter in bucket:
             return 0
         bucket[voter] = payload
         return len(bucket)
 
     def votes(self, value: Any) -> Dict[int, Any]:
-        """The ``voter -> payload`` bucket of ``value`` (empty if nobody voted)."""
+        """The ``voter -> payload`` bucket of ``value`` (empty if nobody voted
+        or the value is closed)."""
         return self.get(value) or {}
 
+    def close(self, value: Any) -> None:
+        """Drop the votes for ``value``; every later ``add`` of it returns 0."""
+        self[value] = CLOSED
 
-@dataclass
+
+@dataclass(slots=True)
 class SlotState:
     """Everything a replica knows about one sequence number."""
 
@@ -56,9 +70,13 @@ class SlotState:
     pre_prepare_view: int = -1
     digest: Optional[str] = None
 
-    # C-collector state (fast path): sigma/tau shares per signed message.
-    sigma_shares: Tally = field(default_factory=Tally)
-    tau_shares: Tally = field(default_factory=Tally)
+    # Collector state: threshold shares per ``(scheme name, signed message)``
+    # (σ and τ over ``("sign", ...)``, τ over ``("commit", ...)``, π over
+    # ``("state", ...)``); ``None`` until this replica, as one of the slot's
+    # collectors, files the first share.
+    shares: Optional[Tally] = None
+
+    # C-collector state (fast path).
     fast_proof_sent: bool = False
     prepare_sent: bool = False
     fast_path_timer: Optional[int] = None
@@ -67,7 +85,6 @@ class SlotState:
     prepare_certificate: Optional[CombinedSignature] = None
     prepare_certificate_view: int = -1
     commit_sent: bool = False
-    commit_shares: Tally = field(default_factory=Tally)
     slow_proof_sent: bool = False
 
     # Commit state.
@@ -82,7 +99,6 @@ class SlotState:
     state_digest: Optional[str] = None
 
     # E-collector state.
-    sign_state_shares: Tally = field(default_factory=Tally)
     execute_proof: Optional[CombinedSignature] = None      # π(d)
     acks_sent: bool = False
 

@@ -117,7 +117,7 @@ class SBFTReplica(Replica):
         self._new_view_quorum = config.view_change_quorum
 
         # Checkpoint π shares per sequence (used when execution collectors
-        # are disabled).
+        # are disabled), keyed like a slot's ``shares``.
         self._checkpoint_shares: Dict[int, Tally] = {}
         # ``(scheme name, signed) -> k``: a fallback of ``_combine`` found the
         # first k shares of that bucket valid, and too few of them.
@@ -235,36 +235,41 @@ class SBFTReplica(Replica):
     # ==================================================================
     # Collecting shares: the only ``verify_share`` and ``combine`` calls
     # ==================================================================
-    def _file(self, tally: Tally, share: Any, signed: Tuple, src: int) -> int:
-        """File a share over ``signed`` *unchecked* (its arrival costs one
-        hash), and only under its authenticated sender ``src``: nobody can
-        take another signer's place in the bucket, and a blamed sender files
-        nothing.  That message's new signer count, or 0 if the share added
-        nothing.  ``signed`` is its own ``memo_key``, so the match is
-        type-exact (``1.0`` is not ``1``)."""
+    def _file(self, tally: Tally, scheme: ThresholdScheme, share: Any, signed: Tuple, src: int) -> int:
+        """File a ``scheme`` share over ``signed`` *unchecked* (its arrival
+        costs one hash) in the ``(scheme.name, signed)`` bucket, and only
+        under its authenticated sender ``src``: nobody can take another
+        signer's place in the bucket, and a blamed sender files nothing.
+        That message's new signer count, or 0 if the share added nothing.
+        ``signed`` is its own ``memo_key``, so the match is type-exact
+        (``1.0`` is not ``1``)."""
         if (
             share is None or share.signer_id != src or src in self._blamed
             or memo_key(share.message) != signed
         ):
             return 0
-        return tally.add(signed, src, share)
+        return tally.add((scheme.name, signed), src, share)
 
     def _combine(self, tally: Tally, scheme: ThresholdScheme, signed: Tuple) -> Optional[Any]:
-        """Combine the first ``threshold`` shares filed under ``signed`` and
-        check the result: one combine and one combined check, whatever the
-        share count.  If the check fails, ``_drop_invalid_shares`` and, once
-        ``threshold`` valid shares lead the bucket, combine those (no second
-        check).  ``None`` while too few valid shares remain."""
-        bucket = tally.votes(signed)
-        proof = self._combine_first(bucket, scheme, self.costs.bls_verify_combined)
-        if proof is not None and scheme.verify(proof):
-            return proof
+        """Combine the first ``threshold`` shares of the ``(scheme.name,
+        signed)`` bucket and check the result: one combine and one combined
+        check, whatever the share count.  If the check fails,
+        ``_drop_invalid_shares`` and, once ``threshold`` valid shares lead the
+        bucket, combine those (no second check).  ``None`` while too few
+        valid shares remain.  Every caller sends the proof at once, so it
+        replaces its shares: the bucket is closed."""
         key = (scheme.name, signed)
-        valid = self._drop_invalid_shares(bucket, scheme, self._valid_prefix.pop(key, 0))
-        if valid < scheme.threshold:
-            self._valid_prefix[key] = valid
-            return None
-        return self._combine_first(bucket, scheme, 0.0)
+        bucket = tally.votes(key)
+        proof = self._combine_first(bucket, scheme, self.costs.bls_verify_combined)
+        if proof is None or not scheme.verify(proof):
+            valid = self._drop_invalid_shares(bucket, scheme, self._valid_prefix.pop(key, 0))
+            if valid < scheme.threshold:
+                self._valid_prefix[key] = valid
+                return None
+            proof = self._combine_first(bucket, scheme, 0.0)
+        if proof is not None:
+            tally.close(key)
+        return proof
 
     def _combine_first(self, bucket: Dict[int, Any], scheme: ThresholdScheme, check: float) -> Optional[Any]:
         """The first ``threshold`` shares of ``bucket`` combined, charged with
@@ -359,9 +364,12 @@ class SBFTReplica(Replica):
         if not self._is_c_collector(message.sequence, message.view):
             return
         slot = self.log.slot(message.sequence)
+        shares = slot.shares
+        if shares is None:
+            shares = slot.shares = Tally()
         signed = ("sign", message.sequence, message.view, message.digest)
-        sigma = self._file(slot.sigma_shares, message.sigma_share, signed, src)
-        tau = self._file(slot.tau_shares, message.tau_share, signed, src)
+        sigma = self._file(shares, self.keys.sigma, message.sigma_share, signed, src)
+        tau = self._file(shares, self.keys.tau, message.tau_share, signed, src)
         self._collector_progress(slot, signed, sigma, tau)
 
     def _collector_progress(self, slot: SlotState, signed: Tuple, sigma: int, tau: int) -> None:
@@ -391,14 +399,17 @@ class SBFTReplica(Replica):
         slot.fast_path_timer = None
         if slot.fast_proof_sent or slot.prepare_sent or slot.committed:
             return
-        if len(slot.tau_shares.votes(signed)) >= self.config.tau_threshold:
+        if len(slot.shares.votes((self.keys.tau.name, signed))) >= self.config.tau_threshold:
             self._send_prepare(slot, signed)
 
     def _send_full_commit_proof(self, slot: SlotState, signed: Tuple) -> None:
-        proof = self._combine(slot.sigma_shares, self.keys.sigma, signed)
+        proof = self._combine(slot.shares, self.keys.sigma, signed)
         if proof is None:
             return
         slot.fast_proof_sent = True
+        # Nothing reads τ once the fast proof is out (the ``fast_proof_sent``
+        # guards of ``_collector_progress`` and ``_on_fast_path_timeout``).
+        slot.shares.close((self.keys.tau.name, signed))
         if slot.fast_path_timer is not None:
             self.cancel_timer(slot.fast_path_timer)
             slot.fast_path_timer = None
@@ -406,7 +417,7 @@ class SBFTReplica(Replica):
         self._broadcast(FullCommitProof(sequence=sequence, view=view, digest=digest, sigma_signature=proof))
 
     def _send_prepare(self, slot: SlotState, signed: Tuple) -> None:
-        certificate = self._combine(slot.tau_shares, self.keys.tau, signed)
+        certificate = self._combine(slot.shares, self.keys.tau, signed)
         if certificate is None:
             return
         slot.prepare_sent = True
@@ -460,12 +471,15 @@ class SBFTReplica(Replica):
         slot = self.log.slot(message.sequence)
         if slot.slow_proof_sent:
             return
+        shares = slot.shares
+        if shares is None:
+            shares = slot.shares = Tally()
         # Only shares over this collector's own digest for the slot count,
         # whatever digest the sender's header names.
         signed = ("commit", message.sequence, message.view, slot.digest)
-        count = self._file(slot.commit_shares, message.tau_share_on_tau, signed, src)
+        count = self._file(shares, self.keys.tau, message.tau_share_on_tau, signed, src)
         if count >= self.config.tau_threshold:
-            proof = self._combine(slot.commit_shares, self.keys.tau, signed)
+            proof = self._combine(shares, self.keys.tau, signed)
             if proof is not None:
                 slot.slow_proof_sent = True
                 self._broadcast(
@@ -546,16 +560,20 @@ class SBFTReplica(Replica):
         if not self._is_e_collector(message.sequence):
             return
         slot = self.log.slot(message.sequence)
-        signed = ("state", message.sequence, message.state_digest)
-        count = self._file(slot.sign_state_shares, message.pi_share, signed, src)
-        if count >= self.config.pi_threshold and slot.execute_proof is None:
-            slot.execute_proof = proof = self._combine(slot.sign_state_shares, self.keys.pi, signed)
-            if proof is not None:
-                self._broadcast(
-                    FullExecuteProof(
-                        sequence=message.sequence, state_digest=message.state_digest, pi_signature=proof
+        # Once the slot has its π proof (its own or a peer's), no share counts.
+        if slot.execute_proof is None:
+            shares = slot.shares
+            if shares is None:
+                shares = slot.shares = Tally()
+            signed = ("state", message.sequence, message.state_digest)
+            if self._file(shares, self.keys.pi, message.pi_share, signed, src) >= self.config.pi_threshold:
+                slot.execute_proof = proof = self._combine(shares, self.keys.pi, signed)
+                if proof is not None:
+                    self._broadcast(
+                        FullExecuteProof(
+                            sequence=message.sequence, state_digest=message.state_digest, pi_signature=proof
+                        )
                     )
-                )
         self._maybe_send_execute_acks(message.sequence)
 
     def _on_full_execute_proof(self, message: FullExecuteProof, src: int) -> None:
@@ -565,6 +583,8 @@ class SBFTReplica(Replica):
             return
         if slot.execute_proof is None:
             slot.execute_proof = message.pi_signature
+            if slot.shares is not None:   # an E-collector short of its own π quorum
+                slot.shares.close((self.keys.pi.name, sign_message))
         self._advance_stable(message.sequence)
         if self.last_executed + self.config.state_transfer_lag < message.sequence:
             self._request_state_transfer(hint=src)
@@ -634,8 +654,10 @@ class SBFTReplica(Replica):
 
     def _on_checkpoint(self, message: CheckpointMsg, src: int) -> None:
         signed = ("checkpoint", message.sequence, message.state_digest)
-        shares = self._checkpoint_shares.setdefault(message.sequence, Tally())
-        count = self._file(shares, message.pi_share, signed, src)
+        shares = self._checkpoint_shares.get(message.sequence)
+        if shares is None:
+            shares = self._checkpoint_shares[message.sequence] = Tally()
+        count = self._file(shares, self.keys.pi, message.pi_share, signed, src)
         if count >= self.config.pi_threshold and message.sequence > self.last_stable:
             proof = self._combine(shares, self.keys.pi, signed)
             if proof is not None:

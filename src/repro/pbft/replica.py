@@ -72,7 +72,8 @@ class _PbftSlot:
         self.pre_prepare: Optional[PrePrepare] = None
         self.view = -1
         self.digest: Optional[str] = None
-        # Votes per digest (the voter's verified ``replica_id``).
+        # Votes per digest (the voter's verified ``replica_id``); a digest's
+        # bucket is closed once the slot is prepared / committed on it.
         self.prepares = Tally()
         self.commits = Tally()
         self.prepare_sent = False
@@ -196,6 +197,7 @@ class PBFTReplica(Replica):
         # Prepared: pre-prepare + 2f (+2c) prepares from distinct replicas.
         if len(slot.prepares.votes(slot.digest)) >= self.quorum - 1:
             slot.commit_sent = True
+            slot.prepares.close(slot.digest)
             self.charge_cpu(self.costs.rsa_sign)
             signature = self.signing_key.sign(("commit", slot.sequence, self.view, slot.digest))
             self._broadcast(
@@ -225,6 +227,7 @@ class PBFTReplica(Replica):
             return
         if len(slot.commits.votes(slot.digest)) >= self.quorum and slot.pre_prepare is not None:
             slot.committed = True
+            slot.commits.close(slot.digest)
             self.stats.blocks_committed += 1
             self._try_execute()
 
@@ -255,12 +258,15 @@ class PBFTReplica(Replica):
             ("checkpoint", message.sequence, message.state_digest), message.signature
         ):
             return
-        votes = self._checkpoints.setdefault(message.sequence, Tally())
+        votes = self._checkpoints.get(message.sequence)
+        if votes is None:
+            votes = self._checkpoints[message.sequence] = Tally()
         # Stable: a quorum voted for the *same* state digest.
         if (
             votes.add(message.state_digest, message.replica_id) >= self.quorum
             and message.sequence > self.last_stable
         ):
+            votes.close(message.state_digest)
             self.last_stable = message.sequence
             collect_up_to = min(self.last_stable, self.last_executed) - self.config.window
             self.log.garbage_collect(collect_up_to)

@@ -306,7 +306,7 @@ def test_a_forged_sigma_share_is_dropped_at_combine_time_and_checked_once():
         _sign_share(replica, signed, signer)
     assert charges == [] and replica.stats.combine_fallbacks == 0      # nothing checked yet
     _sign_share(replica, signed, 2)                 # k shares: the combine fails its check
-    bucket = replica.log.slot(1).sigma_shares.votes(signed)
+    bucket = replica.log.slot(1).shares.votes(("sigma", signed))
     assert list(bucket) == [0, 1, 2] and not _sent(broadcasts, FullCommitProof)
     assert charges == [_attempt(costs, k), 4 * costs.bls_batch_verify_per_share]
     assert replica.stats.combine_fallbacks == 1
@@ -333,7 +333,7 @@ def test_a_blamed_forger_resending_its_share_costs_the_collector_one_hash_per_sh
     sim.run(until=sim.now + 0.01)
     assert charges == [] and replica.stats.combine_fallbacks == 1
     assert replica.cpu.total_busy_time - busy == pytest.approx(3 * 2 * replica.costs.hash_op)
-    assert list(replica.log.slot(1).sigma_shares.votes(signed)) == [0, 1, 2]
+    assert list(replica.log.slot(1).shares.votes(("sigma", signed))) == [0, 1, 2]
 
 
 def test_a_forged_tau_share_is_dropped_at_combine_time_and_checked_once():
@@ -342,7 +342,7 @@ def test_a_forged_tau_share_is_dropped_at_combine_time_and_checked_once():
     _sign_share(replica, signed, 3, forged=("sigma", "tau"))
     _sign_share(replica, signed, 0)
     _sign_share(replica, signed, 1)
-    bucket = replica.log.slot(1).tau_shares.votes(signed)
+    bucket = replica.log.slot(1).shares.votes(("tau", signed))
     assert list(bucket) == [3, 0, 1] and charges == []
     sim.run(until=sim.now + 0.06)                   # the σ wait ends: τ combined, check fails
     assert list(bucket) == [0, 1] and not _sent(broadcasts, Prepare)
@@ -389,7 +389,7 @@ def test_a_forged_pi_share_is_dropped_at_combine_time_and_checked_once():
 
     sign_state(3, forged=True)
     sign_state(1)                                   # k = 2 shares: the check fails
-    assert list(replica.log.slot(sequence).sign_state_shares.votes(signed)) == [1]
+    assert list(replica.log.slot(sequence).shares.votes(("pi", signed))) == [1]
     assert charges == [_attempt(costs, k), 2 * costs.bls_batch_verify_per_share]
     sign_state(2)
     (proof,) = _sent(broadcasts, FullExecuteProof)
@@ -402,11 +402,11 @@ def test_a_share_not_sent_by_its_signer_is_not_filed():
     relayed = replica.keys.tau.sign_share(2, signed)        # valid, but replica 1 sends it
     _sign_share(replica, signed, 1, tau_share=relayed)
     slot = replica.log.slot(1)
-    assert slot.tau_shares.votes(signed) == {} and list(slot.sigma_shares.votes(signed)) == [1]
+    assert slot.shares.votes(("tau", signed)) == {} and list(slot.shares.votes(("sigma", signed))) == [1]
     _sign_share(replica, signed, 2, forged=("tau",), src=3)  # a forgery in replica 2's name
-    assert slot.tau_shares.votes(signed) == {}
+    assert slot.shares.votes(("tau", signed)) == {}
     _sign_share(replica, signed, 2)
-    assert list(slot.tau_shares.votes(signed)) == [2]
+    assert list(slot.shares.votes(("tau", signed))) == [2]
 
 
 def test_a_healthy_fast_path_slot_checks_one_combined_signature_and_no_share():

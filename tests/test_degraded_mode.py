@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from helpers import assert_agreement, make_bare_replica, make_request, run_small_cluster
 from repro.core.config import SBFTConfig
-from repro.core.log import Tally
+from repro.core.log import CLOSED, Tally
 from repro.core.messages import (
     CheckpointMsg,
     ClientReply,
@@ -286,7 +286,7 @@ def test_commit_share_over_another_message_is_dropped_and_the_slow_proof_still_f
         replica._on_commit(
             Commit(sequence=1, view=0, replica_id=3, digest=header_digest,
                    tau_share_on_tau=replica.keys.tau.sign_share(3, wrong)), src=3)
-    assert replica.log.slot(1).commit_shares.votes(("commit", 1, 0, digest)) == {}
+    assert replica.log.slot(1).shares.votes(("tau", ("commit", 1, 0, digest))) == {}
 
     _commits(replica, 1, digest, (1, 2))
     # The quorum-completing commit lies in its header only: the proof must
@@ -306,7 +306,7 @@ def test_state_share_over_another_message_is_dropped_and_the_execute_proof_still
     replica._on_sign_state(
         SignState(sequence=1, replica_id=3, state_digest="s",
                   pi_share=pi.sign_share(3, ("state", 1, "other"))), src=3)
-    assert replica.log.slot(1).sign_state_shares.votes(("state", 1, "s")) == {}
+    assert replica.log.slot(1).shares.votes(("pi", ("state", 1, "s"))) == {}
     for i in (0, 1):                                            # π threshold is f+1
         replica._on_sign_state(
             SignState(sequence=1, replica_id=i, state_digest="s",
@@ -345,7 +345,7 @@ def test_share_over_a_float_look_alike_of_the_signed_message_is_not_counted():
                   sigma_share=sigma.sign_share(3, look_alike),
                   tau_share=tau.sign_share(3, look_alike)), src=3)
     slot = replica.log.slot(1)
-    assert slot.sigma_shares.votes(signed) == {} and slot.tau_shares.votes(signed) == {}
+    assert slot.shares.votes(("sigma", signed)) == {} and slot.shares.votes(("tau", signed)) == {}
     _sign_shares(replica, 1, pre_prepare.digest, LIVE)
     sim.run(until=sim.now + 0.06)                       # healthy: the σ wait
     assert tau.verify_message(_last(broadcasts, Prepare).tau_signature, signed)
@@ -362,10 +362,14 @@ def test_one_share_replayed_under_three_claimed_ids_counts_once():
         replica._on_sign_share(
             SignShare(sequence=1, view=0, replica_id=claimed, digest=pre_prepare.digest,
                       sigma_share=sigma, tau_share=tau), src=3)
-    _sign_shares(replica, 1, pre_prepare.digest, LIVE)
-    assert _last(broadcasts, FullCommitProof).digest == pre_prepare.digest
     slot = replica.log.slot(1)
-    assert list(slot.sigma_shares.votes(signed)) == list(slot.tau_shares.votes(signed)) == [3, 0, 1, 2]
+    assert list(slot.shares.votes(("sigma", signed))) == list(slot.shares.votes(("tau", signed))) == [3]
+    _sign_shares(replica, 1, pre_prepare.digest, LIVE)
+    proof = _last(broadcasts, FullCommitProof)
+    assert proof.digest == pre_prepare.digest and replica.stats.combine_fallbacks == 0
+    assert replica.keys.sigma.verify_message(proof.sigma_signature, signed)
+    # The proof replaced the four shares: both buckets are closed.
+    assert slot.shares.get(("sigma", signed)) is CLOSED and slot.shares.get(("tau", signed)) is CLOSED
 
 
 def test_wrong_digest_state_share_first_does_not_cost_the_block_its_execute_proof():
@@ -395,11 +399,12 @@ def test_checkpoint_share_over_another_message_is_dropped_and_a_signer_counts_on
     assert replica._checkpoint_shares[sequence] == {}
     first = checkpoint(0, "s")
     checkpoint(0, "s")
-    bucket = replica._checkpoint_shares[sequence].votes(("checkpoint", sequence, "s"))
+    bucket = replica._checkpoint_shares[sequence].votes(("pi", ("checkpoint", sequence, "s")))
     assert bucket == {0: first} and not broadcasts and replica.last_stable == 0
     checkpoint(1, "s")
     assert replica.last_stable == sequence and len(broadcasts) == 1
     assert pi.verify_message(broadcasts[0].pi_signature, ("checkpoint", sequence, "s"))
+    assert replica._checkpoint_shares[sequence].get(("pi", ("checkpoint", sequence, "s"))) is CLOSED
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers())))

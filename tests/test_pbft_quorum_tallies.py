@@ -5,8 +5,9 @@ bucket in a :class:`repro.core.log.Tally`, and ``_on_checkpoint`` counts votes
 for one state digest.  The first two are pure host-work savings, so one replica
 running them is driven in lockstep with a reference replica that recounts the
 matching voters one by one on every vote; after every hand-built message both
-must have sent the same messages and hold the same slot state and buckets.
-The checkpoint rule is a behaviour fix and gets its own test.
+must have sent the same messages and hold the same slot state and buckets
+(a closed bucket closed on both).  The checkpoint rule is a behaviour fix and
+gets its own test.
 """
 
 import random
@@ -16,6 +17,7 @@ import pytest
 from helpers import make_bare_replica
 from repro.core.config import SBFTConfig
 from repro.core.keys import TrustedSetup
+from repro.core.log import CLOSED
 from repro.core.messages import ClientRequest, PrePrepare
 from repro.crypto.hashing import block_digest
 from repro.crypto.signatures import generate_keypair
@@ -36,7 +38,8 @@ ME = 1  # the replica under test: a backup in view 0, the primary of view 1
 
 
 class ScanningReplica(PBFTReplica):
-    """Reference: a full recount of the matching voters on every vote."""
+    """Reference: a full recount of the matching voters on every vote (the
+    certificate still closes its bucket, as in ``PBFTReplica``)."""
 
     def _check_prepared(self, slot):
         if slot.commit_sent or slot.digest is None or slot.pre_prepare is None:
@@ -44,6 +47,7 @@ class ScanningReplica(PBFTReplica):
         matching = sum(1 for _voter in slot.prepares.votes(slot.digest))
         if matching >= self.quorum - 1:
             slot.commit_sent = True
+            slot.prepares.close(slot.digest)
             self.charge_cpu(self.costs.rsa_sign)
             signature = self.signing_key.sign(("commit", slot.sequence, self.view, slot.digest))
             self._broadcast(
@@ -56,6 +60,7 @@ class ScanningReplica(PBFTReplica):
         matching = sum(1 for _voter in slot.commits.votes(slot.digest))
         if matching >= self.quorum and slot.pre_prepare is not None:
             slot.committed = True
+            slot.commits.close(slot.digest)
             self.stats.blocks_committed += 1
             self._try_execute()
 
@@ -68,10 +73,16 @@ def _make_replica(cls):
     return replica, sent
 
 
+def _buckets(tally):
+    """Every bucket in arrival order, a closed one as ``CLOSED`` itself."""
+    return [(value, CLOSED if bucket is CLOSED else list(bucket.items()))
+            for value, bucket in tally.items()]
+
+
 def _observe(replica, sent):
     slots = {
         slot.sequence: (slot.digest, slot.prepare_sent, slot.commit_sent, slot.committed,
-                        dict(slot.prepares), dict(slot.commits))
+                        _buckets(slot.prepares), _buckets(slot.commits))
         for slot in replica.log.slots()
     }
     messages = [(type(m).__name__, m.sequence, m.view, m.digest) for m in sent]
