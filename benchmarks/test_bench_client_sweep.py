@@ -52,15 +52,3 @@ def test_client_sweep(benchmark, scale_name, protocol):
     )
     assert adaptive_top["requests_per_block"] > fixed_top["requests_per_block"]
     assert adaptive_top["blocks_executed"] < fixed_top["blocks_executed"]
-
-
-def _stable(rows):
-    """Strip the host-clock keys (they vary run to run)."""
-    return [{k: v for k, v in row.items() if k not in harness.HOST_FIELDS} for row in rows]
-
-
-def test_client_sweep_deterministic():
-    """The sweep is a pure function of its seed (same rows serial or not)."""
-    ladder = replace(throughput.panel("small", "clients"), protocols=("sbft-c0",), clients=(8,))
-    points = ladder.points(seed=3)
-    assert _stable(harness.run(SWEEP, points)) == _stable(harness.run(SWEEP, points))

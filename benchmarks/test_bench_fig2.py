@@ -43,7 +43,7 @@ def test_fig2_throughput_under_load(benchmark, scale_name, protocol):
 def test_fig2_grid(benchmark, scale_name, failures_kind):
     """A (clients x protocol) panel of Figure 2 for one failure scenario."""
     figures = throughput.panel(scale_name, "figures")
-    failure_options = figures.failures
+    failure_options = figures.faults
     failures = 0 if failures_kind == "none" else failure_options[1] if len(failure_options) > 1 else 0
 
     def run():

@@ -35,24 +35,3 @@ def test_scale_sweep(benchmark, scale_name, protocol):
     # still finish within the simulated deadline at every swept size.
     ns = [row["n"] for row in rows]
     assert ns == sorted(ns)
-
-
-def _stable(rows):
-    """Strip the host-clock keys (they vary run to run)."""
-    return [{k: v for k, v in row.items() if k not in harness.HOST_FIELDS} for row in rows]
-
-
-def _points():
-    return replace(throughput.panel("small", "scale"), f=(1, 2)).points(seed=3)
-
-
-def test_scale_sweep_deterministic():
-    """The sweep is a pure function of its seed (same rows, same numbers)."""
-    points = _points()
-    assert _stable(harness.run(SWEEP, points)) == _stable(harness.run(SWEEP, points))
-
-
-def test_scale_sweep_parallel_jobs_match_serial():
-    """--jobs N must produce rows identical to serial execution."""
-    points = _points()
-    assert _stable(harness.run(SWEEP, points)) == _stable(harness.run(SWEEP, points, jobs=2))

@@ -84,16 +84,3 @@ def test_smart_contract_sweep_rows_and_perf_columns(benchmark):
         assert row["events_processed"] > 0
     stats = execution_cache.stats()
     assert stats["misses"] > 0 and stats["hits"] > 0
-
-
-def test_smart_contract_sweep_parallel_rows_match_serial():
-    """--jobs N must not change the simulated rows (worker processes start
-    with cold caches; only the host-clock columns may differ)."""
-    points = _points()
-    serial = harness.run(SWEEP, points, jobs=1)
-    parallel = harness.run(SWEEP, points, jobs=2)
-
-    for serial_row, parallel_row in zip(serial, parallel):
-        simulated_serial = {k: v for k, v in serial_row.items() if k not in harness.HOST_FIELDS}
-        simulated_parallel = {k: v for k, v in parallel_row.items() if k not in harness.HOST_FIELDS}
-        assert simulated_serial == simulated_parallel

@@ -30,7 +30,7 @@ def main() -> None:
     figures = throughput.panel(scale_name, "figures")
     (f,) = figures.f
     clients = tuple(args.clients or figures.clients)
-    failures = figures.failures[:2]  # no failures + a few failures
+    failures = figures.faults[:2]  # no failures + a few failures
 
     n, n_redundant = (protocol_sizes(protocol, f)[0] for protocol in ("sbft-c0", "sbft-c8"))
     print(f"Scale: f={f} (n={n} replicas, {n_redundant} with redundant servers)")

@@ -6,22 +6,24 @@ silent (receiving but never sending) primary, and an equivocating primary that
 proposes conflicting blocks — and reports for each one whether every client
 request still completed, how many view changes were triggered, and which view
 the cluster ended up in.  This is a miniature of the robustness study the
-paper describes in Section V-G (footnote 3).
+paper describes in Section V-G (footnote 3): the throughput grid's
+``primary`` panel.
 
 Run with::
 
     python examples/view_change_demo.py
 """
 
-from repro.experiments import harness
+from repro.experiments import harness, throughput
 from repro.experiments.harness import format_table
-from repro.experiments.viewchange_study import PRIMARY_FAULTS, SWEEP, grid, summarize
+from repro.experiments.throughput import SWEEP, summarize
 
 
 def main() -> None:
-    print("Primary faults exercised:", ", ".join(PRIMARY_FAULTS))
+    primary = throughput.panel("small", "primary")
+    print("Primary faults exercised:", ", ".join(fault.name for fault in primary.faults))
     print()
-    rows = harness.run(SWEEP, grid(faults=PRIMARY_FAULTS, trials_per_fault=3, f=1))
+    rows = harness.run(SWEEP, primary.points())
     print(
         format_table(
             rows,

@@ -31,7 +31,7 @@ import hashlib
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments import fault_sweep, throughput
+from repro.experiments import throughput
 from repro.experiments.harness import KV, Ethereum, Point, run_point
 from repro.protocols.cluster import ClusterResult
 from repro.sim.faults import FaultPlan
@@ -235,9 +235,9 @@ SCENARIOS: Dict[str, Point] = {
         label="sanitize/fault",
         block_batch=4,
         fault_plan=FaultPlan.crash_backups(1, 4, at_time=1.0),
-        config_overrides=fault_sweep.CONFIG_OVERRIDES,
+        config_overrides=throughput.FAULTS.overrides,
         max_sim_time=120.0,
-        timeline_bucket=fault_sweep.TIMELINE_BUCKET,
+        timeline_bucket=throughput.FAULTS.timeline_bucket,
         fault_phase=(1.0, 2.0),
     ),
     "client": Point(

@@ -1,4 +1,4 @@
-"""Experiment drivers — one module per measurement of the paper (Section IX).
+"""Experiment drivers — the measurements of the paper (Sections VIII and IX).
 
 Every module but :mod:`repro.experiments.harness` defines a ``SWEEP`` that
 the one grid runner runs (``python -m repro.experiments.<module> --help``):
@@ -6,16 +6,15 @@ the one grid runner runs (``python -m repro.experiments.<module> --help``):
 * :mod:`repro.experiments.harness` — the one sweep-point record (``Point``)
   and its one runner (``run_point``), the one grid runner, the sweep CLI and
   the ``--check-against`` baseline gate.
-* :mod:`repro.experiments.throughput` — the throughput grid: Figures 2 and 3
-  and the per-ingredient ablation, the scale column, the client axis (fixed
-  vs adaptive batching with pipelined clients) and the smart-contract table
-  with its unreplicated baseline (``BENCH_throughput.json``).
-* :mod:`repro.experiments.fault_sweep` — Section VIII performance under
-  scripted fault timelines (``BENCH_fault_sweep.json``).
-* :mod:`repro.experiments.viewchange_study` — view-change robustness study.
+* :mod:`repro.experiments.throughput` — every fixed grid of cluster points,
+  as panels of one grid: Figures 2 and 3 and the per-ingredient ablation,
+  the scale column, the client axis (fixed vs adaptive batching with
+  pipelined clients), the smart-contract table with its unreplicated
+  baseline, Section VIII performance under scripted fault timelines and the
+  Section V-G view-change study (``BENCH_throughput.json``).
 
-The sized sweeps take ``--scale small|medium|paper`` so the same code runs
-both the quick CI-sized configuration and larger paper-sized ones.
+The sweep takes ``--scale small|medium|paper`` so the same code runs both
+the quick CI-sized configuration and larger paper-sized ones.
 """
 
 from repro.experiments.harness import Point, format_table, run_point

@@ -86,11 +86,12 @@ class Point:
     """One cluster sweep point, as plain data; :func:`run_point` runs it.
 
     It has no ``c``: :func:`repro.protocols.registry.protocol_sizes` is the
-    one n/c rule.  ``tags`` are the grid's own axis values (a fault-scenario
-    name, a primary fault) that its row reports and the run does not read.
-    ``timeline_bucket`` and ``fault_phase`` are the fault sweep's
-    :meth:`~repro.protocols.cluster.Cluster.run` requests.  ``adversary``
-    is None or the :class:`Attack` the run installs.
+    one n/c rule.  ``tags`` are the grid's own axis values (its panel, its
+    scripted fault's name) that its row reports and the run does not read.
+    ``timeline_bucket`` and ``fault_phase`` are
+    :meth:`~repro.protocols.cluster.Cluster.run` requests (a windowed
+    timeline, before/during/after-fault aggregates).  ``adversary`` is None
+    or the :class:`Attack` the run installs.
     """
 
     protocol: str

@@ -22,6 +22,7 @@ from repro.core.keys import TrustedSetup
 from repro.core.messages import ClientRequest
 from repro.core.replica import SBFTReplica
 from repro.crypto.signatures import generate_keypair
+from repro.experiments import throughput
 from repro.pbft.replica import PBFTReplica
 from repro.protocols.cluster import Cluster, build_cluster
 from repro.services.authenticated_kv import AuthenticatedKVStore
@@ -73,6 +74,28 @@ def run_small_cluster(
     workload = KVWorkload(requests_per_client=requests_per_client, batch_size=kv_batch, seed=seed + 1)
     result = cluster.run(workload, max_sim_time=max_sim_time, sanitize=sanitize)
     return cluster, result
+
+
+def fault_point(scenario, protocol="sbft-c0", seed=0):
+    """The small ``faults`` panel's point of one scenario (by name) and protocol."""
+    faults = throughput.panel("small", "faults")
+    (fault,) = (fault for fault in faults.faults if fault.name == scenario)
+    (point,) = dataclasses.replace(faults, protocols=(protocol,), faults=(fault,)).points(seed)
+    return point
+
+
+def point_cluster(point):
+    """``point``'s cluster as ``harness.run_point`` builds it, not yet run."""
+    return build_cluster(
+        point.protocol,
+        f=point.f,
+        num_clients=point.clients,
+        topology=point.topology,
+        batch_size=point.block_batch,
+        seed=point.seed,
+        fault_plan=point.fault_plan,
+        config_overrides=point.config_overrides,
+    )
 
 
 def unshared_copy(value):

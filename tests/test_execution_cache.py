@@ -10,7 +10,7 @@ import collections
 
 import pytest
 
-from helpers import execute_everywhere, unshare
+from helpers import execute_everywhere, fault_point, point_cluster, unshare
 from repro.core import execution_cache
 from repro.protocols.cluster import build_cluster
 from repro.workloads.ethereum_workload import EthereumWorkload
@@ -119,7 +119,6 @@ def test_a_restored_replica_runs_each_block_once(monkeypatch):
     and is restored by state transfer; from then on its state key differs
     from its peers', so it dry-runs each block itself — once, to price it,
     and applies that entry when the block finishes."""
-    from repro.experiments.fault_sweep import CONFIG_OVERRIDES, SCENARIOS, SWEEP_SCALES
     from repro.services.authenticated_kv import AuthenticatedKVStore
 
     runs = collections.Counter()
@@ -130,16 +129,12 @@ def test_a_restored_replica_runs_each_block_once(monkeypatch):
         return real(self, sequence, operations, results)
 
     monkeypatch.setattr(AuthenticatedKVStore, "journal_record", counting)
-    small = SWEEP_SCALES["small"]
-    cluster = build_cluster(
-        "sbft-c0", f=1, num_clients=small["clients"], topology="continent",
-        batch_size=small["block_batch"], seed=0, config_overrides=dict(CONFIG_OVERRIDES),
-        fault_plan=SCENARIOS["crash-restart"].build_plan("sbft-c0", 4, 1, 0),
-    )
+    point = fault_point("crash-restart")
+    cluster = point_cluster(point)
     cluster.run(
         EthereumWorkload(num_transactions=1500, num_accounts=40, chunk_bytes=600,
-                         num_clients=small["clients"], seed=1),
-        max_sim_time=small["max_sim_time"],
+                         num_clients=point.clients, seed=1),
+        max_sim_time=point.max_sim_time,
     )
     restored = cluster.replicas[3]
     assert restored.stats["state_transfers"] >= 1

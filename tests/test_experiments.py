@@ -15,7 +15,7 @@ import pytest
 
 import repro.experiments
 from repro.adversary import search
-from repro.experiments import fault_sweep, harness, throughput, viewchange_study
+from repro.experiments import harness, throughput
 from repro.errors import ConfigurationError
 from repro.experiments.harness import KV, Ethereum, Point, format_table, run_point
 from repro.experiments.throughput import (
@@ -23,9 +23,9 @@ from repro.experiments.throughput import (
     select,
     single_node_baseline,
     slowdown_vs_baseline,
+    summarize,
     throughput_series,
 )
-from repro.experiments.viewchange_study import summarize
 from repro.protocols.registry import PAPER_ORDER, PROTOCOLS, protocol_sizes
 
 REPO = Path(__file__).resolve().parent.parent
@@ -47,7 +47,8 @@ def test_every_experiment_module_but_the_harness_defines_a_sweep():
 def test_scales_registry():
     assert set(throughput.SCALES) == {"small", "medium", "paper"}
     for panels in throughput.SCALES.values():
-        assert [panel.name for panel in panels] == ["figures", "scale", "clients", "contracts"]
+        assert [panel.name for panel in panels] == [
+            "figures", "scale", "clients", "contracts", "faults", "primary"]
     paper = throughput.grid("paper")
     assert max(point.f for point in paper) == 64
     assert max(point.n for point in paper) == 209
@@ -58,7 +59,7 @@ def test_scales_registry():
 
 def test_scaled_failures_preserve_ratios():
     """The figures panel crashes 0, f/8 (at least one) and f backups."""
-    failures = {name: throughput.panel(name, "figures").failures for name in throughput.SCALES}
+    failures = {name: throughput.panel(name, "figures").faults for name in throughput.SCALES}
     assert failures == {"small": (0, 1, 2), "medium": (0, 1, 8), "paper": (0, 8, 64)}
     for name, values in failures.items():
         (f,) = throughput.panel(name, "figures").f
@@ -178,24 +179,68 @@ def test_committed_throughput_rows_have_the_papers_shapes():
     column = sorted((row["n"], row["messages_sent"]) for row in select(rows, "scale"))
     assert len(column) == 4
     assert all(a[1] < b[1] for a, b in zip(column, column[1:])), column
+    # Section VIII: every scripted timeline fired in full, and every point
+    # stayed live and made progress after it.
+    faults = select(rows, "faults")
+    assert len(faults) == 15
+    for row in faults:
+        assert row["all_completed"] and row["recovered"], row["label"]
+        assert row["faults_fired"] == row["faults_planned"] > 0, row["label"]
+        assert row["timeline"] and set(row["phases"]) == {"before", "during", "after"}, row["label"]
+    # Section V-G: every faulty-primary trial completes through a view change.
+    primary = select(rows, "primary")
+    assert len(primary) == 9
+    assert all(row["all_completed"] and row["max_view"] >= 1 for row in primary)
+    # No point of the four Section IX panels starts a view change.
+    for name in ("figures", "scale", "clients", "contracts"):
+        assert all(row["view_changes"] == 0 and row["max_view"] == 0
+                   for row in select(rows, name)), name
 
 
-def test_viewchange_study_reports_success(capsys):
-    points = viewchange_study.grid(faults=("crash",), trials_per_fault=1, f=1)
-    rows = harness.run(viewchange_study.SWEEP, points)
+def test_primary_panel_reports_success(capsys):
+    primary = throughput.panel("small", "primary")
+    points = dataclasses.replace(primary, faults=primary.faults[:1], trials=1).points()
+    rows = harness.run(throughput.SWEEP, points)
     assert len(rows) == 1
     assert rows[0]["all_completed"]
     assert rows[0]["max_view"] >= 1
     summary = summarize(rows)
     assert summary["crash"]["success_rate"] == 1.0
-    assert viewchange_study.SWEEP.report(None, points, rows) == 0
+    assert throughput.SWEEP.report(None, points, rows) == 0
     assert "crash" in capsys.readouterr().out
+
+
+def test_report_exits_1_when_a_point_lost_liveness(capsys):
+    """Whatever the panel: no simulation runs, the report reads the rows."""
+    rows = [dict(panel="scale", phases=None, all_completed=True),
+            dict(panel="figures", phases=None, all_completed=False)]
+    assert throughput.report(None, [], rows[:1]) == 0
+    assert throughput.report(None, [], rows) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_scripted_faults_name_their_points():
+    """Built, not run: a scripted fault is its label part, sets the point's
+    phase and its panel's timeline bucket; trial k runs at seed + k."""
+    faults = throughput.panel("small", "faults")
+    points = faults.points()
+    assert len(points) == len(throughput.SCENARIOS) * len(faults.protocols)
+    assert points[0].label == "faults/sbft-c0/f=1/batch=4/crash-backups/fixed/clients=6/continent"
+    for point in points:
+        (scenario,) = (fault for fault in throughput.SCENARIOS if fault.name == point.tags["fault"])
+        assert point.fault_phase == scenario.phase and point.timeline_bucket == 0.25
+        assert f"/{scenario.name}/" in point.label
+    primary = throughput.panel("small", "primary").points(seed=5)
+    assert [point.label for point in primary[:3]] == [
+        f"primary/sbft-c0/f=1/batch=2/crash/fixed/clients=2/lan/seed={seed}" for seed in (5, 6, 7)]
+    assert [point.seed for point in primary] == [5, 6, 7] * 3
+    assert all(point.fault_phase is None and point.timeline_bucket is None for point in primary)
 
 
 def test_viewchange_summary_keeps_row_order_under_any_hash_seed():
     """The per-fault summary follows the rows, not the interpreter's str hashes."""
     script = (
-        "from repro.experiments.viewchange_study import summarize\n"
+        "from repro.experiments.throughput import summarize\n"
         "rows = [dict(fault=fault, all_completed=True, view_changes=1)\n"
         "        for fault in ('crash', 'silent', 'equivocate')]\n"
         "print(' '.join(summarize(rows)))\n"
@@ -207,22 +252,33 @@ def test_viewchange_summary_keeps_row_order_under_any_hash_seed():
     assert output.split() == ["crash", "silent", "equivocate"]
 
 
-@pytest.mark.parametrize(
-    "sweep, points",
-    [
-        (throughput.SWEEP, tiny_figure2_points(["sbft-c0", "pbft"])),
-        (viewchange_study.SWEEP, viewchange_study.grid(faults=("crash",), trials_per_fault=2)),
-    ],
-    ids=["throughput", "viewchange"],
-)
-def test_worker_processes_produce_the_serial_rows(sweep, points):
+def _cut(name, **axes):
+    """A cut of the small panel ``name``, at seed 3."""
+    return dataclasses.replace(throughput.panel("small", name), **axes).points(seed=3)
+
+
+#: One tiny cut per panel, two points each.
+WORKER_CUTS = {
+    "figures": tiny_figure2_points(["sbft-c0", "pbft"]),
+    "scale": _cut("scale", f=(1, 2)),
+    "clients": _cut("clients", protocols=("sbft-c0",), clients=(8,)),
+    "contracts": _cut("contracts", f=(2,), workloads=(Ethereum(transactions=300),),
+                      topologies=("continent",)),
+    "faults": _cut("faults", protocols=("sbft-c0",), faults=throughput.SCENARIOS[2:4]),
+    "primary": _cut("primary", faults=throughput.PRIMARY_FAULTS[:1], trials=2),
+}
+
+
+@pytest.mark.parametrize("points", WORKER_CUTS.values(), ids=list(WORKER_CUTS))
+def test_worker_processes_produce_the_serial_rows(points):
     """--jobs 2 runs two points in worker processes; rows equal a serial run
-    outside the host clocks."""
+    outside the host clocks (worker processes start with cold caches)."""
 
     def simulated(rows):
         return [{k: v for k, v in row.items() if k not in harness.HOST_FIELDS} for row in rows]
 
-    assert simulated(harness.run(sweep, points, jobs=2)) == simulated(harness.run(sweep, points))
+    assert (simulated(harness.run(throughput.SWEEP, points, jobs=2))
+            == simulated(harness.run(throughput.SWEEP, points)))
 
 
 def test_client_sweep_rows_cover_grid():
@@ -310,12 +366,10 @@ def test_gate_fails_on_a_baseline_with_a_repeated_label():
         assert not ok and "two rows labelled 'a'" in message
 
 
-#: Every sweep with a committed baseline, and the file (the view-change
-#: study takes no ``--scale``).
+#: Every sweep with a committed baseline, and the file (the adversary
+#: search takes no ``--scale``).
 BASELINES = {
     throughput: "BENCH_throughput.json",
-    fault_sweep: "BENCH_fault_sweep.json",
-    viewchange_study: "BENCH_viewchange.json",
     search: "BENCH_adversary_search.json",
 }
 
@@ -353,7 +407,7 @@ def test_format_table_renders_rows():
 
 
 #: Every sweep that takes ``--scale``, by its grid.
-SIZED_SWEEPS = [throughput, fault_sweep]
+SIZED_SWEEPS = [throughput]
 
 
 @pytest.mark.parametrize("sweep", SIZED_SWEEPS, ids=lambda module: module.__name__.rsplit(".")[-1])
@@ -365,7 +419,8 @@ def test_an_unknown_scale_name_fails_instead_of_running_small(sweep):
 
 def test_an_unknown_panel_name_fails_naming_the_panels():
     with pytest.raises(ConfigurationError,
-                       match="unknown panel 'figure' \\(known: figures, scale, clients, contracts\\)"):
+                       match="unknown panel 'figure' \\(known: figures, scale, clients, contracts, "
+                             "faults, primary\\)"):
         throughput.panel("small", "figure")
     with pytest.raises(ConfigurationError, match="unknown scale 'medum'"):
         throughput.panel("medum", "figures")
@@ -373,17 +428,24 @@ def test_an_unknown_panel_name_fails_naming_the_panels():
 
 def test_a_grid_axis_replaces_that_axis_in_every_panel():
     """Built, not run: a given axis holds on every point; ``kv_batch`` sets
-    every KV workload's batch and leaves the Ethereum workload as it is."""
+    every KV workload's batch and leaves the Ethereum workload as it is, and
+    ``failures`` sets every crashed-backup count and leaves the scripted
+    faults as they are."""
     panels = [panel.name for panel in throughput.SCALES["small"]]
     points = throughput.grid("small", clients=(4,), topologies=("lan",), failures=(0,))
     assert [point.tags["panel"] for point in points] == sorted(
         (point.tags["panel"] for point in points), key=panels.index)
     assert {point.tags["panel"] for point in points} == set(panels)
     assert {(point.clients, point.topology) for point in points} == {(4, "lan")}
-    assert all(not point.fault_plan.faults for point in points)
+    crashes = [point for point in points if point.tags["fault"] is None]
+    assert ({point.tags["panel"] for point in crashes}
+            == {"figures", "scale", "clients", "contracts"})
+    assert all(not point.fault_plan.faults for point in crashes)
     for point in points:
         assert point.label.startswith(point.tags["panel"] + "/")
-        assert "/clients=4/lan" in point.label and "/fail=0/" in point.label
+        assert "/clients=4/lan" in point.label
+    assert all("/fail=0/" in point.label for point in crashes)
+    assert len(points) - len(crashes) == len(throughput.grid("small", panels=("faults", "primary")))
 
     batched = throughput.grid("small", kv_batch=(2,))
     untouched = throughput.grid("small")

@@ -1,9 +1,10 @@
-"""Tests for the fault-sweep experiment subsystem and the recovery paths.
+"""Tests for the throughput grid's ``faults`` panel and the recovery paths.
 
-Covers the acceptance behaviours of the performance-under-failure sweep:
-fixed-seed determinism (serial vs ``--jobs 2``), restart-rejoin reaching the
-cluster's chain digest, partition-heal resuming client completion, windowed
-timelines / phase aggregates on the rows, and the stale-viewchange adversary.
+Covers the acceptance behaviours of the performance-under-failure panel:
+restart-rejoin reaching the cluster's chain digest, partition-heal resuming
+client completion, windowed timelines / phase aggregates on the rows, and
+the stale-viewchange adversary.  Serial vs ``--jobs 2`` determinism is one
+case of ``tests/test_experiments.py::test_worker_processes_produce_the_serial_rows``.
 """
 
 import json
@@ -11,56 +12,36 @@ from pathlib import Path
 
 import pytest
 
-from helpers import assert_agreement
+from helpers import assert_agreement, fault_point, point_cluster
 from repro.adversary.behaviours import bad_shares, stale_view_change
 from repro.errors import ConfigurationError
-from repro.experiments import harness
-from repro.experiments.fault_sweep import CONFIG_OVERRIDES, SCENARIOS, SWEEP, SWEEP_SCALES, grid
+from repro.experiments import harness, throughput
+from repro.experiments.throughput import SWEEP
 from repro.protocols.cluster import build_cluster
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.workloads.kv_workload import KVWorkload
 
-SMALL = SWEEP_SCALES["small"]
-BASELINE = Path(__file__).resolve().parents[1] / "BENCH_fault_sweep.json"
+FAULTS = throughput.panel("small", "faults")
+BASELINE = Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
 
 
 def _run_scenario(protocol, scenario_name, seed=0):
-    scenario = SCENARIOS[scenario_name]
-    plan = scenario.build_plan(protocol, 4, 1, 0)
-    cluster = build_cluster(
-        protocol,
-        f=1,
-        num_clients=SMALL["clients"],
-        topology="continent",
-        batch_size=SMALL["block_batch"],
-        seed=seed,
-        fault_plan=plan,
-        config_overrides=dict(CONFIG_OVERRIDES),
-    )
-    workload = KVWorkload(
-        requests_per_client=SMALL["requests"], batch_size=SMALL["kv_batch"], seed=seed + 1
-    )
+    point = fault_point(scenario_name, protocol, seed)
+    cluster = point_cluster(point)
     result = cluster.run(
-        workload,
-        max_sim_time=SMALL["max_sim_time"],
-        timeline_bucket=0.25,
-        fault_phase=(scenario.fault_start, scenario.fault_end),
+        point.workload.build(point),
+        max_sim_time=point.max_sim_time,
+        timeline_bucket=point.timeline_bucket,
+        fault_phase=point.fault_phase,
     )
     return cluster, result
 
 
-def _stable(rows):
-    """Strip the host-clock keys (they vary run to run)."""
-    return [{k: v for k, v in row.items() if k not in harness.HOST_FIELDS} for row in rows]
-
-
 # ----------------------------------------------------------------------
-# Sweep rows: timelines, phases, determinism
+# Panel rows: timelines, phases
 # ----------------------------------------------------------------------
 def test_sweep_rows_carry_timeline_and_phases():
-    rows = harness.run(
-        SWEEP, grid(scale_name="small", protocols=["sbft-c0"], scenarios=["crash-backups"], seed=0)
-    )
+    rows = harness.run(SWEEP, [fault_point("crash-backups")])
     assert len(rows) == 1
     row = rows[0]
     assert row["all_completed"]
@@ -81,31 +62,12 @@ def test_sweep_rows_carry_timeline_and_phases():
     assert phases["during"]["t_end"] == row["fault_end"]
 
 
-def test_sweep_fixed_seed_rows_identical_serial_vs_jobs():
-    points = grid(
-        scale_name="small",
-        protocols=["sbft-c0"],
-        scenarios=["crash-backups", "partition-heal"],
-        seed=3,
-    )
-    serial = harness.run(SWEEP, points, jobs=1)
-    parallel = harness.run(SWEEP, points, jobs=2)
-    assert _stable(serial) == _stable(parallel)
-
-
-def test_sweep_rejects_unknown_scenario_and_scale():
-    with pytest.raises(ConfigurationError):
-        grid(scenarios=["meteor-strike"])
-    with pytest.raises(ConfigurationError):
-        grid(scale_name="galactic")
-
-
 def test_fault_point_smoke():
-    (point,) = grid(protocols=["sbft-c0"], scenarios=["slow-stragglers"], seed=0)
+    point = fault_point("slow-stragglers")
     result = harness.run_point(point)
     assert result.run.timeline is not None
     assert result.run.phases is not None
-    assert result.run.completed_requests == SMALL["clients"] * SMALL["requests"]
+    assert result.run.completed_requests == point.clients * point.workload.requests
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +76,7 @@ def test_fault_point_smoke():
 @pytest.mark.parametrize("protocol", ["sbft-c0", "pbft"])
 def test_restart_rejoin_reaches_cluster_chain_digest(protocol):
     cluster, result = _run_scenario(protocol, "crash-restart")
-    expected = SMALL["clients"] * SMALL["requests"]
+    expected = FAULTS.clients[0] * FAULTS.workloads[0].requests
     assert result.run.completed_requests >= expected
     digests = {replica.service.digest() for replica in cluster.replicas.values()}
     assert len(digests) == 1, "restarted replicas must re-sync to the cluster digest"
@@ -128,7 +90,7 @@ def test_restart_rejoin_reaches_cluster_chain_digest(protocol):
 @pytest.mark.parametrize("protocol", ["sbft-c0", "pbft"])
 def test_partition_heal_resumes_client_completion(protocol):
     cluster, result = _run_scenario(protocol, "partition-heal")
-    expected = SMALL["clients"] * SMALL["requests"]
+    expected = FAULTS.clients[0] * FAULTS.workloads[0].requests
     assert result.run.completed_requests >= expected
     # The minority replica catches back up after the heal.
     digests = {replica.service.digest() for replica in cluster.replicas.values()}
@@ -139,7 +101,7 @@ def test_partition_heal_resumes_client_completion(protocol):
 
 def test_faulty_primary_scenario_recovers_via_view_change():
     cluster, result = _run_scenario("sbft-c0", "faulty-primary")
-    expected = SMALL["clients"] * SMALL["requests"]
+    expected = FAULTS.clients[0] * FAULTS.workloads[0].requests
     assert result.run.completed_requests >= expected
     views = [replica.view for replica in cluster.replicas.values() if not replica.crashed]
     assert max(views) > 0, "a view change must have happened"
@@ -197,7 +159,7 @@ def test_injector_activates_stale_viewchange_mid_run():
         batch_size=2,
         seed=0,
         fault_plan=plan,
-        config_overrides=dict(CONFIG_OVERRIDES),
+        config_overrides=FAULTS.overrides,
     )
     workload = KVWorkload(requests_per_client=8, batch_size=2, seed=1)
     result = cluster.run(workload, max_sim_time=60.0)
@@ -215,5 +177,5 @@ def test_committed_faulty_primary_p99_is_below_the_client_retry_timeout():
     It read 1 790.16 ms against the 1.5 s timeout before clients followed
     the view."""
     rows = {row["name"]: row["extra_info"] for row in json.loads(BASELINE.read_text())["benchmarks"]}
-    row = rows["fault-sweep[sbft-c0/continent/faulty-primary]"]
-    assert row["p99_latency_ms"] < 1000.0 * CONFIG_OVERRIDES["client_retry_timeout"]
+    row = rows[f"throughput[{fault_point('faulty-primary').label}]"]
+    assert row["p99_latency_ms"] < 1000.0 * FAULTS.overrides["client_retry_timeout"]

@@ -14,12 +14,11 @@ key, so a diverged store executes for itself and leaves the entry alone.
 
 import pytest
 
-from helpers import assert_agreement, execute_everywhere
+from helpers import assert_agreement, execute_everywhere, fault_point, point_cluster
 from repro.core.execution_cache import clear, stats
 from repro.core.messages import ClientRequest, PrePrepare
 from repro.core.runtime import block_operations
 from repro.crypto.costs import DEFAULT_COSTS
-from repro.experiments.fault_sweep import CONFIG_OVERRIDES, SCENARIOS, SWEEP_SCALES
 from repro.protocols.cluster import build_cluster
 from repro.services.authenticated_kv import AuthenticatedKVStore
 from repro.services.interface import BlockOperations
@@ -224,27 +223,13 @@ def test_block_reproposed_in_a_new_view_executes_once_more(counters):
 # and the run is byte-identical when every replica executes.
 # ----------------------------------------------------------------------
 def _run_crash_restart(seed=0):
-    small = SWEEP_SCALES["small"]
-    scenario = SCENARIOS["crash-restart"]
-    plan = scenario.build_plan("sbft-c0", 4, 1, 0)
-    cluster = build_cluster(
-        "sbft-c0",
-        f=1,
-        num_clients=small["clients"],
-        topology="continent",
-        batch_size=small["block_batch"],
-        seed=seed,
-        fault_plan=plan,
-        config_overrides=dict(CONFIG_OVERRIDES),
-    )
-    workload = KVWorkload(
-        requests_per_client=small["requests"], batch_size=small["kv_batch"], seed=seed + 1
-    )
+    point = fault_point("crash-restart", seed=seed)
+    cluster = point_cluster(point)
     result = cluster.run(
-        workload,
-        max_sim_time=small["max_sim_time"],
-        timeline_bucket=0.25,
-        fault_phase=(scenario.fault_start, scenario.fault_end),
+        point.workload.build(point),
+        max_sim_time=point.max_sim_time,
+        timeline_bucket=point.timeline_bucket,
+        fault_phase=point.fault_phase,
     )
     return cluster, result
 

@@ -22,9 +22,8 @@ import weakref
 
 import pytest
 
-from helpers import run_small_cluster, unshare
+from helpers import fault_point, point_cluster, run_small_cluster, unshare
 from repro.evm.transactions import Transaction
-from repro.experiments.fault_sweep import CONFIG_OVERRIDES, SCENARIOS, SWEEP_SCALES
 from repro.protocols.cluster import build_cluster
 from repro.services import kvstore
 from repro.services.authenticated_kv import AuthenticatedKVStore
@@ -32,7 +31,6 @@ from repro.services.interface import BlockOperations
 from repro.services.kvstore import KVOperation
 from repro.services.ledger import LedgerService, ledger_operation
 from repro.workloads.ethereum_workload import EthereumWorkload
-from repro.workloads.kv_workload import KVWorkload
 
 ACCOUNTS = tuple("0x" + digit * 40 for digit in "abc")
 
@@ -210,22 +208,16 @@ def _tracked_contents(monkeypatch):
 
 
 def _crash_restart_cluster(service):
-    small = SWEEP_SCALES["small"]
-    cluster = build_cluster(
-        "sbft-c0", f=1, num_clients=small["clients"], topology="continent",
-        batch_size=small["block_batch"], seed=0, config_overrides=dict(CONFIG_OVERRIDES),
-        fault_plan=SCENARIOS["crash-restart"].build_plan("sbft-c0", 4, 1, 0),
-    )
+    point = fault_point("crash-restart")
+    cluster = point_cluster(point)
     if service == "kv":
-        workload = KVWorkload(
-            requests_per_client=small["requests"], batch_size=small["kv_batch"], seed=1
-        )
+        workload = point.workload.build(point)
     else:
         workload = EthereumWorkload(
             num_transactions=1500, num_accounts=40, chunk_bytes=600,
-            num_clients=small["clients"], seed=1,
+            num_clients=point.clients, seed=1,
         )
-    return cluster, workload, small["max_sim_time"]
+    return cluster, workload, point.max_sim_time
 
 
 @pytest.mark.parametrize("service", SERVICES)
