@@ -237,7 +237,7 @@ SCENARIOS: Dict[str, Point] = {
         fault_plan=FaultPlan.crash_backups(1, 4, at_time=1.0),
         config_overrides=throughput.FAULTS.overrides,
         max_sim_time=120.0,
-        timeline_bucket=throughput.FAULTS.timeline_bucket,
+        timeline_bucket=throughput.TIMELINE_BUCKET,
         fault_phase=(1.0, 2.0),
     ),
     "client": Point(

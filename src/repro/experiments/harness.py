@@ -115,14 +115,9 @@ class Point:
         return protocol_sizes(self.protocol, self.f)[0]
 
 
-def run_point(point: Point, sanitize: bool = False) -> ClusterResult:
-    """Build and run one point's cluster: the experiments' one cluster run.
-
-    A point's adversary is installed after the fault plan and before the
-    first event, with a forensics log tapping every sent message; the
-    result then carries the equivocation evidence found in that log.
-    """
-    cluster = build_cluster(
+def point_cluster(point: Point) -> Cluster:
+    """``point``'s cluster, built and not yet run."""
+    return build_cluster(
         point.protocol,
         f=point.f,
         num_clients=point.clients,
@@ -132,6 +127,16 @@ def run_point(point: Point, sanitize: bool = False) -> ClusterResult:
         fault_plan=point.fault_plan,
         config_overrides=point.config_overrides,
     )
+
+
+def run_point(point: Point, sanitize: bool = False) -> ClusterResult:
+    """Build and run one point's cluster: the experiments' one cluster run.
+
+    A point's adversary is installed after the fault plan and before the
+    first event, with a forensics log tapping every sent message; the
+    result then carries the equivocation evidence found in that log.
+    """
+    cluster = point_cluster(point)
     attack = point.adversary
     if attack is not None:
         log = MessageLog()

@@ -84,20 +84,6 @@ def fault_point(scenario, protocol="sbft-c0", seed=0):
     return point
 
 
-def point_cluster(point):
-    """``point``'s cluster as ``harness.run_point`` builds it, not yet run."""
-    return build_cluster(
-        point.protocol,
-        f=point.f,
-        num_clients=point.clients,
-        topology=point.topology,
-        batch_size=point.block_batch,
-        seed=point.seed,
-        fault_plan=point.fault_plan,
-        config_overrides=point.config_overrides,
-    )
-
-
 def unshared_copy(value):
     """``value`` rebuilt from its ``init=True`` fields, recursively through
     dataclasses and tuples: every ``init=False`` stash slot restarts at its

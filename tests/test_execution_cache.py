@@ -10,8 +10,9 @@ import collections
 
 import pytest
 
-from helpers import execute_everywhere, fault_point, point_cluster, unshare
+from helpers import execute_everywhere, fault_point, unshare
 from repro.core import execution_cache
+from repro.experiments.harness import point_cluster
 from repro.protocols.cluster import build_cluster
 from repro.workloads.ethereum_workload import EthereumWorkload
 

@@ -210,25 +210,28 @@ def test_primary_panel_reports_success(capsys):
     assert "crash" in capsys.readouterr().out
 
 
-def test_report_exits_1_when_a_point_lost_liveness(capsys):
-    """Whatever the panel: no simulation runs, the report reads the rows."""
-    rows = [dict(panel="scale", phases=None, all_completed=True),
-            dict(panel="figures", phases=None, all_completed=False)]
-    assert throughput.report(None, [], rows[:1]) == 0
+def test_report_exits_1_when_a_scripted_fault_point_lost_liveness(capsys):
+    """No simulation runs, the report reads the rows: a stalled crashed-backups
+    point is data, a stalled scripted-fault point fails the run."""
+    rows = [dict(panel="scale", fault=None, phases=None, all_completed=True),
+            dict(panel="figures", fault=None, phases=None, all_completed=False)]
+    assert throughput.report(None, [], rows) == 0
+    rows.append(dict(panel="faults", fault="crash-restart", phases=None, all_completed=False))
     assert throughput.report(None, [], rows) == 1
     assert capsys.readouterr().out == ""
 
 
 def test_scripted_faults_name_their_points():
     """Built, not run: a scripted fault is its label part, sets the point's
-    phase and its panel's timeline bucket; trial k runs at seed + k."""
+    phase and, with a phase, its timeline bucket; trial k runs at seed + k."""
     faults = throughput.panel("small", "faults")
     points = faults.points()
     assert len(points) == len(throughput.SCENARIOS) * len(faults.protocols)
     assert points[0].label == "faults/sbft-c0/f=1/batch=4/crash-backups/fixed/clients=6/continent"
     for point in points:
         (scenario,) = (fault for fault in throughput.SCENARIOS if fault.name == point.tags["fault"])
-        assert point.fault_phase == scenario.phase and point.timeline_bucket == 0.25
+        assert point.fault_phase == scenario.phase
+        assert point.timeline_bucket == throughput.TIMELINE_BUCKET
         assert f"/{scenario.name}/" in point.label
     primary = throughput.panel("small", "primary").points(seed=5)
     assert [point.label for point in primary[:3]] == [
@@ -478,7 +481,7 @@ def test_the_panels_axis_runs_only_the_named_panels_in_that_order():
 
 def _cluster_runners(path):
     """The functions of ``path`` that call ``build_cluster`` (or ``Cluster``)
-    or ``.run`` on a name bound to what it returned."""
+    or ``.run`` on a name bound to what it (or ``point_cluster``) returned."""
     runners = []
     for function in ast.walk(ast.parse(path.read_text())):
         if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -488,7 +491,7 @@ def _cluster_runners(path):
             target.id
             for node in ast.walk(function) if isinstance(node, ast.Assign)
             and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
-            and node.value.func.id in ("build_cluster", "Cluster")
+            and node.value.func.id in ("build_cluster", "Cluster", "point_cluster")
             for target in node.targets if isinstance(target, ast.Name)
         }
         if any(
@@ -502,9 +505,10 @@ def _cluster_runners(path):
 
 
 def test_one_function_builds_and_runs_every_experiment_cluster():
-    """``harness.run_point`` is the only code under ``src/repro`` that builds
-    a cluster or runs one, apart from ``build_cluster`` itself."""
+    """``harness.point_cluster`` is the only code under ``src/repro`` that
+    builds a cluster and ``harness.run_point`` the only code that runs one,
+    apart from ``build_cluster`` itself."""
     package = REPO / "src" / "repro"
     runners = [runner for path in sorted(package.rglob("*.py"))
                for runner in _cluster_runners(path)]
-    assert runners == ["harness.run_point", "cluster.build_cluster"]
+    assert runners == ["harness.point_cluster", "harness.run_point", "cluster.build_cluster"]

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import assert_agreement, fault_point, point_cluster
+from helpers import assert_agreement, fault_point
 from repro.adversary.behaviours import bad_shares, stale_view_change
 from repro.errors import ConfigurationError
 from repro.experiments import harness, throughput
+from repro.experiments.harness import point_cluster
 from repro.experiments.throughput import SWEEP
 from repro.protocols.cluster import build_cluster
 from repro.sim.faults import FaultInjector, FaultPlan

@@ -14,11 +14,12 @@ key, so a diverged store executes for itself and leaves the entry alone.
 
 import pytest
 
-from helpers import assert_agreement, execute_everywhere, fault_point, point_cluster
+from helpers import assert_agreement, execute_everywhere, fault_point
 from repro.core.execution_cache import clear, stats
 from repro.core.messages import ClientRequest, PrePrepare
 from repro.core.runtime import block_operations
 from repro.crypto.costs import DEFAULT_COSTS
+from repro.experiments.harness import point_cluster
 from repro.protocols.cluster import build_cluster
 from repro.services.authenticated_kv import AuthenticatedKVStore
 from repro.services.interface import BlockOperations

@@ -22,8 +22,9 @@ import weakref
 
 import pytest
 
-from helpers import fault_point, point_cluster, run_small_cluster, unshare
+from helpers import fault_point, run_small_cluster, unshare
 from repro.evm.transactions import Transaction
+from repro.experiments.harness import point_cluster
 from repro.protocols.cluster import build_cluster
 from repro.services import kvstore
 from repro.services.authenticated_kv import AuthenticatedKVStore
