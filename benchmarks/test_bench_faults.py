@@ -4,7 +4,7 @@ The throughput grid's ``faults`` panel (Section VIII): one row per
 (protocol, scripted fault timeline) point, each carrying the windowed
 throughput/latency timeline and the before/during/after-fault phase
 aggregates next to the harness wall-clock.  Its ``primary`` panel (Section
-V-G, footnote 3, in miniature): trials of a crashed, silent and
+V-G, footnote 3, in miniature): one point each of a crashed, silent and
 equivocating primary, each of which must keep liveness through a view
 change.  ``REPRO_BENCH_SCALE`` picks the sizes like the other benchmarks.
 """
@@ -55,9 +55,9 @@ def test_viewchange_robustness(benchmark, scale_name):
 
 
 def test_viewchange_latency_cost(benchmark):
-    """A single crash-primary trial, timed: the cost of one view change."""
+    """The crash-primary point, timed: the cost of one view change."""
     primary = throughput.panel("small", "primary")
-    points = replace(primary, faults=primary.faults[:1], trials=1).points()
+    points = replace(primary, faults=primary.faults[:1]).points()
     rows = benchmark.pedantic(lambda: harness.run(SWEEP, points), rounds=1, iterations=1)
     attach_rows(benchmark, rows)
     assert rows[0]["all_completed"]

@@ -23,9 +23,13 @@ made *entirely of digests*::
 
 (the chain digest also fixes the ledger's block number, one per journaled
 block), and which operations the entry belongs to is implied by the instance
-it sits on.  The entry is freed with the log slot that holds the
-``PrePrepare``; a block re-proposed in a new view is a new instance and runs
-once more.
+it sits on.  Every replica that applies the block counts the apply on the
+instance (:func:`applied`, from ``Replica._finish_execution``), the recorder
+and a replica that ran the block itself included; the n-th apply frees the
+entry, since no replica will price or apply it again.  A replica that never
+applies it (crashed, or moved past it by state transfer) leaves the entry to
+be freed with the log slot that holds the ``PrePrepare``; a block re-proposed
+in a new view is a new instance and runs once more.
 
 Applying must be decision-for-decision identical to running: same results,
 same journal entries, same proofs, same chain digests, and the *simulated*
@@ -70,3 +74,12 @@ def store(operations: Sequence, state_key: Tuple, entry: Tuple) -> None:
     """Record the replay entry the first replica to start the block produced."""
     if type(operations) is BlockOperations and operations.replay is None:
         operations.replay = (state_key, entry)
+
+
+def applied(operations: Sequence, n: int) -> None:
+    """Count one replica's apply of ``operations``; the ``n``-th frees the
+    replay entry."""
+    if type(operations) is BlockOperations:
+        applies = operations.applies = operations.applies + 1
+        if applies >= n:
+            operations.replay = None

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core import execution_cache
 from repro.core.config import SBFTConfig
 from repro.core.log import Tally
 from repro.core.messages import (
@@ -431,6 +432,7 @@ class Replica(Process):
         pre_prepare = slot.pre_prepare
         operations = block_operations(pre_prepare, self.service, self.costs)
         slot.execution_results = self.service.execute_block(sequence, operations)
+        execution_cache.applied(operations, self._n)
         slot.executed = True
         self.last_executed = sequence
         self.stats.blocks_executed += 1

@@ -40,7 +40,7 @@ their products:
   - ``crash-restart`` — f backups crash at 1 s, restart at 3 s and re-sync
     through checkpoints and state transfer.
 * ``primary`` — the view-change study (Section V-G, footnote 3) in
-  miniature: three trials each of a primary that crashes, goes silent or
+  miniature: one point each of a primary that crashes, goes silent or
   equivocates from the start (:data:`PRIMARY_FAULTS`); ``max_view`` > 0 says
   a view change happened.  It is the same at every scale.
 
@@ -161,9 +161,8 @@ class Panel:
     """One product of axes and the settings its points share.
 
     The axes are ``f`` × ``workloads`` × ``faults`` × ``topologies`` ×
-    ``protocols`` × ``policies`` × ``clients``, in that nesting order, and
-    each point runs ``trials`` times, trial ``k`` at seed + ``k``.  A fault
-    is an ``int`` K, K backups crashed from the start of the run, or a
+    ``protocols`` × ``policies`` × ``clients``, in that nesting order.  A
+    fault is an ``int`` K, K backups crashed from the start of the run, or a
     :class:`FaultScenario`.  A :class:`~repro.experiments.harness.KV`
     workload sends ``requests`` requests of ``batch`` puts per client, an
     :class:`~repro.experiments.harness.Ethereum` one ``transactions``
@@ -184,31 +183,28 @@ class Panel:
     max_outstanding: int = 1
     max_sim_time: float = 600.0
     overrides: Dict[str, Any] = field(default_factory=dict)
-    trials: int = 1
 
     def points(self, seed: int = 0) -> List[Point]:
         """The panel's ordered product; a label is
-        ``panel/protocol/f=F/batch=B|tx=T/fail=K|scenario/policy/clients=C/topology``,
-        ending in ``/seed=S`` when the panel runs more than one trial."""
+        ``panel/protocol/f=F/batch=B|tx=T/fail=K|scenario/policy/clients=C/topology``."""
         points = []
-        for f, load, fault, topology, protocol, policy, clients, trial in product(
+        for f, load, fault, topology, protocol, policy, clients in product(
                 self.f, self.workloads, self.faults, self.topologies, self.protocols,
-                self.policies, self.clients, range(self.trials)):
+                self.policies, self.clients):
             n = protocol_sizes(protocol, f)[0]
             scripted = isinstance(fault, FaultScenario)
             load_name = f"batch={load.batch}" if isinstance(load, KV) else f"tx={load.transactions}"
             fault_name = fault.name if scripted else f"fail={fault}"
-            trial_name = f"/seed={seed + trial}" if self.trials > 1 else ""
             points.append(Point(
                 protocol=protocol,
                 f=f,
                 clients=clients,
                 workload=load,
                 label=f"{self.name}/{protocol}/f={f}/{load_name}/{fault_name}/{policy}"
-                f"/clients={clients}/{topology}{trial_name}",
+                f"/clients={clients}/{topology}",
                 topology=topology,
                 block_batch=self.block_batch,
-                seed=seed + trial,
+                seed=seed,
                 fault_plan=(fault.build_plan(n, f) if scripted
                             else FaultPlan.crash_backups(fault, n)),
                 config_overrides=dict(self.overrides, batch_policy=policy,
@@ -250,7 +246,7 @@ FAULTS = Panel("faults", ("sbft-c0", "sbft-c8", "pbft"), f=(1,), clients=(6,),
                           "checkpoint_interval": 8})
 PRIMARY = Panel("primary", ("sbft-c0",), f=(1,), clients=(2,), workloads=(KV(requests=4, batch=2),),
                 faults=PRIMARY_FAULTS, topologies=("lan",), block_batch=2, max_sim_time=120.0,
-                overrides={"view_change_timeout": 1.0, "client_retry_timeout": 1.5}, trials=3)
+                overrides={"view_change_timeout": 1.0, "client_retry_timeout": 1.5})
 
 #: Each scale's panels, in grid order; ``paper`` reaches f=64 (n=209 for
 #: ``sbft-c8``, the paper's deployment).  ``primary`` is the same at every scale.
@@ -409,14 +405,14 @@ def slowdown_vs_baseline(baseline: Dict, rows: List[Dict]) -> Dict[str, float]:
 
 
 def summarize(rows: List[Dict]) -> Dict[str, Dict[str, float]]:
-    """Per-fault trials, success rate and mean view changes, in row order."""
+    """Per-fault points, success rate and mean view changes, in row order."""
     summary: Dict[str, Dict[str, float]] = {}
     for fault in dict.fromkeys(row["fault"] for row in rows):
-        trials = [row for row in rows if row["fault"] == fault]
+        points = [row for row in rows if row["fault"] == fault]
         summary[fault] = {
-            "trials": len(trials),
-            "success_rate": sum(1 for row in trials if row["all_completed"]) / len(trials),
-            "mean_view_changes": sum(row["view_changes"] for row in trials) / len(trials),
+            "points": len(points),
+            "success_rate": sum(1 for row in points if row["all_completed"]) / len(points),
+            "mean_view_changes": sum(row["view_changes"] for row in points) / len(points),
         }
     return summary
 
@@ -446,7 +442,7 @@ def report(args, points: List[Point], rows: List[Dict]) -> int:
         print("\nsummary per primary fault:")
         for fault, stats in summarize(select(rows, "primary")).items():
             print(f"  {fault:<12} success rate {stats['success_rate']:.0%}, "
-                  f"mean view changes per trial {stats['mean_view_changes']:.1f}")
+                  f"mean view changes {stats['mean_view_changes']:.1f}")
     return 0 if all(row["all_completed"] for row in rows if row["fault"]) else 1
 
 
@@ -456,7 +452,7 @@ ROW_SCHEMA: Dict[str, str] = dict(
     "primary)",
     topology="WAN latency model of this point",
     clients="number of closed-loop clients at this point",
-    seed="fixed seed of this point (trial k of a primary fault runs at --seed + k)",
+    seed="fixed seed of this point (--seed)",
     kv_batch="puts per KV client request (the paper's 'batch=64' / 'no batch': 64 / 1); "
     "null on the Ethereum workload",
     failures="backups crashed from the start of the run; null under a scripted fault",

@@ -117,8 +117,10 @@ class AuthenticatedKVStore(AuthenticatedService):
     applies the entry it priced from when the block finishes
     (:meth:`execute_block`); those that priced off the recorded entry end
     up holding one copy-on-write contents object (:meth:`_apply`).  A
-    replica whose key differs (restored by state transfer, written out of
-    band) dry-runs the block itself and leaves the shared entry alone.  The
+    replica whose key differs (written out of band, or restored from a
+    snapshot that carried no fingerprint) dry-runs the block itself and
+    leaves the shared entry alone; one restored by state transfer takes the
+    donor's fingerprint (:meth:`restore`) and shares again.  The
     ledger subclass changes only how a block runs (:meth:`_run_block`) and
     keeps its receipts.
     """
@@ -134,10 +136,10 @@ class AuthenticatedKVStore(AuthenticatedService):
         # Execution-cache state fingerprint: ``(contents digest, chain digest
         # at computation time)``.  The chain digest covers every journaled
         # block after it; the anchor pins *when* the contents were
-        # fingerprinted, so a fingerprint computed after a state transfer can
-        # never alias one computed at genesis even if the raw contents digests
-        # coincide.  Recomputed after any write the journal does not cover
-        # (``KVStore.written_directly``).
+        # fingerprinted, so a fingerprint computed after an out-of-band write
+        # can never alias one computed at genesis even if the raw contents
+        # digests coincide.  Recomputed after any write the journal does not
+        # cover (``KVStore.written_directly``); a restore adopts the donor's.
         self._state_fingerprint: Optional[Tuple[str, str]] = None
         # ``(operations, state key, entry)`` of the block this store last
         # priced: the entry its ``execute_block`` applies.
@@ -265,9 +267,13 @@ class AuthenticatedKVStore(AuthenticatedService):
         self._block_order.append(sequence)
 
     def snapshot(self) -> Any:
-        # The leaf tuples hold only ints and strs: shipped as they are.
+        # The leaf tuples hold only ints and strs: shipped as they are.  The
+        # fingerprint travels too (None if a direct write voided it), so a
+        # restored store keys its state exactly as the donor and its peers do.
+        store = self._store
         return {
-            "data": self._store.snapshot(),
+            "fingerprint": None if store.written_directly else self._state_fingerprint,
+            "data": store.snapshot(),
             "blocks": [
                 {
                     "sequence": sequence,
@@ -279,9 +285,14 @@ class AuthenticatedKVStore(AuthenticatedService):
         }
 
     def restore(self, snapshot: Any) -> None:
-        # ``KVStore.restore`` marks the contents written directly: the
-        # restored state was not built through this instance's journal chain.
-        self._store.restore(snapshot["data"])
+        # The restored contents are the donor's at the chain digest rebuilt
+        # below, so the donor's fingerprint names them: adopting it (in place
+        # of the written-directly mark ``KVStore.restore`` sets) keeps this
+        # store's state key equal to its peers'.  Without one, re-anchor.
+        store = self._store
+        store.restore(snapshot["data"])
+        self._state_fingerprint = snapshot["fingerprint"]
+        store.written_directly = self._state_fingerprint is None
         self._chain_digest = GENESIS_DIGEST
         self._journal_results = {}
         self._journal_trees = {}

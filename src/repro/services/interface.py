@@ -66,13 +66,15 @@ class BlockOperations(tuple):
     per-operation digest tuple, filled by
     :func:`repro.services.authenticated_kv.block_operation_digests`,
     ``replay`` the recorder's ``(state key, entry)``, written and read
-    through :mod:`repro.core.execution_cache`, and ``post_state`` a weak
+    through :mod:`repro.core.execution_cache` and freed once every replica
+    applied the block (``applies`` counts them), and ``post_state`` a weak
     reference to the store contents that applying that entry produced
     (``AuthenticatedKVStore._apply``).
     """
 
     digests: Optional[Tuple[str, ...]] = None
     replay: Optional[Tuple[Tuple, Tuple]] = None
+    applies: int = 0
     post_state: Optional[weakref.ref] = None
 
 

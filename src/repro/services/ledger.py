@@ -17,11 +17,17 @@ run, which is why the entry is recorded when a replica *starts* the block:
 its price is the gas its receipts burned.  What this class adds is only what
 differs from the KV store — how a transaction runs (:meth:`_execute_with`),
 what it costs (:meth:`transaction_cost`) and the receipts it leaves.
+
+A block's results and receipts are journaled by reference: the few distinct
+receipts and results a stream of contract calls has are held once per store
+(:meth:`_execute_with`), and each replica keeps the recorder's receipts tuple
+per block, not a list of every receipt.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Sequence, Tuple
 
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
 from repro.errors import InvalidTransaction
@@ -30,6 +36,8 @@ from repro.evm.transactions import Transaction, TransactionReceipt, apply_transa
 from repro.evm.vm import EVM, BlockContext
 from repro.services.authenticated_kv import AuthenticatedKVStore
 from repro.services.interface import Operation, OperationResult
+
+_NOT_A_TRANSACTION = OperationResult(ok=False, error="not a ledger transaction")
 
 
 def ledger_operation(transaction: Transaction, client_id: int = -1, timestamp: int = 0) -> Operation:
@@ -44,7 +52,24 @@ class LedgerService(AuthenticatedKVStore):
         super().__init__(persist_cost_per_byte=costs.persist_per_byte)
         self._world = WorldState(backend=self._store)
         self._costs = costs
-        self.receipts: List[TransactionReceipt] = []
+        # Receipts of transactions run outside a block (``apply``,
+        # ``execute``), and each applied block's receipts tuple (the
+        # recorder's, shared by every replica that applied its entry).
+        self._direct_receipts: List[TransactionReceipt] = []
+        self._block_receipts: Dict[int, Tuple[TransactionReceipt, ...]] = {}
+        # One shared receipt per distinct receipt, and one shared result per
+        # distinct ``(success, gas_used, contract_address, error)``, that
+        # this store ran (like ``_digest_memo``): a stream repeats them.
+        self._receipts: Dict[TransactionReceipt, TransactionReceipt] = {}
+        self._results: Dict[Tuple, OperationResult] = {}
+
+    @property
+    def receipts(self) -> Tuple[TransactionReceipt, ...]:
+        """Every receipt this ledger holds: the direct ones, then each
+        journaled block's in block order (a block restored by state transfer
+        brings none)."""
+        blocks = self._block_receipts
+        return tuple(chain(self._direct_receipts, *(blocks.get(s, ()) for s in self._block_order)))
 
     @property
     def _block_number(self) -> int:
@@ -63,7 +88,7 @@ class LedgerService(AuthenticatedKVStore):
         """Apply one transaction directly (the unreplicated base line)."""
         evm = EVM(self._world, BlockContext(number=self._block_number))
         receipt = apply_transaction(self._world, transaction, evm)
-        self.receipts.append(receipt)
+        self._direct_receipts.append(receipt)
         return receipt
 
     # ------------------------------------------------------------------
@@ -71,30 +96,35 @@ class LedgerService(AuthenticatedKVStore):
     # ------------------------------------------------------------------
     def execute(self, operation: Operation) -> OperationResult:
         evm = EVM(self._world, BlockContext(number=self._block_number))
-        return self._execute_with(operation, evm, self.receipts)
+        return self._execute_with(operation, evm, self._direct_receipts)
 
     def _execute_with(
         self, operation: Operation, evm: EVM, receipts: List[TransactionReceipt]
     ) -> OperationResult:
         """Execute one operation through a caller-provided EVM instance,
-        appending its receipt (if it has one) to ``receipts``."""
+        appending its receipt (if it has one) to ``receipts``; a receipt or
+        result seen before is the shared one."""
         transaction = operation.payload
         if not isinstance(transaction, Transaction):
-            return OperationResult(ok=False, error="not a ledger transaction")
+            return _NOT_A_TRANSACTION
         try:
             receipt = apply_transaction(self._world, transaction, evm)
         except InvalidTransaction as exc:
             return OperationResult(ok=False, error=str(exc))
-        receipts.append(receipt)
-        return OperationResult(
-            value={
-                "success": receipt.success,
-                "gas_used": receipt.gas_used,
-                "contract_address": receipt.contract_address,
-            },
-            ok=receipt.success,
-            error=receipt.error,
-        )
+        receipts.append(self._receipts.setdefault(receipt, receipt))
+        outcome = (receipt.success, receipt.gas_used, receipt.contract_address, receipt.error)
+        result = self._results.get(outcome)
+        if result is None:
+            result = self._results[outcome] = OperationResult(
+                value={
+                    "success": receipt.success,
+                    "gas_used": receipt.gas_used,
+                    "contract_address": receipt.contract_address,
+                },
+                ok=receipt.success,
+                error=receipt.error,
+            )
+        return result
 
     def transaction_cost(self, operation: Operation, result: OperationResult) -> float:
         """Modelled CPU seconds of one executed operation: a per-transaction
@@ -124,10 +154,10 @@ class LedgerService(AuthenticatedKVStore):
         return OperationResult(ok=False, error="unknown ledger query")
 
     def execute_block(self, sequence: int, operations: Sequence[Operation]) -> Sequence[OperationResult]:
-        """Apply the block's replay entry as the KV store does, keeping its
-        receipts."""
+        """Apply the block's replay entry as the KV store does, journaling
+        its receipts tuple."""
         entry = self._entry(sequence, operations)
-        self.receipts.extend(entry[3])
+        self._block_receipts[sequence] = entry[3]
         return self._apply(sequence, entry)
 
     def _run_block(self, operations: Sequence[Operation]) -> Tuple:

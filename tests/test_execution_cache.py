@@ -115,31 +115,30 @@ def test_cache_hit_replays_the_journal_record_without_rejournaling(monkeypatch):
     assert len(set(fingerprint["digests"].values())) == 1
 
 
-def test_a_restored_replica_runs_each_block_once(monkeypatch):
+@pytest.mark.parametrize("protocol", ["sbft-c0", "sbft-c8", "pbft"])
+def test_a_restored_replica_shares_the_replay_entry_again(protocol, monkeypatch):
     """On the fault sweep's crash-restart plan a backup crashes, restarts
-    and is restored by state transfer; from then on its state key differs
-    from its peers', so it dry-runs each block itself — once, to price it,
-    and applies that entry when the block finishes."""
+    and is restored by state transfer, taking its donor's state fingerprint
+    with the snapshot: from then on its state key is its peers', so each
+    block is dry-run once cluster-wide (a miss) whoever starts it first, and
+    every other apply is a hit."""
     from repro.services.authenticated_kv import AuthenticatedKVStore
 
     runs = collections.Counter()
     real = AuthenticatedKVStore.journal_record
 
     def counting(self, sequence, operations, results):
-        runs[self, sequence] += 1
+        runs[sequence] += 1
         return real(self, sequence, operations, results)
 
     monkeypatch.setattr(AuthenticatedKVStore, "journal_record", counting)
-    point = fault_point("crash-restart")
+    point = fault_point("crash-restart", protocol)
     cluster = point_cluster(point)
-    cluster.run(
-        EthereumWorkload(num_transactions=1500, num_accounts=40, chunk_bytes=600,
-                         num_clients=point.clients, seed=1),
-        max_sim_time=point.max_sim_time,
-    )
-    restored = cluster.replicas[3]
-    assert restored.stats["state_transfers"] >= 1
-    assert sum(1 for service, _ in runs if service is restored.service) > 0
-    assert sum(runs.values()) == execution_cache.stats()["misses"]
-    assert max(runs.values()) == 1
+    cluster.run(point.workload.build(point), max_sim_time=point.max_sim_time)
+    restored = [replica for replica in cluster.replicas.values() if replica.stats["state_transfers"]]
+    assert len(restored) == 1
+    blocks = max(replica.last_executed for replica in cluster.replicas.values())
+    assert restored[0].last_executed == blocks
+    assert max(runs.values()) == 1 and len(runs) == blocks
+    assert execution_cache.stats()["misses"] == sum(runs.values()) == blocks
     assert len({replica.service.digest() for replica in cluster.replicas.values()}) == 1

@@ -187,9 +187,9 @@ def test_committed_throughput_rows_have_the_papers_shapes():
         assert row["all_completed"] and row["recovered"], row["label"]
         assert row["faults_fired"] == row["faults_planned"] > 0, row["label"]
         assert row["timeline"] and set(row["phases"]) == {"before", "during", "after"}, row["label"]
-    # Section V-G: every faulty-primary trial completes through a view change.
+    # Section V-G: every faulty-primary point completes through a view change.
     primary = select(rows, "primary")
-    assert len(primary) == 9
+    assert len(primary) == 3
     assert all(row["all_completed"] and row["max_view"] >= 1 for row in primary)
     # No point of the four Section IX panels starts a view change.
     for name in ("figures", "scale", "clients", "contracts"):
@@ -199,7 +199,7 @@ def test_committed_throughput_rows_have_the_papers_shapes():
 
 def test_primary_panel_reports_success(capsys):
     primary = throughput.panel("small", "primary")
-    points = dataclasses.replace(primary, faults=primary.faults[:1], trials=1).points()
+    points = dataclasses.replace(primary, faults=primary.faults[:1]).points()
     rows = harness.run(throughput.SWEEP, points)
     assert len(rows) == 1
     assert rows[0]["all_completed"]
@@ -223,7 +223,8 @@ def test_report_exits_1_when_a_scripted_fault_point_lost_liveness(capsys):
 
 def test_scripted_faults_name_their_points():
     """Built, not run: a scripted fault is its label part, sets the point's
-    phase and, with a phase, its timeline bucket; trial k runs at seed + k."""
+    phase and, with a phase, its timeline bucket; a primary fault is one
+    point at the grid's seed."""
     faults = throughput.panel("small", "faults")
     points = faults.points()
     assert len(points) == len(throughput.SCENARIOS) * len(faults.protocols)
@@ -234,9 +235,10 @@ def test_scripted_faults_name_their_points():
         assert point.timeline_bucket == throughput.TIMELINE_BUCKET
         assert f"/{scenario.name}/" in point.label
     primary = throughput.panel("small", "primary").points(seed=5)
-    assert [point.label for point in primary[:3]] == [
-        f"primary/sbft-c0/f=1/batch=2/crash/fixed/clients=2/lan/seed={seed}" for seed in (5, 6, 7)]
-    assert [point.seed for point in primary] == [5, 6, 7] * 3
+    assert [point.label for point in primary] == [
+        f"primary/sbft-c0/f=1/batch=2/{fault.name}/fixed/clients=2/lan"
+        for fault in throughput.PRIMARY_FAULTS]
+    assert [point.seed for point in primary] == [5, 5, 5]
     assert all(point.fault_phase is None and point.timeline_bucket is None for point in primary)
 
 
@@ -268,7 +270,7 @@ WORKER_CUTS = {
     "contracts": _cut("contracts", f=(2,), workloads=(Ethereum(transactions=300),),
                       topologies=("continent",)),
     "faults": _cut("faults", protocols=("sbft-c0",), faults=throughput.SCENARIOS[2:4]),
-    "primary": _cut("primary", faults=throughput.PRIMARY_FAULTS[:1], trials=2),
+    "primary": _cut("primary", faults=throughput.PRIMARY_FAULTS[:2]),
 }
 
 

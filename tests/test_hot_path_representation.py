@@ -29,6 +29,7 @@ from repro.protocols.cluster import build_cluster
 from repro.services.interface import BlockOperations, OperationResult
 from repro.sim.network import _message_size
 from repro.workloads.kv_workload import KVWorkload
+from test_shared_execution_record import recorded  # noqa: F401 (fixture)
 
 
 class CountingOperation:
@@ -149,7 +150,7 @@ def test_every_message_class_is_frozen_without_mutable_defaults():
 # ---------------------------------------------------------------------------
 
 
-def _mutable_stashes(messages):
+def _mutable_stashes(messages, replays=None):
     """Walk every dataclass reachable from ``messages`` (through ``init=True``
     fields and tuples) and check every ``init=False`` slot on the way: it may
     hold str / int / float / bytes / bool / None / a type, tuples of those, or
@@ -159,7 +160,10 @@ def _mutable_stashes(messages):
     executing by the unshared differential (tests/test_batching.py) and the
     ``execute_everywhere`` tests — is checked for the two tuples every peer
     keeps as they are: its results hold only ``OperationResult`` and its
-    journal tree's leaves only tuples of str / int.
+    journal tree's leaves only tuples of str / int.  A block frees its entry
+    once every replica applied it, so ``replays`` (``id(block) -> (state
+    key, entry)`` of blocks the caller keeps alive) stands in for a freed
+    one.
 
     -> (problems, {(class name, slot) seen holding a non-default value}).
     """
@@ -176,9 +180,10 @@ def _mutable_stashes(messages):
                 check(item, f"{where}[{index}]")
             if type(value) is BlockOperations:
                 check(value.digests, f"{where}.digests")
-                if value.replay is not None:
+                replay = (replays or {}).get(id(value), value.replay)
+                if replay is not None:
                     filled.add(("BlockOperations", "replay"))
-                    entry = value.replay[1]
+                    entry = replay[1]
                     results, leaves = entry[0], entry[-1][0].leaves
                     if type(results) is not tuple or any(
                         type(item) is not OperationResult for item in results
@@ -229,7 +234,7 @@ NOT_IN_PBFT = {
 
 
 @pytest.mark.parametrize("protocol,kwargs", list(FAULT_RUNS.values()), ids=list(FAULT_RUNS))
-def test_every_stash_on_a_sent_message_is_deeply_immutable(protocol, kwargs):
+def test_every_stash_on_a_sent_message_is_deeply_immutable(protocol, kwargs, recorded):
     """One broadcast hands the same instance to every recipient, so a stash
     that aliased a list or dict would let one replica's mutation reach the
     rest (the unfrozen ``_exec_plan`` operations list of PR 9).  Walked after
@@ -242,7 +247,9 @@ def test_every_stash_on_a_sent_message_is_deeply_immutable(protocol, kwargs):
             lambda src, dst, message: sent.append(message)),
         **dict(kwargs, requests_per_client=kwargs["requests_per_client"] + 4),
     )
-    problems, filled = _mutable_stashes(sent)
+    # A block keeps the first entry offered to it: reversed, that one wins.
+    replays = {id(operations): (key, entry) for operations, key, entry in reversed(recorded)}
+    problems, filled = _mutable_stashes(sent, replays)
     assert not problems, sorted(set(problems))[:10]
     # The walk really reached the stashes, filled in.  SBFT signs a block's
     # replies only in degraded mode.

@@ -157,16 +157,15 @@ def test_direct_execute_invalidates_fingerprint(counters):
     assert counters() == {"hits": 0, "misses": 2}
 
 
-def test_restore_invalidates_fingerprint_but_stays_identical(counters):
+def test_a_restored_store_takes_the_donors_fingerprint_and_stays_identical(counters):
     donor, peer = AuthenticatedKVStore(), AuthenticatedKVStore()
     seq1, ops1 = _block(1)
     donor.execute_block(seq1, ops1)
     peer.execute_block(seq1, ops1)
 
-    # A rejoining replica restores the donor's snapshot: equal state and
-    # chain, but its fingerprint anchor is the restore point — so it must
-    # execute (miss), never replay an entry recorded from a genesis anchor,
-    # and must leave that entry to the replicas it belongs to.
+    # A rejoining replica restores the donor's snapshot: equal contents and
+    # chain, and the donor's fingerprint with them, so its state key is its
+    # peers' and it applies the entry they recorded.
     rejoined = AuthenticatedKVStore()
     rejoined.restore(donor.snapshot())
     assert rejoined.digest() == donor.digest()
@@ -174,16 +173,34 @@ def test_restore_invalidates_fingerprint_but_stays_identical(counters):
 
     seq2, ops2 = _block(2)
     donor_results = donor.execute_block(seq2, ops2)
-    recorded = ops2.replay
-    rejoined_results = rejoined.execute_block(seq2, ops2)
-    assert counters() == {"hits": 1, "misses": 3}
-    assert ops2.replay is recorded
-    assert peer.execute_block(seq2, ops2) == donor_results
-    assert counters() == {"hits": 2, "misses": 3}
-    # Decision-identity still holds across the restore.
-    assert rejoined_results == donor_results
+    assert rejoined.execute_block(seq2, ops2) is donor_results
+    assert peer.execute_block(seq2, ops2) is donor_results
+    assert counters() == {"hits": 3, "misses": 2}
     assert rejoined.digest() == donor.digest() == peer.digest()
     assert rejoined.snapshot() == donor.snapshot()
+    assert rejoined._store._data is donor._store._data is peer._store._data
+
+
+def test_a_snapshot_after_a_direct_write_re_anchors_the_restored_store(counters):
+    """A store written out of band has no valid fingerprint to hand over:
+    the restored store fingerprints its contents at the restore point, as
+    the donor re-fingerprints its own, and the two keys agree only because
+    contents and chain do."""
+    donor = AuthenticatedKVStore()
+    seq1, ops1 = _block(1)
+    donor.execute_block(seq1, ops1)
+    donor._store.put("x", "out of band")
+    snapshot = donor.snapshot()
+    assert snapshot["fingerprint"] is None
+    rejoined = AuthenticatedKVStore()
+    rejoined.restore(snapshot)
+
+    seq2, ops2 = _block(2)
+    donor_results = donor.execute_block(seq2, ops2)
+    assert rejoined.execute_block(seq2, ops2) is donor_results
+    assert counters() == {"hits": 1, "misses": 2}
+    assert rejoined._state_fingerprint == donor._state_fingerprint
+    assert rejoined.digest() == donor.digest()
 
 
 def test_block_reproposed_in_a_new_view_executes_once_more(counters):

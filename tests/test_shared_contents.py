@@ -228,8 +228,9 @@ def test_live_versions_are_bounded_by_the_states_stores_hold(service, monkeypatc
     live contents object is some store's own (the cluster's replicas and the
     clients' verifier), and at the end there is one per distinct state a
     store holds.  A state is what a store prices a block from, its
-    ``(fingerprint, chain digest)``: the restored replica anchored its
-    fingerprint at the restore, so it keeps a private version."""
+    ``(fingerprint, chain digest)``: the restored replica took its donor's
+    fingerprint with the snapshot, so once it applies the blocks its peers
+    apply it holds their version again."""
     created = _tracked_contents(monkeypatch)
     cluster, workload, max_sim_time = _crash_restart_cluster(service)
     restores = []
@@ -268,8 +269,7 @@ def test_live_versions_are_bounded_by_the_states_stores_hold(service, monkeypatc
     assert restores and all(restores), "a restored store starts from a private copy"
     peers = [replica.service._store._data for rid, replica in cluster.replicas.items() if rid != 3]
     assert all(contents is peers[0] for contents in peers)
-    assert restored.service._store._data is not peers[0]
-    assert dict(restored.service._store._data) == dict(peers[0])
+    assert restored.service._store._data is peers[0]
 
     gc.collect()
     live = {id(contents) for contents in (ref() for ref in created) if contents is not None}

@@ -23,12 +23,13 @@ from test_kv_execution_cache import _run_crash_restart
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every ``BlockOperations`` a recorder offered a replay entry to."""
+    """``(operations, state key, entry)`` of every replay entry a recorder
+    offered a block (the block frees it once every replica applied it)."""
     blocks = []
     real = execution_cache.store
 
     def spy(operations, state_key, entry):
-        blocks.append(operations)
+        blocks.append((operations, state_key, entry))
         real(operations, state_key, entry)
 
     monkeypatch.setattr(execution_cache, "store", spy)
@@ -38,8 +39,7 @@ def recorded(monkeypatch):
 def _entries_by_sequence(blocks):
     """sequence -> the replay entry peers read (one per block in a healthy run)."""
     by_sequence = {}
-    for operations in blocks:
-        state_key, entry = operations.replay
+    for _operations, state_key, entry in blocks:
         assert state_key[-1] not in by_sequence, "a healthy run executes each block once"
         by_sequence[state_key[-1]] = entry
     return by_sequence
@@ -97,7 +97,7 @@ def test_a_replica_restored_by_state_transfer_proves_and_verifies_its_blocks(rec
     cluster, _ = _run_crash_restart()
     restarted = cluster.replicas[3]
     assert restarted.stats["state_transfers"] >= 1
-    operations_at = {operations.replay[0][-1]: operations for operations in recorded}
+    operations_at = {state_key[-1]: operations for operations, state_key, _entry in recorded}
     service = restarted.service
     assert service._block_order
     for sequence in service._block_order:
