@@ -44,10 +44,10 @@ def main() -> None:
     for fault, stats in summarize(rows).items():
         print(
             f"  {fault:<12} success rate {stats['success_rate']:.0%}, "
-            f"mean view changes per trial {stats['mean_view_changes']:.1f}"
+            f"mean view changes {stats['mean_view_changes']:.1f}"
         )
     print()
-    print("Liveness was preserved in every trial: the dual-mode view change picked a")
+    print("Liveness was preserved under every primary fault: the dual-mode view change picked a")
     print("safe value for every in-flight slot and the new primary resumed the workload.")
 
 

@@ -18,15 +18,14 @@ its price is the gas its receipts burned.  What this class adds is only what
 differs from the KV store — how a transaction runs (:meth:`_execute_with`),
 what it costs (:meth:`transaction_cost`) and the receipts it leaves.
 
-A block's results and receipts are journaled by reference: the few distinct
+A block's results and receipts are held by reference: the few distinct
 receipts and results a stream of contract calls has are held once per store
-(:meth:`_execute_with`), and each replica keeps the recorder's receipts tuple
-per block, not a list of every receipt.
+(:meth:`_execute_with`), so a replica's ``receipts`` list holds pointers to
+the shared receipts, not a receipt object per transaction.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
@@ -52,24 +51,12 @@ class LedgerService(AuthenticatedKVStore):
         super().__init__(persist_cost_per_byte=costs.persist_per_byte)
         self._world = WorldState(backend=self._store)
         self._costs = costs
-        # Receipts of transactions run outside a block (``apply``,
-        # ``execute``), and each applied block's receipts tuple (the
-        # recorder's, shared by every replica that applied its entry).
-        self._direct_receipts: List[TransactionReceipt] = []
-        self._block_receipts: Dict[int, Tuple[TransactionReceipt, ...]] = {}
+        self.receipts: List[TransactionReceipt] = []
         # One shared receipt per distinct receipt, and one shared result per
         # distinct ``(success, gas_used, contract_address, error)``, that
         # this store ran (like ``_digest_memo``): a stream repeats them.
         self._receipts: Dict[TransactionReceipt, TransactionReceipt] = {}
         self._results: Dict[Tuple, OperationResult] = {}
-
-    @property
-    def receipts(self) -> Tuple[TransactionReceipt, ...]:
-        """Every receipt this ledger holds: the direct ones, then each
-        journaled block's in block order (a block restored by state transfer
-        brings none)."""
-        blocks = self._block_receipts
-        return tuple(chain(self._direct_receipts, *(blocks.get(s, ()) for s in self._block_order)))
 
     @property
     def _block_number(self) -> int:
@@ -88,7 +75,7 @@ class LedgerService(AuthenticatedKVStore):
         """Apply one transaction directly (the unreplicated base line)."""
         evm = EVM(self._world, BlockContext(number=self._block_number))
         receipt = apply_transaction(self._world, transaction, evm)
-        self._direct_receipts.append(receipt)
+        self.receipts.append(receipt)
         return receipt
 
     # ------------------------------------------------------------------
@@ -96,7 +83,7 @@ class LedgerService(AuthenticatedKVStore):
     # ------------------------------------------------------------------
     def execute(self, operation: Operation) -> OperationResult:
         evm = EVM(self._world, BlockContext(number=self._block_number))
-        return self._execute_with(operation, evm, self._direct_receipts)
+        return self._execute_with(operation, evm, self.receipts)
 
     def _execute_with(
         self, operation: Operation, evm: EVM, receipts: List[TransactionReceipt]
@@ -154,10 +141,10 @@ class LedgerService(AuthenticatedKVStore):
         return OperationResult(ok=False, error="unknown ledger query")
 
     def execute_block(self, sequence: int, operations: Sequence[Operation]) -> Sequence[OperationResult]:
-        """Apply the block's replay entry as the KV store does, journaling
-        its receipts tuple."""
+        """Apply the block's replay entry as the KV store does, keeping its
+        receipts (the shared ones)."""
         entry = self._entry(sequence, operations)
-        self._block_receipts[sequence] = entry[3]
+        self.receipts.extend(entry[3])
         return self._apply(sequence, entry)
 
     def _run_block(self, operations: Sequence[Operation]) -> Tuple:

@@ -23,12 +23,14 @@ from repro.core.messages import ClientRequest
 from repro.core.replica import SBFTReplica
 from repro.crypto.signatures import generate_keypair
 from repro.experiments import throughput
+from repro.experiments.harness import point_cluster
 from repro.pbft.replica import PBFTReplica
 from repro.protocols.cluster import Cluster, build_cluster
 from repro.services.authenticated_kv import AuthenticatedKVStore
 from repro.sim.events import Simulator
 from repro.sim.latency import lan_topology
 from repro.sim.network import Network
+from repro.workloads.ethereum_workload import EthereumWorkload
 from repro.workloads.kv_workload import KVWorkload
 
 
@@ -82,6 +84,26 @@ def fault_point(scenario, protocol="sbft-c0", seed=0):
     (fault,) = (fault for fault in faults.faults if fault.name == scenario)
     (point,) = dataclasses.replace(faults, protocols=(protocol,), faults=(fault,)).points(seed)
     return point
+
+
+def crash_restart_cluster(service, protocol="sbft-c0"):
+    """The small ``faults`` panel's ``crash-restart`` cluster (replica 3
+    crashes and is restored by state transfer), not yet run, with the
+    workload it runs: the point's own KV workload, or a 1 500-transaction
+    Ethereum stream for ``service == "ledger"``.  Returns ``(cluster,
+    workload, max_sim_time)``."""
+    from repro.experiments.harness import point_cluster
+
+    point = fault_point("crash-restart", protocol)
+    cluster = point_cluster(point)
+    if service == "kv":
+        workload = point.workload.build(point)
+    else:
+        workload = EthereumWorkload(
+            num_transactions=1500, num_accounts=40, chunk_bytes=600,
+            num_clients=point.clients, seed=1,
+        )
+    return cluster, workload, point.max_sim_time
 
 
 def unshared_copy(value):

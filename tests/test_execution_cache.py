@@ -10,9 +10,8 @@ import collections
 
 import pytest
 
-from helpers import execute_everywhere, fault_point, unshare
+from helpers import crash_restart_cluster, execute_everywhere, unshare
 from repro.core import execution_cache
-from repro.experiments.harness import point_cluster
 from repro.protocols.cluster import build_cluster
 from repro.workloads.ethereum_workload import EthereumWorkload
 
@@ -115,13 +114,16 @@ def test_cache_hit_replays_the_journal_record_without_rejournaling(monkeypatch):
     assert len(set(fingerprint["digests"].values())) == 1
 
 
-@pytest.mark.parametrize("protocol", ["sbft-c0", "sbft-c8", "pbft"])
-def test_a_restored_replica_shares_the_replay_entry_again(protocol, monkeypatch):
+@pytest.mark.parametrize("service, protocol", [
+    ("kv", "sbft-c0"), ("kv", "sbft-c8"), ("kv", "pbft"), ("ledger", "sbft-c0"),
+])
+def test_a_restored_replica_shares_the_replay_entry_again(service, protocol, monkeypatch):
     """On the fault sweep's crash-restart plan a backup crashes, restarts
     and is restored by state transfer, taking its donor's state fingerprint
     with the snapshot: from then on its state key is its peers', so each
     block is dry-run once cluster-wide (a miss) whoever starts it first, and
-    every other apply is a hit."""
+    every other apply is a hit.  The ledger case runs a 1 500-transaction
+    Ethereum stream through the same plan."""
     from repro.services.authenticated_kv import AuthenticatedKVStore
 
     runs = collections.Counter()
@@ -132,9 +134,8 @@ def test_a_restored_replica_shares_the_replay_entry_again(protocol, monkeypatch)
         return real(self, sequence, operations, results)
 
     monkeypatch.setattr(AuthenticatedKVStore, "journal_record", counting)
-    point = fault_point("crash-restart", protocol)
-    cluster = point_cluster(point)
-    cluster.run(point.workload.build(point), max_sim_time=point.max_sim_time)
+    cluster, workload, max_sim_time = crash_restart_cluster(service, protocol)
+    cluster.run(workload, max_sim_time=max_sim_time)
     restored = [replica for replica in cluster.replicas.values() if replica.stats["state_transfers"]]
     assert len(restored) == 1
     blocks = max(replica.last_executed for replica in cluster.replicas.values())

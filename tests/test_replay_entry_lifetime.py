@@ -29,11 +29,15 @@ def _blocks(recorded):
     return [operations for operations, _state_key, _entry in recorded]
 
 
+def _ethereum_workload():
+    return EthereumWorkload(num_transactions=200, num_accounts=12, num_clients=2, seed=7)
+
+
 def _ledger_run(protocol, fault_plan=None):
     cluster = build_cluster(
         protocol, f=1, num_clients=2, topology="lan", batch_size=2, seed=3, fault_plan=fault_plan
     )
-    cluster.run(EthereumWorkload(num_transactions=200, num_accounts=12, num_clients=2, seed=7))
+    cluster.run(_ethereum_workload())
     return cluster
 
 
@@ -93,7 +97,7 @@ def test_a_ledger_holds_one_result_and_receipt_per_distinct_outcome():
     cluster = _ledger_run("sbft-c0")
     stores = [replica.service for replica in cluster.replicas.values()]
     receipts = {receipt for store in stores for receipt in store.receipts}
-    genesis = sum(len(store._direct_receipts) for store in stores)
+    genesis = len(stores) * len(_ethereum_workload().service_factory().receipts)
     results = {repr(result) for store in stores for sequence in store._block_order
                for result in store._journal_results[sequence]}
     constants = {id(value) for module in (kvstore, ledger) for value in vars(module).values()

@@ -22,9 +22,8 @@ import weakref
 
 import pytest
 
-from helpers import fault_point, run_small_cluster, unshare
+from helpers import crash_restart_cluster, run_small_cluster, unshare
 from repro.evm.transactions import Transaction
-from repro.experiments.harness import point_cluster
 from repro.protocols.cluster import build_cluster
 from repro.services import kvstore
 from repro.services.authenticated_kv import AuthenticatedKVStore
@@ -208,19 +207,6 @@ def _tracked_contents(monkeypatch):
     return created
 
 
-def _crash_restart_cluster(service):
-    point = fault_point("crash-restart")
-    cluster = point_cluster(point)
-    if service == "kv":
-        workload = point.workload.build(point)
-    else:
-        workload = EthereumWorkload(
-            num_transactions=1500, num_accounts=40, chunk_bytes=600,
-            num_clients=point.clients, seed=1,
-        )
-    return cluster, workload, point.max_sim_time
-
-
 @pytest.mark.parametrize("service", SERVICES)
 def test_live_versions_are_bounded_by_the_states_stores_hold(service, monkeypatch):
     """On the fault sweep's ``crash-restart`` plan (replica 3 crashes at 1 s
@@ -232,7 +218,7 @@ def test_live_versions_are_bounded_by_the_states_stores_hold(service, monkeypatc
     fingerprint with the snapshot, so once it applies the blocks its peers
     apply it holds their version again."""
     created = _tracked_contents(monkeypatch)
-    cluster, workload, max_sim_time = _crash_restart_cluster(service)
+    cluster, workload, max_sim_time = crash_restart_cluster(service)
     restores = []
     real_restore = kvstore.KVStore.restore
 
