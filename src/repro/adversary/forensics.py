@@ -89,45 +89,41 @@ def _signer_id(signature: Any) -> Optional[int]:
 def find_pre_prepare_equivocations(
     records: List[Tuple[int, int, Any]], verify_keys: Dict[int, Any]
 ) -> List[EquivocationEvidence]:
-    """Conflicting validly signed pre-prepares per ``(sequence, view)``."""
-    by_slot: Dict[Tuple[int, int], Dict[str, Any]] = {}
+    """Conflicting validly signed pre-prepares per ``(sequence, view)`` and signer.
+
+    Only a copy whose signature verifies is filed, the first per digest, so
+    neither another replica's self-signed pre-prepare for the slot nor a
+    tampered copy under the signer's name hides the signer's own two.
+    """
+    by_signer: Dict[Tuple[int, int, int], Dict[str, Any]] = {}
     for _src, _dst, message in records:
         if type(message) is not PrePrepare:
             continue
-        slot = by_slot.setdefault((message.sequence, message.view), {})
-        slot.setdefault(message.digest, message)
+        signer = _signer_id(message.primary_signature)
+        key = verify_keys.get(signer)
+        if key is None:
+            continue
+        signed = by_signer.setdefault((message.sequence, message.view, signer), {})
+        if message.digest not in signed and key.verify(
+            ("pre-prepare", message.sequence, message.view, message.digest),
+            message.primary_signature,
+        ):
+            signed[message.digest] = message
 
     evidence: List[EquivocationEvidence] = []
-    for sequence, view in sorted(by_slot):
-        slot = by_slot[(sequence, view)]
-        if len(slot) < 2:
-            continue
-        valid: List[Tuple[str, Any]] = []
-        for digest in sorted(slot):
-            message = slot[digest]
-            culprit = _signer_id(message.primary_signature)
-            if culprit is None:
-                continue
-            key = verify_keys.get(culprit)
-            if key is not None and key.verify(
-                ("pre-prepare", sequence, view, digest), message.primary_signature
-            ):
-                valid.append((digest, message))
-        for index in range(1, len(valid)):
-            digest_a, message_a = valid[0]
-            digest_b, message_b = valid[index]
-            culprit_a = _signer_id(message_a.primary_signature)
-            if culprit_a != _signer_id(message_b.primary_signature):
-                continue  # different signers: conflicting data, but no equivocator
+    for sequence, view, culprit in sorted(by_signer):
+        signed = by_signer[(sequence, view, culprit)]
+        first, *others = sorted(signed)
+        for digest in others:
             evidence.append(
                 EquivocationEvidence(
                     kind="pre-prepare",
-                    culprit=culprit_a,
+                    culprit=culprit,
                     context=(sequence, view),
-                    digest_a=digest_a,
-                    digest_b=digest_b,
-                    message_a=message_a,
-                    message_b=message_b,
+                    digest_a=first,
+                    digest_b=digest,
+                    message_a=signed[first],
+                    message_b=signed[digest],
                 )
             )
     return evidence

@@ -307,10 +307,10 @@ class SBFTReplica(Replica):
     def _on_pre_prepare(self, message: PrePrepare, src: int) -> None:
         if self._not_this_view(message, src) or src != self.primary:
             return
+        if not self.log.in_window(message.sequence, self.last_stable):
+            return
         slot = self.log.slot(message.sequence)
         if slot.pre_prepare is not None and slot.pre_prepare_view == message.view:
-            return
-        if not self.log.in_window(message.sequence, self.last_stable):
             return
         if pre_prepare_expected_digest(message) != message.digest:
             return
@@ -770,8 +770,6 @@ class SBFTReplica(Replica):
         if self._batch_timer is not None:
             self.cancel_timer(self._batch_timer)
             self._batch_timer = None
-        for view in [view for view in self._view_changes if view <= new_view]:
-            del self._view_changes[view]
 
         max_decided = plan.last_stable
         for sequence, decision in sorted(plan.decisions.items()):

@@ -630,8 +630,13 @@ class Replica(Process):
         slots the new-view plan re-proposes).  ``_pending_request_ids``
         restarts as what the view queues or re-proposes.  Then the view's
         kept pre-prepares are handled, the primary proposes, and every client
-        is told the view (one signature: ``ViewNotice``, core/client.py)."""
+        is told the view (one signature: ``ViewNotice``, core/client.py).
+        What was collected for this view or an older one is dropped: nothing
+        reads it again."""
         self._view_change_sent_for = {v for v in self._view_change_sent_for if v > self.view}
+        self._new_view_sent_for = {v for v in self._new_view_sent_for if v > self.view}
+        for view in [view for view in self._view_changes if view <= self.view]:
+            del self._view_changes[view]
         self._pending_request_ids = reproposed | {r.request_id for r in self._pending_requests}
         for request_id, request in list(self._direct_reply_waiting.items()):
             if self._replies.executed(*request_id):

@@ -7,14 +7,21 @@ deployed, so all of that work can be hoisted into a one-time pre-decode pass
 per code blob:
 
 * every instruction becomes a ``(handler, gas, operand, byte_pc)`` tuple with
-  the PUSH immediate already parsed and a *direct* handler reference from the
-  table below (no opcode dispatch at run time),
+  the PUSH immediate already parsed and a *direct* handler reference (no
+  opcode dispatch at run time),
 * the set of **valid** JUMPDEST byte offsets is computed by walking
   instruction boundaries — a ``0x5b`` byte inside PUSH immediate data is data,
   not a jump target (this also fixes the naive loop's historical bug of
   accepting any ``0x5b`` byte),
 * jump targets resolve through a byte-offset -> instruction-index map so JUMP
   and JUMPI are a single dict probe.
+
+One stack discipline serves every opcode that only pops its arguments and
+pushes at most one result: its handler is the one for the opcode table's
+``(pops, pushes)`` shape, which does the underflow and overflow checks, and
+its operand is the opcode's operation from ``_OPERATIONS``.  Only opcodes
+that move control, read the instruction or halt (``_OWN``) have a handler of
+their own, so a new stack-shaped opcode is one table row and one operation.
 
 ``predecode`` is memoized per code blob (``functools.lru_cache``; no hashing
 inside, so it never shows in a run's digest count): a contract deployed once
@@ -29,11 +36,11 @@ assembler-generated and raw-byte programs.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from repro.crypto.hashing import sha256_int
 from repro.errors import EVMError, OutOfGas
-from repro.evm.opcodes import JUMPDEST_BYTE, OPCODE_INFO, OPCODES, Op
+from repro.evm.opcodes import IMMEDIATE_WIDTHS, JUMPDEST_BYTE, OPCODES, Op
 
 # Execution limits: they are part of the observable semantics, so the naive
 # reference engine imports these same definitions.
@@ -74,13 +81,13 @@ def predecode(code: bytes) -> DecodedProgram:
 def _decode(code: bytes) -> DecodedProgram:
     instructions: List[tuple] = []
     jumpdest_index: Dict[int, int] = {}
-    info_table = OPCODE_INFO
+    dispatch = _DISPATCH
     pc = 0
     length = len(code)
     while pc < length:
         byte = code[pc]
-        info = info_table[byte]
-        if info is None:
+        entry = dispatch[byte]
+        if entry is None:
             # Reached only if execution actually gets here; gas 0 so nothing
             # is charged before the error (matching the naive loop's
             # lookup-before-charge order).
@@ -88,25 +95,14 @@ def _decode(code: bytes) -> DecodedProgram:
             instructions.append((_h_invalid, 0, message, pc))
             pc += 1
             continue
-        width = info.immediate_bytes
+        handler, gas, operand = entry
+        width = IMMEDIATE_WIDTHS[byte]
         if width:
-            value = int.from_bytes(code[pc + 1 : pc + 1 + width], "big")
-            instructions.append((_h_push, info.gas, value, pc))
-            pc += 1 + width
-            continue
-        if byte == JUMPDEST_BYTE:
+            operand = int.from_bytes(code[pc + 1 : pc + 1 + width], "big")
+        elif byte == JUMPDEST_BYTE:
             jumpdest_index[pc] = len(instructions)
-            instructions.append((_h_jumpdest, info.gas, None, pc))
-            pc += 1
-            continue
-        op = info.op
-        if Op.DUP1 <= op <= Op.DUP6:
-            instructions.append((_h_dup, info.gas, op - Op.DUP1 + 1, pc))
-        elif Op.SWAP1 <= op <= Op.SWAP4:
-            instructions.append((_h_swap, info.gas, op - Op.SWAP1 + 1, pc))
-        else:
-            instructions.append((_HANDLERS[byte], info.gas, None, pc))
-        pc += 1
+        instructions.append((handler, gas, operand, pc))
+        pc += 1 + width
     return DecodedProgram(code, instructions, jumpdest_index)
 
 
@@ -146,6 +142,98 @@ def _underflow() -> EVMError:
     return EVMError("stack underflow")
 
 
+# -- one handler per stack shape (pops, pushes); the operand is the
+# -- opcode's operation, ``fn(vm, frame, *popped) -> pushed word or None``
+
+def _h_0_1(vm, frame, inst, ip):
+    # What is pushed from nothing comes from outside the stack (the message,
+    # the block, the frame), so it is masked into a word here.
+    value = inst[2](vm, frame)
+    stack = frame.stack
+    if len(stack) >= MAX_STACK:
+        raise EVMError("stack overflow")
+    stack.append(value & _MASK)
+    return ip + 1
+
+
+def _h_1_0(vm, frame, inst, ip):
+    try:
+        a = frame.stack.pop()
+    except IndexError:
+        raise _underflow() from None
+    inst[2](vm, frame, a)
+    return ip + 1
+
+
+def _h_1_1(vm, frame, inst, ip):
+    stack = frame.stack
+    try:
+        a = stack.pop()
+    except IndexError:
+        raise _underflow() from None
+    stack.append(inst[2](vm, frame, a))
+    return ip + 1
+
+
+def _h_2_0(vm, frame, inst, ip):
+    stack = frame.stack
+    try:
+        a = stack.pop()
+        b = stack.pop()
+    except IndexError:
+        raise _underflow() from None
+    inst[2](vm, frame, a, b)
+    return ip + 1
+
+
+def _h_2_1(vm, frame, inst, ip):
+    stack = frame.stack
+    try:
+        a = stack.pop()
+        b = stack.pop()
+    except IndexError:
+        raise _underflow() from None
+    stack.append(inst[2](vm, frame, a, b))
+    return ip + 1
+
+
+def _h_3_0(vm, frame, inst, ip):
+    stack = frame.stack
+    try:
+        a = stack.pop()
+        b = stack.pop()
+        c = stack.pop()
+    except IndexError:
+        raise _underflow() from None
+    inst[2](vm, frame, a, b, c)
+    return ip + 1
+
+
+def _h_3_1(vm, frame, inst, ip):
+    stack = frame.stack
+    try:
+        a = stack.pop()
+        b = stack.pop()
+        c = stack.pop()
+    except IndexError:
+        raise _underflow() from None
+    stack.append(inst[2](vm, frame, a, b, c))
+    return ip + 1
+
+
+_SHAPES = {
+    (0, 1): _h_0_1,
+    (1, 0): _h_1_0,
+    (1, 1): _h_1_1,
+    (2, 0): _h_2_0,
+    (2, 1): _h_2_1,
+    (3, 0): _h_3_0,
+    (3, 1): _h_3_1,
+}
+
+
+# -- opcodes with a handler of their own --------------------------------
+
 def _h_invalid(vm, frame, inst, ip):
     raise EVMError(inst[2])
 
@@ -182,32 +270,20 @@ def _h_swap(vm, frame, inst, ip):
     return ip + 1
 
 
-# -- control flow ------------------------------------------------------
-
 def _h_stop(vm, frame, inst, ip):
     frame.halt = (b"", True, None)
     return _END
 
 
 def _h_return(vm, frame, inst, ip):
+    """RETURN and REVERT: the operand is the halt's ``(success, error)``."""
     stack = frame.stack
     try:
         offset = stack.pop()
         length = stack.pop()
     except IndexError:
         raise _underflow() from None
-    frame.halt = (frame.mslice(offset, length), True, None)
-    return _END
-
-
-def _h_revert(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        offset = stack.pop()
-        length = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    frame.halt = (frame.mslice(offset, length), False, "revert")
+    frame.halt = (frame.mslice(offset, length), *inst[2])
     return _END
 
 
@@ -245,452 +321,6 @@ def _h_pc(vm, frame, inst, ip):
     return ip + 1
 
 
-# -- arithmetic --------------------------------------------------------
-
-def _h_add(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append((a + b) & _MASK)
-    return ip + 1
-
-
-def _h_mul(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append((a * b) & _MASK)
-    return ip + 1
-
-
-def _h_sub(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append((a - b) & _MASK)
-    return ip + 1
-
-
-def _h_div(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(0 if b == 0 else a // b)
-    return ip + 1
-
-
-def _h_mod(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(0 if b == 0 else a % b)
-    return ip + 1
-
-
-def _h_addmod(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-        n = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(0 if n == 0 else (a + b) % n)
-    return ip + 1
-
-
-def _h_mulmod(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-        n = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(0 if n == 0 else (a * b) % n)
-    return ip + 1
-
-
-def _h_exp(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(pow(a, b, WORD))
-    return ip + 1
-
-
-# -- comparisons -------------------------------------------------------
-
-def _h_lt(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(1 if a < b else 0)
-    return ip + 1
-
-
-def _h_gt(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(1 if a > b else 0)
-    return ip + 1
-
-
-def _to_signed(value: int) -> int:
-    return value - WORD if value >= WORD // 2 else value
-
-
-def _h_slt(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(1 if _to_signed(a) < _to_signed(b) else 0)
-    return ip + 1
-
-
-def _h_sgt(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(1 if _to_signed(a) > _to_signed(b) else 0)
-    return ip + 1
-
-
-def _h_eq(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(1 if a == b else 0)
-    return ip + 1
-
-
-def _h_iszero(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(1 if a == 0 else 0)
-    return ip + 1
-
-
-# -- bitwise -----------------------------------------------------------
-
-def _h_and(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(a & b)
-    return ip + 1
-
-
-def _h_or(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(a | b)
-    return ip + 1
-
-
-def _h_xor(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-        b = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(a ^ b)
-    return ip + 1
-
-
-def _h_not(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        a = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(~a & _MASK)
-    return ip + 1
-
-
-def _h_byte(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        index = stack.pop()
-        value = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append((value >> (8 * (31 - index))) & 0xFF if index < 32 else 0)
-    return ip + 1
-
-
-def _h_shl(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        shift = stack.pop()
-        value = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(0 if shift >= 256 else (value << shift) & _MASK)
-    return ip + 1
-
-
-def _h_shr(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        shift = stack.pop()
-        value = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(0 if shift >= 256 else value >> shift)
-    return ip + 1
-
-
-def _h_sha3(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        offset = stack.pop()
-        length = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(sha256_int("evm-sha3", frame.mslice(offset, length)) & _MASK)
-    return ip + 1
-
-
-# -- environment -------------------------------------------------------
-
-def _checked_push(frame, value):
-    stack = frame.stack
-    if len(stack) >= MAX_STACK:
-        raise EVMError("stack overflow")
-    stack.append(value & _MASK)
-
-
-def _h_address(vm, frame, inst, ip):
-    _checked_push(frame, vm._address_to_word(frame.message.to))
-    return ip + 1
-
-
-def _h_balance(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        word = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(vm.state.get_balance(vm._word_to_address(word)) & _MASK)
-    return ip + 1
-
-
-def _h_origin(vm, frame, inst, ip):
-    msg = frame.message
-    _checked_push(frame, vm._address_to_word(msg.origin or msg.sender))
-    return ip + 1
-
-
-def _h_caller(vm, frame, inst, ip):
-    _checked_push(frame, vm._address_to_word(frame.message.sender))
-    return ip + 1
-
-
-def _h_callvalue(vm, frame, inst, ip):
-    _checked_push(frame, frame.message.value)
-    return ip + 1
-
-
-def _h_calldataload(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        offset = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    data = frame.message.data[offset : offset + 32]
-    stack.append(int.from_bytes(data.ljust(32, b"\x00"), "big"))
-    return ip + 1
-
-
-def _h_calldatasize(vm, frame, inst, ip):
-    _checked_push(frame, len(frame.message.data))
-    return ip + 1
-
-
-def _h_codesize(vm, frame, inst, ip):
-    _checked_push(frame, len(frame.code))
-    return ip + 1
-
-
-def _h_gasprice(vm, frame, inst, ip):
-    _checked_push(frame, 1)
-    return ip + 1
-
-
-def _h_blockhash(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        number = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(sha256_int("blockhash", number) & _MASK)
-    return ip + 1
-
-
-def _h_coinbase(vm, frame, inst, ip):
-    _checked_push(frame, vm._address_to_word(vm.block.coinbase))
-    return ip + 1
-
-
-def _h_timestamp(vm, frame, inst, ip):
-    _checked_push(frame, vm.block.timestamp)
-    return ip + 1
-
-
-def _h_number(vm, frame, inst, ip):
-    _checked_push(frame, vm.block.number)
-    return ip + 1
-
-
-def _h_gaslimit(vm, frame, inst, ip):
-    _checked_push(frame, vm.block.gas_limit)
-    return ip + 1
-
-
-# -- stack / memory / storage -----------------------------------------
-
-def _h_pop(vm, frame, inst, ip):
-    try:
-        frame.stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    return ip + 1
-
-
-def _h_mload(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        offset = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(frame.mload(offset))
-    return ip + 1
-
-
-def _h_mstore(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        offset = stack.pop()
-        value = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    frame.mstore(offset, value)
-    return ip + 1
-
-
-def _h_mstore8(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        offset = stack.pop()
-        value = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    frame.mstore8(offset, value)
-    return ip + 1
-
-
-def _h_sload(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        slot = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    stack.append(vm.state.storage_load(frame.message.to, slot) & _MASK)
-    return ip + 1
-
-
-def _h_sstore(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        slot = stack.pop()
-        value = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    vm.state.storage_store(frame.message.to, slot, value)
-    return ip + 1
-
-
-def _h_msize(vm, frame, inst, ip):
-    _checked_push(frame, len(frame.memory))
-    return ip + 1
-
-
-def _h_gas(vm, frame, inst, ip):
-    _checked_push(frame, frame.gas_remaining)
-    return ip + 1
-
-
-# -- logs / calls / selfdestruct --------------------------------------
-
-def _h_log0(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        offset = stack.pop()
-        length = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    frame.logs.append((frame.message.to, (), frame.mslice(offset, length)))
-    return ip + 1
-
-
-def _h_log1(vm, frame, inst, ip):
-    stack = frame.stack
-    try:
-        offset = stack.pop()
-        length = stack.pop()
-        topic = stack.pop()
-    except IndexError:
-        raise _underflow() from None
-    frame.logs.append((frame.message.to, (topic,), frame.mslice(offset, length)))
-    return ip + 1
-
-
 def _h_call(vm, frame, inst, ip):
     vm._do_call(frame, frame.message)
     return ip + 1
@@ -712,69 +342,109 @@ def _h_selfdestruct(vm, frame, inst, ip):
     return _END
 
 
-_HANDLERS: Dict[int, object] = {
-    int(Op.STOP): _h_stop,
-    int(Op.ADD): _h_add,
-    int(Op.MUL): _h_mul,
-    int(Op.SUB): _h_sub,
-    int(Op.DIV): _h_div,
-    int(Op.MOD): _h_mod,
-    int(Op.ADDMOD): _h_addmod,
-    int(Op.MULMOD): _h_mulmod,
-    int(Op.EXP): _h_exp,
-    int(Op.LT): _h_lt,
-    int(Op.GT): _h_gt,
-    int(Op.SLT): _h_slt,
-    int(Op.SGT): _h_sgt,
-    int(Op.EQ): _h_eq,
-    int(Op.ISZERO): _h_iszero,
-    int(Op.AND): _h_and,
-    int(Op.OR): _h_or,
-    int(Op.XOR): _h_xor,
-    int(Op.NOT): _h_not,
-    int(Op.BYTE): _h_byte,
-    int(Op.SHL): _h_shl,
-    int(Op.SHR): _h_shr,
-    int(Op.SHA3): _h_sha3,
-    int(Op.ADDRESS): _h_address,
-    int(Op.BALANCE): _h_balance,
-    int(Op.ORIGIN): _h_origin,
-    int(Op.CALLER): _h_caller,
-    int(Op.CALLVALUE): _h_callvalue,
-    int(Op.CALLDATALOAD): _h_calldataload,
-    int(Op.CALLDATASIZE): _h_calldatasize,
-    int(Op.CODESIZE): _h_codesize,
-    int(Op.GASPRICE): _h_gasprice,
-    int(Op.BLOCKHASH): _h_blockhash,
-    int(Op.COINBASE): _h_coinbase,
-    int(Op.TIMESTAMP): _h_timestamp,
-    int(Op.NUMBER): _h_number,
-    int(Op.GASLIMIT): _h_gaslimit,
-    int(Op.POP): _h_pop,
-    int(Op.MLOAD): _h_mload,
-    int(Op.MSTORE): _h_mstore,
-    int(Op.MSTORE8): _h_mstore8,
-    int(Op.SLOAD): _h_sload,
-    int(Op.SSTORE): _h_sstore,
-    int(Op.JUMP): _h_jump,
-    int(Op.JUMPI): _h_jumpi,
-    int(Op.PC): _h_pc,
-    int(Op.MSIZE): _h_msize,
-    int(Op.GAS): _h_gas,
-    int(Op.LOG0): _h_log0,
-    int(Op.LOG1): _h_log1,
-    int(Op.CALL): _h_call,
-    int(Op.RETURN): _h_return,
-    int(Op.REVERT): _h_revert,
-    int(Op.SELFDESTRUCT): _h_selfdestruct,
+#: ``op -> (handler, operand)``; a PUSH's operand is its immediate, filled
+#: in by the decoder.
+_OWN: Dict[Op, tuple] = {
+    Op.STOP: (_h_stop, None),
+    Op.JUMP: (_h_jump, None),
+    Op.JUMPI: (_h_jumpi, None),
+    Op.PC: (_h_pc, None),
+    Op.JUMPDEST: (_h_jumpdest, None),
+    Op.CALL: (_h_call, None),
+    Op.RETURN: (_h_return, (True, None)),
+    Op.REVERT: (_h_return, (False, "revert")),
+    Op.SELFDESTRUCT: (_h_selfdestruct, None),
+    **{info.op: (_h_push, None) for info in OPCODES.values() if info.immediate_bytes},
+    **{op: (_h_dup, op - Op.DUP1 + 1) for op in Op if Op.DUP1 <= op <= Op.DUP6},
+    **{op: (_h_swap, op - Op.SWAP1 + 1) for op in Op if Op.SWAP1 <= op <= Op.SWAP4},
 }
 
-# Every non-immediate, non-JUMPDEST opcode must have a handler (the decoder
-# special-cases PUSH/DUP/SWAP/JUMPDEST); catching a gap at import time beats a
-# KeyError mid-decode.
+
+# -- operations of the stack-shaped opcodes ------------------------------
+
+def _to_signed(value: int) -> int:
+    return value - WORD if value >= WORD // 2 else value
+
+
+_OPERATIONS: Dict[Op, Callable] = {
+    # arithmetic
+    Op.ADD: lambda vm, frame, a, b: (a + b) & _MASK,
+    Op.MUL: lambda vm, frame, a, b: (a * b) & _MASK,
+    Op.SUB: lambda vm, frame, a, b: (a - b) & _MASK,
+    Op.DIV: lambda vm, frame, a, b: 0 if b == 0 else a // b,
+    Op.MOD: lambda vm, frame, a, b: 0 if b == 0 else a % b,
+    Op.ADDMOD: lambda vm, frame, a, b, n: 0 if n == 0 else (a + b) % n,
+    Op.MULMOD: lambda vm, frame, a, b, n: 0 if n == 0 else (a * b) % n,
+    Op.EXP: lambda vm, frame, a, b: pow(a, b, WORD),
+    # comparisons
+    Op.LT: lambda vm, frame, a, b: 1 if a < b else 0,
+    Op.GT: lambda vm, frame, a, b: 1 if a > b else 0,
+    Op.SLT: lambda vm, frame, a, b: 1 if _to_signed(a) < _to_signed(b) else 0,
+    Op.SGT: lambda vm, frame, a, b: 1 if _to_signed(a) > _to_signed(b) else 0,
+    Op.EQ: lambda vm, frame, a, b: 1 if a == b else 0,
+    Op.ISZERO: lambda vm, frame, a: 1 if a == 0 else 0,
+    # bitwise
+    Op.AND: lambda vm, frame, a, b: a & b,
+    Op.OR: lambda vm, frame, a, b: a | b,
+    Op.XOR: lambda vm, frame, a, b: a ^ b,
+    Op.NOT: lambda vm, frame, a: ~a & _MASK,
+    Op.BYTE: lambda vm, frame, index, value: (value >> (8 * (31 - index))) & 0xFF if index < 32 else 0,
+    Op.SHL: lambda vm, frame, shift, value: 0 if shift >= 256 else (value << shift) & _MASK,
+    Op.SHR: lambda vm, frame, shift, value: 0 if shift >= 256 else value >> shift,
+    Op.SHA3: lambda vm, frame, offset, length: (
+        sha256_int("evm-sha3", frame.mslice(offset, length)) & _MASK
+    ),
+    # environment
+    Op.ADDRESS: lambda vm, frame: vm._address_to_word(frame.message.to),
+    Op.BALANCE: lambda vm, frame, word: vm.state.get_balance(vm._word_to_address(word)) & _MASK,
+    Op.ORIGIN: lambda vm, frame: vm._address_to_word(frame.message.origin or frame.message.sender),
+    Op.CALLER: lambda vm, frame: vm._address_to_word(frame.message.sender),
+    Op.CALLVALUE: lambda vm, frame: frame.message.value,
+    Op.CALLDATALOAD: lambda vm, frame, offset: int.from_bytes(
+        frame.message.data[offset : offset + 32].ljust(32, b"\x00"), "big"
+    ),
+    Op.CALLDATASIZE: lambda vm, frame: len(frame.message.data),
+    Op.CODESIZE: lambda vm, frame: len(frame.code),
+    Op.GASPRICE: lambda vm, frame: 1,
+    Op.BLOCKHASH: lambda vm, frame, number: sha256_int("blockhash", number) & _MASK,
+    Op.COINBASE: lambda vm, frame: vm._address_to_word(vm.block.coinbase),
+    Op.TIMESTAMP: lambda vm, frame: vm.block.timestamp,
+    Op.NUMBER: lambda vm, frame: vm.block.number,
+    Op.GASLIMIT: lambda vm, frame: vm.block.gas_limit,
+    # stack, memory, storage
+    Op.POP: lambda vm, frame, a: None,
+    Op.MLOAD: lambda vm, frame, offset: frame.mload(offset),
+    Op.MSTORE: lambda vm, frame, offset, value: frame.mstore(offset, value),
+    Op.MSTORE8: lambda vm, frame, offset, value: frame.mstore8(offset, value),
+    Op.SLOAD: lambda vm, frame, slot: vm.state.storage_load(frame.message.to, slot) & _MASK,
+    Op.SSTORE: lambda vm, frame, slot, value: vm.state.storage_store(frame.message.to, slot, value),
+    Op.MSIZE: lambda vm, frame: len(frame.memory),
+    Op.GAS: lambda vm, frame: frame.gas_remaining,
+    # logs
+    Op.LOG0: lambda vm, frame, offset, length: frame.logs.append(
+        (frame.message.to, (), frame.mslice(offset, length))
+    ),
+    Op.LOG1: lambda vm, frame, offset, length, topic: frame.logs.append(
+        (frame.message.to, (topic,), frame.mslice(offset, length))
+    ),
+}
+
+
+#: ``byte -> (handler, gas, operand)`` for every table opcode, ``None`` for
+#: an invalid byte.  Built at import, so a table opcode with neither a
+#: handler of its own nor an operation of its declared shape fails here
+#: rather than mid-decode.
+_DISPATCH: List = [None] * 256
 for _byte, _info in OPCODES.items():
-    if _info.immediate_bytes or _byte == JUMPDEST_BYTE:
-        continue
-    if Op.DUP1 <= _info.op <= Op.DUP6 or Op.SWAP1 <= _info.op <= Op.SWAP4:
-        continue
-    assert _byte in _HANDLERS, f"missing decoded handler for {_info.op.name}"
+    if _info.op in _OWN:
+        _handler, _operand = _OWN[_info.op]
+    else:
+        _handler = _SHAPES.get((_info.pops, _info.pushes))
+        _operand = _OPERATIONS.get(_info.op)
+        assert _handler is not None and _operand is not None, f"no operation for {_info.op.name}"
+        assert _operand.__code__.co_argcount == 2 + _info.pops, (
+            f"the operation of {_info.op.name} does not pop {_info.pops} words"
+        )
+    _DISPATCH[_byte] = (_handler, _info.gas, _operand)
+assert not _OWN.keys() & _OPERATIONS.keys(), "an opcode has both its own handler and an operation"
+assert _OPERATIONS.keys() <= {info.op for info in OPCODES.values()}, "an operation of no table opcode"

@@ -26,7 +26,7 @@ the shared receipts, not a receipt object per transaction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.crypto.costs import CryptoCosts, DEFAULT_COSTS
 from repro.errors import InvalidTransaction
@@ -146,6 +146,17 @@ class LedgerService(AuthenticatedKVStore):
         entry = self._entry(sequence, operations)
         self.receipts.extend(entry[3])
         return self._apply(sequence, entry)
+
+    def snapshot(self) -> Any:
+        """The store's snapshot plus the receipts (the shared ones, in a list
+        of the snapshot's own)."""
+        snapshot = super().snapshot()
+        snapshot["receipts"] = list(self.receipts)
+        return snapshot
+
+    def restore(self, snapshot: Any) -> None:
+        super().restore(snapshot)
+        self.receipts = list(snapshot["receipts"])
 
     def _run_block(self, operations: Sequence[Operation]) -> Tuple:
         receipts: List[TransactionReceipt] = []

@@ -37,6 +37,7 @@ from repro.adversary.search import (
 from repro.adversary.strategies import PLANTED_WEAK_QUORUM, WeakQuorumConfig
 from repro.core.config import SBFTConfig
 from repro.core.keys import TrustedSetup
+from repro.core.messages import PrePrepare
 from repro.errors import ConfigurationError
 from repro.experiments import harness
 from repro.experiments.harness import run_point
@@ -335,6 +336,28 @@ def test_share_equivocation_detected_and_verified():
     forged = sigma.forge_share(2, message_b)
     records_forged = [(2, 0, Carrier(share_a)), (2, 1, Carrier(forged))]
     assert find_equivocations(records_forged, _verify_keys(seed=3), schemes) == []
+
+
+def test_another_signers_pre_prepare_does_not_hide_the_primarys_equivocation():
+    """A replica's self-signed pre-prepare for the slot, or a copy under the
+    primary's name whose signature does not verify, seen first, is not
+    paired with the primary's and does not mask the primary's own two."""
+    setup = TrustedSetup(SBFTConfig(f=1, c=0), seed=3)
+
+    def pre_prepare(signer, digest, signed_digest=None):
+        signed = ("pre-prepare", 1, 0, signed_digest or digest)
+        signature = setup.replica_keys(signer).signing_key.sign(signed)
+        return PrePrepare(sequence=1, view=0, requests=(), digest=digest, primary_signature=signature)
+
+    equivocation = [(0, 1, pre_prepare(0, "digest-a")), (0, 2, pre_prepare(0, "digest-b"))]
+    for first in (pre_prepare(3, "digest-a"), pre_prepare(3, "digest-b"),
+                  pre_prepare(0, "digest-a", signed_digest="digest-c")):
+        records = [(3, 1, first)] + equivocation
+        evidence = find_equivocations(records, _verify_keys(seed=3), {})
+        assert [(e.kind, e.culprit, e.digest_a, e.digest_b) for e in evidence] == [
+            ("pre-prepare", 0, "digest-a", "digest-b")
+        ]
+        assert verify_evidence(evidence[0], _verify_keys(seed=3))
 
 
 def test_honest_runs_produce_no_evidence():

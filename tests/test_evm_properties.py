@@ -276,15 +276,20 @@ def test_differential_every_opcode_on_an_empty_stack(byte):
 
 
 def test_the_per_opcode_cases_enter_every_decoded_handler():
-    """The cases above compare each handler of the decoded engine on every
-    run; which ones the hypothesis draws reach is left to chance."""
-    handlers = {handler.__name__ for handler in predecode._HANDLERS.values()}
-    handlers |= {"_h_push", "_h_dup", "_h_swap", "_h_jumpdest"}
+    """The cases above enter, on every run, each handler of the decoded
+    engine (its own ones and the stack shapes') and each opcode's operation,
+    a lambda the census cannot name; which ones the hypothesis draws reach
+    is left to chance."""
+    handlers = {handler for handler, _operand in predecode._OWN.values()}
+    handlers |= set(predecode._SHAPES.values())
+    names = {handler.__code__: handler.__name__ for handler in handlers}
+    names.update((operation.__code__, f"operation of {op.name}")
+                 for op, operation in predecode._OPERATIONS.items())
     entered = set()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_name.startswith("_h_"):
-            entered.add(frame.f_code.co_name)
+        if event == "call":
+            entered.add(frame.f_code)
 
     sys.setprofile(profile)
     try:
@@ -293,4 +298,5 @@ def test_the_per_opcode_cases_enter_every_decoded_handler():
                 _compare_engines(_stack_ready_program(byte, operands))
     finally:
         sys.setprofile(None)
-    assert handlers - entered == set()
+    assert len(names) == len(handlers) + len(predecode._OPERATIONS)
+    assert {names[code] for code in names.keys() - entered} == set()

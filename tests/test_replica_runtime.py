@@ -160,6 +160,18 @@ def test_a_future_primarys_flood_of_pre_prepares_keeps_the_buffer_bounded(replic
     assert len(replica._early_pre_prepares) == CONFIG.window + 1
 
 
+def test_a_pre_prepare_past_the_window_leaves_no_slot(replica_cls):
+    """The primary's pre-prepare for a sequence past ``last_stable +
+    window`` is dropped before the log makes a slot for it."""
+    sim, replica, _, _ = _replica(replica_cls, node_id=2)
+    requests = (make_request(1),)
+    sequence = replica.last_stable + CONFIG.window + 1
+    digest = block_digest(sequence, 0, [request.request_id for request in requests])
+    replica._on_pre_prepare(PrePrepare(sequence=sequence, view=0, requests=requests,
+                                       primary_signature=None, digest=digest), src=0)
+    assert replica.log.peek(sequence) is None
+
+
 def test_a_replica_charges_nothing_for_its_own_messages(replica_cls):
     """A message a replica sent itself costs no check, but still takes its
     place in the queue of the message core."""

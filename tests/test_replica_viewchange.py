@@ -128,3 +128,19 @@ def test_recovering_replica_catches_up_via_state_transfer():
     snapshot = source.service.snapshot()
     target.service.restore(snapshot)
     assert target.service.digest() == source.service.digest()
+
+
+def test_entering_a_view_drops_what_was_collected_for_it_in_both_stacks():
+    """After one primary crash every live replica of either stack holds no
+    view-change bucket, and no new-view mark, at or below its view."""
+    for protocol in ("sbft-c0", "pbft"):
+        cluster, result = run_small_cluster(
+            protocol, f=1, requests_per_client=4,
+            fault_plan=FaultPlan.crash_first(1, at_time=0.0),
+            config_overrides={"view_change_timeout": 0.5, "client_retry_timeout": 1.0},
+        )
+        assert result.run.completed_requests == 8 and _max_view(cluster) >= 1
+        for replica in cluster.replicas.values():
+            if not replica.crashed:
+                assert [view for view in replica._view_changes if view <= replica.view] == []
+                assert {view for view in replica._new_view_sent_for if view <= replica.view} == set()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import crash_restart_cluster
 from repro.evm.contracts import counter_contract, encode_call
 from repro.evm.transactions import Transaction
 from repro.services.interface import Operation
@@ -102,6 +103,29 @@ def test_snapshot_restore_roundtrip(ledger):
     other.restore(snapshot)
     assert other.digest() == ledger.digest()
     assert other._world.get_balance(BOB) == ledger._world.get_balance(BOB)
+
+
+def test_a_restored_ledger_holds_the_donors_receipts(ledger):
+    """Receipts travel with the snapshot, in a list of each restored
+    ledger's own."""
+    ledger.execute_block(1, [ledger_operation(Transaction.transfer(ALICE, BOB, 77))])
+    snapshot = ledger.snapshot()
+    restored = [LedgerService(), LedgerService()]
+    for other in restored:
+        other.restore(snapshot)
+        assert other.receipts == ledger.receipts and len(other.receipts) == 1
+    restored[0].execute_block(2, [ledger_operation(Transaction.transfer(BOB, ALICE, 5))])
+    assert len(restored[1].receipts) == len(ledger.receipts) == 1
+
+
+def test_the_crash_restart_replica_holds_its_peers_receipts():
+    """On the fault sweep's crash-restart plan the replica restored by state
+    transfer ends with the receipts its peers hold."""
+    cluster, workload, max_sim_time = crash_restart_cluster("ledger")
+    cluster.run(workload, max_sim_time=max_sim_time)
+    assert cluster.replicas[3].stats["state_transfers"]
+    receipts = {len(replica.service.receipts) for replica in cluster.replicas.values()}
+    assert len(receipts) == 1
 
 
 def test_failed_transaction_reported_not_raised(ledger):
