@@ -5,10 +5,10 @@ sequence number: the accepted pre-prepare, signature shares collected when the
 replica acts as a C-/E-collector (a :class:`Tally` allocated by the first
 share filed), the fast/slow commit certificates, execution results and the
 execution certificate.  :class:`ReplicaLog` is the window of
-slots between the last stable sequence number and ``ls + win``; it is shared
-by both protocols and creates slots of whatever type the replica names (the
-runtime needs ``sequence``, ``pre_prepare``, ``digest``, ``committed``,
-``executed``, ``execution_results`` and ``state_digest`` on a slot).
+slots above the replica's stable point; it is shared by both protocols and
+creates slots of whatever type the replica names (the runtime needs
+``sequence``, ``pre_prepare``, ``digest``, ``committed``, ``executed``,
+``execution_results`` and ``state_digest`` on a slot).
 """
 
 from __future__ import annotations
@@ -107,18 +107,28 @@ class SlotState:
 
 
 class ReplicaLog:
-    """The sliding window of slots a replica keeps in memory."""
+    """The window of slots a replica keeps in memory.
+
+    ``low`` is the low-water mark: every slot at or below it has been
+    collected (:meth:`collect`) except the few the replica still holds, and
+    :meth:`slot` creates none there.
+    """
 
     def __init__(self, window: int, slot_factory: Callable[[int], Any]):
         self.window = window
         self._slot_factory = slot_factory
         self._slots: Dict[int, Any] = {}
+        self.low = 0
+        # Sequences at or below ``low`` whose slot is still held.
+        self._held: List[int] = []
 
-    def slot(self, sequence: int) -> Any:
-        """Get (or create) the slot for a sequence number."""
-        if sequence not in self._slots:
-            self._slots[sequence] = self._slot_factory(sequence)
-        return self._slots[sequence]
+    def slot(self, sequence: int) -> Optional[Any]:
+        """The slot for a sequence number, created if need be; ``None`` for a
+        collected one (at or below ``low`` and not held)."""
+        slot = self._slots.get(sequence)
+        if slot is None and sequence > self.low:
+            slot = self._slots[sequence] = self._slot_factory(sequence)
+        return slot
 
     def peek(self, sequence: int) -> Optional[Any]:
         """Slot if it exists, without creating it."""
@@ -128,12 +138,24 @@ class ReplicaLog:
         """Every slot held, in sequence order."""
         return [self._slots[sequence] for sequence in sorted(self._slots)]
 
-    def garbage_collect(self, stable_sequence: int) -> int:
-        """Drop slots at or below the stable sequence number; returns count."""
-        stale = [s for s in self._slots if s <= stable_sequence]
-        for sequence in stale:
-            del self._slots[sequence]
-        return len(stale)
+    def collect(self, up_to: int, horizon: int, holds: Callable[[Any], bool]) -> int:
+        """Raise ``low`` to ``up_to`` and drop every slot at or below it that
+        ``holds(slot)`` does not keep (those held earlier are asked again),
+        and every one at or below ``horizon`` whatever it says.  Returns the
+        sequence at or below which no slot is left."""
+        slots = self._slots
+        held = []
+        for sequence in self._held + list(range(self.low + 1, up_to + 1)):
+            slot = slots.get(sequence)
+            if slot is None:
+                continue
+            if sequence > horizon and holds(slot):
+                held.append(sequence)
+            else:
+                del slots[sequence]
+        self.low = max(self.low, up_to)
+        self._held = held
+        return held[0] - 1 if held else self.low
 
     def in_window(self, sequence: int, last_stable: int) -> bool:
         """Is ``sequence`` within (ls, ls + win]? (Section V-C acceptance rule.)"""

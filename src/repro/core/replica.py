@@ -364,6 +364,8 @@ class SBFTReplica(Replica):
         if not self._is_c_collector(message.sequence, message.view):
             return
         slot = self.log.slot(message.sequence)
+        if slot is None:
+            return
         shares = slot.shares
         if shares is None:
             shares = slot.shares = Tally()
@@ -426,7 +428,7 @@ class SBFTReplica(Replica):
 
     def _on_full_commit_proof(self, message: FullCommitProof, src: int) -> None:
         slot = self.log.slot(message.sequence)
-        if slot.committed:
+        if slot is None or slot.committed:
             return
         sign_message = ("sign", message.sequence, message.view, message.digest)
         if not self.keys.sigma.verify_message(message.sigma_signature, sign_message):
@@ -442,7 +444,7 @@ class SBFTReplica(Replica):
         if message.view != self.view:
             return
         slot = self.log.slot(message.sequence)
-        if slot.commit_sent or slot.committed:
+        if slot is None or slot.commit_sent or slot.committed:
             return
         sign_message = ("sign", message.sequence, message.view, message.digest)
         if not self.keys.tau.verify_message(message.tau_signature, sign_message):
@@ -469,7 +471,7 @@ class SBFTReplica(Replica):
         if not self._is_c_collector(message.sequence, message.view):
             return
         slot = self.log.slot(message.sequence)
-        if slot.slow_proof_sent:
+        if slot is None or slot.slow_proof_sent:
             return
         shares = slot.shares
         if shares is None:
@@ -490,7 +492,7 @@ class SBFTReplica(Replica):
 
     def _on_full_commit_proof_slow(self, message: FullCommitProofSlow, src: int) -> None:
         slot = self.log.slot(message.sequence)
-        if slot.committed:
+        if slot is None or slot.committed:
             return
         commit_message = ("commit", message.sequence, message.view, message.digest)
         if not self.keys.tau.verify_message(message.tau_tau_signature, commit_message):
@@ -560,6 +562,8 @@ class SBFTReplica(Replica):
         if not self._is_e_collector(message.sequence):
             return
         slot = self.log.slot(message.sequence)
+        if slot is None:
+            return
         # Once the slot has its π proof (its own or a peer's), no share counts.
         if slot.execute_proof is None:
             shares = slot.shares
@@ -578,6 +582,8 @@ class SBFTReplica(Replica):
 
     def _on_full_execute_proof(self, message: FullExecuteProof, src: int) -> None:
         slot = self.log.slot(message.sequence)
+        if slot is None:
+            return
         sign_message = ("state", message.sequence, message.state_digest)
         if not self.keys.pi.verify_message(message.pi_signature, sign_message):
             return
@@ -653,6 +659,8 @@ class SBFTReplica(Replica):
         self._broadcast(message)
 
     def _on_checkpoint(self, message: CheckpointMsg, src: int) -> None:
+        if message.sequence <= self.log.low:   # collected, so long stable
+            return
         signed = ("checkpoint", message.sequence, message.state_digest)
         shares = self._checkpoint_shares.get(message.sequence)
         if shares is None:
@@ -679,14 +687,29 @@ class SBFTReplica(Replica):
     def _advance_stable(self, sequence: int) -> None:
         if sequence > self.last_stable:
             self.last_stable = sequence
-        collect_up_to = min(self.last_stable, self.last_executed) - self.config.window
-        if collect_up_to > 0:
-            self.log.garbage_collect(collect_up_to)
-            stale_checkpoints = [s for s in self._checkpoint_shares if s <= collect_up_to]
-            for stale in stale_checkpoints:
-                del self._checkpoint_shares[stale]
-            for key in [key for key in self._valid_prefix if key[1][1] <= collect_up_to]:
-                del self._valid_prefix[key]  # key[1] is the signed tuple, [1] its sequence
+        self._collect()
+
+    def _holds(self, slot: SlotState) -> bool:
+        """A collector keeps a slot past the stable point while a late share
+        could still make it send something: an E-collector until its acks
+        are out (or, short of executing the block, its π proof), a
+        C-collector on the slow path until its τ(τ) proof is."""
+        sequence = slot.sequence
+        return (
+            self.config.execution_collectors_enabled and not slot.acks_sent
+            and (slot.executed or slot.execute_proof is None) and self._is_e_collector(sequence)
+        ) or (
+            (slot.prepare_sent or slot.commit_sent) and not slot.slow_proof_sent
+            and self._is_c_collector(sequence)
+        )
+
+    def _collected(self, up_to: int) -> None:
+        for sequence in [s for s in self._checkpoint_shares if s <= up_to]:
+            del self._checkpoint_shares[sequence]
+        # key[1] is the signed tuple, [1] its sequence; a held slot's buckets stay.
+        for key in [key for key in self._valid_prefix
+                    if key[1][1] <= up_to and self.log.peek(key[1][1]) is None]:
+            del self._valid_prefix[key]
 
     # ==================================================================
     # View change (Section V-G)
@@ -776,6 +799,8 @@ class SBFTReplica(Replica):
             slot = self.log.slot(sequence)
             max_decided = max(max_decided, sequence)
             if decision.action == ACTION_COMMIT:
+                if slot is None:   # collected here: committed and executed long ago
+                    continue
                 if decision.requests is not None and slot.pre_prepare is None:
                     slot.pre_prepare = PrePrepare(
                         sequence=sequence,

@@ -15,8 +15,9 @@ Subclass contract: after ``super().__init__`` set ``log`` (a
 and the complete ``_handlers`` / ``_cost_table`` dict literals; define a
 two-line ``on_message`` of your own (the benchmark counts handled messages
 per protocol by that method's code object) and ``_new_view_quorum``;
-implement ``build_view_change``, ``_new_view`` and ``_after_execute``;
-override the hooks at the bottom of the class where the protocol differs.
+implement ``build_view_change``, ``_new_view``, ``_after_execute`` and the
+two halves of ``_collect`` (``_holds``, ``_collected``); override the hooks
+at the bottom of the class where the protocol differs.
 docs/architecture.md ("Replica runtime") lists every such point and why it
 exists.
 
@@ -549,6 +550,25 @@ class Replica(Process):
         self._try_execute()
 
     # ==================================================================
+    # Garbage collection at the stable point (Section V-F)
+    # ==================================================================
+    def _collect(self) -> None:
+        """The one GC point, run whenever the stable point may have moved:
+        forget every sequence below ``stable = min(last_stable,
+        last_executed)`` — its log slot, its journal block and the protocol's
+        per-sequence tallies (``_collected``).  The slot at ``stable`` stays
+        (a view change and a state-transfer answer read it), and so does any
+        slot less than a window below it that the protocol ``_holds``, with
+        every journal block from it on (``prove`` reads them).  A message
+        for a collected sequence finds no slot and is dropped where a
+        finished slot would have ignored it."""
+        stable = min(self.last_stable, self.last_executed)
+        if stable - 1 <= self.log.low:
+            return
+        self.service.prune(self.log.collect(stable - 1, stable - self.config.window, self._holds))
+        self._collected(stable - 1)
+
+    # ==================================================================
     # View-change timer (what a view change carries is the protocol's)
     # ==================================================================
     def _view_change_timeout(self) -> float:
@@ -693,3 +713,12 @@ class Replica(Process):
         self._batch_timer = None
         self._view_change_timer = None
         self._view_change_attempts = 0
+
+    def _holds(self, slot: Any) -> bool:
+        """Is ``slot``, below the stable point but inside the window, still
+        kept (``_collect``)?"""
+        raise NotImplementedError
+
+    def _collected(self, up_to: int) -> None:
+        """Drop the protocol's per-sequence state at or below ``up_to``."""
+        raise NotImplementedError

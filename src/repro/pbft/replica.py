@@ -188,6 +188,8 @@ class PBFTReplica(Replica):
         ):
             return
         slot = self.log.slot(message.sequence)
+        if slot is None:
+            return
         slot.prepares.add(message.digest, message.replica_id)
         self._check_prepared(slot)
 
@@ -219,6 +221,8 @@ class PBFTReplica(Replica):
         ):
             return
         slot = self.log.slot(message.sequence)
+        if slot is None:
+            return
         slot.commits.add(message.digest, message.replica_id)
         self._check_committed(slot)
 
@@ -258,6 +262,8 @@ class PBFTReplica(Replica):
             ("checkpoint", message.sequence, message.state_digest), message.signature
         ):
             return
+        if message.sequence <= self.log.low:   # collected, so long stable
+            return
         votes = self._checkpoints.get(message.sequence)
         if votes is None:
             votes = self._checkpoints[message.sequence] = Tally()
@@ -268,11 +274,7 @@ class PBFTReplica(Replica):
         ):
             votes.close(message.state_digest)
             self.last_stable = message.sequence
-            collect_up_to = min(self.last_stable, self.last_executed) - self.config.window
-            self.log.garbage_collect(collect_up_to)
-            stale_votes = [s for s in self._checkpoints if s <= collect_up_to]
-            for sequence in stale_votes:
-                del self._checkpoints[sequence]
+            self._collect()
         # Catch-up trigger: a replica this far behind a peer's checkpoint
         # cannot close the gap from its own log (the missed pre-prepares are
         # gone, e.g. after the simplified view change wiped in-flight slots)
@@ -341,3 +343,13 @@ class PBFTReplica(Replica):
     def _forwards_request_from(self, src: int) -> bool:
         # A backup relays every request to its primary, whoever delivered it.
         return True
+
+    def _holds(self, slot: _PbftSlot) -> bool:
+        # A view change carries every prepared slot the log holds, stable or
+        # not (``build_view_change``), and its size is part of the fixed-seed
+        # contract: the window below the stable point stays.
+        return True
+
+    def _collected(self, up_to: int) -> None:
+        for sequence in [s for s in self._checkpoints if s <= up_to]:
+            del self._checkpoints[sequence]

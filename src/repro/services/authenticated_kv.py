@@ -24,10 +24,17 @@ A proof for operation ``l`` of block ``s`` is the entry's Merkle path inside
 ``H(d_{s-1} || s || root)`` and compares with ``d_s``.  Proofs therefore stay
 valid no matter how many blocks execute afterwards — exactly what the
 execute-ack needs, since the π certificate is over ``d_s``.
+
+The journal keeps only what a proof can still be asked for: the replica
+prunes it at its stable point (:meth:`prune`), and what remains hangs from
+the prune point, its *anchor* ``(sequence, d_sequence)``.  A snapshot ships
+the anchor, the number of blocks the chain held there and the blocks above
+it, and a restore replays them from there.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import weakref
 from dataclasses import field
@@ -133,6 +140,11 @@ class AuthenticatedKVStore(AuthenticatedService):
         self._prev_digest: Dict[int, str] = {}
         self._digest_at: Dict[int, str] = {}
         self._block_order: List[int] = []
+        # The prune point ``(sequence, chain digest there)``: every journaled
+        # block above it is held (and a few this store journaled itself below
+        # it, see ``restore``).  ``_journaled`` counts the chain's blocks.
+        self._anchor: Tuple[int, str] = (0, GENESIS_DIGEST)
+        self._journaled = 0
         # Execution-cache state fingerprint: ``(contents digest, chain digest
         # at computation time)``.  The chain digest covers every journaled
         # block after it; the anchor pins *when* the contents were
@@ -265,22 +277,40 @@ class AuthenticatedKVStore(AuthenticatedService):
         self._chain_digest = new_digest
         self._digest_at[sequence] = new_digest
         self._block_order.append(sequence)
+        self._journaled += 1
+
+    def prune(self, up_to: int) -> None:
+        """Forget the journal's blocks at or below ``up_to``: no proof of
+        them will be asked for.  The last one forgotten above the anchor
+        becomes the anchor."""
+        order = self._block_order
+        cut = bisect.bisect_right(order, up_to)
+        if cut == 0:
+            return
+        for sequence in order[:cut]:
+            del self._journal_results[sequence], self._journal_trees[sequence], self._prev_digest[sequence]
+            digest = self._digest_at.pop(sequence)
+        if sequence > self._anchor[0]:
+            self._anchor = (sequence, digest)
+        del order[:cut]
 
     def snapshot(self) -> Any:
         # The leaf tuples hold only ints and strs: shipped as they are.  The
         # fingerprint travels too (None if a direct write voided it), so a
         # restored store keys its state exactly as the donor and its peers do.
         store = self._store
+        above = self._block_order[bisect.bisect_right(self._block_order, self._anchor[0]):]
         return {
             "fingerprint": None if store.written_directly else self._state_fingerprint,
             "data": store.snapshot(),
+            "anchor": (*self._anchor, self._journaled - len(above)),
             "blocks": [
                 {
                     "sequence": sequence,
                     "leaves": self._journal_trees[sequence].leaves,
                     "results": copy.deepcopy(self._journal_results[sequence]),
                 }
-                for sequence in self._block_order
+                for sequence in above
             ],
         }
 
@@ -293,12 +323,17 @@ class AuthenticatedKVStore(AuthenticatedService):
         store.restore(snapshot["data"])
         self._state_fingerprint = snapshot["fingerprint"]
         store.written_directly = self._state_fingerprint is None
-        self._chain_digest = GENESIS_DIGEST
-        self._journal_results = {}
-        self._journal_trees = {}
-        self._prev_digest = {}
-        self._digest_at = {}
-        self._block_order = []
+        # The chain restarts at the donor's anchor.  Blocks this store
+        # journaled itself at or below it stay until pruned: an E-collector
+        # may still owe acks for one, and the chain agrees there.
+        anchor, self._chain_digest, self._journaled = snapshot["anchor"]
+        self._anchor = (anchor, self._chain_digest)
+        order = self._block_order
+        cut = bisect.bisect_right(order, anchor)
+        for sequence in order[cut:]:
+            del self._journal_results[sequence], self._journal_trees[sequence]
+            del self._prev_digest[sequence], self._digest_at[sequence]
+        del order[cut:]
         for block in snapshot["blocks"]:
             sequence = block["sequence"]
             tree = MerkleTree(block["leaves"])

@@ -147,6 +147,10 @@ class AuthenticatedService(ReplicatedService):
         executed with its recorded result (``P = proof(o, l, s, D, val)``)."""
         raise NotImplementedError
 
+    def prune(self, up_to: int) -> None:
+        """Forget what only proofs of blocks at or below ``up_to`` need."""
+        raise NotImplementedError
+
     def verify(
         self,
         digest: str,

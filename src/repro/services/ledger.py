@@ -60,9 +60,9 @@ class LedgerService(AuthenticatedKVStore):
 
     @property
     def _block_number(self) -> int:
-        """Blocks executed so far: one per journaled block, so the chain
-        digest implies it."""
-        return len(self._block_order)
+        """Blocks executed so far: one per block the chain holds, pruned or
+        not, so the chain digest implies it."""
+        return self._journaled
 
     # ------------------------------------------------------------------
     # Direct (unreplicated) access — used by workload setup and examples

@@ -53,7 +53,8 @@ def run_small_cluster(
     """Build and run a small cluster; returns (cluster, result).
     ``post_build(cluster)`` runs once everything is wired and before the first
     event — ``post_build=unshare`` is the same run with nothing shared;
-    ``sanitize=True`` puts the decision-hash chain on the result."""
+    ``sanitize=True`` puts the decision-hash chain on the result.  Every
+    replica's executions are recorded (:func:`record_executions`)."""
     overrides = {
         "fast_path_timeout": 0.05,
         "batch_timeout": 0.01,
@@ -72,7 +73,13 @@ def run_small_cluster(
         fault_plan=fault_plan,
         config_overrides=overrides,
     )
-    cluster.post_build = post_build
+
+    def wired(cluster):
+        record_executions(cluster)
+        if post_build is not None:
+            post_build(cluster)
+
+    cluster.post_build = wired
     workload = KVWorkload(requests_per_client=requests_per_client, batch_size=kv_batch, seed=seed + 1)
     result = cluster.run(workload, max_sim_time=max_sim_time, sanitize=sanitize)
     return cluster, result
@@ -146,18 +153,40 @@ def execute_everywhere(monkeypatch):
     monkeypatch.setattr(execution_cache, "lookup", lambda operations, state_key: None)
 
 
+def on_execute(cluster, callback):
+    """``Cluster.post_build`` helper: ``callback(replica, sequence, digest)``
+    runs after each block a replica executes, on its way to the agreement
+    monitor, while the block's log slot and journal entry still exist (the
+    stable point collects both soon after)."""
+    for replica in cluster.replicas.values():
+        def observe(node_id, sequence, digest, replica=replica, monitor=replica.execution_observer):
+            callback(replica, sequence, digest)
+            monitor(node_id, sequence, digest)
+
+        replica.execution_observer = observe
+
+
+def record_executions(cluster):
+    """``Cluster.post_build`` hook: every block each replica executes, as
+    ``(sequence, block digest)`` in execution order, is appended to
+    ``cluster.executions[replica_id]``."""
+    cluster.executions = {replica_id: [] for replica_id in cluster.replicas}
+
+    def record(replica, sequence, digest):
+        cluster.executions[replica.node_id].append((sequence, digest))
+
+    on_execute(cluster, record)
+
+
 def executed_histories(cluster):
-    """Per-replica executed history: list of (sequence, digest) for the
-    committed slots a non-crashed replica still holds (the golden runs'
-    record of what each replica decided)."""
-    histories = {}
-    for replica_id, replica in cluster.replicas.items():
-        if replica.crashed:
-            continue
-        histories[replica_id] = [
-            (slot.sequence, slot.digest) for slot in replica.log.slots() if slot.executed
-        ]
-    return histories
+    """Per-replica executed history of a cluster run with
+    :func:`record_executions`: the ``(sequence, digest)`` of every block a
+    non-crashed replica executed (the golden runs' record of what each
+    replica decided)."""
+    return {
+        replica_id: list(cluster.executions[replica_id])
+        for replica_id, replica in cluster.replicas.items() if not replica.crashed
+    }
 
 
 def assert_agreement(cluster):

@@ -45,9 +45,25 @@ def _state(tally):
     return {value: "closed" if bucket is CLOSED else list(bucket) for value, bucket in tally.items()}
 
 
-def _buckets(replica):
-    """``(slot, value, bucket)`` for every bucket the replica's slots hold."""
-    for slot in replica.log.slots():
+def keep_every_slot(cluster):
+    """``Cluster.post_build`` hook: every slot a replica's log creates is
+    also kept in ``cluster.slots_made[node]``, the ones the stable point
+    has collected since included."""
+    cluster.slots_made = {}
+    for node, replica in cluster.replicas.items():
+        made = cluster.slots_made[node] = []
+
+        def factory(sequence, make=replica.log._slot_factory, made=made):
+            made.append(make(sequence))
+            return made[-1]
+
+        replica.log._slot_factory = factory
+
+
+def _buckets(cluster, node):
+    """``(slot, value, bucket)`` for every bucket of every slot the replica made."""
+    replica = cluster.replicas[node]
+    for slot in cluster.slots_made[node]:
         tallies = (slot.prepares, slot.commits) if isinstance(replica, PBFTReplica) else (slot.shares or {},)
         for tally in tallies:
             for value, bucket in tally.items():
@@ -57,10 +73,11 @@ def _buckets(replica):
 @pytest.mark.parametrize("protocol, f", [("pbft", 1), ("sbft-c0", 1), ("sbft-c8", 2)])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_no_committed_slot_keeps_a_share_or_vote(protocol, f, seed):
-    cluster, result = run_small_cluster(protocol, f=f, topology="continent", seed=seed)
+    cluster, result = run_small_cluster(protocol, f=f, topology="continent", seed=seed,
+                                        post_build=keep_every_slot)
     assert result.run.completed_requests == 12
     cluster.sim.run(until=cluster.sim.now + 2.0)   # the shares still in flight land
-    buckets = [(node, *entry) for node, replica in cluster.replicas.items() for entry in _buckets(replica)]
+    buckets = [(node, *entry) for node in cluster.replicas for entry in _buckets(cluster, node)]
     assert [(node, slot.sequence, value) for node, slot, value, bucket in buckets
             if slot.committed and bucket is not CLOSED] == []
     assert buckets
@@ -68,11 +85,12 @@ def test_no_committed_slot_keeps_a_share_or_vote(protocol, f, seed):
 
 @pytest.mark.parametrize("protocol, f", [("sbft-c0", 1), ("sbft-c8", 2)])
 def test_a_replica_outside_a_slots_collectors_holds_no_tally_for_it(protocol, f):
-    cluster, _result = run_small_cluster(protocol, f=f, topology="continent", seed=1)
+    cluster, _result = run_small_cluster(protocol, f=f, topology="continent", seed=1,
+                                         post_build=keep_every_slot)
     outsiders = collectors = 0
     for node, replica in cluster.replicas.items():
         assert replica.view == 0
-        for slot in replica.log.slots():
+        for slot in cluster.slots_made[node]:
             group = replica._c_collectors(slot.sequence, 0) + replica._e_collectors(slot.sequence, 0)
             if node in group:
                 collectors += slot.shares is not None

@@ -158,6 +158,15 @@ def test_log_garbage_collection():
     log = ReplicaLog(8, SlotState)
     for sequence in range(1, 11):
         log.slot(sequence)
-    removed = log.garbage_collect(stable_sequence=5)
-    assert removed == 5
-    assert [slot.sequence for slot in log.slots()] == [6, 7, 8, 9, 10]
+    held = {3, 4}
+    # Everything at or below 5 goes but what is held above the horizon (3).
+    assert log.collect(5, 3, lambda slot: slot.sequence in held) == 3
+    assert [slot.sequence for slot in log.slots()] == [4, 6, 7, 8, 9, 10]
+    assert log.low == 5
+    # Below the mark nothing is created again; a held slot is still found.
+    assert log.slot(2) is None and log.slot(5) is None and log.peek(5) is None
+    assert log.slot(4) is log.peek(4)
+    # Held slots are asked again at the next collection.
+    held.clear()
+    assert log.collect(6, 0, lambda slot: slot.sequence in held) == 6
+    assert [slot.sequence for slot in log.slots()] == [7, 8, 9, 10]

@@ -13,7 +13,7 @@ quorum is counted on.
 
 from hypothesis import given, strategies as st
 
-from helpers import assert_agreement, make_bare_replica, make_request, run_small_cluster
+from helpers import assert_agreement, make_bare_replica, make_request, on_execute, run_small_cluster
 from repro.core.config import SBFTConfig
 from repro.core.log import CLOSED, Tally
 from repro.core.messages import (
@@ -214,11 +214,17 @@ def test_crash_restart_leaves_degraded_mode():
     plan = FaultPlan.crash_first(1, at_time=0.5, node_ids=[3]).extend(
         FaultPlan.restart([3], at_time=2.0))
     to_clients = []
+    slow = []   # the primary's slow-path commits, read as each block executes
+
+    def note_slow(replica, sequence, digest):
+        if replica.node_id == 0 and not replica.log.peek(sequence).committed_via_fast_path:
+            slow.append(sequence)
 
     def tap_client_traffic(cluster):
         cluster.network.add_tap(
             lambda src, dst, m: isinstance(m, (ClientReply, ExecuteAck))
             and to_clients.append((cluster.sim.now, type(m))))
+        on_execute(cluster, note_slow)
 
     cluster, result = run_small_cluster(
         "sbft-c0", f=1, num_clients=6, requests_per_client=24, topology="continent",
@@ -231,8 +237,6 @@ def test_crash_restart_leaves_degraded_mode():
     # One stretch of slow commits, answered directly from its third block on;
     # every block after it is fast and answered by execute-acks again (the few
     # signed replies left are the existing answers to forwarded requests).
-    slow = [slot.sequence for slot in primary.log.slots()
-            if slot.committed and not slot.committed_via_fast_path]
     assert slow == list(range(slow[0], slow[-1] + 1)) and slow[-1] < primary.last_executed - 50
     assert 10 < primary.stats["blocks_replied_directly"] <= len(slow)
     degraded = [cls for t, cls in to_clients if 1.0 < t < 2.0]

@@ -27,7 +27,7 @@ import random
 
 import pytest
 
-from helpers import assert_agreement, executed_histories, run_small_cluster
+from helpers import assert_agreement, executed_histories, record_executions, run_small_cluster
 from repro.sim.events import Simulator
 from repro.sim.latency import RegionLatency, UniformLatency
 from repro.sim.network import Network
@@ -551,6 +551,7 @@ def test_fixed_seed_cluster_runs_identical_under_network_faults(faults):
             },
         )
         workload = KVWorkload(requests_per_client=4, batch_size=2, seed=24)
+        cluster.post_build = record_executions
         cluster._build(workload)
         if faults == "down-link":
             cluster.network.set_link_down(1, 3)

@@ -340,6 +340,8 @@ HOOKS = {
     "_after_batch_timeout",
     "_execution_proof",
     "_forget_timer_handles",
+    "_holds",
+    "_collected",
 }
 
 #: Named in the extraction's contract; listed so a rename cannot slip past.

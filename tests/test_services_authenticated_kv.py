@@ -241,6 +241,51 @@ def test_snapshot_restore_preserves_digest_chain_and_proofs():
     assert fresh.verify(fresh._digest_at[1], ops[0], results[0].value, 1, 0, proof)
 
 
+def test_a_pruned_journal_ships_its_anchor_and_restores_from_there():
+    """``prune`` forgets blocks at or below the point; the snapshot ships
+    the anchor (sequence, chain digest, blocks journaled by then) and the
+    blocks above it, and a restore replays them from the anchor."""
+    store = AuthenticatedKVStore()
+    blocks = {sequence: _block(store, sequence, [(f"k{sequence}", sequence)]) for sequence in range(1, 6)}
+    d3 = store._digest_at[3]
+    store.prune(3)
+    assert store._block_order == [4, 5] and store._journaled == 5
+    with pytest.raises(InvalidProof):
+        store.prove(3, 0)
+    snapshot = store.snapshot()
+    assert snapshot["anchor"] == (3, d3, 3)
+    assert [block["sequence"] for block in snapshot["blocks"]] == [4, 5]
+
+    fresh = AuthenticatedKVStore()
+    fresh.restore(snapshot)
+    assert fresh.digest() == store.digest() and fresh._journaled == 5
+    assert fresh.snapshot() == snapshot
+    ops, results = blocks[5]
+    assert fresh.verify(fresh._digest_at[5], ops[0], results[0].value, 5, 0, fresh.prove(5, 0))
+    # The restored store journals on from the donor's chain.
+    _block(fresh, 6, [("k6", 6)])
+    _block(store, 6, [("k6", 6)])
+    assert fresh.digest() == store.digest()
+
+
+def test_a_restore_keeps_the_blocks_this_store_journaled_below_the_anchor():
+    """An E-collector may still owe acks for a block the donor has pruned:
+    its own journal block stays, and proves, until its own prune."""
+    donor, behind = AuthenticatedKVStore(), AuthenticatedKVStore()
+    for sequence in range(1, 6):
+        ops, results = _block(donor, sequence, [(f"k{sequence}", sequence)])
+        if sequence <= 3:
+            _block(behind, sequence, [(f"k{sequence}", sequence)])
+    donor.prune(3)
+    behind.restore(donor.snapshot())
+    assert behind._block_order == [1, 2, 3, 4, 5] and behind.digest() == donor.digest()
+    ops, results = _block(AuthenticatedKVStore(), 1, [("k1", 1)])
+    assert behind.verify(behind._digest_at[1], ops[0], results[0].value, 1, 0, behind.prove(1, 0))
+    behind.prune(2)
+    assert behind._block_order == [3, 4, 5]
+    assert behind.snapshot()["anchor"] == donor.snapshot()["anchor"]
+
+
 def test_journal_record_with_external_results():
     """A block's journal record commits to whatever results it is given."""
     store = AuthenticatedKVStore()

@@ -105,6 +105,18 @@ def test_snapshot_restore_roundtrip(ledger):
     assert other._world.get_balance(BOB) == ledger._world.get_balance(BOB)
 
 
+def test_the_block_number_survives_a_prune_and_a_restore(ledger):
+    """EVM ``NUMBER`` counts every block the chain holds, pruned or not."""
+    for sequence in (1, 2, 3):
+        ledger.execute_block(sequence, [ledger_operation(Transaction.transfer(ALICE, BOB, sequence))])
+    assert ledger._block_number == 3
+    ledger.prune(2)
+    assert ledger._block_number == 3 and ledger._block_order == [3]
+    other = LedgerService()
+    other.restore(ledger.snapshot())
+    assert other._block_number == 3 and other.digest() == ledger.digest()
+
+
 def test_a_restored_ledger_holds_the_donors_receipts(ledger):
     """Receipts travel with the snapshot, in a list of each restored
     ledger's own."""
