@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import attach_rows
 from repro.crypto.costs import DEFAULT_COSTS
 from repro.crypto.hashing import sha256_hex, sha256_int
 from repro.crypto.merkle import MerkleTree
@@ -20,10 +19,18 @@ from repro.crypto.threshold import ThresholdDealer
 from repro.evm.contracts import encode_call, token_contract
 from repro.evm.state import WorldState
 from repro.evm.transactions import Transaction, apply_transaction
+from repro.experiments.harness import format_table
 
 N_REPLICAS = 25          # f=8, c=0
 SIGMA_THRESHOLD = 25
 TAU_THRESHOLD = 17
+
+
+def attach_rows(benchmark, rows):
+    """Record result rows on the benchmark and print them for the log."""
+    benchmark.extra_info["rows"] = rows
+    print()
+    print(format_table(rows))
 
 
 @pytest.fixture(scope="module")

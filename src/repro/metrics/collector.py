@@ -16,7 +16,7 @@ before/during/after-fault phases for aggregate comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 
@@ -204,7 +204,6 @@ class RunResult:
     p99_latency: float = 0.0         # seconds
     messages_sent: int = 0
     bytes_sent: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)
     # Optional windowed view of the run (performance-under-failure sweeps).
     timeline: Optional[Timeline] = None
     phases: Optional[Dict[str, Dict[str, float]]] = None
@@ -219,7 +218,7 @@ class RunResult:
 
     def as_row(self) -> Dict[str, float]:
         """Flat dictionary used by the benchmark tables."""
-        row = {
+        return {
             "label": self.label,
             "throughput_ops": round(self.throughput, 2),
             "mean_latency_ms": round(self.mean_latency_ms, 2),
@@ -229,5 +228,3 @@ class RunResult:
             "messages_sent": self.messages_sent,
             "bytes_sent": self.bytes_sent,
         }
-        row.update(self.extra)
-        return row

@@ -62,7 +62,7 @@ class ClusterResult:
     decision_hash: Optional[str] = None
     decision_trace: Optional[List[Tuple]] = None
 
-    # Convenience pass-throughs used all over the benchmarks.
+    # Pass-throughs to ``run`` for the examples, the perf workers and tests.
     @property
     def throughput(self) -> float:
         return self.run.throughput

@@ -33,9 +33,8 @@ FAULT_KINDS = (
     "slow",        # multiply the speed factor of every core of the replica
     "byzantine",   # hand the replica to the adversary (``FaultSpec.behaviour``)
     "partition",   # take down the links between the replica and ``peers``
-    "isolate",     # drop all traffic to and from the replica
     "restart",     # recover a crashed replica (rejoin + state transfer)
-    "heal",        # undo slow/partition/isolate faults on the replica
+    "heal",        # undo slow/partition faults on the replica
 )
 
 
@@ -133,10 +132,6 @@ class FaultPlan:
         ])
 
     @classmethod
-    def isolate(cls, node_ids: Iterable[int], at_time: float = 0.0) -> "FaultPlan":
-        return cls([FaultSpec(replica_id=i, kind="isolate", at_time=at_time) for i in node_ids])
-
-    @classmethod
     def restart(cls, node_ids: Iterable[int], at_time: float = 0.0) -> "FaultPlan":
         return cls([FaultSpec(replica_id=i, kind="restart", at_time=at_time) for i in node_ids])
 
@@ -153,7 +148,7 @@ class FaultPlan:
 
 #: Fault kinds that need access to the network fabric (``heal`` does not:
 #: without a network it still restores CPU speed factors).
-_NETWORK_KINDS = frozenset({"partition", "isolate"})
+_NETWORK_KINDS = frozenset({"partition"})
 
 
 class FaultInjector:
@@ -202,8 +197,6 @@ class FaultInjector:
                 self.network.set_link_down(spec.replica_id, peer)
                 self.network.set_link_down(peer, spec.replica_id)
                 downed.add(peer)
-        elif spec.kind == "isolate":
-            self.network.isolate(spec.replica_id)
         elif spec.kind == "restart":
             rejoin = getattr(replica, "rejoin", None)
             if rejoin is not None:
@@ -217,14 +210,12 @@ class FaultInjector:
         self.applied.append(spec)
 
     def _heal(self, replica_id: int) -> None:
-        """Undo slow/partition/isolate effects this injector put on a replica."""
+        """Undo slow/partition effects this injector put on a replica."""
         replica = self.replicas[replica_id]
         original = self._original_speed.pop(replica_id, None)
         if original is not None:
             for core, speed_factor in zip(replica.cores, original):
                 core.speed_factor = speed_factor
-        if self.network is not None:
-            self.network.reconnect(replica_id)
-            for peer in self._downed_links.pop(replica_id, ()):
-                self.network.set_link_up(replica_id, peer)
-                self.network.set_link_up(peer, replica_id)
+        for peer in self._downed_links.pop(replica_id, ()):
+            self.network.set_link_up(replica_id, peer)
+            self.network.set_link_up(peer, replica_id)

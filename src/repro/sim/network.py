@@ -110,7 +110,6 @@ class Network:
         self.stats = NetworkStats()
         self._nodes: dict[int, Process] = {}
         self._down_links: set[tuple[int, int]] = set()
-        self._isolated: set[int] = set()
         self._taps: list[Callable[[int, int, Any], None]] = []
         self._interceptor: Optional[Callable[[int, int, Any], Any]] = None
 
@@ -131,13 +130,6 @@ class Network:
 
     def set_link_up(self, src: int, dst: int) -> None:
         self._down_links.discard((src, dst))
-
-    def isolate(self, node_id: int) -> None:
-        """Drop all traffic to and from a node (network partition of one)."""
-        self._isolated.add(node_id)
-
-    def reconnect(self, node_id: int) -> None:
-        self._isolated.discard(node_id)
 
     def add_tap(self, tap: Callable[[int, int, Any], None]) -> None:
         """Register an observer called as ``tap(src, dst, message)`` on send."""
@@ -192,8 +184,6 @@ class Network:
 
         if (
             (src, dst) in self._down_links
-            or src in self._isolated
-            or dst in self._isolated
             or (self.drop_rate > 0.0 and self.rng.random() < self.drop_rate)
         ):
             self.stats.messages_dropped += 1
@@ -218,10 +208,10 @@ class Network:
         :meth:`Simulator.schedule_many` as a single fan-out batch.
 
         RNG-order contract (matches :meth:`send` exactly): destinations are
-        processed in iteration order; a destination on a downed link or
-        behind an isolated node draws nothing; with ``drop_rate > 0`` each
-        remaining destination draws the drop decision and then — only if it
-        survives — its latency sample, before the next destination draws.
+        processed in iteration order; a destination on a downed link draws
+        nothing; with ``drop_rate > 0`` each remaining destination draws the
+        drop decision and then — only if it survives — its latency sample,
+        before the next destination draws.
 
         Destination validation is all-or-nothing: an unknown destination
         raises :class:`NetworkError` before any stats, taps or RNG draws
@@ -252,10 +242,9 @@ class Network:
                     tap(src, dst, message)
 
         down = self._down_links
-        isolated = self._isolated
         drop_rate = self.drop_rate
         rng = self.rng
-        if not drop_rate and not down and not isolated:
+        if not drop_rate and not down:
             # Fault-free fast path: no drop decisions exist, so all RNG
             # draws are latency samples in destination order.
             targets = resolved
@@ -269,12 +258,9 @@ class Network:
             delays = []
             append_delay = delays.append
             dropped = 0
-            src_isolated = src in isolated
             for dst, node in zip(dsts, resolved):
                 if (
                     (src, dst) in down
-                    or src_isolated
-                    or dst in isolated
                     or (drop_rate > 0.0 and rng.random() < drop_rate)
                 ):
                     dropped += 1

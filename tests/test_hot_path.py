@@ -12,7 +12,7 @@ Covers the hot-path invariants introduced by the performance overhauls:
   ``Simulator.schedule_many`` / ``LatencyModel.delays_from``) is
   decision-for-decision identical to a per-destination ``send`` loop —
   same RNG draws, same stats, same delivery order — including under
-  ``drop_rate > 0``, a downed link and an isolated node,
+  ``drop_rate > 0`` and a downed link,
 * one PBFT vote costs its signer one hash and its n recipients none (the
   signature-provenance fast path), pinned as an exact call count,
 * one SBFT block costs the deployment one pass over its operation digests and
@@ -390,7 +390,7 @@ def _net_observables(sim, net, sinks):
 
 @pytest.mark.parametrize(
     "scenario",
-    ["clean", "drops", "down-link", "isolated-dst", "isolated-src", "everything"],
+    ["clean", "drops", "down-link", "everything"],
 )
 def test_broadcast_bulk_matches_per_destination_sends(scenario):
     """broadcast_bulk must be draw-for-draw identical to a send loop.
@@ -402,17 +402,10 @@ def test_broadcast_bulk_matches_per_destination_sends(scenario):
     """
     drop_rate = 0.5 if scenario in ("drops", "everything") else 0.0
 
-    def apply_faults(net):
-        if scenario in ("down-link", "everything"):
-            net.set_link_down(0, 2)
-        if scenario == "isolated-dst":
-            net.isolate(3)
-        if scenario in ("isolated-src", "everything"):
-            net.isolate(0)
-
     def drive(use_bulk):
         sim, net, sinks = _make_net(6, drop_rate=drop_rate)
-        apply_faults(net)
+        if scenario in ("down-link", "everything"):
+            net.set_link_down(0, 2)
         for round_number in range(5):
             src = round_number % 3
             message = f"m{round_number}"
@@ -525,12 +518,12 @@ def test_delays_from_matches_scalar_delay_draws(model):
 
 @pytest.mark.parametrize(
     "faults",
-    ["drops", "down-link", "isolated"],
+    ["drops", "down-link"],
 )
 def test_fixed_seed_cluster_runs_identical_under_network_faults(faults):
     """Fixed-seed end-to-end runs must stay deterministic with the bulk
-    fan-out active on every decision path: random drops, a downed link and
-    an isolated replica (decision sequences, replica stats, NetworkStats)."""
+    fan-out active on every decision path: random drops and a downed link
+    (decision sequences, replica stats, NetworkStats)."""
     from repro.protocols.cluster import build_cluster
     from repro.workloads.kv_workload import KVWorkload
 
@@ -555,8 +548,6 @@ def test_fixed_seed_cluster_runs_identical_under_network_faults(faults):
         cluster._build(workload)
         if faults == "down-link":
             cluster.network.set_link_down(1, 3)
-        elif faults == "isolated":
-            cluster.network.isolate(3)
         cluster.sim.run(
             until=60.0,
             stop_when=lambda: all(client.done for client in cluster.clients.values()),

@@ -111,9 +111,12 @@ def test_exponential_backoff_attempts_do_not_prevent_recovery():
     assert_agreement(cluster)
 
 
-def test_recovering_replica_catches_up_via_state_transfer():
-    """A replica isolated for the start of the run later reconnects and asks a
-    peer for a snapshot (the PBFT-style state transfer SBFT inherits)."""
+def test_a_snapshot_restored_into_a_fresh_service_takes_its_donor_digest():
+    """After a run, a fresh service restored by hand from one replica's
+    snapshot takes that replica's digest.  Catch-up through the
+    state-transfer messages is covered by
+    ``test_fault_sweep::test_restart_rejoin_reaches_cluster_chain_digest`` and
+    ``test_checkpoint_state_transfer::test_state_transfer_request_response_roundtrip``."""
     cluster, result = run_small_cluster(
         "sbft-c0",
         f=1,
@@ -121,13 +124,12 @@ def test_recovering_replica_catches_up_via_state_transfer():
         requests_per_client=6,
         config_overrides={"window": 8},
     )
-    # Simulate a lagging replica by restoring a fresh one from a peer snapshot.
     source = cluster.replicas[1]
-    target = cluster.replicas[3]
     assert source.last_executed > 0
-    snapshot = source.service.snapshot()
-    target.service.restore(snapshot)
-    assert target.service.digest() == source.service.digest()
+    target = type(source.service)()
+    assert target.digest() != source.service.digest()
+    target.restore(source.service.snapshot())
+    assert target.digest() == source.service.digest()
 
 
 def test_entering_a_view_drops_what_was_collected_for_it_in_both_stacks():

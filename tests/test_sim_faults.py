@@ -185,7 +185,7 @@ def test_crash_backups_rejects_more_than_n_minus_one():
 
 
 # ----------------------------------------------------------------------
-# New fault kinds: partition, isolate, restart, heal
+# New fault kinds: partition, restart, heal
 # ----------------------------------------------------------------------
 def _network(sim, nodes):
     from repro.sim.network import Network
@@ -208,18 +208,6 @@ def test_partition_and_heal_toggle_links_both_ways():
     assert (1, 2) not in network._down_links
     sim.run(until=2.5)
     assert not network._down_links
-
-
-def test_isolate_and_heal_toggle_isolation():
-    sim = Simulator()
-    replicas = {i: Dummy(sim, i) for i in range(2)}
-    network = _network(sim, replicas)
-    injector = FaultInjector(sim, replicas, network=network)
-    injector.apply(FaultPlan.isolate([1], at_time=1.0).extend(FaultPlan.heal([1], at_time=2.0)))
-    sim.run(until=1.5)
-    assert 1 in network._isolated
-    sim.run(until=2.5)
-    assert 1 not in network._isolated
 
 
 def test_network_kinds_require_a_network():

@@ -83,20 +83,6 @@ def test_down_link_drops_messages():
     assert nodes[1].received == [("after repair", 0)]
 
 
-def test_isolation_blocks_both_directions():
-    sim, net, nodes = make_net()
-    net.isolate(1)
-    net.send(0, 1, "to isolated")
-    net.send(1, 2, "from isolated")
-    sim.run()
-    assert nodes[1].received == []
-    assert nodes[2].received == []
-    net.reconnect(1)
-    net.send(0, 1, "back")
-    sim.run()
-    assert nodes[1].received == [("back", 0)]
-
-
 def test_drop_rate_drops_some_messages():
     sim, net, nodes = make_net(2, drop_rate=1.0)
     net.send(0, 1, "always dropped")

@@ -124,15 +124,14 @@ def test_latency_recorder_empty_summary():
     assert result.mean_latency == 0.0
 
 
-def test_run_result_as_row_contains_extra_fields():
+def test_run_result_as_row_holds_the_table_fields():
     recorder = LatencyRecorder()
     recorder.record(0.0, 0.1)
-    result = recorder.summary(duration=1.0, label="row")
-    result.extra["custom"] = 7
-    row = result.as_row()
+    row = recorder.summary(duration=1.0, label="row").as_row()
     assert row["label"] == "row"
-    assert row["custom"] == 7
     assert row["mean_latency_ms"] == pytest.approx(100.0)
+    assert set(row) == {"label", "throughput_ops", "mean_latency_ms", "median_latency_ms",
+                        "p99_latency_ms", "completed_operations", "messages_sent", "bytes_sent"}
 
 
 def test_timeline_buckets_cover_run_including_empty_windows():
