@@ -7,6 +7,10 @@ instance's own attributes — the replica classes are not slotted, so this
 needs no subclass, no flag and no hook on the honest side.  Behaviours
 compose: a replica handed two of them does both.
 
+The forged messages a strategy sends itself are built here too
+(:func:`stale_view_change_message`, :func:`stale_checkpoint_message`), so
+:mod:`repro.adversary.strategies` only schedules and routes them.
+
 Callers pass the function itself wherever a compromise is scripted:
 ``sim.schedule(at, silent, replica)`` (the strategies in
 :mod:`repro.adversary.strategies`) or ``FaultPlan.byzantine([3], silent)``
@@ -23,9 +27,10 @@ from typing import Any, Callable
 from repro.core.messages import PrePrepare, Prepare, ViewChange
 from repro.core.replica import SBFTReplica
 from repro.core.runtime import Replica
+from repro.crypto.hashing import sha256_hex
 from repro.crypto.threshold import ThresholdScheme
 from repro.errors import ConfigurationError
-from repro.pbft.messages import PbftViewChange
+from repro.pbft.messages import PbftCheckpoint, PbftViewChange
 from repro.pbft.replica import PBFTReplica
 
 
@@ -140,3 +145,16 @@ def stale_view_change_message(replica: Replica, new_view: int) -> Any:
 def stale_view_change(replica: Replica) -> None:
     """Join every view change with :func:`stale_view_change_message`."""
     replica.build_view_change = partial(stale_view_change_message, replica)
+
+
+def stale_checkpoint_message(replica: PBFTReplica, ahead: int) -> PbftCheckpoint:
+    """A validly signed PBFT checkpoint vote ``ahead`` sequences past the
+    replica's execution point, over a fabricated state digest."""
+    sequence = replica.last_executed + ahead
+    digest = sha256_hex("stale-checkpoint-lie", replica.node_id, sequence)
+    return PbftCheckpoint(
+        sequence=sequence,
+        state_digest=digest,
+        replica_id=replica.node_id,
+        signature=replica.signing_key.sign(("checkpoint", sequence, digest)),
+    )

@@ -6,29 +6,30 @@ messages is self-contained cryptographic proof of misbehaviour attributable
 to the signing key — no honest majority or trusted observer needed.
 
 :class:`MessageLog` taps the network (:meth:`repro.sim.network.Network.add_tap`)
-and records every sent protocol message; :func:`find_equivocations` scans a
-log for three conflict shapes and emits :class:`EquivocationEvidence` only
-when *both* halves check out against the signature / threshold layer:
+and records every sent protocol message.  :func:`_statements` is the one
+definition of what a message signs; two statements of one :func:`_group`
+(kind, culprit, context and, for shares, scheme) with different claims
+conflict:
 
 ``pre-prepare``
-    The same primary signed two different block digests for one
-    ``(sequence, view)`` — the classic equivocating-primary attack.
+    The signing primary's two digests for one ``(sequence, view)``.
 ``view-change``
-    The same PBFT replica signed two different ``last_stable`` claims for
-    one new view (SBFT view-changes carry threshold proofs, not a plain
-    signature over the claim, so this shape is PBFT-specific).
+    One PBFT replica's two ``last_stable`` claims for one ``(new_view,)``
+    (SBFT view changes carry threshold proofs, not a signed claim).
 ``share``
-    The same replica produced valid threshold-signature shares over two
-    different digests for one signing context (e.g. ``("sign", sequence,
-    view, ·)``) in the same scheme.
+    One replica's threshold shares in one scheme over two digests for one
+    signing context, the share's message minus its last element.
 
-Anyone holding the public keys can re-check a piece of evidence with
-:func:`verify_evidence`; tampering with either half invalidates it.
+Each kind has one validity check (:func:`_verifies`).
+:func:`find_equivocations` pairs, per group, the first copy of each claim
+that passes it; :func:`verify_evidence` recomputes every field of a piece
+from its two messages, so tampering with any field invalidates it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.messages import PrePrepare
 from repro.crypto.threshold import SignatureShare
@@ -38,6 +39,15 @@ from repro.records import frozen_record
 #: Bound on recorded messages so a pathological episode cannot hold the whole
 #: message stream in memory; `dropped` counts what fell off the end.
 MESSAGE_LOG_LIMIT = 200_000
+
+#: Every evidence kind, in the order :func:`find_equivocations` emits them.
+KINDS = ("pre-prepare", "view-change", "share")
+
+#: Message attributes that may carry a threshold-signature share.
+_SHARE_ATTRS = ("sigma_share", "tau_share", "tau_share_on_tau", "pi_share")
+
+#: ``(kind, culprit, context, claim, signed)``, see :func:`_statements`.
+Statement = Tuple[str, int, Tuple[Any, ...], Any, Any]
 
 
 class MessageLog:
@@ -62,11 +72,12 @@ class EquivocationEvidence:
     ``context`` identifies the slot the conflict is about: ``(sequence,
     view)`` for pre-prepares, ``(new_view,)`` for view changes and the
     signing-context prefix (message tuple minus the digest) for shares.
-    ``message_a`` / ``message_b`` are the conflicting originals, kept whole
-    so the evidence stays independently re-verifiable.
+    ``message_a`` / ``message_b`` are the conflicting originals (for shares,
+    the shares themselves), kept whole so the evidence stays independently
+    re-verifiable.
     """
 
-    kind: str  # "pre-prepare" | "view-change" | "share"
+    kind: str  # one of KINDS
     culprit: int
     context: Tuple[Any, ...]
     digest_a: Any
@@ -78,156 +89,52 @@ class EquivocationEvidence:
 def _signer_id(signature: Any) -> Optional[int]:
     """Replica id from a ``Signature.signer`` name like ``"replica-3"``."""
     signer = getattr(signature, "signer", None)
-    if not isinstance(signer, str):
-        return None
-    prefix, _, suffix = signer.rpartition("-")
-    if prefix != "replica" or not suffix.isdigit():
-        return None
-    return int(suffix)
+    prefix, _, suffix = signer.rpartition("-") if isinstance(signer, str) else ("", "", "")
+    return int(suffix) if prefix == "replica" and suffix.isdigit() else None
 
 
-def find_pre_prepare_equivocations(
-    records: List[Tuple[int, int, Any]], verify_keys: Dict[int, Any]
-) -> List[EquivocationEvidence]:
-    """Conflicting validly signed pre-prepares per ``(sequence, view)`` and signer.
-
-    Only a copy whose signature verifies is filed, the first per digest, so
-    neither another replica's self-signed pre-prepare for the slot nor a
-    tampered copy under the signer's name hides the signer's own two.
-    """
-    by_signer: Dict[Tuple[int, int, int], Dict[str, Any]] = {}
-    for _src, _dst, message in records:
-        if type(message) is not PrePrepare:
-            continue
-        signer = _signer_id(message.primary_signature)
-        key = verify_keys.get(signer)
-        if key is None:
-            continue
-        signed = by_signer.setdefault((message.sequence, message.view, signer), {})
-        if message.digest not in signed and key.verify(
-            ("pre-prepare", message.sequence, message.view, message.digest),
-            message.primary_signature,
-        ):
-            signed[message.digest] = message
-
-    evidence: List[EquivocationEvidence] = []
-    for sequence, view, culprit in sorted(by_signer):
-        signed = by_signer[(sequence, view, culprit)]
-        first, *others = sorted(signed)
-        for digest in others:
-            evidence.append(
-                EquivocationEvidence(
-                    kind="pre-prepare",
-                    culprit=culprit,
-                    context=(sequence, view),
-                    digest_a=first,
-                    digest_b=digest,
-                    message_a=signed[first],
-                    message_b=signed[digest],
-                )
-            )
-    return evidence
+def _statements(message: Any) -> Iterator[Statement]:
+    """Every signed statement ``message`` makes, as ``(kind, culprit,
+    context, claim, signed)``.  ``signed`` is the self-contained signed
+    object evidence keeps: the message itself, or a share it carries (a
+    bare share is its own statement)."""
+    cls = type(message)
+    if cls is PrePrepare:
+        culprit = _signer_id(message.primary_signature)
+        if culprit is not None:
+            yield "pre-prepare", culprit, (message.sequence, message.view), message.digest, message
+    elif cls is PbftViewChange:
+        if message.signature is not None:
+            context = (message.new_view,)
+            yield "view-change", message.replica_id, context, message.last_stable, message
+    else:
+        carried = (getattr(message, attr, None) for attr in _SHARE_ATTRS)
+        for share in (message,) if cls is SignatureShare else carried:
+            signs = share.message if type(share) is SignatureShare else None
+            if isinstance(signs, tuple) and len(signs) >= 2:
+                yield "share", share.signer_id, signs[:-1], signs[-1], share
 
 
-def find_view_change_equivocations(
-    records: List[Tuple[int, int, Any]], verify_keys: Dict[int, Any]
-) -> List[EquivocationEvidence]:
-    """Conflicting validly signed PBFT ``last_stable`` claims per new view."""
-    by_claim: Dict[Tuple[int, int], Dict[int, Any]] = {}
-    for _src, _dst, message in records:
-        if type(message) is not PbftViewChange or message.signature is None:
-            continue
-        claims = by_claim.setdefault((message.new_view, message.replica_id), {})
-        claims.setdefault(message.last_stable, message)
-
-    evidence: List[EquivocationEvidence] = []
-    for new_view, replica_id in sorted(by_claim):
-        claims = by_claim[(new_view, replica_id)]
-        if len(claims) < 2:
-            continue
-        key = verify_keys.get(replica_id)
-        if key is None:
-            continue
-        valid = [
-            (last_stable, claims[last_stable])
-            for last_stable in sorted(claims)
-            if key.verify(
-                ("view-change", new_view, last_stable), claims[last_stable].signature
-            )
-        ]
-        for index in range(1, len(valid)):
-            stable_a, message_a = valid[0]
-            stable_b, message_b = valid[index]
-            evidence.append(
-                EquivocationEvidence(
-                    kind="view-change",
-                    culprit=replica_id,
-                    context=(new_view,),
-                    digest_a=stable_a,
-                    digest_b=stable_b,
-                    message_a=message_a,
-                    message_b=message_b,
-                )
-            )
-    return evidence
+def _group(statement: Statement) -> Tuple[Any, ...]:
+    """The group of a statement, in emission order: by kind, then
+    pre-prepares and view changes by context and culprit, shares by
+    scheme, culprit and context."""
+    kind, culprit, context, _claim, signed = statement
+    if kind == "share":
+        return (KINDS.index(kind), signed.scheme_name, culprit) + context
+    return (KINDS.index(kind),) + context + (culprit,)
 
 
-#: Message attributes that may carry a threshold-signature share.
-_SHARE_ATTRS = ("sigma_share", "tau_share", "pi_share")
-
-
-def _iter_shares(message: Any):
-    for attr in _SHARE_ATTRS:
-        share = getattr(message, attr, None)
-        if type(share) is SignatureShare:
-            yield share
-
-
-def find_share_equivocations(
-    records: List[Tuple[int, int, Any]], schemes: Dict[str, Any]
-) -> List[EquivocationEvidence]:
-    """Valid shares from one signer over conflicting digests in one context.
-
-    A share signs a tuple whose last element is the digest (``("sign",
-    sequence, view, digest)`` / ``("state", sequence, digest)``); the signing
-    context is everything before it.
-    """
-    by_context: Dict[Tuple[Any, ...], Dict[Any, Any]] = {}
-    for _src, _dst, message in records:
-        for share in _iter_shares(message):
-            if not (isinstance(share.message, tuple) and len(share.message) >= 2):
-                continue
-            context = (share.scheme_name, share.signer_id) + tuple(share.message[:-1])
-            by_context.setdefault(context, {}).setdefault(share.message[-1], share)
-
-    evidence: List[EquivocationEvidence] = []
-    for context in sorted(by_context):
-        shares = by_context[context]
-        if len(shares) < 2:
-            continue
-        scheme = schemes.get(context[0])
-        if scheme is None:
-            continue
-        valid = [
-            (digest, shares[digest])
-            for digest in sorted(shares)
-            if scheme.verify_share(shares[digest])
-        ]
-        for index in range(1, len(valid)):
-            digest_a, share_a = valid[0]
-            digest_b, share_b = valid[index]
-            evidence.append(
-                EquivocationEvidence(
-                    kind="share",
-                    culprit=share_a.signer_id,
-                    context=tuple(context[2:]),
-                    digest_a=digest_a,
-                    digest_b=digest_b,
-                    message_a=share_a,
-                    message_b=share_b,
-                )
-            )
-    return evidence
+def _verifies(statement: Statement, verify_keys: Dict[int, Any], schemes: Dict[str, Any]) -> bool:
+    """The kind's one validity check: the culprit's RSA signature over
+    ``(kind, *context, claim)``, or the share's scheme's ``verify_share``."""
+    kind, culprit, context, claim, signed = statement
+    if kind == "share":
+        scheme = schemes.get(signed.scheme_name)
+        return scheme is not None and scheme.verify_share(signed)
+    key = verify_keys.get(culprit)
+    signature = signed.primary_signature if kind == "pre-prepare" else signed.signature
+    return key is not None and key.verify((kind, *context, claim), signature)
 
 
 def find_equivocations(
@@ -235,12 +142,34 @@ def find_equivocations(
     verify_keys: Dict[int, Any],
     schemes: Dict[str, Any],
 ) -> List[EquivocationEvidence]:
-    """All reconstructable equivocation evidence in a message log."""
-    return (
-        find_pre_prepare_equivocations(records, verify_keys)
-        + find_view_change_equivocations(records, verify_keys)
-        + find_share_equivocations(records, schemes)
-    )
+    """All reconstructable equivocation evidence in a message log.
+
+    Only a group with two or more claims is checked.  In it each claim is
+    held by its first copy, in log order, that verifies, so neither a forged
+    copy nor another signer's seen first hides a valid one; the first
+    verified claim (sorted) is paired with each other one.
+    """
+    groups: Dict[Tuple[Any, ...], Dict[Any, List[Statement]]] = {}
+    for _src, _dst, message in records:
+        for statement in _statements(message):
+            claims = groups.setdefault(_group(statement), {})
+            claims.setdefault(statement[3], []).append(statement)
+
+    evidence: List[EquivocationEvidence] = []
+    for key in sorted(groups):
+        claims = groups[key]
+        if len(claims) < 2:
+            continue
+        verified = []
+        for claim in sorted(claims):
+            copies = (s for s in claims[claim] if _verifies(s, verify_keys, schemes))
+            verified.extend(islice(copies, 1))
+        for kind, culprit, context, claim, signed in verified[1:]:
+            _, _, _, first_claim, first = verified[0]
+            evidence.append(
+                EquivocationEvidence(kind, culprit, context, first_claim, claim, first, signed)
+            )
+    return evidence
 
 
 def verify_evidence(
@@ -250,55 +179,22 @@ def verify_evidence(
 ) -> bool:
     """Re-check a piece of evidence from scratch against the key material.
 
-    Returns ``True`` only if both halves are validly signed by the culprit
-    *and* genuinely conflict; any tampering (swapped digest, altered claim,
-    wrong culprit) makes it fail.
+    Recomputes the statements of both messages: each must make a verifying
+    statement of the evidence's ``(kind, culprit, context)`` with its own
+    claim (``digest_a`` / ``digest_b``), the two claims different and in
+    one group.  Tampering with any field makes it fail.
     """
-    a, b = evidence.message_a, evidence.message_b
-    if evidence.kind == "pre-prepare":
-        if type(a) is not PrePrepare or type(b) is not PrePrepare:
-            return False
-        if (a.sequence, a.view) != (b.sequence, b.view):
-            return False
-        if (a.sequence, a.view) != evidence.context or a.digest == b.digest:
-            return False
-        key = verify_keys.get(evidence.culprit)
-        if key is None:
-            return False
-        return (
-            _signer_id(a.primary_signature) == evidence.culprit
-            and _signer_id(b.primary_signature) == evidence.culprit
-            and key.verify(("pre-prepare", a.sequence, a.view, a.digest), a.primary_signature)
-            and key.verify(("pre-prepare", b.sequence, b.view, b.digest), b.primary_signature)
+    wanted = (evidence.kind, evidence.culprit, evidence.context)
+    group_a, group_b = (
+        {
+            _group(statement)
+            for statement in _statements(message)
+            if statement[:4] == wanted + (claim,)
+            and _verifies(statement, verify_keys, schemes or {})
+        }
+        for message, claim in (
+            (evidence.message_a, evidence.digest_a),
+            (evidence.message_b, evidence.digest_b),
         )
-    if evidence.kind == "view-change":
-        if type(a) is not PbftViewChange or type(b) is not PbftViewChange:
-            return False
-        if a.new_view != b.new_view or (a.new_view,) != evidence.context:
-            return False
-        if a.replica_id != evidence.culprit or b.replica_id != evidence.culprit:
-            return False
-        if a.last_stable == b.last_stable:
-            return False
-        key = verify_keys.get(evidence.culprit)
-        if key is None:
-            return False
-        return key.verify(("view-change", a.new_view, a.last_stable), a.signature) and key.verify(
-            ("view-change", b.new_view, b.last_stable), b.signature
-        )
-    if evidence.kind == "share":
-        if type(a) is not SignatureShare or type(b) is not SignatureShare:
-            return False
-        if a.scheme_name != b.scheme_name or a.signer_id != b.signer_id:
-            return False
-        if a.signer_id != evidence.culprit:
-            return False
-        if not (isinstance(a.message, tuple) and isinstance(b.message, tuple)):
-            return False
-        if a.message[:-1] != b.message[:-1] or a.message[-1] == b.message[-1]:
-            return False
-        scheme = (schemes or {}).get(a.scheme_name)
-        if scheme is None:
-            return False
-        return scheme.verify_share(a) and scheme.verify_share(b)
-    return False
+    )
+    return evidence.digest_a != evidence.digest_b and bool(group_a & group_b)

@@ -5,10 +5,11 @@ strategy/parameter/timing space (:mod:`repro.adversary.strategies`).  Each
 episode is a :class:`~repro.experiments.harness.Point` with an
 :class:`~repro.experiments.harness.Attack` (:func:`episode_point`), run by
 the one point runner, ``harness.run_point``, whose cluster checks agreement
-on every run.  A row reports two verdicts: *safety* (no two honest replicas
-executed different blocks at a sequence) and *liveness* (every request
-completed within the budget).  Sampling is done serially upfront from
-``--seed``, so the point list — and therefore every row — is identical
+on every run.  A row reports three verdicts: *safety* (no two honest
+replicas executed different blocks at a sequence), *liveness* (every
+request completed within the budget) and *blame* (every piece of forensics
+evidence names a compromised replica).  Sampling is done serially upfront
+from ``--seed``, so the point list — and therefore every row — is identical
 between ``--jobs 1`` and ``--jobs N``.
 
 Violations are shrunk by the delta-debugging minimizer
@@ -147,10 +148,14 @@ def liveness_ok(point: Point, result: ClusterResult) -> bool:
 
 
 def verdict(point: Point, result: ClusterResult) -> str:
-    """``ok``, or the violated verdicts (``SAFETY``, ``LIVENESS``) joined by ``+``."""
+    """``ok``, or the violated verdicts joined by ``+``: ``SAFETY``,
+    ``LIVENESS`` and ``BLAME`` (forensics accused a replica the strategy did
+    not compromise: signed evidence against an honest replica is a bug)."""
     failed = ["SAFETY"] if result.disagreements else []
     if not liveness_ok(point, result):
         failed.append("LIVENESS")
+    if any(evidence.culprit not in result.compromised for evidence in result.evidence):
+        failed.append("BLAME")
     return "+".join(failed) or "ok"
 
 
@@ -178,14 +183,12 @@ def episode_row(point: Point, result: ClusterResult) -> Dict:
 
 
 def _reproduces_same_verdict(row: Dict):
-    """Predicate preserving the *specific* failed verdict of ``row``."""
-    want_safety_broken = not row["safety_ok"]
+    """Predicate preserving the *specific* failed verdict of ``row``: its
+    first (``SAFETY`` before ``LIVENESS`` before ``BLAME``)."""
+    wanted = row["verdict"].split("+")[0]
 
     def reproduces(point: Point) -> bool:
-        result = harness.run_point(point)
-        if want_safety_broken:
-            return bool(result.disagreements)
-        return not liveness_ok(point, result)
+        return wanted in verdict(point, harness.run_point(point)).split("+")
 
     return reproduces
 
@@ -254,7 +257,7 @@ ROW_SCHEMA: Dict[str, str] = {
     "episode_seed": "fixed seed of this episode's simulation",
     "params": "strategy parameters of this episode",
     "plant_weak_quorum": "episode ran on the planted weak-quorum config (WeakQuorumConfig)",
-    "verdict": "'ok' or the violated verdicts ('SAFETY', 'LIVENESS', ...)",
+    "verdict": "'ok' or the violated verdicts ('SAFETY', 'LIVENESS', 'BLAME')",
     "safety_ok": "no two honest replicas executed different blocks at a sequence",
     "liveness_ok": "every correct client completed all requests in budget",
     "completed_requests": "client requests acknowledged by the cluster",

@@ -31,13 +31,12 @@ from repro.adversary.behaviours import (
     bad_shares,
     equivocate,
     silent,
+    stale_checkpoint_message,
     stale_view_change,
     stale_view_change_message,
 )
 from repro.core.config import SBFTConfig
-from repro.crypto.hashing import sha256_hex
 from repro.errors import ConfigurationError
-from repro.pbft.messages import PbftCheckpoint
 
 
 class Adversary:
@@ -211,10 +210,11 @@ class ViewChangeSpam(Adversary):
 class StaleCheckpointLies(Adversary):
     """A compromised PBFT replica broadcasts checkpoint claims it never earned.
 
-    Each lie is a *validly signed* ``PbftCheckpoint`` for a sequence
-    ``claim_ahead`` past the liar's execution point with a fabricated state
-    digest.  One vote is below the checkpoint quorum, so ``last_stable`` must
-    not move; the claimed sequence can, however, sit past honest replicas'
+    Each lie (:func:`~repro.adversary.behaviours.stale_checkpoint_message`)
+    is a *validly signed* ``PbftCheckpoint`` for a sequence ``claim_ahead``
+    past the liar's execution point with a fabricated state digest.  One
+    vote is below the checkpoint quorum, so ``last_stable`` must not move;
+    the claimed sequence can, however, sit past honest replicas'
     ``state_transfer_lag`` and bait spurious snapshot fetches — the throttle
     in the state-transfer path is what keeps that cheap.
     """
@@ -239,16 +239,7 @@ class StaleCheckpointLies(Adversary):
         def lie_once() -> None:
             if replica.crashed:
                 return
-            sequence = replica.last_executed + ahead
-            digest = sha256_hex("stale-checkpoint-lie", liar_id, sequence)
-            signature = replica.signing_key.sign(("checkpoint", sequence, digest))
-            message = PbftCheckpoint(
-                sequence=sequence,
-                state_digest=digest,
-                replica_id=liar_id,
-                signature=signature,
-            )
-            network.broadcast_bulk(liar_id, message, peers)
+            network.broadcast_bulk(liar_id, stale_checkpoint_message(replica, ahead), peers)
 
         start = float(self.params["start"])
         for index in range(int(self.params["repeat"])):

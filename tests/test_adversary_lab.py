@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import assert_agreement, run_small_cluster
 from repro.adversary import STRATEGIES, STRATEGY_KINDS, Adversary, strategies
@@ -37,10 +38,11 @@ from repro.adversary.search import (
 from repro.adversary.strategies import PLANTED_WEAK_QUORUM, WeakQuorumConfig
 from repro.core.config import SBFTConfig
 from repro.core.keys import TrustedSetup
-from repro.core.messages import PrePrepare
+from repro.core.messages import PrePrepare, SignShare, SignState
 from repro.errors import ConfigurationError
 from repro.experiments import harness
 from repro.experiments.harness import run_point
+from repro.pbft.messages import PbftViewChange
 from repro.protocols.cluster import AgreementMonitor
 from repro.protocols.registry import get_protocol, protocol_sizes
 from repro.sim.faults import FaultPlan
@@ -273,6 +275,9 @@ def test_equivocation_evidence_verifies_and_tampering_fails():
         message_b=original.message_b,
     )
     assert not verify_evidence(wrong_culprit, keys)
+    assert not verify_evidence(
+        dataclasses.replace(original, digest_a="forged", digest_b="also"), keys
+    )
     # Wrong key material (a different deployment's setup) must also fail.
     assert not verify_evidence(original, _verify_keys(seed=999))
     # The signatures in evidence carry their signing provenance; it must not
@@ -311,7 +316,7 @@ def test_message_log_bounds_memory():
 
 
 def test_share_equivocation_detected_and_verified():
-    """Forged conflicting shares from one signer in one signing context."""
+    """Conflicting shares from one signer in one signing context, bare."""
     config = SBFTConfig(f=1, c=0)
     setup = TrustedSetup(config, seed=3)
     sigma = setup.sigma
@@ -320,11 +325,7 @@ def test_share_equivocation_detected_and_verified():
     share_a = sigma.sign_share(2, message_a)
     share_b = sigma.sign_share(2, message_b)
 
-    class Carrier:
-        def __init__(self, share):
-            self.sigma_share = share
-
-    records = [(2, 0, Carrier(share_a)), (2, 1, Carrier(share_b))]
+    records = [(2, 0, share_a), (2, 1, share_b)]
     schemes = {sigma.name: sigma}
     evidence = find_equivocations(records, _verify_keys(seed=3), schemes)
     assert len(evidence) == 1
@@ -334,8 +335,99 @@ def test_share_equivocation_detected_and_verified():
     assert verify_evidence(found, {}, schemes)
     # An invalid (forged) share can never be half of valid evidence.
     forged = sigma.forge_share(2, message_b)
-    records_forged = [(2, 0, Carrier(share_a)), (2, 1, Carrier(forged))]
+    records_forged = [(2, 0, share_a), (2, 1, forged)]
     assert find_equivocations(records_forged, _verify_keys(seed=3), schemes) == []
+
+
+def test_forged_share_logged_first_does_not_hide_the_valid_one():
+    """The first copy of a claim that *verifies* stands for it: a forged
+    share over the same digest, carried first, is skipped, not kept."""
+    setup = TrustedSetup(SBFTConfig(f=1, c=0), seed=3)
+    sigma = setup.sigma
+
+    def sign_share(share):
+        digest = share.message[-1]
+        return SignShare(sequence=1, view=0, replica_id=2, digest=digest, sigma_share=share)
+
+    message_a, message_b = ("sign", 1, 0, "digest-a"), ("sign", 1, 0, "digest-b")
+    records = [
+        (2, 0, sign_share(sigma.forge_share(2, message_b))),
+        (2, 1, sign_share(sigma.sign_share(2, message_a))),
+        (2, 1, sign_share(sigma.sign_share(2, message_b))),
+    ]
+    schemes = {sigma.name: sigma}
+    evidence = find_equivocations(records, _verify_keys(seed=3), schemes)
+    assert [(e.kind, e.culprit, e.context, e.digest_a, e.digest_b) for e in evidence] == [
+        ("share", 2, ("sign", 1, 0), "digest-a", "digest-b")
+    ]
+    assert verify_evidence(evidence[0], {}, schemes)
+
+
+def test_non_verifying_view_change_logged_first_does_not_hide_the_valid_one():
+    """The same rule for view changes: a copy under the culprit's id whose
+    signature does not verify, logged first, is skipped."""
+    setup = TrustedSetup(SBFTConfig(f=1, c=0), seed=3)
+
+    def view_change(last_stable, signer=3, signed_stable=None):
+        signed = ("view-change", 1, last_stable if signed_stable is None else signed_stable)
+        signature = setup.replica_keys(signer).signing_key.sign(signed)
+        return PbftViewChange(
+            new_view=1, replica_id=3, last_stable=last_stable, prepared=(), signature=signature
+        )
+
+    equivocation = [(3, 0, view_change(0)), (3, 1, view_change(4))]
+    for first in (view_change(4, signer=2), view_change(4, signed_stable=8)):
+        evidence = find_equivocations([(3, 0, first)] + equivocation, _verify_keys(seed=3), {})
+        assert [(e.kind, e.culprit, e.context, e.digest_a, e.digest_b) for e in evidence] == [
+            ("view-change", 3, (1,), 0, 4)
+        ]
+        assert evidence[0].message_b is equivocation[1][2]
+        assert verify_evidence(evidence[0], _verify_keys(seed=3))
+
+
+def _hand_signed_evidence():
+    """One valid piece of each kind, from hand-signed messages, with the
+    keys and schemes that verify it."""
+    setup = TrustedSetup(SBFTConfig(f=1, c=0), seed=3)
+    key = setup.replica_keys(1).signing_key
+    pre_prepares = [
+        PrePrepare(sequence=1, view=0, requests=(), digest=digest,
+                   primary_signature=key.sign(("pre-prepare", 1, 0, digest)))
+        for digest in ("digest-a", "digest-b")
+    ]
+    view_changes = [
+        PbftViewChange(new_view=1, replica_id=1, last_stable=stable, prepared=(),
+                       signature=key.sign(("view-change", 1, stable)))
+        for stable in (0, 4)
+    ]
+    shares = [
+        SignShare(sequence=1, view=0, replica_id=1, digest=digest,
+                  tau_share=setup.tau.sign_share(1, ("sign", 1, 0, digest)))
+        for digest in ("digest-a", "digest-b")
+    ]
+    records = [(1, 0, message) for message in pre_prepares + view_changes + shares]
+    schemes = {setup.tau.name: setup.tau}
+    evidence = find_equivocations(records, _verify_keys(seed=3), schemes)
+    assert [e.kind for e in evidence] == ["pre-prepare", "view-change", "share"]
+    return evidence, _verify_keys(seed=3), schemes
+
+
+@pytest.mark.parametrize("kind", ["pre-prepare", "view-change", "share"])
+def test_evidence_whose_claims_do_not_match_its_messages_is_rejected(kind):
+    """``verify_evidence`` recomputes the claims (and the context) from the
+    two messages instead of trusting the record's fields."""
+    evidence, keys, schemes = _hand_signed_evidence()
+    [piece] = [e for e in evidence if e.kind == kind]
+    assert verify_evidence(piece, keys, schemes)
+    for changes in (
+        {"digest_a": "forged", "digest_b": "also"},
+        {"digest_a": piece.digest_b, "digest_b": piece.digest_a},
+        {"digest_b": "forged"},
+    ):
+        assert not verify_evidence(dataclasses.replace(piece, **changes), keys, schemes)
+    if kind == "share":
+        for context in (("sign", 2, 0), ("commit", 1, 0), ()):
+            assert not verify_evidence(dataclasses.replace(piece, context=context), keys, schemes)
 
 
 def test_another_signers_pre_prepare_does_not_hide_the_primarys_equivocation():
@@ -365,3 +457,147 @@ def test_honest_runs_produce_no_evidence():
     result = run_point(point)
     assert verdict(point, result) == "ok"
     assert result.evidence == []
+
+
+def test_evidence_against_an_uncompromised_replica_is_a_blame_verdict():
+    """Forensics accusing a replica the strategy did not take over is a bug
+    the search reports, like a safety or liveness violation."""
+    point = episode_point("pbft", "viewchange-spam", 7, params={"equivocate_claims": True})
+    result = run_point(point)
+    assert result.evidence and verdict(point, result) == "ok"
+    assert verdict(point, dataclasses.replace(result, compromised=())) == "BLAME"
+
+
+# ----------------------------------------------------------------------
+# Forensics against a brute-force reference
+# ----------------------------------------------------------------------
+_SETUP = TrustedSetup(SBFTConfig(f=1, c=0), seed=3)
+_SCHEMES = {scheme.name: scheme for scheme in (_SETUP.sigma, _SETUP.tau, _SETUP.pi)}
+_KINDS = ("pre-prepare", "view-change", "share")
+
+
+def _signed_copy(kind, culprit, context, claim, scheme, variant):
+    """``(message, statement)``: one logged message and what it states, as
+    the test knows from building it: ``(kind, culprit, context, claim,
+    scheme, verifies, signed)``, ``signed`` the object evidence keeps.
+
+    ``variant`` is ``valid``, ``forged`` (the culprit's name over a bad
+    signature) or ``other`` (signed with another replica's key)."""
+    other = (culprit + 1) % 4
+    if kind == "share":
+        scheme = _SCHEMES[scheme]
+        signs = context + (claim,)
+        if variant == "valid":
+            share = scheme.sign_share(culprit, signs)
+        elif variant == "forged":
+            share = scheme.forge_share(culprit, signs)
+        else:
+            share = dataclasses.replace(scheme.sign_share(other, signs), signer_id=culprit)
+        if scheme.name == "tau":
+            message = share  # a bare share is its own statement
+        elif scheme.name == "pi":
+            message = SignState(sequence=context[1], replica_id=culprit, state_digest=claim,
+                                pi_share=share)
+        else:
+            message = SignShare(sequence=context[1], view=context[2], replica_id=culprit,
+                                digest=claim, sigma_share=share)
+        return message, (kind, culprit, context, claim, scheme.name, variant == "valid", share)
+    # An ``other`` pre-prepare is the other signer's own valid statement; an
+    # ``other`` view change still names the culprit and does not verify.
+    signer = other if variant == "other" else culprit
+    signed_claim = (claim, "forged") if variant == "forged" else claim
+    signature = _SETUP.replica_keys(signer).signing_key.sign((kind, *context, signed_claim))
+    if kind == "pre-prepare":
+        message = PrePrepare(sequence=context[0], view=context[1], requests=(), digest=claim,
+                             primary_signature=signature)
+        return message, (kind, signer, context, claim, None, variant != "forged", message)
+    message = PbftViewChange(new_view=context[0], replica_id=culprit, last_stable=claim,
+                             prepared=(), signature=signature)
+    return message, (kind, culprit, context, claim, None, variant == "valid", message)
+
+
+#: ``(kind, culprit, context, claims, scheme)`` of one statement group;
+#: few culprits and contexts, so groups of different draws meet too.
+_groups = st.one_of(
+    st.tuples(
+        st.just("pre-prepare"), st.integers(0, 1), st.sampled_from([(1, 0), (2, 0)]),
+        st.just(["d0", "d1", "d2"]), st.none(),
+    ),
+    st.tuples(
+        st.just("view-change"), st.integers(0, 1), st.sampled_from([(1,), (2,)]),
+        st.just([0, 4, 8]), st.none(),
+    ),
+    st.tuples(
+        st.just("share"), st.integers(0, 1), st.just(("sign", 1, 0)),
+        st.just(["d0", "d1", "d2"]), st.sampled_from(["sigma", "tau"]),
+    ),
+    st.tuples(
+        st.just("share"), st.integers(0, 1), st.just(("state", 1)),
+        st.just(["d0", "d1"]), st.just("pi"),
+    ),
+)
+
+
+@st.composite
+def _logs(draw):
+    """A log of valid, forged, other-signer and repeated copies of a few
+    groups' statements, in random order: ``(message, statement)`` pairs."""
+    copies = []
+    for kind, culprit, context, claims, scheme in draw(st.lists(_groups, min_size=1, max_size=4)):
+        for _ in range(draw(st.integers(1, 4))):
+            claim = draw(st.sampled_from(claims))
+            variant = draw(st.sampled_from(["valid", "valid", "forged", "other"]))
+            copies.append(_signed_copy(kind, culprit, context, claim, scheme, variant))
+    repeats = draw(st.lists(st.sampled_from(copies), max_size=4))
+    return draw(st.permutations(copies + repeats))
+
+
+def _reference(statements):
+    """Per group, the sorted claims with a verifying copy (the first such
+    copy each), the first paired with each other, groups in emission order."""
+    groups = {}
+    for kind, culprit, context, claim, scheme, verifies, signed in statements:
+        claims = groups.setdefault((kind, culprit, context, scheme), {})
+        if verifies:
+            claims.setdefault(claim, signed)
+
+    def order(group):
+        kind, culprit, context, scheme = group
+        if kind == "share":
+            return (_KINDS.index(kind), scheme, culprit) + context
+        return (_KINDS.index(kind),) + context + (culprit,)
+
+    pieces = []
+    for group in sorted(groups, key=order):
+        kind, culprit, context, _scheme = group
+        verified = sorted(groups[group].items())
+        for claim, signed in verified[1:]:
+            pieces.append((kind, culprit, context, verified[0][0], claim,
+                           id(verified[0][1]), id(signed)))
+    return pieces
+
+
+@settings(max_examples=100, deadline=None)
+@given(logged=_logs())
+def test_find_equivocations_matches_a_brute_force_reference(logged):
+    records = [(0, 1, message) for message, _statement in logged]
+    keys = {i: _SETUP.replica_verify_key(i) for i in range(4)}
+    evidence = find_equivocations(records, keys, _SCHEMES)
+    found = [
+        (e.kind, e.culprit, e.context, e.digest_a, e.digest_b, id(e.message_a), id(e.message_b))
+        for e in evidence
+    ]
+    assert found == _reference([statement for _message, statement in logged])
+    for piece in evidence:
+        assert verify_evidence(piece, keys, _SCHEMES)
+        kind = _KINDS[(_KINDS.index(piece.kind) + 1) % len(_KINDS)]
+        for field, value in (
+            ("kind", kind),
+            ("culprit", piece.culprit + 1),
+            ("context", piece.context + (0,)),
+            ("digest_a", piece.digest_b),
+            ("digest_b", piece.digest_a),
+            ("message_a", piece.message_b),
+            ("message_b", piece.message_a),
+        ):
+            assert not verify_evidence(dataclasses.replace(piece, **{field: value}), keys, _SCHEMES)
